@@ -304,7 +304,7 @@ int main(int argc, char** argv) {
   FF_CHECK(probe.is_ok());
   auto stolen = registry.attach((*probe)->id(), k_lat_tenant);
   FF_CHECK(!stolen.is_ok());
-  FF_CHECK(registry.destroy((*probe)->id()).is_ok());
+  FF_CHECK(registry.unlink((*probe)->id()));
 
   const double p99_ratio =
       p99_uncontended_us > 0 ? p99_contended_us / p99_uncontended_us : 0.0;

@@ -17,7 +17,7 @@
 #   4 test-asan      ctest under ASan+UBSan with LeakSanitizer ENABLED
 #   5 chaos-smoke    failover + migration matrices under LSan, migration bench + trace
 #   6 examples-smoke quickstart + mapreduce_shuffle run end-to-end (timed)
-#   7 bench-smoke    bench_sim_core + storms + bench_socket_stream --json
+#   7 bench-smoke    bench_sim_core + storms + bench_socket_stream --json + perfbench checks
 #   8 trace-validate failover + socket-stream traces vs expected timelines
 #   9 perf-gate      ci/perf_gate.py vs the committed baselines
 set -euo pipefail
@@ -152,6 +152,22 @@ stage_bench_smoke() {
   ./build/bench/bench_socket_stream --json build/BENCH_socket_stream.json \
     --trace build/TRACE_socket_stream.json
   ./build/bench/bench_tenant_gateway --json build/BENCH_tenant_gateway.json
+  # perfbench's own checks — byte-exact echoes, zero drops/retransmits,
+  # planned transports and clean closes over shm, rdma, dpdk, tcp-host and
+  # overlay — must hold: the result line (last on stdout) must read
+  # "correct": true with "failed": 0. Explicit returns, because a stage
+  # function runs in `||` context where set -e does not apply.
+  local workload result
+  for workload in churn bulk; do
+    result=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+      --seconds 1 --trace 0 | tail -n 1) || return 1
+    python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result" || {
+      echo "perfbench $workload failed its checks: $result" >&2
+      return 1
+    }
+  done
 }
 
 stage_trace_validate() {

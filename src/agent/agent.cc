@@ -211,8 +211,8 @@ void Agent::establish_shm(orch::ContainerId src, orch::ContainerId dst,
   auto lane_ba = make_lane(container_account(dst), container_account(src));
   auto ep_a = std::make_shared<ShmChannelEndpoint>(dst, lane_ab, lane_ba);
   auto ep_b = std::make_shared<ShmChannelEndpoint>(src, lane_ba, lane_ab);
-  ep_a->hold_region(*region);
-  ep_b->hold_region(*region);
+  ep_a->hold_region(*region, shm_registry_);
+  ep_b->hold_region(*region, shm_registry_);
 
   // Local brokering costs one control round within the host.
   host_.loop().schedule(2 * k_microsecond,

@@ -174,7 +174,9 @@ class Agent {
   void fail_endpoints_on(fabric::HostId peer, orch::Transport transport);
 
  public:
-  /// The host's /dev/shm model; lanes are backed by permissioned regions.
+  /// The host's /dev/shm model. Each co-located channel holds one region:
+  /// the permission and budget record for its two lane rings (whose storage
+  /// faults in as written), unlinked when the channel closes.
   [[nodiscard]] shm::RegionRegistry& shm_registry() noexcept { return shm_registry_; }
 
  private:

@@ -65,6 +65,9 @@ void ShmChannelEndpoint::close() noexcept {
   // receive hook lives on the other lane end.
   rx_->set_receiver(nullptr);
   tx_.detach();
+  // Unlink the segment's name; the budget charge stays until both endpoints
+  // release the region (shm_unlink with live mappings).
+  if (region_) registry_->unlink(region_->id());
 }
 
 // ---------------------------------------------------- RemoteChannelEndpoint

@@ -112,14 +112,20 @@ class ShmChannelEndpoint final : public Channel {
   void close() noexcept override;
   [[nodiscard]] bool closed() const noexcept override { return closed_; }
 
-  /// Ties the backing shm region's lifetime to this endpoint.
-  void hold_region(std::shared_ptr<shm::Region> region) { region_ = std::move(region); }
+  /// Ties the backing shm region's budget charge to this endpoint's
+  /// lifetime; close() unlinks it from `registry` (idempotently, so the
+  /// pair's two closes unlink it once).
+  void hold_region(std::shared_ptr<shm::Region> region, shm::RegionRegistry& registry) {
+    region_ = std::move(region);
+    registry_ = &registry;
+  }
 
  private:
   orch::ContainerId peer_;
   LaneSender tx_;
   std::shared_ptr<shm::ShmLane> rx_;
   std::shared_ptr<shm::Region> region_;
+  shm::RegionRegistry* registry_ = nullptr;
   bool closed_ = false;
 };
 

@@ -9,7 +9,7 @@ Result<std::shared_ptr<Region>> RegionRegistry::create(TenantId owner, std::size
   }
   // The budget charge rides the control block, not the registry entry: the
   // deleter releases the bytes when the LAST holder (registry or outstanding
-  // attachment) lets go, so destroy-with-attachments cannot under-count.
+  // attachment) lets go, so unlink-with-attachments cannot under-count.
   auto acct = acct_;
   std::shared_ptr<Region> region(new Region(next_id_++, owner, size),
                                  [acct](Region* r) {
@@ -31,13 +31,6 @@ Result<std::shared_ptr<Region>> RegionRegistry::attach(RegionId id, TenantId ten
   }
   if (tenant != it->second->owner()) ++foreign_attaches_;
   return it->second;
-}
-
-Status RegionRegistry::destroy(RegionId id) {
-  auto it = regions_.find(id);
-  if (it == regions_.end()) return not_found("no shm region " + std::to_string(id));
-  regions_.erase(it);
-  return ok_status();
 }
 
 }  // namespace freeflow::shm

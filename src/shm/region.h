@@ -1,7 +1,9 @@
 // Shared-memory region registry. Regions model POSIX shm segments: they are
 // owned by a tenant and may only be attached by containers whose tenant is on
 // the region's allow-list — this is where FreeFlow's "trade isolation only
-// among trusting containers" policy is enforced mechanically.
+// among trusting containers" policy is enforced mechanically. A region is the
+// permission and budget record of the segment; the bytes themselves live in
+// the lane rings it backs, which fault their storage in as it is written.
 #pragma once
 
 #include <cstdint>
@@ -9,9 +11,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
-#include "common/bytes.h"
 #include "common/status.h"
 
 namespace freeflow::shm {
@@ -22,12 +22,12 @@ using TenantId = std::uint32_t;
 class Region {
  public:
   Region(RegionId id, TenantId owner, std::size_t size)
-      : id_(id), owner_(owner), bytes_(size) {}
+      : id_(id), owner_(owner), size_(size) {}
 
   [[nodiscard]] RegionId id() const noexcept { return id_; }
   [[nodiscard]] TenantId owner() const noexcept { return owner_; }
-  [[nodiscard]] std::size_t size() const noexcept { return bytes_.size(); }
-  [[nodiscard]] Buffer& bytes() noexcept { return bytes_; }
+  /// Bytes charged against the host shm budget while the region is held.
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
   void allow(TenantId tenant) { allowed_.insert(tenant); }
   [[nodiscard]] bool allows(TenantId tenant) const noexcept {
@@ -37,7 +37,7 @@ class Region {
  private:
   RegionId id_;
   TenantId owner_;
-  Buffer bytes_;
+  std::size_t size_;
   std::unordered_set<TenantId> allowed_;
 };
 
@@ -51,13 +51,16 @@ class RegionRegistry {
   /// Attaches an existing region; permission-checked against the tenant.
   Result<std::shared_ptr<Region>> attach(RegionId id, TenantId tenant);
 
-  /// Removes a region from the registry; outstanding shared_ptr holders
-  /// keep it (and its budget charge) alive until the last one releases.
-  Status destroy(RegionId id);
+  /// Removes a region from the registry (shm_unlink); outstanding
+  /// shared_ptr holders keep it (and its budget charge) alive until the last
+  /// one releases. Idempotent: both endpoints of a channel unlink its region
+  /// at close, and the second finds nothing to do. Returns whether this call
+  /// unlinked the region.
+  bool unlink(RegionId id) noexcept { return regions_.erase(id) != 0; }
 
   [[nodiscard]] std::size_t region_count() const noexcept { return regions_.size(); }
   /// Bytes actually pinned in host shm: charged at create, released when
-  /// the LAST holder drops the region — destroy() with attachments still
+  /// the LAST holder drops the region — unlink() with attachments still
   /// outstanding does not free anything (the segment is merely unlinked,
   /// exactly like shm_unlink with live mmaps).
   [[nodiscard]] std::size_t bytes_in_use() const noexcept { return acct_->live_bytes; }

@@ -2,28 +2,68 @@
 
 #include <bit>
 #include <cstring>
+#include <mutex>
+#include <unordered_map>
+#include <vector>
 
 namespace freeflow::shm {
+namespace {
+
+/// Storage of destroyed rings, reused by the next ring of the same capacity,
+/// as an agent recycles shm segments. Pages earlier rings faulted in stay
+/// mapped, so steady connection churn settles at no page faults. And ring
+/// blocks, mostly pages nothing ever touched, never return to the general
+/// heap, where a later zero-filled allocation (an RDMA trunk's slot MRs)
+/// would land on them and fault every page in.
+struct StoragePool {
+  std::mutex mu;
+  std::unordered_map<std::size_t, std::vector<std::unique_ptr<std::byte[]>>> by_capacity;
+};
+
+/// Never destroyed, so rings outliving static destruction can still return
+/// their storage.
+StoragePool& storage_pool() {
+  static auto* pool = new StoragePool;
+  return *pool;
+}
+
+}  // namespace
 
 SpscRing::SpscRing(std::size_t capacity) {
   FF_CHECK(capacity >= 64);
   capacity = std::bit_ceil(capacity);
   mask_ = capacity - 1;
-  storage_.resize(capacity);
+  {
+    StoragePool& pool = storage_pool();
+    std::lock_guard lock(pool.mu);
+    auto& blocks = pool.by_capacity[capacity];
+    if (!blocks.empty()) {
+      storage_ = std::move(blocks.back());
+      blocks.pop_back();
+      return;
+    }
+  }
+  storage_ = std::make_unique_for_overwrite<std::byte[]>(capacity);
+}
+
+SpscRing::~SpscRing() {
+  StoragePool& pool = storage_pool();
+  std::lock_guard lock(pool.mu);
+  pool.by_capacity[capacity()].push_back(std::move(storage_));
 }
 
 void SpscRing::copy_in(std::size_t pos, const std::byte* src, std::size_t n) noexcept {
   const std::size_t offset = pos & mask_;
   const std::size_t first = std::min(n, capacity() - offset);
-  std::memcpy(storage_.data() + offset, src, first);
-  if (first < n) std::memcpy(storage_.data(), src + first, n - first);
+  std::memcpy(storage_.get() + offset, src, first);
+  if (first < n) std::memcpy(storage_.get(), src + first, n - first);
 }
 
 void SpscRing::copy_out(std::size_t pos, std::byte* dst, std::size_t n) const noexcept {
   const std::size_t offset = pos & mask_;
   const std::size_t first = std::min(n, capacity() - offset);
-  std::memcpy(dst, storage_.data() + offset, first);
-  if (first < n) std::memcpy(dst + first, storage_.data(), n - first);
+  std::memcpy(dst, storage_.get() + offset, first);
+  if (first < n) std::memcpy(dst + first, storage_.get(), n - first);
 }
 
 bool SpscRing::try_push(ByteSpan message) noexcept {

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 
 #include "common/bytes.h"
 #include "common/status.h"
@@ -17,6 +18,8 @@ class SpscRing {
  public:
   /// `capacity` is rounded up to a power of two; must be >= 64.
   explicit SpscRing(std::size_t capacity);
+  /// Hands the storage to the next ring of the same capacity.
+  ~SpscRing();
 
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
@@ -60,7 +63,9 @@ class SpscRing {
   void copy_out(std::size_t pos, std::byte* dst, std::size_t n) const noexcept;
 
   std::size_t mask_;
-  Buffer storage_;
+  /// Uninitialised (or recycled from a dead ring): the ring only reads bytes
+  /// it has pushed, so storage pages fault in as traffic first reaches them.
+  std::unique_ptr<std::byte[]> storage_;
   alignas(64) std::atomic<std::uint64_t> head_{0};  // consumer cursor
   alignas(64) std::atomic<std::uint64_t> tail_{0};  // producer cursor
   alignas(64) std::atomic<std::uint64_t> pushed_{0};

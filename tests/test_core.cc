@@ -826,10 +826,78 @@ TEST_F(CoreFixture, ShmChannelsBackedByPermissionedRegions) {
   Env env(1);
   auto p = make_pair(env, true);
   auto& registry = env.freeflow().agents().agent_on(0).shm_registry();
+  const std::size_t lane_ring_bytes = env.freeflow().agents().config().lane_ring_bytes;
   const std::size_t before = registry.region_count();
-  auto [client, server] = socket_pair(env, p, 5000);
-  EXPECT_EQ(registry.region_count(), before + 1);
-  EXPECT_GT(registry.bytes_in_use(), 0u);
+  const std::size_t bytes_before = registry.bytes_in_use();
+  {
+    auto [client, server] = socket_pair(env, p, 5000);
+    EXPECT_EQ(registry.region_count(), before + 1);
+    EXPECT_EQ(registry.bytes_in_use(), bytes_before + 2 * lane_ring_bytes);
+
+    client->close();
+    server->close();
+    EXPECT_TRUE(env.wait([&]() {
+      return p.net_a->conduit_count() == 0 && p.net_b->conduit_count() == 0;
+    }));
+  }
+  EXPECT_EQ(registry.region_count(), before);
+  EXPECT_EQ(registry.bytes_in_use(), bytes_before);
+}
+
+TEST_F(CoreFixture, ShmConnectChurnReleasesRegions) {
+  // Regression: nothing unlinked a channel's region at close, so each
+  // co-located connection kept its registry entry and budget charge for the
+  // agent's whole life, and establish_shm eventually failed with
+  // resource_exhausted. With the budget capped at three regions' worth, ten
+  // sequential connect/echo/close cycles must all succeed.
+  Env env(1);
+  auto p = make_pair(env, true);
+  auto& registry = env.freeflow().agents().agent_on(0).shm_registry();
+  const std::size_t region_bytes = 2 * env.freeflow().agents().config().lane_ring_bytes;
+  const std::size_t before = registry.region_count();
+  const std::size_t bytes_before = registry.bytes_in_use();
+  registry.set_capacity(bytes_before + 3 * region_bytes);
+
+  FlowSocketPtr server;
+  ASSERT_TRUE(p.net_b->sock_listen(5000, [&](FlowSocketPtr s) {
+    s->set_on_data(
+        [raw = s.get()](Buffer&& msg) { FF_CHECK(raw->send(std::move(msg)).is_ok()); });
+    server = std::move(s);
+  }).is_ok());
+
+  for (int cycle = 0; cycle < 10; ++cycle) {
+    SCOPED_TRACE(cycle);
+    FlowSocketPtr client;
+    Status connect_error = ok_status();
+    p.net_a->sock_connect(p.b->ip(), 5000, [&](Result<FlowSocketPtr> s) {
+      if (s.is_ok()) {
+        client = *s;
+      } else {
+        connect_error = s.status();
+      }
+    });
+    ASSERT_TRUE(env.wait([&]() {
+      return (client != nullptr && server != nullptr) || !connect_error.is_ok();
+    }));
+    ASSERT_TRUE(connect_error.is_ok()) << connect_error;
+    EXPECT_EQ(client->transport(), orch::Transport::shm);
+
+    const std::string request = "ping " + std::to_string(cycle);
+    std::string echoed;
+    client->set_on_data([&](Buffer&& msg) { echoed += msg.to_string(); });
+    ASSERT_TRUE(client->send(Buffer::from_string(request)).is_ok());
+    ASSERT_TRUE(env.wait([&]() { return echoed.size() >= request.size(); }));
+    EXPECT_EQ(echoed, request);
+
+    client->close();
+    ASSERT_TRUE(env.wait([&]() {
+      return p.net_a->conduit_count() == 0 && p.net_b->conduit_count() == 0;
+    }));
+    client.reset();
+    server.reset();
+    EXPECT_EQ(registry.region_count(), before);
+    EXPECT_EQ(registry.bytes_in_use(), bytes_before);
+  }
 }
 
 // ----------------------------------------------------- three-tier app

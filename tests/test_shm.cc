@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <deque>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "fabric/cluster.h"
@@ -134,6 +137,40 @@ TEST(SpscRing, TwoThreadStress) {
   EXPECT_TRUE(ring.empty());
 }
 
+std::int64_t minor_faults() {
+  rusage usage{};
+  FF_CHECK(getrusage(RUSAGE_SELF, &usage) == 0);
+  return usage.ru_minflt;
+}
+
+TEST(SpscRing, StorageFaultsInOnlyAsWritten) {
+  // A ring's storage is like a fresh shm mmap: pages fault in when traffic
+  // first reaches them. Zero-filling at construction would touch every page
+  // and make each connection cost its full ring capacity in page faults.
+  constexpr std::size_t k_rings = 64;
+  constexpr std::size_t k_ring_bytes = 4u << 20;  // 64 x 1024 pages
+#if defined(__SANITIZE_ADDRESS__)
+  // ASan poisons the shadow (one byte per 8) of every fresh large heap chunk
+  // it hands out: instrumentation touching pages the program does not.
+  constexpr std::int64_t k_shadow_pages = k_rings * k_ring_bytes / 8 / 4096;
+#else
+  constexpr std::int64_t k_shadow_pages = 0;
+#endif
+  const Buffer message = Buffer::from_string("only these bytes are touched");
+  const std::int64_t before = minor_faults();
+  std::vector<std::unique_ptr<SpscRing>> rings;
+  for (std::size_t i = 0; i < k_rings; ++i) {
+    rings.push_back(std::make_unique<SpscRing>(k_ring_bytes));
+    ASSERT_TRUE(rings.back()->try_push(message.view()));
+  }
+  EXPECT_LT(minor_faults() - before, 4096 + k_shadow_pages);
+  for (auto& ring : rings) {
+    Buffer out;
+    ASSERT_TRUE(ring->try_pop(out));
+    EXPECT_EQ(out, message);
+  }
+}
+
 // ----------------------------------------------------------------- Region
 
 TEST(RegionRegistry, CreateAttachDestroy) {
@@ -145,7 +182,8 @@ TEST(RegionRegistry, CreateAttachDestroy) {
 
   auto same = reg.attach((*r)->id(), 1);
   EXPECT_TRUE(same.is_ok());
-  EXPECT_TRUE(reg.destroy((*r)->id()).is_ok());
+  EXPECT_TRUE(reg.unlink((*r)->id()));
+  EXPECT_FALSE(reg.unlink((*r)->id()));  // idempotent: the pair's second close
   EXPECT_EQ(reg.region_count(), 0u);
 }
 
@@ -163,7 +201,7 @@ TEST(RegionRegistry, EnforcesTenantIsolation) {
 }
 
 TEST(RegionAccounting, DestroyWithLiveAttachmentsKeepsBudgetCharged) {
-  // Regression: destroy() used to release the budget immediately even with
+  // Regression: unlinking used to release the budget immediately even with
   // attachments outstanding, so the registry over-admitted new regions
   // against memory that was still pinned (shm_unlink does not free live
   // mmaps). The charge must persist until the LAST holder releases.
@@ -174,7 +212,7 @@ TEST(RegionAccounting, DestroyWithLiveAttachmentsKeepsBudgetCharged) {
   auto held = reg.attach((*r)->id(), 1);
   ASSERT_TRUE(held.is_ok());
 
-  ASSERT_TRUE(reg.destroy((*r)->id()).is_ok());
+  ASSERT_TRUE(reg.unlink((*r)->id()));
   EXPECT_EQ(reg.region_count(), 0u);          // unlinked from the namespace
   EXPECT_EQ(reg.bytes_in_use(), 600u);        // ...but still pinned
   EXPECT_EQ(reg.create(1, 600).status().code(), Errc::resource_exhausted);
