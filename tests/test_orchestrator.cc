@@ -144,6 +144,10 @@ struct DecisionCase {
   Transport expected;
 };
 
+// Without this gtest prints the raw bytes of the case, including the address
+// of `name`, into the listed test name, so the name changed with every build.
+void PrintTo(const DecisionCase& tc, std::ostream* os) { *os << tc.name; }
+
 class DecisionMatrix : public ::testing::TestWithParam<DecisionCase> {};
 
 TEST_P(DecisionMatrix, PicksPaperTransport) {
