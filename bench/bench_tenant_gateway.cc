@@ -8,6 +8,9 @@
 // divided by its uncontended p99. Also measured: aggregate goodput across
 // both tenants (floor-gated against the committed baseline), autoscaler
 // activity, and the shm isolation audit (zero cross-tenant attaches).
+#include <map>
+#include <memory>
+
 #include "bench_common.h"
 
 #include "common/logging.h"
@@ -156,15 +159,17 @@ struct ChurnDriver {
     const int id = next_++;
     auto c = env_.deploy("churn" + std::to_string(id), k_churn_tenant, host_);
     auto net = env_.ff->attach(c->id()).value();
-    auto client = std::make_shared<GatewayClient>(net, service_ip_, k_churn_port,
-                                                  16 * 1024, 16 * 1024, 1);
+    auto& client = live_[id];
+    client = std::make_unique<GatewayClient>(net, service_ip_, k_churn_port, 16 * 1024,
+                                             16 * 1024, 1);
     client->start();
     ++launched_;
     // Each churner lives ~2 ms, then its container is stopped outright.
-    env_.loop().schedule(2 * k_millisecond, [this, c, client]() {
-      client->stop();
+    env_.loop().schedule(2 * k_millisecond, [this, c, id]() {
+      live_.at(id)->stop();
       (void)env_.cluster_orch->stop(c->id());
       ++retired_;
+      live_.erase(id);
     });
     env_.loop().schedule(1 * k_millisecond, [this]() { launch(); });
   }
@@ -176,6 +181,11 @@ struct ChurnDriver {
   int next_ = 0;
   std::uint64_t launched_ = 0;
   std::uint64_t retired_ = 0;
+  /// Churners not yet retired, owned here rather than by their pending stop
+  /// events: a client still live when the run ends is destroyed with this
+  /// object, while the stack it closes its socket through is still alive,
+  /// instead of when the event loop is torn down after that stack.
+  std::map<int, std::unique_ptr<GatewayClient>> live_;
 };
 
 }  // namespace

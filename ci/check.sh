@@ -74,9 +74,15 @@ run_stage() {  # run_stage NUMBER NAME FUNCTION
     return 0
   fi
   echo "== stage $n: $name"
-  local t0 t1 rc=0
+  local t0 t1 rc
   t0=$(date +%s)
-  "$fn" || rc=$?
+  # The stage runs in a subshell under set -e, outside any ||/&&/if
+  # context (which would switch set -e off inside it), so its first failing
+  # command fails the stage.
+  set +e
+  ( set -e; "$fn" )
+  rc=$?
+  set -e
   t1=$(date +%s)
   times_names+=("$name")
   times_secs+=($((t1 - t0)))
@@ -155,8 +161,7 @@ stage_bench_smoke() {
   # perfbench's own checks — byte-exact echoes, zero drops/retransmits,
   # planned transports and clean closes over shm, rdma, dpdk, tcp-host and
   # overlay — must hold: the result line (last on stdout) must read
-  # "correct": true with "failed": 0. Explicit returns, because a stage
-  # function runs in `||` context where set -e does not apply.
+  # "correct": true with "failed": 0.
   local workload result
   for workload in churn bulk; do
     result=$(python3 perfbench/run.py --workload "$workload" --seed 1 \

@@ -904,11 +904,16 @@ void Agent::dispatch_record(Buffer&& record) {
   }
 
   if (h.frag_offset == 0 && parsed->fragment.size() == h.total_len) {
-    endpoint->deliver_inbound(Buffer(parsed->fragment.data(), parsed->fragment.size()));
+    // The whole message in one record: hand it on with the relay header
+    // consumed in place.
+    record.consume_front(RelayHeader::k_size);
+    endpoint->deliver_inbound(std::move(record));
     return;
   }
+  // Fragments of one message arrive exactly once each and tile it, so the
+  // slot is only delivered once every byte has been written.
   auto& slot = rx_[{h.channel, h.msg_seq}];
-  if (slot.data.size() != h.total_len) slot.data.resize(h.total_len);
+  if (slot.data.size() != h.total_len) slot.data = Buffer::for_overwrite(h.total_len);
   if (!parsed->fragment.empty()) {
     std::memcpy(slot.data.data() + h.frag_offset, parsed->fragment.data(),
                 parsed->fragment.size());

@@ -12,7 +12,12 @@ LaneSender::LaneSender(std::shared_ptr<shm::ShmLane> lane) : lane_(std::move(lan
   lane_->set_on_space([this]() { drain(); });
 }
 
-void LaneSender::send(Buffer message) {
+void LaneSender::send(ByteSpan message) {
+  if (overflow_.empty() && lane_->send(message).is_ok()) return;
+  overflow_.emplace_back(message.data(), message.size());
+}
+
+void LaneSender::send(Buffer&& message) {
   if (overflow_.empty() && lane_->send(message.view()).is_ok()) return;
   overflow_.push_back(std::move(message));
 }
@@ -44,9 +49,9 @@ ShmChannelEndpoint::ShmChannelEndpoint(orch::ContainerId peer,
 
 ShmChannelEndpoint::~ShmChannelEndpoint() { close(); }
 
-Status ShmChannelEndpoint::send(Buffer message) {
+Status ShmChannelEndpoint::send(ByteSpan message) {
   if (closed_) return failed_precondition("channel closed");
-  tx_.send(std::move(message));
+  tx_.send(message);
   return ok_status();
 }
 
@@ -100,9 +105,9 @@ bool RemoteChannelEndpoint::writable() const noexcept {
   return tx_.writable() && agent_.trunk_writable(peer_host_, transport_);
 }
 
-Status RemoteChannelEndpoint::send(Buffer message) {
+Status RemoteChannelEndpoint::send(ByteSpan message) {
   if (closed_) return failed_precondition("channel closed");
-  tx_.send(std::move(message));
+  tx_.send(message);
   return ok_status();
 }
 

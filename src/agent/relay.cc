@@ -3,7 +3,7 @@
 namespace freeflow::agent {
 
 Buffer make_record(const RelayHeader& header, ByteSpan fragment) {
-  Buffer record(RelayHeader::k_size + fragment.size());
+  Buffer record = Buffer::for_overwrite(RelayHeader::k_size + fragment.size());
   header.encode(record.data());
   if (!fragment.empty()) {
     std::memcpy(record.data() + RelayHeader::k_size, fragment.data(), fragment.size());

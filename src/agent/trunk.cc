@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/framing.h"
 #include "common/logging.h"
 
 namespace freeflow::agent {
@@ -151,20 +152,17 @@ void TcpTrunk::send(Buffer record, std::uint32_t tenant) {
   // class stays 0 (documented limitation; the kernel-bypass paths classify
   // precisely).
   (void)tenant;
-  queue_.push_back(std::move(record));
+  queue_.push_back(frame_record(record.view()));
   pump();
 }
 
 void TcpTrunk::pump() {
   if (conn_ == nullptr) return;
-  while (!queue_.empty()) {
-    const Buffer& record = queue_.front();
-    Buffer framed(4 + record.size());
-    const auto len = static_cast<std::uint32_t>(record.size());
-    std::memcpy(framed.data(), &len, 4);
-    std::memcpy(framed.data() + 4, record.data(), record.size());
-    const Status s = conn_->send(std::move(framed));
-    if (!s.is_ok()) return;  // would_block: resume from on_writable
+  // writable(n) is exactly send()'s admission test: a frame leaves the
+  // queue only when the connection takes it.
+  while (!queue_.empty() && conn_->writable(queue_.front().size())) {
+    const Status s = conn_->send(std::move(queue_.front()));
+    FF_CHECK(s.is_ok());
     ++sent_;
     queue_.pop_front();
   }
@@ -172,19 +170,10 @@ void TcpTrunk::pump() {
 }
 
 void TcpTrunk::on_bytes(Buffer&& data) {
-  rx_accum_.append(data.view());
-  std::size_t cursor = 0;
-  while (rx_accum_.size() - cursor >= 4) {
-    std::uint32_t len = 0;
-    std::memcpy(&len, rx_accum_.data() + cursor, 4);
-    if (rx_accum_.size() - cursor - 4 < len) break;
-    Buffer record(rx_accum_.data() + cursor + 4, len);
-    cursor += 4 + len;
+  append_stream_bytes(rx_accum_, std::move(data));
+  Buffer record;
+  while (pop_record(rx_accum_, record)) {
     if (on_record_) on_record_(std::move(record));
-  }
-  if (cursor > 0) {
-    Buffer rest(rx_accum_.data() + cursor, rx_accum_.size() - cursor);
-    rx_accum_ = std::move(rest);
   }
 }
 

@@ -148,7 +148,7 @@ class TcpTrunk final : public Trunk {
 
   sim::EventLoop& loop_;
   tcp::TcpConnection::Ptr conn_;
-  std::deque<Buffer> queue_;  ///< records waiting for the connection/window
+  std::deque<Buffer> queue_;  ///< framed records waiting for the connection/window
   Buffer rx_accum_;
   std::uint64_t sent_ = 0;
 };

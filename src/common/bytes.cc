@@ -50,7 +50,7 @@ void fill_pattern(MutableByteSpan out, std::uint64_t seed) noexcept {
 
 bool check_pattern(ByteSpan data, std::uint64_t seed) noexcept {
   if (data.empty()) return true;  // empty spans may carry a null data()
-  Buffer expected(data.size());
+  Buffer expected = Buffer::for_overwrite(data.size());
   fill_pattern(expected.mutable_view(), seed);
   return std::memcmp(expected.data(), data.data(), data.size()) == 0;
 }

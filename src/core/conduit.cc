@@ -57,14 +57,21 @@ void Conduit::send(const WireHeader& header, ByteSpan payload) {
     queue_.push_back(std::move(message));
     return;
   }
+  transmit(h.seq, std::move(message));
+}
+
+void Conduit::transmit(std::uint64_t seq, Buffer message) {
   ++sent_;
   ctr_sent_->inc();
+  // The channel copies from a view. On a lossy channel the retained window
+  // takes ownership of the message, so it is never copied for retention.
+  const ByteSpan bytes = message.view();
   if (should_retain()) {
-    retained_.emplace_back(h.seq, Buffer(message.data(), message.size()));
+    retained_.emplace_back(seq, std::move(message));
     gauge_retained_->set(static_cast<std::int64_t>(retained_.size()));
     if (retained_.size() == k_max_retained) note_window_filled();
   }
-  const Status s = channel_->send(std::move(message));
+  const Status s = channel_->send(bytes);
   if (!s.is_ok()) {
     FF_LOG(warn, "core") << "conduit send failed: " << s;
   }
@@ -158,7 +165,7 @@ void Conduit::handle_message(Buffer&& message) {
     FF_LOG(warn, "core") << "conduit got malformed message: " << parsed.status();
     return;
   }
-  const WireHeader& h = parsed->header;
+  const WireHeader h = parsed->header;
   switch (h.type) {
     case VMsg::ack:
       handle_ack(h.id);
@@ -198,7 +205,9 @@ void Conduit::handle_message(Buffer&& message) {
     // Copy: handlers swap themselves during handshakes (cm_accept installs
     // the QP/socket data handler from inside the setup handler).
     auto handler = on_message_;
-    handler(parsed->header, parsed->payload);
+    // Strip the header in place: the payload is handed on, not copied.
+    message.consume_front(WireHeader::k_size);
+    handler(h, std::move(message));
   }
 }
 
@@ -406,8 +415,7 @@ void Conduit::retransmit_retained() {
   // Index loop: a reentrant Conduit::send (e.g. an ack-driven on_space_)
   // may push_back into the deque mid-replay, which invalidates iterators.
   for (std::size_t i = 0; i < retained_.size(); ++i) {
-    const Buffer& message = retained_[i].second;
-    const Status s = channel_->send(Buffer(message.data(), message.size()));
+    const Status s = channel_->send(retained_[i].second.view());
     if (!s.is_ok()) {
       FF_LOG(warn, "core") << "conduit retransmit failed: " << s;
     }
@@ -572,18 +580,8 @@ void Conduit::drain() {
   while (!queue_.empty() && channel_ != nullptr && !paused_) {
     Buffer message = std::move(queue_.front());
     queue_.pop_front();
-    ++sent_;
-    ctr_sent_->inc();
-    if (should_retain()) {
-      const std::uint64_t seq = WireHeader::decode(message.data()).seq;
-      retained_.emplace_back(seq, Buffer(message.data(), message.size()));
-      gauge_retained_->set(static_cast<std::int64_t>(retained_.size()));
-      if (retained_.size() == k_max_retained) note_window_filled();
-    }
-    const Status s = channel_->send(std::move(message));
-    if (!s.is_ok()) {
-      FF_LOG(warn, "core") << "conduit drain failed: " << s;
-    }
+    const std::uint64_t seq = WireHeader::decode(message.data()).seq;
+    transmit(seq, std::move(message));
   }
 }
 

@@ -51,7 +51,9 @@ enum class MigrationReason : std::uint8_t {
 
 class Conduit : public std::enable_shared_from_this<Conduit> {
  public:
-  using MessageFn = std::function<void(const WireHeader&, ByteSpan)>;
+  /// Receives each message's header and its payload, header already
+  /// stripped in place: handlers take ownership instead of copying.
+  using MessageFn = std::function<void(const WireHeader&, Buffer&&)>;
   using ClosedFn = std::function<void(CloseReason)>;
 
   Conduit(std::uint64_t token, orch::ContainerId self, orch::ContainerId peer,
@@ -214,6 +216,9 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
 
  private:
   void drain();
+  /// Puts one sequenced message on the attached channel (retaining it on a
+  /// lossy one).
+  void transmit(std::uint64_t seq, Buffer message);
   void retransmit_retained();
   void handle_message(Buffer&& message);
   void handle_ack(std::uint64_t acked_upto);
@@ -241,6 +246,7 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   agent::ChannelPtr channel_;
   std::deque<Buffer> queue_;
   /// Sent on a lossy channel, not yet cumulatively acked: (seq, message).
+  /// Owns the only copy of each message; retransmits send views of it.
   std::deque<std::pair<std::uint64_t, Buffer>> retained_;
   MessageFn on_message_;
   std::function<void()> on_space_;

@@ -2,6 +2,7 @@
 
 #include "common/logging.h"
 #include "core/freeflow.h"
+#include "shm/spsc_ring.h"
 
 namespace freeflow::core {
 
@@ -103,6 +104,11 @@ rdma::MrPtr ContainerNet::mr(std::uint32_t mr_id) const {
   return it == mrs_.end() ? nullptr : it->second;
 }
 
+std::size_t ContainerNet::max_verbs_payload() const {
+  return shm::SpscRing::max_payload(ff_.agents().config().lane_ring_bytes) -
+         WireHeader::k_size;
+}
+
 rdma::CqPtr ContainerNet::create_cq(std::size_t capacity) {
   return std::make_shared<rdma::CompletionQueue>(capacity);
 }
@@ -192,7 +198,7 @@ void ContainerNet::connect_qp(tcp::Ipv4Addr peer_ip, std::uint16_t port,
     }
     // Await cm_accept / cm_reject.
     conduit->set_on_message([this, conduit, send_cq, recv_cq,
-                             done = std::move(done)](const WireHeader& h, ByteSpan) mutable {
+                             done = std::move(done)](const WireHeader& h, Buffer&&) mutable {
       if (h.type == VMsg::cm_accept) {
         auto qp = std::make_shared<VirtualQp>(*this, conduit, send_cq, recv_cq);
         qp->bind();
@@ -228,7 +234,7 @@ void ContainerNet::sock_connect(tcp::Ipv4Addr peer_ip, std::uint16_t port,
       return;
     }
     conduit->set_on_message([this, conduit,
-                             done = std::move(done)](const WireHeader& h, ByteSpan) mutable {
+                             done = std::move(done)](const WireHeader& h, Buffer&&) mutable {
       if (h.type == VMsg::sock_accept) {
         auto sock = std::make_shared<FlowSocket>(*this, conduit);
         sock->bind();

@@ -42,6 +42,9 @@ class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
   rdma::MrPtr reg_mr(std::size_t length);
   [[nodiscard]] rdma::MrPtr mr(std::uint32_t id) const;
   rdma::CqPtr create_cq(std::size_t capacity = 4096);
+  /// Largest payload one verbs WR may move (SEND/WRITE source, READ
+  /// length): its conduit message has to fit whole into an shm lane ring.
+  [[nodiscard]] std::size_t max_verbs_payload() const;
 
   /// CM-style rendezvous: accept verbs QPs on a service port.
   Status listen_qp(std::uint16_t port, QpAcceptFn on_accept);

@@ -11,8 +11,8 @@ FlowSocket::FlowSocket(ContainerNet& net, ConduitPtr conduit)
 
 void FlowSocket::bind() {
   auto self = weak_from_this();
-  conduit_->set_on_message([self](const WireHeader& h, ByteSpan payload) {
-    if (auto sock = self.lock()) sock->handle_message(h, payload);
+  conduit_->set_on_message([self](const WireHeader& h, Buffer&& payload) {
+    if (auto sock = self.lock()) sock->handle_message(h, std::move(payload));
   });
   conduit_->set_on_closed([self](CloseReason reason) {
     auto sock = self.lock();
@@ -61,11 +61,11 @@ void FlowSocket::close() {
   conduit_->close();
 }
 
-void FlowSocket::handle_message(const WireHeader& h, ByteSpan payload) {
+void FlowSocket::handle_message(const WireHeader& h, Buffer&& payload) {
   switch (h.type) {
     case VMsg::sock_data:
       bytes_received_ += payload.size();
-      if (on_data_) on_data_(Buffer(payload.data(), payload.size()));
+      if (on_data_) on_data_(std::move(payload));
       return;
     case VMsg::sock_fin: {
       open_ = false;

@@ -64,7 +64,7 @@ class FlowSocket : public std::enable_shared_from_this<FlowSocket> {
   static constexpr std::size_t k_chunk = 64 * 1024;
 
  private:
-  void handle_message(const WireHeader& header, ByteSpan payload);
+  void handle_message(const WireHeader& header, Buffer&& payload);
   /// Once closed, the stored callbacks are dead weight — and worse, an
   /// application closure that captures its own stream adapter would cycle
   /// back to this socket through on_data_. Dropping them on every close

@@ -18,8 +18,8 @@ VirtualQp::VirtualQp(ContainerNet& net, ConduitPtr conduit, rdma::CqPtr send_cq,
 
 void VirtualQp::bind() {
   auto self = weak_from_this();
-  conduit_->set_on_message([self](const WireHeader& h, ByteSpan payload) {
-    if (auto qp = self.lock()) qp->handle_message(h, payload);
+  conduit_->set_on_message([self](const WireHeader& h, Buffer&& payload) {
+    if (auto qp = self.lock()) qp->handle_message(h, payload.view());
   });
   conduit_->set_on_closed([self](CloseReason reason) {
     auto qp = self.lock();
@@ -46,6 +46,11 @@ Status VirtualQp::post_send(const rdma::SendWr& wr) {
   if (wr.local.mr == nullptr ||
       wr.local.offset + wr.local.length > wr.local.mr->length()) {
     return invalid_argument("local buffer out of MR bounds");
+  }
+  // A message the lane ring can never hold would park in the channel
+  // forever: refuse it here, as a NIC refuses a WR above max_msg_sz.
+  if (wr.opcode != rdma::Opcode::read && wr.local.length > net_.max_verbs_payload()) {
+    return invalid_argument("WR larger than the largest verbs message");
   }
   net_.charge_post();
 
@@ -154,7 +159,8 @@ void VirtualQp::handle_message(const WireHeader& h, ByteSpan payload) {
       resp.type = VMsg::verbs_read_resp;
       resp.id = h.id;
       net_.charge_post();  // the vNIC answers; one doorbell worth of CPU
-      if (target == nullptr || h.offset + h.token > target->length()) {
+      if (target == nullptr || h.offset + h.token > target->length() ||
+          h.token > net_.max_verbs_payload()) {
         resp.mr = 1;  // non-zero marks an error response
         conduit_->send(resp);
         return;

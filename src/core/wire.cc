@@ -32,7 +32,7 @@ WireHeader WireHeader::decode(const std::byte* in) noexcept {
 Buffer make_message(const WireHeader& header, ByteSpan payload) {
   WireHeader h = header;
   h.len = static_cast<std::uint32_t>(payload.size());
-  Buffer out(WireHeader::k_size + payload.size());
+  Buffer out = Buffer::for_overwrite(WireHeader::k_size + payload.size());
   h.encode(out.data());
   if (!payload.empty()) {
     std::memcpy(out.data() + WireHeader::k_size, payload.data(), payload.size());

@@ -102,13 +102,22 @@ void DpdkPort::on_frame(fabric::PacketPtr packet) {
         m.dpdk_pkt_cost(static_cast<std::uint32_t>(frame->payload.size())),
         [this, frame, src]() {
           auto& slot = rx_[{src, frame->msg_id}];
-          if (slot.data.size() != frame->total_len) slot.data.resize(frame->total_len);
+          if (slot.data.size() != frame->total_len) {
+            slot.data = Buffer::for_overwrite(frame->total_len);
+          }
+          // A lost frame leaves a hole that is delivered as zeros: fill any
+          // gap this frame skips (and the tail, at the last frame).
+          const std::uint32_t end =
+              frame->offset + static_cast<std::uint32_t>(frame->payload.size());
+          slot.zero_gap(frame->offset);
           if (!frame->payload.empty()) {
             std::memcpy(slot.data.data() + frame->offset, frame->payload.data(),
                         frame->payload.size());
           }
+          slot.filled = std::max(slot.filled, end);
           slot.received += static_cast<std::uint32_t>(frame->payload.size());
           if (frame->last) {
+            slot.zero_gap(frame->total_len);
             Buffer out = std::move(slot.data);
             rx_.erase({src, frame->msg_id});
             ++delivered_;

@@ -93,6 +93,13 @@ class DpdkPort {
   struct Reassembly {
     Buffer data;
     std::uint32_t received = 0;
+    std::uint32_t filled = 0;  ///< every byte below this is written
+    /// Zeroes the unwritten bytes in [filled, upto).
+    void zero_gap(std::uint32_t upto) noexcept {
+      if (upto <= filled) return;
+      std::memset(data.data() + filled, 0, upto - filled);
+      filled = upto;
+    }
   };
   std::map<std::pair<fabric::HostId, std::uint64_t>, Reassembly> rx_;
 

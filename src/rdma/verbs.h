@@ -43,10 +43,16 @@ struct WorkCompletion {
 };
 
 /// Registered memory: a real buffer addressable by (key, offset).
+///
+/// Like ibv_reg_mr, registration takes the memory as it is: the bytes start
+/// uninitialised and nothing is zero-filled, so a large MR (an agent
+/// trunk's slot ring) faults its pages in as records are first written, not
+/// at registration. Nothing reads MR bytes it has not written; an owner
+/// that posts a buffer as it is fills it first.
 class MemoryRegion {
  public:
   MemoryRegion(Key lkey, Key rkey, std::size_t length)
-      : lkey_(lkey), rkey_(rkey), data_(length) {}
+      : lkey_(lkey), rkey_(rkey), data_(Buffer::for_overwrite(length)) {}
 
   [[nodiscard]] Key lkey() const noexcept { return lkey_; }
   [[nodiscard]] Key rkey() const noexcept { return rkey_; }

@@ -94,7 +94,7 @@ bool SpscRing::try_pop(Buffer& out) noexcept {
   copy_out(static_cast<std::size_t>(head), header, k_header_size);
   std::memcpy(&len, header, k_header_size);
 
-  out.resize(len);
+  if (out.size() != len) out = Buffer::for_overwrite(len);
   if (len != 0) {
     copy_out(static_cast<std::size_t>(head + k_header_size), out.data(), len);
   }

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 
@@ -28,13 +29,20 @@ class SpscRing {
   /// enough free space for the record (4-byte header + payload).
   bool try_push(ByteSpan message) noexcept;
 
-  /// Pops the oldest message into `out` (resized to fit). Returns false if
-  /// the ring is empty.
+  /// Pops the oldest message into `out`, which is sized to fit and then
+  /// overwritten (never zero-filled first). Returns false if the ring is
+  /// empty.
   bool try_pop(Buffer& out) noexcept;
 
   /// Bytes a message of `payload` size occupies in the ring.
   [[nodiscard]] static std::size_t record_size(std::size_t payload) noexcept {
     return k_header_size + payload;
+  }
+
+  /// Largest message a ring asked for `capacity` bytes can ever take: it
+  /// must fit whole while the ring is empty.
+  [[nodiscard]] static std::size_t max_payload(std::size_t capacity) noexcept {
+    return std::bit_ceil(capacity) - k_header_size;
   }
 
   [[nodiscard]] bool can_push(std::size_t payload) const noexcept {

@@ -52,38 +52,48 @@ void RcStreamChannel::repost_recv(std::uint32_t slot) {
   FF_CHECK(posted.is_ok());
 }
 
-Status RcStreamChannel::send(Buffer message) {
+Status RcStreamChannel::send(ByteSpan message) {
   if (closed_) return failed_precondition("stream rc channel closed");
   FF_CHECK(message.size() <= k_slot_bytes);
-  queue_.push_back(std::move(message));
+  if (queue_.empty() && can_post_data()) {
+    post_to_slot(message);
+    --credits_;
+    return ok_status();
+  }
+  queue_.emplace_back(message.data(), message.size());
   pump();
   return ok_status();
 }
 
 bool RcStreamChannel::writable() const noexcept {
-  return !closed_ && qp_->state() == rdma::QpState::ready && queue_.empty() &&
-         !free_slots_.empty() && credits_ > 0;
+  return !closed_ && queue_.empty() && can_post_data();
+}
+
+bool RcStreamChannel::can_post_data() const noexcept {
+  return qp_->state() == rdma::QpState::ready && !free_slots_.empty() && credits_ > 0;
+}
+
+void RcStreamChannel::post_to_slot(ByteSpan message) {
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  auto dst = send_mr_->slice(slot * k_slot_bytes, message.size());
+  FF_CHECK(dst.is_ok());
+  if (!message.empty()) std::memcpy(dst->data(), message.data(), message.size());
+
+  rdma::SendWr wr;
+  wr.wr_id = slot;
+  wr.opcode = rdma::Opcode::send;
+  wr.local = {send_mr_, slot * k_slot_bytes, message.size()};
+  wr.signaled = true;
+  const Status posted = qp_->post_send(wr, account_);
+  FF_CHECK(posted.is_ok());
 }
 
 void RcStreamChannel::pump() {
-  if (closed_ || qp_->state() != rdma::QpState::ready) return;
-  while (!queue_.empty() && !free_slots_.empty() && credits_ > 0) {
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    Buffer message = std::move(queue_.front());
+  if (closed_) return;
+  while (!queue_.empty() && can_post_data()) {
+    post_to_slot(queue_.front().view());
     queue_.pop_front();
-
-    auto dst = send_mr_->slice(slot * k_slot_bytes, message.size());
-    FF_CHECK(dst.is_ok());
-    std::memcpy(dst->data(), message.data(), message.size());
-
-    rdma::SendWr wr;
-    wr.wr_id = slot;
-    wr.opcode = rdma::Opcode::send;
-    wr.local = {send_mr_, slot * k_slot_bytes, message.size()};
-    wr.signaled = true;
-    const Status posted = qp_->post_send(wr, account_);
-    FF_CHECK(posted.is_ok());
     --credits_;
   }
 }
@@ -97,20 +107,7 @@ void RcStreamChannel::return_credits() {
   core::WireHeader h;
   h.type = core::VMsg::rc_credit;
   h.id = since_credit_;
-  Buffer message = core::make_message(h);
-
-  const std::uint32_t slot = free_slots_.back();
-  free_slots_.pop_back();
-  auto dst = send_mr_->slice(slot * k_slot_bytes, message.size());
-  FF_CHECK(dst.is_ok());
-  std::memcpy(dst->data(), message.data(), message.size());
-  rdma::SendWr wr;
-  wr.wr_id = slot;
-  wr.opcode = rdma::Opcode::send;
-  wr.local = {send_mr_, slot * k_slot_bytes, message.size()};
-  wr.signaled = true;
-  const Status posted = qp_->post_send(wr, account_);
-  FF_CHECK(posted.is_ok());
+  post_to_slot(core::make_message(h).view());
   since_credit_ = 0;
 }
 

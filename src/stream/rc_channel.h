@@ -53,7 +53,7 @@ class RcStreamChannel final : public agent::Channel,
 
   [[nodiscard]] rdma::QpNum qp_num() const noexcept { return qp_->num(); }
 
-  Status send(Buffer message) override;
+  Status send(ByteSpan message) override;
   [[nodiscard]] bool writable() const noexcept override;
   void set_on_message(DeliverFn cb) override { on_message_ = std::move(cb); }
   void set_on_space(std::function<void()> cb) override { on_space_ = std::move(cb); }
@@ -67,6 +67,10 @@ class RcStreamChannel final : public agent::Channel,
   [[nodiscard]] std::uint32_t credits() const noexcept { return credits_; }
 
  private:
+  /// Ready QP, a free send slot and a peer credit: a data message can post.
+  [[nodiscard]] bool can_post_data() const noexcept;
+  /// Copies `message` into a free send slot and posts it.
+  void post_to_slot(ByteSpan message);
   void pump();
   void schedule_poll();
   void poll_cqs();

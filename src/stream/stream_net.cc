@@ -114,7 +114,7 @@ void StreamNet::connect(tcp::Ipv4Addr peer_ip, std::uint16_t port, ConnectFn don
 
   std::weak_ptr<StreamNet> self = weak_from_this();
   // Await sock_accept / sock_reject over the fallback connection.
-  conduit->set_on_message([self, conduit, fire](const core::WireHeader& h, ByteSpan) {
+  conduit->set_on_message([self, conduit, fire](const core::WireHeader& h, Buffer&&) {
     auto net = self.lock();
     if (net == nullptr) return;
     if (h.type == core::VMsg::sock_accept) {
@@ -189,7 +189,7 @@ void StreamNet::handle_first_message(agent::Channel* raw, const Buffer& message)
       reply.token = header.token;
       if (lit == listeners_.end()) {
         reply.type = core::VMsg::sock_reject;
-        channel->send(core::make_message(reply));
+        channel->send(core::make_message(reply).view());
         channel->close();
         return;
       }
@@ -228,7 +228,7 @@ void StreamNet::handle_first_message(agent::Channel* raw, const Buffer& message)
       core::WireHeader reply;
       reply.type = core::VMsg::bye_ack;
       reply.token = header.token;
-      channel->send(core::make_message(reply));
+      channel->send(core::make_message(reply).view());
       channel->close();
       return;
     }
@@ -386,7 +386,7 @@ void StreamNet::dial_fallback(const core::ConduitPtr& conduit, bool upgrade_afte
         h.type = core::VMsg::rebind;
         h.token = token;
         // The rebind must be the first frame on the fresh connection.
-        channel->send(core::make_message(h));
+        channel->send(core::make_message(h).view());
         conduit->attach_channel(channel);
         net->attached_tcp_[token] = channel;
         ++net->fallbacks_;
@@ -479,7 +479,7 @@ void StreamNet::handle_control(const core::ConduitPtr& conduit,
       core::WireHeader sw;
       sw.type = core::VMsg::rc_switch;
       sw.token = token;
-      channel->send(core::make_message(sw));
+      channel->send(core::make_message(sw).view());
       conduit->attach_channel(channel);  // closes the TCP side (peer expects it)
       attached_tcp_.erase(token);
       ++upgrades_;

@@ -13,8 +13,8 @@ StreamSocket::StreamSocket(core::ConduitPtr conduit, telemetry::Counter* rx_rdma
 
 void StreamSocket::bind() {
   auto self = weak_from_this();
-  conduit_->set_on_message([self](const core::WireHeader& h, ByteSpan payload) {
-    if (auto sock = self.lock()) sock->handle_message(h, payload);
+  conduit_->set_on_message([self](const core::WireHeader& h, Buffer&& payload) {
+    if (auto sock = self.lock()) sock->handle_message(h, std::move(payload));
   });
   conduit_->set_on_closed([self](core::CloseReason reason) {
     auto sock = self.lock();
@@ -61,7 +61,7 @@ void StreamSocket::close() {
   conduit_->close();
 }
 
-void StreamSocket::handle_message(const core::WireHeader& h, ByteSpan payload) {
+void StreamSocket::handle_message(const core::WireHeader& h, Buffer&& payload) {
   switch (h.type) {
     case core::VMsg::sock_data: {
       bytes_received_ += payload.size();
@@ -74,7 +74,7 @@ void StreamSocket::handle_message(const core::WireHeader& h, ByteSpan payload) {
         bytes_tcp_ += payload.size();
         ctr_rx_tcp_->inc(payload.size());
       }
-      if (on_data_) on_data_(Buffer(payload.data(), payload.size()));
+      if (on_data_) on_data_(std::move(payload));
       return;
     }
     case core::VMsg::sock_fin: {

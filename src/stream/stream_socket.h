@@ -60,7 +60,7 @@ class StreamSocket : public std::enable_shared_from_this<StreamSocket> {
   static constexpr std::size_t k_chunk = 64 * 1024;
 
  private:
-  void handle_message(const core::WireHeader& header, ByteSpan payload);
+  void handle_message(const core::WireHeader& header, Buffer&& payload);
   void release_callbacks() noexcept;
 
   core::ConduitPtr conduit_;

@@ -1,6 +1,6 @@
 #include "stream/tcp_channel.h"
 
-#include <cstring>
+#include "common/framing.h"
 
 namespace freeflow::stream {
 
@@ -40,9 +40,9 @@ void TcpFallbackChannel::on_conn_closed() {
   fail();
 }
 
-Status TcpFallbackChannel::send(Buffer message) {
+Status TcpFallbackChannel::send(ByteSpan message) {
   if (closed_) return failed_precondition("stream tcp channel closed");
-  overflow_.push_back(std::move(message));
+  overflow_.push_back(frame_record(message));
   // Drain, but never notify from here: firing on_space_ inside send() would
   // re-enter the caller's own pump loop before it has accounted for this
   // send (a writability-paced sender would duplicate its current chunk).
@@ -65,35 +65,23 @@ void TcpFallbackChannel::on_conn_writable() {
 
 void TcpFallbackChannel::pump() {
   if (closed_ || conn_down_) return;
-  while (!overflow_.empty()) {
-    const Buffer& record = overflow_.front();
-    Buffer framed(4 + record.size());
-    const auto len = static_cast<std::uint32_t>(record.size());
-    std::memcpy(framed.data(), &len, 4);
-    std::memcpy(framed.data() + 4, record.data(), record.size());
-    const Status s = conn_->send(std::move(framed));
-    if (!s.is_ok()) return;  // would_block: resume from on_writable
+  // writable(n) is exactly send()'s admission test: a frame leaves the
+  // queue only when the connection takes it.
+  while (!overflow_.empty() && conn_->writable(overflow_.front().size())) {
+    const Status s = conn_->send(std::move(overflow_.front()));
+    FF_CHECK(s.is_ok());
     overflow_.pop_front();
   }
 }
 
 void TcpFallbackChannel::on_bytes(Buffer&& data) {
-  rx_accum_.append(data.view());
-  std::size_t cursor = 0;
-  while (rx_accum_.size() - cursor >= 4) {
-    std::uint32_t len = 0;
-    std::memcpy(&len, rx_accum_.data() + cursor, 4);
-    if (rx_accum_.size() - cursor - 4 < len) break;
-    Buffer record(rx_accum_.data() + cursor + 4, len);
-    cursor += 4 + len;
+  append_stream_bytes(rx_accum_, std::move(data));
+  Buffer record;
+  while (pop_record(rx_accum_, record)) {
     // Re-read per record: a delivery may re-wire this channel (close or
     // attach elsewhere) mid-batch.
     if (closed_) return;
     if (on_message_) on_message_(std::move(record));
-  }
-  if (cursor > 0) {
-    Buffer rest(rx_accum_.data() + cursor, rx_accum_.size() - cursor);
-    rx_accum_ = std::move(rest);
   }
 }
 

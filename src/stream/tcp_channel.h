@@ -4,9 +4,9 @@
 // interface so a conduit can splice between it and a per-stream RC QP
 // without the application noticing (TSoR's fallback leg).
 //
-// Records are framed with a 4-byte little-endian length prefix, the same
-// scheme the agents' TcpTrunk uses, so one conduit message maps to exactly
-// one framed record regardless of how the byte stream is segmented.
+// Records are framed with common/framing.h's 4-byte length prefix, the
+// same scheme the agents' TcpTrunk uses, so one conduit message maps to
+// exactly one framed record regardless of how the byte stream is segmented.
 #pragma once
 
 #include <deque>
@@ -28,7 +28,7 @@ class TcpFallbackChannel final
 
   ~TcpFallbackChannel() override;
 
-  Status send(Buffer message) override;
+  Status send(ByteSpan message) override;
   [[nodiscard]] bool writable() const noexcept override;
   void set_on_message(DeliverFn cb) override { on_message_ = std::move(cb); }
   void set_on_space(std::function<void()> cb) override { on_space_ = std::move(cb); }

@@ -232,6 +232,8 @@ ThroughputReport drive_rdma_stream(fabric::Cluster& cluster, rdma::RdmaDevice& s
     FF_CHECK(rdma::connect_pair(*flow->qa, *flow->qb).is_ok());
     flow->src = src_dev.reg_mr(msg_bytes);
     flow->dst = dst_dev.reg_mr(msg_bytes);
+    // MRs start uninitialised; the flow sends its source as it is.
+    std::ranges::fill(flow->src->data().mutable_view(), std::byte{0});
 
     // The notify hook is stored on qa's send CQ, which qa owns: capturing
     // the flow (which owns qa) strongly there would cycle. Weak captures
@@ -286,6 +288,8 @@ SimDuration rdma_rtt(fabric::Cluster& cluster, rdma::RdmaDevice& a, rdma::RdmaDe
   FF_CHECK(rdma::connect_pair(*qa, *qb).is_ok());
   auto mra = a.reg_mr(msg_bytes);
   auto mrb = b.reg_mr(msg_bytes);
+  // MRs start uninitialised; the ping sends its buffer as it is.
+  std::ranges::fill(mra->data().mutable_view(), std::byte{0});
 
   // Echo server: on recv completion, send back. The hook lives on qb's own
   // recv CQ, so it must observe qb weakly or the QP never frees.

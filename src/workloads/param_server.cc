@@ -1,5 +1,7 @@
 #include "workloads/param_server.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace freeflow::workloads {
@@ -21,6 +23,8 @@ PsWorker::PsWorker(core::ContainerNetPtr worker_net, tcp::Ipv4Addr server_ip,
                    ParamServer::Config config)
     : net_(std::move(worker_net)), server_ip_(server_ip), config_(config) {
   local_mr_ = net_->reg_mr(config_.model_floats * sizeof(float));
+  // MRs start uninitialised, and the first push sends this one as it is.
+  std::ranges::fill(local_mr_->data().mutable_view(), std::byte{0});
 }
 
 void PsWorker::run(std::uint32_t server_mr_id, DoneFn done) {

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "common/bytes.h"
@@ -76,6 +77,68 @@ TEST(Buffer, AppendGrows) {
   b.append(Buffer::from_string("ab").view());
   b.append(Buffer::from_string("cd").view());
   EXPECT_EQ(b.to_string(), "abcd");
+}
+
+TEST(Buffer, SizedConstructorZeroFills) {
+  Buffer b(4096);
+  ASSERT_EQ(b.size(), 4096u);
+  for (std::byte x : b.view()) ASSERT_EQ(x, std::byte{0});
+  b.resize(8192);  // growth zero-fills too
+  for (std::byte x : b.view()) ASSERT_EQ(x, std::byte{0});
+}
+
+TEST(Buffer, ForOverwriteHasRequestedSize) {
+  Buffer b = Buffer::for_overwrite(1000);
+  EXPECT_EQ(b.size(), 1000u);
+  fill_pattern(b.mutable_view(), 5);
+  EXPECT_TRUE(check_pattern(b.view(), 5));
+  EXPECT_TRUE(Buffer::for_overwrite(0).empty());
+}
+
+TEST(Buffer, ConsumeFrontAdvancesWithoutCopying) {
+  Buffer b = Buffer::from_string("headerpayload");
+  const std::byte* payload = b.data() + 6;
+  b.consume_front(6);
+  EXPECT_EQ(b.data(), payload);  // same storage: nothing moved
+  EXPECT_EQ(b.size(), 7u);
+  EXPECT_EQ(b.to_string(), "payload");
+  b.consume_front(7);
+  EXPECT_TRUE(b.empty());
+}
+
+TEST(Buffer, AppendAfterConsumeFrontKeepsBytes) {
+  Buffer b = Buffer::from_string("xxabc");
+  b.consume_front(2);
+  b.append(Buffer::from_string("de").view());  // fits in the consumed prefix
+  EXPECT_EQ(b.to_string(), "abcde");
+  b.append(Buffer::from_string(std::string(1000, 'f')).view());  // must grow
+  EXPECT_EQ(b.to_string(), "abcde" + std::string(1000, 'f'));
+}
+
+TEST(Buffer, CopyEqualityAndMove) {
+  Buffer a = Buffer::from_string("..same");
+  a.consume_front(2);
+  Buffer copy = a;
+  EXPECT_EQ(copy, a);
+  EXPECT_NE(copy.data(), a.data());
+  EXPECT_EQ(copy, Buffer::from_string("same"));
+  EXPECT_FALSE(copy == Buffer::from_string("sane"));
+  EXPECT_FALSE(copy == Buffer::from_string("same!"));
+  EXPECT_EQ(Buffer(), Buffer::for_overwrite(0));
+
+  const std::byte* storage = a.data();
+  Buffer moved = std::move(a);
+  EXPECT_EQ(moved.data(), storage);
+  EXPECT_EQ(moved.to_string(), "same");
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move): the contract
+  EXPECT_EQ(a.size(), 0u);
+
+  Buffer assigned = Buffer::from_string("old");
+  assigned = moved;
+  EXPECT_EQ(assigned.to_string(), "same");
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.to_string(), "same");
+  EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
 }
 
 TEST(Crc32, KnownVector) {

@@ -117,7 +117,7 @@ class TestPipe final : public agent::Channel {
     return {a, b};
   }
 
-  Status send(Buffer message) override {
+  Status send(ByteSpan message) override {
     if (closed_) return failed_precondition("pipe closed");
     if (!deliver) return ok_status();  // swallowed by the dying lane
     auto peer = peer_pipe_.lock();
@@ -323,6 +323,42 @@ TEST_F(CoreFixture, SocketStreamIntegrityBothDirections) {
   EXPECT_TRUE(check_pattern(at_client.view(), 2));
 }
 
+class SocketEcho : public CoreFixture, public ::testing::WithParamInterface<bool> {};
+
+/// Sizes around the 64 KiB stream chunk: every payload is handed from the
+/// conduit to on_data without a copy, so each byte must still arrive intact.
+TEST_P(SocketEcho, EchoesEveryByteAcrossChunkBoundaries) {
+  const bool same_host = GetParam();
+  Env env(2);
+  auto p = make_pair(env, same_host);
+  auto [client, server] = socket_pair(env, p, 5000);
+  ASSERT_NE(client, nullptr);
+  EXPECT_EQ(client->transport(),
+            same_host ? orch::Transport::shm : orch::Transport::rdma);
+  server->set_on_data([srv = server.get()](Buffer&& b) {
+    ASSERT_TRUE(srv->send(std::move(b)).is_ok());
+  });
+  Buffer echoed;
+  client->set_on_data([&](Buffer&& b) { echoed.append(b.view()); });
+
+  for (const std::size_t size : {std::size_t{1}, std::size_t{65535}, std::size_t{65536},
+                                 std::size_t{65537}, std::size_t{3 * 65536 + 7}}) {
+    echoed.clear();
+    Buffer request(size);
+    fill_pattern(request.mutable_view(), size);
+    ASSERT_TRUE(client->send(request).is_ok());
+    ASSERT_TRUE(env.wait([&]() { return echoed.size() >= size; }, 30 * k_second))
+        << "size " << size;
+    EXPECT_EQ(echoed.size(), size);
+    EXPECT_TRUE(check_pattern(echoed.view(), size)) << "size " << size;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Placements, SocketEcho, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& pinfo) {
+                           return pinfo.param ? "shm" : "rdma";
+                         });
+
 TEST_F(CoreFixture, SocketCloseNotifiesPeer) {
   Env env(1);
   auto p = make_pair(env, true);
@@ -393,6 +429,59 @@ TEST_P(VerbsPlacement, SendRecvWorksOnAnyPlacement) {
   EXPECT_EQ(wc.wr_id, 1u);
   EXPECT_EQ(wc.byte_len, 128u * 1024);
   EXPECT_TRUE(check_pattern(dst->data().view(), 42));
+}
+
+TEST_P(VerbsPlacement, OversizeWrIsRefusedAtPost) {
+  // A WR whose conduit message can never fit the shm lane ring used to be
+  // completed with success and then parked forever. It must be refused.
+  const bool same_host = GetParam();
+  Env env(2);
+  auto p = make_pair(env, same_host);
+  auto [qa, qb] = qp_pair(env, p, 18515);
+  ASSERT_NE(qa, nullptr);
+  const std::size_t limit = p.net_a->max_verbs_payload();
+  ASSERT_LT(limit, std::size_t{8} << 20);
+
+  auto src = p.net_a->reg_mr(8 << 20);
+  auto dst = p.net_b->reg_mr(8 << 20);
+  rdma::RecvWr rwr;
+  rwr.wr_id = 1;
+  rwr.local = {dst, 0, dst->length()};
+  ASSERT_TRUE(qb->post_recv(rwr).is_ok());
+
+  rdma::SendWr swr;
+  swr.wr_id = 2;
+  swr.opcode = rdma::Opcode::send;
+  swr.local = {src, 0, src->length()};
+  EXPECT_EQ(qa->post_send(swr).code(), Errc::invalid_argument);
+  swr.opcode = rdma::Opcode::write;
+  swr.remote = {dst->rkey(), 0};
+  EXPECT_EQ(qa->post_send(swr).code(), Errc::invalid_argument);
+  env.loop().run();
+  rdma::WorkCompletion wc;
+  EXPECT_FALSE(poll_one(qa->send_cq(), wc));
+  EXPECT_FALSE(poll_one(qb->recv_cq(), wc));
+
+  // A READ that large is answered with an error completion.
+  swr.wr_id = 3;
+  swr.opcode = rdma::Opcode::read;
+  swr.remote = {dst->rkey(), 0};
+  ASSERT_TRUE(qa->post_send(swr).is_ok());
+  ASSERT_TRUE(env.wait([&]() { return poll_one(qa->send_cq(), wc); }, 30 * k_second));
+  EXPECT_EQ(wc.wr_id, 3u);
+  EXPECT_EQ(wc.status, rdma::WcStatus::remote_access_error);
+
+  // Exactly at the limit the SEND is still delivered byte-exact.
+  fill_pattern(src->data().mutable_view().first(limit), 9);
+  swr.wr_id = 4;
+  swr.opcode = rdma::Opcode::send;
+  swr.local = {src, 0, limit};
+  ASSERT_TRUE(qa->post_send(swr).is_ok());
+  ASSERT_TRUE(env.wait([&]() { return poll_one(qb->recv_cq(), wc); }, 30 * k_second));
+  EXPECT_EQ(wc.wr_id, 1u);
+  EXPECT_EQ(wc.status, rdma::WcStatus::success);
+  EXPECT_EQ(wc.byte_len, limit);
+  EXPECT_TRUE(check_pattern(dst->data().view().first(limit), 9));
 }
 
 INSTANTIATE_TEST_SUITE_P(Placements, VerbsPlacement, ::testing::Bool(),

@@ -1,4 +1,7 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+
+#include <vector>
 
 #include "fabric/cluster.h"
 #include "rdma/cm.h"
@@ -55,6 +58,40 @@ TEST_F(RdmaFixture, MrRegistrationAndBounds) {
   EXPECT_FALSE(mr->slice(1, 4096).is_ok());
   EXPECT_EQ(dev_a->mr_by_rkey(mr->rkey()), mr);
   EXPECT_EQ(dev_a->mr_by_rkey(0xDEAD), nullptr);
+}
+
+std::int64_t minor_faults() {
+  rusage usage{};
+  FF_CHECK(getrusage(RUSAGE_SELF, &usage) == 0);
+  return usage.ru_minflt;
+}
+
+TEST_F(RdmaFixture, MrStorageFaultsInOnlyAsWritten) {
+  // Registration takes memory as it is, like ibv_reg_mr: an agent trunk's
+  // slot MRs must not cost their full size in page faults before the first
+  // record is written into them.
+  constexpr std::size_t k_mrs = 8;
+  constexpr std::size_t k_mr_bytes = 8u << 20;  // 8 x 2048 pages
+  constexpr std::size_t k_slot_bytes = 64u << 10;
+#if defined(__SANITIZE_ADDRESS__)
+  // ASan poisons the shadow (one byte per 8) of every fresh large heap chunk
+  // it hands out: instrumentation touching pages the program does not.
+  constexpr std::int64_t k_shadow_pages = k_mrs * k_mr_bytes / 8 / 4096;
+#else
+  constexpr std::int64_t k_shadow_pages = 0;
+#endif
+  const std::int64_t before = minor_faults();
+  std::vector<MrPtr> mrs;
+  for (std::size_t i = 0; i < k_mrs; ++i) {
+    mrs.push_back(dev_a->reg_mr(k_mr_bytes));
+    auto slot = mrs.back()->slice(i * k_slot_bytes, k_slot_bytes);
+    ASSERT_TRUE(slot.is_ok());
+    fill_pattern(*slot, i);
+  }
+  EXPECT_LT(minor_faults() - before, 1024 + k_shadow_pages);
+  for (std::size_t i = 0; i < k_mrs; ++i) {
+    EXPECT_TRUE(check_pattern(mrs[i]->slice(i * k_slot_bytes, k_slot_bytes).value(), i));
+  }
 }
 
 TEST_F(RdmaFixture, PostRequiresConnectedQp) {
