@@ -20,12 +20,13 @@
 #   7 bench-smoke    bench_sim_core + storms + bench_socket_stream --json + perfbench checks
 #   8 trace-validate failover + socket-stream traces vs expected timelines
 #   9 perf-gate      ci/perf_gate.py vs the committed baselines
+#  10 tsan-ring      test_shm's SpscRing suite under ThreadSanitizer, 20 repeats
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 stage_table() {
-  grep -E '^#   [1-9] ' "$0" | sed 's/^#   //'
+  grep -E '^# +[0-9]+ [a-z]' "$0" | sed -E 's/^# +//'
 }
 
 only=0
@@ -36,7 +37,7 @@ while [[ $# -gt 0 ]]; do
     --stage) only="$2"; shift 2 ;;
     --from)  from="$2"; shift 2 ;;
     --list)  stage_table; exit 0 ;;
-    -h|--help) sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+    -h|--help) sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
     *) jobs="$1"; shift ;;
   esac
 done
@@ -208,6 +209,17 @@ stage_perf_gate() {
     bench/baselines/BENCH_tenant_gateway.json
 }
 
+stage_tsan_ring() {
+  # The lane ring is the one structure two real threads drive (the
+  # micro-benchmark does): race its generation switches under TSan in a
+  # build of its own, repeated so the interleavings vary.
+  cmake -B build-tsan -S . -DFREEFLOW_WERROR=ON -DCMAKE_CXX_FLAGS=-fsanitize=thread \
+    -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
+  cmake --build build-tsan -j "$jobs" --target test_shm
+  ./build-tsan/tests/test_shm --gtest_brief=1 --gtest_filter='SpscRing.*' \
+    --gtest_repeat=20
+}
+
 # ------------------------------------------------------------------ drive
 
 run_stage 1 build          stage_build
@@ -219,6 +231,7 @@ run_stage 6 examples-smoke stage_examples_smoke
 run_stage 7 bench-smoke    stage_bench_smoke
 run_stage 8 trace-validate stage_trace_validate
 run_stage 9 perf-gate      stage_perf_gate
+run_stage 10 tsan-ring     stage_tsan_ring
 
 write_times
 echo "== all selected stages passed (timings: ci/stage_times.json)"

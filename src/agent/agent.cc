@@ -405,10 +405,6 @@ void Agent::fail_setup_attempt(const TrunkKey& key, Status error) {
   on_setup_result(key, it->second.gen, std::move(error));
 }
 
-bool Agent::trunk_established(fabric::HostId peer, orch::Transport transport) const {
-  return lane_last_rx_.contains(TrunkKey{peer, transport});
-}
-
 bool Agent::setup_in_flight(fabric::HostId peer, orch::Transport transport) const {
   return setups_.contains(TrunkKey{peer, transport});
 }
@@ -740,7 +736,9 @@ bool Agent::trunk_writable(fabric::HostId peer, orch::Transport transport) const
 void Agent::notify_space() {
   // Snapshot the live endpoints first: a poke may close a channel, which
   // re-enters release_channel and mutates the map mid-iteration otherwise.
-  std::vector<std::shared_ptr<RemoteChannelEndpoint>> live;
+  // The snapshot's storage is reused across calls; it is moved out for the
+  // duration, so a re-entrant call works on a vector of its own.
+  std::vector<std::shared_ptr<RemoteChannelEndpoint>> live = std::move(space_snapshot_);
   live.reserve(endpoints_.size());
   for (auto it = endpoints_.begin(); it != endpoints_.end();) {
     if (auto ep = it->second.lock()) {
@@ -753,6 +751,8 @@ void Agent::notify_space() {
   for (auto& ep : live) {
     if (!ep->closed()) ep->poke_space();
   }
+  live.clear();
+  space_snapshot_ = std::move(live);
 }
 
 // ------------------------------------------------------------- lane health

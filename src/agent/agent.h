@@ -94,11 +94,6 @@ class Agent {
   void declare_lane_failed(fabric::HostId peer, orch::Transport transport);
   [[nodiscard]] std::uint64_t lanes_failed() const noexcept { return lanes_failed_; }
 
-  /// True once the trunk toward (`peer`, `transport`) is fully established
-  /// (monitored by the heartbeat clock) — pending half-trunks mid-handshake
-  /// return false. Test/bench introspection.
-  [[nodiscard]] bool trunk_established(fabric::HostId peer,
-                                       orch::Transport transport) const;
   /// True while a setup (any attempt of it) is in flight for the key.
   [[nodiscard]] bool setup_in_flight(fabric::HostId peer,
                                      orch::Transport transport) const;
@@ -221,6 +216,8 @@ class Agent {
   /// only the inbound-record routing table, so agent registration can never
   /// keep a closed channel alive (ownership stays a DAG).
   std::unordered_map<std::uint64_t, std::weak_ptr<RemoteChannelEndpoint>> endpoints_;
+  /// notify_space's snapshot storage, empty between calls.
+  std::vector<std::shared_ptr<RemoteChannelEndpoint>> space_snapshot_;
 
   /// Strong co-ownership of each channel's container->agent lane. The relay
   /// hook lives on this lane, and records already queued when the conduit

@@ -202,12 +202,9 @@ void Conduit::handle_message(Buffer&& message) {
   ++received_;
   ctr_received_->inc();
   if (on_message_) {
-    // Copy: handlers swap themselves during handshakes (cm_accept installs
-    // the QP/socket data handler from inside the setup handler).
-    auto handler = on_message_;
     // Strip the header in place: the payload is handed on, not copied.
     message.consume_front(WireHeader::k_size);
-    handler(h, std::move(message));
+    on_message_(h, std::move(message));
   }
 }
 
@@ -326,7 +323,7 @@ void Conduit::close_with(CloseReason reason, bool handshake) {
   // park a self-capturing lambda in on_message_, and a loop that stops
   // mid-drain would strand that cycle forever. Nothing app-visible may
   // fire during the drain anyway — bye/bye_ack dispatch internally.
-  on_message_ = nullptr;
+  set_on_message(nullptr);
   on_space_ = nullptr;
   on_transport_failed_ = nullptr;
   send_control(VMsg::bye);
@@ -366,7 +363,7 @@ void Conduit::finish_close(CloseReason reason, bool notify_peer) {
   }
   // Unhook everything the application registered: callbacks must not keep
   // peers (or this conduit's captures) alive past close.
-  on_message_ = nullptr;
+  set_on_message(nullptr);
   on_space_ = nullptr;
   on_transport_failed_ = nullptr;
   auto closed_cb = std::move(on_closed_);

@@ -20,6 +20,7 @@
 #include <utility>
 
 #include "agent/channel.h"
+#include "common/handler_slot.h"
 #include "core/close_reason.h"
 #include "core/wire.h"
 #include "sim/event_loop.h"
@@ -68,7 +69,10 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   /// Sends one protocol message; queued while no channel is attached.
   void send(const WireHeader& header, ByteSpan payload = {});
 
-  void set_on_message(MessageFn cb) { on_message_ = std::move(cb); }
+  /// The handler runs in place; one set while it is dispatching (a
+  /// handshake installing its successor, a close from inside it) takes
+  /// effect when that dispatch returns.
+  void set_on_message(MessageFn cb) { on_message_.set(std::move(cb)); }
   void set_on_space(std::function<void()> cb) { on_space_ = std::move(cb); }
 
   /// Attaches (or replaces) the backing channel, retransmits the unacked
@@ -248,7 +252,7 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   /// Sent on a lossy channel, not yet cumulatively acked: (seq, message).
   /// Owns the only copy of each message; retransmits send views of it.
   std::deque<std::pair<std::uint64_t, Buffer>> retained_;
-  MessageFn on_message_;
+  common::HandlerSlot<void(const WireHeader&, Buffer&&)> on_message_;
   std::function<void()> on_space_;
   ClosedFn on_closed_;
   std::function<void()> on_teardown_;

@@ -152,22 +152,22 @@ void QueuePair::rx_data_chunk(const std::shared_ptr<RdmaChunk>& chunk) {
   if (state_ == QpState::reset) return;
   switch (chunk->opcode) {
     case Opcode::send: {
-      auto& prog = rx_progress_[chunk->msg_id];
-      if (prog.recv_wr == nullptr && !prog.claimed) {
+      auto& prog = rx_progress(chunk->msg_id);
+      if (!prog.claimed) {
         if (rq_.empty()) {
           rnr_backlog_.push_back(chunk);
           return;
         }
         prog.claimed = true;
-        prog.recv_wr = std::make_unique<RecvWr>(rq_.front());
+        prog.recv_wr = rq_.front();
         rq_.pop_front();
-        if (chunk->total_len > prog.recv_wr->local.length) {
+        if (chunk->total_len > prog.recv_wr.local.length) {
           prog.error = WcStatus::local_length_error;
         }
       }
       if (prog.error == WcStatus::success && !chunk->payload.empty()) {
-        auto dst = prog.recv_wr->local.mr->slice(
-            prog.recv_wr->local.offset + chunk->chunk_offset, chunk->payload.size());
+        auto dst = prog.recv_wr.local.mr->slice(
+            prog.recv_wr.local.offset + chunk->chunk_offset, chunk->payload.size());
         FF_CHECK(dst.is_ok());
         std::memcpy(dst->data(), chunk->payload.data(), chunk->payload.size());
       }
@@ -179,24 +179,26 @@ void QueuePair::rx_data_chunk(const std::shared_ptr<RdmaChunk>& chunk) {
           // never complete successfully — treat the message as lost in the
           // fabric: no completion, no ack, and the posted buffer goes back
           // for the next message. Recovery belongs to the layer above.
-          rq_.push_front(*prog.recv_wr);
-          rx_progress_.erase(chunk->msg_id);
+          rq_.push_front(std::move(prog.recv_wr));
+          erase_rx_progress(chunk->msg_id);
           break;
         }
         WorkCompletion wc;
-        wc.wr_id = prog.recv_wr->wr_id;
+        wc.wr_id = prog.recv_wr.wr_id;
         wc.opcode = Opcode::recv;
         wc.status = prog.error;
         wc.byte_len = chunk->total_len;
         wc.qp_num = num_;
+        // Done with the entry before the completion fires: a CQ callback
+        // may post a receive and re-enter here.
+        erase_rx_progress(chunk->msg_id);
         recv_cq_->push(wc);
-        send_ack(chunk, prog.error);
-        rx_progress_.erase(chunk->msg_id);
+        send_ack(chunk, wc.status);
       }
       break;
     }
     case Opcode::write: {
-      auto& prog = rx_progress_[chunk->msg_id];
+      auto& prog = rx_progress(chunk->msg_id);
       if (prog.error == WcStatus::success) {
         MrPtr mr = device_.mr_by_rkey(chunk->remote.rkey);
         if (mr == nullptr ||
@@ -210,8 +212,9 @@ void QueuePair::rx_data_chunk(const std::shared_ptr<RdmaChunk>& chunk) {
         }
       }
       if (chunk->last) {
-        send_ack(chunk, prog.error);
-        rx_progress_.erase(chunk->msg_id);
+        const WcStatus status = prog.error;
+        erase_rx_progress(chunk->msg_id);
+        send_ack(chunk, status);
       }
       break;
     }
@@ -234,6 +237,24 @@ void QueuePair::rx_data_chunk(const std::shared_ptr<RdmaChunk>& chunk) {
     }
     case Opcode::recv:
       break;  // not a wire opcode
+  }
+}
+
+QueuePair::RxProgress& QueuePair::rx_progress(std::uint64_t msg_id) {
+  for (auto& prog : rx_progress_) {
+    if (prog.msg_id == msg_id) return prog;
+  }
+  RxProgress& prog = rx_progress_.emplace_back();
+  prog.msg_id = msg_id;
+  return prog;
+}
+
+void QueuePair::erase_rx_progress(std::uint64_t msg_id) {
+  for (auto& prog : rx_progress_) {
+    if (prog.msg_id != msg_id) continue;
+    if (&prog != &rx_progress_.back()) prog = std::move(rx_progress_.back());
+    rx_progress_.pop_back();
+    return;
   }
 }
 

@@ -7,6 +7,7 @@
 #include <deque>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "common/status.h"
 #include "fabric/packet.h"
@@ -81,12 +82,19 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
 
   /// Receive-side reassembly state per in-flight message.
   struct RxProgress {
-    bool claimed = false;
-    std::unique_ptr<RecvWr> recv_wr;
+    std::uint64_t msg_id = 0;
+    bool claimed = false;  ///< a SEND took `recv_wr` off the receive queue
+    RecvWr recv_wr;
     std::uint32_t received = 0;
     WcStatus error = WcStatus::success;
   };
-  std::unordered_map<std::uint64_t, RxProgress> rx_progress_;
+  /// Finds or starts the reassembly entry for `msg_id`.
+  RxProgress& rx_progress(std::uint64_t msg_id);
+  void erase_rx_progress(std::uint64_t msg_id);
+  /// Only a few messages are ever mid-reassembly on one QP: a flat vector
+  /// that keeps its capacity costs no allocation per message. Entries move
+  /// on erase, so hold no reference across a call that may re-enter.
+  std::vector<RxProgress> rx_progress_;
 
   /// Chunks that arrived before a RecvWr was posted (infinite RNR-retry
   /// semantics, a simplification of RC's NAK/retry loop).

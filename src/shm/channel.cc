@@ -58,16 +58,10 @@ void ShmLane::deliver_one(std::size_t payload_size) {
     FF_CHECK(ring_.try_pop(out));
     ++delivered_;
     bytes_delivered_ += out.size();
-    // Copy the handlers: a callback may re-register itself (e.g. a channel
-    // handshake swapping in the data-phase handler) while executing.
-    if (on_message_) {
-      auto handler = on_message_;
-      handler(std::move(out));
-    }
-    if (on_space_) {
-      auto handler = on_space_;
-      handler();
-    }
+    // Invoked in place: a handler that replaces itself (a channel handshake
+    // swapping in the data-phase handler) is swapped when its call returns.
+    if (on_message_) on_message_(std::move(out));
+    if (on_space_) on_space_();
   }, receiver_account_, &host_.membus(), side_bus);
 }
 

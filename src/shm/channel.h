@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "common/bytes.h"
+#include "common/handler_slot.h"
 #include "common/status.h"
 #include "fabric/host.h"
 #include "shm/spsc_ring.h"
@@ -36,13 +37,15 @@ class ShmLane : public std::enable_shared_from_this<ShmLane> {
 
   void set_sender_account(sim::UsageAccount* account) noexcept { sender_account_ = account; }
   void set_receiver_account(sim::UsageAccount* account) noexcept { receiver_account_ = account; }
+  /// Both handlers run in place; one set while a delivery is dispatching
+  /// takes effect once that dispatch returns (see common::HandlerSlot).
   void set_receiver(std::function<void(Buffer&&)> on_message) {
-    on_message_ = std::move(on_message);
+    on_message_.set(std::move(on_message));
   }
 
   /// Invoked whenever a pop frees ring space (senders blocked on
   /// would_block re-arm themselves here).
-  void set_on_space(std::function<void()> cb) { on_space_ = std::move(cb); }
+  void set_on_space(std::function<void()> cb) { on_space_.set(std::move(cb)); }
 
   [[nodiscard]] bool can_send(std::size_t payload) const noexcept {
     return ring_.can_push(payload);
@@ -66,8 +69,8 @@ class ShmLane : public std::enable_shared_from_this<ShmLane> {
   sim::SerialExecutor tx_thread_;
   sim::SerialExecutor rx_thread_;
   SpscRing ring_;
-  std::function<void(Buffer&&)> on_message_;
-  std::function<void()> on_space_;
+  common::HandlerSlot<void(Buffer&&)> on_message_;
+  common::HandlerSlot<void()> on_space_;
   sim::UsageAccount* sender_account_ = nullptr;
   sim::UsageAccount* receiver_account_ = nullptr;
   std::uint64_t delivered_ = 0;

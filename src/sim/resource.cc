@@ -72,8 +72,8 @@ void SerialExecutor::submit(double units, DoneFn done, UsageAccount* account,
   // another pool round-trip (one completion event serves both). The merged
   // job inherits the new completion, which fires after both units of work —
   // exactly what FIFO ordering promised anyway.
-  if (!queue_.empty()) {
-    Job& back = queue_.back();
+  if (queued_ != 0) {
+    Job& back = queued_at(queued_ - 1);
     if (!back.done && back.bus == nullptr && bus == nullptr &&
         back.account == account) {
       back.units += units;
@@ -83,18 +83,29 @@ void SerialExecutor::submit(double units, DoneFn done, UsageAccount* account,
       return;
     }
   }
-  queue_.push_back(Job{units, std::move(done), account, bus, bus_bytes});
+  push_job(Job{units, std::move(done), account, bus, bus_bytes});
   if (!busy_) start_next();
 }
 
+void SerialExecutor::push_job(Job job) {
+  if (queued_ == queue_.size()) {
+    std::vector<Job> grown(std::max<std::size_t>(4, 2 * queue_.size()));
+    for (std::size_t i = 0; i < queued_; ++i) grown[i] = std::move(queued_at(i));
+    queue_ = std::move(grown);
+    first_ = 0;
+  }
+  queued_at(queued_++) = std::move(job);
+}
+
 void SerialExecutor::start_next() {
-  if (queue_.empty()) {
+  if (queued_ == 0) {
     busy_ = false;
     return;
   }
   busy_ = true;
-  active_ = std::move(queue_.front());
-  queue_.pop_front();
+  active_ = std::move(queued_at(0));
+  first_ = (first_ + 1) & (queue_.size() - 1);
+  --queued_;
 
   if (active_.bus != nullptr && active_.bus_bytes > 0) {
     // Memory-bus coupling: the copy stalls by the bus backlog seen now.

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -100,7 +99,7 @@ class SerialExecutor {
   void submit(double units, DoneFn done, UsageAccount* account = nullptr,
               Resource* bus = nullptr, double bus_bytes = 0);
 
-  [[nodiscard]] std::size_t queue_depth() const noexcept { return queue_.size(); }
+  [[nodiscard]] std::size_t queue_depth() const noexcept { return queued_; }
   /// How many submissions were folded into an already-queued job.
   [[nodiscard]] std::uint64_t coalesced() const noexcept { return coalesced_; }
 
@@ -119,9 +118,17 @@ class SerialExecutor {
   void start_next();
   void launch_active();
   void finish_active();
+  [[nodiscard]] Job& queued_at(std::size_t i) noexcept {
+    return queue_[(first_ + i) & (queue_.size() - 1)];
+  }
+  void push_job(Job job);
 
   Resource& pool_;
-  std::deque<Job> queue_;
+  /// FIFO of jobs waiting behind the active one: a ring of power-of-two
+  /// size that only ever grows, so steady traffic allocates nothing.
+  std::vector<Job> queue_;
+  std::size_t first_ = 0;
+  std::size_t queued_ = 0;
   Job active_{};
   bool busy_ = false;
   std::uint64_t coalesced_ = 0;

@@ -86,12 +86,6 @@ Status StreamNet::listen(std::uint16_t port, AcceptFn on_accept) {
   return bound;
 }
 
-void StreamNet::close_listener(std::uint16_t port) {
-  if (listeners_.erase(port) > 0) {
-    ff().fallback_net().close_listener(tcp::Endpoint{net_->ip(), port});
-  }
-}
-
 void StreamNet::connect(tcp::Ipv4Addr peer_ip, std::uint16_t port, ConnectFn done) {
   auto peer = ff().orchestrator().resolve_ip(peer_ip);
   if (!peer.is_ok()) {

@@ -43,7 +43,6 @@ class StreamNet : public std::enable_shared_from_this<StreamNet> {
 
   /// Binds a stream listener on the container's overlay IP.
   Status listen(std::uint16_t port, AcceptFn on_accept);
-  void close_listener(std::uint16_t port);
 
   /// Opens a stream toward `peer_ip:port`. The socket is handed over once
   /// the peer accepts (over the fallback transport); the RDMA upgrade runs

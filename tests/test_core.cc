@@ -228,6 +228,85 @@ TEST(ConduitUnit, AckStallAfterFailoverLostAcks) {
   EXPECT_EQ(b->messages_received(), target);
 }
 
+/// A conduit pair over TestPipes with a sender-side helper.
+struct PipePair {
+  sim::EventLoop loop;
+  std::shared_ptr<Conduit> a =
+      std::make_shared<Conduit>(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true);
+  std::shared_ptr<Conduit> b =
+      std::make_shared<Conduit>(1, 20, 10, tcp::Ipv4Addr(10, 0, 0, 2), 80, false);
+
+  PipePair() {
+    a->set_loop(&loop);
+    b->set_loop(&loop);
+    auto [pa, pb] = TestPipe::connect(loop, 10, 20);
+    a->attach_channel(pa);
+    b->attach_channel(pb);
+  }
+  void send(const std::string& text) {
+    WireHeader h;
+    h.type = VMsg::sock_data;
+    a->send(h, Buffer::from_string(text).view());
+  }
+};
+
+TEST(ConduitUnit, HandlerInstalledDuringDispatchGetsTheNextMessage) {
+  // The accept path's shape: the setup handler installs the data handler
+  // from inside its own call, then still uses its captures.
+  PipePair p;
+  std::vector<std::string> got;
+  auto tag = std::make_shared<std::string>("setup");
+  Conduit& b = *p.b;
+  b.set_on_message([&b, &got, tag](const WireHeader&, Buffer&& payload) {
+    b.set_on_message([&got](const WireHeader&, Buffer&& data) {
+      got.push_back("data:" + data.to_string());
+    });
+    got.push_back(*tag + ":" + payload.to_string());  // captures still alive
+  });
+  tag.reset();
+  for (const char* m : {"1", "2", "3"}) p.send(m);
+  p.loop.run();
+  EXPECT_EQ(got, (std::vector<std::string>{"setup:1", "data:2", "data:3"}));
+  EXPECT_EQ(b.messages_received(), 3u);
+}
+
+TEST(ConduitUnit, HandlerClosingOrClearingItselfDuringDispatch) {
+  // Close from inside the handler: the close unhooks the handler while it
+  // runs; nothing after it reaches the application, and the handler's
+  // captures are released once it returns.
+  {
+    PipePair p;
+    auto seen = std::make_shared<int>(0);
+    Conduit& b = *p.b;
+    b.set_on_message([&b, seen](const WireHeader&, Buffer&&) {
+      b.close();
+      ++*seen;
+    });
+    for (int i = 0; i < 3; ++i) p.send("x");
+    p.loop.run();
+    EXPECT_EQ(*seen, 1);
+    EXPECT_TRUE(b.closed());
+    EXPECT_EQ(seen.use_count(), 1);
+  }
+  // Clearing without closing: later messages are still received (and
+  // acked) by the conduit, just not handed to anyone.
+  {
+    PipePair p;
+    auto seen = std::make_shared<int>(0);
+    Conduit& b = *p.b;
+    b.set_on_message([&b, seen](const WireHeader&, Buffer&&) {
+      b.set_on_message(nullptr);
+      ++*seen;
+    });
+    for (int i = 0; i < 3; ++i) p.send("x");
+    p.loop.run();
+    EXPECT_EQ(*seen, 1);
+    EXPECT_EQ(b.messages_received(), 3u);
+    EXPECT_EQ(p.a->retained_count(), 0u);
+    EXPECT_EQ(seen.use_count(), 1);
+  }
+}
+
 TEST_F(CoreFixture, AttachRequiresRunningContainer) {
   Env env(1);
   EXPECT_FALSE(env.freeflow().attach(99).is_ok());

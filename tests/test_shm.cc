@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <atomic>
 #include <deque>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -171,6 +173,208 @@ TEST(SpscRing, StorageFaultsInOnlyAsWritten) {
   }
 }
 
+// A flat ring of the same capacity, as a byte count: what the two-half ring
+// must report whatever its generations are doing.
+struct FlatRingModel {
+  std::size_t capacity;
+  std::deque<std::size_t> sizes;
+  std::size_t used = 0;
+
+  [[nodiscard]] bool can_push(std::size_t payload) const {
+    return capacity - used >= SpscRing::record_size(payload);
+  }
+  void push(std::size_t payload) {
+    sizes.push_back(payload);
+    used += SpscRing::record_size(payload);
+  }
+  std::size_t pop() {
+    const std::size_t payload = sizes.front();
+    sizes.pop_front();
+    used -= SpscRing::record_size(payload);
+    return payload;
+  }
+};
+
+void expect_matches(const SpscRing& ring, const FlatRingModel& model, std::size_t probe) {
+  ASSERT_EQ(ring.used_bytes(), model.used);
+  ASSERT_EQ(ring.free_bytes(), model.capacity - model.used);
+  ASSERT_EQ(ring.empty(), model.used == 0);
+  ASSERT_EQ(ring.can_push(probe), model.can_push(probe));
+  ASSERT_EQ(ring.can_push(0), model.can_push(0));
+  ASSERT_EQ(ring.can_push(SpscRing::max_payload(model.capacity)),
+            model.can_push(SpscRing::max_payload(model.capacity)));
+}
+
+TEST(SpscRing, GenerationsMatchFlatRingAccounting) {
+  // Property: however the producer switches halves, occupancy, free space
+  // and admission are exactly a flat ring's, for every size from an empty
+  // record to max_payload, and content round-trips in order.
+  constexpr std::size_t k_capacity = 1 << 16;
+  const std::size_t max_payload = SpscRing::max_payload(k_capacity);
+  Rng rng(7);
+  SpscRing ring(k_capacity);
+  FlatRingModel model{k_capacity, {}, 0};
+  std::uint64_t next_push = 0, next_pop = 0;
+  auto random_size = [&]() -> std::size_t {
+    const double pick = rng.next_double();
+    if (pick < 0.05) return 0;
+    if (pick < 0.10) return max_payload - rng.next_below(8);
+    if (pick < 0.30) return rng.next_below(k_capacity / 4);
+    return rng.next_below(600);
+  };
+  for (int step = 0; step < 40000; ++step) {
+    if (rng.chance(0.5)) {
+      const std::size_t size = random_size();
+      Buffer msg(size);
+      fill_pattern(msg.mutable_view(), next_push);
+      const bool expected = model.can_push(size);
+      ASSERT_EQ(ring.try_push(msg.view()), expected) << "step " << step;
+      if (expected) {
+        model.push(size);
+        ++next_push;
+      }
+    } else {
+      Buffer out;
+      const bool popped = ring.try_pop(out);
+      ASSERT_EQ(popped, !model.sizes.empty()) << "step " << step;
+      if (popped) {
+        ASSERT_EQ(out.size(), model.pop());
+        ASSERT_TRUE(check_pattern(out.view(), next_pop++));
+      }
+    }
+    expect_matches(ring, model, random_size());
+  }
+  EXPECT_GT(ring.generation(), 10u);  // the halves really were switched
+}
+
+TEST(SpscRing, SwitchWhileConsumerMidGeneration) {
+  constexpr std::size_t k_payload = 1020;  // 1 KiB records
+  SpscRing ring(1 << 16);
+  FlatRingModel model{ring.capacity(), {}, 0};
+  std::uint64_t next_push = 0, next_pop = 0;
+  auto push = [&]() {
+    Buffer msg(k_payload);
+    fill_pattern(msg.mutable_view(), next_push++);
+    ASSERT_TRUE(ring.try_push(msg.view()));
+    model.push(k_payload);
+  };
+  auto pop = [&]() {
+    Buffer out;
+    ASSERT_TRUE(ring.try_pop(out));
+    ASSERT_EQ(out.size(), model.pop());
+    ASSERT_TRUE(check_pattern(out.view(), next_pop++));
+  };
+  // Generation 0 reaches the switch offset with 8 records still unread.
+  while (model.used + ring.record_size(k_payload) < SpscRing::k_switch_bytes) push();
+  for (int i = 0; i < 8; ++i) pop();
+  push();
+  EXPECT_EQ(ring.generation(), 0u);
+  push();  // consumer is in generation 0 with records left: switch anyway
+  EXPECT_EQ(ring.generation(), 1u);
+  expect_matches(ring, model, k_payload);
+  // While the consumer is behind, generation 1 runs past the switch offset
+  // without switching again: the old half still holds unread records.
+  while (ring.can_push(k_payload)) push();
+  EXPECT_EQ(ring.generation(), 1u);
+  expect_matches(ring, model, k_payload);
+  // Draining crosses the old generation's end into the new one in order.
+  while (!model.sizes.empty()) {
+    pop();
+    expect_matches(ring, model, k_payload);
+  }
+  push();  // consumer caught up: generation 2 reuses the first half
+  EXPECT_EQ(ring.generation(), 2u);
+  pop();
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(SpscRing, SwitchFromEmptyRing) {
+  SpscRing ring(1 << 16);
+  const Buffer msg = Buffer::from_string("light load");
+  std::size_t offset = 0;
+  while (offset < SpscRing::k_switch_bytes) {
+    ASSERT_TRUE(ring.try_push(msg.view()));
+    Buffer out;
+    ASSERT_TRUE(ring.try_pop(out));
+    offset += ring.record_size(msg.size());
+  }
+  EXPECT_EQ(ring.generation(), 0u);
+  EXPECT_TRUE(ring.empty());
+  ASSERT_TRUE(ring.try_push(msg.view()));
+  EXPECT_EQ(ring.generation(), 1u);
+  EXPECT_EQ(ring.used_bytes(), ring.record_size(msg.size()));
+  Buffer out;
+  ASSERT_TRUE(ring.try_pop(out));
+  EXPECT_EQ(out, msg);
+  EXPECT_TRUE(ring.empty());
+  EXPECT_FALSE(ring.try_pop(out));
+}
+
+TEST(SpscRing, TwoThreadStressLargeRecords) {
+  // Records up to half the capacity: the producer switches halves while the
+  // consumer is still reading the old one, from two OS threads.
+  constexpr std::size_t k_capacity = 1 << 16;
+  constexpr int k_messages = 20000;
+  SpscRing ring(k_capacity);
+  std::atomic<bool> failed{false};
+  auto size_of = [](int i) {
+    const auto n = static_cast<std::size_t>(i) * 2654435761u;
+    return (i % 4 == 0) ? n % (k_capacity / 2 - 4) : n % 512;
+  };
+
+  std::thread producer([&]() {
+    for (int i = 0; i < k_messages; ++i) {
+      Buffer msg(size_of(i));
+      fill_pattern(msg.mutable_view(), static_cast<std::uint64_t>(i));
+      while (!ring.try_push(msg.view())) {
+        std::this_thread::yield();
+      }
+    }
+  });
+  std::thread consumer([&]() {
+    Buffer out;
+    for (int i = 0; i < k_messages; ++i) {
+      while (!ring.try_pop(out)) {
+        std::this_thread::yield();
+      }
+      if (out.size() != size_of(i) ||
+          !check_pattern(out.view(), static_cast<std::uint64_t>(i))) {
+        failed = true;
+        return;
+      }
+    }
+  });
+  producer.join();
+  consumer.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_TRUE(ring.empty());
+  EXPECT_GT(ring.generation(), 100u);
+}
+
+TEST(SpscRing, LightLoadTouchesFewPages) {
+  // A lightly loaded ring cycles through the front of its two halves: 100k
+  // messages of 256 B through a 4 MiB ring fault in a handful of pages, not
+  // the 1,024 a cursor sweeping the whole capacity would.
+  SpscRing ring(4u << 20);
+  Buffer msg(256);
+  fill_pattern(msg.mutable_view(), 3);
+  Buffer out;
+  const std::int64_t before = minor_faults();
+  for (int i = 0; i < 100000; ++i) {
+    ASSERT_TRUE(ring.try_push(msg.view()));
+    ASSERT_TRUE(ring.try_pop(out));
+  }
+#if defined(__SANITIZE_THREAD__)
+  // TSan shadows each application byte it sees touched: four bytes of
+  // shadow cells plus half a byte of metadata.
+  constexpr std::int64_t k_faults_per_page = 6;
+#else
+  constexpr std::int64_t k_faults_per_page = 1;
+#endif
+  EXPECT_LT(minor_faults() - before, 64 * k_faults_per_page);
+  EXPECT_EQ(out, msg);
+}
+
 // ----------------------------------------------------------------- Region
 
 TEST(RegionRegistry, CreateAttachDestroy) {
@@ -327,6 +531,52 @@ TEST_F(LaneFixture, BackpressureAndOnSpace) {
   EXPECT_EQ(delivered, 1);
   EXPECT_TRUE(space_seen);
   EXPECT_TRUE(lane.can_send(600));
+}
+
+TEST_F(LaneFixture, ReceiverInstalledDuringDispatchGetsTheNextMessage) {
+  // A handshake handler installs its data-phase successor from inside its
+  // own call, then keeps using its captures: the running handler must stay
+  // alive until it returns, and every later message reaches the successor.
+  ShmLane lane(cluster.host(0), 1 << 16);
+  std::vector<std::string> got;
+  auto tag = std::make_shared<std::string>("handshake");
+  lane.set_receiver([&lane, &got, tag](Buffer&& b) {
+    lane.set_receiver([&got](Buffer&& data) { got.push_back("data:" + data.to_string()); });
+    got.push_back(*tag + ":" + b.to_string());  // captures still alive here
+  });
+  tag.reset();
+  for (const char* m : {"1", "2", "3"}) {
+    ASSERT_TRUE(lane.send(Buffer::from_string(m).view()).is_ok());
+  }
+  cluster.loop().run();
+  EXPECT_EQ(got, (std::vector<std::string>{"handshake:1", "data:2", "data:3"}));
+  EXPECT_EQ(lane.messages_delivered(), 3u);
+}
+
+TEST_F(LaneFixture, HandlersClearingThemselvesDuringDispatch) {
+  // A receiver that unhooks itself (an endpoint closing from inside its
+  // handler) sees exactly one message; the rest are dropped, not delivered
+  // to the dead handler. The space handler does the same from its own call.
+  ShmLane lane(cluster.host(0), 1 << 16);
+  auto received = std::make_shared<int>(0);
+  auto spaces = std::make_shared<int>(0);
+  lane.set_receiver([&lane, received](Buffer&&) {
+    lane.set_receiver(nullptr);
+    ++*received;
+  });
+  lane.set_on_space([&lane, spaces]() {
+    lane.set_on_space(nullptr);
+    ++*spaces;
+  });
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(lane.send(Buffer::from_string("m").view()).is_ok());
+  }
+  cluster.loop().run();
+  EXPECT_EQ(*received, 1);
+  EXPECT_EQ(*spaces, 1);
+  EXPECT_EQ(lane.messages_delivered(), 3u);
+  EXPECT_EQ(received.use_count(), 1);  // the cleared handler was released
+  EXPECT_EQ(spaces.use_count(), 1);
 }
 
 TEST_F(LaneFixture, SinglePairThroughputNearMemoryBandwidth) {
