@@ -17,7 +17,7 @@
 #   4 test-asan      ctest under ASan+UBSan with LeakSanitizer ENABLED
 #   5 chaos-smoke    failover + migration matrices under LSan, migration bench + trace
 #   6 examples-smoke quickstart + mapreduce_shuffle run end-to-end (timed)
-#   7 bench-smoke    bench_sim_core + storms + bench_socket_stream --json + perfbench checks
+#   7 bench-smoke    bench_sim_core + storms + bench_socket_stream --json + perfbench checks and digests
 #   8 trace-validate failover + socket-stream traces vs expected timelines
 #   9 perf-gate      ci/perf_gate.py vs the committed baselines
 #  10 tsan-ring      test_shm's SpscRing suite under ThreadSanitizer, 20 repeats
@@ -162,17 +162,14 @@ stage_bench_smoke() {
   # perfbench's own checks — byte-exact echoes, zero drops/retransmits,
   # planned transports and clean closes over shm, rdma, dpdk, tcp-host and
   # overlay — must hold: the result line (last on stdout) must read
-  # "correct": true with "failed": 0.
-  local workload result
-  for workload in churn bulk; do
-    result=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
-      --seconds 1 --trace 0 | tail -n 1) || return 1
-    python3 -c 'import json, sys
-r = json.loads(sys.argv[1])
-sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result" || {
-      echo "perfbench $workload failed its checks: $result" >&2
-      return 1
-    }
+  # "correct": true with "failed": 0. Each workload's seed-1 fingerprint
+  # digest must also equal the one pinned in ci/perfbench_digests.json, so
+  # a host-side change that moves the sim clock fails here.
+  local workload out
+  for workload in rpc churn bulk; do
+    out=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+      --seconds 1 --trace 0) || return 1
+    python3 ci/check_perfbench.py "$workload" ci/perfbench_digests.json <<<"$out"
   done
 }
 

@@ -691,6 +691,10 @@ void Agent::drop_drained_lane(std::uint64_t channel_id) {
 void Agent::relay_outbound(orch::ContainerId src, orch::ContainerId dst,
                            fabric::HostId peer_host, std::uint64_t channel_id,
                            orch::Transport transport, Buffer&& message) {
+  // `message` is the agent's own copy out of the container's lane ring:
+  // the ring space goes back to the container at pop time, while a paused
+  // agent parks the message and a trunk with a backlog queues fragments.
+  // Each fragment goes to the trunk as a view of it.
   if (paused_) {
     paused_tx_.push_back(
         {src, dst, peer_host, channel_id, transport, std::move(message)});
@@ -721,7 +725,7 @@ void Agent::relay_outbound(orch::ContainerId src, orch::ContainerId dst,
     header.msg_seq = seq;
     header.total_len = total;
     header.frag_offset = static_cast<std::uint32_t>(offset);
-    trunk.send(make_record(header, ByteSpan{message.data() + offset, n}), tenant);
+    trunk.send(header, ByteSpan{message.data() + offset, n}, tenant);
     ++records_relayed_;
     offset += n;
   } while (offset < message.size());
@@ -796,7 +800,7 @@ void Agent::send_heartbeat(const TrunkKey& key) {
   RelayHeader header;  // channel 0: dropped by the peer after clocking rx
   header.channel = 0;
   header.msg_seq = next_msg_seq_++;
-  it->second->send(make_record(header, ByteSpan{}));
+  it->second->send(header, ByteSpan{});
   ctr_heartbeats_->inc();
 }
 

@@ -12,9 +12,9 @@ LaneSender::LaneSender(std::shared_ptr<shm::ShmLane> lane) : lane_(std::move(lan
   lane_->set_on_space([this]() { drain(); });
 }
 
-void LaneSender::send(ByteSpan message) {
-  if (overflow_.empty() && lane_->send(message).is_ok()) return;
-  overflow_.emplace_back(message.data(), message.size());
+void LaneSender::send(ByteSpan head, ByteSpan body) {
+  if (overflow_.empty() && lane_->send(head, body).is_ok()) return;
+  overflow_.push_back(Buffer::gather(head, body));
 }
 
 void LaneSender::send(Buffer&& message) {
@@ -49,9 +49,9 @@ ShmChannelEndpoint::ShmChannelEndpoint(orch::ContainerId peer,
 
 ShmChannelEndpoint::~ShmChannelEndpoint() { close(); }
 
-Status ShmChannelEndpoint::send(ByteSpan message) {
+Status ShmChannelEndpoint::send(ByteSpan head, ByteSpan body) {
   if (closed_) return failed_precondition("channel closed");
-  tx_.send(message);
+  tx_.send(head, body);
   return ok_status();
 }
 
@@ -105,9 +105,9 @@ bool RemoteChannelEndpoint::writable() const noexcept {
   return tx_.writable() && agent_.trunk_writable(peer_host_, transport_);
 }
 
-Status RemoteChannelEndpoint::send(ByteSpan message) {
+Status RemoteChannelEndpoint::send(ByteSpan head, ByteSpan body) {
   if (closed_) return failed_precondition("channel closed");
-  tx_.send(message);
+  tx_.send(head, body);
   return ok_status();
 }
 

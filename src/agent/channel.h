@@ -28,11 +28,12 @@ class Channel {
 
   virtual ~Channel() = default;
 
-  /// Sends one message; fails only if the channel is closed. The bytes are
-  /// copied into the transport's ring or slot, or into an owned buffer only
-  /// when they must queue, so the caller keeps ownership of `message`.
-  virtual Status send(ByteSpan message) = 0;
-  /// Same, for a caller holding the message in a buffer.
+  /// Sends one message, `head` followed by `body` (a header in front of a
+  /// payload view); fails only if the channel is closed. The bytes are
+  /// gathered into the transport's ring or slot, or into one owned buffer
+  /// only when they must queue, so the caller keeps ownership of both.
+  virtual Status send(ByteSpan head, ByteSpan body = {}) = 0;
+  /// Same, for a caller holding the whole message in a buffer.
   Status send(const Buffer& message) { return send(message.view()); }
 
   /// False while the underlying ring is full (advisory pacing signal).
@@ -75,9 +76,10 @@ class LaneSender {
   LaneSender(const LaneSender&) = delete;
   LaneSender& operator=(const LaneSender&) = delete;
 
-  /// Sends into the ring, or queues a copy (a moved-in buffer, for the
-  /// rvalue overload) while the ring is full; drains as the ring frees.
-  void send(ByteSpan message);
+  /// Gathers `head` and `body` into the ring, or queues them as one owned
+  /// message (a moved-in buffer, for the rvalue overload) while the ring is
+  /// full; drains as the ring frees.
+  void send(ByteSpan head, ByteSpan body = {});
   void send(Buffer&& message);
   [[nodiscard]] bool writable() const noexcept;
   void set_on_space(std::function<void()> cb) { user_on_space_ = std::move(cb); }
@@ -107,7 +109,7 @@ class ShmChannelEndpoint final : public Channel {
                      std::shared_ptr<shm::ShmLane> rx);
   ~ShmChannelEndpoint() override;
 
-  Status send(ByteSpan message) override;
+  Status send(ByteSpan head, ByteSpan body = {}) override;
   [[nodiscard]] bool writable() const noexcept override { return tx_.writable(); }
   void set_on_message(DeliverFn cb) override;
   void set_on_space(std::function<void()> cb) override { tx_.set_on_space(std::move(cb)); }
@@ -148,7 +150,7 @@ class RemoteChannelEndpoint final
                         std::shared_ptr<shm::ShmLane> from_agent);
   ~RemoteChannelEndpoint() override;
 
-  Status send(ByteSpan message) override;
+  Status send(ByteSpan head, ByteSpan body = {}) override;
   /// Writable only while both the container->agent ring has space AND the
   /// agent's trunk toward the peer host is uncongested — this propagates
   /// NIC-rate backpressure all the way to the application.

@@ -43,42 +43,57 @@ void RdmaTrunk::repost_recv(std::uint32_t slot) {
   FF_CHECK(posted.is_ok());
 }
 
-void RdmaTrunk::send(Buffer record, std::uint32_t tenant) {
-  FF_CHECK(record.size() <= slot_bytes_);
-  queue_.push_back(QueuedRecord{std::move(record), tenant});
-  pump();
+void RdmaTrunk::send(const RelayHeader& header, ByteSpan fragment, std::uint32_t tenant) {
+  const std::size_t size = RelayHeader::k_size + fragment.size();
+  FF_CHECK(size <= slot_bytes_);
+  if (!queue_.empty() || !can_post()) {
+    // Records are waiting (or nothing can post yet): this one queues behind
+    // them, owned, so it never overtakes them.
+    queue_.push_back(QueuedRecord{make_record(header, fragment), tenant});
+    pump();
+    return;
+  }
+  auto [slot, dst] = take_slot(size);
+  header.encode(dst);
+  if (!fragment.empty()) std::memcpy(dst + RelayHeader::k_size, fragment.data(), fragment.size());
+  post(slot, size, tenant);
+}
+
+std::pair<std::uint32_t, std::byte*> RdmaTrunk::take_slot(std::size_t size) {
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  auto dst = send_mr_->slice(slot * slot_bytes_, size);
+  FF_CHECK(dst.is_ok());
+  return {slot, dst->data()};
+}
+
+void RdmaTrunk::post(std::uint32_t slot, std::size_t size, std::uint32_t tenant) {
+  auto& host = device_.host();
+  const auto& m = host.cost_model();
+  // Zero-copy relay: the shm block doubles as the registered buffer, so
+  // the agent pays only fixed per-record CPU. Copy mode is the ablation.
+  double cpu = m.agent_record_ns;
+  if (!zero_copy_) cpu += m.agent_copy_ns_per_byte * static_cast<double>(size);
+  host.cpu().submit(cpu, nullptr, &account_);
+
+  rdma::SendWr wr;
+  wr.wr_id = slot;
+  wr.opcode = rdma::Opcode::send;
+  wr.local = {send_mr_, slot * slot_bytes_, size};
+  wr.signaled = true;
+  wr.tenant = tenant;
+  const Status posted = qp_->post_send(wr, &account_);
+  FF_CHECK(posted.is_ok());
 }
 
 void RdmaTrunk::pump() {
-  if (qp_->state() != rdma::QpState::ready) return;
-  auto& host = device_.host();
-  const auto& m = host.cost_model();
-  while (!queue_.empty() && !free_slots_.empty()) {
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
+  while (!queue_.empty() && can_post()) {
     Buffer record = std::move(queue_.front().record);
     const std::uint32_t tenant = queue_.front().tenant;
     queue_.pop_front();
-
-    auto dst = send_mr_->slice(slot * slot_bytes_, record.size());
-    FF_CHECK(dst.is_ok());
-    std::memcpy(dst->data(), record.data(), record.size());
-
-    // Zero-copy relay: the shm block doubles as the registered buffer, so
-    // the agent pays only fixed per-record CPU. Copy mode is the ablation.
-    double cpu = m.agent_record_ns;
-    if (!zero_copy_) cpu += m.agent_copy_ns_per_byte * static_cast<double>(record.size());
-    host.cpu().submit(cpu, nullptr, &account_);
-
-    rdma::SendWr wr;
-    wr.wr_id = slot;
-    wr.opcode = rdma::Opcode::send;
-    wr.local = {send_mr_, slot * slot_bytes_, record.size()};
-    wr.signaled = true;
-    wr.tenant = tenant;
-    const Status posted = qp_->post_send(wr, &account_);
-    FF_CHECK(posted.is_ok());
-    ++sent_;
+    auto [slot, dst] = take_slot(record.size());
+    std::memcpy(dst, record.data(), record.size());
+    post(slot, record.size(), tenant);
   }
 }
 
@@ -114,6 +129,11 @@ void RdmaTrunk::poll_cqs() {
     host.cpu().submit(m.rdma_poll_ns * static_cast<double>(n), nullptr, &account_);
     for (std::size_t i = 0; i < n; ++i) {
       const auto slot = static_cast<std::uint32_t>(wcs[i].wr_id);
+      // The record is copied out before the slot is reposted, and it must
+      // be: reposting can synchronously drain an RNR backlog into this very
+      // slot. Dispatching from the slot first and reposting after would
+      // move every repost's CPU charge behind the handler's work, which
+      // changes the simulated schedule.
       Buffer record(recv_mr_->data().data() + slot * slot_bytes_, wcs[i].byte_len);
       repost_recv(slot);
       host.cpu().submit(m.agent_record_ns, nullptr, &account_);
@@ -129,9 +149,8 @@ void RdmaTrunk::poll_cqs() {
 DpdkTrunk::DpdkTrunk(dpdk::DpdkPort& port, fabric::HostId peer)
     : port_(port), peer_(peer) {}
 
-void DpdkTrunk::send(Buffer record, std::uint32_t tenant) {
-  ++sent_;
-  const Status sent = port_.send(peer_, std::move(record), tenant);
+void DpdkTrunk::send(const RelayHeader& header, ByteSpan fragment, std::uint32_t tenant) {
+  const Status sent = port_.send(peer_, make_record(header, fragment), tenant);
   if (!sent.is_ok()) {
     FF_LOG(warn, "agent") << "dpdk trunk send failed: " << sent;
   }
@@ -146,13 +165,15 @@ void TcpTrunk::attach(tcp::TcpConnection::Ptr conn) {
   pump();
 }
 
-void TcpTrunk::send(Buffer record, std::uint32_t tenant) {
+void TcpTrunk::send(const RelayHeader& header, ByteSpan fragment, std::uint32_t tenant) {
   // A kernel TCP byte stream interleaves every container's records into one
   // connection: frames are not attributable to a tenant at the NIC, so the
   // class stays 0 (documented limitation; the kernel-bypass paths classify
   // precisely).
   (void)tenant;
-  queue_.push_back(frame_record(record.view()));
+  std::byte encoded[RelayHeader::k_size]{};
+  header.encode(encoded);
+  queue_.push_back(frame_record(encoded, fragment));
   pump();
 }
 
@@ -163,7 +184,6 @@ void TcpTrunk::pump() {
   while (!queue_.empty() && conn_->writable(queue_.front().size())) {
     const Status s = conn_->send(std::move(queue_.front()));
     FF_CHECK(s.is_ok());
-    ++sent_;
     queue_.pop_front();
   }
   maybe_drained();

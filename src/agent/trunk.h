@@ -8,8 +8,10 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "agent/relay.h"
 #include "common/bytes.h"
 #include "common/status.h"
 #include "dpdk/pmd.h"
@@ -28,18 +30,19 @@ class Trunk {
 
   virtual ~Trunk() = default;
 
-  /// Queues one relay record toward the peer agent. Trunks buffer
-  /// internally; delivery order is preserved. `tenant` classifies the
-  /// record for the NIC's per-tenant scheduler on kernel-bypass paths
-  /// (0 = infrastructure class; the TCP trunk's byte stream interleaves
-  /// records and stays unclassified).
-  virtual void send(Buffer record, std::uint32_t tenant = 0) = 0;
+  /// Sends one relay record, `header` followed by `fragment`, toward the
+  /// peer agent. The fragment is a view: the trunk writes it where it goes
+  /// (a send slot, a frame) and builds an owned record only where one must
+  /// be owned. Trunks buffer internally; delivery order is preserved.
+  /// `tenant` classifies the record for the NIC's per-tenant scheduler on
+  /// kernel-bypass paths (0 = infrastructure class; the TCP trunk's byte
+  /// stream interleaves records and stays unclassified).
+  virtual void send(const RelayHeader& header, ByteSpan fragment,
+                    std::uint32_t tenant = 0) = 0;
 
   /// True while the trunk's internal queue is deep: senders should pause
   /// (this is what backpressures containers to the NIC's actual rate).
   [[nodiscard]] virtual bool congested() const noexcept { return false; }
-
-  [[nodiscard]] virtual std::uint64_t records_sent() const noexcept = 0;
 
  protected:
   RecordFn on_record_;     ///< set by the owning agent pair
@@ -69,11 +72,16 @@ class RdmaTrunk final : public Trunk {
   [[nodiscard]] std::shared_ptr<rdma::QueuePair> qp() noexcept { return qp_; }
   void start(std::shared_ptr<rdma::QueuePair> remote_unused = nullptr);
 
-  void send(Buffer record, std::uint32_t tenant = 0) override;
+  /// Writes header and fragment straight into a free send slot when nothing
+  /// is queued and the QP is ready; otherwise queues an owned record behind
+  /// the others, so records post in send order.
+  void send(const RelayHeader& header, ByteSpan fragment,
+            std::uint32_t tenant = 0) override;
   [[nodiscard]] bool congested() const noexcept override {
     return queue_.size() > k_congestion_records;
   }
-  [[nodiscard]] std::uint64_t records_sent() const noexcept override { return sent_; }
+  /// Records waiting for a send slot or for the QP to become ready.
+  [[nodiscard]] std::size_t queued() const noexcept { return queue_.size(); }
 
  private:
   struct QueuedRecord {
@@ -81,6 +89,13 @@ class RdmaTrunk final : public Trunk {
     std::uint32_t tenant = 0;
   };
 
+  [[nodiscard]] bool can_post() const noexcept {
+    return qp_->state() == rdma::QpState::ready && !free_slots_.empty();
+  }
+  /// Takes a free send slot; `size` bytes of it are returned for writing.
+  std::pair<std::uint32_t, std::byte*> take_slot(std::size_t size);
+  /// Charges the relay CPU and posts `size` bytes of `slot`.
+  void post(std::uint32_t slot, std::size_t size, std::uint32_t tenant);
   void pump();
   void schedule_poll();
   void poll_cqs();
@@ -101,7 +116,6 @@ class RdmaTrunk final : public Trunk {
   std::vector<std::uint32_t> free_slots_;
   std::deque<QueuedRecord> queue_;
   bool poll_scheduled_ = false;
-  std::uint64_t sent_ = 0;
 };
 
 /// DPDK trunk: records ride the shared per-host PMD port.
@@ -109,11 +123,12 @@ class DpdkTrunk final : public Trunk {
  public:
   DpdkTrunk(dpdk::DpdkPort& port, fabric::HostId peer);
 
-  void send(Buffer record, std::uint32_t tenant = 0) override;
+  /// Builds the record the PMD owns while it streams the frames.
+  void send(const RelayHeader& header, ByteSpan fragment,
+            std::uint32_t tenant = 0) override;
   [[nodiscard]] bool congested() const noexcept override {
     return port_.tx_queue_depth() > k_congestion_records;
   }
-  [[nodiscard]] std::uint64_t records_sent() const noexcept override { return sent_; }
 
   /// The owning agent routes port messages here.
   void deliver(Buffer&& record) {
@@ -123,7 +138,6 @@ class DpdkTrunk final : public Trunk {
  private:
   dpdk::DpdkPort& port_;
   fabric::HostId peer_;
-  std::uint64_t sent_ = 0;
 };
 
 /// TCP trunk: a host-mode kernel TCP connection between the two agents,
@@ -135,11 +149,12 @@ class TcpTrunk final : public Trunk {
   /// Attaches the established connection (either side).
   void attach(tcp::TcpConnection::Ptr conn);
 
-  void send(Buffer record, std::uint32_t tenant = 0) override;
+  /// Frames length, header and fragment in one copy.
+  void send(const RelayHeader& header, ByteSpan fragment,
+            std::uint32_t tenant = 0) override;
   [[nodiscard]] bool congested() const noexcept override {
     return queue_.size() > k_congestion_records;
   }
-  [[nodiscard]] std::uint64_t records_sent() const noexcept override { return sent_; }
   [[nodiscard]] bool connected() const noexcept { return conn_ != nullptr; }
 
  private:
@@ -150,7 +165,6 @@ class TcpTrunk final : public Trunk {
   tcp::TcpConnection::Ptr conn_;
   std::deque<Buffer> queue_;  ///< framed records waiting for the connection/window
   Buffer rx_accum_;
-  std::uint64_t sent_ = 0;
 };
 
 }  // namespace freeflow::agent

@@ -37,6 +37,14 @@ class Buffer {
     b.size_ = size;
     return b;
   }
+  /// `head` followed by `body`, in one allocation and one copy of each.
+  static Buffer gather(ByteSpan head, ByteSpan body) {
+    if (head.empty() && body.empty()) return {};
+    Buffer b = for_overwrite(head.size() + body.size());
+    if (!head.empty()) std::memcpy(b.data(), head.data(), head.size());
+    if (!body.empty()) std::memcpy(b.data() + head.size(), body.data(), body.size());
+    return b;
+  }
 
   Buffer(const Buffer& other) : Buffer(other.data(), other.size()) {}
   Buffer& operator=(const Buffer& other) {

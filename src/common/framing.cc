@@ -9,13 +9,14 @@ namespace {
 constexpr std::size_t k_length_bytes = 4;
 }  // namespace
 
-Buffer frame_record(ByteSpan record) {
-  Buffer framed = Buffer::for_overwrite(k_length_bytes + record.size());
-  const auto len = static_cast<std::uint32_t>(record.size());
+Buffer frame_record(ByteSpan head, ByteSpan body) {
+  const std::size_t size = head.size() + body.size();
+  Buffer framed = Buffer::for_overwrite(k_length_bytes + size);
+  const auto len = static_cast<std::uint32_t>(size);
   std::memcpy(framed.data(), &len, k_length_bytes);
-  if (!record.empty()) {
-    std::memcpy(framed.data() + k_length_bytes, record.data(), record.size());
-  }
+  std::byte* out = framed.data() + k_length_bytes;
+  if (!head.empty()) std::memcpy(out, head.data(), head.size());
+  if (!body.empty()) std::memcpy(out + head.size(), body.data(), body.size());
   return framed;
 }
 

@@ -7,8 +7,9 @@
 
 namespace freeflow {
 
-/// One framed record (the only copy of `record` the framing makes).
-Buffer frame_record(ByteSpan record);
+/// One framed record, `head` followed by `body`: the only copy of either
+/// the framing makes.
+Buffer frame_record(ByteSpan head, ByteSpan body = {});
 
 /// Appends stream bytes to the receive accumulator `accum`, adopting them
 /// outright when nothing is pending.

@@ -49,20 +49,26 @@ void Conduit::send(const WireHeader& header, ByteSpan payload) {
   }
   WireHeader h = header;
   h.seq = ++tx_seq_;
-  Buffer message = make_message(h, payload);
   if (channel_ == nullptr || paused_) {
     // Detached, or transmit-frozen for quiesce: the sequence is assigned
     // (message-boundary pause keeps ordering contiguous) but the bytes wait
     // in the queue until drain() runs again.
-    queue_.push_back(std::move(message));
+    queue_.push_back(make_message(h, payload));
     return;
   }
-  transmit(h.seq, std::move(message));
+  if (should_retain()) {
+    // The retained window owns the one built message: a replay after a
+    // failover needs the bytes once the channel they went out on is gone.
+    transmit(h.seq, make_message(h, payload));
+    return;
+  }
+  // Lossless (shm) channel: nothing is retained, so no message is built.
+  // The header is encoded on the stack and gathered in front of the
+  // payload view straight into the ring.
+  put_on_channel(encode_header(h, payload.size()), payload);
 }
 
 void Conduit::transmit(std::uint64_t seq, Buffer message) {
-  ++sent_;
-  ctr_sent_->inc();
   // The channel copies from a view. On a lossy channel the retained window
   // takes ownership of the message, so it is never copied for retention.
   const ByteSpan bytes = message.view();
@@ -71,7 +77,13 @@ void Conduit::transmit(std::uint64_t seq, Buffer message) {
     gauge_retained_->set(static_cast<std::int64_t>(retained_.size()));
     if (retained_.size() == k_max_retained) note_window_filled();
   }
-  const Status s = channel_->send(bytes);
+  put_on_channel(bytes);
+}
+
+void Conduit::put_on_channel(ByteSpan head, ByteSpan body) {
+  ++sent_;
+  ctr_sent_->inc();
+  const Status s = channel_->send(head, body);
   if (!s.is_ok()) {
     FF_LOG(warn, "core") << "conduit send failed: " << s;
   }
@@ -92,7 +104,7 @@ void Conduit::send_control(VMsg type, std::uint64_t ack_upto) {
   h.type = type;
   h.token = token_;
   h.id = ack_upto;
-  channel_->send(make_message(h));
+  channel_->send(encode_header(h));
 }
 
 void Conduit::attach_channel(agent::ChannelPtr channel) {

@@ -223,6 +223,8 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   /// Puts one sequenced message on the attached channel (retaining it on a
   /// lossy one).
   void transmit(std::uint64_t seq, Buffer message);
+  /// Counts one sequenced message sent and hands it to the channel.
+  void put_on_channel(ByteSpan head, ByteSpan body = {});
   void retransmit_retained();
   void handle_message(Buffer&& message);
   void handle_ack(std::uint64_t acked_upto);

@@ -167,7 +167,7 @@ void ContainerNet::open_channel_for(ConduitPtr conduit, bool rebinding,
         h.type = VMsg::rebind;
         h.token = conduit->token();
         // The rebind must be the first message on the fresh channel.
-        (*ch)->send(make_message(h));
+        (*ch)->send(encode_header(h));
       }
       conduit->attach_channel(std::move(ch.value()));
       done(ok_status());
@@ -286,7 +286,7 @@ void ContainerNet::handle_first_message(orch::ContainerId src, agent::Channel* r
       reply.token = header.token;
       if (lit == qp_listeners_.end()) {
         reply.type = VMsg::cm_reject;
-        channel->send(make_message(reply));
+        channel->send(encode_header(reply));
         channel->close();  // the reply is already in the lane; unhook and drop
         return;
       }
@@ -311,7 +311,7 @@ void ContainerNet::handle_first_message(orch::ContainerId src, agent::Channel* r
       reply.token = header.token;
       if (lit == sock_listeners_.end()) {
         reply.type = VMsg::sock_reject;
-        channel->send(make_message(reply));
+        channel->send(encode_header(reply));
         channel->close();
         return;
       }
@@ -345,7 +345,7 @@ void ContainerNet::handle_first_message(orch::ContainerId src, agent::Channel* r
       WireHeader reply;
       reply.type = VMsg::bye_ack;
       reply.token = header.token;
-      channel->send(make_message(reply));
+      channel->send(encode_header(reply));
       channel->close();
       return;
     }

@@ -29,15 +29,16 @@ WireHeader WireHeader::decode(const std::byte* in) noexcept {
   return h;
 }
 
-Buffer make_message(const WireHeader& header, ByteSpan payload) {
+EncodedHeader encode_header(const WireHeader& header, std::size_t payload_len) noexcept {
   WireHeader h = header;
-  h.len = static_cast<std::uint32_t>(payload.size());
-  Buffer out = Buffer::for_overwrite(WireHeader::k_size + payload.size());
+  h.len = static_cast<std::uint32_t>(payload_len);
+  EncodedHeader out{};
   h.encode(out.data());
-  if (!payload.empty()) {
-    std::memcpy(out.data() + WireHeader::k_size, payload.data(), payload.size());
-  }
   return out;
+}
+
+Buffer make_message(const WireHeader& header, ByteSpan payload) {
+  return Buffer::gather(encode_header(header, payload.size()), payload);
 }
 
 Result<ParsedMessage> parse_message(ByteSpan message) {

@@ -4,6 +4,7 @@
 // handshakes, migration rebinds) and data-plane verbs.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "common/bytes.h"
@@ -52,7 +53,12 @@ struct WireHeader {
   static WireHeader decode(const std::byte* in) noexcept;
 };
 
-/// One message = header + payload.
+/// A message's header bytes, `len` set to `payload_len`: senders gather
+/// them in front of the payload instead of building the message.
+using EncodedHeader = std::array<std::byte, WireHeader::k_size>;
+EncodedHeader encode_header(const WireHeader& header, std::size_t payload_len = 0) noexcept;
+
+/// One message = header + payload, built as one owned buffer.
 Buffer make_message(const WireHeader& header, ByteSpan payload = {});
 
 struct ParsedMessage {

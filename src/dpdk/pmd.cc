@@ -46,14 +46,14 @@ void DpdkPort::pump_tx() {
   tx_queue_.pop_front();
 
   const std::uint64_t msg_id = next_msg_id_++;
-  stream_frames(std::make_shared<Buffer>(std::move(next.data)), msg_id, next.dst,
+  stream_frames(std::make_shared<const Buffer>(std::move(next.data)), msg_id, next.dst,
                 next.tenant, 0);
 }
 
 // One burst frame per call; the PMD-core completion re-invokes for the next
 // offset. The pending event holds the port, the frame, and the source
 // buffer — no callback ever owns itself (teardown protocol).
-void DpdkPort::stream_frames(const std::shared_ptr<Buffer>& msg,
+void DpdkPort::stream_frames(const std::shared_ptr<const Buffer>& msg,
                              std::uint64_t msg_id, fabric::HostId dst,
                              std::uint32_t tenant, std::uint32_t offset) {
   const auto total = static_cast<std::uint32_t>(msg->size());
@@ -64,7 +64,10 @@ void DpdkPort::stream_frames(const std::shared_ptr<Buffer>& msg,
   frame->offset = offset;
   frame->last = offset + n >= total;
   frame->tenant = tenant;
-  if (n > 0) frame->payload = Buffer(msg->data() + offset, n);
+  if (n > 0) {
+    frame->message = msg;
+    frame->payload = ByteSpan{msg->data() + offset, n};
+  }
 
   const auto& m = host_.cost_model();
   pmd_core_.submit(m.dpdk_pkt_cost(n), [this, frame, msg, dst]() {

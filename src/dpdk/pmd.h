@@ -28,7 +28,10 @@ struct DpdkFrame final : fabric::PacketBody {
   std::uint32_t offset = 0;
   bool last = false;
   std::uint32_t tenant = 0;  ///< NIC scheduling class of the owning flow
-  Buffer payload;
+  /// The whole message the frame was cut from. Its frames share it, each
+  /// viewing its own slice, and it lives until the last frame is gone.
+  std::shared_ptr<const Buffer> message;
+  ByteSpan payload;  ///< this frame's slice of `message`
 };
 
 /// Acquires a fresh DpdkFrame from the process-wide slab pool.
@@ -104,7 +107,7 @@ class DpdkPort {
   std::map<std::pair<fabric::HostId, std::uint64_t>, Reassembly> rx_;
 
   void pump_tx();
-  void stream_frames(const std::shared_ptr<Buffer>& msg, std::uint64_t msg_id,
+  void stream_frames(const std::shared_ptr<const Buffer>& msg, std::uint64_t msg_id,
                      fabric::HostId dst, std::uint32_t tenant, std::uint32_t offset);
 
   static constexpr std::uint32_t k_frame_payload = 4096;  // burst unit

@@ -123,6 +123,8 @@ void QueuePair::stream_chunk(std::uint64_t msg_id, std::uint32_t offset) {
   chunk->last = offset + n >= total;
   chunk->tenant = wr.tenant != 0 ? wr.tenant : attr_.tenant;
   if (n > 0) {
+    // The NIC's DMA read: the chunk carries the bytes the MR held when it
+    // was emitted, whatever the application writes there afterwards.
     chunk->payload = Buffer(wr.local.mr->data().data() + wr.local.offset + offset, n);
   }
   if (wr.opcode == Opcode::write) chunk->remote = wr.remote;

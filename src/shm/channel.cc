@@ -16,12 +16,12 @@ void charge_bus_then_cpu(fabric::Host& host, double bus_bytes, double cpu_units,
 ShmLane::ShmLane(fabric::Host& host, std::size_t ring_bytes)
     : host_(host), tx_thread_(host.cpu()), rx_thread_(host.cpu()), ring_(ring_bytes) {}
 
-Status ShmLane::send(ByteSpan message) {
-  const std::size_t size = message.size();
+Status ShmLane::send(ByteSpan head, ByteSpan body) {
+  const std::size_t size = head.size() + body.size();
   if (!ring_.can_push(size)) {
     return would_block("shm ring full");
   }
-  FF_CHECK(ring_.try_push(message));
+  FF_CHECK(ring_.try_push(head, body));
 
   const auto& model = host_.cost_model();
   const double side_bus = static_cast<double>(size) * model.shm_bus_bytes_factor / 2.0;

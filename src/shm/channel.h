@@ -51,10 +51,10 @@ class ShmLane : public std::enable_shared_from_this<ShmLane> {
     return ring_.can_push(payload);
   }
 
-  /// Enqueues one message (bytes are copied into the ring; the caller keeps
-  /// its buffer). Returns would_block, with no side effects, when the ring
-  /// lacks space — retry from on_space.
-  Status send(ByteSpan message);
+  /// Enqueues one message, `head` followed by `body`, gathered straight
+  /// into the ring (the caller keeps its buffers). Returns would_block, with
+  /// no side effects, when the ring lacks space — retry from on_space.
+  Status send(ByteSpan head, ByteSpan body = {});
 
   [[nodiscard]] std::uint64_t messages_delivered() const noexcept { return delivered_; }
   [[nodiscard]] std::uint64_t bytes_delivered() const noexcept { return bytes_delivered_; }

@@ -77,8 +77,9 @@ void SpscRing::copy_out(std::uint64_t cursor, std::byte* dst, std::size_t n) con
   if (first < n) std::memcpy(dst + first, half, n - first);
 }
 
-bool SpscRing::try_push(ByteSpan message) noexcept {
-  const std::size_t need = record_size(message.size());
+bool SpscRing::try_push(ByteSpan prefix, ByteSpan body) noexcept {
+  const std::size_t size = prefix.size() + body.size();
+  const std::size_t need = record_size(size);
   const std::uint64_t head = head_.load(std::memory_order_acquire);
   std::uint64_t tail = tail_.load(std::memory_order_relaxed);
   if (capacity() - used_between(head, tail) < need) return false;
@@ -89,11 +90,14 @@ bool SpscRing::try_push(ByteSpan message) noexcept {
     prev_end_.store(offset_of(tail), std::memory_order_relaxed);
     tail = make_cursor(generation_of(tail) + 1, 0);
   }
-  const auto len = static_cast<std::uint32_t>(message.size());
+  const auto len = static_cast<std::uint32_t>(size);
   std::byte header[k_header_size];
   std::memcpy(header, &len, k_header_size);
   copy_in(tail, header, k_header_size);
-  if (!message.empty()) copy_in(tail + k_header_size, message.data(), message.size());
+  if (!prefix.empty()) copy_in(tail + k_header_size, prefix.data(), prefix.size());
+  if (!body.empty()) {
+    copy_in(tail + k_header_size + prefix.size(), body.data(), body.size());
+  }
   tail_.store(tail + need, std::memory_order_release);
   pushed_.fetch_add(1, std::memory_order_relaxed);
   return true;

@@ -42,9 +42,11 @@ class SpscRing {
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
 
-  /// Appends one message. Returns false (ring unchanged) if there is not
-  /// enough free space for the record (4-byte header + payload).
-  bool try_push(ByteSpan message) noexcept;
+  /// Appends one message, `prefix` followed by `body`, gathered straight
+  /// into the ring (a header goes in front of a payload view without first
+  /// being concatenated with it). Returns false (ring unchanged) if there is
+  /// not enough free space for the record (4-byte header + payload).
+  bool try_push(ByteSpan prefix, ByteSpan body = {}) noexcept;
 
   /// Pops the oldest message into `out`, which is sized to fit and then
   /// overwritten (never zero-filled first). Returns false if the ring is

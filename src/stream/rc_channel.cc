@@ -52,15 +52,15 @@ void RcStreamChannel::repost_recv(std::uint32_t slot) {
   FF_CHECK(posted.is_ok());
 }
 
-Status RcStreamChannel::send(ByteSpan message) {
+Status RcStreamChannel::send(ByteSpan head, ByteSpan body) {
   if (closed_) return failed_precondition("stream rc channel closed");
-  FF_CHECK(message.size() <= k_slot_bytes);
+  FF_CHECK(head.size() + body.size() <= k_slot_bytes);
   if (queue_.empty() && can_post_data()) {
-    post_to_slot(message);
+    post_to_slot(head, body);
     --credits_;
     return ok_status();
   }
-  queue_.emplace_back(message.data(), message.size());
+  queue_.push_back(Buffer::gather(head, body));
   pump();
   return ok_status();
 }
@@ -73,17 +73,19 @@ bool RcStreamChannel::can_post_data() const noexcept {
   return qp_->state() == rdma::QpState::ready && !free_slots_.empty() && credits_ > 0;
 }
 
-void RcStreamChannel::post_to_slot(ByteSpan message) {
+void RcStreamChannel::post_to_slot(ByteSpan head, ByteSpan body) {
   const std::uint32_t slot = free_slots_.back();
   free_slots_.pop_back();
-  auto dst = send_mr_->slice(slot * k_slot_bytes, message.size());
+  const std::size_t size = head.size() + body.size();
+  auto dst = send_mr_->slice(slot * k_slot_bytes, size);
   FF_CHECK(dst.is_ok());
-  if (!message.empty()) std::memcpy(dst->data(), message.data(), message.size());
+  if (!head.empty()) std::memcpy(dst->data(), head.data(), head.size());
+  if (!body.empty()) std::memcpy(dst->data() + head.size(), body.data(), body.size());
 
   rdma::SendWr wr;
   wr.wr_id = slot;
   wr.opcode = rdma::Opcode::send;
-  wr.local = {send_mr_, slot * k_slot_bytes, message.size()};
+  wr.local = {send_mr_, slot * k_slot_bytes, size};
   wr.signaled = true;
   const Status posted = qp_->post_send(wr, account_);
   FF_CHECK(posted.is_ok());
@@ -107,7 +109,7 @@ void RcStreamChannel::return_credits() {
   core::WireHeader h;
   h.type = core::VMsg::rc_credit;
   h.id = since_credit_;
-  post_to_slot(core::make_message(h).view());
+  post_to_slot(core::encode_header(h));
   since_credit_ = 0;
 }
 

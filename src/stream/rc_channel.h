@@ -53,7 +53,7 @@ class RcStreamChannel final : public agent::Channel,
 
   [[nodiscard]] rdma::QpNum qp_num() const noexcept { return qp_->num(); }
 
-  Status send(ByteSpan message) override;
+  Status send(ByteSpan head, ByteSpan body = {}) override;
   [[nodiscard]] bool writable() const noexcept override;
   void set_on_message(DeliverFn cb) override { on_message_ = std::move(cb); }
   void set_on_space(std::function<void()> cb) override { on_space_ = std::move(cb); }
@@ -69,8 +69,8 @@ class RcStreamChannel final : public agent::Channel,
  private:
   /// Ready QP, a free send slot and a peer credit: a data message can post.
   [[nodiscard]] bool can_post_data() const noexcept;
-  /// Copies `message` into a free send slot and posts it.
-  void post_to_slot(ByteSpan message);
+  /// Gathers `head` and `body` into a free send slot and posts them.
+  void post_to_slot(ByteSpan head, ByteSpan body = {});
   void pump();
   void schedule_poll();
   void poll_cqs();

@@ -183,7 +183,7 @@ void StreamNet::handle_first_message(agent::Channel* raw, const Buffer& message)
       reply.token = header.token;
       if (lit == listeners_.end()) {
         reply.type = core::VMsg::sock_reject;
-        channel->send(core::make_message(reply).view());
+        channel->send(core::encode_header(reply));
         channel->close();
         return;
       }
@@ -222,7 +222,7 @@ void StreamNet::handle_first_message(agent::Channel* raw, const Buffer& message)
       core::WireHeader reply;
       reply.type = core::VMsg::bye_ack;
       reply.token = header.token;
-      channel->send(core::make_message(reply).view());
+      channel->send(core::encode_header(reply));
       channel->close();
       return;
     }
@@ -380,7 +380,7 @@ void StreamNet::dial_fallback(const core::ConduitPtr& conduit, bool upgrade_afte
         h.type = core::VMsg::rebind;
         h.token = token;
         // The rebind must be the first frame on the fresh connection.
-        channel->send(core::make_message(h).view());
+        channel->send(core::encode_header(h));
         conduit->attach_channel(channel);
         net->attached_tcp_[token] = channel;
         ++net->fallbacks_;
@@ -473,7 +473,7 @@ void StreamNet::handle_control(const core::ConduitPtr& conduit,
       core::WireHeader sw;
       sw.type = core::VMsg::rc_switch;
       sw.token = token;
-      channel->send(core::make_message(sw).view());
+      channel->send(core::encode_header(sw));
       conduit->attach_channel(channel);  // closes the TCP side (peer expects it)
       attached_tcp_.erase(token);
       ++upgrades_;

@@ -40,9 +40,9 @@ void TcpFallbackChannel::on_conn_closed() {
   fail();
 }
 
-Status TcpFallbackChannel::send(ByteSpan message) {
+Status TcpFallbackChannel::send(ByteSpan head, ByteSpan body) {
   if (closed_) return failed_precondition("stream tcp channel closed");
-  overflow_.push_back(frame_record(message));
+  overflow_.push_back(frame_record(head, body));
   // Drain, but never notify from here: firing on_space_ inside send() would
   // re-enter the caller's own pump loop before it has accounted for this
   // send (a writability-paced sender would duplicate its current chunk).

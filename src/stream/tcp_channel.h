@@ -28,7 +28,7 @@ class TcpFallbackChannel final
 
   ~TcpFallbackChannel() override;
 
-  Status send(ByteSpan message) override;
+  Status send(ByteSpan head, ByteSpan body = {}) override;
   [[nodiscard]] bool writable() const noexcept override;
   void set_on_message(DeliverFn cb) override { on_message_ = std::move(cb); }
   void set_on_space(std::function<void()> cb) override { on_space_ = std::move(cb); }

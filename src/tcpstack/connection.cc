@@ -23,8 +23,14 @@ Status TcpConnection::send(Buffer data) {
   if (tx_queue_bytes_ + data.size() > tx_limit_bytes_) {
     return would_block("send buffer full");
   }
-  // Segment into GSO chunks.
+  // Segment into GSO chunks; a buffer that fits one chunk is that chunk.
   const std::size_t chunk_size = net_.cost_model().tcp_chunk_bytes;
+  if (data.size() <= chunk_size) {
+    tx_queue_bytes_ += data.size();
+    tx_queue_.push_back(std::move(data));
+    pump();
+    return ok_status();
+  }
   std::size_t offset = 0;
   while (offset < data.size()) {
     const std::size_t n = std::min(chunk_size, data.size() - offset);

@@ -2,7 +2,11 @@
 
 #include "agent/agent.h"
 #include "agent/relay.h"
+#include "agent/trunk.h"
+#include "common/framing.h"
+#include "rdma/cm.h"
 #include "sim_env.h"
+#include "tcpstack/modes.h"
 
 namespace freeflow::agent {
 namespace {
@@ -48,6 +52,162 @@ TEST(Relay, ParseRejectsGarbage) {
   h.total_len = 1;  // fragment longer than message
   Buffer bad = make_record(h, Buffer(10).view());
   EXPECT_FALSE(parse_record(bad.view()).is_ok());
+}
+
+// ------------------------------------------------------ trunk record paths
+
+RelayHeader numbered_header(std::uint64_t seq, std::size_t fragment_len) {
+  RelayHeader h;
+  h.src_container = 1;
+  h.dst_container = 2;
+  h.channel = 7;
+  h.msg_seq = seq;
+  h.total_len = static_cast<std::uint32_t>(fragment_len);
+  return h;
+}
+
+Buffer numbered_fragment(std::uint64_t seq, std::size_t len) {
+  Buffer fragment(len);
+  fill_pattern(fragment.mutable_view(), seq);
+  return fragment;
+}
+
+/// Checks `records` are seq 1..n in order, each intact.
+void expect_in_order(const std::vector<Buffer>& records, std::size_t n) {
+  ASSERT_EQ(records.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    auto parsed = parse_record(records[i].view());
+    ASSERT_TRUE(parsed.is_ok()) << parsed.status();
+    EXPECT_EQ(parsed->header.msg_seq, i + 1) << "record " << i;
+    EXPECT_TRUE(check_pattern(parsed->fragment, parsed->header.msg_seq));
+  }
+}
+
+/// Two RDMA trunk halves, on hosts 0 and 1, whose QPs are not yet connected.
+struct RdmaTrunkRig {
+  static constexpr std::size_t k_slot_bytes = 4096 + RelayHeader::k_size;
+
+  explicit RdmaTrunkRig(std::uint32_t slots) {
+    cluster.add_hosts(2);
+    dev_a = std::make_unique<rdma::RdmaDevice>(cluster.host(0));
+    dev_b = std::make_unique<rdma::RdmaDevice>(cluster.host(1));
+    a = std::make_unique<RdmaTrunk>(*dev_a, account_a, true, k_slot_bytes, slots);
+    b = std::make_unique<RdmaTrunk>(*dev_b, account_b, true, k_slot_bytes, 32);
+    b->set_on_record([this](Buffer&& record) { at_b.push_back(std::move(record)); });
+  }
+
+  void connect() { ASSERT_TRUE(rdma::connect_pair(*a->qp(), *b->qp()).is_ok()); }
+  void send(std::uint64_t seq) {
+    const std::size_t len = 100 + seq * 397 % 3900;
+    a->send(numbered_header(seq, len), numbered_fragment(seq, len).view());
+  }
+  bool run_until(const std::function<bool()>& pred) {
+    return freeflow::testing::run_until(cluster.loop(), pred);
+  }
+
+  fabric::Cluster cluster;
+  std::unique_ptr<rdma::RdmaDevice> dev_a, dev_b;
+  sim::UsageAccount account_a, account_b;
+  std::unique_ptr<RdmaTrunk> a, b;
+  std::vector<Buffer> at_b;
+};
+
+TEST(RdmaTrunkOrder, RecordSentBeforeTheQueueDrainsWaitsBehindIt) {
+  // Records sent before the QP is ready queue. Once the QP is connected
+  // every slot is free, but until the trunk pumps, the queue is still
+  // there: a record sent now must go behind it, not straight into a slot.
+  RdmaTrunkRig rig(4);
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) rig.send(seq);
+  EXPECT_EQ(rig.a->queued(), 3u);
+  rig.connect();
+  rig.send(4);
+  EXPECT_EQ(rig.a->queued(), 0u);  // all four posted, in order
+  rig.b->start();
+  rig.a->start();
+  ASSERT_TRUE(rig.run_until([&]() { return rig.at_b.size() == 4; }));
+  expect_in_order(rig.at_b, 4);
+}
+
+TEST(RdmaTrunkOrder, RecordsSentWhileSlotsAreExhaustedKeepTheirOrder) {
+  // Two slots: most records queue. The peer's records reach `a` while its
+  // backlog drains, and each makes `a` send one more from inside its poll,
+  // where send slots have just been freed but the backlog is not yet
+  // pumped.
+  RdmaTrunkRig rig(2);
+  rig.connect();
+  rig.b->start();
+  rig.a->start();
+  std::uint64_t next = 1;
+  for (; next <= 12; ++next) rig.send(next);
+  EXPECT_EQ(rig.a->queued(), 10u);
+  std::size_t sent_from_poll = 0, queued_at_poll_sends = 0;
+  rig.a->set_on_record([&](Buffer&&) {
+    queued_at_poll_sends += rig.a->queued();
+    ++sent_from_poll;
+    rig.send(next++);
+  });
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    rig.b->send(numbered_header(100 + i, 10), numbered_fragment(100 + i, 10).view());
+  }
+  ASSERT_TRUE(rig.run_until([&]() { return rig.at_b.size() == 18; }));
+  EXPECT_EQ(sent_from_poll, 6u);
+  EXPECT_GT(queued_at_poll_sends, 0u);  // some were sent with a backlog
+  expect_in_order(rig.at_b, 18);
+}
+
+TEST(TcpTrunkFraming, OneCopyFramesParseAsWholeRecords) {
+  // The trunk frames length, header and fragment in one copy; what the
+  // peer pops off the byte stream must be exactly make_record's bytes,
+  // including records larger than one GSO chunk and an empty fragment.
+  fabric::Cluster cluster;
+  tcp::HostModeBuilder host_paths(cluster.cost_model());
+  tcp::TcpNetwork net(cluster.loop(), cluster.cost_model(), host_paths);
+  cluster.add_hosts(2);
+  tcp::WireHop::install_rx(cluster.host(0));
+  tcp::WireHop::install_rx(cluster.host(1));
+  const tcp::Ipv4Addr ip_a{192, 168, 0, 1}, ip_b{192, 168, 0, 2};
+  ASSERT_TRUE(host_paths.addresses().add(ip_a, cluster.host(0), nullptr).is_ok());
+  ASSERT_TRUE(host_paths.addresses().add(ip_b, cluster.host(1), nullptr).is_ok());
+  tcp::TcpConnection::Ptr client, server;
+  ASSERT_TRUE(net.listen({ip_b, 7777}, [&](tcp::TcpConnection::Ptr c) { server = c; }).is_ok());
+  net.connect({ip_a, 0}, {ip_b, 7777}, [&](Result<tcp::TcpConnection::Ptr> c) {
+    ASSERT_TRUE(c.is_ok()) << c.status();
+    client = *c;
+  });
+  ASSERT_TRUE(freeflow::testing::run_until(
+      cluster.loop(), [&]() { return client != nullptr && server != nullptr; }));
+
+  TcpTrunk tx(cluster.loop()), rx(cluster.loop());
+  std::vector<Buffer> received;
+  rx.set_on_record([&](Buffer&& record) { received.push_back(std::move(record)); });
+  tx.attach(client);
+  rx.attach(server);
+  const std::size_t chunk = cluster.cost_model().tcp_chunk_bytes;
+  const std::size_t sizes[] = {0, 1, 1000, chunk - 4 - RelayHeader::k_size,
+                               chunk - 4 - RelayHeader::k_size + 1, 3 * chunk + 17};
+  std::vector<Buffer> expected;
+  std::uint64_t seq = 0;
+  for (const std::size_t len : sizes) {
+    const RelayHeader h = numbered_header(++seq, len);
+    const Buffer fragment = numbered_fragment(seq, len);
+    expected.push_back(make_record(h, fragment.view()));
+    std::byte encoded[RelayHeader::k_size];
+    h.encode(encoded);
+    // Byte for byte what framing the built record would have produced.
+    EXPECT_EQ(frame_record(encoded, fragment.view()), frame_record(expected.back().view()));
+    tx.send(h, fragment.view());
+  }
+  ASSERT_TRUE(freeflow::testing::run_until(
+      cluster.loop(), [&]() { return received.size() == expected.size(); }));
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(received[i], expected[i]) << "record " << i;
+    auto parsed = parse_record(received[i].view());
+    ASSERT_TRUE(parsed.is_ok());
+    EXPECT_EQ(parsed->header.msg_seq, i + 1);
+    EXPECT_EQ(parsed->fragment.size(), sizes[i]);
+  }
+  client->release_callbacks();
+  server->release_callbacks();
 }
 
 // ----------------------------------------------------- channel integration

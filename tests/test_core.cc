@@ -117,12 +117,12 @@ class TestPipe final : public agent::Channel {
     return {a, b};
   }
 
-  Status send(ByteSpan message) override {
+  Status send(ByteSpan head, ByteSpan body = {}) override {
     if (closed_) return failed_precondition("pipe closed");
     if (!deliver) return ok_status();  // swallowed by the dying lane
     auto peer = peer_pipe_.lock();
     if (peer == nullptr) return ok_status();
-    loop_.schedule(1000, [peer, msg = Buffer(message.data(), message.size())]() mutable {
+    loop_.schedule(1000, [peer, msg = Buffer::gather(head, body)]() mutable {
       if (!peer->closed_ && peer->on_message_) peer->on_message_(std::move(msg));
     });
     return ok_status();

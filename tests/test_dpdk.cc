@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "dpdk/pmd.h"
 #include "fabric/cluster.h"
 
@@ -103,6 +106,53 @@ TEST_F(DpdkFixture, StoppedPortDropsFrames) {
   ASSERT_TRUE(port_a->send(1, Buffer(100)).is_ok());
   cluster.loop().run();
   EXPECT_EQ(delivered, 0);
+}
+
+TEST_F(DpdkFixture, FramesKeepTheirMessageAliveAfterTheSenderDropsIt) {
+  // Frames view the message they were cut from instead of copying their
+  // slice. Hold every frame at the receiving NIC until the sending port
+  // has finished streaming and let go of the message: the frames alone
+  // must keep it alive and intact, and free it once they are gone.
+  port_a->start();
+  std::vector<fabric::PacketPtr> held;
+  long use_count_mid_stream = 0;
+  cluster.host(1).nic().set_rx_handler(fabric::PacketKind::dpdk_frame,
+                                       [&](fabric::PacketPtr p) {
+    if (held.empty()) {
+      use_count_mid_stream = fabric::body_as<DpdkFrame>(p)->message.use_count();
+    }
+    held.push_back(std::move(p));
+  });
+  constexpr std::size_t k_size = 10 * 4096 + 123;  // 11 frames
+  Buffer reference(k_size);
+  fill_pattern(reference.mutable_view(), 21);
+  ASSERT_TRUE(port_a->send(1, Buffer(reference)).is_ok());
+  ASSERT_TRUE(run_until([&]() { return held.size() == 11; }));
+  cluster.loop().run();  // the sender's last frame job has completed
+
+  EXPECT_GE(use_count_mid_stream, 2);  // the sender was still streaming it
+  const std::weak_ptr<const Buffer> message =
+      fabric::body_as<DpdkFrame>(held.front())->message;
+  EXPECT_EQ(message.use_count(), 11);  // only the frames hold it now
+  for (const auto& packet : held) {
+    const auto frame = fabric::body_as<DpdkFrame>(packet);
+    EXPECT_EQ(frame->message, message.lock());
+    EXPECT_EQ(frame->payload.data(), frame->message->data() + frame->offset);
+    EXPECT_TRUE(std::equal(frame->payload.begin(), frame->payload.end(),
+                           reference.data() + frame->offset));
+  }
+
+  // A fresh port on host 1 takes the held frames and reassembles them.
+  port_b = std::make_unique<DpdkPort>(cluster.host(1));
+  port_b->start();
+  Buffer got;
+  port_b->set_on_message([&](fabric::HostId, Buffer&& m) { got = std::move(m); });
+  for (auto& packet : held) cluster.host(1).nic().deliver(std::move(packet));
+  held.clear();
+  ASSERT_TRUE(run_until([&]() { return !got.empty(); }));
+  EXPECT_EQ(got, reference);
+  cluster.loop().run();
+  EXPECT_TRUE(message.expired());
 }
 
 TEST_F(DpdkFixture, ThroughputNearLineRateWithLowPerPacketCost) {

@@ -375,6 +375,141 @@ TEST(SpscRing, LightLoadTouchesFewPages) {
   EXPECT_EQ(out, msg);
 }
 
+/// Pushes `msg` as a prefix of `split` bytes and a body of the rest.
+bool push_split(SpscRing& ring, const Buffer& msg, std::size_t split) {
+  return ring.try_push(msg.view().first(split), msg.view().subspan(split));
+}
+
+TEST(SpscRing, GatherSplitAcrossWrapPopsByteExact) {
+  // A 40-byte message starting at every offset of a 64-byte ring, split
+  // into prefix and body at every point: the split falls before, on and
+  // after the wrap.
+  constexpr std::size_t k_size = 40;
+  Buffer msg(k_size);
+  fill_pattern(msg.mutable_view(), 5);
+  for (std::size_t start = SpscRing::record_size(0); start < 64; ++start) {
+    for (std::size_t split = 0; split <= k_size; ++split) {
+      SpscRing ring(64);
+      Buffer filler(start - SpscRing::record_size(0));
+      Buffer out;
+      ASSERT_TRUE(ring.try_push(filler.view()));
+      ASSERT_TRUE(ring.try_pop(out));
+      ASSERT_TRUE(push_split(ring, msg, split));
+      ASSERT_EQ(ring.generation(), 0u);  // wrapped in place, no switch
+      ASSERT_EQ(ring.used_bytes(), SpscRing::record_size(k_size));
+      ASSERT_TRUE(ring.try_pop(out));
+      ASSERT_EQ(out, msg) << "start " << start << " split " << split;
+    }
+  }
+}
+
+TEST(SpscRing, GatherSplitAcrossGenerationSwitchPopsByteExact) {
+  // The producer ends generation 0 at (or past) the capacity with a record
+  // still unread, so the gathered record is the first of generation 1, in
+  // the other half; the consumer finishes the old record, then jumps.
+  constexpr std::size_t k_size = 20;
+  constexpr std::size_t k_second = 36;
+  Buffer msg(k_size);
+  fill_pattern(msg.mutable_view(), 6);
+  Buffer second(k_second);
+  fill_pattern(second.mutable_view(), 7);
+  for (const std::size_t first : {24, 30, 44}) {
+    for (std::size_t split = 0; split <= k_size; ++split) {
+      SpscRing ring(64);
+      Buffer out;
+      ASSERT_TRUE(ring.try_push(Buffer(first - SpscRing::record_size(0)).view()));
+      ASSERT_TRUE(ring.try_pop(out));
+      ASSERT_TRUE(ring.try_push(second.view()));
+      ASSERT_EQ(ring.generation(), 0u);
+      ASSERT_TRUE(push_split(ring, msg, split));
+      ASSERT_EQ(ring.generation(), 1u) << "first " << first;
+      ASSERT_EQ(ring.free_bytes(), 0u);
+      ASSERT_TRUE(ring.try_pop(out));
+      ASSERT_EQ(out, second);
+      ASSERT_TRUE(ring.try_pop(out));
+      ASSERT_EQ(out, msg) << "first " << first << " split " << split;
+      ASSERT_TRUE(ring.empty());
+    }
+  }
+}
+
+TEST(SpscRing, GatherAccountingMatchesFlatPush) {
+  // A gather push is a flat push of the concatenation: same admission, same
+  // occupancy, same generations, same bytes out.
+  constexpr std::size_t k_capacity = 1 << 15;
+  Rng rng(11);
+  SpscRing gathered(k_capacity);
+  SpscRing flat(k_capacity);
+  std::uint64_t next_push = 0, next_pop = 0;
+  for (int step = 0; step < 40000; ++step) {
+    if (rng.chance(0.5)) {
+      const std::size_t size = rng.chance(0.2) ? rng.next_below(k_capacity / 2)
+                                               : rng.next_below(600);
+      Buffer msg(size);
+      fill_pattern(msg.mutable_view(), next_push);
+      const bool pushed = push_split(gathered, msg, rng.next_below(size + 1));
+      ASSERT_EQ(pushed, flat.try_push(msg.view())) << "step " << step;
+      if (pushed) ++next_push;
+    } else {
+      Buffer a, b;
+      const bool popped = gathered.try_pop(a);
+      ASSERT_EQ(popped, flat.try_pop(b)) << "step " << step;
+      if (popped) {
+        ASSERT_EQ(a, b);
+        ASSERT_TRUE(check_pattern(a.view(), next_pop++));
+      }
+    }
+    const std::size_t probe = rng.next_below(k_capacity);
+    ASSERT_EQ(gathered.used_bytes(), flat.used_bytes());
+    ASSERT_EQ(gathered.can_push(probe), flat.can_push(probe));
+    ASSERT_EQ(gathered.generation(), flat.generation());
+  }
+  EXPECT_GT(gathered.generation(), 10u);
+}
+
+TEST(SpscRing, TwoThreadGatherStress) {
+  // Gathered records from one OS thread, popped whole by another: each
+  // message is split at a different point, and records reach half the
+  // capacity so splits land across wraps and generation switches.
+  constexpr std::size_t k_capacity = 1 << 14;
+  constexpr int k_messages = 20000;
+  SpscRing ring(k_capacity);
+  std::atomic<bool> failed{false};
+  auto size_of = [](int i) {
+    const auto n = static_cast<std::size_t>(i) * 2654435761u;
+    return (i % 8 == 0) ? n % (k_capacity / 2 - 4) : 48 + n % 512;
+  };
+
+  std::thread producer([&]() {
+    for (int i = 0; i < k_messages; ++i) {
+      Buffer msg(size_of(i));
+      fill_pattern(msg.mutable_view(), static_cast<std::uint64_t>(i));
+      const std::size_t split = static_cast<std::size_t>(i) % (msg.size() + 1);
+      while (!push_split(ring, msg, split)) {
+        std::this_thread::yield();
+      }
+    }
+  });
+  std::thread consumer([&]() {
+    Buffer out;
+    for (int i = 0; i < k_messages; ++i) {
+      while (!ring.try_pop(out)) {
+        std::this_thread::yield();
+      }
+      if (out.size() != size_of(i) ||
+          !check_pattern(out.view(), static_cast<std::uint64_t>(i))) {
+        failed = true;
+        return;
+      }
+    }
+  });
+  producer.join();
+  consumer.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_TRUE(ring.empty());
+  EXPECT_GT(ring.generation(), 100u);
+}
+
 // ----------------------------------------------------------------- Region
 
 TEST(RegionRegistry, CreateAttachDestroy) {
