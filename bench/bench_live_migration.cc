@@ -1,7 +1,7 @@
 // E11 / §7 Discussion ("Live migration"): connection-preserving live
 // migration as a planned protocol. A server container with TWO live
-// streaming connections — a FlowSocket and a sockets-over-RDMA stream —
-// ping-pongs between hosts under the MigrationCoordinator while both
+// streaming sockets — one relayed through the agents, one on the
+// per_stream_qp (sockets-over-RDMA) path — ping-pongs between hosts under the MigrationCoordinator while both
 // receivers pattern-verify every byte. The bench reports the planned
 // blackout distribution (receiver-silence p50/p99/max), one reactive
 // stop-and-copy blackout measured in the SAME run for comparison, and the
@@ -12,7 +12,6 @@
 
 #include "common/logging.h"
 #include "migration/migration.h"
-#include "stream/stream_net.h"
 
 using namespace freeflow;
 using namespace freeflow::bench;
@@ -114,22 +113,32 @@ int main(int argc, char** argv) {
   });
   FF_CHECK(spin(cluster, [&]() { return sock_client && sock_server; }, 10 * k_second));
 
-  // ---- connection 2: stream adapter (TSoR), client -> server ----
-  auto stream_a = stream::StreamNet::make(*na);
-  auto stream_b = stream::StreamNet::make(*nb);
+  // ---- connection 2: per_stream_qp socket (TSoR), client -> server ----
   Rx tsor_rx;
   tsor_rx.loop = &cluster.loop();
-  stream::StreamSocketPtr tsor_client, tsor_server;
+  core::FlowSocketPtr tsor_client, tsor_server;
   std::uint64_t tsor_sent = 0;
-  FF_CHECK(stream_b->listen(5001, [&](stream::StreamSocketPtr s) {
+  std::uint64_t tsor_bytes_rdma = 0, tsor_bytes_tcp = 0;
+  FF_CHECK((*nb)->sock_listen(5001, [&](core::FlowSocketPtr s) {
     tsor_server = s;
-    s->set_on_data([&](Buffer&& buf) { tsor_rx.feed(buf); });
+    s->set_on_data([&, raw = s.get()](Buffer&& buf) {
+      tsor_rx.feed(buf);
+      // The channel attached now is the one that just delivered the chunk.
+      (raw->transport() == orch::Transport::rdma ? tsor_bytes_rdma : tsor_bytes_tcp) +=
+          buf.size();
+    });
   }).is_ok());
-  stream_a->connect(b->ip(), 5001, [&](Result<stream::StreamSocketPtr> s) {
-    FF_CHECK(s.is_ok());
-    tsor_client = *s;
-  });
+  (*na)->sock_connect(
+      b->ip(), 5001,
+      [&](Result<core::FlowSocketPtr> s) {
+        FF_CHECK(s.is_ok());
+        tsor_client = *s;
+      },
+      core::SockPath::per_stream_qp);
   FF_CHECK(spin(cluster, [&]() { return tsor_client && tsor_server; }, 10 * k_second));
+  auto upgrades = [&]() {
+    return cluster.telemetry().metrics().counter_value("stream/upgrades");
+  };
 
   // Writable-paced pumps plus the periodic re-pump that rides out the
   // pause/resume windows (on_space is silent across a splice). `pumping`
@@ -163,9 +172,9 @@ int main(int argc, char** argv) {
   // Warm up: both streams flowing, the TSoR stream upgraded onto its RC QP.
   FF_CHECK(spin(cluster, [&]() {
     return sock_rx.verified > 8ull * 1024 * 1024 &&
-           tsor_rx.verified > 2ull * 1024 * 1024 && stream_a->upgrades() >= 1;
+           tsor_rx.verified > 2ull * 1024 * 1024 && upgrades() >= 1;
   }, 10 * k_second));
-  std::printf("streams up: socket %s, stream adapter via RC QP\n",
+  std::printf("streams up: relayed socket %s, per_stream_qp socket via RC QP\n",
               orch::transport_name(sock_client->transport()).data());
 
   // ---- planned ping-pong: 6 coordinated moves host1 <-> host2 ----------
@@ -268,6 +277,8 @@ int main(int argc, char** argv) {
   json.add("pattern_mismatches", static_cast<double>(sock_rx.mismatches));
   json.add("stream_lost_bytes", static_cast<double>(tsor_lost));
   json.add("stream_pattern_mismatches", static_cast<double>(tsor_rx.mismatches));
+  json.add("stream_bytes_rdma", static_cast<double>(tsor_bytes_rdma));
+  json.add("stream_bytes_tcp", static_cast<double>(tsor_bytes_tcp));
   json.add("colocated_shm", colocated_shm ? 1 : 0);
   json.add_raw("telemetry", cluster.telemetry().metrics().snapshot_json());
 

@@ -1,15 +1,15 @@
-// Socket-over-RDMA stream adapter (TSoR): unmodified socket apps whose byte
-// stream rides a per-stream RC QP. Three comparisons frame the win and its
-// cost, plus a fault phase that proves the transparency claim:
-//   echo     socket RTT through the adapter vs the native overlay stack
-//   bulk     adapter goodput vs native overlay TCP vs raw RDMA verbs
+// Socket-over-RDMA (TSoR): unmodified socket apps on the per_stream_qp
+// connection path, whose byte stream rides a per-stream RC QP. Three
+// comparisons frame the win and its cost, plus a fault phase that proves
+// the transparency claim:
+//   echo     socket RTT over the per-stream QP vs the native overlay stack
+//   bulk     per-stream QP goodput vs native overlay TCP vs raw RDMA verbs
 //   failover a fixed pattern-checked transfer survives kill-rdma + heal
 //            (fallback + re-upgrade) with zero lost or reordered bytes
 #include "bench_common.h"
 
 #include "common/logging.h"
 #include "faults/fault_injector.h"
-#include "stream/stream_net.h"
 
 using namespace freeflow;
 using namespace freeflow::bench;
@@ -19,7 +19,7 @@ namespace {
 
 // Bulk compares all three modes at a realistic socket send size: 16 KiB is
 // where the overlay's per-send CPU work (syscall + hairpin) dominates and
-// the adapter's kernel-bypass win shows; the failover transfer uses larger
+// the per-stream QP's kernel-bypass win shows; the failover transfer uses larger
 // chunks purely to keep the pattern-checked volume cheap to generate.
 constexpr std::size_t k_bulk_msg = 16 * 1024;
 constexpr std::size_t k_msg = 64 * 1024;
@@ -38,26 +38,26 @@ bool spin(fabric::Cluster& cluster, const std::function<bool()>& pred,
   }
 }
 
-/// An adapter rig: FreeFlow pair plus a StreamNet per container, with one
-/// established (and, unless the selector refuses, upgraded) stream.
+/// A FreeFlow pair with one established (and, unless the selector refuses,
+/// upgraded) per_stream_qp socket.
 struct StreamRig {
   explicit StreamRig(fabric::NicCapabilities caps = {})
-      : rig(/*inter_host=*/true, {}, caps) {
-    net_a = stream::StreamNet::make(rig.net_a);
-    net_b = stream::StreamNet::make(rig.net_b);
-  }
+      : rig(/*inter_host=*/true, {}, caps) {}
 
   /// Opens client->server on `port`; spins until both ends exist.
   void open(std::uint16_t port, std::function<void(Buffer&&)> on_server_data) {
-    FF_CHECK(net_b->listen(port, [this, cb = std::move(on_server_data)](
-                                     stream::StreamSocketPtr s) mutable {
+    FF_CHECK(rig.net_b->sock_listen(port, [this, cb = std::move(on_server_data)](
+                                              core::FlowSocketPtr s) mutable {
       server = s;
       s->set_on_data(std::move(cb));
     }).is_ok());
-    net_a->connect(rig.b->ip(), port, [this](Result<stream::StreamSocketPtr> s) {
-      FF_CHECK(s.is_ok());
-      client = *s;
-    });
+    rig.net_a->sock_connect(
+        rig.b->ip(), port,
+        [this](Result<core::FlowSocketPtr> s) {
+          FF_CHECK(s.is_ok());
+          client = *s;
+        },
+        core::SockPath::per_stream_qp);
     FF_CHECK(spin(rig.env.cluster, [&]() { return client && server; }, 10 * k_second));
   }
 
@@ -67,9 +67,12 @@ struct StreamRig {
                   10 * k_second));
   }
 
+  [[nodiscard]] std::uint64_t counter(const std::string& name) {
+    return rig.env.cluster.telemetry().metrics().counter_value(name);
+  }
+
   FreeFlowRig rig;
-  stream::StreamNetPtr net_a, net_b;
-  stream::StreamSocketPtr client, server;
+  core::FlowSocketPtr client, server;
 };
 
 // ------------------------------------------------------------------ echo
@@ -116,7 +119,7 @@ double stream_bulk_gbps() {
 
   auto& cluster = r.rig.env.cluster;
   auto pump = std::make_shared<std::function<void()>>();
-  stream::StreamSocket* raw = r.client.get();
+  core::FlowSocket* raw = r.client.get();
   *pump = [raw]() {
     while (raw->writable()) FF_CHECK(raw->send(Buffer(k_bulk_msg)).is_ok());
   };
@@ -173,12 +176,15 @@ FailoverResult run_failover(const std::string& trace_path) {
       }
     }
     res.verified += b.size();
+    // The channel attached now is the one that just delivered the chunk.
+    (r.server->transport() == orch::Transport::rdma ? res.bytes_rdma : res.bytes_tcp) +=
+        b.size();
   });
   r.await_rdma();
 
   std::uint64_t sent = 0;
   auto pump = std::make_shared<std::function<void()>>();
-  stream::StreamSocket* raw = r.client.get();
+  core::FlowSocket* raw = r.client.get();
   *pump = [&, raw]() {
     while (sent < res.target && raw->writable()) {
       const auto n = static_cast<std::size_t>(
@@ -218,10 +224,8 @@ FailoverResult run_failover(const std::string& trace_path) {
                r.client->transport() == orch::Transport::rdma;
       },
       60 * k_second);
-  res.fallbacks = r.net_a->fallbacks();
-  res.upgrades = r.net_a->upgrades();
-  res.bytes_rdma = r.server->bytes_rdma();
-  res.bytes_tcp = r.server->bytes_tcp();
+  res.fallbacks = r.counter("stream/fallbacks");
+  res.upgrades = r.counter("stream/upgrades");
 
   if (!trace_path.empty()) {
     auto& tracer = cluster.telemetry().tracer();
@@ -238,7 +242,7 @@ FailoverResult run_failover(const std::string& trace_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  banner("Socket-over-RDMA stream adapter: RTT, goodput, failover",
+  banner("Socket-over-RDMA (per_stream_qp sockets): RTT, goodput, failover",
          "TSoR-style transparent socket acceleration (FreeFlow socket API)");
   JsonReport json(argc, argv, "socket_stream");
   std::string trace_path;
@@ -289,7 +293,7 @@ int main(int argc, char** argv) {
   json.add("failover_bytes_tcp", static_cast<double>(f.bytes_tcp));
 
   footer();
-  std::printf("the adapter terminates the socket locally and carries the byte\n"
+  std::printf("the library terminates the socket locally and carries the byte\n"
               "stream over a per-stream RC QP; the failover row is the paper's\n"
               "transparency claim under fault: zero loss, zero reordering.\n");
   return 0;

@@ -72,7 +72,11 @@ bench_live_migration:
   4. HARD  ``migrations`` >= baseline and ``colocated_shm`` == 1: the
      ping-pong may not be quietly shrunk, and migrating the server onto its
      peer's host must land the resumed conduits on shm.
-  5. INFO  p50, coordinator-side blackout, image bytes, quiesce timeouts.
+  5. HARD  ``quiesce_timeouts`` == 0 and ``all_drained`` == 1: every move
+     drains its retained windows before the quiesce deadline. A timeout
+     is still lossless (the tail replays), but under this bench's load it
+     means an ack is wedged behind data or a stale handshake.
+  6. INFO  p50, coordinator-side blackout, image bytes.
 
 bench_tenant_gateway:
   1. HARD  ``p99_isolation_ratio`` <= ISOLATION_P99_CEILING (3.0x): the
@@ -354,9 +358,20 @@ def gate_live_migration(fresh, base):
             "migrating the server onto its peer's host did not land on shm"
         )
 
+    timeouts = fresh.get("quiesce_timeouts", -1)
+    drained = fresh.get("all_drained", 0)
+    print(
+        f"perf-gate: quiesce timeouts {timeouts:.0f} (hard 0), all moves"
+        f" drained: {drained:.0f} (hard 1)"
+    )
+    if timeouts != 0 or drained != 1:
+        failures.append(
+            f"{timeouts:.0f} quiesce timeout(s), all_drained = {drained:.0f} — "
+            "a move failed to drain before the quiesce deadline"
+        )
+
     for key in ("planned_blackout_p50_ms", "coordinator_blackout_max_ms",
-                "conduits_moved", "image_bytes", "quiesce_timeouts",
-                "all_drained"):
+                "conduits_moved", "image_bytes"):
         if key in fresh:
             b = f" (baseline {base[key]:.6g})" if key in base else ""
             print(f"perf-gate: info {key} = {fresh[key]:.6g}{b}")

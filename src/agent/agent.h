@@ -98,9 +98,9 @@ class Agent {
   [[nodiscard]] bool setup_in_flight(fabric::HostId peer,
                                      orch::Transport transport) const;
 
-  /// The host's RDMA engine (created on first use). Exposed so the stream
-  /// adapter (src/stream) can carve per-stream RC QPs out of the same NIC
-  /// the agent trunks ride — TSoR-style sockets-over-RDMA.
+  /// The host's RDMA engine (created on first use). Exposed so per_stream_qp
+  /// sockets can carve their RC QPs (src/stream) out of the same NIC the
+  /// agent trunks ride — TSoR-style sockets-over-RDMA.
   rdma::RdmaDevice& rdma_device();
 
  private:

@@ -1,6 +1,6 @@
 // Length-prefixed record framing over a byte stream: a 4-byte host-order
-// length, then the record. The agents' TCP trunk and the stream adapter's
-// TCP fallback channel carry their messages this way.
+// length, then the record. The agents' TCP trunk and the per_stream_qp
+// path's TCP fallback channel carry their messages this way.
 #pragma once
 
 #include "common/bytes.h"

@@ -96,15 +96,20 @@ void Conduit::note_window_filled() {
   if (loop_ != nullptr) window_full_since_ = loop_->now();
 }
 
-void Conduit::send_control(VMsg type, std::uint64_t ack_upto) {
-  // Control messages (ack / bye / bye_ack) are unsequenced (seq 0), skip
-  // retention and are not counted in sent_ — protocol overhead, not traffic.
+void Conduit::send_control(WireHeader header) {
+  // Unsequenced (seq 0), never retained, not counted in sent_ — protocol
+  // overhead, not traffic.
   if (channel_ == nullptr) return;
+  header.token = token_;
+  header.seq = 0;
+  channel_->send(encode_header(header));
+}
+
+void Conduit::send_control(VMsg type, std::uint64_t id) {
   WireHeader h;
   h.type = type;
-  h.token = token_;
-  h.id = ack_upto;
-  channel_->send(encode_header(h));
+  h.id = id;
+  send_control(h);
 }
 
 void Conduit::attach_channel(agent::ChannelPtr channel) {
@@ -165,7 +170,7 @@ void Conduit::attach_channel(agent::ChannelPtr channel) {
   if (closing_) {
     // Close handshake started while stale: re-issue the bye on the new path
     // so the peer's bye_ack can still beat the drain timer.
-    send_control(VMsg::bye);
+    send_control(VMsg::bye, tx_seq_);
   }
   splicing_ = false;
   if (writable() && on_space_) on_space_();
@@ -183,11 +188,18 @@ void Conduit::handle_message(Buffer&& message) {
       handle_ack(h.id);
       return;
     case VMsg::bye:
-      handle_bye();
+      handle_bye(h.id);
       return;
     case VMsg::bye_ack:
       handle_bye_ack();
       return;
+    case VMsg::rc_offer:
+    case VMsg::rc_answer: {
+      // Copy: the handler splices channels and may re-enter this conduit.
+      auto cb = on_handshake_;
+      if (cb) cb(h);
+      return;
+    }
     default:
       break;
   }
@@ -218,6 +230,7 @@ void Conduit::handle_message(Buffer&& message) {
     message.consume_front(WireHeader::k_size);
     on_message_(h, std::move(message));
   }
+  if (bye_after_ != 0 && rx_next_ > bye_after_ && !closed_) handle_bye(bye_after_);
 }
 
 void Conduit::maybe_ack() {
@@ -273,7 +286,22 @@ void Conduit::handle_ack(std::uint64_t acked_upto) {
   }
 }
 
-void Conduit::handle_bye() {
+void Conduit::handle_bye(std::uint64_t last_seq) {
+  if (last_seq >= rx_next_ && loop_ != nullptr) {
+    // The bye overtook data still in flight (the control lane skips an RC
+    // channel's credits): finish once that tail lands, or after a drain
+    // timeout if it never does.
+    bye_after_ = last_seq;
+    if (!drain_timer_.pending()) {
+      auto self = weak_from_this();
+      drain_timer_ = loop_->schedule_cancellable(drain_timeout_ns_, [self]() {
+        auto conduit = self.lock();
+        if (conduit != nullptr && !conduit->closed_) conduit->handle_bye(0);
+      });
+    }
+    return;
+  }
+  bye_after_ = 0;
   // Peer-initiated close (or the peer's half of a simultaneous close):
   // acknowledge so the peer's drain completes, then tear down this side.
   send_control(VMsg::bye_ack);
@@ -338,7 +366,7 @@ void Conduit::close_with(CloseReason reason, bool handshake) {
   set_on_message(nullptr);
   on_space_ = nullptr;
   on_transport_failed_ = nullptr;
-  send_control(VMsg::bye);
+  send_control(VMsg::bye, tx_seq_);
   auto self = weak_from_this();
   drain_timer_ = loop_->schedule_cancellable(drain_timeout_ns_, [self]() {
     auto conduit = self.lock();
@@ -366,8 +394,8 @@ void Conduit::finish_close(CloseReason reason, bool notify_peer) {
   retained_.clear();
   if (channel_ != nullptr) {
     if (notify_peer) {
-      // The bye rides the lane behind any data already queued, so the peer
-      // drains in order and then tears down its side.
+      // Best effort, and the queue and window above are already dropped:
+      // last sequence 0 tells the peer not to wait for any of them.
       send_control(VMsg::bye);
     }
     channel_->close();
@@ -378,6 +406,7 @@ void Conduit::finish_close(CloseReason reason, bool notify_peer) {
   set_on_message(nullptr);
   on_space_ = nullptr;
   on_transport_failed_ = nullptr;
+  on_handshake_ = nullptr;
   auto closed_cb = std::move(on_closed_);
   on_closed_ = nullptr;
   if (closed_cb) closed_cb(reason);

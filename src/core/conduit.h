@@ -11,6 +11,11 @@
 // the retained window is retransmitted ahead of queued messages. The
 // receiver accepts exactly the next expected sequence and drops duplicates,
 // so a failover loses nothing and never reorders.
+//
+// Beside that sequenced stream runs one control lane (ack, bye, bye_ack and
+// the per-stream QP handshake, rc_offer / rc_answer): unsequenced, never
+// retained, and dropped while detached. It belongs to the channel it was
+// sent on, so a channel switch can never replay a stale control message.
 #pragma once
 
 #include <deque>
@@ -68,12 +73,22 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
 
   /// Sends one protocol message; queued while no channel is attached.
   void send(const WireHeader& header, ByteSpan payload = {});
+  /// The control lane: puts one unsequenced message for this conduit on the
+  /// attached channel, or drops it when none is attached (each sender
+  /// re-issues on the next attach: acks by timer, bye on re-attach, the
+  /// upgrade handshake on the next refit).
+  void send_control(WireHeader header);
 
   /// The handler runs in place; one set while it is dispatching (a
   /// handshake installing its successor, a close from inside it) takes
   /// effect when that dispatch returns.
   void set_on_message(MessageFn cb) { on_message_.set(std::move(cb)); }
   void set_on_space(std::function<void()> cb) { on_space_ = std::move(cb); }
+  /// Receives the control lane's upgrade handshake (rc_offer / rc_answer);
+  /// ContainerNet wires it on per_stream_qp conduits only.
+  void set_on_handshake(std::function<void(const WireHeader&)> cb) {
+    on_handshake_ = std::move(cb);
+  }
 
   /// Attaches (or replaces) the backing channel, retransmits the unacked
   /// window and drains the queue.
@@ -177,6 +192,7 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   }
 
   [[nodiscard]] bool live() const noexcept { return channel_ != nullptr; }
+  [[nodiscard]] const agent::ChannelPtr& channel() const noexcept { return channel_; }
   [[nodiscard]] bool writable() const noexcept {
     return channel_ != nullptr && !paused_ && queue_.empty() &&
            channel_->writable() && retained_.size() < k_max_retained;
@@ -228,14 +244,17 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   void retransmit_retained();
   void handle_message(Buffer&& message);
   void handle_ack(std::uint64_t acked_upto);
-  void handle_bye();
+  /// `last_seq`: the peer's final sequence. The control lane may overtake
+  /// data still queued behind flow control, so the close completes once
+  /// everything up to it is delivered (or a drain timeout passes).
+  void handle_bye(std::uint64_t last_seq);
   void handle_bye_ack();
   void handle_channel_failed();
   void maybe_ack();
   void send_ack_now();
   void arm_ack_timer();
   void note_window_filled();
-  void send_control(VMsg type, std::uint64_t ack_upto = 0);
+  void send_control(VMsg type, std::uint64_t id = 0);
   void finish_close(CloseReason reason, bool notify_peer);
   void finish_quiesce(bool drained);
   [[nodiscard]] bool should_retain() const noexcept {
@@ -259,6 +278,7 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   ClosedFn on_closed_;
   std::function<void()> on_teardown_;
   std::function<void()> on_transport_failed_;
+  std::function<void(const WireHeader&)> on_handshake_;
 
   sim::EventLoop* loop_ = nullptr;
   SimDuration drain_timeout_ns_ = 5'000'000;  // 5 ms default
@@ -268,6 +288,8 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   /// cadence won't fire (rx_next_ unchanged), but the sender is waiting on
   /// an ack for exactly those sequences — resync via the delayed-ack timer.
   bool resync_ack_ = false;
+  /// A bye that overtook data: the peer's last sequence still to deliver.
+  std::uint64_t bye_after_ = 0;
 
   bool closed_ = false;
   bool closing_ = false;

@@ -3,6 +3,8 @@
 #include "common/logging.h"
 #include "core/freeflow.h"
 #include "shm/spsc_ring.h"
+#include "stream/rc_channel.h"
+#include "stream/tcp_channel.h"
 
 namespace freeflow::core {
 
@@ -11,6 +13,10 @@ ContainerNet::ContainerNet(FreeFlow& ff, orch::ContainerPtr container)
 
 ContainerNet::~ContainerNet() {
   close_all_conduits();
+  // The teardown hooks no longer reach this object: release by hand.
+  for (auto& [token, st] : stream_qps_) {
+    if (st.offered != nullptr) st.offered->close();
+  }
   for (auto& [raw, channel] : pending_incoming_) channel->close();
   pending_incoming_.clear();
 }
@@ -19,11 +25,14 @@ void ContainerNet::adopt_conduit(const ConduitPtr& conduit) {
   conduits_.emplace(conduit->token(), conduit);
   auto self = weak_from_this();
   conduit->set_on_teardown([self, token = conduit->token()]() {
-    if (auto net = self.lock()) net->conduits_.erase(token);
+    auto net = self.lock();
+    if (net == nullptr) return;
+    net->conduits_.erase(token);
+    net->drop_stream_qp(token);
   });
   conduit->set_loop(&loop());
   conduit->set_drain_timeout(current_host().cost_model().close_drain_timeout_ns);
-  conduit->set_telemetry(&ff_.orchestrator().cluster_orch().cluster().telemetry());
+  conduit->set_telemetry(&telemetry());
   // Transport failure (lane declared dead by the agent): the initiator
   // re-decides and splices on a fallback channel; the passive side waits
   // for the initiator's rebind to arrive over the new transport.
@@ -42,22 +51,36 @@ void ContainerNet::adopt_conduit(const ConduitPtr& conduit) {
   });
 }
 
-void ContainerNet::adopt_stream_conduit(const ConduitPtr& conduit, StreamHooks hooks) {
-  adopt_conduit(conduit);
-  stream_hooks_.emplace(conduit->token(), std::move(hooks));
-  // Replace the plain teardown hook: also release the adapter's state.
+void ContainerNet::adopt_stream_qp(const ConduitPtr& conduit) {
+  stream_qps_.emplace(conduit->token(), StreamQp{});
+  // Registered with the first per_stream_qp connection, so a relayed-only
+  // deployment's registry carries no stream series.
+  auto& metrics = telemetry().metrics();
+  metrics.counter("stream/upgrades");
+  metrics.counter("stream/fallbacks");
   auto self = weak_from_this();
-  conduit->set_on_teardown([self, token = conduit->token()]() {
+  conduit->set_on_handshake([self, weak_conduit = ConduitPtr::weak_type(conduit)](
+                                const WireHeader& h) {
     auto net = self.lock();
-    if (net == nullptr) return;
-    net->conduits_.erase(token);
-    auto it = net->stream_hooks_.find(token);
-    if (it == net->stream_hooks_.end()) return;
-    // Extract first: the adapter's teardown may re-enter conduit maps.
-    auto stream_hooks = std::move(it->second);
-    net->stream_hooks_.erase(it);
-    if (stream_hooks.teardown) stream_hooks.teardown();
+    auto c = weak_conduit.lock();
+    if (net != nullptr && c != nullptr) net->handle_handshake(c, h);
   });
+}
+
+void ContainerNet::drop_stream_qp(std::uint64_t token) {
+  auto it = stream_qps_.find(token);
+  if (it == stream_qps_.end()) return;
+  StreamQp st = std::move(it->second);
+  stream_qps_.erase(it);
+  if (st.offered != nullptr) st.offered->close();
+  if (auto answered = st.answered.lock();
+      answered != nullptr && pending_incoming_.erase(answered.get()) != 0) {
+    answered->close();
+  }
+}
+
+telemetry::Telemetry& ContainerNet::telemetry() {
+  return ff_.orchestrator().cluster_orch().cluster().telemetry();
 }
 
 void ContainerNet::close_all_conduits() {
@@ -124,7 +147,13 @@ Status ContainerNet::sock_listen(std::uint16_t port, SockAcceptFn on_accept) {
   auto [it, inserted] = sock_listeners_.emplace(port, std::move(on_accept));
   (void)it;
   if (!inserted) return already_exists("socket port in use");
-  return ok_status();
+  auto self = weak_from_this();
+  const Status bound = ff_.fallback_net().listen(
+      tcp::Endpoint{ip(), port}, [self](tcp::TcpConnection::Ptr conn) {
+        if (auto net = self.lock()) net->on_incoming_conn(std::move(conn));
+      });
+  if (!bound.is_ok()) sock_listeners_.erase(port);
+  return bound;
 }
 
 // ---------------------------------------------------------- channel opening
@@ -217,7 +246,7 @@ void ContainerNet::connect_qp(tcp::Ipv4Addr peer_ip, std::uint16_t port,
 }
 
 void ContainerNet::sock_connect(tcp::Ipv4Addr peer_ip, std::uint16_t port,
-                                SockConnectFn done) {
+                                SockConnectFn done, SockPath path) {
   auto peer = ff_.orchestrator().resolve_ip(peer_ip);
   if (!peer.is_ok()) {
     loop().schedule(0, [done = std::move(done), s = peer.status()]() { done(s); });
@@ -226,8 +255,8 @@ void ContainerNet::sock_connect(tcp::Ipv4Addr peer_ip, std::uint16_t port,
   auto conduit = std::make_shared<Conduit>(ff_.next_token(), id(), *peer, peer_ip,
                                            port, /*initiator=*/true);
   adopt_conduit(conduit);
-  open_channel_for(conduit, /*rebinding=*/false,
-                   [this, conduit, port, done = std::move(done)](Status st) mutable {
+  auto attached = [this, conduit, port, path,
+                   done = std::move(done)](Status st) mutable {
     if (!st.is_ok()) {
       conduit->close();
       done(st);
@@ -249,6 +278,29 @@ void ContainerNet::sock_connect(tcp::Ipv4Addr peer_ip, std::uint16_t port,
     h.port = port;
     h.token = conduit->token();
     conduit->send(h);
+    // Live on the fallback: offer an RC QP right behind the connect, before
+    // the application holds a socket to fill the connection with.
+    if (path == SockPath::per_stream_qp) refit_conduit(conduit);
+  };
+  if (path == SockPath::relayed) {
+    open_channel_for(conduit, /*rebinding=*/false, std::move(attached));
+    return;
+  }
+  adopt_stream_qp(conduit);
+  auto self = weak_from_this();
+  dial_fallback(tcp::Endpoint{peer_ip, port}, 0,
+                [self, conduit, attached = std::move(attached)](
+                    Result<tcp::TcpConnection::Ptr> r) mutable {
+    auto net = self.lock();
+    if (net == nullptr || conduit->closed()) {
+      if (r.is_ok()) (*r)->close();
+      return;
+    }
+    if (r.is_ok()) {
+      conduit->attach_channel(
+          stream::TcpFallbackChannel::make(conduit->peer(), std::move(r.value())));
+    }
+    attached(r.status());
   });
 }
 
@@ -271,6 +323,15 @@ void ContainerNet::on_incoming_channel(orch::ContainerId src, agent::ChannelPtr 
     }
     net->handle_first_message(src, raw, parsed->header);
   });
+}
+
+void ContainerNet::on_incoming_conn(tcp::TcpConnection::Ptr conn) {
+  auto src = ff_.orchestrator().resolve_ip(conn->flow().remote.ip);
+  if (!src.is_ok()) {
+    conn->close();
+    return;
+  }
+  on_incoming_channel(*src, stream::TcpFallbackChannel::make(*src, std::move(conn)));
 }
 
 void ContainerNet::handle_first_message(orch::ContainerId src, agent::Channel* raw,
@@ -319,11 +380,15 @@ void ContainerNet::handle_first_message(orch::ContainerId src, agent::Channel* r
       auto conduit = std::make_shared<Conduit>(
           header.token, id(), src, c ? c->ip() : tcp::Ipv4Addr{}, header.port,
           /*initiator=*/false);
+      // Only the fallback listener hands out tcp_overlay channels: the peer
+      // connected on the per_stream_qp path.
+      const bool per_stream_qp = channel->transport() == orch::Transport::tcp_overlay;
       conduit->sync_rx(header.seq);
       conduit->attach_channel(std::move(channel));
       auto sock = std::make_shared<FlowSocket>(*this, conduit);
       sock->bind();
       adopt_conduit(conduit);
+      if (per_stream_qp) adopt_stream_qp(conduit);
       reply.type = VMsg::sock_accept;
       conduit->send(reply);
       lit->second(sock);
@@ -333,6 +398,16 @@ void ContainerNet::handle_first_message(orch::ContainerId src, agent::Channel* r
       auto it = conduits_.find(header.token);
       if (it == conduits_.end()) {
         FF_LOG(warn, "core") << "rebind for unknown conduit " << header.token;
+        channel->close();
+        return;
+      }
+      // A captured conduit's state travels with its container: a channel
+      // built toward the placement it left must not attach. Nor may a QP
+      // answered on an attach that a detach (failover, capture) has voided.
+      const StreamQp* sq = find_stream_qp(header.token);
+      const bool voided_answer = sq != nullptr && sq->answered.lock().get() == raw &&
+                                 sq->answered_generation != it->second->generation();
+      if (it->second->migrating() || voided_answer) {
         channel->close();
         return;
       }
@@ -360,6 +435,10 @@ void ContainerNet::handle_first_message(orch::ContainerId src, agent::Channel* r
 
 void ContainerNet::handle_self_stopped() {
   ff_.agents().agent_on(container_->host()).unregister_container(id());
+  // The container's IP may be handed out again: free its fallback ports.
+  for (auto& [port, on_accept] : sock_listeners_) {
+    ff_.fallback_net().close_listener(tcp::Endpoint{ip(), port});
+  }
   close_all_conduits();
   for (auto& [raw, channel] : pending_incoming_) channel->close();
   pending_incoming_.clear();
@@ -400,19 +479,36 @@ void ContainerNet::handle_health_event(fabric::HostId host) {
 
 void ContainerNet::refit_conduit(const ConduitPtr& conduit) {
   if (conduit->paused() || conduit->migrating()) return;  // coordinator owns it
-  // Stream-adapter conduits pick their own transports (they fall back to
-  // overlay TCP where open_channel_for refuses, and upgrade to per-stream
-  // RC QPs): health events and lane failures route to the adapter instead.
-  if (auto it = stream_hooks_.find(conduit->token()); it != stream_hooks_.end()) {
-    if (it->second.refit) it->second.refit(conduit);
-    return;
-  }
+  const bool per_stream_qp = stream_qps_.contains(conduit->token());
+  // A per_stream_qp conduit that never attached has its first dial still in
+  // flight; a rebind-first dial racing it would confuse the peer's router.
+  if (per_stream_qp && !conduit->live() && conduit->rebinds() == 0) return;
   auto self = weak_from_this();
   ff_.selector_on(container_->host()).decide(id(), conduit->peer(),
-                        [self, conduit](Result<orch::TransportDecision> d) {
+                        [self, conduit, per_stream_qp](Result<orch::TransportDecision> d) {
     auto net = self.lock();
-    if (net == nullptr || !d.is_ok()) return;
+    if (net == nullptr) return;
     if (conduit->closed() || conduit->closing()) return;
+    if (per_stream_qp) {
+      if (conduit->paused() || conduit->migrating()) return;
+      // It rides exactly two transports: its own RC QP when the selector
+      // grants rdma, the overlay-TCP fallback for any other answer
+      // (tcp_overlay included: an untrusted pair simply never upgrades).
+      const bool want_rdma = d.is_ok() && d->transport == orch::Transport::rdma;
+      if (!conduit->live()) {
+        net->rebind_on_fallback(conduit, /*upgrade_after=*/want_rdma);
+      } else if (want_rdma && conduit->transport() != orch::Transport::rdma) {
+        if (auto offer = net->make_offer(conduit)) conduit->send_control(*offer);
+      } else if (!want_rdma && conduit->transport() == orch::Transport::rdma) {
+        // The QP lost its grant (NIC death, policy change): break, then
+        // re-make on a fresh fallback connection. The retained window
+        // replays everything the dead QP swallowed.
+        conduit->mark_stale();
+        net->rebind_on_fallback(conduit, /*upgrade_after=*/false);
+      }
+      return;
+    }
+    if (!d.is_ok()) return;
     if (conduit->live() && conduit->transport() == d->transport) return;
     conduit->mark_stale();
     net->open_channel_for(conduit, /*rebinding=*/true, [](Status st) {
@@ -423,6 +519,18 @@ void ContainerNet::refit_conduit(const ConduitPtr& conduit) {
                                 "health event): " << st;
       }
     });
+  });
+}
+
+void ContainerNet::rebind_conduit(const ConduitPtr& conduit, const char* after) {
+  if (stream_qps_.contains(conduit->token())) {
+    refit_conduit(conduit);
+    return;
+  }
+  open_channel_for(conduit, /*rebinding=*/true, [after](Status st) {
+    if (!st.is_ok()) {
+      FF_LOG(warn, "core") << "re-bind after " << after << " failed: " << st;
+    }
   });
 }
 
@@ -454,16 +562,7 @@ void ContainerNet::handle_self_moved() {
   register_with_agent();
   for (auto& [token, conduit] : conduits_) {
     conduit->mark_stale();
-    if (!conduit->initiator()) continue;
-    if (auto it = stream_hooks_.find(token); it != stream_hooks_.end()) {
-      if (it->second.refit) it->second.refit(conduit);
-      continue;
-    }
-    open_channel_for(conduit, /*rebinding=*/true, [](Status st) {
-      if (!st.is_ok()) {
-        FF_LOG(warn, "core") << "re-bind after self-move failed: " << st;
-      }
-    });
+    if (conduit->initiator()) rebind_conduit(conduit, "self-move");
   }
 }
 
@@ -474,23 +573,9 @@ ConduitPtr ContainerNet::find_conduit(std::uint64_t token) const {
   return it == conduits_.end() ? nullptr : it->second;
 }
 
-void ContainerNet::quiesce_stream_state(std::uint64_t token) {
-  if (auto it = stream_hooks_.find(token); it != stream_hooks_.end()) {
-    if (it->second.quiesce) it->second.quiesce();
-  }
-}
-
 void ContainerNet::resume_migrated_conduit(const ConduitPtr& conduit) {
   if (conduit->closed() || conduit->closing()) return;
-  if (auto it = stream_hooks_.find(conduit->token()); it != stream_hooks_.end()) {
-    if (it->second.refit) it->second.refit(conduit);
-    return;
-  }
-  open_channel_for(conduit, /*rebinding=*/true, [](Status st) {
-    if (!st.is_ok()) {
-      FF_LOG(warn, "core") << "re-bind after planned migration failed: " << st;
-    }
-  });
+  rebind_conduit(conduit, "planned migration");
 }
 
 void ContainerNet::freeze_all_conduits() {
@@ -512,17 +597,186 @@ void ContainerNet::handle_peer_moved(orch::ContainerId peer) {
   for (auto& [token, conduit] : conduits_) {
     if (conduit->peer() != peer) continue;
     conduit->mark_stale();
-    if (!conduit->initiator()) continue;
-    if (auto it = stream_hooks_.find(token); it != stream_hooks_.end()) {
-      if (it->second.refit) it->second.refit(conduit);
-      continue;
-    }
-    open_channel_for(conduit, /*rebinding=*/true, [](Status st) {
-      if (!st.is_ok()) {
-        FF_LOG(warn, "core") << "re-bind after peer-move failed: " << st;
-      }
-    });
+    if (conduit->initiator()) rebind_conduit(conduit, "peer-move");
   }
+}
+
+// ------------------------------------------------------ per_stream_qp path
+
+void ContainerNet::dial_fallback(
+    tcp::Endpoint remote, int attempt,
+    std::function<void(Result<tcp::TcpConnection::Ptr>)> cb) {
+  constexpr int k_dial_attempts = 12;
+  constexpr SimDuration k_dial_backoff0 = 100 * k_microsecond;
+  auto self = weak_from_this();
+  ff_.fallback_net().connect(
+      tcp::Endpoint{ip(), 0}, remote,
+      [self, remote, attempt, cb = std::move(cb)](
+          Result<tcp::TcpConnection::Ptr> r) mutable {
+        auto net = self.lock();
+        if (net == nullptr) {
+          if (r.is_ok()) (*r)->close();
+          return;
+        }
+        if (!r.is_ok() && attempt + 1 < k_dial_attempts) {
+          const SimDuration delay = std::min<SimDuration>(
+              k_dial_backoff0 << attempt, 5 * k_millisecond);
+          net->loop().schedule(delay, [self, remote, attempt, cb = std::move(cb)]() mutable {
+            if (auto n = self.lock()) n->dial_fallback(remote, attempt + 1, std::move(cb));
+          });
+          return;
+        }
+        cb(std::move(r));
+      });
+}
+
+ContainerNet::StreamQp* ContainerNet::find_stream_qp(std::uint64_t token) {
+  auto it = stream_qps_.find(token);
+  return it == stream_qps_.end() ? nullptr : &it->second;
+}
+
+void ContainerNet::rebind_on_fallback(const ConduitPtr& conduit, bool upgrade_after) {
+  StreamQp* st = find_stream_qp(conduit->token());
+  if (st == nullptr) return;
+  // An offered QP belongs to the path being replaced.
+  if (st->offered != nullptr) {
+    st->offered->close();
+    st->offered = nullptr;
+  }
+  if (st->dialing) return;
+  st->dialing = true;
+  const std::uint64_t gen = conduit->generation();
+  auto self = weak_from_this();
+  dial_fallback(tcp::Endpoint{conduit->peer_ip(), conduit->service_port()}, 0,
+                [self, conduit, gen, upgrade_after](Result<tcp::TcpConnection::Ptr> r) {
+    auto net = self.lock();
+    StreamQp* dialed = net == nullptr ? nullptr : net->find_stream_qp(conduit->token());
+    if (dialed != nullptr) dialed->dialing = false;
+    if (dialed == nullptr || conduit->paused() || conduit->migrating()) {
+      if (r.is_ok()) (*r)->close();  // closed, or the coordinator owns it
+      return;
+    }
+    if (!r.is_ok()) {
+      // Leave the conduit stale: sends queue, and the next health event
+      // retries (as refit_conduit's relayed failure path does).
+      FF_LOG(warn, "core") << "fallback dial failed (will retry on next health "
+                              "event): " << r.status();
+      return;
+    }
+    if (conduit->generation() != gen) {
+      // A newer detach won the race; re-decide with fresh state.
+      (*r)->close();
+      net->refit_conduit(conduit);
+      return;
+    }
+    auto channel = stream::TcpFallbackChannel::make(conduit->peer(), std::move(r.value()));
+    WireHeader h;
+    h.type = VMsg::rebind;
+    h.token = conduit->token();
+    channel->send(encode_header(h));  // first message on the fresh channel
+    // The offer rides right behind it: ahead of the retained-window replay
+    // and of the send buffer the application fills once it may send again.
+    if (upgrade_after) {
+      if (auto offer = net->make_offer(conduit)) channel->send(encode_header(*offer));
+    }
+    conduit->attach_channel(std::move(channel));
+    net->note_splice("stream/fallbacks", "stream_fallback", conduit->token());
+  });
+}
+
+std::shared_ptr<stream::RcStreamChannel> ContainerNet::make_rc_channel(
+    orch::ContainerId peer) {
+  return stream::RcStreamChannel::make(
+      ff_.agents().agent_on(container_->host()).rdma_device(), &container_->account(),
+      peer, container_->tenant());
+}
+
+std::optional<WireHeader> ContainerNet::make_offer(const ConduitPtr& conduit) {
+  StreamQp* found = find_stream_qp(conduit->token());
+  if (found == nullptr) return std::nullopt;
+  StreamQp& st = *found;
+  // One offer per attach: a detach since (failover, migration capture)
+  // bumped the generation and voided the old one.
+  if (st.offered != nullptr) {
+    if (st.offered_generation == conduit->generation()) return std::nullopt;
+    st.offered->close();
+  }
+  st.offered = make_rc_channel(conduit->peer());
+  st.offered_generation = conduit->generation();
+  WireHeader h;
+  h.type = VMsg::rc_offer;
+  h.token = conduit->token();
+  h.id = st.offered->qp_num();
+  h.offset = container_->host();
+  return h;
+}
+
+void ContainerNet::handle_handshake(const ConduitPtr& conduit, const WireHeader& h) {
+  StreamQp* found = find_stream_qp(conduit->token());
+  if (found == nullptr) return;
+  StreamQp& st = *found;
+  if (h.type == VMsg::rc_offer) {
+    // Passive side: connect a fresh QP to the offer and answer with it. The
+    // initiator switches first; this QP reaches the conduit through the
+    // router when the initiator's rebind arrives on it.
+    auto channel = make_rc_channel(conduit->peer());
+    const Status connected = channel->connect(static_cast<fabric::HostId>(h.offset),
+                                              static_cast<rdma::QpNum>(h.id));
+    if (!connected.is_ok()) {
+      FF_LOG(warn, "core") << "rc_offer connect failed: " << connected;
+      channel->close();
+      return;
+    }
+    // A newer offer supersedes an answered QP still awaiting its rebind.
+    if (auto old = st.answered.lock();
+        old != nullptr && pending_incoming_.erase(old.get()) != 0) {
+      old->close();
+    }
+    st.answered = channel;
+    st.answered_generation = conduit->generation();
+    on_incoming_channel(conduit->peer(), channel);
+    // Make-before-break: the initiator closes its TCP side right after
+    // switching; that FIN is expected, not a transport failure.
+    if (auto tcp = std::dynamic_pointer_cast<stream::TcpFallbackChannel>(conduit->channel())) {
+      tcp->expect_close();
+    }
+    WireHeader reply;
+    reply.type = VMsg::rc_answer;
+    reply.id = channel->qp_num();
+    reply.offset = container_->host();
+    reply.mr = static_cast<std::uint32_t>(h.id);
+    conduit->send_control(reply);
+    return;
+  }
+  // rc_answer, initiator side: splice only onto the offer it echoes, made
+  // on the channel still attached. Anything else answers a superseded offer.
+  if (st.offered == nullptr || st.offered->qp_num() != h.mr ||
+      st.offered_generation != conduit->generation()) {
+    return;
+  }
+  auto channel = std::move(st.offered);
+  const Status connected = channel->connect(static_cast<fabric::HostId>(h.offset),
+                                            static_cast<rdma::QpNum>(h.id));
+  if (!connected.is_ok()) {
+    FF_LOG(warn, "core") << "rc_answer connect failed: " << connected;
+    channel->close();
+    return;
+  }
+  // The rebind is the first message on the QP, ahead of the retained-window
+  // replay the attach triggers: the peer's router hands the QP to its
+  // conduit before any data arrives on it.
+  WireHeader rebind;
+  rebind.type = VMsg::rebind;
+  rebind.token = conduit->token();
+  channel->send(encode_header(rebind));
+  conduit->attach_channel(std::move(channel));  // closes the TCP side
+  note_splice("stream/upgrades", "stream_upgrade", conduit->token());
+}
+
+void ContainerNet::note_splice(const char* counter, const char* instant,
+                               std::uint64_t token) {
+  telemetry().metrics().counter(counter).inc();
+  telemetry().tracer().instant("stream", instant, id(), static_cast<std::uint32_t>(token));
 }
 
 }  // namespace freeflow::core

@@ -4,12 +4,19 @@
 // listeners, and one conduit per peer connection; it consults the transport
 // selector, asks the host agent for channels, and transparently re-binds
 // everything when the orchestrator reports a migration.
+//
+// A socket picks its connection path when it connects (SockPath): relayed
+// over the agent's channels, or over a per-stream RDMA QP (TSoR) that starts
+// on an overlay-TCP fallback connection. Either way the application holds
+// the same FlowSocket, every incoming channel passes the same first-message
+// router, and every re-attach starts with the same rebind.
 #pragma once
 
 #include <functional>
 #include <vector>
 #include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "core/conduit.h"
@@ -17,10 +24,24 @@
 #include "core/vqp.h"
 #include "orchestrator/network_orchestrator.h"
 #include "rdma/verbs.h"
+#include "tcpstack/connection.h"
+
+namespace freeflow::stream {
+class RcStreamChannel;
+}
 
 namespace freeflow::core {
 
 class FreeFlow;
+
+/// How a socket connection reaches its peer, chosen per connection.
+enum class SockPath : std::uint8_t {
+  /// Agent channels picked by the selector (shm, rdma relay, dpdk, tcp).
+  relayed,
+  /// An overlay-TCP fallback connection, spliced onto a per-stream RC QP
+  /// whenever the selector grants rdma (and back on RDMA loss).
+  per_stream_qp,
+};
 
 class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
  public:
@@ -52,8 +73,11 @@ class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
                   rdma::CqPtr recv_cq, QpConnectFn done);
 
   // ---- socket surface ---------------------------------------------------
+  /// Accepts both paths: relayed connections arrive through the agent,
+  /// per_stream_qp ones on the fallback network's listener for the port.
   Status sock_listen(std::uint16_t port, SockAcceptFn on_accept);
-  void sock_connect(tcp::Ipv4Addr peer_ip, std::uint16_t port, SockConnectFn done);
+  void sock_connect(tcp::Ipv4Addr peer_ip, std::uint16_t port, SockConnectFn done,
+                    SockPath path = SockPath::relayed);
 
   // ---- identity / plumbing ----------------------------------------------
   [[nodiscard]] orch::ContainerId id() const noexcept { return container_->id(); }
@@ -110,33 +134,11 @@ class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
   /// FreeFlow-internal: register with the (current) host agent.
   void register_with_agent();
 
-  // ---- stream adapter hooks (src/stream) --------------------------------
-  /// A stream-adapter conduit is owned here like any other (teardown,
-  /// telemetry, health routing), but its transport decisions are delegated:
-  /// the adapter embraces tcp_overlay as a fallback where open_channel_for
-  /// refuses it, and upgrades to per-stream RC QPs out of band.
-  struct StreamHooks {
-    /// Replaces refit_conduit: re-decide and splice per adapter policy.
-    std::function<void(const ConduitPtr&)> refit;
-    /// Runs after the conduit leaves conduits_ (close/teardown).
-    std::function<void()> teardown;
-    /// Planned migration: cancel in-flight upgrade/dial state for this
-    /// stream so no half-built RC channel attaches mid-move. The adapter's
-    /// credit/handshake position is already inside the conduit's sequenced
-    /// history, so it travels with the MigrationImage for free.
-    std::function<void()> quiesce;
-  };
-  void adopt_stream_conduit(const ConduitPtr& conduit, StreamHooks hooks);
-
   // ---- planned migration hooks (src/migration) --------------------------
   /// Conduit lookup by token (both endpoints share the token).
   [[nodiscard]] ConduitPtr find_conduit(std::uint64_t token) const;
-  /// Tells the stream adapter (if this token is adapter-owned) to cancel
-  /// in-flight upgrade state ahead of capture. No-op for plain conduits.
-  void quiesce_stream_state(std::uint64_t token);
   /// Drives the post-restore rebind of a migrated (or peer-of-migrated)
-  /// conduit through the initiator side: stream-adapter conduits go through
-  /// the adapter's refit, plain ones through open_channel_for(rebinding).
+  /// conduit through the initiator side.
   void resume_migrated_conduit(const ConduitPtr& conduit);
   /// Reactive-move freeze: detach every conduit (mark_stale only — sends
   /// queue, blackout span opens) so no bytes die in a channel while the
@@ -149,7 +151,23 @@ class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
   friend class VirtualQp;
   friend class FlowSocket;
 
+  /// Per-connection state of a per_stream_qp conduit, keyed by token.
+  struct StreamQp {
+    /// Initiator: the RC channel offered at `offered_generation`, awaiting
+    /// the rc_answer that echoes its QP number.
+    std::shared_ptr<stream::RcStreamChannel> offered;
+    std::uint64_t offered_generation = 0;
+    /// Passive: the RC channel answered at `answered_generation`, awaiting
+    /// its first message in pending_incoming_.
+    std::weak_ptr<agent::Channel> answered;
+    std::uint64_t answered_generation = 0;
+    bool dialing = false;  ///< initiator: one fallback dial in flight
+  };
+
   void on_incoming_channel(orch::ContainerId src, agent::ChannelPtr channel);
+  void on_incoming_conn(tcp::TcpConnection::Ptr conn);
+  /// The one router: sets up, re-binds or refuses a channel from the agent,
+  /// the fallback listener or an answered RC QP by its first message.
   void handle_first_message(orch::ContainerId src, agent::Channel* channel,
                             const WireHeader& header);
 
@@ -161,11 +179,36 @@ class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
   /// Takes ownership of `conduit` in conduits_ and installs the teardown
   /// hook that drops that reference when the conduit closes.
   void adopt_conduit(const ConduitPtr& conduit);
+  /// Marks an adopted conduit per_stream_qp: its handshake lane and state.
+  void adopt_stream_qp(const ConduitPtr& conduit);
   /// Re-decides the transport for one (initiator-side) conduit and re-binds
   /// it when the decision differs from what it currently rides.
   void refit_conduit(const ConduitPtr& conduit);
+  /// Re-attaches a detached initiator-side conduit after a move.
+  void rebind_conduit(const ConduitPtr& conduit, const char* after);
   /// Closes every conduit via a snapshot (close re-enters conduits_).
   void close_all_conduits();
+
+  // ---- the per_stream_qp path -------------------------------------------
+  /// Overlay-TCP connect with retry and backoff: overlay routes converge
+  /// asynchronously, so an early dial can fail transiently.
+  void dial_fallback(tcp::Endpoint remote, int attempt,
+                     std::function<void(Result<tcp::TcpConnection::Ptr>)> cb);
+  /// Re-attaches `conduit` on a fresh fallback connection (rebind first),
+  /// then offers an RC QP when `upgrade_after`.
+  void rebind_on_fallback(const ConduitPtr& conduit, bool upgrade_after);
+  /// Builds a fresh RC QP as the conduit's offer for its current attach and
+  /// returns the rc_offer to send; nullopt when one is already out.
+  [[nodiscard]] std::optional<WireHeader> make_offer(const ConduitPtr& conduit);
+  void handle_handshake(const ConduitPtr& conduit, const WireHeader& h);
+  [[nodiscard]] std::shared_ptr<stream::RcStreamChannel> make_rc_channel(
+      orch::ContainerId peer);
+  /// Counts one splice of `token`'s stream (initiator side) and marks it.
+  void note_splice(const char* counter, const char* instant, std::uint64_t token);
+  [[nodiscard]] StreamQp* find_stream_qp(std::uint64_t token);
+  /// Releases a closed conduit's per-stream state.
+  void drop_stream_qp(std::uint64_t token);
+  [[nodiscard]] telemetry::Telemetry& telemetry();
 
   FreeFlow& ff_;
   orch::ContainerPtr container_;
@@ -176,9 +219,8 @@ class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
   std::map<std::uint16_t, QpAcceptFn> qp_listeners_;
   std::map<std::uint16_t, SockAcceptFn> sock_listeners_;
   std::unordered_map<std::uint64_t, ConduitPtr> conduits_;
-  /// Conduits whose transport policy is delegated to the stream adapter,
-  /// keyed by conduit token. Entries mirror conduits_ membership.
-  std::unordered_map<std::uint64_t, StreamHooks> stream_hooks_;
+  /// The per_stream_qp subset of conduits_ (absent for relayed conduits).
+  std::unordered_map<std::uint64_t, StreamQp> stream_qps_;
   /// Incoming channels awaiting their routing (first) message. Owned here —
   /// the channel's own callbacks never keep it alive (no self-cycle).
   std::map<agent::Channel*, agent::ChannelPtr> pending_incoming_;

@@ -39,9 +39,9 @@ class FreeFlow {
   [[nodiscard]] TransportSelector& selector() { return selector_on(0); }
   [[nodiscard]] sim::EventLoop& loop() noexcept { return agents_.loop(); }
 
-  /// The deployment-shared overlay TCP network the stream adapter
-  /// (src/stream) falls back to when the selector withholds RDMA. One
-  /// shared instance so listeners and dials demux on the same tables.
+  /// The deployment-shared overlay TCP network per_stream_qp sockets fall
+  /// back to when the selector withholds RDMA. One shared instance so
+  /// listeners and dials demux on the same tables.
   [[nodiscard]] tcp::TcpNetwork& fallback_net();
 
   [[nodiscard]] std::uint64_t next_token() noexcept { return next_token_++; }

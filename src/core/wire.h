@@ -1,5 +1,5 @@
 // FreeFlow library wire protocol: the messages the per-container network
-// library exchanges over agent channels. One fixed header in front of every
+// library exchanges over its channels. One fixed header in front of every
 // message multiplexes connection setup (CM-style QP rendezvous, socket
 // handshakes, migration rebinds) and data-plane verbs.
 #pragma once
@@ -25,16 +25,20 @@ enum class VMsg : std::uint8_t {
   verbs_write,   ///< one-sided write into (mr, offset)
   verbs_read_req,
   verbs_read_resp,
-  rebind,        ///< migration: this channel replaces conduit `token`
+  rebind,        ///< first message on a fresh channel: it replaces conduit `token`'s
+                 ///< (failover, migration and the per-stream QP upgrade alike)
   mpi_data,      ///< MPI point-to-point payload (tag in `offset`)
-  bye,           ///< teardown: the sending side closed conduit `token`
+  // ---- the conduit's control lane: unsequenced (seq 0), never retained ----
+  bye,           ///< teardown: the sender closed conduit `token`; `id` = the last
+                 ///< sequence it sent (0: do not wait for any)
   bye_ack,       ///< close handshake: bye received, drain complete
   ack,           ///< conduit ARQ: cumulative receive ack (highest seq in `id`)
-  // ---- stream adapter (src/stream): TSoR-style RC upgrade handshake ----
-  rc_offer,      ///< initiator offers a per-stream RC QP (`id` = qp num, `offset` = host)
-  rc_answer,     ///< peer's QP is connected and ready (`id` = qp num, `offset` = host)
-  rc_switch,     ///< first message on the fresh RC channel: replace the tcp path
-  rc_credit,     ///< RC flow control: `id` receive credits returned to the sender
+  rc_offer,      ///< per-stream QP upgrade: the initiator's fresh RC QP
+                 ///< (`id` = qp num, `offset` = host)
+  rc_answer,     ///< the peer's QP, connected to the offer (`id` = qp num,
+                 ///< `offset` = host, `mr` = the offer's qp num it answers)
+  rc_credit,     ///< RC channel flow control, internal to RcStreamChannel:
+                 ///< `id` receive credits returned
 };
 
 struct WireHeader {

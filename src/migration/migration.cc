@@ -217,17 +217,20 @@ void MigrationCoordinator::migrate(orch::ContainerId id, fabric::HostId dst,
   tracer.instant("migration", "quiesce", 0, tid);
 
   mv.paused_at = loop().now();
-  const std::size_t count = mv.endpoints.size();
   auto [it, inserted] = moves_.emplace(id, std::move(mv));
   FF_CHECK(inserted);
   Move& move = it->second;
 
-  // Freeze the remote ends first: nothing new flows toward the capture.
-  // Their receive/ack paths stay live, which is exactly what lets the
-  // migrating side's retained window drain below.
+  // Both ends of every connection quiesce: each pauses at a message
+  // boundary, and each waits until the other has acknowledged its retained
+  // window — so nothing is in flight toward, or from, the capture. Receive
+  // and ack paths stay live, which is what lets both windows drain. The
+  // remote ends go first: nothing new flows toward the capture.
+  std::vector<core::Conduit*> ends;
   for (auto& ep : move.endpoints) {
-    if (ep.peer != nullptr) ep.peer->pause();
+    if (ep.peer != nullptr) ends.push_back(ep.peer.get());
   }
+  for (auto& ep : move.endpoints) ends.push_back(ep.local.get());
 
   SimDuration deadline = config_.quiesce_deadline_ns != 0
                              ? config_.quiesce_deadline_ns
@@ -235,7 +238,7 @@ void MigrationCoordinator::migrate(orch::ContainerId id, fabric::HostId dst,
   // Countdown latch over every quiesce; starts at n+1 so synchronous
   // completions (already-drained conduits) cannot fire capture before the
   // loop finishes arming.
-  auto pending = std::make_shared<std::size_t>(count + 1);
+  auto pending = std::make_shared<std::size_t>(ends.size() + 1);
   std::weak_ptr<bool> alive = alive_;
   auto arm_capture = [this, alive, id, pending]() {
     if (--*pending != 0) return;
@@ -244,8 +247,8 @@ void MigrationCoordinator::migrate(orch::ContainerId id, fabric::HostId dst,
       start_capture(id);
     });
   };
-  for (auto& ep : move.endpoints) {
-    ep.local->quiesce(deadline, [this, alive, id, arm_capture](bool drained) {
+  for (core::Conduit* end : ends) {
+    end->quiesce(deadline, [this, alive, id, arm_capture](bool drained) {
       if (alive.expired()) return;
       auto mit = moves_.find(id);
       if (mit == moves_.end()) return;
@@ -280,16 +283,14 @@ void MigrationCoordinator::start_capture(orch::ContainerId id) {
     // its connection state into the record.
     ep.record = ep.local->capture_for_migration();
     image.conduit_records.push_back(std::move(ep.record));
-    const std::uint64_t token = ep.local->token();
     // The peer endpoint detaches too: its half of the channel is dead-ended
-    // now, and the stale state opens its own blackout span.
+    // now, and the stale state opens its own blackout span. Both detaches
+    // bump the conduit generations, which voids any half-built per-stream
+    // QP upgrade: its handshake rode the control lane of the channel just
+    // closed, so nothing of it travels in the image.
     if (ep.peer != nullptr && !ep.peer->closed() && !ep.peer->closing()) {
       ep.peer->mark_stale();
     }
-    // Cancel half-built stream-upgrade state on both sides; the adapter's
-    // credit/handshake position already rides the sequenced history.
-    mv.net->quiesce_stream_state(token);
-    if (ep.peer_net != nullptr) ep.peer_net->quiesce_stream_state(token);
   }
   mv.image_bytes = image.byte_size();
   ctr_image_bytes_->inc(mv.image_bytes);

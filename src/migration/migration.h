@@ -6,8 +6,8 @@
 //
 //   1. quiesce  — every conduit touching the container pauses at a message
 //                 boundary on BOTH ends (sends queue, credits stop, receive
-//                 and ack paths stay live) and the migrating side drains its
-//                 retained window under a sim-clock deadline. Deadline
+//                 and ack paths stay live) and both ends drain their
+//                 retained windows under a sim-clock deadline. Deadline
 //                 expiry is not fatal: the undrained tail simply travels in
 //                 the image and replays at the destination (peers dedup),
 //                 the same lossless path reactive failover takes.
@@ -15,8 +15,8 @@
 //                 state (sequence counters, ack bookkeeping, retained
 //                 window, queued sends, RC-QP transport identity) into a
 //                 MigrationImage; peer endpoints detach (generation-guarded
-//                 blackout spans open) and the stream adapter cancels any
-//                 half-built upgrade QP.
+//                 blackout spans open, voiding any half-built per-stream
+//                 QP upgrade).
 //   3. transfer — the cluster orchestrator moves the container with a
 //                 downtime proportional to the image size (the planned
 //                 stop-and-copy is tiny compared to the reactive default).

@@ -23,6 +23,16 @@ RcStreamChannel::RcStreamChannel(rdma::RdmaDevice& device, sim::UsageAccount* ac
   for (std::uint32_t s = 0; s < k_slots; ++s) free_slots_.push_back(s);
 }
 
+std::shared_ptr<RcStreamChannel> RcStreamChannel::make(rdma::RdmaDevice& device,
+                                                       sim::UsageAccount* account,
+                                                       orch::ContainerId peer,
+                                                       std::uint32_t tenant) {
+  auto channel = std::shared_ptr<RcStreamChannel>(
+      new RcStreamChannel(device, account, peer, tenant));
+  channel->start();
+  return channel;
+}
+
 RcStreamChannel::~RcStreamChannel() {
   send_cq_->set_notify(nullptr);
   recv_cq_->set_notify(nullptr);
@@ -54,7 +64,18 @@ void RcStreamChannel::repost_recv(std::uint32_t slot) {
 
 Status RcStreamChannel::send(ByteSpan head, ByteSpan body) {
   if (closed_) return failed_precondition("stream rc channel closed");
+  FF_CHECK(head.size() >= core::WireHeader::k_size);
   FF_CHECK(head.size() + body.size() <= k_slot_bytes);
+  if (core::WireHeader::decode(head.data()).seq == 0) {
+    // Unsequenced: needs a slot but no credit, and goes ahead of queued data.
+    if (control_.empty() && can_post()) {
+      post_to_slot(head, body);
+    } else {
+      control_.push_back(Buffer::gather(head, body));
+      pump();
+    }
+    return ok_status();
+  }
   if (queue_.empty() && can_post_data()) {
     post_to_slot(head, body);
     --credits_;
@@ -69,8 +90,12 @@ bool RcStreamChannel::writable() const noexcept {
   return !closed_ && queue_.empty() && can_post_data();
 }
 
+bool RcStreamChannel::can_post() const noexcept {
+  return qp_->state() == rdma::QpState::ready && !free_slots_.empty();
+}
+
 bool RcStreamChannel::can_post_data() const noexcept {
-  return qp_->state() == rdma::QpState::ready && !free_slots_.empty() && credits_ > 0;
+  return can_post() && credits_ > 0;
 }
 
 void RcStreamChannel::post_to_slot(ByteSpan head, ByteSpan body) {
@@ -93,6 +118,10 @@ void RcStreamChannel::post_to_slot(ByteSpan head, ByteSpan body) {
 
 void RcStreamChannel::pump() {
   if (closed_) return;
+  while (!control_.empty() && can_post()) {
+    post_to_slot(control_.front().view());
+    control_.pop_front();
+  }
   while (!queue_.empty() && can_post_data()) {
     post_to_slot(queue_.front().view());
     queue_.pop_front();
@@ -102,15 +131,13 @@ void RcStreamChannel::pump() {
 
 void RcStreamChannel::return_credits() {
   if (since_credit_ == 0 || closed_) return;
-  if (free_slots_.empty() || qp_->state() != rdma::QpState::ready) return;
-  // Credit grants bypass the data-credit check (the peer reserves receive
-  // buffers for them) but still occupy a local send slot; if none is free
-  // the next poll's completions retry.
+  // Credit grants are unsequenced: they skip the data-credit check (the
+  // peer's reserve buffers cover them) and overtake queued data.
   core::WireHeader h;
   h.type = core::VMsg::rc_credit;
   h.id = since_credit_;
-  post_to_slot(core::encode_header(h));
   since_credit_ = 0;
+  send(core::encode_header(h));
 }
 
 void RcStreamChannel::schedule_poll() {
@@ -152,15 +179,17 @@ void RcStreamChannel::poll_cqs() {
         completion_error_ = true;
         continue;
       }
-      auto parsed = core::parse_message(message.view());
-      if (parsed.is_ok() && parsed->header.type == core::VMsg::rc_credit &&
-          parsed->header.seq == 0) {
-        credits_ += static_cast<std::uint32_t>(parsed->header.id);
+      FF_CHECK(message.size() >= core::WireHeader::k_size);  // senders check
+      const core::WireHeader h = core::WireHeader::decode(message.data());
+      if (h.seq == 0 && h.type == core::VMsg::rc_credit) {
+        credits_ += static_cast<std::uint32_t>(h.id);
         continue;
       }
-      ++since_credit_;
-      // Re-read per delivery: an attach_channel (e.g. the rc_switch tap
-      // routing this channel onto its conduit) re-wires us mid-batch.
+      // Only sequenced messages consumed a credit; unsequenced ones rode
+      // the reserve and earn the sender nothing back.
+      if (h.seq != 0) ++since_credit_;
+      // Re-read per delivery: an attach_channel (e.g. the first-message
+      // router handing this channel to its conduit) re-wires us mid-batch.
       if (closed_) return;
       if (on_message_) on_message_(std::move(message));
       if (closed_) return;
@@ -180,6 +209,7 @@ void RcStreamChannel::poll_cqs() {
 void RcStreamChannel::close() noexcept {
   if (closed_) return;
   closed_ = true;
+  control_.clear();
   queue_.clear();
   on_message_ = nullptr;
   on_space_ = nullptr;

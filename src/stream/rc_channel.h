@@ -1,16 +1,18 @@
 // RcStreamChannel: a per-stream RDMA RC queue pair wrapped in the
-// agent::Channel interface — the TSoR data plane. Unlike the agents'
-// shared RdmaTrunk (one QP per host pair, all containers multiplexed), the
-// stream adapter carves one QP per upgraded stream directly out of the
+// agent::Channel interface — the TSoR data plane of a per_stream_qp socket.
+// Unlike the agents' shared RdmaTrunk (one QP per host pair, all containers
+// multiplexed), it carves one QP per upgraded stream directly out of the
 // host NIC's device, so the socket byte stream rides RDMA end to end with
 // no agent relay or per-record demux on the path.
 //
 // One conduit message maps to one RDMA SEND into a registered slot.
-// Flow control is credit-based: the receiver grants k_slots credits up
-// front and returns them in rc_credit batches as it drains deliveries; a
-// sender out of credits queues (the conduit's writable() deasserts, so
-// well-behaved apps pace). Credit messages themselves bypass the credit
-// check and are covered by a reserved pool of extra receive buffers.
+// Sequenced (data) messages are credit-based: the receiver grants k_slots
+// credits up front and returns them in rc_credit batches as it drains
+// deliveries; a sender out of credits queues (the conduit's writable()
+// deasserts, so well-behaved apps pace). Unsequenced messages (seq 0: the
+// conduit's control lane and the credit grants themselves) skip the credit
+// check, overtake queued data, and land in a reserve of extra receive
+// buffers — so an ack can never wait behind the data it would unblock.
 #pragma once
 
 #include <deque>
@@ -30,25 +32,26 @@ class RcStreamChannel final : public agent::Channel,
   static constexpr std::size_t k_slot_bytes = 66 * 1024;
   /// Data credits granted to the peer (and local send slots).
   static constexpr std::uint32_t k_slots = 16;
-  /// Extra receive buffers covering in-flight rc_credit messages: at most
-  /// one credit grant per k_credit_batch deliveries can be outstanding.
+  /// Extra receive buffers for unsequenced messages, which consume no
+  /// credit: at most one credit grant per k_credit_batch deliveries plus the
+  /// control lane's occasional ack or handshake. A burst beyond it waits in
+  /// the QP's receive-not-ready backlog; it is never lost.
   static constexpr std::uint32_t k_credit_reserve = 4;
   /// Deliveries per returned credit batch.
   static constexpr std::uint32_t k_credit_batch = 4;
 
-  /// `tenant` classifies the QP's traffic for the NIC's per-tenant
-  /// scheduler (per-stream QPs belong to exactly one container).
-  RcStreamChannel(rdma::RdmaDevice& device, sim::UsageAccount* account,
-                  orch::ContainerId peer, std::uint32_t tenant = 0);
+  /// A started channel: receive buffers posted and completion notifies
+  /// hooked (weakly — the QP and CQs live in the device registry and can
+  /// outlive this channel). `tenant` classifies the QP's traffic for the
+  /// NIC's per-tenant scheduler (a per-stream QP belongs to one container).
+  static std::shared_ptr<RcStreamChannel> make(rdma::RdmaDevice& device,
+                                               sim::UsageAccount* account,
+                                               orch::ContainerId peer,
+                                               std::uint32_t tenant = 0);
   ~RcStreamChannel() override;
 
-  /// Posts receive buffers and hooks completion notifies (weakly — the QP
-  /// and CQs live in the device registry and can outlive this channel).
-  /// Must be called once, immediately after construction.
-  void start();
-
-  /// Connects the QP to the peer's (out-of-band exchange rides the
-  /// conduit's rc_offer / rc_answer handshake). Queued sends then flow.
+  /// Connects the QP to the peer's (the out-of-band exchange rides the
+  /// conduit's rc_offer / rc_answer control messages). Queued sends flow.
   Status connect(fabric::HostId remote_host, rdma::QpNum remote_qp);
 
   [[nodiscard]] rdma::QpNum qp_num() const noexcept { return qp_->num(); }
@@ -67,7 +70,13 @@ class RcStreamChannel final : public agent::Channel,
   [[nodiscard]] std::uint32_t credits() const noexcept { return credits_; }
 
  private:
-  /// Ready QP, a free send slot and a peer credit: a data message can post.
+  RcStreamChannel(rdma::RdmaDevice& device, sim::UsageAccount* account,
+                  orch::ContainerId peer, std::uint32_t tenant);
+  void start();
+
+  /// Ready QP and a free send slot: an unsequenced message can post.
+  [[nodiscard]] bool can_post() const noexcept;
+  /// ... and a peer credit: a sequenced message can post.
   [[nodiscard]] bool can_post_data() const noexcept;
   /// Gathers `head` and `body` into a free send slot and posts them.
   void post_to_slot(ByteSpan head, ByteSpan body = {});
@@ -86,9 +95,10 @@ class RcStreamChannel final : public agent::Channel,
   rdma::CqPtr recv_cq_;
   std::shared_ptr<rdma::QueuePair> qp_;
   std::vector<std::uint32_t> free_slots_;
-  std::deque<Buffer> queue_;         ///< messages awaiting slot + credit
+  std::deque<Buffer> control_;       ///< unsequenced messages awaiting a slot
+  std::deque<Buffer> queue_;         ///< data messages awaiting slot + credit
   std::uint32_t credits_ = k_slots;  ///< peer receive credits we may consume
-  std::uint32_t since_credit_ = 0;   ///< deliveries since the last grant
+  std::uint32_t since_credit_ = 0;   ///< data deliveries since the last grant
   DeliverFn on_message_;
   std::function<void()> on_space_;
   bool closed_ = false;

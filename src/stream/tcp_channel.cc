@@ -8,6 +8,7 @@ std::shared_ptr<TcpFallbackChannel> TcpFallbackChannel::make(
     orch::ContainerId peer, tcp::TcpConnection::Ptr conn) {
   auto channel =
       std::shared_ptr<TcpFallbackChannel>(new TcpFallbackChannel(peer, std::move(conn)));
+  channel->conn_->set_send_buffer_limit(k_send_buffer);
   channel->wire();
   return channel;
 }

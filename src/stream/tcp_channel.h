@@ -1,5 +1,5 @@
 // TcpFallbackChannel: an agent::Channel carried by one mini-TCP overlay
-// connection. This is the stream adapter's "always works" transport — the
+// connection. It is a per_stream_qp socket's "always works" transport — the
 // path unmodified socket workloads ride today — wrapped in the channel
 // interface so a conduit can splice between it and a per-stream RC QP
 // without the application noticing (TSoR's fallback leg).
@@ -26,6 +26,13 @@ class TcpFallbackChannel final
   static std::shared_ptr<TcpFallbackChannel> make(orch::ContainerId peer,
                                                   tcp::TcpConnection::Ptr conn);
 
+  /// The connection's send buffer: over twice the overlay path's
+  /// bandwidth-delay product (~60 us RTT at ~13 Gb/s), far below the
+  /// stack's 4 MB default. Bytes still in it when the stream moves to its
+  /// QP are replayed from the conduit's retained window anyway, so a deeper
+  /// buffer would only keep the NIC busy with bytes nobody reads.
+  static constexpr std::size_t k_send_buffer = 256 * 1024;
+
   ~TcpFallbackChannel() override;
 
   Status send(ByteSpan head, ByteSpan body = {}) override;
@@ -39,9 +46,9 @@ class TcpFallbackChannel final
   void close() noexcept override;
   [[nodiscard]] bool closed() const noexcept override { return closed_; }
 
-  /// Make-before-break upgrade: the peer announced (rc_answer sent) that it
-  /// will switch this stream to a fresh RC channel, after which the far end
-  /// closes its TCP side. The resulting FIN must not be mistaken for a
+  /// Make-before-break upgrade: this side answered the peer's rc_offer, so
+  /// the peer will switch the stream to a fresh RC channel and then close
+  /// its TCP side. The resulting FIN must not be mistaken for a
   /// transport failure — fail() would trigger a spurious refit. Anything
   /// the conduit sent into the suppressed window stays in its retained
   /// window and is replayed on the RC attach, so nothing is lost.

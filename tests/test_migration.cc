@@ -10,7 +10,6 @@
 #include "faults/fault_injector.h"
 #include "migration/migration.h"
 #include "sim_env.h"
-#include "stream/stream_net.h"
 
 namespace freeflow::migration {
 namespace {
@@ -64,8 +63,13 @@ struct Stream {
   [[nodiscard]] bool done() const { return !corrupt && verified >= target; }
 };
 
+std::uint64_t upgrades(Env& env) {
+  return env.cluster.telemetry().metrics().counter_value("stream/upgrades");
+}
+
 std::shared_ptr<Stream> start_stream(Env& env, Pair& p, std::uint16_t port,
-                                     std::uint64_t target) {
+                                     std::uint64_t target,
+                                     core::SockPath path = core::SockPath::relayed) {
   auto st = std::make_shared<Stream>();
   st->target = target;
 
@@ -84,10 +88,13 @@ std::shared_ptr<Stream> start_stream(Env& env, Pair& p, std::uint16_t port,
       st->verified += b.size();
     });
   }).is_ok());
-  p.net_a->sock_connect(p.b->ip(), port, [st](Result<core::FlowSocketPtr> s) {
-    ASSERT_TRUE(s.is_ok()) << s.status();
-    st->client = *s;
-  });
+  p.net_a->sock_connect(
+      p.b->ip(), port,
+      [st](Result<core::FlowSocketPtr> s) {
+        ASSERT_TRUE(s.is_ok()) << s.status();
+        st->client = *s;
+      },
+      path);
   EXPECT_TRUE(env.wait([&]() { return st->client != nullptr && st->server != nullptr; }));
 
   st->pump = std::make_shared<std::function<void()>>();
@@ -166,95 +173,75 @@ TEST(Migration, PlannedMigrationZeroLossByteExact) {
   }
 }
 
-// The stream adapter (sockets-over-RDMA) path: the server container moves
+// The per_stream_qp (sockets-over-RDMA) path: the server container moves
 // mid-transfer while the stream rides a per-stream RC QP; the splice back
 // onto a fresh fallback, the replay, and the re-upgrade at the new
 // placement must all be transparent.
 TEST(Migration, StreamAdapterSurvivesPlannedMigration) {
   Env env(3);
-  Pair base;
-  base.a = env.deploy("a", 1, 0);
-  base.b = env.deploy("b", 1, 1);
-  auto& ff = env.freeflow();
-  auto na = ff.attach(base.a->id());
-  auto nb = ff.attach(base.b->id());
-  ASSERT_TRUE(na.is_ok());
-  ASSERT_TRUE(nb.is_ok());
-  auto sa = stream::StreamNet::make(*na);
-  auto sb = stream::StreamNet::make(*nb);
-  MigrationCoordinator coord(ff);
-
-  struct Xfer {
-    stream::StreamSocketPtr client, server;
-    std::uint64_t target = 16ull * 1024 * 1024;
-    std::uint64_t sent = 0;
-    std::uint64_t verified = 0;
-    bool corrupt = false;
-  };
-  auto st = std::make_shared<Xfer>();
-  ASSERT_TRUE(sb->listen(7100, [st](stream::StreamSocketPtr s) {
-    st->server = s;
-    s->set_on_data([st](Buffer&& b) {
-      const auto* bytes = b.data();
-      for (std::size_t i = 0; i < b.size(); ++i) {
-        if (static_cast<std::uint8_t>(bytes[i]) != pattern_byte(st->verified + i)) {
-          st->corrupt = true;
-          return;
-        }
-      }
-      st->verified += b.size();
-    });
-  }).is_ok());
-  sa->connect(base.b->ip(), 7100, [st](Result<stream::StreamSocketPtr> s) {
-    ASSERT_TRUE(s.is_ok()) << s.status();
-    st->client = *s;
-  });
-  ASSERT_TRUE(env.wait([&]() { return st->client != nullptr && st->server != nullptr; }));
-
-  auto pump = std::make_shared<std::function<void()>>();
-  *pump = [st]() {
-    while (st->sent < st->target && st->client->writable()) {
-      const auto n = static_cast<std::size_t>(
-          std::min<std::uint64_t>(64 * 1024, st->target - st->sent));
-      Buffer msg(n);
-      auto* out = msg.data();
-      for (std::size_t i = 0; i < n; ++i) {
-        out[i] = static_cast<std::byte>(pattern_byte(st->sent + i));
-      }
-      ASSERT_TRUE(st->client->send(std::move(msg)).is_ok());
-      st->sent += n;
-    }
-  };
-  st->client->set_on_space([pump]() { (*pump)(); });
-  auto tick = std::make_shared<std::function<void()>>();
-  sim::EventLoop* loop = &env.loop();
-  *tick = [loop, pump, st, wt = std::weak_ptr<std::function<void()>>(tick)]() {
-    auto t = wt.lock();
-    if (t == nullptr) return;
-    (*pump)();
-    if (st->sent >= st->target) return;
-    loop->schedule(50 * k_microsecond, [t]() { (*t)(); });
-  };
-  (*tick)();
+  auto p = attach_pair(env, 0, 1);
+  MigrationCoordinator coord(env.freeflow());
+  auto st = start_stream(env, p, 7100, 16ull * 1024 * 1024, core::SockPath::per_stream_qp);
 
   // Let the stream upgrade onto RDMA before moving it.
-  ASSERT_TRUE(env.wait([&]() { return sa->upgrades() >= 1 && st->verified > 1024 * 1024; }));
+  ASSERT_TRUE(env.wait([&]() { return upgrades(env) >= 1 && st->verified > 1024 * 1024; }));
 
   std::optional<MigrationReport> report;
-  coord.migrate(base.b->id(), 2, [&](Result<MigrationReport> r) {
+  coord.migrate(p.b->id(), 2, [&](Result<MigrationReport> r) {
     ASSERT_TRUE(r.is_ok()) << r.status();
     report = *r;
   });
   ASSERT_TRUE(env.wait([&]() { return report.has_value(); }));
   EXPECT_EQ(report->conduits_moved, 1u);
 
-  ASSERT_TRUE(env.wait([&]() { return !st->corrupt && st->verified >= st->target; },
-                       60 * k_second))
+  ASSERT_TRUE(env.wait([&]() { return st->done(); }, 60 * k_second))
       << "verified " << st->verified << "/" << st->target
       << (st->corrupt ? " CORRUPT" : "");
   EXPECT_FALSE(st->corrupt);
   // The stream re-upgrades onto a per-stream RC QP at the new placement.
-  ASSERT_TRUE(env.wait([&]() { return sa->upgrades() >= 2; }, 20 * k_second));
+  ASSERT_TRUE(env.wait([&]() { return upgrades(env) >= 2; }, 20 * k_second));
+}
+
+// Twenty planned moves back and forth under two live sockets at once, one
+// on each connection path: every byte of both streams verifies, and every
+// move drains its retained windows before the quiesce deadline (no
+// handshake state may outlive the channel it rode and wedge the drain).
+TEST(Migration, TwentyMovePingPongDrainsBothPaths) {
+  Env env(3);
+  auto p = attach_pair(env, 0, 1);
+  MigrationCoordinator coord(env.freeflow());
+  constexpr std::uint64_t k_unbounded = ~0ull;
+  auto relayed = start_stream(env, p, 7200, k_unbounded);
+  auto qp = start_stream(env, p, 7201, k_unbounded, core::SockPath::per_stream_qp);
+  ASSERT_TRUE(env.wait([&]() { return upgrades(env) >= 1 && qp->verified > 0; }));
+
+  for (int move = 1; move <= 20; ++move) {
+    const fabric::HostId dst = p.b->host() == 1 ? 2 : 1;
+    std::optional<MigrationReport> report;
+    coord.migrate(p.b->id(), dst, [&](Result<MigrationReport> r) {
+      ASSERT_TRUE(r.is_ok()) << r.status();
+      report = *r;
+    });
+    ASSERT_TRUE(env.wait([&]() { return report.has_value(); })) << "move " << move;
+    EXPECT_TRUE(report->drained) << "move " << move << " hit the quiesce deadline";
+    EXPECT_EQ(report->conduits_moved, 2u);
+    // Both streams deliver fresh bytes at the new placement.
+    const std::uint64_t relayed_at = relayed->verified;
+    const std::uint64_t qp_at = qp->verified;
+    ASSERT_TRUE(env.wait([&]() {
+      return relayed->verified > relayed_at && qp->verified > qp_at;
+    })) << "move " << move << " did not resume both streams";
+  }
+  EXPECT_EQ(coord.quiesce_timeouts(), 0u);
+
+  // Stop both pumps and account for every byte sent.
+  relayed->target = relayed->sent;
+  qp->target = qp->sent;
+  ASSERT_TRUE(env.wait([&]() { return relayed->done() && qp->done(); }, 30 * k_second))
+      << "relayed " << relayed->verified << "/" << relayed->target << ", per_stream_qp "
+      << qp->verified << "/" << qp->target;
+  EXPECT_FALSE(relayed->corrupt);
+  EXPECT_FALSE(qp->corrupt);
 }
 
 // Planned migration racing a concurrent NIC-death failover on the PEER's

@@ -1,17 +1,28 @@
-// Stream adapter (sockets-over-RDMA) acceptance: the StreamSocket surface
-// must deliver a byte-exact, in-order stream while StreamNet splices the
-// conduit between the overlay-TCP fallback and a per-stream RC QP — across
-// the initial upgrade, forced mid-transfer failover, and re-upgrade.
+// per_stream_qp sockets (sockets over per-stream RDMA RC QPs, TSoR): a
+// FlowSocket connected on the per_stream_qp path must deliver a byte-exact,
+// in-order stream while its conduit splices between the overlay-TCP
+// fallback and a per-stream RC QP — across the initial upgrade, forced
+// mid-transfer failover, and re-upgrade. Also covers the control lane on
+// an RC channel, the upgrade handshake's QP echo, close, and the
+// first-message router's per-stream paths.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
 
 #include "core/freeflow.h"
 #include "faults/fault_injector.h"
 #include "sim_env.h"
-#include "stream/stream_net.h"
+#include "stream/rc_channel.h"
+#include "stream/tcp_channel.h"
 
 namespace freeflow::stream {
 namespace {
 
+using core::FlowSocketPtr;
+using core::SockPath;
+using core::VMsg;
+using core::WireHeader;
 using freeflow::testing::Env;
 
 /// Deterministic byte pattern keyed by absolute stream offset (the
@@ -20,9 +31,17 @@ constexpr std::uint8_t pattern_byte(std::uint64_t offset) {
   return static_cast<std::uint8_t>((offset * 131 + 17) & 0xFF);
 }
 
+std::uint64_t upgrades(Env& env) {
+  return env.cluster.telemetry().metrics().counter_value("stream/upgrades");
+}
+
+std::uint64_t fallbacks(Env& env) {
+  return env.cluster.telemetry().metrics().counter_value("stream/fallbacks");
+}
+
 struct Pair {
   orch::ContainerPtr a, b;
-  StreamNetPtr net_a, net_b;
+  core::ContainerNetPtr net_a, net_b;
 };
 
 Pair attach_pair(Env& env, fabric::HostId ha, fabric::HostId hb,
@@ -35,18 +54,21 @@ Pair attach_pair(Env& env, fabric::HostId ha, fabric::HostId hb,
   auto nb = ff.attach(p.b->id());
   EXPECT_TRUE(na.is_ok());
   EXPECT_TRUE(nb.is_ok());
-  p.net_a = StreamNet::make(*na);
-  p.net_b = StreamNet::make(*nb);
+  p.net_a = *na;
+  p.net_b = *nb;
   return p;
 }
 
-/// A pattern-checked one-way transfer over StreamSockets, paced on
-/// writability with the periodic re-pump that rides out failovers.
+/// A pattern-checked one-way transfer over a per_stream_qp socket, paced on
+/// writability with the periodic re-pump that rides out failovers. The
+/// receiver splits its bytes by the transport each chunk arrived on.
 struct Xfer {
-  StreamSocketPtr client, server;
+  FlowSocketPtr client, server;
   std::uint64_t target = 0;
   std::uint64_t sent = 0;
   std::uint64_t verified = 0;
+  std::uint64_t server_rdma = 0;
+  std::uint64_t server_tcp = 0;
   bool corrupt = false;
   std::shared_ptr<std::function<void()>> pump;
   std::shared_ptr<std::function<void()>> tick;
@@ -59,9 +81,9 @@ std::shared_ptr<Xfer> start_xfer(Env& env, Pair& p, std::uint16_t port,
   auto st = std::make_shared<Xfer>();
   st->target = target;
 
-  EXPECT_TRUE(p.net_b->listen(port, [st](StreamSocketPtr s) {
+  EXPECT_TRUE(p.net_b->sock_listen(port, [st](FlowSocketPtr s) {
     st->server = s;
-    s->set_on_data([st](Buffer&& b) {
+    s->set_on_data([st, raw = s.get()](Buffer&& b) {
       const auto* bytes = b.data();
       for (std::size_t i = 0; i < b.size(); ++i) {
         if (static_cast<std::uint8_t>(bytes[i]) != pattern_byte(st->verified + i)) {
@@ -70,12 +92,18 @@ std::shared_ptr<Xfer> start_xfer(Env& env, Pair& p, std::uint16_t port,
         }
       }
       st->verified += b.size();
+      // The channel attached now is the one that just delivered the chunk.
+      (raw->transport() == orch::Transport::rdma ? st->server_rdma : st->server_tcp) +=
+          b.size();
     });
   }).is_ok());
-  p.net_a->connect(p.b->ip(), port, [st](Result<StreamSocketPtr> s) {
-    ASSERT_TRUE(s.is_ok()) << s.status();
-    st->client = *s;
-  });
+  p.net_a->sock_connect(
+      p.b->ip(), port,
+      [st](Result<FlowSocketPtr> s) {
+        ASSERT_TRUE(s.is_ok()) << s.status();
+        st->client = *s;
+      },
+      SockPath::per_stream_qp);
   EXPECT_TRUE(env.wait([&]() { return st->client != nullptr && st->server != nullptr; }));
 
   st->pump = std::make_shared<std::function<void()>>();
@@ -114,6 +142,14 @@ std::shared_ptr<Xfer> start_xfer(Env& env, Pair& p, std::uint16_t port,
   return st;
 }
 
+Buffer pattern_chunk(std::uint64_t offset, std::size_t n) {
+  Buffer msg(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    msg.data()[i] = static_cast<std::byte>(pattern_byte(offset + i));
+  }
+  return msg;
+}
+
 // ------------------------------------------------------------- acceptance
 
 // The stream starts on the fallback, upgrades to a per-stream RC QP, and an
@@ -122,46 +158,47 @@ TEST(StreamAdapter, UpgradesToRdmaAndEchoesByteExact) {
   Env env(2);
   auto p = attach_pair(env, 0, 1);
 
-  StreamSocketPtr server;
+  FlowSocketPtr server;
   std::uint64_t echoed = 0;
-  ASSERT_TRUE(p.net_b->listen(9000, [&](StreamSocketPtr s) {
+  ASSERT_TRUE(p.net_b->sock_listen(9000, [&](FlowSocketPtr s) {
     server = s;
-    s->set_on_data([&, s](Buffer&& b) {
+    s->set_on_data([&, raw = s.get()](Buffer&& b) {
       echoed += b.size();
-      ASSERT_TRUE(s->send(std::move(b)).is_ok());
+      ASSERT_TRUE(raw->send(std::move(b)).is_ok());
     });
   }).is_ok());
 
-  StreamSocketPtr client;
+  FlowSocketPtr client;
   std::uint64_t back = 0;
+  std::uint64_t back_rdma = 0;
   bool corrupt = false;
-  p.net_a->connect(p.b->ip(), 9000, [&](Result<StreamSocketPtr> s) {
-    ASSERT_TRUE(s.is_ok()) << s.status();
-    client = *s;
-    client->set_on_data([&](Buffer&& b) {
-      const auto* bytes = b.data();
-      for (std::size_t i = 0; i < b.size(); ++i) {
-        if (static_cast<std::uint8_t>(bytes[i]) != pattern_byte(back + i)) corrupt = true;
-      }
-      back += b.size();
-    });
-  });
+  p.net_a->sock_connect(
+      p.b->ip(), 9000,
+      [&](Result<FlowSocketPtr> s) {
+        ASSERT_TRUE(s.is_ok()) << s.status();
+        client = *s;
+        client->set_on_data([&](Buffer&& b) {
+          const auto* bytes = b.data();
+          for (std::size_t i = 0; i < b.size(); ++i) {
+            if (static_cast<std::uint8_t>(bytes[i]) != pattern_byte(back + i)) corrupt = true;
+          }
+          back += b.size();
+          if (client->transport() == orch::Transport::rdma) back_rdma += b.size();
+        });
+      },
+      SockPath::per_stream_qp);
   ASSERT_TRUE(env.wait([&]() { return client != nullptr && server != nullptr; }));
 
   // The upgrade is transparent; it must land without any traffic flowing.
   ASSERT_TRUE(env.wait([&]() { return client->transport() == orch::Transport::rdma &&
                                        server->transport() == orch::Transport::rdma; }));
-  EXPECT_EQ(p.net_a->upgrades(), 1u);
+  EXPECT_EQ(upgrades(env), 1u);
 
   const std::uint64_t total = 4ull * 1024 * 1024;
   std::uint64_t sent = 0;
   while (sent < total) {
     const auto n = std::min<std::uint64_t>(64 * 1024, total - sent);
-    Buffer msg(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      msg.data()[i] = static_cast<std::byte>(pattern_byte(sent + i));
-    }
-    ASSERT_TRUE(client->send(std::move(msg)).is_ok());
+    ASSERT_TRUE(client->send(pattern_chunk(sent, n)).is_ok());
     sent += n;
     env.wait([&]() { return client->writable(); });
   }
@@ -169,7 +206,7 @@ TEST(StreamAdapter, UpgradesToRdmaAndEchoesByteExact) {
       << "echoed " << echoed << " back " << back;
   EXPECT_FALSE(corrupt);
   // The byte split proves the stream actually rode RDMA, not just claimed to.
-  EXPECT_GT(client->bytes_rdma(), client->bytes_tcp());
+  EXPECT_GT(back_rdma, back - back_rdma);
 }
 
 // Kill the NIC's RDMA engine mid-transfer: the stream must fail over to a
@@ -190,7 +227,7 @@ TEST(StreamAdapter, KillRdmaMidTransferFailsOverByteExact) {
   EXPECT_FALSE(st->corrupt);
   EXPECT_EQ(st->verified, st->target);
   EXPECT_NE(st->client->transport(), orch::Transport::rdma);
-  EXPECT_GE(p.net_a->fallbacks(), 1u);
+  EXPECT_GE(fallbacks(env), 1u);
 }
 
 // Heal the engine after the failover: the stream re-upgrades mid-stream and
@@ -211,17 +248,15 @@ TEST(StreamAdapter, ReupgradesMidStreamAfterRecovery) {
   injector.apply({env.loop().now(), faults::FaultKind::rdma_up, 1});
   ASSERT_TRUE(env.wait([&]() { return st->client->transport() == orch::Transport::rdma; },
                        60 * k_second));
-  EXPECT_GE(p.net_a->upgrades(), 2u);  // initial + re-upgrade
+  EXPECT_GE(upgrades(env), 2u);  // initial + re-upgrade
 
-  const std::uint64_t rdma_before = st->client->conduit()->token() != 0
-                                        ? st->server->bytes_rdma()
-                                        : 0;
+  const std::uint64_t rdma_before = st->server_rdma;
   st->target += 4ull * 1024 * 1024;
   (*st->pump)();
   ASSERT_TRUE(env.wait([&]() { return st->done(); }, 60 * k_second))
       << "verified " << st->verified << "/" << st->target;
   EXPECT_FALSE(st->corrupt);
-  EXPECT_GT(st->server->bytes_rdma(), rdma_before);
+  EXPECT_GT(st->server_rdma, rdma_before);
 }
 
 // Several streams between the same pair, pumping both directions at once:
@@ -256,7 +291,7 @@ TEST(StreamAdapter, ConcurrentBidirectionalStreams) {
     EXPECT_EQ(st->client->transport(), orch::Transport::rdma);
   }
   EXPECT_FALSE(backward->corrupt);
-  EXPECT_EQ(p.net_a->stream_count(), static_cast<std::size_t>(k_streams + 1));
+  EXPECT_EQ(p.net_a->conduit_count(), static_cast<std::size_t>(k_streams + 1));
 }
 
 // Untrusted (cross-tenant) pair: the selector answers tcp_overlay, so the
@@ -269,8 +304,260 @@ TEST(StreamAdapter, UntrustedPairStaysOnFallback) {
   ASSERT_TRUE(env.wait([&]() { return st->done(); }, 60 * k_second));
   EXPECT_FALSE(st->corrupt);
   EXPECT_EQ(st->client->transport(), orch::Transport::tcp_overlay);
-  EXPECT_EQ(p.net_a->upgrades(), 0u);
-  EXPECT_EQ(st->client->bytes_rdma(), 0u);
+  EXPECT_EQ(upgrades(env), 0u);
+  EXPECT_EQ(st->server_rdma, 0u);
+}
+
+// close() on a per_stream_qp socket with data still queued behind the RC
+// credits: the bye overtakes that data on the control lane, yet the peer
+// reads every byte and the sock_fin before its side closes, and the closer
+// sees the handshake complete.
+TEST(StreamAdapter, CloseDeliversQueuedDataAndFinBeforeTeardown) {
+  Env env(2);
+  auto p = attach_pair(env, 0, 1);
+  auto st = start_xfer(env, p, 9350, 1024 * 1024);
+  ASSERT_TRUE(env.wait([&]() { return st->done() &&
+                                       st->client->transport() == orch::Transport::rdma; }));
+
+  std::optional<core::CloseReason> server_closed, client_closed;
+  std::uint64_t verified_at_close = 0;
+  st->server->set_on_close([&](core::CloseReason r) {
+    server_closed = r;
+    verified_at_close = st->verified;
+  });
+  st->client->set_on_close([&](core::CloseReason r) { client_closed = r; });
+  // More chunks than the QP has credits, sent at once: most of them queue.
+  constexpr int k_burst = 3 * static_cast<int>(RcStreamChannel::k_slots);
+  for (int i = 0; i < k_burst; ++i) {
+    ASSERT_TRUE(st->client->send(pattern_chunk(st->sent, 64 * 1024)).is_ok());
+    st->sent += 64 * 1024;
+  }
+  st->target = st->sent;
+  st->client->close();
+
+  ASSERT_TRUE(env.wait([&]() { return server_closed && client_closed; }));
+  EXPECT_EQ(*server_closed, core::CloseReason::peer_bye);
+  EXPECT_EQ(*client_closed, core::CloseReason::app_close);
+  EXPECT_FALSE(st->corrupt);
+  EXPECT_EQ(verified_at_close, st->target);
+  EXPECT_FALSE(st->server->is_open());
+  EXPECT_EQ(p.net_a->conduit_count(), 0u);
+  EXPECT_EQ(p.net_b->conduit_count(), 0u);
+}
+
+// ----------------------------------------------------------- control lane
+
+// An unsequenced message (here the conduit's ack) sent on an RC stream
+// channel with zero data credits and data queued behind them skips the
+// credits and arrives ahead of that data, which itself stays in order.
+TEST(RcStreamChannel, UnsequencedAckOvertakesDataQueuedAtZeroCredits) {
+  Env env(2);
+  rdma::RdmaDevice dev_a(env.cluster.host(0));
+  rdma::RdmaDevice dev_b(env.cluster.host(1));
+  auto tx = RcStreamChannel::make(dev_a, nullptr, 2);
+  auto rx = RcStreamChannel::make(dev_b, nullptr, 1);
+  ASSERT_TRUE(tx->connect(1, rx->qp_num()).is_ok());
+  ASSERT_TRUE(rx->connect(0, tx->qp_num()).is_ok());
+  std::vector<WireHeader> got;
+  rx->set_on_message([&](Buffer&& m) { got.push_back(WireHeader::decode(m.data())); });
+
+  const Buffer chunk(1024);
+  WireHeader data;
+  data.type = VMsg::sock_data;
+  const std::uint64_t k_data = RcStreamChannel::k_slots + 4;
+  for (std::uint64_t seq = 1; seq <= k_data; ++seq) {
+    data.seq = seq;
+    ASSERT_TRUE(tx->send(core::encode_header(data, chunk.size()), chunk.view()).is_ok());
+  }
+  ASSERT_EQ(tx->credits(), 0u);
+  ASSERT_FALSE(tx->writable());
+  WireHeader ack;
+  ack.type = VMsg::ack;
+  ack.id = 7;
+  ASSERT_TRUE(tx->send(core::encode_header(ack)).is_ok());
+
+  ASSERT_TRUE(env.wait([&]() { return got.size() == k_data + 1; }));
+  const auto ack_at = std::find_if(got.begin(), got.end(),
+                                   [](const WireHeader& h) { return h.type == VMsg::ack; });
+  ASSERT_NE(ack_at, got.end());
+  const auto first_queued = std::find_if(got.begin(), got.end(), [](const WireHeader& h) {
+    return h.seq == RcStreamChannel::k_slots + 1;
+  });
+  EXPECT_LT(ack_at - got.begin(), first_queued - got.begin());
+  std::uint64_t expect = 1;
+  for (const auto& h : got) {
+    if (h.seq != 0) {
+      EXPECT_EQ(h.seq, expect++);
+    }
+  }
+  EXPECT_EQ(expect, k_data + 1);
+  tx->close();
+  rx->close();
+}
+
+// The test plays the passive side of a per_stream_qp connection by hand:
+// after a fallback reconnect the initiator has offered a second QP, and an
+// rc_answer echoing the first (superseded) offer must not splice anything.
+// The answer to the current offer then upgrades, rebind first.
+TEST(StreamAdapter, AnswerEchoingSupersededOfferIsIgnored) {
+  Env env(2);
+  auto a = env.deploy("a", 1, 0);
+  auto b = env.deploy("b", 1, 1);  // no library: the test speaks for b
+  auto& ff = env.freeflow();
+  auto net_a = ff.attach(a->id()).value();
+
+  std::vector<WireHeader> got;      // everything the initiator sent us
+  std::vector<WireHeader> on_qp;    // what arrived on our answered QP
+  std::vector<TcpFallbackChannelPtr> conns;
+  ASSERT_TRUE(ff.fallback_net().listen({b->ip(), 9500}, [&](tcp::TcpConnection::Ptr c) {
+    auto ch = TcpFallbackChannel::make(a->id(), std::move(c));
+    ch->set_on_message([&](Buffer&& m) { got.push_back(WireHeader::decode(m.data())); });
+    conns.push_back(ch);
+  }).is_ok());
+  auto find = [&](VMsg type, std::size_t nth) -> const WireHeader* {
+    for (const auto& h : got) {
+      if (h.type == type && nth-- == 0) return &h;
+    }
+    return nullptr;
+  };
+
+  FlowSocketPtr client;
+  net_a->sock_connect(
+      b->ip(), 9500,
+      [&](Result<FlowSocketPtr> s) {
+        ASSERT_TRUE(s.is_ok()) << s.status();
+        client = *s;
+      },
+      SockPath::per_stream_qp);
+  ASSERT_TRUE(env.wait([&]() { return find(VMsg::sock_connect, 0) != nullptr; }));
+  const std::uint64_t token = find(VMsg::sock_connect, 0)->token;
+  WireHeader accept;
+  accept.type = VMsg::sock_accept;
+  accept.token = token;
+  accept.seq = 1;
+  ASSERT_TRUE(conns[0]->send(core::encode_header(accept)).is_ok());
+
+  ASSERT_TRUE(env.wait([&]() { return find(VMsg::rc_offer, 0) != nullptr; }));
+  const WireHeader offer1 = *find(VMsg::rc_offer, 0);
+  // Break the fallback: the initiator re-dials, rebinds and offers afresh.
+  conns[0]->close();
+  ASSERT_TRUE(env.wait([&]() { return find(VMsg::rc_offer, 1) != nullptr; }));
+  ASSERT_EQ(conns.size(), 2u);
+  EXPECT_NE(find(VMsg::rebind, 0), nullptr);
+  const WireHeader offer2 = *find(VMsg::rc_offer, 1);
+  ASSERT_NE(offer1.id, offer2.id);
+
+  auto& dev_b = ff.agents().agent_on(1).rdma_device();
+  auto answer_with = [&](std::uint64_t offer_qp) {
+    auto qp = RcStreamChannel::make(dev_b, nullptr, a->id());
+    EXPECT_TRUE(qp->connect(0, static_cast<rdma::QpNum>(offer_qp)).is_ok());
+    qp->set_on_message([&](Buffer&& m) { on_qp.push_back(WireHeader::decode(m.data())); });
+    WireHeader answer;
+    answer.type = VMsg::rc_answer;
+    answer.token = token;
+    answer.id = qp->qp_num();
+    answer.offset = 1;
+    answer.mr = static_cast<std::uint32_t>(offer_qp);
+    EXPECT_TRUE(conns[1]->send(core::encode_header(answer)).is_ok());
+    return qp;
+  };
+
+  auto stale = answer_with(offer1.id);
+  env.loop().run_until(env.loop().now() + 2 * k_millisecond);
+  EXPECT_EQ(client->transport(), orch::Transport::tcp_overlay);
+  EXPECT_EQ(upgrades(env), 0u);
+  EXPECT_TRUE(on_qp.empty());
+
+  auto fresh = answer_with(offer2.id);
+  ASSERT_TRUE(env.wait([&]() { return client->transport() == orch::Transport::rdma &&
+                                       !on_qp.empty(); }));
+  EXPECT_EQ(on_qp[0].type, VMsg::rebind);
+  EXPECT_EQ(on_qp[0].token, token);
+  EXPECT_EQ(upgrades(env), 1u);
+  stale->close();
+  fresh->close();
+}
+
+// ------------------------------------------------------ first-message router
+
+// A channel whose first message is a bye (the peer tore its conduit down
+// before it was routed) is acknowledged and dropped, over either carrier.
+TEST(StreamRouter, ByeAsFirstMessageOverAgentIsAcked) {
+  Env env(2);
+  auto p = attach_pair(env, 0, 1);
+  agent::ChannelPtr ch;
+  env.freeflow().agents().agent_on(0).establish(
+      p.a->id(), p.b->id(), orch::Transport::rdma, [&](Result<agent::ChannelPtr> r) {
+        ASSERT_TRUE(r.is_ok()) << r.status();
+        ch = *r;
+      });
+  ASSERT_TRUE(env.wait([&]() { return ch != nullptr; }));
+  std::vector<WireHeader> got;
+  ch->set_on_message([&](Buffer&& m) { got.push_back(WireHeader::decode(m.data())); });
+  WireHeader bye;
+  bye.type = VMsg::bye;
+  bye.token = 4242;
+  ASSERT_TRUE(ch->send(core::encode_header(bye)).is_ok());
+  ASSERT_TRUE(env.wait([&]() { return !got.empty(); }));
+  EXPECT_EQ(got[0].type, VMsg::bye_ack);
+  EXPECT_EQ(got[0].token, 4242u);
+  EXPECT_EQ(p.net_b->conduit_count(), 0u);
+  ch->close();
+}
+
+/// Dials the fallback listener of `p.b` on `port` from `p.a`'s IP, retrying
+/// while the overlay routes of the fresh containers converge.
+TcpFallbackChannelPtr dial_fallback(Env& env, Pair& p, std::uint16_t port) {
+  TcpFallbackChannelPtr ch;
+  for (int attempt = 0; ch == nullptr && attempt < 20; ++attempt) {
+    bool answered = false;
+    env.freeflow().fallback_net().connect(
+        {p.a->ip(), 0}, {p.b->ip(), port}, [&](Result<tcp::TcpConnection::Ptr> r) {
+          answered = true;
+          if (r.is_ok()) ch = TcpFallbackChannel::make(p.b->id(), std::move(r.value()));
+        });
+    EXPECT_TRUE(env.wait([&]() { return answered; }));
+    if (ch == nullptr) env.loop().run_until(env.loop().now() + k_millisecond);
+  }
+  return ch;
+}
+
+TEST(StreamRouter, ByeAsFirstMessageOverFallbackTcpIsAcked) {
+  Env env(2);
+  auto p = attach_pair(env, 0, 1);
+  ASSERT_TRUE(p.net_b->sock_listen(9600, [](FlowSocketPtr) { FAIL(); }).is_ok());
+  auto ch = dial_fallback(env, p, 9600);
+  ASSERT_NE(ch, nullptr);
+  std::vector<WireHeader> got;
+  ch->set_on_message([&](Buffer&& m) { got.push_back(WireHeader::decode(m.data())); });
+  WireHeader bye;
+  bye.type = VMsg::bye;
+  bye.token = 4343;
+  ASSERT_TRUE(ch->send(core::encode_header(bye)).is_ok());
+  ASSERT_TRUE(env.wait([&]() { return !got.empty(); }));
+  EXPECT_EQ(got[0].type, VMsg::bye_ack);
+  EXPECT_EQ(got[0].token, 4343u);
+  EXPECT_EQ(p.net_b->conduit_count(), 0u);
+  ch->close();
+}
+
+// A rebind naming no conduit the receiver knows is refused: the channel is
+// closed under the sender, and nothing is set up.
+TEST(StreamRouter, RebindForUnknownTokenIsRefused) {
+  Env env(2);
+  auto p = attach_pair(env, 0, 1);
+  ASSERT_TRUE(p.net_b->sock_listen(9601, [](FlowSocketPtr) { FAIL(); }).is_ok());
+  auto ch = dial_fallback(env, p, 9601);
+  ASSERT_NE(ch, nullptr);
+  bool refused = false;
+  ch->set_on_failed([&]() { refused = true; });
+  WireHeader rebind;
+  rebind.type = VMsg::rebind;
+  rebind.token = 999;
+  ASSERT_TRUE(ch->send(core::encode_header(rebind)).is_ok());
+  ASSERT_TRUE(env.wait([&]() { return refused; }));
+  EXPECT_EQ(p.net_b->conduit_count(), 0u);
+  ch->close();
 }
 
 // --------------------------------------------------------- determinism
@@ -307,8 +594,8 @@ StreamRun run_scripted(std::uint64_t seed) {
       },
       200 * k_millisecond);
   run.verified = st->verified;
-  run.upgrades = p.net_a->upgrades();
-  run.fallbacks = p.net_a->fallbacks();
+  run.upgrades = upgrades(env);
+  run.fallbacks = fallbacks(env);
   run.corrupt = st->corrupt;
   return run;
 }
