@@ -97,14 +97,13 @@ int main(int argc, char** argv) {
                 600 * k_second));
 
   auto& metrics = env.cluster.telemetry().metrics();
-  // Selector stats are per-agent now: sum over every host's cache.
+  // Misses are per-agent: sum over every host's cache. Rounds are counted
+  // once, cluster-wide, in the registry.
   std::uint64_t selector_misses = 0;
-  std::uint64_t selector_rounds = 0;
   for (int h = 0; h < k_hosts; ++h) {
-    const auto& sel = ff.selector_on(static_cast<fabric::HostId>(h));
-    selector_misses += sel.cache_misses();
-    selector_rounds += sel.rpc_rounds();
+    selector_misses += ff.selector_on(static_cast<fabric::HostId>(h)).cache_misses();
   }
+  const std::uint64_t selector_rounds = metrics.counter_value("selector/decide_rpc_rounds");
 
   std::printf("%8s %10s %12s %12s %12s %12s\n", "flows", "failed", "p50", "p99",
               "p999", "max");

@@ -163,25 +163,12 @@ StormResult run_storm(int shards, const std::vector<Pair>& pairs, bool churn) {
     decide_all(nullptr, &r.ground_truth_mismatches);
   }
 
-  // ---- stats + telemetry cross-check ------------------------------------
-  r.shard_rpcs = ff.control_plane().shard_rpcs();
-  r.cross_shard_forwards = ff.control_plane().cross_shard_forwards();
-  std::uint64_t invalidations = 0;
-  for (int h = 0; h < k_hosts; ++h) {
-    auto& sel = ff.selector_on(static_cast<fabric::HostId>(h));
-    r.cache_evictions += sel.evictions();
-    r.stale_served += sel.stale_served();
-    r.epoch_rejects += sel.epoch_rejects();
-    invalidations += sel.invalidations();
-  }
-  // The registry aggregates what the objects counted — any drift means a
-  // path bumped one side and not the other.
-  FF_CHECK(metrics.counter_value("orch/shard_rpcs") == r.shard_rpcs);
-  FF_CHECK(metrics.counter_value("orch/cross_shard_forwards") == r.cross_shard_forwards);
-  FF_CHECK(metrics.counter_value("selector/cache_evictions") == r.cache_evictions);
-  FF_CHECK(metrics.counter_value("selector/stale_served") == r.stale_served);
-  FF_CHECK(metrics.counter_value("selector/epoch_rejects") == r.epoch_rejects);
-  FF_CHECK(metrics.counter_value("selector/invalidations") == invalidations);
+  // ---- stats: the registry sums every host's selector ------------------
+  r.shard_rpcs = metrics.counter_value("orch/shard_rpcs");
+  r.cross_shard_forwards = metrics.counter_value("orch/cross_shard_forwards");
+  r.cache_evictions = metrics.counter_value("selector/cache_evictions");
+  r.stale_served = metrics.counter_value("selector/stale_served");
+  r.epoch_rejects = metrics.counter_value("selector/epoch_rejects");
   r.telemetry_json = metrics.snapshot_json();
   return r;
 }

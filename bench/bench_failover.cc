@@ -108,15 +108,10 @@ EdgeResult run_edge(const char* label, fabric::NicCapabilities caps,
   r.recovered =
       spin(cluster, [&]() { return client->transport() == from; }, 10 * k_second);
 
-  // Cross-check the telemetry registry against the conduit's own counters:
-  // the snapshot embedded in --json must agree with what the bench measured.
+  // connections() reads the conduits' registry counters, so these sums are
+  // the figures the --json telemetry snapshot carries.
   const auto& metrics = cluster.telemetry().metrics();
   for (const auto& info : rig.net_a->connections()) {
-    const std::string base = "conduit/" + std::to_string(info.token) + "/c" +
-                             std::to_string(rig.a->id()) + "/";
-    FF_CHECK(metrics.counter_value(base + "retransmits") == info.retransmits);
-    FF_CHECK(metrics.counter_value(base + "blackout_ns") ==
-             static_cast<std::uint64_t>(info.blackout_ns));
     r.retransmits += info.retransmits;
     r.conduit_blackout_ms += static_cast<double>(info.blackout_ns) /
                              static_cast<double>(k_millisecond);

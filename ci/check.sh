@@ -21,6 +21,7 @@
 #   8 trace-validate failover + socket-stream traces vs expected timelines
 #   9 perf-gate      ci/perf_gate.py vs the committed baselines
 #  10 tsan-ring      test_shm's SpscRing suite under ThreadSanitizer, 20 repeats
+#  11 coverage       --coverage -O0 build + ctest; never-run src/ lines vs baseline
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -37,7 +38,7 @@ while [[ $# -gt 0 ]]; do
     --stage) only="$2"; shift 2 ;;
     --from)  from="$2"; shift 2 ;;
     --list)  stage_table; exit 0 ;;
-    -h|--help) sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+    -h|--help) sed -n '2,24p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
     *) jobs="$1"; shift ;;
   esac
 done
@@ -175,9 +176,9 @@ stage_bench_smoke() {
 
 stage_trace_validate() {
   # Runs the failover matrix with Chrome-trace export and checks the trace is
-  # well-formed and shows the full kill-rdma recovery timeline. The bench
-  # itself FF_CHECKs that the telemetry snapshot in --json matches its own
-  # per-conduit retransmit/blackout measurements.
+  # well-formed and shows the full kill-rdma recovery timeline. The bench's
+  # retransmit and blackout figures read the conduits' registry counters,
+  # the same ones its --json telemetry snapshot carries.
   ./build/bench/bench_failover --json build/BENCH_failover.json \
     --trace build/TRACE_failover.json
   python3 ci/validate_trace.py build/TRACE_failover.json \
@@ -217,6 +218,25 @@ stage_tsan_ring() {
     --gtest_repeat=20
 }
 
+stage_coverage() {
+  # Line coverage of src/ under the whole ctest suite, in a build of its own
+  # (-O0 so each source line maps to its own code). The report prints every
+  # module's never-run lines and fails if their total grows past
+  # ci/coverage_baseline.json: new code comes with a test that runs it, or
+  # it goes. After deleting dead code or adding tests, lower the baseline
+  # with --write-baseline. Counters update atomically: the SpscRing tests
+  # run real threads, and racy arc counts make gcov misreport lines that
+  # did run.
+  cmake -B build-cov -S . -DFREEFLOW_WERROR=ON -DCMAKE_BUILD_TYPE=Debug \
+    "-DCMAKE_CXX_FLAGS=--coverage -fprofile-update=atomic -O0" \
+    -DCMAKE_EXE_LINKER_FLAGS=--coverage >/dev/null
+  cmake --build build-cov -j "$jobs"
+  # Test discovery runs every test binary at build time: count from zero.
+  find build-cov -name '*.gcda' -delete
+  ctest --test-dir build-cov --output-on-failure -j "$jobs"
+  python3 ci/coverage_report.py build-cov ci/coverage_baseline.json
+}
+
 # ------------------------------------------------------------------ drive
 
 run_stage 1 build          stage_build
@@ -229,6 +249,7 @@ run_stage 7 bench-smoke    stage_bench_smoke
 run_stage 8 trace-validate stage_trace_validate
 run_stage 9 perf-gate      stage_perf_gate
 run_stage 10 tsan-ring     stage_tsan_ring
+run_stage 11 coverage      stage_coverage
 
 write_times
 echo "== all selected stages passed (timings: ci/stage_times.json)"

@@ -807,7 +807,6 @@ void Agent::send_heartbeat(const TrunkKey& key) {
 void Agent::declare_lane_failed(fabric::HostId peer, orch::Transport transport) {
   const TrunkKey key{peer, transport};
   if (!trunks_.contains(key)) return;
-  ++lanes_failed_;
   ctr_lanes_failed_->inc();
   FF_LOG(info, "agent") << host_.name() << ": lane to host " << peer << " over "
                         << orch::transport_name(transport) << " declared dead";

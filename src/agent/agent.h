@@ -92,7 +92,9 @@ class Agent {
   /// endpoint riding it (conduits then fail over), and reports the loss to
   /// the orchestrator. Idempotent once the trunk is gone.
   void declare_lane_failed(fabric::HostId peer, orch::Transport transport);
-  [[nodiscard]] std::uint64_t lanes_failed() const noexcept { return lanes_failed_; }
+  [[nodiscard]] std::uint64_t lanes_failed() const noexcept {
+    return ctr_lanes_failed_->value();
+  }
 
   /// True while a setup (any attempt of it) is in flight for the key.
   [[nodiscard]] bool setup_in_flight(fabric::HostId peer,
@@ -250,20 +252,19 @@ class Agent {
   std::vector<std::shared_ptr<Trunk>> retired_trunks_;
   sim::EventHandle monitor_;
   bool monitor_armed_ = false;
-  std::uint64_t lanes_failed_ = 0;
 
   /// Deterministic per-agent jitter source for retry backoff.
   Rng retry_rng_;
 
   // Telemetry (wired in the ctor from the cluster hub; the registry-owned
   // metrics safely outlive this agent).
-  telemetry::Counter* ctr_heartbeats_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_lanes_failed_ = telemetry::Counter::discard();
-  telemetry::Gauge* gauge_graveyard_ = telemetry::Gauge::discard();
-  telemetry::Counter* ctr_setup_retries_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_setup_races_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_trunks_retired_ = telemetry::Counter::discard();
-  Histogram* hist_setup_latency_ = telemetry::discard_histogram();
+  telemetry::Counter* ctr_heartbeats_ = nullptr;
+  telemetry::Counter* ctr_lanes_failed_ = nullptr;
+  telemetry::Gauge* gauge_graveyard_ = nullptr;
+  telemetry::Counter* ctr_setup_retries_ = nullptr;
+  telemetry::Counter* ctr_setup_races_ = nullptr;
+  telemetry::Counter* ctr_trunks_retired_ = nullptr;
+  Histogram* hist_setup_latency_ = nullptr;
 
   // ---- pause (fault injection) ------------------------------------------
   bool paused_ = false;

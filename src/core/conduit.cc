@@ -15,14 +15,21 @@ std::uint32_t trace_tid(std::uint64_t token) noexcept {
 }
 }  // namespace
 
-void Conduit::set_telemetry(telemetry::Telemetry* hub) {
-  hub_ = hub;
-  if (hub_ == nullptr) return;
+Conduit::Conduit(std::uint64_t token, orch::ContainerId self, orch::ContainerId peer,
+                 tcp::Ipv4Addr peer_ip, std::uint16_t service_port, bool initiator,
+                 telemetry::Telemetry& hub)
+    : token_(token),
+      self_(self),
+      peer_(peer),
+      peer_ip_(peer_ip),
+      service_port_(service_port),
+      initiator_(initiator),
+      tracer_(hub.tracer()) {
   // Both endpoints of a channel share the token, so the metric entity is
   // (token, endpoint container) — "conduit/<token>/c<self>/<metric>".
   const std::string prefix = "conduit/" + std::to_string(token_) + "/c" +
                              std::to_string(self_) + "/";
-  auto& m = hub_->metrics();
+  auto& m = hub.metrics();
   ctr_sent_ = &m.counter(prefix + "sent");
   ctr_received_ = &m.counter(prefix + "received");
   ctr_acks_ = &m.counter(prefix + "acks");
@@ -33,8 +40,7 @@ void Conduit::set_telemetry(telemetry::Telemetry* hub) {
   ctr_blackout_ns_ = &m.counter(prefix + "blackout_ns");
   ctr_blocked_ns_ = &m.counter(prefix + "blocked_ns");
   gauge_retained_ = &m.gauge(prefix + "retained");
-  hub_->tracer().name_thread(self_, trace_tid(token_),
-                             "conduit " + std::to_string(token_));
+  tracer_.name_thread(self_, trace_tid(token_), "conduit " + std::to_string(token_));
 }
 
 void Conduit::send(const WireHeader& header, ByteSpan payload) {
@@ -81,7 +87,6 @@ void Conduit::transmit(std::uint64_t seq, Buffer message) {
 }
 
 void Conduit::put_on_channel(ByteSpan head, ByteSpan body) {
-  ++sent_;
   ctr_sent_->inc();
   const Status s = channel_->send(head, body);
   if (!s.is_ok()) {
@@ -97,7 +102,7 @@ void Conduit::note_window_filled() {
 }
 
 void Conduit::send_control(WireHeader header) {
-  // Unsequenced (seq 0), never retained, not counted in sent_ — protocol
+  // Unsequenced (seq 0), never retained, not counted as sent — protocol
   // overhead, not traffic.
   if (channel_ == nullptr) return;
   header.token = token_;
@@ -143,24 +148,19 @@ void Conduit::attach_channel(agent::ChannelPtr channel) {
     in_blackout_ = false;
     if (loop_ != nullptr) {
       const SimDuration gap = loop_->now() - blackout_started_;
-      blackout_ns_total_ += gap;
       ctr_blackout_ns_->inc(static_cast<std::uint64_t>(gap));
     }
-    if (hub_ != nullptr) {
-      hub_->tracer().instant(
-          "conduit", "rebind", self_, trace_tid(token_),
-          telemetry::Tracer::arg("to", std::string(orch::transport_name(now_on))));
-    }
+    tracer_.instant("conduit", "rebind", self_, trace_tid(token_),
+                    telemetry::Tracer::arg("to", std::string(orch::transport_name(now_on))));
   }
   retransmit_retained();
-  if (recovering && hub_ != nullptr) {
-    hub_->tracer().end("conduit", "failover", self_, trace_tid(token_));
+  if (recovering) {
+    tracer_.end("conduit", "failover", self_, trace_tid(token_));
     // Re-attaching onto a strictly better transport than the one that died
     // is the heal-path re-upgrade (Transport enum orders best-first).
     if (static_cast<int>(now_on) < static_cast<int>(pre_failover_transport_)) {
-      hub_->tracer().instant(
-          "conduit", "re-upgrade", self_, trace_tid(token_),
-          telemetry::Tracer::arg("to", std::string(orch::transport_name(now_on))));
+      tracer_.instant("conduit", "re-upgrade", self_, trace_tid(token_),
+                      telemetry::Tracer::arg("to", std::string(orch::transport_name(now_on))));
     }
   }
   drain();
@@ -223,7 +223,6 @@ void Conduit::handle_message(Buffer&& message) {
     ++rx_next_;
     maybe_ack();
   }
-  ++received_;
   ctr_received_->inc();
   if (on_message_) {
     // Strip the header in place: the payload is handed on, not copied.
@@ -388,7 +387,7 @@ void Conduit::finish_close(CloseReason reason, bool notify_peer) {
   if (in_blackout_) {
     // Close during a failover gap: end the span so B/E stay balanced.
     in_blackout_ = false;
-    if (hub_ != nullptr) hub_->tracer().end("conduit", "failover", self_, trace_tid(token_));
+    tracer_.end("conduit", "failover", self_, trace_tid(token_));
   }
   queue_.clear();
   retained_.clear();
@@ -419,18 +418,14 @@ void Conduit::mark_stale() {
   if (channel_ != nullptr) {
     pre_failover_transport_ = channel_->transport();
     channel_->close();
-    ++rebinds_;
     ctr_rebinds_->inc();
     if (!in_blackout_) {
       in_blackout_ = true;
       blackout_started_ = loop_ != nullptr ? loop_->now() : 0;
-      if (hub_ != nullptr) {
-        hub_->tracer().begin(
-            "conduit", "failover", self_, trace_tid(token_),
-            telemetry::Tracer::arg(
-                "from", std::string(orch::transport_name(pre_failover_transport_))));
-        hub_->tracer().instant("conduit", "mark_stale", self_, trace_tid(token_));
-      }
+      tracer_.begin("conduit", "failover", self_, trace_tid(token_),
+                    telemetry::Tracer::arg(
+                        "from", std::string(orch::transport_name(pre_failover_transport_))));
+      tracer_.instant("conduit", "mark_stale", self_, trace_tid(token_));
     }
   }
   channel_ = nullptr;
@@ -442,13 +437,9 @@ void Conduit::retransmit_retained() {
   // the whole unacked window is safe — and the only way to guarantee the
   // lost tail of the dead lane arrives.
   if (!retained_.empty()) {
-    retransmits_ += retained_.size();
     ctr_retransmits_->inc(retained_.size());
-    if (hub_ != nullptr) {
-      hub_->tracer().instant(
-          "conduit", "retransmit", self_, trace_tid(token_),
-          telemetry::Tracer::arg("count", std::to_string(retained_.size())));
-    }
+    tracer_.instant("conduit", "retransmit", self_, trace_tid(token_),
+                    telemetry::Tracer::arg("count", std::to_string(retained_.size())));
   }
   // Index loop: a reentrant Conduit::send (e.g. an ack-driven on_space_)
   // may push_back into the deque mid-replay, which invalidates iterators.

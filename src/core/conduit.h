@@ -62,14 +62,12 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   using MessageFn = std::function<void(const WireHeader&, Buffer&&)>;
   using ClosedFn = std::function<void(CloseReason)>;
 
+  /// Registers this conduit's counters ("conduit/<token>/c<self>/...") and
+  /// trace row in `hub`, which must outlive it; the accessors below read
+  /// those same counters.
   Conduit(std::uint64_t token, orch::ContainerId self, orch::ContainerId peer,
-          tcp::Ipv4Addr peer_ip, std::uint16_t service_port, bool initiator)
-      : token_(token),
-        self_(self),
-        peer_(peer),
-        peer_ip_(peer_ip),
-        service_port_(service_port),
-        initiator_(initiator) {}
+          tcp::Ipv4Addr peer_ip, std::uint16_t service_port, bool initiator,
+          telemetry::Telemetry& hub);
 
   /// Sends one protocol message; queued while no channel is attached.
   void send(const WireHeader& header, ByteSpan payload = {});
@@ -177,10 +175,6 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   /// this on adoption; bare conduits stay clockless and close synchronously).
   void set_loop(sim::EventLoop* loop) noexcept { loop_ = loop; }
 
-  /// Wires this conduit's counters/spans into the deployment-wide telemetry
-  /// hub (ContainerNet calls this on adoption). Unwired conduits count into
-  /// shared discard sinks — the hot path never branches on telemetry.
-  void set_telemetry(telemetry::Telemetry* hub);
   void set_drain_timeout(SimDuration timeout_ns) noexcept {
     drain_timeout_ns_ = timeout_ns;
   }
@@ -208,13 +202,19 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   [[nodiscard]] std::uint16_t service_port() const noexcept { return service_port_; }
   [[nodiscard]] bool initiator() const noexcept { return initiator_; }
 
-  [[nodiscard]] std::uint64_t messages_sent() const noexcept { return sent_; }
-  [[nodiscard]] std::uint64_t messages_received() const noexcept { return received_; }
-  [[nodiscard]] std::uint64_t rebinds() const noexcept { return rebinds_; }
+  [[nodiscard]] std::uint64_t messages_sent() const noexcept { return ctr_sent_->value(); }
+  [[nodiscard]] std::uint64_t messages_received() const noexcept {
+    return ctr_received_->value();
+  }
+  [[nodiscard]] std::uint64_t rebinds() const noexcept { return ctr_rebinds_->value(); }
   /// Messages replayed from the retained window across all re-attaches.
-  [[nodiscard]] std::uint64_t retransmits() const noexcept { return retransmits_; }
+  [[nodiscard]] std::uint64_t retransmits() const noexcept {
+    return ctr_retransmits_->value();
+  }
   /// Total virtual time spent detached between mark_stale and re-attach.
-  [[nodiscard]] SimDuration blackout_ns() const noexcept { return blackout_ns_total_; }
+  [[nodiscard]] SimDuration blackout_ns() const noexcept {
+    return static_cast<SimDuration>(ctr_blackout_ns_->value());
+  }
   /// Monotonic detach counter: a slow re-bind whose generation no longer
   /// matches must abandon its freshly built channel (a newer re-bind won).
   [[nodiscard]] std::uint64_t generation() const noexcept { return generation_; }
@@ -299,25 +299,20 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   std::uint64_t tx_seq_ = 0;   ///< last assigned outbound sequence
   std::uint64_t rx_next_ = 1;  ///< next expected inbound sequence
   std::uint64_t since_ack_ = 0;
-
-  std::uint64_t sent_ = 0;
-  std::uint64_t received_ = 0;
-  std::uint64_t rebinds_ = 0;
-  std::uint64_t retransmits_ = 0;
   std::uint64_t generation_ = 0;
 
-  // --- telemetry (discard sinks until set_telemetry wires real ones) ---
-  telemetry::Telemetry* hub_ = nullptr;  // tracer + gauges; null = no tracing
-  telemetry::Counter* ctr_sent_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_received_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_acks_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_delayed_acks_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_retransmits_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_rebinds_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_window_full_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_blackout_ns_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_blocked_ns_ = telemetry::Counter::discard();
-  telemetry::Gauge* gauge_retained_ = telemetry::Gauge::discard();
+  // --- telemetry (registered by the constructor) ---
+  telemetry::Tracer& tracer_;
+  telemetry::Counter* ctr_sent_ = nullptr;
+  telemetry::Counter* ctr_received_ = nullptr;
+  telemetry::Counter* ctr_acks_ = nullptr;
+  telemetry::Counter* ctr_delayed_acks_ = nullptr;
+  telemetry::Counter* ctr_retransmits_ = nullptr;
+  telemetry::Counter* ctr_rebinds_ = nullptr;
+  telemetry::Counter* ctr_window_full_ = nullptr;
+  telemetry::Counter* ctr_blackout_ns_ = nullptr;
+  telemetry::Counter* ctr_blocked_ns_ = nullptr;
+  telemetry::Gauge* gauge_retained_ = nullptr;
   /// Transport in use before the current/last failover — a re-attach onto a
   /// strictly better transport is the "re-upgrade" trace marker.
   orch::Transport pre_failover_transport_ = orch::Transport::tcp_overlay;
@@ -328,7 +323,6 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   /// completes so no new sequence can interleave with the replay on the wire.
   bool splicing_ = false;
   SimTime window_full_since_ = 0;
-  SimDuration blackout_ns_total_ = 0;
 
   // --- planned-migration state ---
   /// Transmit-side freeze: sends queue, drain() inhibited, writable() false.

@@ -32,7 +32,6 @@ void ContainerNet::adopt_conduit(const ConduitPtr& conduit) {
   });
   conduit->set_loop(&loop());
   conduit->set_drain_timeout(current_host().cost_model().close_drain_timeout_ns);
-  conduit->set_telemetry(&telemetry());
   // Transport failure (lane declared dead by the agent): the initiator
   // re-decides and splices on a fallback channel; the passive side waits
   // for the initiator's rebind to arrive over the new transport.
@@ -213,7 +212,7 @@ void ContainerNet::connect_qp(tcp::Ipv4Addr peer_ip, std::uint16_t port,
     return;
   }
   auto conduit = std::make_shared<Conduit>(ff_.next_token(), id(), *peer, peer_ip,
-                                           port, /*initiator=*/true);
+                                           port, /*initiator=*/true, telemetry());
   // Owned by conduits_ from the start; the handshake handler below may
   // capture the conduit freely — close() unhooks it, so no cycle survives.
   adopt_conduit(conduit);
@@ -253,7 +252,7 @@ void ContainerNet::sock_connect(tcp::Ipv4Addr peer_ip, std::uint16_t port,
     return;
   }
   auto conduit = std::make_shared<Conduit>(ff_.next_token(), id(), *peer, peer_ip,
-                                           port, /*initiator=*/true);
+                                           port, /*initiator=*/true, telemetry());
   adopt_conduit(conduit);
   auto attached = [this, conduit, port, path,
                    done = std::move(done)](Status st) mutable {
@@ -354,7 +353,7 @@ void ContainerNet::handle_first_message(orch::ContainerId src, agent::Channel* r
       auto c = ff_.orchestrator().cluster_orch().container(src);
       auto conduit = std::make_shared<Conduit>(
           header.token, id(), src, c ? c->ip() : tcp::Ipv4Addr{}, header.port,
-          /*initiator=*/false);
+          /*initiator=*/false, telemetry());
       // The routing tap consumed the peer's first sequenced message.
       conduit->sync_rx(header.seq);
       conduit->attach_channel(std::move(channel));
@@ -379,7 +378,7 @@ void ContainerNet::handle_first_message(orch::ContainerId src, agent::Channel* r
       auto c = ff_.orchestrator().cluster_orch().container(src);
       auto conduit = std::make_shared<Conduit>(
           header.token, id(), src, c ? c->ip() : tcp::Ipv4Addr{}, header.port,
-          /*initiator=*/false);
+          /*initiator=*/false, telemetry());
       // Only the fallback listener hands out tcp_overlay channels: the peer
       // connected on the per_stream_qp path.
       const bool per_stream_qp = channel->transport() == orch::Transport::tcp_overlay;

@@ -40,24 +40,17 @@ void TransportSelector::decide(orch::ContainerId src, orch::ContainerId dst,
   auto it = cache_.find(key);
   if (it != cache_.end()) {
     CacheEntry& e = it->second;
-    if (e.fresh_until < loop_.now()) {
-      erase_entry(it);  // TTL backstop expired: fall through to a miss
-    } else if (e.src_epoch < plane_.epoch(src) || e.dst_epoch < plane_.epoch(dst)) {
-      // Ground-truth audit: the entry is fresh by TTL but its epochs lag —
-      // a flush that should have dropped or re-stamped it never arrived.
-      // Serve as a miss (never the stale answer) and count the escape; the
-      // perf gate holds this at zero.
-      ++stale_served_;
+    if (e.src_epoch < plane_.epoch(src) || e.dst_epoch < plane_.epoch(dst)) {
+      // Ground-truth audit: the entry's epochs lag — a flush that should
+      // have dropped or re-stamped it never arrived. Serve as a miss (never
+      // the stale answer) and count the escape; the perf gate holds this
+      // at zero.
       ctr_stale_served_->inc();
       erase_entry(it);
     } else {
       ++hits_;
       lru_.splice(lru_.begin(), lru_, e.lru);
-      if (e.negative) {
-        loop_.schedule(0, [cb = std::move(cb), s = e.error]() { cb(s); });
-      } else {
-        loop_.schedule(0, [cb = std::move(cb), d = e.decision]() { cb(d); });
-      }
+      loop_.schedule(0, [cb = std::move(cb), d = e.decision]() { cb(d); });
       return;
     }
   }
@@ -85,7 +78,6 @@ void TransportSelector::flush_batch() {
   flush_scheduled_ = false;
   std::vector<PendingQuery> round;
   round.swap(batch_);  // queries arriving during callbacks start a new round
-  ++rounds_;
   ctr_rpc_rounds_->inc();
   if (round.size() > 1) ctr_coalesced_->inc(round.size() - 1);
 
@@ -114,7 +106,6 @@ void TransportSelector::complete(PendingQuery q,
   // and the answer describes a world that no longer exists. Reject it and
   // ride the next batch instead of caching or serving it.
   if (reply.src_epoch < plane_.epoch(q.src) || reply.dst_epoch < plane_.epoch(q.dst)) {
-    ++epoch_rejects_;
     ctr_epoch_rejects_->inc();
     if (q.attempt + 1 < k_max_decide_attempts) {
       ++q.attempt;
@@ -124,17 +115,18 @@ void TransportSelector::complete(PendingQuery q,
     }
     return;
   }
-  store(q, reply);
-  if (reply.error.is_ok()) {
-    q.cb(std::move(reply.decision));
-  } else {
+  if (!reply.error.is_ok()) {
+    // Not cached: the container may be deployed a moment from now, and
+    // nothing would push a flush for an id no cache registered interest in.
     q.cb(std::move(reply.error));
+    return;
   }
+  store(q, reply);
+  q.cb(std::move(reply.decision));
 }
 
 void TransportSelector::store(const PendingQuery& q,
                               const orch::ShardedControlPlane::DecideReply& reply) {
-  const auto& cm = plane_.orchestrator().cluster_orch().cluster().cost_model();
   auto it = cache_.find(q.key);
   if (it == cache_.end()) {
     if (cache_.size() >= capacity_) {
@@ -142,7 +134,6 @@ void TransportSelector::store(const PendingQuery& q,
       auto victim = cache_.find(lru_.back());
       FF_CHECK(victim != cache_.end());
       erase_entry(victim);
-      ++evictions_;
       ctr_evictions_->inc();
     }
     lru_.push_front(q.key);
@@ -154,11 +145,7 @@ void TransportSelector::store(const PendingQuery& q,
     lru_.splice(lru_.begin(), lru_, it->second.lru);
   }
   CacheEntry& e = it->second;
-  e.negative = !reply.error.is_ok();
-  e.error = reply.error;
   e.decision = reply.decision;
-  e.fresh_until = loop_.now() + (e.negative ? cm.negative_decision_ttl_ns
-                                            : cm.location_cache_ttl_ns);
   e.src_epoch = reply.src_epoch;
   e.dst_epoch = reply.dst_epoch;
 }
@@ -172,7 +159,6 @@ void TransportSelector::invalidate(orch::ContainerId container) {
     auto it = cache_.find(key);
     if (it == cache_.end()) continue;
     erase_entry(it);
-    ++invalidations_;
     ctr_invalidations_->inc();
   }
 }
@@ -186,13 +172,8 @@ void TransportSelector::on_flush(orch::ContainerId container,
     auto it = cache_.find(key);
     if (it == cache_.end()) continue;
     CacheEntry& e = it->second;
-    // Negative entries carry no transport to mask on; any event involving
-    // the container (it may exist now) invalidates them.
-    const bool drop = e.negative ||
-                      (orch::transport_bit(e.decision.transport) & drop_mask) != 0;
-    if (drop) {
+    if ((orch::transport_bit(e.decision.transport) & drop_mask) != 0) {
       erase_entry(it);
-      ++invalidations_;
       ctr_invalidations_->inc();
     } else {
       // Provably unaffected by this event (e.g. a co-located shm pair

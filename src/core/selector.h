@@ -6,19 +6,25 @@
 //
 // Misses are batched per home shard: every query that arrives within one
 // coalescing window rides the same batched RPC instead of paying its own.
-// Negative answers (unknown container) are cached briefly too, so retry
-// loops don't hammer the shards. The cache is bounded: beyond capacity the
-// least-recently-used entry is evicted.
+// Only answers are cached: an unknown-container error is returned to the
+// caller but never stored, so a deploy right after it is seen at once. The
+// cache is bounded: beyond capacity the least-recently-used entry is
+// evicted.
 //
-// Invalidation is push-based and precise. The plane tracks which selectors
+// Coherence is push-only and precise. The plane tracks which selectors
 // hold entries involving each container (the selector registers interest
 // as entries appear and drops it when the last one dies); fault reports,
-// NIC-health transitions and migrations push epoch-bumped flushes that
-// drop exactly the affected entries via a per-container reverse index —
-// a co-located shm pair survives its host's RDMA engine dying. TTL expiry
-// remains only as a backstop; the `selector/stale_served` counter audits
-// every hit against ground-truth epochs and the perf gate holds it at
-// zero, proving the push plumbing (not the TTL) keeps caches coherent.
+// NIC-health transitions, trust changes and migrations push epoch-bumped
+// flushes that drop exactly the affected entries via a per-container
+// reverse index — a co-located shm pair survives its host's RDMA engine
+// dying. An entry therefore lives until a flush, an LRU eviction or a
+// failed hit-time audit: every hit is checked against ground-truth epochs,
+// and an entry whose epochs lag is served as a miss and counted in
+// `selector/stale_served`, which the perf gate holds at zero.
+//
+// The selector's round, eviction, invalidation, audit and epoch-reject
+// counts live only in the registry ("selector/*", summed over every
+// host's selector); hits and misses are per-selector members.
 #pragma once
 
 #include <cstdint>
@@ -66,17 +72,6 @@ class TransportSelector final : public orch::DecisionCacheClient {
 
   [[nodiscard]] std::uint64_t cache_hits() const noexcept { return hits_; }
   [[nodiscard]] std::uint64_t cache_misses() const noexcept { return misses_; }
-  /// Shard round-trips actually paid (<= cache_misses() under storms).
-  [[nodiscard]] std::uint64_t rpc_rounds() const noexcept { return rounds_; }
-  [[nodiscard]] std::uint64_t evictions() const noexcept { return evictions_; }
-  /// Entries dropped by invalidate()/flush pushes.
-  [[nodiscard]] std::uint64_t invalidations() const noexcept { return invalidations_; }
-  /// Fresh-by-TTL hits whose epochs lagged ground truth — a flush that
-  /// should have arrived didn't. Served as a miss instead; the perf gate
-  /// holds this at zero.
-  [[nodiscard]] std::uint64_t stale_served() const noexcept { return stale_served_; }
-  /// In-flight replies rejected because an epoch bump overtook them.
-  [[nodiscard]] std::uint64_t epoch_rejects() const noexcept { return epoch_rejects_; }
 
  private:
   /// Epoch-reject retry budget: a query that keeps racing container events
@@ -86,9 +81,6 @@ class TransportSelector final : public orch::DecisionCacheClient {
 
   struct CacheEntry {
     orch::TransportDecision decision;
-    Status error;         ///< negative-cache payload (negative == true)
-    bool negative = false;
-    SimTime fresh_until = 0;
     orch::DecisionEpoch src_epoch = 0;
     orch::DecisionEpoch dst_epoch = 0;
     std::list<std::uint64_t>::iterator lru;
@@ -129,19 +121,17 @@ class TransportSelector final : public orch::DecisionCacheClient {
 
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t rounds_ = 0;
-  std::uint64_t evictions_ = 0;
-  std::uint64_t invalidations_ = 0;
-  std::uint64_t stale_served_ = 0;
-  std::uint64_t epoch_rejects_ = 0;
 
   // Registry-shared counters (aggregated across the per-agent selectors).
-  telemetry::Counter* ctr_rpc_rounds_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_coalesced_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_invalidations_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_stale_served_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_evictions_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_epoch_rejects_ = telemetry::Counter::discard();
+  telemetry::Counter* ctr_rpc_rounds_ = nullptr;
+  telemetry::Counter* ctr_coalesced_ = nullptr;
+  telemetry::Counter* ctr_invalidations_ = nullptr;
+  /// Hits whose epochs lagged ground truth — a flush that should have
+  /// arrived didn't. Served as a miss instead.
+  telemetry::Counter* ctr_stale_served_ = nullptr;
+  telemetry::Counter* ctr_evictions_ = nullptr;
+  /// In-flight replies rejected because an epoch bump overtook them.
+  telemetry::Counter* ctr_epoch_rejects_ = nullptr;
 
   /// Guard for replies scheduled on the loop outliving this selector.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

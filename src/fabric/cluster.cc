@@ -9,10 +9,9 @@ Cluster::Cluster(sim::CostModel model)
 
 Host& Cluster::add_host(const std::string& name, NicCapabilities nic_caps) {
   const auto id = static_cast<HostId>(hosts_.size());
-  hosts_.push_back(std::make_unique<Host>(loop_, model_, id, name, nic_caps));
+  hosts_.push_back(std::make_unique<Host>(loop_, model_, id, name, nic_caps, telemetry_));
   Host& host = *hosts_.back();
   host.nic().attach(&switch_);
-  host.nic().set_telemetry(&telemetry_);
   switch_.connect(id, &host.nic());
   return host;
 }

@@ -18,7 +18,7 @@ namespace freeflow::fabric {
 class Host {
  public:
   Host(sim::EventLoop& loop, const sim::CostModel& model, HostId id,
-       std::string name, NicCapabilities nic_caps);
+       std::string name, NicCapabilities nic_caps, telemetry::Telemetry& hub);
 
   Host(const Host&) = delete;
   Host& operator=(const Host&) = delete;

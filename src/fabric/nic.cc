@@ -9,41 +9,25 @@
 namespace freeflow::fabric {
 
 Nic::Nic(sim::EventLoop& loop, const sim::CostModel& model, HostId host,
-         NicCapabilities caps)
+         NicCapabilities caps, telemetry::Telemetry& hub)
     : loop_(loop),
       model_(model),
       host_(host),
       caps_(caps),
       processor_(loop, "nic_proc", model.nic_proc_rate, 1),
-      tx_link_(loop, "nic_tx", caps.line_rate_gbps * 1e9 / 8.0, 1) {
-  ctr_tx_bytes_.fill(telemetry::Counter::discard());
-  ctr_rx_bytes_.fill(telemetry::Counter::discard());
-  ctr_drops_.fill(telemetry::Counter::discard());
-}
-
-void Nic::set_telemetry(telemetry::Telemetry* hub) {
-  if (hub == nullptr) return;
-  hub_ = hub;
-  auto& m = hub->metrics();
+      tx_link_(loop, "nic_tx", caps.line_rate_gbps * 1e9 / 8.0, 1),
+      metrics_(hub.metrics()) {
   const std::string prefix = "nic/" + std::to_string(host_) + "/";
   for (std::size_t k = 0; k < k_packet_kinds; ++k) {
     const char* kind = packet_kind_name(static_cast<PacketKind>(k));
-    ctr_tx_bytes_[k] = &m.counter(prefix + "tx_bytes/" + kind);
-    ctr_rx_bytes_[k] = &m.counter(prefix + "rx_bytes/" + kind);
-    ctr_drops_[k] = &m.counter(prefix + "drops/" + kind);
-  }
-  // Tenants seen before the hub was wired pick up real sinks now; tenants
-  // seen later wire themselves lazily in tenant_queue().
-  for (auto& [tenant, tq] : tenants_) {
-    const std::string tprefix = prefix + "tenant/" + std::to_string(tenant) + "/";
-    tq.ctr_tx_bytes = &m.counter(tprefix + "tx_bytes");
-    tq.g_queue_depth = &m.gauge(tprefix + "queue_depth");
-    tq.g_deficit = &m.gauge(tprefix + "sched_deficit");
+    ctr_tx_bytes_[k] = &metrics_.counter(prefix + "tx_bytes/" + kind);
+    ctr_rx_bytes_[k] = &metrics_.counter(prefix + "rx_bytes/" + kind);
+    ctr_drops_[k] = &metrics_.counter(prefix + "drops/" + kind);
   }
   // Sampled at snapshot time: fraction of the tx link's total capacity used
   // since t=0. The NIC outlives the registry's export calls (both die with
   // the cluster), so capturing `this` is safe.
-  m.register_probe(prefix + "tx_utilization", [this]() {
+  metrics_.register_probe(prefix + "tx_utilization", [this]() {
     const double now = static_cast<double>(loop_.now());
     return now <= 0 ? 0.0 : tx_link_.busy_ns_total() / now;
   });
@@ -62,7 +46,6 @@ bool Nic::would_drop(PacketKind kind) const noexcept {
 }
 
 void Nic::drop(PacketKind kind) {
-  ++dropped_packets_;
   ctr_drops_[static_cast<std::size_t>(kind)]->inc();
   if (on_drop_) on_drop_(kind);
 }
@@ -71,14 +54,11 @@ Nic::TenantQueue& Nic::tenant_queue(std::uint32_t tenant) {
   auto it = tenants_.find(tenant);
   if (it != tenants_.end()) return it->second;
   TenantQueue& tq = tenants_[tenant];
-  if (hub_ != nullptr) {
-    auto& m = hub_->metrics();
-    const std::string prefix = "nic/" + std::to_string(host_) + "/tenant/" +
-                               std::to_string(tenant) + "/";
-    tq.ctr_tx_bytes = &m.counter(prefix + "tx_bytes");
-    tq.g_queue_depth = &m.gauge(prefix + "queue_depth");
-    tq.g_deficit = &m.gauge(prefix + "sched_deficit");
-  }
+  const std::string prefix = "nic/" + std::to_string(host_) + "/tenant/" +
+                             std::to_string(tenant) + "/";
+  tq.ctr_tx_bytes = &metrics_.counter(prefix + "tx_bytes");
+  tq.g_queue_depth = &metrics_.gauge(prefix + "queue_depth");
+  tq.g_deficit = &metrics_.gauge(prefix + "sched_deficit");
   return tq;
 }
 
@@ -95,7 +75,7 @@ void Nic::set_tenant_qos(std::uint32_t tenant, TenantQos qos) {
 
 std::uint64_t Nic::tenant_tx_bytes(std::uint32_t tenant) const noexcept {
   auto it = tenants_.find(tenant);
-  return it == tenants_.end() ? 0 : it->second.tx_bytes;
+  return it == tenants_.end() ? 0 : it->second.ctr_tx_bytes->value();
 }
 
 std::size_t Nic::tenant_queue_depth(std::uint32_t tenant) const noexcept {
@@ -123,7 +103,6 @@ void Nic::send(PacketPtr packet) {
     return;
   }
   ++tx_packets_;
-  tx_bytes_ += packet->wire_bytes;
   ctr_tx_bytes_[static_cast<std::size_t>(packet->kind)]->inc(packet->wire_bytes);
 
   TenantQueue& tq = tenant_queue(packet->tenant);
@@ -190,7 +169,6 @@ void Nic::dispatch_next() {
     tq.q.pop_front();
     tq.deficit -= packet->wire_bytes;
     if (tq.qos.rate_bps > 0) tq.tokens -= packet->wire_bytes;
-    tq.tx_bytes += packet->wire_bytes;
     tq.ctr_tx_bytes->inc(packet->wire_bytes);
     tq.g_queue_depth->set(static_cast<std::int64_t>(tq.q.size()));
     if (tq.q.empty()) {
@@ -249,7 +227,6 @@ void Nic::deliver(PacketPtr packet) {
     return;
   }
   ++rx_packets_;
-  rx_bytes_ += packet->wire_bytes;
   ctr_rx_bytes_[static_cast<std::size_t>(packet->kind)]->inc(packet->wire_bytes);
   auto& handler = rx_handlers_[static_cast<std::size_t>(packet->kind)];
   if (handler) {

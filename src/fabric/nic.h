@@ -56,8 +56,11 @@ struct TenantQos {
 
 class Nic {
  public:
+  /// Registers the per-PacketKind byte/drop counters and a tx-utilization
+  /// probe ("nic/<host>/...") in `hub`, and the per-tenant series as tenants
+  /// appear. The hub must outlive the NIC (both die with the cluster).
   Nic(sim::EventLoop& loop, const sim::CostModel& model, HostId host,
-      NicCapabilities caps);
+      NicCapabilities caps, telemetry::Telemetry& hub);
 
   Nic(const Nic&) = delete;
   Nic& operator=(const Nic&) = delete;
@@ -82,7 +85,8 @@ class Nic {
   /// this as its send-error signal for instant lane-failure detection.
   void set_on_drop(std::function<void(PacketKind)> cb) { on_drop_ = std::move(cb); }
 
-  [[nodiscard]] std::uint64_t dropped_packets() const noexcept { return dropped_packets_; }
+  /// Packets dropped tx- or rx-side, all kinds.
+  [[nodiscard]] std::uint64_t dropped_packets() const noexcept { return sum(ctr_drops_); }
 
   /// The on-NIC processor; the RDMA engine charges per-packet work here.
   [[nodiscard]] sim::Resource& processor() noexcept { return processor_; }
@@ -118,13 +122,8 @@ class Nic {
 
   [[nodiscard]] std::uint64_t tx_packets() const noexcept { return tx_packets_; }
   [[nodiscard]] std::uint64_t rx_packets() const noexcept { return rx_packets_; }
-  [[nodiscard]] std::uint64_t tx_bytes() const noexcept { return tx_bytes_; }
-  [[nodiscard]] std::uint64_t rx_bytes() const noexcept { return rx_bytes_; }
-
-  /// Wires per-PacketKind byte/drop counters and a tx-utilization probe into
-  /// the deployment hub ("nic/<host>/..."). Cluster::add_host calls this;
-  /// the NIC lives as long as the cluster, so the probe capture is safe.
-  void set_telemetry(telemetry::Telemetry* hub);
+  [[nodiscard]] std::uint64_t tx_bytes() const noexcept { return sum(ctr_tx_bytes_); }
+  [[nodiscard]] std::uint64_t rx_bytes() const noexcept { return sum(ctr_rx_bytes_); }
 
  private:
   /// DRR quantum per unit of weight, in bytes. Small enough that a weight-8
@@ -141,11 +140,17 @@ class Nic {
     bool charged = false;  ///< deficit already grew this rotation
     double tokens = 0.0;   ///< rate-cap token bucket, in bytes
     SimTime tokens_at = 0;
-    std::uint64_t tx_bytes = 0;
-    telemetry::Counter* ctr_tx_bytes = telemetry::Counter::discard();
-    telemetry::Gauge* g_queue_depth = telemetry::Gauge::discard();
-    telemetry::Gauge* g_deficit = telemetry::Gauge::discard();
+    telemetry::Counter* ctr_tx_bytes = nullptr;
+    telemetry::Gauge* g_queue_depth = nullptr;
+    telemetry::Gauge* g_deficit = nullptr;
   };
+  using KindCounters = std::array<telemetry::Counter*, k_packet_kinds>;
+
+  [[nodiscard]] static std::uint64_t sum(const KindCounters& counters) noexcept {
+    std::uint64_t total = 0;
+    for (const telemetry::Counter* c : counters) total += c->value();
+    return total;
+  }
 
   sim::EventLoop& loop_;
   const sim::CostModel& model_;
@@ -174,18 +179,15 @@ class Nic {
   std::deque<TenantQueue*> active_;
   bool tx_busy_ = false;
   bool retry_armed_ = false;
-  telemetry::Telemetry* hub_ = nullptr;
+  telemetry::MetricRegistry& metrics_;
 
   std::uint64_t tx_packets_ = 0;
   std::uint64_t rx_packets_ = 0;
-  std::uint64_t tx_bytes_ = 0;
-  std::uint64_t rx_bytes_ = 0;
-  std::uint64_t dropped_packets_ = 0;
 
-  // Per-PacketKind telemetry (discard sinks until set_telemetry wires them).
-  std::array<telemetry::Counter*, k_packet_kinds> ctr_tx_bytes_{};
-  std::array<telemetry::Counter*, k_packet_kinds> ctr_rx_bytes_{};
-  std::array<telemetry::Counter*, k_packet_kinds> ctr_drops_{};
+  // Per-PacketKind telemetry, registered by the constructor.
+  KindCounters ctr_tx_bytes_{};
+  KindCounters ctr_rx_bytes_{};
+  KindCounters ctr_drops_{};
 };
 
 }  // namespace freeflow::fabric

@@ -254,7 +254,6 @@ void MigrationCoordinator::migrate(orch::ContainerId id, fabric::HostId dst,
       if (mit == moves_.end()) return;
       if (!drained) {
         mit->second.drained = false;
-        ++quiesce_timeouts_;
         ctr_quiesce_timeouts_->inc();
         FF_LOG(warn, "migration")
             << "quiesce deadline expired for container " << id
@@ -417,7 +416,6 @@ void MigrationCoordinator::finish(orch::ContainerId id) {
     case core::MigrationReason::path_partition: ctr_partition_->inc(); break;
     default: ctr_planned_->inc(); break;
   }
-  ++completed_;
   telemetry().tracer().end("migration", "migration", 0,
                            static_cast<std::uint32_t>(id));
   ff_.note_planned_migration(id, false);

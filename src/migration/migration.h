@@ -112,11 +112,13 @@ class MigrationCoordinator {
   [[nodiscard]] bool in_flight(orch::ContainerId id) const {
     return moves_.contains(id);
   }
+  /// Completed moves of every reason: the "migration/{planned,
+  /// proactive_degrade,proactive_partition}" counters summed.
   [[nodiscard]] std::uint64_t migrations_completed() const noexcept {
-    return completed_;
+    return ctr_planned_->value() + ctr_degrade_->value() + ctr_partition_->value();
   }
   [[nodiscard]] std::uint64_t quiesce_timeouts() const noexcept {
-    return quiesce_timeouts_;
+    return ctr_quiesce_timeouts_->value();
   }
   [[nodiscard]] const MigrationConfig& config() const noexcept { return config_; }
 
@@ -162,15 +164,13 @@ class MigrationCoordinator {
   core::FreeFlow& ff_;
   MigrationConfig config_;
   std::unordered_map<orch::ContainerId, Move> moves_;
-  std::uint64_t completed_ = 0;
-  std::uint64_t quiesce_timeouts_ = 0;
 
-  telemetry::Counter* ctr_planned_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_degrade_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_partition_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_image_bytes_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_quiesce_timeouts_ = telemetry::Counter::discard();
-  Histogram* hist_blackout_ = telemetry::discard_histogram();
+  telemetry::Counter* ctr_planned_ = nullptr;
+  telemetry::Counter* ctr_degrade_ = nullptr;
+  telemetry::Counter* ctr_partition_ = nullptr;
+  telemetry::Counter* ctr_image_bytes_ = nullptr;
+  telemetry::Counter* ctr_quiesce_timeouts_ = nullptr;
+  Histogram* hist_blackout_ = nullptr;
 
   /// Orchestrator subscriptions can outlive this coordinator.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

@@ -84,7 +84,6 @@ void ShardedControlPlane::decide_batch(fabric::HostId origin,
   const auto& cm = orch_.cluster_orch().cluster().cost_model();
   const int home = shard_of_host(origin);
   Shard& shard = shards_[static_cast<std::size_t>(home)];
-  ++rpcs_;
   ctr_rpcs_->inc();
 
   // Service cost, computed at enqueue so later arrivals queue behind it:
@@ -108,9 +107,7 @@ void ShardedControlPlane::decide_batch(fabric::HostId origin,
   for (std::uint32_t bits = peer_shards; bits != 0; bits &= bits - 1) {
     cost += cm.cross_shard_forward_ns;
   }
-  forwards_ += forwarded;
   ctr_forwards_->inc(forwarded);
-  served_ += requests.size();
   ctr_decisions_->inc(requests.size());
 
   const SimDuration one_way = cm.orchestrator_rpc_ns / 2;
@@ -178,14 +175,12 @@ void ShardedControlPlane::flush_host(fabric::HostId host, std::uint8_t drop_mask
 void ShardedControlPlane::bump_and_flush(ContainerId container,
                                          std::uint8_t drop_mask) {
   const DecisionEpoch e = ++epochs_[container];
-  ++bumps_;
   ctr_bumps_->inc();
   auto it = holders_.find(container);
   if (it == holders_.end()) return;
   // Snapshot: a flushed cache whose last entry for the container dies will
   // drop_interest() reentrantly.
   std::vector<DecisionCacheClient*> snapshot = it->second;
-  flushes_ += snapshot.size();
   ctr_flushes_->inc(snapshot.size());
   for (DecisionCacheClient* cache : snapshot) {
     cache->on_flush(container, e, drop_mask);

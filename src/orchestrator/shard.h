@@ -68,8 +68,8 @@ class ShardedControlPlane {
     ContainerId src = 0;
     ContainerId dst = 0;
   };
-  /// One answered decision. `error` carries negative answers (unknown
-  /// container) so caches can negative-cache them; epochs are sampled at
+  /// One answered decision. `error` carries an unknown-container answer,
+  /// which caches return but never store; epochs are sampled at
   /// shard service time, NOT delivery time — the gap is exactly what the
   /// cache's epoch check closes.
   struct DecideReply {
@@ -119,12 +119,18 @@ class ShardedControlPlane {
     bump_and_flush(container, k_drop_all);
   }
 
-  // ---- introspection ----------------------------------------------------
-  [[nodiscard]] std::uint64_t shard_rpcs() const noexcept { return rpcs_; }
-  [[nodiscard]] std::uint64_t decisions_served() const noexcept { return served_; }
-  [[nodiscard]] std::uint64_t cross_shard_forwards() const noexcept { return forwards_; }
-  [[nodiscard]] std::uint64_t epoch_bumps() const noexcept { return bumps_; }
-  [[nodiscard]] std::uint64_t flushes_pushed() const noexcept { return flushes_; }
+  // ---- introspection (the "orch/*" registry counters) ------------------
+  [[nodiscard]] std::uint64_t shard_rpcs() const noexcept { return ctr_rpcs_->value(); }
+  [[nodiscard]] std::uint64_t decisions_served() const noexcept {
+    return ctr_decisions_->value();
+  }
+  [[nodiscard]] std::uint64_t cross_shard_forwards() const noexcept {
+    return ctr_forwards_->value();
+  }
+  [[nodiscard]] std::uint64_t epoch_bumps() const noexcept { return ctr_bumps_->value(); }
+  [[nodiscard]] std::uint64_t flushes_pushed() const noexcept {
+    return ctr_flushes_->value();
+  }
 
   [[nodiscard]] NetworkOrchestrator& orchestrator() noexcept { return orch_; }
 
@@ -149,16 +155,11 @@ class ShardedControlPlane {
   /// entry's holders are the agents of the two endpoints' hosts.
   std::unordered_map<ContainerId, std::vector<DecisionCacheClient*>> holders_;
 
-  std::uint64_t rpcs_ = 0;
-  std::uint64_t served_ = 0;
-  std::uint64_t forwards_ = 0;
-  std::uint64_t bumps_ = 0;
-  std::uint64_t flushes_ = 0;
-  telemetry::Counter* ctr_rpcs_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_decisions_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_forwards_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_bumps_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_flushes_ = telemetry::Counter::discard();
+  telemetry::Counter* ctr_rpcs_ = nullptr;
+  telemetry::Counter* ctr_decisions_ = nullptr;
+  telemetry::Counter* ctr_forwards_ = nullptr;
+  telemetry::Counter* ctr_bumps_ = nullptr;
+  telemetry::Counter* ctr_flushes_ = nullptr;
 
   /// The orchestrator (and its subscriber lists) can outlive this plane;
   /// subscriptions and scheduled service events guard on this token.

@@ -94,7 +94,6 @@ struct CostModel {
 
   // ---- FreeFlow control plane ------------------------------------------
   SimDuration orchestrator_rpc_ns = 50 * k_microsecond;  ///< location query RTT
-  SimDuration location_cache_ttl_ns = 500 * k_millisecond;
   /// Library-side miss coalescing: decide() misses arriving within one
   /// window ride the same batched RPC to the home shard.
   SimDuration decide_batch_window_ns = 10 * k_microsecond;
@@ -105,9 +104,6 @@ struct CostModel {
   SimDuration orchestrator_batch_fixed_ns = 5 * k_microsecond;
   SimDuration orchestrator_decide_service_ns = 100;
   SimDuration cross_shard_forward_ns = 2 * k_microsecond;
-  /// Negative decide answers (unknown container) are cached this long so
-  /// retry loops don't hammer the shards.
-  SimDuration negative_decision_ttl_ns = 10 * k_millisecond;
 
   // ---- Fault tolerance --------------------------------------------------
   /// Fabric telemetry latency: time from a NIC fault to the orchestrator's

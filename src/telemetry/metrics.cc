@@ -3,12 +3,9 @@
 #include <cinttypes>
 #include <cstdio>
 
-namespace freeflow::telemetry {
+#include "telemetry/json.h"
 
-Histogram* discard_histogram() noexcept {
-  static Histogram sink;
-  return &sink;
-}
+namespace freeflow::telemetry {
 
 Counter& MetricRegistry::counter(const std::string& name) {
   auto it = counters_.find(name);
@@ -65,15 +62,6 @@ std::uint64_t MetricRegistry::counter_value(const std::string& name) const {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-
 void append_double(std::string& out, double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.6g", v);
@@ -90,7 +78,7 @@ std::string MetricRegistry::snapshot_json() const {
   for (const auto& [name, c] : counters_) {
     if (!first) out += ',';
     first = false;
-    append_escaped(out, name);
+    append_json_string(out, name);
     out += ':';
     char buf[32];
     std::snprintf(buf, sizeof buf, "%" PRIu64, c->value());
@@ -101,7 +89,7 @@ std::string MetricRegistry::snapshot_json() const {
   for (const auto& [name, g] : gauges_) {
     if (!first) out += ',';
     first = false;
-    append_escaped(out, name);
+    append_json_string(out, name);
     out += ':';
     char buf[32];
     std::snprintf(buf, sizeof buf, "%" PRId64, g->value());
@@ -110,7 +98,7 @@ std::string MetricRegistry::snapshot_json() const {
   for (const auto& [name, fn] : probes_) {
     if (!first) out += ',';
     first = false;
-    append_escaped(out, name);
+    append_json_string(out, name);
     out += ':';
     append_double(out, fn());
   }
@@ -119,7 +107,7 @@ std::string MetricRegistry::snapshot_json() const {
   for (const auto& [name, h] : histograms_) {
     if (!first) out += ',';
     first = false;
-    append_escaped(out, name);
+    append_json_string(out, name);
     char buf[256];
     std::snprintf(buf, sizeof buf,
                   ":{\"count\":%" PRIu64 ",\"min\":%" PRId64 ",\"max\":%" PRId64

@@ -2,8 +2,8 @@
 // by entity ("conduit/7/retransmits", "nic/0/drops/rdma_chunk"). The
 // registry hands out stable pointers, so instrumented hot paths pay one
 // pointer-chase and one increment — no name lookup, no allocation, no
-// branch on "is telemetry on" (unwired objects point at a shared discard
-// sink instead of carrying null checks).
+// branch on "is telemetry on": every instrumented object takes the hub at
+// construction, and its accessors read the same counters back.
 //
 // Snapshots are deterministic: names are kept sorted, values depend only on
 // simulation history, so two seeded runs export byte-identical JSON.
@@ -26,14 +26,6 @@ class Counter {
   void inc(std::uint64_t n = 1) noexcept { value_ += n; }
   [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
 
-  /// Shared sink for instrumented objects that were never wired to a
-  /// registry (bare conduits in unit tests): increments land nowhere
-  /// observable, and the hot path stays branch-free.
-  static Counter* discard() noexcept {
-    static Counter sink;
-    return &sink;
-  }
-
  private:
   std::uint64_t value_ = 0;
 };
@@ -45,17 +37,9 @@ class Gauge {
   void add(std::int64_t d) noexcept { value_ += d; }
   [[nodiscard]] std::int64_t value() const noexcept { return value_; }
 
-  static Gauge* discard() noexcept {
-    static Gauge sink;
-    return &sink;
-  }
-
  private:
   std::int64_t value_ = 0;
 };
-
-/// Shared discard histogram (see Counter::discard).
-Histogram* discard_histogram() noexcept;
 
 /// Owns every metric of one simulated deployment. Lookup-or-create by name;
 /// returned pointers are stable for the registry's lifetime (deque

@@ -1,7 +1,8 @@
 // Telemetry hub: one MetricRegistry + one Tracer per simulated deployment,
-// owned by fabric::Cluster so every layer that can reach the cluster
-// (orchestrator, agents, conduits via their agent fabric, NICs) shares the
-// same sink. Entity naming scheme (DESIGN.md §10):
+// owned by fabric::Cluster. Every instrumented object (NICs, conduits,
+// agents, selectors, the control plane) registers its series here at
+// construction, and the registry is the only place those counts live.
+// Entity naming scheme, every family listed in DESIGN.md §10:
 //   conduit/<token>/c<container>/<metric>   nic/<host>/<metric>[/<packet-kind>]
 //   agent/<host>/<metric>                   orchestrator/<metric>
 // (both endpoints of a channel share the token, hence the container leg)

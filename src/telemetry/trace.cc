@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "telemetry/json.h"
+
 namespace freeflow::telemetry {
 
 void Tracer::push(char ph, const std::string& cat, const std::string& name,
@@ -41,24 +43,11 @@ void Tracer::name_thread(std::uint32_t pid, std::uint32_t tid, const std::string
   push('M', "__metadata", "thread_name", pid, tid, arg("name", name));
 }
 
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-
-}  // namespace
-
 std::string Tracer::arg(const std::string& key, const std::string& value) {
   std::string out = "{";
-  append_escaped(out, key);
+  append_json_string(out, key);
   out += ':';
-  append_escaped(out, value);
+  append_json_string(out, value);
   out += '}';
   return out;
 }
@@ -70,9 +59,9 @@ std::string Tracer::export_json() const {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":";
-    append_escaped(out, ev.name);
+    append_json_string(out, ev.name);
     out += ",\"cat\":";
-    append_escaped(out, ev.cat);
+    append_json_string(out, ev.cat);
     char buf[128];
     // ts is microseconds in the trace format; the sim clock is ns, so emit
     // three fixed decimals to keep nanosecond resolution losslessly.

@@ -246,7 +246,6 @@ void Gateway::scale_tick() {
     core::ContainerNetPtr fresh = spawn_();
     if (fresh != nullptr) {
       add_backend(std::move(fresh));
-      ++scale_ups_;
       ctr_scale_ups_->inc();
       FF_LOG(info, "gateway") << net_->name() << " scaled up to "
                               << pool_size() << " backends";
@@ -260,7 +259,6 @@ void Gateway::scale_tick() {
     }
     if (victim != nullptr) {
       victim->draining = true;
-      ++scale_downs_;
       ctr_scale_downs_->inc();
       FF_LOG(info, "gateway") << net_->name() << " draining backend "
                               << victim->net->name();

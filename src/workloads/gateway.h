@@ -99,8 +99,10 @@ class Gateway {
   [[nodiscard]] std::uint64_t responses_relayed() const noexcept {
     return responses_relayed_;
   }
-  [[nodiscard]] std::uint64_t scale_ups() const noexcept { return scale_ups_; }
-  [[nodiscard]] std::uint64_t scale_downs() const noexcept { return scale_downs_; }
+  [[nodiscard]] std::uint64_t scale_ups() const noexcept { return ctr_scale_ups_->value(); }
+  [[nodiscard]] std::uint64_t scale_downs() const noexcept {
+    return ctr_scale_downs_->value();
+  }
 
  private:
   /// One pooled backend as the gateway sees it.
@@ -144,12 +146,10 @@ class Gateway {
   std::uint64_t flows_routed_ = 0;
   std::uint64_t requests_routed_ = 0;
   std::uint64_t responses_relayed_ = 0;
-  std::uint64_t scale_ups_ = 0;
-  std::uint64_t scale_downs_ = 0;
-  telemetry::Gauge* g_pool_ = telemetry::Gauge::discard();
-  telemetry::Gauge* g_queue_depth_ = telemetry::Gauge::discard();
-  telemetry::Counter* ctr_scale_ups_ = telemetry::Counter::discard();
-  telemetry::Counter* ctr_scale_downs_ = telemetry::Counter::discard();
+  telemetry::Gauge* g_pool_ = nullptr;
+  telemetry::Gauge* g_queue_depth_ = nullptr;
+  telemetry::Counter* ctr_scale_ups_ = nullptr;
+  telemetry::Counter* ctr_scale_downs_ = nullptr;
   /// Callbacks registered on sockets/the loop guard on this token; the
   /// sessions they capture stay valid, the gateway itself may not.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

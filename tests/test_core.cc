@@ -76,7 +76,8 @@ TEST(WireProtocol, ParseRejectsTruncatedAndMismatched) {
 }
 
 TEST(ConduitUnit, QueuesUntilChannelAttached) {
-  Conduit conduit(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true);
+  telemetry::Telemetry hub;
+  Conduit conduit(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub);
   EXPECT_FALSE(conduit.live());
   WireHeader h;
   conduit.send(h, Buffer::from_string("queued").view());
@@ -85,7 +86,8 @@ TEST(ConduitUnit, QueuesUntilChannelAttached) {
 }
 
 TEST(ConduitUnit, CloseFiresOnceAndDropsTraffic) {
-  Conduit conduit(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true);
+  telemetry::Telemetry hub;
+  Conduit conduit(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub);
   int closed = 0;
   conduit.set_on_closed([&](CloseReason) { ++closed; });
   conduit.close();
@@ -153,8 +155,9 @@ class TestPipe final : public agent::Channel {
 /// bugfix, and it fails on the pre-fix code.
 TEST(ConduitUnit, DelayedAckDrainsIdleTail) {
   sim::EventLoop loop;
-  auto a = std::make_shared<Conduit>(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true);
-  auto b = std::make_shared<Conduit>(1, 20, 10, tcp::Ipv4Addr(10, 0, 0, 2), 80, false);
+  telemetry::Telemetry hub(&loop);
+  auto a = std::make_shared<Conduit>(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub);
+  auto b = std::make_shared<Conduit>(1, 20, 10, tcp::Ipv4Addr(10, 0, 0, 2), 80, false, hub);
   a->set_loop(&loop);
   b->set_loop(&loop);
   auto [pa, pb] = TestPipe::connect(loop, 10, 20);
@@ -182,8 +185,9 @@ TEST(ConduitUnit, DelayedAckDrainsIdleTail) {
 /// the duplicate-triggered ack resync (delayed-ack timer) unblocks it.
 TEST(ConduitUnit, AckStallAfterFailoverLostAcks) {
   sim::EventLoop loop;
-  auto a = std::make_shared<Conduit>(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true);
-  auto b = std::make_shared<Conduit>(1, 20, 10, tcp::Ipv4Addr(10, 0, 0, 2), 80, false);
+  telemetry::Telemetry hub(&loop);
+  auto a = std::make_shared<Conduit>(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub);
+  auto b = std::make_shared<Conduit>(1, 20, 10, tcp::Ipv4Addr(10, 0, 0, 2), 80, false, hub);
   a->set_loop(&loop);
   b->set_loop(&loop);
   auto [pa, pb] = TestPipe::connect(loop, 10, 20);
@@ -231,10 +235,11 @@ TEST(ConduitUnit, AckStallAfterFailoverLostAcks) {
 /// A conduit pair over TestPipes with a sender-side helper.
 struct PipePair {
   sim::EventLoop loop;
+  telemetry::Telemetry hub{&loop};
   std::shared_ptr<Conduit> a =
-      std::make_shared<Conduit>(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true);
+      std::make_shared<Conduit>(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub);
   std::shared_ptr<Conduit> b =
-      std::make_shared<Conduit>(1, 20, 10, tcp::Ipv4Addr(10, 0, 0, 2), 80, false);
+      std::make_shared<Conduit>(1, 20, 10, tcp::Ipv4Addr(10, 0, 0, 2), 80, false, hub);
 
   PipePair() {
     a->set_loop(&loop);
@@ -857,23 +862,6 @@ TEST_F(CoreFixture, ManySocketsBetweenOnePair) {
   ASSERT_TRUE(clients[2]->send(Buffer(64)).is_ok());
   EXPECT_TRUE(env.wait([&]() { return hits[2] == 1; }));
   EXPECT_EQ(hits[0] + hits[1] + hits[3] + hits[4], 0);
-}
-
-TEST_F(CoreFixture, SelectorTtlExpiryRefreshes) {
-  sim::CostModel m;
-  m.location_cache_ttl_ns = 1 * k_millisecond;
-  Env env(2, m);
-  auto p = make_pair(env, false);
-  auto& selector = env.freeflow().selector();
-  bool d = false;
-  selector.decide(p.a->id(), p.b->id(), [&](Result<orch::TransportDecision>) { d = true; });
-  EXPECT_TRUE(env.wait([&]() { return d; }));
-  EXPECT_EQ(selector.cache_misses(), 1u);
-  env.loop().run_for(2 * k_millisecond);  // let the entry expire
-  d = false;
-  selector.decide(p.a->id(), p.b->id(), [&](Result<orch::TransportDecision>) { d = true; });
-  EXPECT_TRUE(env.wait([&]() { return d; }));
-  EXPECT_EQ(selector.cache_misses(), 2u);  // refreshed, not served stale
 }
 
 TEST_F(CoreFixture, VmDeploymentCasesEndToEnd) {

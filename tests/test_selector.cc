@@ -5,6 +5,8 @@
 // and invalidation drops exactly the affected (src, dst) entries.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/freeflow.h"
 #include "faults/fault_injector.h"
 #include "sim_env.h"
@@ -30,6 +32,11 @@ Result<orch::TransportDecision> decide_now(Env& env, core::TransportSelector& se
   return out;
 }
 
+/// A "selector/<name>" registry counter: the sum over every host's selector.
+std::uint64_t selector_counter(Env& env, const std::string& name) {
+  return env.cluster.telemetry().metrics().counter_value("selector/" + name);
+}
+
 // ------------------------------------------------------ precise invalidation
 
 TEST(Selector, PreciseInvalidationDropsOnlyAffectedPairs) {
@@ -46,7 +53,7 @@ TEST(Selector, PreciseInvalidationDropsOnlyAffectedPairs) {
 
   sel.invalidate(c->id());  // drops exactly the two entries touching c
   EXPECT_EQ(sel.cache_size(), 1u);
-  EXPECT_EQ(sel.invalidations(), 2u);
+  EXPECT_EQ(selector_counter(env, "invalidations"), 2u);
 
   // The (a, b) entry was untouched: still a hit.
   const auto hits_before = sel.cache_hits();
@@ -78,14 +85,14 @@ TEST(Selector, TenantTrustRevocationFlushesCachedDecisions) {
   env.net_orch->set_tenant_trust(1, 2, false);
   EXPECT_EQ(decide_now(env, sel, a->id(), b->id())->transport,
             orch::Transport::tcp_overlay);
-  EXPECT_EQ(sel.stale_served(), 0u);
+  EXPECT_EQ(selector_counter(env, "stale_served"), 0u);
 
   // No-op transitions (revoking absent trust, double-granting) must not
   // thrash the cache with redundant flushes.
-  const auto inv_before = sel.invalidations();
+  const auto inv_before = selector_counter(env, "invalidations");
   env.net_orch->set_tenant_trust(1, 2, false);
   env.net_orch->set_tenant_trust(3, 4, false);
-  EXPECT_EQ(sel.invalidations(), inv_before);
+  EXPECT_EQ(selector_counter(env, "invalidations"), inv_before);
 }
 
 TEST(Selector, LruEvictionKeepsCacheBounded) {
@@ -101,7 +108,7 @@ TEST(Selector, LruEvictionKeepsCacheBounded) {
   ASSERT_TRUE(decide_now(env, sel, a->id(), c->id()).is_ok());
   ASSERT_TRUE(decide_now(env, sel, b->id(), c->id()).is_ok());  // evicts (a, b)
   EXPECT_EQ(sel.cache_size(), 2u);
-  EXPECT_EQ(sel.evictions(), 1u);
+  EXPECT_EQ(selector_counter(env, "cache_evictions"), 1u);
 
   // The evicted pair is a miss again; the survivors are hits.
   const auto misses_before = sel.cache_misses();
@@ -109,29 +116,61 @@ TEST(Selector, LruEvictionKeepsCacheBounded) {
   EXPECT_EQ(sel.cache_misses(), misses_before + 1);
 }
 
-TEST(Selector, NegativeAnswersAreCached) {
+// Push-only coherence: nothing ages an entry out. A cached decision is
+// still a hit long after any time-based expiry would have dropped it, and
+// costs no round; only an event that can change it (here the peer moving
+// next to its source) turns the next decide into a miss with the new answer.
+TEST(Selector, EntryLivesUntilFlushed) {
+  Env env(2);
+  auto a = env.deploy("a", 1, 0);
+  auto b = env.deploy("b", 1, 1);
+  auto& sel = env.freeflow().selector();
+
+  ASSERT_EQ(decide_now(env, sel, a->id(), b->id())->transport, orch::Transport::rdma);
+  const auto rounds = selector_counter(env, "decide_rpc_rounds");
+  env.loop().run_for(1 * k_second);
+  const auto hits_before = sel.cache_hits();
+  EXPECT_EQ(decide_now(env, sel, a->id(), b->id())->transport, orch::Transport::rdma);
+  EXPECT_EQ(sel.cache_hits(), hits_before + 1);
+  EXPECT_EQ(selector_counter(env, "decide_rpc_rounds"), rounds);
+
+  ASSERT_TRUE(env.cluster_orch->migrate(b->id(), 0, /*downtime=*/1 * k_millisecond)
+                  .is_ok());
+  ASSERT_TRUE(env.wait([&]() { return b->host() == 0; }));
+  const auto misses_before = sel.cache_misses();
+  EXPECT_EQ(decide_now(env, sel, a->id(), b->id())->transport, orch::Transport::shm);
+  EXPECT_EQ(sel.cache_misses(), misses_before + 1);
+  EXPECT_EQ(selector_counter(env, "stale_served"), 0u);
+}
+
+// An unknown-container answer is returned but never cached: no flush would
+// ever reach an entry for an id nobody registered interest in, so the
+// container deployed under that id a moment later is decided at once.
+TEST(Selector, UnknownContainerIsNotCached) {
   Env env(2);
   auto a = env.deploy("a", 1, 0);
   auto& sel = env.freeflow().selector();
+  const orch::ContainerId next = a->id() + 1;  // ids are handed out in order
 
-  auto d1 = decide_now(env, sel, a->id(), 9999);
+  auto d1 = decide_now(env, sel, a->id(), next);
   ASSERT_FALSE(d1.is_ok());
   EXPECT_EQ(d1.status().code(), Errc::not_found);
-  const auto rounds = sel.rpc_rounds();
+  const SimTime answered_at = env.loop().now();
 
-  // The retry is served from the negative cache: same error, no new RPC.
-  auto d2 = decide_now(env, sel, a->id(), 9999);
-  ASSERT_FALSE(d2.is_ok());
-  EXPECT_EQ(d2.status().code(), Errc::not_found);
-  EXPECT_EQ(sel.rpc_rounds(), rounds);
-  EXPECT_GE(sel.cache_hits(), 1u);
+  auto b = env.deploy("b", 1, 0);
+  ASSERT_EQ(b->id(), next);
+  auto d2 = decide_now(env, sel, a->id(), b->id());
+  // Well inside the window a cached error would still have been served.
+  ASSERT_LT(env.loop().now() - answered_at, 10 * k_millisecond);
+  ASSERT_TRUE(d2.is_ok());
+  EXPECT_EQ(d2->transport, orch::Transport::shm);
 }
 
 // ------------------------------------------------------------ fault coherence
 
-// The stale-serve window this PR closes: a TTL-fresh cached rdma decision
-// must NOT survive the orchestrator learning the RDMA engine died. The
-// flush lands with the health update; the very next decide() re-consults.
+// A cached rdma decision must NOT survive the orchestrator learning the
+// RDMA engine died. The flush lands with the health update; the very next
+// decide() re-consults.
 TEST(Selector, FaultFlushPreventsStaleServe) {
   Env env(2);
   auto a = env.deploy("a", 1, 0);
@@ -145,13 +184,11 @@ TEST(Selector, FaultFlushPreventsStaleServe) {
   injector.apply({env.loop().now(), FaultKind::rdma_down, 1});
   const auto& cm = env.cluster.cost_model();
   env.loop().run_for(cm.fault_detect_ns + k_microsecond);
-  // Far inside the 500 ms TTL: only the push-flush can have dropped it.
-  ASSERT_LT(env.loop().now(), cm.location_cache_ttl_ns);
 
   auto d = decide_now(env, sel, a->id(), b->id());
   ASSERT_TRUE(d.is_ok());
   EXPECT_NE(d->transport, orch::Transport::rdma);
-  EXPECT_EQ(sel.stale_served(), 0u);
+  EXPECT_EQ(selector_counter(env, "stale_served"), 0u);
 }
 
 // An RDMA engine death drops only the cached rdma decisions: a co-located
@@ -177,7 +214,7 @@ TEST(Selector, RdmaDeathDropsOnlyRdmaEntries) {
   EXPECT_EQ(sel.cache_hits(), hits_before + 1);
   EXPECT_NE(decide_now(env, sel, a->id(), c->id())->transport, orch::Transport::rdma);
   EXPECT_EQ(sel.cache_misses(), misses_before + 1);
-  EXPECT_EQ(sel.stale_served(), 0u);
+  EXPECT_EQ(selector_counter(env, "stale_served"), 0u);
 }
 
 TEST(Selector, ReportLaneFailureFlushesTransportEntries) {
@@ -189,12 +226,12 @@ TEST(Selector, ReportLaneFailureFlushesTransportEntries) {
 
   ASSERT_EQ(decide_now(env, sel, a->id(), b->id())->transport, orch::Transport::shm);
   ASSERT_EQ(decide_now(env, sel, a->id(), c->id())->transport, orch::Transport::rdma);
-  const auto invalidations_before = sel.invalidations();
+  const auto invalidations_before = selector_counter(env, "invalidations");
 
   // An agent reports the rdma lane between hosts 0 and 1 dead: the cached
   // rdma decision is flushed even though telemetry still says healthy.
   env.net_orch->report_lane_failure(0, 1, orch::Transport::rdma);
-  EXPECT_GE(sel.invalidations(), invalidations_before + 1);
+  EXPECT_GE(selector_counter(env, "invalidations"), invalidations_before + 1);
 
   const auto hits_before = sel.cache_hits();
   EXPECT_EQ(decide_now(env, sel, a->id(), b->id())->transport, orch::Transport::shm);
@@ -257,8 +294,8 @@ TEST(Shards, MigrationMidFlightRejectedByEpoch) {
   // reply (rdma, stamped pre-move) was rejected and re-queried.
   ASSERT_TRUE(out.is_ok());
   EXPECT_EQ(out->transport, orch::Transport::shm);
-  EXPECT_GE(sel.epoch_rejects(), 1u);
-  EXPECT_EQ(sel.stale_served(), 0u);
+  EXPECT_GE(selector_counter(env, "epoch_rejects"), 1u);
+  EXPECT_EQ(selector_counter(env, "stale_served"), 0u);
 }
 
 // Decisions are a pure function of cluster truth: the shard count changes

@@ -61,7 +61,8 @@ struct TeardownFixture : ::testing::Test {
 // ------------------------------------------------------------ idempotence
 
 TEST(ConduitTeardown, PeerCloseAfterLocalCloseIsIdempotent) {
-  Conduit conduit(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true);
+  telemetry::Telemetry hub;
+  Conduit conduit(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub);
   int closed = 0;
   int torn_down = 0;
   CloseReason reason{};
