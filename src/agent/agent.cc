@@ -9,7 +9,23 @@ namespace freeflow::agent {
 
 namespace {
 constexpr std::uint32_t k_ctrl_bytes = 160;
-}
+/// In-flight records per RDMA trunk.
+constexpr std::uint32_t k_rdma_slots = 32;
+/// Agent-to-agent TCP service port.
+constexpr std::uint16_t k_trunk_tcp_port = 7777;
+/// Lane health monitoring: every interval the agent heartbeats each remote
+/// trunk and declares a lane dead after k_heartbeat_timeout_ns of rx
+/// silence. The monitor runs as a maintenance event
+/// (EventLoop::schedule_maintenance), so it never keeps an idle loop alive.
+/// The timeout rides out benign multi-millisecond stalls (e.g. a
+/// paused-not-dead peer agent) while still detecting real lane death within
+/// ~10 ms of virtual time.
+constexpr SimDuration k_heartbeat_interval_ns = k_millisecond;
+constexpr SimDuration k_heartbeat_timeout_ns = 10 * k_millisecond;
+/// Base seed for the per-agent backoff-jitter Rng (xored with the host id,
+/// so agents jitter independently yet the whole run stays reproducible).
+constexpr std::uint64_t k_trunk_retry_seed = 0x7EE7F10017ULL;
+}  // namespace
 
 // ---------------------------------------------------------------- AgentFabric
 
@@ -54,7 +70,7 @@ Agent::Agent(AgentFabric& fabric, fabric::Host& host)
   ctr_trunks_retired_ = &metrics.counter(prefix + "trunk/retired");
   hist_setup_latency_ = &metrics.histogram(prefix + "trunk/setup_latency_ns");
 
-  retry_rng_.reseed(fabric_.config().trunk_retry_seed ^
+  retry_rng_.reseed(k_trunk_retry_seed ^
                     (0x9E3779B97F4A7C15ULL * (host_.id() + 1)));
 
   // TCP trunk service: peer agents connect here when NICs lack bypass.
@@ -64,7 +80,7 @@ Agent::Agent(AgentFabric& fabric, fabric::Host& host)
   // in-flight setup (attach and complete it) or a fully established trunk
   // whose dialer abandoned its old connection and re-dialed (freshest
   // connection wins).
-  const tcp::Endpoint ep{AgentFabric::agent_ip(host_.id()), fabric_.config().tcp_port};
+  const tcp::Endpoint ep{AgentFabric::agent_ip(host_.id()), k_trunk_tcp_port};
   const Status listening =
       fabric_.underlay().listen(ep, [this](tcp::TcpConnection::Ptr conn) {
         const fabric::HostId peer =
@@ -488,7 +504,7 @@ void Agent::setup_rdma_trunk(fabric::HostId peer, SetupDoneFn done) {
   const std::size_t slot = cfg.fragment_bytes + RelayHeader::k_size;
   const TrunkKey key{peer, orch::Transport::rdma};
   auto trunk = std::make_shared<RdmaTrunk>(rdma_device(), account_, cfg.zero_copy,
-                                           slot, cfg.rdma_slots);
+                                           slot, k_rdma_slots);
   // Pending adoption: the half-trunk goes into the map *before* the
   // handshake leaves, so an opposite-direction setup arriving mid-flight
   // finds and joins it instead of building a rival (sends queue safely —
@@ -531,7 +547,7 @@ void Agent::setup_rdma_trunk(fabric::HostId peer, SetupDoneFn done) {
       const auto& pcfg = peer_agent->fabric_.config();
       peer_trunk = std::make_shared<RdmaTrunk>(
           peer_agent->rdma_device(), peer_agent->account_, pcfg.zero_copy,
-          pcfg.fragment_bytes + RelayHeader::k_size, pcfg.rdma_slots);
+          pcfg.fragment_bytes + RelayHeader::k_size, k_rdma_slots);
       // Passive half: established right away — if we die before finishing,
       // the peer's heartbeat monitor reaps it.
       peer_agent->adopt_trunk(peer_key, peer_trunk, /*established=*/true);
@@ -630,7 +646,7 @@ void Agent::setup_tcp_trunk(fabric::HostId peer, SetupDoneFn done) {
     // two connections (each side attaching its own dial while the rival
     // accept is dropped).
     const tcp::Endpoint local{AgentFabric::agent_ip(host_.id()), 0};
-    const tcp::Endpoint remote{AgentFabric::agent_ip(peer), fabric_.config().tcp_port};
+    const tcp::Endpoint remote{AgentFabric::agent_ip(peer), k_trunk_tcp_port};
     fabric_.underlay().connect(local, remote,
                                [this, key, trunk, done](Result<tcp::TcpConnection::Ptr> conn) {
       if (!conn.is_ok()) {
@@ -763,27 +779,24 @@ void Agent::notify_space() {
 
 void Agent::arm_monitor() {
   if (monitor_armed_) return;
-  const SimDuration interval = fabric_.config().heartbeat_interval_ns;
-  if (interval <= 0) return;
   monitor_armed_ = true;
   // Maintenance event: periodic housekeeping must not keep an otherwise
   // idle loop alive (run() quiesces past it) — this is what lets
-  // heartbeats default on.
-  monitor_ = host_.loop().schedule_maintenance(interval, [this]() { monitor_tick(); });
+  // heartbeats always run.
+  monitor_ = host_.loop().schedule_maintenance(k_heartbeat_interval_ns,
+                                               [this]() { monitor_tick(); });
 }
 
 void Agent::monitor_tick() {
-  const SimDuration interval = fabric_.config().heartbeat_interval_ns;
-  if (interval <= 0 || lane_last_rx_.empty()) {
+  if (lane_last_rx_.empty()) {
     monitor_armed_ = false;  // disarmed; the next adopt_trunk re-arms
     return;
   }
   if (!paused_) {
     const SimTime now = host_.loop().now();
-    const SimDuration timeout = fabric_.config().heartbeat_timeout_ns;
     std::vector<TrunkKey> dead;
     for (const auto& [key, last_rx] : lane_last_rx_) {
-      if (now - last_rx > timeout) {
+      if (now - last_rx > k_heartbeat_timeout_ns) {
         dead.push_back(key);
       } else {
         send_heartbeat(key);
@@ -791,7 +804,8 @@ void Agent::monitor_tick() {
     }
     for (const TrunkKey& key : dead) declare_lane_failed(key.peer, key.transport);
   }
-  monitor_ = host_.loop().schedule_maintenance(interval, [this]() { monitor_tick(); });
+  monitor_ = host_.loop().schedule_maintenance(k_heartbeat_interval_ns,
+                                               [this]() { monitor_tick(); });
 }
 
 void Agent::send_heartbeat(const TrunkKey& key) {

@@ -298,7 +298,6 @@ class AgentFabric {
 
   [[nodiscard]] orch::NetworkOrchestrator& orchestrator() noexcept { return orchestrator_; }
   [[nodiscard]] const AgentConfig& config() const noexcept { return config_; }
-  [[nodiscard]] AgentConfig& mutable_config() noexcept { return config_; }
   [[nodiscard]] fabric::Cluster& cluster() noexcept;
   [[nodiscard]] sim::EventLoop& loop() noexcept;
   [[nodiscard]] tcp::TcpNetwork& underlay() noexcept { return underlay_net_; }

@@ -65,28 +65,12 @@ struct AgentConfig {
   bool zero_copy = true;             ///< relay posts shm blocks as MRs directly
   std::size_t fragment_bytes = 256 * 1024;
   std::size_t lane_ring_bytes = 4 * 1024 * 1024;
-  std::uint32_t rdma_slots = 32;     ///< in-flight records per RDMA trunk
-  std::uint16_t tcp_port = 7777;     ///< agent-to-agent TCP service port
-
-  /// Lane health monitoring: every interval the agent heartbeats each
-  /// remote trunk and declares a lane dead after heartbeat_timeout_ns of
-  /// rx silence. Default-on — the monitor runs as a maintenance event
-  /// (EventLoop::schedule_maintenance), so it no longer keeps an idle loop
-  /// alive. 0 disables monitoring. The timeout is sized to ride out benign
-  /// multi-millisecond stalls (e.g. a paused-not-dead peer agent) while
-  /// still detecting real lane death within ~10 ms of virtual time.
-  SimDuration heartbeat_interval_ns = k_millisecond;
-  SimDuration heartbeat_timeout_ns = 10 * k_millisecond;
-
   /// Trunk establishment retry budget (with_trunk / setup_*_trunk): transient
   /// setup failures — a lane dying mid-handshake, a setup race resolving
   /// against us, an attempt watchdog firing — degrade to delayed
   /// establishment with exponential backoff instead of a permanent
   /// `unavailable`. After the budget the caller sees one terminal error.
   RetryPolicy trunk_retry;
-  /// Base seed for the per-agent backoff-jitter Rng (xored with the host id,
-  /// so agents jitter independently yet the whole run stays reproducible).
-  std::uint64_t trunk_retry_seed = 0x7EE7F10017ULL;
 
   /// Control-plane shard count (host-partitioned; see DESIGN.md §12).
   /// Benches sweep 1/4/16; the default keeps small deployments realistic

@@ -1,6 +1,5 @@
 #include "core/conduit.h"
 
-#include <cstring>
 #include <string>
 
 #include "common/logging.h"
@@ -45,14 +44,6 @@ Conduit::Conduit(std::uint64_t token, orch::ContainerId self, orch::ContainerId 
 
 void Conduit::send(const WireHeader& header, ByteSpan payload) {
   if (closed_ || closing_) return;  // teardown races with in-flight sends
-  if (migrating_) {
-    // Connection state is in flight with the container: tx_seq_ travels in
-    // the image, so sequencing now would fork the numbering. Park the send;
-    // restore_from_migration re-sequences it behind the transferred state.
-    pending_sends_.emplace_back(header,
-                                Buffer(payload.data(), payload.size()));
-    return;
-  }
   WireHeader h = header;
   h.seq = ++tx_seq_;
   if (channel_ == nullptr || paused_) {
@@ -383,7 +374,6 @@ void Conduit::finish_close(CloseReason reason, bool notify_peer) {
   ack_timer_.cancel();
   quiesce_timer_.cancel();
   quiesce_done_ = nullptr;
-  pending_sends_.clear();
   if (in_blackout_) {
     // Close during a failover gap: end the span so B/E stay balanced.
     in_blackout_ = false;
@@ -493,116 +483,20 @@ void Conduit::finish_quiesce(bool drained) {
   if (cb) cb(drained);
 }
 
-namespace {
-template <typename T>
-void put_scalar(Buffer& out, T v) {
-  out.append(&v, sizeof(T));
-}
-template <typename T>
-bool get_scalar(ByteSpan in, std::size_t& at, T& v) {
-  if (in.size() - at < sizeof(T)) return false;
-  std::memcpy(&v, in.data() + at, sizeof(T));
-  at += sizeof(T);
-  return true;
-}
-void put_buffer(Buffer& out, const Buffer& b) {
-  put_scalar(out, static_cast<std::uint32_t>(b.size()));
-  out.append(b.view());
-}
-bool get_buffer(ByteSpan in, std::size_t& at, Buffer& b) {
-  std::uint32_t len = 0;
-  if (!get_scalar(in, at, len)) return false;
-  if (in.size() - at < len) return false;
-  b = Buffer(in.data() + at, len);
-  at += len;
-  return true;
-}
-}  // namespace
-
-Buffer Conduit::capture_for_migration() {
-  FF_CHECK(paused_ && !migrating_ && !closed_);
-  Buffer record;
-  put_scalar(record, token_);
-  put_scalar(record, tx_seq_);
-  put_scalar(record, rx_next_);
-  put_scalar(record, since_ack_);
-  put_scalar(record, static_cast<std::uint8_t>(resync_ack_ ? 1 : 0));
-  // RC QP identity travels as the transport in use at capture; the actual
-  // QP is rebuilt at the destination through the same generation-guarded
-  // rebind failover uses (§9) — identity is the (token, transport) pair,
-  // not the simulated queue-pair number, which is host-local.
-  put_scalar(record, static_cast<std::uint8_t>(transport()));
-  put_scalar(record, static_cast<std::uint16_t>(0));  // reserved
-  put_scalar(record, static_cast<std::uint32_t>(retained_.size()));
-  put_scalar(record, static_cast<std::uint32_t>(queue_.size()));
-  for (const auto& [seq, message] : retained_) put_buffer(record, message);
-  for (const auto& message : queue_) put_buffer(record, message);
-  // The state now lives in the record. Wipe the local copy so a stale
-  // source-side conduit can never emit these sequences again, and detach —
-  // this opens the blackout span and bumps the rebind generation, exactly
-  // like a failover mark_stale.
-  tx_seq_ = 0;
-  rx_next_ = 1;
-  since_ack_ = 0;
-  resync_ack_ = false;
-  retained_.clear();
-  queue_.clear();
-  gauge_retained_->set(0);
+std::size_t Conduit::detach_for_migration() {
+  FF_CHECK(paused_ && !closed_);
+  // Sized as a checkpoint of the state would be: 44 B of counters (token,
+  // tx_seq, rx_next and since_ack at 8 B; resync flag, transport and
+  // padding in 4 B; window and queue depths at 4 B), then each retained
+  // and queued message behind a 4 B length.
+  constexpr std::size_t k_counter_bytes = 44;
+  constexpr std::size_t k_length_bytes = 4;
+  std::size_t bytes = k_counter_bytes;
+  for (const auto& [seq, message] : retained_) bytes += k_length_bytes + message.size();
+  for (const auto& message : queue_) bytes += k_length_bytes + message.size();
   ack_timer_.cancel();
-  migrating_ = true;
   mark_stale();
-  return record;
-}
-
-Status Conduit::restore_from_migration(ByteSpan record) {
-  FF_CHECK(paused_ && migrating_ && !closed_);
-  std::size_t at = 0;
-  std::uint64_t token = 0, tx_seq = 0, rx_next = 0, since_ack = 0;
-  std::uint8_t resync = 0, transport_at_capture = 0;
-  std::uint16_t reserved = 0;
-  std::uint32_t n_retained = 0, n_queued = 0;
-  if (!get_scalar(record, at, token) || !get_scalar(record, at, tx_seq) ||
-      !get_scalar(record, at, rx_next) || !get_scalar(record, at, since_ack) ||
-      !get_scalar(record, at, resync) ||
-      !get_scalar(record, at, transport_at_capture) ||
-      !get_scalar(record, at, reserved) ||
-      !get_scalar(record, at, n_retained) || !get_scalar(record, at, n_queued)) {
-    return invalid_argument("migration record truncated");
-  }
-  if (token != token_) return invalid_argument("migration record token mismatch");
-  tx_seq_ = tx_seq;
-  rx_next_ = rx_next;
-  since_ack_ = since_ack;
-  resync_ack_ = resync != 0;
-  retained_.clear();
-  queue_.clear();
-  for (std::uint32_t i = 0; i < n_retained; ++i) {
-    Buffer message;
-    if (!get_buffer(record, at, message)) {
-      return invalid_argument("migration record truncated (retained)");
-    }
-    const std::uint64_t seq = WireHeader::decode(message.data()).seq;
-    retained_.emplace_back(seq, std::move(message));
-  }
-  for (std::uint32_t i = 0; i < n_queued; ++i) {
-    Buffer message;
-    if (!get_buffer(record, at, message)) {
-      return invalid_argument("migration record truncated (queued)");
-    }
-    queue_.push_back(std::move(message));
-  }
-  if (at != record.size()) return invalid_argument("migration record trailing bytes");
-  gauge_retained_->set(static_cast<std::int64_t>(retained_.size()));
-  migrating_ = false;
-  // Sends parked during the move get their sequences now, behind the
-  // transferred counter — order is exactly the app's send order.
-  while (!pending_sends_.empty()) {
-    auto [h, payload] = std::move(pending_sends_.front());
-    pending_sends_.pop_front();
-    h.seq = ++tx_seq_;
-    queue_.push_back(make_message(h, payload.view()));
-  }
-  return ok_status();
+  return bytes;
 }
 
 void Conduit::drain() {

@@ -21,7 +21,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <string_view>
 #include <utility>
 
 #include "agent/channel.h"
@@ -40,20 +39,7 @@ enum class MigrationReason : std::uint8_t {
   planned,         ///< operator-requested coordinated move
   degraded_nic,    ///< proactive: source NIC rate_fraction below threshold
   path_partition,  ///< proactive: inter-host path down, co-locate with peer
-  reactive,        ///< unplanned stop-and-copy move (no coordinator)
 };
-
-[[nodiscard]] constexpr std::string_view migration_reason_name(
-    MigrationReason r) noexcept {
-  switch (r) {
-    case MigrationReason::none: return "none";
-    case MigrationReason::planned: return "planned";
-    case MigrationReason::degraded_nic: return "degraded_nic";
-    case MigrationReason::path_partition: return "path_partition";
-    case MigrationReason::reactive: return "reactive";
-  }
-  return "?";
-}
 
 class Conduit : public std::enable_shared_from_this<Conduit> {
  public:
@@ -109,24 +95,19 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
 
   /// Quiesce for capture: pause(), then wait (sim clock) until the retained
   /// window is fully acked or `deadline` expires. `done(drained)` fires
-  /// exactly once. A false result is not fatal — capture simply carries the
-  /// undrained tail, which replays at the destination and peers dedup, the
+  /// exactly once. A false result is not fatal — the undrained tail moves
+  /// with the conduit, replays at the destination and peers dedup, the
   /// same lossless path as reactive failover.
   void quiesce(SimDuration deadline, std::function<void(bool)> done);
 
-  /// Serializes the portable connection state (sequence counters, ack
-  /// bookkeeping, retained window, blackout queue) into a flat record and
-  /// WIPES it locally: the conduit detaches (generation-guarded, blackout
-  /// span opens) and enters the migrating state, where application sends
-  /// park un-sequenced until restore. Call only while paused.
-  [[nodiscard]] Buffer capture_for_migration();
-  /// Inverse of capture: reloads the record (token must match), leaves the
-  /// migrating state and re-sequences any sends parked during the move.
-  /// The conduit stays paused and detached; the coordinator rebinds through
-  /// the normal generation-guarded path, which replays the retained window.
-  [[nodiscard]] Status restore_from_migration(ByteSpan record);
-  /// True between capture and restore: connection state is in flight.
-  [[nodiscard]] bool migrating() const noexcept { return migrating_; }
+  /// Takes a paused conduit off the wire for its container's move: cancels
+  /// the pending delayed ack and detaches (generation-guarded, blackout span
+  /// opens). The connection state stays in place — it is part of the
+  /// container memory the orchestrator moves — and sends made meanwhile
+  /// queue, sequenced, as they do while paused. Returns the byte count of
+  /// that state (counters plus each retained and queued message), which
+  /// sizes the transfer.
+  [[nodiscard]] std::size_t detach_for_migration();
 
   /// Coordinator bookkeeping on completion (both endpoints).
   void note_migration_complete(SimDuration blackout, MigrationReason reason) noexcept {
@@ -327,12 +308,6 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   // --- planned-migration state ---
   /// Transmit-side freeze: sends queue, drain() inhibited, writable() false.
   bool paused_ = false;
-  /// Between capture and restore: connection state travels with the
-  /// container; app sends park un-sequenced in pending_sends_.
-  bool migrating_ = false;
-  /// (header, payload) pairs sent while migrating — sequenced on restore so
-  /// the transferred tx_seq_ stays authoritative.
-  std::deque<std::pair<WireHeader, Buffer>> pending_sends_;
   std::function<void(bool)> quiesce_done_;
   sim::EventHandle quiesce_timer_;
   std::uint64_t migrations_completed_ = 0;

@@ -400,13 +400,14 @@ void ContainerNet::handle_first_message(orch::ContainerId src, agent::Channel* r
         channel->close();
         return;
       }
-      // A captured conduit's state travels with its container: a channel
-      // built toward the placement it left must not attach. Nor may a QP
-      // answered on an attach that a detach (failover, capture) has voided.
+      // A conduit the coordinator took off the wire re-attaches only through
+      // its resume (which unpauses first): a channel built toward the
+      // placement it left must not attach. Nor may a QP answered on an
+      // attach that a detach (failover, capture) has voided.
       const StreamQp* sq = find_stream_qp(header.token);
       const bool voided_answer = sq != nullptr && sq->answered.lock().get() == raw &&
                                  sq->answered_generation != it->second->generation();
-      if (it->second->migrating() || voided_answer) {
+      if ((it->second->paused() && !it->second->live()) || voided_answer) {
         channel->close();
         return;
       }
@@ -460,9 +461,9 @@ void ContainerNet::handle_health_event(fabric::HostId host) {
   for (auto& [token, conduit] : conduits_) snapshot.push_back(conduit);
   for (auto& conduit : snapshot) {
     if (conduit->closed() || conduit->closing()) continue;
-    // Paused/migrating conduits belong to the migration coordinator: a
-    // health-driven refit here would race its capture/restore protocol.
-    if (conduit->paused() || conduit->migrating()) continue;
+    // Paused conduits belong to the migration coordinator: a health-driven
+    // refit here would race its capture/resume protocol.
+    if (conduit->paused()) continue;
     auto peer_loc = ff_.orchestrator().locate(conduit->peer());
     if (!peer_loc.is_ok()) continue;
     const bool touches =
@@ -477,7 +478,7 @@ void ContainerNet::handle_health_event(fabric::HostId host) {
 }
 
 void ContainerNet::refit_conduit(const ConduitPtr& conduit) {
-  if (conduit->paused() || conduit->migrating()) return;  // coordinator owns it
+  if (conduit->paused()) return;  // coordinator owns it
   const bool per_stream_qp = stream_qps_.contains(conduit->token());
   // A per_stream_qp conduit that never attached has its first dial still in
   // flight; a rebind-first dial racing it would confuse the peer's router.
@@ -489,7 +490,7 @@ void ContainerNet::refit_conduit(const ConduitPtr& conduit) {
     if (net == nullptr) return;
     if (conduit->closed() || conduit->closing()) return;
     if (per_stream_qp) {
-      if (conduit->paused() || conduit->migrating()) return;
+      if (conduit->paused()) return;
       // It rides exactly two transports: its own RC QP when the selector
       // grants rdma, the overlay-TCP fallback for any other answer
       // (tcp_overlay included: an untrusted pair simply never upgrades).
@@ -579,7 +580,7 @@ void ContainerNet::resume_migrated_conduit(const ConduitPtr& conduit) {
 
 void ContainerNet::freeze_all_conduits() {
   for (auto& [token, conduit] : conduits_) {
-    if (conduit->closed() || conduit->closing() || conduit->migrating()) continue;
+    if (conduit->closed() || conduit->closing()) continue;
     conduit->mark_stale();
   }
 }
@@ -587,7 +588,7 @@ void ContainerNet::freeze_all_conduits() {
 void ContainerNet::freeze_conduits_to(orch::ContainerId peer) {
   for (auto& [token, conduit] : conduits_) {
     if (conduit->peer() != peer) continue;
-    if (conduit->closed() || conduit->closing() || conduit->migrating()) continue;
+    if (conduit->closed() || conduit->closing()) continue;
     conduit->mark_stale();
   }
 }
@@ -651,7 +652,7 @@ void ContainerNet::rebind_on_fallback(const ConduitPtr& conduit, bool upgrade_af
     auto net = self.lock();
     StreamQp* dialed = net == nullptr ? nullptr : net->find_stream_qp(conduit->token());
     if (dialed != nullptr) dialed->dialing = false;
-    if (dialed == nullptr || conduit->paused() || conduit->migrating()) {
+    if (dialed == nullptr || conduit->paused()) {
       if (r.is_ok()) (*r)->close();  // closed, or the coordinator owns it
       return;
     }

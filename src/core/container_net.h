@@ -137,7 +137,7 @@ class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
   // ---- planned migration hooks (src/migration) --------------------------
   /// Conduit lookup by token (both endpoints share the token).
   [[nodiscard]] ConduitPtr find_conduit(std::uint64_t token) const;
-  /// Drives the post-restore rebind of a migrated (or peer-of-migrated)
+  /// Drives the post-move rebind of a migrated (or peer-of-migrated)
   /// conduit through the initiator side.
   void resume_migrated_conduit(const ConduitPtr& conduit);
   /// Reactive-move freeze: detach every conduit (mark_stale only — sends

@@ -11,9 +11,9 @@ FreeFlow::FreeFlow(orch::NetworkOrchestrator& orchestrator, agent::AgentConfig c
   std::weak_ptr<bool> alive = alive_;
   orchestrator_.subscribe_moves([this, alive](const orch::Container& moved) {
     if (alive.expired()) return;
-    // A coordinator-driven move resumes through the MigrationImage restore
-    // path instead of the reactive rebind below (the coordinator's own
-    // moves subscription runs after this one).
+    // A coordinator-driven move resumes through the coordinator's own
+    // rebind instead of the reactive one below (its moves subscription runs
+    // after this one).
     if (planned_.contains(moved.id())) return;
     for (auto& [cid, net] : nets_) {
       if (cid == moved.id()) {

@@ -44,19 +44,6 @@ class FlowSocket : public std::enable_shared_from_this<FlowSocket> {
   [[nodiscard]] std::uint64_t bytes_sent() const noexcept { return bytes_sent_; }
   [[nodiscard]] std::uint64_t bytes_received() const noexcept { return bytes_received_; }
 
-  // --- migration introspection (delegates to the conduit) ---
-  /// Coordinated container moves this stream survived.
-  [[nodiscard]] std::uint64_t migrations_completed() const noexcept {
-    return conduit_->migrations_completed();
-  }
-  /// Blackout (detached virtual time) of the most recent move.
-  [[nodiscard]] SimDuration last_blackout_ns() const noexcept {
-    return conduit_->last_blackout_ns();
-  }
-  [[nodiscard]] MigrationReason last_migration_reason() const noexcept {
-    return conduit_->last_migration_reason();
-  }
-
   /// ContainerNet-internal: wires conduit messages to this socket.
   void bind();
 

@@ -1,7 +1,6 @@
 #include "migration/migration.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/logging.h"
 
@@ -13,7 +12,7 @@ namespace {
 /// deliveries on lossless channels (shm rings have no retained window to
 /// vouch for them) land before the channels close.
 constexpr SimDuration k_capture_settle_ns = 10 * k_microsecond;
-/// Resume-completion poll cadence and cap (cap = 50 ms of sim time; a
+/// Resume-completion poll cadence and cap (cap = 100 ms of sim time; a
 /// conduit that cannot re-attach by then finishes with its sends queued and
 /// the ordinary health/refit machinery keeps retrying).
 constexpr SimDuration k_resume_poll_ns = 20 * k_microsecond;
@@ -24,86 +23,22 @@ constexpr int k_max_resume_polls = 5000;
 /// still-detached conduit at this cadence.
 constexpr int k_resume_rekick_polls = 250;
 
-template <typename T>
-void put_scalar(Buffer& out, T v) {
-  out.append(&v, sizeof(v));
-}
-
-template <typename T>
-bool get_scalar(ByteSpan in, std::size_t& off, T& v) {
-  if (off + sizeof(v) > in.size()) return false;
-  std::memcpy(&v, in.data() + off, sizeof(v));
-  off += sizeof(v);
-  return true;
-}
+/// Proactive trigger: migrate containers off hosts whose NIC rate_fraction
+/// falls below this (link still up — a dead link is failover's business).
+/// Also the floor a destination host's NIC must clear.
+constexpr double k_degrade_threshold = 0.5;
+/// Size accounting for the moved connection state, in the layout a
+/// checkpoint would frame it: a header (magic, version, record count,
+/// container, source and destination hosts), then a length ahead of each
+/// conduit's record.
+constexpr std::size_t k_image_header_bytes = 24;
+constexpr std::size_t k_record_length_bytes = 4;
 
 }  // namespace
 
-// ---------------------------------------------------------- MigrationImage
-
-std::size_t MigrationImage::byte_size() const noexcept {
-  // magic + version + count + container + src + dst, then (len, bytes) each.
-  std::size_t n = 4 + 2 + 2 + 8 + 4 + 4;
-  for (const auto& r : conduit_records) n += 4 + r.size();
-  return n;
-}
-
-Buffer MigrationImage::encode() const {
-  Buffer out;
-  put_scalar(out, k_magic);
-  put_scalar(out, k_version);
-  put_scalar(out, static_cast<std::uint16_t>(conduit_records.size()));
-  put_scalar(out, static_cast<std::uint64_t>(container));
-  put_scalar(out, static_cast<std::uint32_t>(src_host));
-  put_scalar(out, static_cast<std::uint32_t>(dst_host));
-  for (const auto& r : conduit_records) {
-    put_scalar(out, static_cast<std::uint32_t>(r.size()));
-    out.append(r.view());
-  }
-  return out;
-}
-
-Result<MigrationImage> MigrationImage::decode(ByteSpan bytes) {
-  MigrationImage image;
-  std::size_t off = 0;
-  std::uint32_t magic = 0;
-  std::uint16_t version = 0;
-  std::uint16_t count = 0;
-  std::uint64_t container = 0;
-  std::uint32_t src = 0;
-  std::uint32_t dst = 0;
-  if (!get_scalar(bytes, off, magic) || magic != k_magic) {
-    return invalid_argument("migration image: bad magic");
-  }
-  if (!get_scalar(bytes, off, version) || version != k_version) {
-    return invalid_argument("migration image: unsupported version");
-  }
-  if (!get_scalar(bytes, off, count) || !get_scalar(bytes, off, container) ||
-      !get_scalar(bytes, off, src) || !get_scalar(bytes, off, dst)) {
-    return invalid_argument("migration image: truncated header");
-  }
-  image.container = container;
-  image.src_host = src;
-  image.dst_host = dst;
-  image.conduit_records.reserve(count);
-  for (std::uint16_t i = 0; i < count; ++i) {
-    std::uint32_t len = 0;
-    if (!get_scalar(bytes, off, len) || off + len > bytes.size()) {
-      return invalid_argument("migration image: truncated record");
-    }
-    image.conduit_records.emplace_back(bytes.data() + off, len);
-    off += len;
-  }
-  if (off != bytes.size()) {
-    return invalid_argument("migration image: trailing bytes");
-  }
-  return image;
-}
-
 // ---------------------------------------------------- MigrationCoordinator
 
-MigrationCoordinator::MigrationCoordinator(core::FreeFlow& ff, MigrationConfig config)
-    : ff_(ff), config_(config) {
+MigrationCoordinator::MigrationCoordinator(core::FreeFlow& ff) : ff_(ff) {
   auto& metrics = telemetry().metrics();
   ctr_planned_ = &metrics.counter("migration/planned");
   ctr_degrade_ = &metrics.counter("migration/proactive_degrade");
@@ -183,8 +118,8 @@ void MigrationCoordinator::migrate(orch::ContainerId id, fabric::HostId dst,
   mv.done = std::move(done);
 
   // Collect every affected connection up front; refuse overlap with a move
-  // already quiescing these conduits (a paused/migrating endpoint belongs to
-  // another coordinator pass — or to a peer's move — either way, not ours).
+  // already quiescing these conduits (a paused endpoint belongs to another
+  // coordinator pass — or to a peer's move — either way, not ours).
   if (mv.net != nullptr) {
     for (const auto& info : mv.net->connections()) {
       auto local = mv.net->find_conduit(info.token);
@@ -192,15 +127,14 @@ void MigrationCoordinator::migrate(orch::ContainerId id, fabric::HostId dst,
       auto peer_net = ff_.net(info.peer);
       core::ConduitPtr peer =
           peer_net != nullptr ? peer_net->find_conduit(info.token) : nullptr;
-      if (local->paused() || local->migrating() ||
-          (peer != nullptr && (peer->paused() || peer->migrating()))) {
+      if (local->paused() || (peer != nullptr && peer->paused())) {
         if (mv.done) {
           mv.done(failed_precondition(
               "migrate: connection already owned by another migration"));
         }
         return;
       }
-      mv.endpoints.push_back({local, peer, peer_net, Buffer{}, 0});
+      mv.endpoints.push_back({local, peer, peer_net});
     }
   }
 
@@ -232,9 +166,7 @@ void MigrationCoordinator::migrate(orch::ContainerId id, fabric::HostId dst,
   }
   for (auto& ep : move.endpoints) ends.push_back(ep.local.get());
 
-  SimDuration deadline = config_.quiesce_deadline_ns != 0
-                             ? config_.quiesce_deadline_ns
-                             : model().migration_quiesce_deadline_ns;
+  const SimDuration deadline = model().migration_quiesce_deadline_ns;
   // Countdown latch over every quiesce; starts at n+1 so synchronous
   // completions (already-drained conduits) cannot fire capture before the
   // loop finishes arming.
@@ -257,7 +189,7 @@ void MigrationCoordinator::migrate(orch::ContainerId id, fabric::HostId dst,
         ctr_quiesce_timeouts_->inc();
         FF_LOG(warn, "migration")
             << "quiesce deadline expired for container " << id
-            << " (undrained tail travels in the image and replays)";
+            << " (undrained tail moves with its conduit and replays)";
       }
       arm_capture();
     });
@@ -272,36 +204,21 @@ void MigrationCoordinator::start_capture(orch::ContainerId id) {
   const auto tid = static_cast<std::uint32_t>(id);
   telemetry().tracer().instant("migration", "capture", 0, tid);
 
-  MigrationImage image;
-  image.container = id;
-  image.src_host = mv.src;
-  image.dst_host = mv.dst;
+  mv.image_bytes = k_image_header_bytes;
   for (auto& ep : mv.endpoints) {
-    ep.blackout_before = ep.local->blackout_ns();
-    // Capture detaches the local endpoint (blackout span opens) and wipes
-    // its connection state into the record.
-    ep.record = ep.local->capture_for_migration();
-    image.conduit_records.push_back(std::move(ep.record));
+    // The local endpoint detaches (blackout span opens); its connection
+    // state stays in the conduit and moves with the container.
+    mv.image_bytes += k_record_length_bytes + ep.local->detach_for_migration();
     // The peer endpoint detaches too: its half of the channel is dead-ended
     // now, and the stale state opens its own blackout span. Both detaches
     // bump the conduit generations, which voids any half-built per-stream
     // QP upgrade: its handshake rode the control lane of the channel just
-    // closed, so nothing of it travels in the image.
+    // closed, so nothing of it survives the move.
     if (ep.peer != nullptr && !ep.peer->closed() && !ep.peer->closing()) {
       ep.peer->mark_stale();
     }
   }
-  mv.image_bytes = image.byte_size();
   ctr_image_bytes_->inc(mv.image_bytes);
-
-  // The image must round-trip: the decoded records are what the destination
-  // restores from (the coordinator "ships" them with the container).
-  auto decoded = MigrationImage::decode(image.encode().view());
-  FF_CHECK(decoded.is_ok());
-  FF_CHECK(decoded->conduit_records.size() == mv.endpoints.size());
-  for (std::size_t i = 0; i < mv.endpoints.size(); ++i) {
-    mv.endpoints[i].record = std::move(decoded->conduit_records[i]);
-  }
 
   // The container leaves this host: deregister from the source agent (the
   // resume path registers with the destination's agent). All its conduits
@@ -329,11 +246,6 @@ void MigrationCoordinator::resume(orch::ContainerId id) {
   telemetry().tracer().instant("migration", "resume", 0,
                                static_cast<std::uint32_t>(id));
   if (mv.net != nullptr) mv.net->register_with_agent();
-  for (auto& ep : mv.endpoints) {
-    const Status restored = ep.local->restore_from_migration(ep.record.view());
-    FF_CHECK(restored.is_ok());
-    ep.record = Buffer{};
-  }
   // Unpause both ends before rebinding: the attach below replays the
   // retained window and then drains whatever queued during the move.
   for (auto& ep : mv.endpoints) {
@@ -439,13 +351,12 @@ void MigrationCoordinator::finish(orch::ContainerId id) {
 // ------------------------------------------------------- proactive triggers
 
 void MigrationCoordinator::handle_health(fabric::HostId host) {
-  if (!config_.auto_migrate_on_degrade) return;
   const auto& health = ff_.orchestrator().nic_health(host);
   // A downed link is failover's business (transport shift / crash handling);
   // the coordinator's case is the *degraded-but-alive* NIC, where every
   // transport limps and only moving off the host restores full rate.
   if (!health.link_up) return;
-  if (health.rate_fraction >= config_.degrade_threshold) return;
+  if (health.rate_fraction >= k_degrade_threshold) return;
   auto dst = pick_destination(host);
   if (!dst.has_value()) return;
   auto victims = ff_.orchestrator().cluster_orch().containers_on(host);
@@ -465,7 +376,7 @@ void MigrationCoordinator::handle_health(fabric::HostId host) {
 }
 
 void MigrationCoordinator::handle_path(fabric::HostId a, fabric::HostId b, bool up) {
-  if (up || !config_.auto_migrate_on_partition) return;
+  if (up) return;
   // Deterministic direction: evacuate the higher-numbered side toward the
   // lower. Co-locating the pair puts it on shm — the one transport a fabric
   // partition cannot touch.
@@ -507,7 +418,7 @@ std::optional<fabric::HostId> MigrationCoordinator::pick_destination(
   for (fabric::HostId h = 0; h < hosts; ++h) {
     if (h == avoid) continue;
     const auto& health = ff_.orchestrator().nic_health(h);
-    if (!health.link_up || health.rate_fraction < config_.degrade_threshold) continue;
+    if (!health.link_up || health.rate_fraction < k_degrade_threshold) continue;
     const std::size_t load = corch.containers_on(h).size();
     if (!best.has_value() || load < best_load) {
       best = h;

@@ -8,23 +8,24 @@
 //                 boundary on BOTH ends (sends queue, credits stop, receive
 //                 and ack paths stay live) and both ends drain their
 //                 retained windows under a sim-clock deadline. Deadline
-//                 expiry is not fatal: the undrained tail simply travels in
-//                 the image and replays at the destination (peers dedup),
+//                 expiry is not fatal: the undrained tail simply moves with
+//                 the conduit and replays at the destination (peers dedup),
 //                 the same lossless path reactive failover takes.
-//   2. capture  — the migrating side serializes each conduit's portable
-//                 state (sequence counters, ack bookkeeping, retained
-//                 window, queued sends, RC-QP transport identity) into a
-//                 MigrationImage; peer endpoints detach (generation-guarded
-//                 blackout spans open, voiding any half-built per-stream
-//                 QP upgrade).
+//   2. capture  — every endpoint detaches (generation-guarded blackout
+//                 spans open, voiding any half-built per-stream QP
+//                 upgrade). The moving side's connection state (sequence
+//                 counters, ack bookkeeping, retained window, queued sends)
+//                 stays in its conduits: the library runs inside the
+//                 container, so that state is part of the container memory
+//                 the orchestrator moves. Capture only sizes it; sends made
+//                 during the move queue behind it, already sequenced.
 //   3. transfer — the cluster orchestrator moves the container with a
-//                 downtime proportional to the image size (the planned
+//                 downtime proportional to that state's size (the planned
 //                 stop-and-copy is tiny compared to the reactive default).
-//   4. resume   — at the destination the records restore, both ends
-//                 unpause, and the initiator side rebinds through the
-//                 ordinary generation-guarded path: retained windows
-//                 replay, receivers dedup — zero loss, in order,
-//                 byte-exact, bounded blackout.
+//   4. resume   — at the destination both ends unpause, and the initiator
+//                 side rebinds through the ordinary generation-guarded
+//                 path: retained windows replay, receivers dedup — zero
+//                 loss, in order, byte-exact, bounded blackout.
 //
 // The coordinator also *initiates* migrations proactively: off NICs whose
 // rate_fraction degrades below a threshold, and off severed fabric paths
@@ -37,48 +38,20 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/freeflow.h"
 
 namespace freeflow::migration {
 
-/// The portable network state of one container: one flat record per conduit
-/// (see Conduit::capture_for_migration) under a magic/version header. The
-/// encoded form is what the orchestrator "ships with the container"; its
-/// byte size sets the transfer downtime.
-struct MigrationImage {
-  static constexpr std::uint32_t k_magic = 0x46464D47;  // "FFMG"
-  static constexpr std::uint16_t k_version = 1;
-
-  orch::ContainerId container = 0;
-  fabric::HostId src_host = 0;
-  fabric::HostId dst_host = 0;
-  std::vector<Buffer> conduit_records;
-
-  [[nodiscard]] Buffer encode() const;
-  [[nodiscard]] static Result<MigrationImage> decode(ByteSpan bytes);
-  /// Encoded size without materializing the encoding.
-  [[nodiscard]] std::size_t byte_size() const noexcept;
-};
-
-struct MigrationConfig {
-  /// 0 = use the cost model's migration_quiesce_deadline_ns.
-  SimDuration quiesce_deadline_ns = 0;
-  /// Proactive trigger: migrate containers off hosts whose NIC rate_fraction
-  /// falls below this (link still up — a dead link is failover's business).
-  double degrade_threshold = 0.5;
-  bool auto_migrate_on_degrade = true;
-  /// Proactive trigger: on a path partition, co-locate affected pairs.
-  bool auto_migrate_on_partition = true;
-};
-
 struct MigrationReport {
   orch::ContainerId container = 0;
   fabric::HostId src_host = 0;
   fabric::HostId dst_host = 0;
   std::size_t conduits_moved = 0;
+  /// Connection state the move carried: a 24 B header, then 4 B plus
+  /// Conduit::detach_for_migration()'s count per conduit. Sets the transfer
+  /// downtime.
   std::size_t image_bytes = 0;
   /// False when any conduit hit the quiesce deadline with retained messages
   /// (still lossless — the tail replayed at the destination).
@@ -96,7 +69,7 @@ class MigrationCoordinator {
   /// behind FreeFlow's (which skips containers under planned migration).
   /// Proactive triggers subscribe immediately and stay armed for the
   /// coordinator's lifetime.
-  explicit MigrationCoordinator(core::FreeFlow& ff, MigrationConfig config = {});
+  explicit MigrationCoordinator(core::FreeFlow& ff);
   ~MigrationCoordinator();
 
   MigrationCoordinator(const MigrationCoordinator&) = delete;
@@ -109,9 +82,6 @@ class MigrationCoordinator {
   void migrate(orch::ContainerId id, fabric::HostId dst, DoneFn done,
                core::MigrationReason reason = core::MigrationReason::planned);
 
-  [[nodiscard]] bool in_flight(orch::ContainerId id) const {
-    return moves_.contains(id);
-  }
   /// Completed moves of every reason: the "migration/{planned,
   /// proactive_degrade,proactive_partition}" counters summed.
   [[nodiscard]] std::uint64_t migrations_completed() const noexcept {
@@ -120,17 +90,14 @@ class MigrationCoordinator {
   [[nodiscard]] std::uint64_t quiesce_timeouts() const noexcept {
     return ctr_quiesce_timeouts_->value();
   }
-  [[nodiscard]] const MigrationConfig& config() const noexcept { return config_; }
 
  private:
-  /// One affected connection: the migrating-side endpoint, its captured
-  /// record, and (when the peer is library-attached) the remote endpoint.
+  /// One affected connection: the migrating-side endpoint and (when the
+  /// peer is library-attached) the remote endpoint.
   struct Endpoint {
     core::ConduitPtr local;            // endpoint owned by the moving container
     core::ConduitPtr peer;             // remote endpoint (may be null)
     core::ContainerNetPtr peer_net;    // keeps the peer's library alive
-    Buffer record;                     // capture_for_migration() output
-    SimDuration blackout_before = 0;   // local->blackout_ns() at capture
   };
   struct Move {
     fabric::HostId src = 0;
@@ -162,7 +129,6 @@ class MigrationCoordinator {
   [[nodiscard]] const sim::CostModel& model();
 
   core::FreeFlow& ff_;
-  MigrationConfig config_;
   std::unordered_map<orch::ContainerId, Move> moves_;
 
   telemetry::Counter* ctr_planned_ = nullptr;

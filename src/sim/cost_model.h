@@ -118,13 +118,14 @@ struct CostModel {
   /// conduit's retained window to drain before capturing it anyway (the
   /// undrained tail replays at the destination, peers dedup — lossless).
   SimDuration migration_quiesce_deadline_ns = 2 * k_millisecond;
-  /// Destination-side activation: restore + container unfreeze fixed cost.
-  /// Models a pre-copied migration where only the final connection image
-  /// bounds the blackout (the memory pre-copy overlaps with execution);
+  /// Destination-side activation: container unfreeze fixed cost. Models a
+  /// pre-copied migration where only the final connection state bounds the
+  /// blackout (the memory pre-copy overlaps with execution);
   /// contrast the 50 ms stop-and-copy default of the *reactive*
   /// ClusterOrchestrator::migrate path.
   SimDuration migration_resume_fixed_ns = 300 * k_microsecond;
-  /// Transfer cost per MigrationImage byte (~40 GB/s state push).
+  /// Transfer cost per byte of moved connection state (~40 GB/s state
+  /// push; MigrationReport::image_bytes counts those bytes).
   double migration_image_byte_ns = 0.025;
 
   [[nodiscard]] double nic_line_bytes_per_sec() const noexcept {

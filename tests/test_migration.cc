@@ -277,15 +277,16 @@ TEST(Migration, MigrationRacingNicDeathFailover) {
   EXPECT_NE(transport_of(p.net_a), orch::Transport::rdma);
 }
 
-// A quiesce deadline too short to drain the retained window: capture simply
-// carries the undrained tail, which replays at the destination and the peer
-// dedups — lossless, exactly like reactive failover, just flagged.
+// A quiesce deadline too short to drain the retained window (set through
+// the cost model): the undrained tail moves with its conduit, replays at the
+// destination and the peer dedups — lossless, exactly like reactive
+// failover, just flagged.
 TEST(Migration, QuiesceDeadlineExpiryFallsBack) {
-  Env env(3);
+  sim::CostModel model;
+  model.migration_quiesce_deadline_ns = 1;  // expires before any ack can land
+  Env env(3, model);
   auto p = attach_pair(env, 0, 1);
-  MigrationConfig config;
-  config.quiesce_deadline_ns = 1;  // expires before any ack can land
-  MigrationCoordinator coord(env.freeflow(), config);
+  MigrationCoordinator coord(env.freeflow());
   auto st = start_stream(env, p, 7002, 32ull * 1024 * 1024);
   ASSERT_TRUE(env.wait([&]() { return st->verified > 4 * 1024 * 1024; }));
 
@@ -305,6 +306,53 @@ TEST(Migration, QuiesceDeadlineExpiryFallsBack) {
       << (st->corrupt ? " CORRUPT" : "");
   EXPECT_FALSE(st->corrupt);
   EXPECT_EQ(st->verified, st->target);
+}
+
+// Sends made while the sender's container is in flight — after capture took
+// its conduit off the wire, before resume — queue behind the state that
+// moves with it, visibly (ConnectionInfo::queued), already sequenced, and
+// arrive once, in order and byte-exact after the resume.
+TEST(Migration, SendsDuringMoveDeliverInOrder) {
+  Env env(3);
+  auto p = attach_pair(env, 0, 1);
+  MigrationCoordinator coord(env.freeflow());
+  auto st = start_stream(env, p, 7007, 1024 * 1024);
+  ASSERT_TRUE(env.wait([&]() { return st->done(); }));
+
+  std::optional<MigrationReport> report;
+  coord.migrate(p.a->id(), 2, [&](Result<MigrationReport> r) {
+    ASSERT_TRUE(r.is_ok()) << r.status();
+    report = *r;
+  });
+  // Capture is the point where the sender's conduit goes off the wire.
+  ASSERT_TRUE(env.wait([&]() { return !p.net_a->connections()[0].live; }));
+  ASSERT_FALSE(report.has_value());
+
+  // The app ignores writable(): three 64 KiB sends mid-move.
+  constexpr std::size_t k_send = 64 * 1024;
+  for (int i = 0; i < 3; ++i) {
+    Buffer msg(k_send);
+    auto* out = msg.data();
+    for (std::size_t j = 0; j < k_send; ++j) {
+      out[j] = static_cast<std::byte>(pattern_byte(st->sent + j));
+    }
+    ASSERT_TRUE(st->client->send(std::move(msg)).is_ok());
+    st->sent += k_send;
+  }
+  st->target = st->sent;
+  const auto mid_move = p.net_a->connections()[0];
+  EXPECT_FALSE(mid_move.live);
+  EXPECT_GT(mid_move.queued, 0u);
+
+  ASSERT_TRUE(env.wait([&]() { return report.has_value() && st->done(); }))
+      << "verified " << st->verified << "/" << st->target
+      << (st->corrupt ? " CORRUPT" : "");
+  EXPECT_EQ(p.a->host(), 2u);
+  // Once: nothing more arrives after the stream completes.
+  env.wait([]() { return false; }, 10 * k_millisecond);
+  EXPECT_FALSE(st->corrupt);
+  EXPECT_EQ(st->verified, st->target);
+  EXPECT_EQ(st->server->bytes_received(), st->target);
 }
 
 // Two identical seeded runs of a migration under load produce byte-identical
@@ -446,32 +494,6 @@ TEST(Migration, ValidatesRequestsUpFront) {
   ASSERT_TRUE(trivial.has_value());  // same-host: no move, fires synchronously
   EXPECT_EQ(trivial->conduits_moved, 0u);
   EXPECT_EQ(trivial->blackout_ns, 0);
-}
-
-// MigrationImage encode/decode round-trips and rejects corrupt input.
-TEST(Migration, ImageRoundTripAndValidation) {
-  MigrationImage image;
-  image.container = 42;
-  image.src_host = 1;
-  image.dst_host = 2;
-  image.conduit_records.emplace_back(Buffer::from_string("record-one"));
-  image.conduit_records.emplace_back(Buffer::from_string("r2"));
-
-  Buffer wire = image.encode();
-  EXPECT_EQ(wire.size(), image.byte_size());
-  auto back = MigrationImage::decode(wire.view());
-  ASSERT_TRUE(back.is_ok());
-  EXPECT_EQ(back->container, 42u);
-  EXPECT_EQ(back->src_host, 1u);
-  EXPECT_EQ(back->dst_host, 2u);
-  ASSERT_EQ(back->conduit_records.size(), 2u);
-  EXPECT_EQ(back->conduit_records[0], image.conduit_records[0]);
-  EXPECT_EQ(back->conduit_records[1], image.conduit_records[1]);
-
-  Buffer truncated(wire.data(), wire.size() - 3);
-  EXPECT_FALSE(MigrationImage::decode(truncated.view()).is_ok());
-  Buffer garbage = Buffer::from_string("not an image");
-  EXPECT_FALSE(MigrationImage::decode(garbage.view()).is_ok());
 }
 
 }  // namespace
