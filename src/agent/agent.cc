@@ -699,7 +699,7 @@ void Agent::drop_drained_lane(std::uint64_t channel_id) {
   // the rx job pins the lane for the remainder of the running callback.
   if (endpoints_.contains(channel_id)) return;
   auto it = outbound_lanes_.find(channel_id);
-  if (it != outbound_lanes_.end() && it->second->ring().empty()) {
+  if (it != outbound_lanes_.end() && it->second->empty()) {
     outbound_lanes_.erase(it);
   }
 }
@@ -707,10 +707,10 @@ void Agent::drop_drained_lane(std::uint64_t channel_id) {
 void Agent::relay_outbound(orch::ContainerId src, orch::ContainerId dst,
                            fabric::HostId peer_host, std::uint64_t channel_id,
                            orch::Transport transport, Buffer&& message) {
-  // `message` is the agent's own copy out of the container's lane ring:
-  // the ring space goes back to the container at pop time, while a paused
-  // agent parks the message and a trunk with a backlog queues fragments.
-  // Each fragment goes to the trunk as a view of it.
+  // `message` is the buffer the container gathered into its lane, handed
+  // over whole: its lane space went back to the container at delivery,
+  // while a paused agent parks the message and a trunk with a backlog
+  // queues fragments. Each fragment goes to the trunk as a view of it.
   if (paused_) {
     paused_tx_.push_back(
         {src, dst, peer_host, channel_id, transport, std::move(message)});

@@ -172,8 +172,8 @@ class Agent {
 
  public:
   /// The host's /dev/shm model. Each co-located channel holds one region:
-  /// the permission and budget record for its two lane rings (whose storage
-  /// faults in as written), unlinked when the channel closes.
+  /// the permission and budget record for its two lanes, unlinked when the
+  /// channel closes.
   [[nodiscard]] shm::RegionRegistry& shm_registry() noexcept { return shm_registry_; }
 
  private:
@@ -224,7 +224,7 @@ class Agent {
   /// Strong co-ownership of each channel's container->agent lane. The relay
   /// hook lives on this lane, and records already queued when the conduit
   /// destroys its endpoint — the closing bye among them — must still drain
-  /// to the trunk. Dropped once the channel is released AND the ring is
+  /// to the trunk. Dropped once the channel is released AND the lane is
   /// empty (release_channel, or the relay hook after the last record).
   std::unordered_map<std::uint64_t, std::shared_ptr<shm::ShmLane>> outbound_lanes_;
 

@@ -18,7 +18,7 @@ void LaneSender::send(ByteSpan head, ByteSpan body) {
 }
 
 void LaneSender::send(Buffer&& message) {
-  if (overflow_.empty() && lane_->send(message.view()).is_ok()) return;
+  if (overflow_.empty() && lane_->send(std::move(message)).is_ok()) return;
   overflow_.push_back(std::move(message));
 }
 
@@ -28,7 +28,7 @@ bool LaneSender::writable() const noexcept {
 
 void LaneSender::drain() {
   while (!overflow_.empty()) {
-    if (!lane_->send(overflow_.front().view()).is_ok()) return;
+    if (!lane_->send(std::move(overflow_.front())).is_ok()) return;
     overflow_.pop_front();
   }
   if (user_on_space_) user_on_space_();
@@ -66,7 +66,7 @@ void ShmChannelEndpoint::close() noexcept {
   closed_ = true;
   // Unhook our slots on the shared lanes: the receive hook (so in-flight
   // traffic is dropped, not delivered to a dead handler) and the tx space
-  // re-arm. Messages already in the tx ring still drain to the peer — its
+  // re-arm. Messages already in the tx lane still drain to the peer — its
   // receive hook lives on the other lane end.
   rx_->set_receiver(nullptr);
   tx_.detach();

@@ -3,7 +3,7 @@
 // is how the actual data-plane mechanism stays invisible to applications.
 //
 // send() never rejects for backpressure: endpoints queue internally and
-// drain as ring space frees. `writable()` is the advisory signal sources
+// drain as lane space frees. `writable()` is the advisory signal sources
 // should pace on (closed-loop workloads never build a queue).
 #pragma once
 
@@ -30,13 +30,13 @@ class Channel {
 
   /// Sends one message, `head` followed by `body` (a header in front of a
   /// payload view); fails only if the channel is closed. The bytes are
-  /// gathered into the transport's ring or slot, or into one owned buffer
-  /// only when they must queue, so the caller keeps ownership of both.
+  /// gathered once into the lane's owned message, so the caller keeps
+  /// ownership of both.
   virtual Status send(ByteSpan head, ByteSpan body = {}) = 0;
   /// Same, for a caller holding the whole message in a buffer.
   Status send(const Buffer& message) { return send(message.view()); }
 
-  /// False while the underlying ring is full (advisory pacing signal).
+  /// False while the underlying lane is full (advisory pacing signal).
   [[nodiscard]] virtual bool writable() const noexcept = 0;
 
   virtual void set_on_message(DeliverFn cb) = 0;
@@ -76,9 +76,9 @@ class LaneSender {
   LaneSender(const LaneSender&) = delete;
   LaneSender& operator=(const LaneSender&) = delete;
 
-  /// Gathers `head` and `body` into the ring, or queues them as one owned
-  /// message (a moved-in buffer, for the rvalue overload) while the ring is
-  /// full; drains as the ring frees.
+  /// Gathers `head` and `body` into one owned message (or takes a moved-in
+  /// buffer, for the rvalue overload) and hands it to the lane, or queues it
+  /// while the lane is full; drains as the lane frees.
   void send(ByteSpan head, ByteSpan body = {});
   void send(Buffer&& message);
   [[nodiscard]] bool writable() const noexcept;
@@ -151,7 +151,7 @@ class RemoteChannelEndpoint final
   ~RemoteChannelEndpoint() override;
 
   Status send(ByteSpan head, ByteSpan body = {}) override;
-  /// Writable only while both the container->agent ring has space AND the
+  /// Writable only while both the container->agent lane has space AND the
   /// agent's trunk toward the peer host is uncongested — this propagates
   /// NIC-rate backpressure all the way to the application.
   [[nodiscard]] bool writable() const noexcept override;

@@ -61,7 +61,7 @@ void Conduit::send(const WireHeader& header, ByteSpan payload) {
   }
   // Lossless (shm) channel: nothing is retained, so no message is built.
   // The header is encoded on the stack and gathered in front of the
-  // payload view straight into the ring.
+  // payload view straight into the lane.
   put_on_channel(encode_header(h, payload.size()), payload);
 }
 

@@ -64,7 +64,7 @@ class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
   [[nodiscard]] rdma::MrPtr mr(std::uint32_t id) const;
   rdma::CqPtr create_cq(std::size_t capacity = 4096);
   /// Largest payload one verbs WR may move (SEND/WRITE source, READ
-  /// length): its conduit message has to fit whole into an shm lane ring.
+  /// length): its conduit message has to fit whole into an shm lane.
   [[nodiscard]] std::size_t max_verbs_payload() const;
 
   /// CM-style rendezvous: accept verbs QPs on a service port.

@@ -3,7 +3,7 @@
 // SEND/WRITE/READ opcodes, post_recv, completion queues — but executes over
 // whatever conduit/transport the orchestrator chose. Applications written
 // against verbs run unchanged whether the peer is across a shared-memory
-// ring or across the datacenter (paper §4.2, Figs. 5-7).
+// lane or across the datacenter (paper §4.2, Figs. 5-7).
 #pragma once
 
 #include <deque>

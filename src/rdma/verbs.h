@@ -49,10 +49,23 @@ struct WorkCompletion {
 /// trunk's slot ring) faults its pages in as records are first written, not
 /// at registration. Nothing reads MR bytes it has not written; an owner
 /// that posts a buffer as it is fills it first.
+///
+/// Storage of k_pooled_bytes or more outlives its MR: it goes back to a
+/// per-length pool and the next MR of that length takes it as it is, so
+/// steady trunk churn reuses the pages earlier slot rings faulted in
+/// instead of faulting fresh heap in every time.
 class MemoryRegion {
  public:
-  MemoryRegion(Key lkey, Key rkey, std::size_t length)
-      : lkey_(lkey), rkey_(rkey), data_(Buffer::for_overwrite(length)) {}
+  static constexpr std::size_t k_pooled_bytes = 1 << 20;
+
+  MemoryRegion(Key lkey, Key rkey, std::size_t length);
+  ~MemoryRegion();
+
+  MemoryRegion(const MemoryRegion&) = delete;
+  MemoryRegion& operator=(const MemoryRegion&) = delete;
+
+  /// Storage blocks of `length` bytes waiting in the pool.
+  [[nodiscard]] static std::size_t pooled_blocks(std::size_t length);
 
   [[nodiscard]] Key lkey() const noexcept { return lkey_; }
   [[nodiscard]] Key rkey() const noexcept { return rkey_; }

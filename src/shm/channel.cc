@@ -1,5 +1,9 @@
 #include "shm/channel.h"
 
+#include <bit>
+
+#include "shm/spsc_ring.h"
+
 namespace freeflow::shm {
 
 void charge_bus_then_cpu(fabric::Host& host, double bus_bytes, double cpu_units,
@@ -14,14 +18,33 @@ void charge_bus_then_cpu(fabric::Host& host, double bus_bytes, double cpu_units,
 }
 
 ShmLane::ShmLane(fabric::Host& host, std::size_t ring_bytes)
-    : host_(host), tx_thread_(host.cpu()), rx_thread_(host.cpu()), ring_(ring_bytes) {}
+    : host_(host),
+      tx_thread_(host.cpu()),
+      rx_thread_(host.cpu()),
+      capacity_(std::bit_ceil(ring_bytes)) {
+  FF_CHECK(ring_bytes >= 64);
+}
+
+bool ShmLane::can_send(std::size_t payload) const noexcept {
+  return capacity_ - used_ >= SpscRing::record_size(payload);
+}
 
 Status ShmLane::send(ByteSpan head, ByteSpan body) {
-  const std::size_t size = head.size() + body.size();
-  if (!ring_.can_push(size)) {
-    return would_block("shm ring full");
-  }
-  FF_CHECK(ring_.try_push(head, body));
+  if (!can_send(head.size() + body.size())) return would_block("shm lane full");
+  enqueue(Buffer::gather(head, body));
+  return ok_status();
+}
+
+Status ShmLane::send(Buffer&& message) {
+  if (!can_send(message.size())) return would_block("shm lane full");
+  enqueue(std::move(message));
+  return ok_status();
+}
+
+void ShmLane::enqueue(Buffer&& message) {
+  const std::size_t size = message.size();
+  used_ += SpscRing::record_size(size);
+  queue_.push_back(std::move(message));
 
   const auto& model = host_.cost_model();
   const double side_bus = static_cast<double>(size) * model.shm_bus_bytes_factor / 2.0;
@@ -39,7 +62,6 @@ Status ShmLane::send(ByteSpan head, ByteSpan body) {
                                             [this, self, size]() { deliver_one(size); });
                     },
                     sender_account_, &host_.membus(), side_bus);
-  return ok_status();
 }
 
 void ShmLane::deliver_one(std::size_t payload_size) {
@@ -54,8 +76,9 @@ void ShmLane::deliver_one(std::size_t payload_size) {
     // may drop the channel's last reference to us mid-callback. Acquired at
     // run time, not capture time, so queued jobs still don't pin their owner.
     auto self = weak_from_this().lock();
-    Buffer out;
-    FF_CHECK(ring_.try_pop(out));
+    Buffer out = std::move(queue_.front());
+    queue_.pop_front();
+    used_ -= SpscRing::record_size(out.size());
     ++delivered_;
     bytes_delivered_ += out.size();
     // Invoked in place: a handler that replaces itself (a channel handshake

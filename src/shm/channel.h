@@ -1,11 +1,16 @@
 // Simulation-level shared-memory message channel between two containers on
-// the same host. Payload bytes really travel through an SpscRing; the cost
-// model charges sender/receiver CPU (enqueue + memcpy) and the host memory
-// bus, which is what makes shm throughput plateau at the bus for many pairs
-// (paper Fig. 2a) while staying far above TCP/RDMA for one pair.
+// the same host. A lane is a descriptor queue of owned messages: the sender
+// gathers each message once (its modelled copy into the shared segment) and
+// the receiver is handed that very buffer, so one host copy stands for the
+// modelled copy-in and copy-out. Admission is a flat ring's, record by
+// record, so backpressure is what an SpscRing of the same size would give.
+// The cost model charges sender/receiver CPU (enqueue + memcpy) and the host
+// memory bus, which is what makes shm throughput plateau at the bus for many
+// pairs (paper Fig. 2a) while staying far above TCP/RDMA for one pair.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 
@@ -13,7 +18,6 @@
 #include "common/handler_slot.h"
 #include "common/status.h"
 #include "fabric/host.h"
-#include "shm/spsc_ring.h"
 #include "sim/resource.h"
 
 namespace freeflow::shm {
@@ -26,10 +30,12 @@ namespace freeflow::shm {
 /// shutdown. Only the cross-core wakeup hop through the event loop escapes
 /// the lane; when the lane is shared_ptr-owned (agent-brokered channels)
 /// that hop carries a keep-alive, so an endpoint may be torn down with
-/// traffic still in the ring without dangling the pending event. Stack- or
+/// traffic still queued without dangling the pending event. Stack- or
 /// unique-owned lanes (workload drivers) must simply outlive the run.
 class ShmLane : public std::enable_shared_from_this<ShmLane> {
  public:
+  /// Admits what a flat ring of `ring_bytes` (rounded up to a power of two,
+  /// >= 64) would: each queued message costs SpscRing::record_size bytes.
   ShmLane(fabric::Host& host, std::size_t ring_bytes);
 
   ShmLane(const ShmLane&) = delete;
@@ -43,52 +49,42 @@ class ShmLane : public std::enable_shared_from_this<ShmLane> {
     on_message_.set(std::move(on_message));
   }
 
-  /// Invoked whenever a pop frees ring space (senders blocked on
+  /// Invoked whenever a delivery frees lane space (senders blocked on
   /// would_block re-arm themselves here).
   void set_on_space(std::function<void()> cb) { on_space_.set(std::move(cb)); }
 
-  [[nodiscard]] bool can_send(std::size_t payload) const noexcept {
-    return ring_.can_push(payload);
-  }
+  [[nodiscard]] bool can_send(std::size_t payload) const noexcept;
 
-  /// Enqueues one message, `head` followed by `body`, gathered straight
-  /// into the ring (the caller keeps its buffers). Returns would_block, with
-  /// no side effects, when the ring lacks space — retry from on_space.
+  /// Enqueues one message, `head` followed by `body`, gathered into one
+  /// owned buffer (the caller keeps its buffers). Returns would_block, with
+  /// no side effects, when the lane lacks space — retry from on_space.
   Status send(ByteSpan head, ByteSpan body = {});
+  /// Enqueues `message` itself. On would_block it is left untouched.
+  Status send(Buffer&& message);
 
+  /// True when no message waits for delivery.
+  [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
   [[nodiscard]] std::uint64_t messages_delivered() const noexcept { return delivered_; }
   [[nodiscard]] std::uint64_t bytes_delivered() const noexcept { return bytes_delivered_; }
-  [[nodiscard]] SpscRing& ring() noexcept { return ring_; }
   [[nodiscard]] fabric::Host& host() noexcept { return host_; }
 
  private:
+  void enqueue(Buffer&& message);
   void deliver_one(std::size_t payload_size);
 
   fabric::Host& host_;
   /// Producer and consumer are each one thread: their copies serialize.
   sim::SerialExecutor tx_thread_;
   sim::SerialExecutor rx_thread_;
-  SpscRing ring_;
+  std::size_t capacity_;
+  std::size_t used_ = 0;  ///< record bytes of the queued messages
+  std::deque<Buffer> queue_;
   common::HandlerSlot<void(Buffer&&)> on_message_;
   common::HandlerSlot<void()> on_space_;
   sim::UsageAccount* sender_account_ = nullptr;
   sim::UsageAccount* receiver_account_ = nullptr;
   std::uint64_t delivered_ = 0;
   std::uint64_t bytes_delivered_ = 0;
-};
-
-/// Bidirectional channel: two lanes over one logical shm region.
-class ShmChannel {
- public:
-  ShmChannel(fabric::Host& host, std::size_t ring_bytes)
-      : a_to_b_(host, ring_bytes), b_to_a_(host, ring_bytes) {}
-
-  [[nodiscard]] ShmLane& a_to_b() noexcept { return a_to_b_; }
-  [[nodiscard]] ShmLane& b_to_a() noexcept { return b_to_a_; }
-
- private:
-  ShmLane a_to_b_;
-  ShmLane b_to_a_;
 };
 
 /// Models "memcpy uses CPU and memory bus simultaneously": charges the bus

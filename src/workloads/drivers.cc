@@ -187,7 +187,7 @@ ThroughputReport drive_shm_stream(fabric::Cluster& cluster, fabric::HostId host_
   // deliveries so no event still references a destroyed lane.
   for (auto& lane : lanes) lane->set_on_space(nullptr);
   run_to(cluster, cluster.loop().now() + 20 * k_millisecond);
-  for (auto& lane : lanes) FF_CHECK(lane->ring().empty());
+  for (auto& lane : lanes) FF_CHECK(lane->empty());
   return report;
 }
 

@@ -71,23 +71,25 @@ std::size_t array_bytes_for_one_message(bool same_host) {
 }
 
 TEST(CopyBudget, ShmMessageAllocatesOnlyItsReceiveBuffer) {
-  // The sender gathers the wire header onto the payload straight into the
-  // lane ring; the one buffer is the receiver's copy out of the ring.
+  // The sender gathers the wire header onto the payload into one owned
+  // message; the lane hands that buffer to the receiver, which copies
+  // nothing.
   const std::size_t bytes = array_bytes_for_one_message(/*same_host=*/true);
   EXPECT_GE(bytes, k_message);
   EXPECT_LE(static_cast<double>(bytes), 1.1 * k_message);
 }
 
 TEST(CopyBudget, RdmaMessageStaysWithinItsBudget) {
-  // Five buffers, each the payload plus its wire header: the sender's
-  // retained message, the agent's lane pop, the trunk's receive copy and
-  // the QP's MTU chunk snapshots (those two also carry the relay header),
-  // and the receiver's lane pop. The relay record is written straight into
-  // the trunk's send slot, so it costs none.
+  // Four buffers, each the payload plus its wire header: the sender's
+  // retained message, its copy into the lane (which the agent relays as
+  // it is), the trunk's receive copy and the QP's MTU chunk snapshots
+  // (those two also carry the relay header). The relay record is written
+  // straight into the trunk's send slot, and the agent moves the
+  // reassembled message into the receiver's lane, so those cost none.
   constexpr std::size_t k_budget =
-      5 * (k_message + WireHeader::k_size) + 2 * agent::RelayHeader::k_size;
+      4 * (k_message + WireHeader::k_size) + 2 * agent::RelayHeader::k_size;
   const std::size_t bytes = array_bytes_for_one_message(/*same_host=*/false);
-  EXPECT_GE(bytes, 5 * k_message);
+  EXPECT_GE(bytes, 4 * k_message);
   EXPECT_LE(bytes, k_budget);
 }
 

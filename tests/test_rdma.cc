@@ -94,6 +94,30 @@ TEST_F(RdmaFixture, MrStorageFaultsInOnlyAsWritten) {
   }
 }
 
+TEST(MemoryRegion, LargeStorageIsRecycled) {
+  // A destroyed MR of at least k_pooled_bytes hands its storage to the
+  // next MR of the same length, pages already faulted in.
+  constexpr std::size_t k_len = MemoryRegion::k_pooled_bytes;
+  const std::size_t pooled = MemoryRegion::pooled_blocks(k_len);
+  const std::byte* storage = nullptr;
+  {
+    MemoryRegion mr(1, 2, k_len);
+    storage = mr.data().data();
+    fill_pattern(mr.data().mutable_view(), 5);
+  }
+  EXPECT_EQ(MemoryRegion::pooled_blocks(k_len), pooled + 1);
+  MemoryRegion next(3, 4, k_len);
+  EXPECT_EQ(next.data().data(), storage);
+  EXPECT_EQ(next.length(), k_len);
+  EXPECT_EQ(MemoryRegion::pooled_blocks(k_len), pooled);
+}
+
+TEST(MemoryRegion, StorageUnderOneMiBIsNotPooled) {
+  constexpr std::size_t k_len = MemoryRegion::k_pooled_bytes - 1;
+  { MemoryRegion mr(1, 2, k_len); }
+  EXPECT_EQ(MemoryRegion::pooled_blocks(k_len), 0u);
+}
+
 TEST_F(RdmaFixture, PostRequiresConnectedQp) {
   auto qp = dev_a->create_qp(dev_a->create_cq(), dev_a->create_cq());
   auto mr = dev_a->reg_mr(128);

@@ -637,6 +637,78 @@ TEST_F(LaneFixture, DeliversMessagesInOrderWithIntegrity) {
   EXPECT_EQ(lane.messages_delivered(), 10u);
 }
 
+TEST_F(LaneFixture, AdmissionMatchesSpscRingOfSameCapacity) {
+  // Property: whatever the interleaving of sends and deliveries, the lane
+  // admits exactly what an SpscRing asked for the same capacity admits, and
+  // delivers the same messages in the same order.
+  constexpr std::size_t k_ring_bytes = 3000;  // rounds up to 4096
+  const std::size_t max_payload = SpscRing::max_payload(k_ring_bytes);
+  ShmLane lane(cluster.host(0), k_ring_bytes);
+  SpscRing ring(k_ring_bytes);
+  std::deque<Buffer> got;
+  lane.set_receiver([&](Buffer&& b) { got.push_back(std::move(b)); });
+  Rng rng(11);
+  auto random_size = [&]() -> std::size_t {
+    const double pick = rng.next_double();
+    if (pick < 0.05) return 0;
+    if (pick < 0.10) return max_payload - rng.next_below(8);
+    return rng.next_below(1200);
+  };
+  std::uint64_t next_push = 0, next_pop = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const std::size_t probe = random_size();
+    ASSERT_EQ(lane.can_send(probe), ring.can_push(probe)) << "step " << step;
+    ASSERT_EQ(lane.can_send(max_payload), ring.can_push(max_payload)) << "step " << step;
+    ASSERT_EQ(lane.empty(), ring.empty()) << "step " << step;
+    if (rng.chance(0.5)) {
+      Buffer msg(random_size());
+      fill_pattern(msg.mutable_view(), next_push);
+      const bool pushed = ring.try_push(msg.view());
+      const Status sent = rng.chance(0.5) ? lane.send(msg.view()) : lane.send(std::move(msg));
+      ASSERT_EQ(sent.is_ok(), pushed) << "step " << step;
+      if (pushed) ++next_push;
+    } else if (!lane.empty()) {
+      const std::uint64_t before = lane.messages_delivered();
+      while (lane.messages_delivered() == before) ASSERT_TRUE(cluster.loop().step());
+      Buffer out;
+      ASSERT_TRUE(ring.try_pop(out));
+      ASSERT_EQ(got.size(), 1u);
+      ASSERT_EQ(got.front(), out) << "step " << step;
+      ASSERT_TRUE(check_pattern(out.view(), next_pop++));
+      got.pop_front();
+    }
+  }
+  EXPECT_GT(next_pop, 1000u);
+}
+
+TEST_F(LaneFixture, SendByMoveHandsOverTheBufferOrLeavesIt) {
+  // On success the lane takes the message itself and delivers that very
+  // buffer; on would_block it leaves the caller's message untouched.
+  ShmLane lane(cluster.host(0), 1 << 10);
+  std::vector<Buffer> got;
+  lane.set_receiver([&](Buffer&& b) { got.push_back(std::move(b)); });
+  Buffer first(600);
+  fill_pattern(first.mutable_view(), 1);
+  const std::byte* storage = first.data();
+  ASSERT_TRUE(lane.send(std::move(first)).is_ok());
+  EXPECT_TRUE(first.empty());  // NOLINT(bugprone-use-after-move): moved from
+
+  Buffer second(600);
+  fill_pattern(second.mutable_view(), 2);
+  EXPECT_EQ(lane.send(std::move(second)).code(), Errc::would_block);
+  ASSERT_EQ(second.size(), 600u);  // NOLINT(bugprone-use-after-move): refused
+  EXPECT_TRUE(check_pattern(second.view(), 2));
+
+  cluster.loop().run();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].data(), storage);
+  EXPECT_TRUE(check_pattern(got[0].view(), 1));
+  ASSERT_TRUE(lane.send(std::move(second)).is_ok());
+  cluster.loop().run();
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_TRUE(check_pattern(got[1].view(), 2));
+}
+
 TEST_F(LaneFixture, ChargesSenderAndReceiverCpu) {
   ShmLane lane(cluster.host(0), 1 << 20);
   sim::UsageAccount tx("tx"), rx("rx");
