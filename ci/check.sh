@@ -20,7 +20,7 @@
 #   7 bench-smoke    bench_sim_core + storms + bench_socket_stream --json + perfbench checks and digests
 #   8 trace-validate failover + socket-stream traces vs expected timelines
 #   9 perf-gate      ci/perf_gate.py vs the committed baselines
-#  10 tsan-ring      test_shm's SpscRing suite under ThreadSanitizer, 20 repeats
+#  10 tsan-ring      test_spsc_ring (SpscRing only) under ThreadSanitizer, 20 repeats
 #  11 coverage       --coverage -O0 build + ctest; never-run src/ lines vs baseline
 set -euo pipefail
 
@@ -208,14 +208,14 @@ stage_perf_gate() {
 }
 
 stage_tsan_ring() {
-  # The lane ring is the one structure two real threads drive (the
+  # The SpscRing is the one structure two real threads drive (the
   # micro-benchmark does): race its generation switches under TSan in a
-  # build of its own, repeated so the interleavings vary.
+  # build of its own, repeated so the interleavings vary. Its test binary
+  # links only the ring and ff_common, so only those compile here.
   cmake -B build-tsan -S . -DFREEFLOW_WERROR=ON -DCMAKE_CXX_FLAGS=-fsanitize=thread \
     -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
-  cmake --build build-tsan -j "$jobs" --target test_shm
-  ./build-tsan/tests/test_shm --gtest_brief=1 --gtest_filter='SpscRing.*' \
-    --gtest_repeat=20
+  cmake --build build-tsan -j "$jobs" --target test_spsc_ring
+  ./build-tsan/tests/test_spsc_ring --gtest_brief=1 --gtest_repeat=20
 }
 
 stage_coverage() {

@@ -452,8 +452,9 @@ std::shared_ptr<Trunk> Agent::adopt_trunk(const TrunkKey& key,
   auto it = trunks_.find(key);
   if (it != trunks_.end() && it->second != trunk) {
     // Never clobber: the incumbent (an opposite-direction setup's half, or
-    // a fresher attempt's pending trunk) wins; the newcomer is retired. Its
-    // pump events may hold raw pointers, so graveyard, not free.
+    // a fresher attempt's pending trunk) wins; the newcomer is retired.
+    // Graveyard, not free: it keeps a connected QP or TCP connection whose
+    // peer may still deliver records on it.
     ctr_setup_races_->inc();
     retired_trunks_.push_back(std::move(trunk));
     ctr_trunks_retired_->inc();

@@ -247,8 +247,9 @@ class Agent {
   // ---- lane health ------------------------------------------------------
   /// Last time any record (heartbeats included) arrived on each live lane.
   std::map<TrunkKey, SimTime> lane_last_rx_;
-  /// Failed trunks are retired here, not freed: their pump loops (RDMA
-  /// polling especially) hold raw pointers in already-scheduled events.
+  /// Failed and losing trunks are retired here, not freed: a retired half
+  /// keeps a connected QP or TCP connection that may still deliver. No
+  /// scheduled event holds a raw pointer to a trunk (DESIGN §8).
   std::vector<std::shared_ptr<Trunk>> retired_trunks_;
   sim::EventHandle monitor_;
   bool monitor_armed_ = false;

@@ -1,8 +1,5 @@
 #include "agent/trunk.h"
 
-#include <cstring>
-
-#include "common/framing.h"
 #include "common/logging.h"
 
 namespace freeflow::agent {
@@ -11,134 +8,60 @@ namespace freeflow::agent {
 
 RdmaTrunk::RdmaTrunk(rdma::RdmaDevice& device, sim::UsageAccount& account,
                      bool zero_copy, std::size_t slot_bytes, std::uint32_t slots)
-    : device_(device),
-      account_(account),
+    : account_(account),
       zero_copy_(zero_copy),
-      slot_bytes_(slot_bytes),
-      slots_(slots) {
-  send_mr_ = device_.reg_mr(slot_bytes_ * slots_);
-  recv_mr_ = device_.reg_mr(slot_bytes_ * slots_);
-  send_cq_ = device_.create_cq(slots_ * 4);
-  recv_cq_ = device_.create_cq(slots_ * 4);
-  rdma::QpAttr attr;
-  attr.max_send_wr = slots_ * 2;
-  attr.max_recv_wr = slots_ * 2;
-  qp_ = device_.create_qp(send_cq_, recv_cq_, attr);
-  free_slots_.reserve(slots_);
-  for (std::uint32_t s = 0; s < slots_; ++s) free_slots_.push_back(s);
-}
+      slots_(std::make_shared<rdma::SlotQp>(device, &account, slot_bytes, slots, slots)) {}
 
-void RdmaTrunk::start(std::shared_ptr<rdma::QueuePair>) {
-  for (std::uint32_t s = 0; s < slots_; ++s) repost_recv(s);
-  send_cq_->set_notify([this]() { schedule_poll(); });
-  recv_cq_->set_notify([this]() { schedule_poll(); });
+void RdmaTrunk::start() {
+  // The engine is this trunk's alone and dies with it, so its hooks may
+  // hold `this`; what the CQs and the event loop hold is the engine's weak
+  // handle.
+  slots_->start([this]() { poll(); },
+                [this](Buffer&& record) {
+                  auto& host = slots_->device().host();
+                  host.cpu().submit(host.cost_model().agent_record_ns, nullptr, &account_);
+                  if (on_record_) on_record_(std::move(record));
+                  return true;
+                });
   pump();
 }
 
-void RdmaTrunk::repost_recv(std::uint32_t slot) {
-  rdma::RecvWr wr;
-  wr.wr_id = slot;
-  wr.local = {recv_mr_, slot * slot_bytes_, slot_bytes_};
-  const Status posted = qp_->post_recv(wr, &account_);
-  FF_CHECK(posted.is_ok());
-}
-
 void RdmaTrunk::send(const RelayHeader& header, ByteSpan fragment, std::uint32_t tenant) {
-  const std::size_t size = RelayHeader::k_size + fragment.size();
-  FF_CHECK(size <= slot_bytes_);
-  if (!queue_.empty() || !can_post()) {
+  if (!queue_.empty() || !slots_->can_post()) {
     // Records are waiting (or nothing can post yet): this one queues behind
     // them, owned, so it never overtakes them.
     queue_.push_back(QueuedRecord{make_record(header, fragment), tenant});
     pump();
     return;
   }
-  auto [slot, dst] = take_slot(size);
-  header.encode(dst);
-  if (!fragment.empty()) std::memcpy(dst + RelayHeader::k_size, fragment.data(), fragment.size());
-  post(slot, size, tenant);
+  std::byte encoded[RelayHeader::k_size];
+  header.encode(encoded);
+  post(encoded, fragment, tenant);
 }
 
-std::pair<std::uint32_t, std::byte*> RdmaTrunk::take_slot(std::size_t size) {
-  const std::uint32_t slot = free_slots_.back();
-  free_slots_.pop_back();
-  auto dst = send_mr_->slice(slot * slot_bytes_, size);
-  FF_CHECK(dst.is_ok());
-  return {slot, dst->data()};
-}
-
-void RdmaTrunk::post(std::uint32_t slot, std::size_t size, std::uint32_t tenant) {
-  auto& host = device_.host();
+void RdmaTrunk::post(ByteSpan head, ByteSpan body, std::uint32_t tenant) {
+  auto& host = slots_->device().host();
   const auto& m = host.cost_model();
   // Zero-copy relay: the shm block doubles as the registered buffer, so
   // the agent pays only fixed per-record CPU. Copy mode is the ablation.
   double cpu = m.agent_record_ns;
-  if (!zero_copy_) cpu += m.agent_copy_ns_per_byte * static_cast<double>(size);
+  if (!zero_copy_) {
+    cpu += m.agent_copy_ns_per_byte * static_cast<double>(head.size() + body.size());
+  }
   host.cpu().submit(cpu, nullptr, &account_);
-
-  rdma::SendWr wr;
-  wr.wr_id = slot;
-  wr.opcode = rdma::Opcode::send;
-  wr.local = {send_mr_, slot * slot_bytes_, size};
-  wr.signaled = true;
-  wr.tenant = tenant;
-  const Status posted = qp_->post_send(wr, &account_);
-  FF_CHECK(posted.is_ok());
+  slots_->post(head, body, tenant);
 }
 
 void RdmaTrunk::pump() {
-  while (!queue_.empty() && can_post()) {
-    Buffer record = std::move(queue_.front().record);
-    const std::uint32_t tenant = queue_.front().tenant;
+  while (!queue_.empty() && slots_->can_post()) {
+    post(queue_.front().record.view(), {}, queue_.front().tenant);
     queue_.pop_front();
-    auto [slot, dst] = take_slot(record.size());
-    std::memcpy(dst, record.data(), record.size());
-    post(slot, record.size(), tenant);
   }
 }
 
-void RdmaTrunk::schedule_poll() {
-  if (poll_scheduled_) return;
-  poll_scheduled_ = true;
-  device_.host().loop().schedule(device_.host().cost_model().agent_wakeup_ns, [this]() {
-    poll_scheduled_ = false;
-    poll_cqs();
-  });
-}
-
-void RdmaTrunk::poll_cqs() {
-  auto& host = device_.host();
-  const auto& m = host.cost_model();
-  rdma::WorkCompletion wcs[16];
-
-  for (;;) {
-    const std::size_t n = send_cq_->poll(wcs);
-    if (n == 0) break;
-    host.cpu().submit(m.rdma_poll_ns * static_cast<double>(n), nullptr, &account_);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (wcs[i].status != rdma::WcStatus::success) {
-        FF_LOG(warn, "agent") << "trunk send completion error";
-        continue;
-      }
-      free_slots_.push_back(static_cast<std::uint32_t>(wcs[i].wr_id));
-    }
-  }
-  for (;;) {
-    const std::size_t n = recv_cq_->poll(wcs);
-    if (n == 0) break;
-    host.cpu().submit(m.rdma_poll_ns * static_cast<double>(n), nullptr, &account_);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto slot = static_cast<std::uint32_t>(wcs[i].wr_id);
-      // The record is copied out before the slot is reposted, and it must
-      // be: reposting can synchronously drain an RNR backlog into this very
-      // slot. Dispatching from the slot first and reposting after would
-      // move every repost's CPU charge behind the handler's work, which
-      // changes the simulated schedule.
-      Buffer record(recv_mr_->data().data() + slot * slot_bytes_, wcs[i].byte_len);
-      repost_recv(slot);
-      host.cpu().submit(m.agent_record_ns, nullptr, &account_);
-      if (on_record_) on_record_(std::move(record));
-    }
+void RdmaTrunk::poll() {
+  if (!slots_->poll()) {
+    FF_LOG(warn, "agent") << "trunk completion error";
   }
   pump();
   maybe_drained();
@@ -158,11 +81,18 @@ void DpdkTrunk::send(const RelayHeader& header, ByteSpan fragment, std::uint32_t
 
 // ----------------------------------------------------------------- TcpTrunk
 
+// The pipe is this trunk's alone and dies with it, so its hooks may hold
+// `this`; the connection holds only the pipe's weak handle.
+TcpTrunk::TcpTrunk(sim::EventLoop& /*loop*/)
+    : pipe_(std::make_shared<tcp::RecordPipe>(
+          [this](Buffer&& record) {
+            if (on_record_) on_record_(std::move(record));
+          },
+          [this]() { maybe_drained(); })) {}
+
 void TcpTrunk::attach(tcp::TcpConnection::Ptr conn) {
-  conn_ = std::move(conn);
-  conn_->set_on_data([this](Buffer&& data) { on_bytes(std::move(data)); });
-  conn_->set_on_writable([this]() { pump(); });
-  pump();
+  pipe_->attach(std::move(conn));
+  maybe_drained();
 }
 
 void TcpTrunk::send(const RelayHeader& header, ByteSpan fragment, std::uint32_t tenant) {
@@ -171,30 +101,10 @@ void TcpTrunk::send(const RelayHeader& header, ByteSpan fragment, std::uint32_t 
   // class stays 0 (documented limitation; the kernel-bypass paths classify
   // precisely).
   (void)tenant;
-  std::byte encoded[RelayHeader::k_size]{};
+  std::byte encoded[RelayHeader::k_size];
   header.encode(encoded);
-  queue_.push_back(frame_record(encoded, fragment));
-  pump();
-}
-
-void TcpTrunk::pump() {
-  if (conn_ == nullptr) return;
-  // writable(n) is exactly send()'s admission test: a frame leaves the
-  // queue only when the connection takes it.
-  while (!queue_.empty() && conn_->writable(queue_.front().size())) {
-    const Status s = conn_->send(std::move(queue_.front()));
-    FF_CHECK(s.is_ok());
-    queue_.pop_front();
-  }
-  maybe_drained();
-}
-
-void TcpTrunk::on_bytes(Buffer&& data) {
-  append_stream_bytes(rx_accum_, std::move(data));
-  Buffer record;
-  while (pop_record(rx_accum_, record)) {
-    if (on_record_) on_record_(std::move(record));
-  }
+  pipe_->send(encoded, fragment);
+  if (connected()) maybe_drained();
 }
 
 }  // namespace freeflow::agent

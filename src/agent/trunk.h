@@ -8,19 +8,13 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include "agent/relay.h"
 #include "common/bytes.h"
-#include "common/status.h"
 #include "dpdk/pmd.h"
-#include "fabric/host.h"
-#include "rdma/cm.h"
-#include "rdma/device.h"
-#include "rdma/queue_pair.h"
+#include "rdma/slot_qp.h"
 #include "sim/resource.h"
-#include "tcpstack/network.h"
+#include "tcpstack/record_pipe.h"
 
 namespace freeflow::agent {
 
@@ -28,7 +22,11 @@ class Trunk {
  public:
   using RecordFn = std::function<void(Buffer&&)>;
 
+  Trunk() = default;
   virtual ~Trunk() = default;
+  /// Engines and pipes hold hooks into their trunk: a trunk never moves.
+  Trunk(const Trunk&) = delete;
+  Trunk& operator=(const Trunk&) = delete;
 
   /// Sends one relay record, `header` followed by `fragment`, toward the
   /// peer agent. The fragment is a view: the trunk writes it where it goes
@@ -59,8 +57,8 @@ class Trunk {
   static constexpr std::size_t k_congestion_records = 32;
 };
 
-/// RDMA trunk: a connected RC QP with a ring of send slots in a registered
-/// MR and pre-posted receives. In zero-copy mode the payload bytes are
+/// RDMA trunk: a slotted RC QP (rdma::SlotQp) plus a FIFO of owned
+/// records waiting for a send slot. In zero-copy mode the payload bytes are
 /// charged no agent-CPU copy (the shm block itself is registered, as in
 /// the paper's Fig. 6 flow); copy mode is the ablation baseline.
 class RdmaTrunk final : public Trunk {
@@ -68,9 +66,12 @@ class RdmaTrunk final : public Trunk {
   RdmaTrunk(rdma::RdmaDevice& device, sim::UsageAccount& account, bool zero_copy,
             std::size_t slot_bytes, std::uint32_t slots);
 
-  /// Call once on each side after create; exchanges QP numbers.
-  [[nodiscard]] std::shared_ptr<rdma::QueuePair> qp() noexcept { return qp_; }
-  void start(std::shared_ptr<rdma::QueuePair> remote_unused = nullptr);
+  [[nodiscard]] const std::shared_ptr<rdma::QueuePair>& qp() const noexcept {
+    return slots_->qp();
+  }
+  /// Call once on each side after the QP is connected: posts the receive
+  /// slots, hooks the CQs and pumps what queued before.
+  void start();
 
   /// Writes header and fragment straight into a free send slot when nothing
   /// is queued and the QP is ready; otherwise queues an owned record behind
@@ -89,33 +90,15 @@ class RdmaTrunk final : public Trunk {
     std::uint32_t tenant = 0;
   };
 
-  [[nodiscard]] bool can_post() const noexcept {
-    return qp_->state() == rdma::QpState::ready && !free_slots_.empty();
-  }
-  /// Takes a free send slot; `size` bytes of it are returned for writing.
-  std::pair<std::uint32_t, std::byte*> take_slot(std::size_t size);
-  /// Charges the relay CPU and posts `size` bytes of `slot`.
-  void post(std::uint32_t slot, std::size_t size, std::uint32_t tenant);
+  /// Charges the relay CPU for `head` + `body`, then posts them to a slot.
+  void post(ByteSpan head, ByteSpan body, std::uint32_t tenant);
   void pump();
-  void schedule_poll();
-  void poll_cqs();
-  void repost_recv(std::uint32_t slot);
+  void poll();
 
-  rdma::RdmaDevice& device_;
   sim::UsageAccount& account_;
   bool zero_copy_;
-  std::size_t slot_bytes_;
-  std::uint32_t slots_;
-
-  rdma::MrPtr send_mr_;
-  rdma::MrPtr recv_mr_;
-  rdma::CqPtr send_cq_;
-  rdma::CqPtr recv_cq_;
-  std::shared_ptr<rdma::QueuePair> qp_;
-
-  std::vector<std::uint32_t> free_slots_;
+  std::shared_ptr<rdma::SlotQp> slots_;
   std::deque<QueuedRecord> queue_;
-  bool poll_scheduled_ = false;
 };
 
 /// DPDK trunk: records ride the shared per-host PMD port.
@@ -141,10 +124,11 @@ class DpdkTrunk final : public Trunk {
 };
 
 /// TCP trunk: a host-mode kernel TCP connection between the two agents,
-/// with length-prefixed record framing on the byte stream.
+/// carrying length-prefixed records through a tcp::RecordPipe.
 class TcpTrunk final : public Trunk {
  public:
-  explicit TcpTrunk(sim::EventLoop& loop) : loop_(loop) {}
+  /// Records queue until attach().
+  explicit TcpTrunk(sim::EventLoop& loop);
 
   /// Attaches the established connection (either side).
   void attach(tcp::TcpConnection::Ptr conn);
@@ -153,18 +137,12 @@ class TcpTrunk final : public Trunk {
   void send(const RelayHeader& header, ByteSpan fragment,
             std::uint32_t tenant = 0) override;
   [[nodiscard]] bool congested() const noexcept override {
-    return queue_.size() > k_congestion_records;
+    return pipe_->queued() > k_congestion_records;
   }
-  [[nodiscard]] bool connected() const noexcept { return conn_ != nullptr; }
+  [[nodiscard]] bool connected() const noexcept { return pipe_->attached(); }
 
  private:
-  void pump();
-  void on_bytes(Buffer&& data);
-
-  sim::EventLoop& loop_;
-  tcp::TcpConnection::Ptr conn_;
-  std::deque<Buffer> queue_;  ///< framed records waiting for the connection/window
-  Buffer rx_accum_;
+  std::shared_ptr<tcp::RecordPipe> pipe_;
 };
 
 }  // namespace freeflow::agent

@@ -9,14 +9,17 @@ namespace {
 constexpr std::size_t k_length_bytes = 4;
 }  // namespace
 
-Buffer frame_record(ByteSpan head, ByteSpan body) {
-  const std::size_t size = head.size() + body.size();
+Buffer frame_record(ByteSpan head, ByteSpan body, ByteSpan tail) {
+  const std::size_t size = head.size() + body.size() + tail.size();
   Buffer framed = Buffer::for_overwrite(k_length_bytes + size);
   const auto len = static_cast<std::uint32_t>(size);
   std::memcpy(framed.data(), &len, k_length_bytes);
   std::byte* out = framed.data() + k_length_bytes;
-  if (!head.empty()) std::memcpy(out, head.data(), head.size());
-  if (!body.empty()) std::memcpy(out + head.size(), body.data(), body.size());
+  for (const ByteSpan part : {head, body, tail}) {
+    if (part.empty()) continue;  // an empty span may carry a null data()
+    std::memcpy(out, part.data(), part.size());
+    out += part.size();
+  }
   return framed;
 }
 

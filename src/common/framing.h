@@ -1,15 +1,20 @@
 // Length-prefixed record framing over a byte stream: a 4-byte host-order
-// length, then the record. The agents' TCP trunk and the per_stream_qp
-// path's TCP fallback channel carry their messages this way.
+// length, then the record. It is the only framing code in the tree. Users:
+//   - tcp::RecordPipe, and through it the agents' TcpTrunk and the
+//     per_stream_qp path's TcpFallbackChannel;
+//   - workloads::RecordStream, and through it the key-value store's client
+//     and server and the API gateway;
+//   - core::MpiEndpoint, whose records carry the source rank and tag as
+//     their first 8 bytes.
 #pragma once
 
 #include "common/bytes.h"
 
 namespace freeflow {
 
-/// One framed record, `head` followed by `body`: the only copy of either
-/// the framing makes.
-Buffer frame_record(ByteSpan head, ByteSpan body = {});
+/// One framed record, `head`, `body` and `tail` back to back: the only
+/// copy of any of them the framing makes.
+Buffer frame_record(ByteSpan head, ByteSpan body = {}, ByteSpan tail = {});
 
 /// Appends stream bytes to the receive accumulator `accum`, adopting them
 /// outright when nothing is pending.

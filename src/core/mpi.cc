@@ -2,24 +2,22 @@
 
 #include <cstring>
 
+#include "common/framing.h"
 #include "common/logging.h"
 
 namespace freeflow::core {
 
 namespace {
-constexpr std::size_t k_rec_header = 12;  // u32 payload_len, i32 src, u32 tag
+/// Each record's head: the sender's rank (i32) and the tag (u32). With the
+/// 4-byte length prefix a frame is 12 + payload bytes.
+constexpr std::size_t k_route_bytes = 8;
 
 Buffer frame(int src, std::uint32_t tag, ByteSpan payload) {
-  Buffer out(k_rec_header + payload.size());
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  std::memcpy(out.data(), &len, 4);
+  std::byte head[k_route_bytes];
   const auto s = static_cast<std::int32_t>(src);
-  std::memcpy(out.data() + 4, &s, 4);
-  std::memcpy(out.data() + 8, &tag, 4);
-  if (!payload.empty()) {
-    std::memcpy(out.data() + k_rec_header, payload.data(), payload.size());
-  }
-  return out;
+  std::memcpy(head, &s, 4);
+  std::memcpy(head + 4, &tag, 4);
+  return frame_record(head, payload);
 }
 }  // namespace
 
@@ -43,23 +41,16 @@ void MpiEndpoint::adopt_socket(FlowSocketPtr sock) {
   sock->set_on_data([self, accum](Buffer&& chunk) {
     auto me = self.lock();
     if (me == nullptr) return;
-    accum->append(chunk.view());
-    std::size_t cursor = 0;
-    while (accum->size() - cursor >= k_rec_header) {
-      std::uint32_t len = 0;
+    append_stream_bytes(*accum, std::move(chunk));
+    Buffer record;
+    while (pop_record(*accum, record)) {
+      FF_CHECK(record.size() >= k_route_bytes);
       std::int32_t src = 0;
       std::uint32_t tag = 0;
-      std::memcpy(&len, accum->data() + cursor, 4);
-      std::memcpy(&src, accum->data() + cursor + 4, 4);
-      std::memcpy(&tag, accum->data() + cursor + 8, 4);
-      if (accum->size() - cursor - k_rec_header < len) break;
-      Buffer payload(accum->data() + cursor + k_rec_header, len);
-      cursor += k_rec_header + len;
-      me->dispatch(src, tag, std::move(payload));
-    }
-    if (cursor > 0) {
-      Buffer rest(accum->data() + cursor, accum->size() - cursor);
-      *accum = std::move(rest);
+      std::memcpy(&src, record.data(), 4);
+      std::memcpy(&tag, record.data() + 4, 4);
+      record.consume_front(k_route_bytes);
+      me->dispatch(src, tag, std::move(record));
     }
   });
 }

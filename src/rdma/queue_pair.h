@@ -42,9 +42,6 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
   /// Posts a receive buffer for incoming SENDs.
   Status post_recv(const RecvWr& wr, sim::UsageAccount* account = nullptr);
 
-  [[nodiscard]] std::size_t send_queue_depth() const noexcept { return sq_.size(); }
-  [[nodiscard]] std::size_t recv_queue_depth() const noexcept { return rq_.size(); }
-
   [[nodiscard]] CqPtr send_cq() const noexcept { return send_cq_; }
   [[nodiscard]] CqPtr recv_cq() const noexcept { return recv_cq_; }
   [[nodiscard]] RdmaDevice& device() noexcept { return device_; }

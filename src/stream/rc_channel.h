@@ -3,7 +3,9 @@
 // Unlike the agents' shared RdmaTrunk (one QP per host pair, all containers
 // multiplexed), it carves one QP per upgraded stream directly out of the
 // host NIC's device, so the socket byte stream rides RDMA end to end with
-// no agent relay or per-record demux on the path.
+// no agent relay or per-record demux on the path. The slotted QP itself is
+// rdma::SlotQp, the engine the trunk uses too; this class adds only the
+// stream policy: credits, the control lane and failure reporting.
 //
 // One conduit message maps to one RDMA SEND into a registered slot.
 // Sequenced (data) messages are credit-based: the receiver grants k_slots
@@ -17,16 +19,13 @@
 
 #include <deque>
 #include <memory>
-#include <vector>
 
 #include "agent/channel.h"
-#include "rdma/device.h"
-#include "rdma/queue_pair.h"
+#include "rdma/slot_qp.h"
 
 namespace freeflow::stream {
 
-class RcStreamChannel final : public agent::Channel,
-                              public std::enable_shared_from_this<RcStreamChannel> {
+class RcStreamChannel final : public agent::Channel {
  public:
   /// Slot size: one 64 KiB socket chunk + wire header, rounded up.
   static constexpr std::size_t k_slot_bytes = 66 * 1024;
@@ -41,20 +40,18 @@ class RcStreamChannel final : public agent::Channel,
   static constexpr std::uint32_t k_credit_batch = 4;
 
   /// A started channel: receive buffers posted and completion notifies
-  /// hooked (weakly — the QP and CQs live in the device registry and can
-  /// outlive this channel). `tenant` classifies the QP's traffic for the
+  /// hooked (weakly, by the engine; its wakeups reach this channel through
+  /// a weak handle too). `tenant` classifies the QP's traffic for the
   /// NIC's per-tenant scheduler (a per-stream QP belongs to one container).
   static std::shared_ptr<RcStreamChannel> make(rdma::RdmaDevice& device,
                                                sim::UsageAccount* account,
                                                orch::ContainerId peer,
                                                std::uint32_t tenant = 0);
-  ~RcStreamChannel() override;
-
   /// Connects the QP to the peer's (the out-of-band exchange rides the
   /// conduit's rc_offer / rc_answer control messages). Queued sends flow.
   Status connect(fabric::HostId remote_host, rdma::QpNum remote_qp);
 
-  [[nodiscard]] rdma::QpNum qp_num() const noexcept { return qp_->num(); }
+  [[nodiscard]] rdma::QpNum qp_num() const noexcept { return slots_->qp()->num(); }
 
   Status send(ByteSpan head, ByteSpan body = {}) override;
   [[nodiscard]] bool writable() const noexcept override;
@@ -70,31 +67,19 @@ class RcStreamChannel final : public agent::Channel,
   [[nodiscard]] std::uint32_t credits() const noexcept { return credits_; }
 
  private:
-  RcStreamChannel(rdma::RdmaDevice& device, sim::UsageAccount* account,
-                  orch::ContainerId peer, std::uint32_t tenant);
-  void start();
+  explicit RcStreamChannel(orch::ContainerId peer) : peer_(peer) {}
 
-  /// Ready QP and a free send slot: an unsequenced message can post.
-  [[nodiscard]] bool can_post() const noexcept;
-  /// ... and a peer credit: a sequenced message can post.
+  /// A free send slot and a peer credit: a sequenced message can post.
   [[nodiscard]] bool can_post_data() const noexcept;
-  /// Gathers `head` and `body` into a free send slot and posts them.
-  void post_to_slot(ByteSpan head, ByteSpan body = {});
   void pump();
-  void schedule_poll();
-  void poll_cqs();
-  void repost_recv(std::uint32_t slot);
+  /// The engine's wakeup: polls, then runs the stream policy.
+  void on_wake();
+  /// One received message; false once the channel closed under it.
+  bool on_slot(Buffer&& message);
   void return_credits();
 
-  rdma::RdmaDevice& device_;
-  sim::UsageAccount* account_;  ///< container CPU account for verb posts
   orch::ContainerId peer_;
-  rdma::MrPtr send_mr_;
-  rdma::MrPtr recv_mr_;
-  rdma::CqPtr send_cq_;
-  rdma::CqPtr recv_cq_;
-  std::shared_ptr<rdma::QueuePair> qp_;
-  std::vector<std::uint32_t> free_slots_;
+  std::shared_ptr<rdma::SlotQp> slots_;
   std::deque<Buffer> control_;       ///< unsequenced messages awaiting a slot
   std::deque<Buffer> queue_;         ///< data messages awaiting slot + credit
   std::uint32_t credits_ = k_slots;  ///< peer receive credits we may consume
@@ -102,10 +87,6 @@ class RcStreamChannel final : public agent::Channel,
   DeliverFn on_message_;
   std::function<void()> on_space_;
   bool closed_ = false;
-  bool completion_error_ = false;
-  bool poll_scheduled_ = false;
 };
-
-using RcStreamChannelPtr = std::shared_ptr<RcStreamChannel>;
 
 }  // namespace freeflow::stream

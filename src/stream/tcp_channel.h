@@ -4,22 +4,19 @@
 // interface so a conduit can splice between it and a per-stream RC QP
 // without the application noticing (TSoR's fallback leg).
 //
-// Records are framed with common/framing.h's 4-byte length prefix, the
-// same scheme the agents' TcpTrunk uses, so one conduit message maps to
-// exactly one framed record regardless of how the byte stream is segmented.
+// Records ride a tcp::RecordPipe, the same framed record pipe the agents'
+// TcpTrunk uses, so one conduit message maps to exactly one framed record
+// regardless of how the byte stream is segmented.
 #pragma once
 
-#include <deque>
 #include <memory>
 
 #include "agent/channel.h"
-#include "tcpstack/connection.h"
+#include "tcpstack/record_pipe.h"
 
 namespace freeflow::stream {
 
-class TcpFallbackChannel final
-    : public agent::Channel,
-      public std::enable_shared_from_this<TcpFallbackChannel> {
+class TcpFallbackChannel final : public agent::Channel {
  public:
   /// Wraps an established (or establishing) connection and wires its
   /// callbacks weakly — the channel owns the wiring, never vice versa.
@@ -32,8 +29,6 @@ class TcpFallbackChannel final
   /// QP are replayed from the conduit's retained window anyway, so a deeper
   /// buffer would only keep the NIC busy with bytes nobody reads.
   static constexpr std::size_t k_send_buffer = 256 * 1024;
-
-  ~TcpFallbackChannel() override;
 
   Status send(ByteSpan head, ByteSpan body = {}) override;
   [[nodiscard]] bool writable() const noexcept override;
@@ -55,19 +50,12 @@ class TcpFallbackChannel final
   void expect_close() noexcept { expect_close_ = true; }
 
  private:
-  TcpFallbackChannel(orch::ContainerId peer, tcp::TcpConnection::Ptr conn)
-      : peer_(peer), conn_(std::move(conn)) {}
+  explicit TcpFallbackChannel(orch::ContainerId peer) : peer_(peer) {}
 
-  void wire();
-  void pump();
-  void on_conn_writable();
-  void on_bytes(Buffer&& data);
   void on_conn_closed();
 
   orch::ContainerId peer_;
-  tcp::TcpConnection::Ptr conn_;
-  std::deque<Buffer> overflow_;  ///< framed records awaiting socket space
-  Buffer rx_accum_;
+  std::shared_ptr<tcp::RecordPipe> pipe_;
   DeliverFn on_message_;
   std::function<void()> on_space_;
   bool closed_ = false;

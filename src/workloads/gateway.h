@@ -9,7 +9,9 @@
 // co-located backends get tenant-scoped shm regions from the host agent's
 // RegionRegistry, remote ones the fabric transports.
 //
-// Protocol (RecordStream framing, u32 length prefix):
+// Protocol: each message is one RecordStream record (common/framing.h:
+// a u32 host-order length, then the record), relayed by the gateway as
+// it is:
 //   request : [u64 req_id][u32 resp_bytes] payload...
 //   response: [u64 req_id] + resp_bytes of payload
 #pragma once

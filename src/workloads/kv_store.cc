@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/framing.h"
 #include "common/logging.h"
 
 namespace freeflow::workloads {
@@ -9,32 +10,19 @@ namespace freeflow::workloads {
 // ------------------------------------------------------------ RecordStream
 
 RecordStream::RecordStream(StreamPtr stream, RecordFn on_record)
-    : stream_(std::move(stream)), accum_(std::make_shared<Buffer>()) {
-  stream_->set_on_data([accum = accum_, cb = std::move(on_record)](Buffer&& chunk) {
-    accum->append(chunk.view());
-    std::size_t cursor = 0;
-    while (accum->size() - cursor >= 4) {
-      std::uint32_t len = 0;
-      std::memcpy(&len, accum->data() + cursor, 4);
-      if (accum->size() - cursor - 4 < len) break;
-      cb(ByteSpan{accum->data() + cursor + 4, len});
-      cursor += 4 + len;
-    }
-    if (cursor > 0) {
-      Buffer rest(accum->data() + cursor, accum->size() - cursor);
-      *accum = std::move(rest);
-    }
+    : stream_(std::move(stream)) {
+  // The accumulator is shared, not held in the closure by value: the
+  // stream may invoke a copy of its handler.
+  stream_->set_on_data([accum = std::make_shared<Buffer>(),
+                        cb = std::move(on_record)](Buffer&& chunk) {
+    append_stream_bytes(*accum, std::move(chunk));
+    Buffer record;
+    while (pop_record(*accum, record)) cb(record.view());
   });
 }
 
-Status RecordStream::send_record(ByteSpan record) {
-  Buffer framed(4 + record.size());
-  const auto len = static_cast<std::uint32_t>(record.size());
-  std::memcpy(framed.data(), &len, 4);
-  if (!record.empty()) {  // empty spans may carry a null data()
-    std::memcpy(framed.data() + 4, record.data(), record.size());
-  }
-  return stream_->send(std::move(framed));
+Status RecordStream::send_record(ByteSpan head, ByteSpan body, ByteSpan tail) {
+  return stream_->send(frame_record(head, body, tail));
 }
 
 // ---------------------------------------------------------------- KvServer
@@ -47,13 +35,13 @@ constexpr std::size_t k_resp_header = 1 + 8 + 4;
 void KvServer::serve(StreamPtr stream) {
   // The RecordStream is owned by the on_data closure chain.
   auto rs = std::make_shared<std::unique_ptr<RecordStream>>();
-  *rs = std::make_unique<RecordStream>(stream, [this, stream, rs](ByteSpan record) {
-    (void)rs;  // keep the parser alive as long as the stream feeds it
-    handle_record(stream, record);
+  *rs = std::make_unique<RecordStream>(std::move(stream), [this, rs](ByteSpan record) {
+    // The capture keeps the parser alive as long as the stream feeds it.
+    handle_record(**rs, record);
   });
 }
 
-void KvServer::handle_record(const StreamPtr& stream, ByteSpan record) {
+void KvServer::handle_record(RecordStream& records, ByteSpan record) {
   if (record.size() < k_req_header) return;
   const auto op = static_cast<KvOp>(record[0]);
   std::uint64_t req_id = 0;
@@ -82,78 +70,43 @@ void KvServer::handle_record(const StreamPtr& stream, ByteSpan record) {
 
   const std::uint32_t out_vlen =
       (op == KvOp::get && value != nullptr) ? static_cast<std::uint32_t>(value->size()) : 0;
-  Buffer resp(4 + k_resp_header + out_vlen);
-  const auto total = static_cast<std::uint32_t>(k_resp_header + out_vlen);
-  std::memcpy(resp.data(), &total, 4);
-  resp.data()[4] = static_cast<std::byte>(status);
-  std::memcpy(resp.data() + 5, &req_id, 8);
-  std::memcpy(resp.data() + 13, &out_vlen, 4);
-  if (out_vlen != 0) std::memcpy(resp.data() + 17, value->data(), out_vlen);
-  (void)stream->send(std::move(resp));
+  std::byte head[k_resp_header];
+  head[0] = static_cast<std::byte>(status);
+  std::memcpy(head + 1, &req_id, 8);
+  std::memcpy(head + 9, &out_vlen, 4);
+  (void)records.send_record(head, out_vlen != 0 ? value->view() : ByteSpan{});
 }
 
 // ---------------------------------------------------------------- KvClient
 
-KvClient::KvClient(StreamPtr stream) : stream_(std::move(stream)) {
-  auto accum = std::make_shared<Buffer>();
-  stream_->set_on_data([this, accum](Buffer&& chunk) {
-    accum->append(chunk.view());
-    std::size_t cursor = 0;
-    while (accum->size() - cursor >= 4) {
-      std::uint32_t len = 0;
-      std::memcpy(&len, accum->data() + cursor, 4);
-      if (accum->size() - cursor - 4 < len) break;
-      handle_record(ByteSpan{accum->data() + cursor + 4, len});
-      cursor += 4 + len;
-    }
-    if (cursor > 0) {
-      Buffer rest(accum->data() + cursor, accum->size() - cursor);
-      *accum = std::move(rest);
-    }
-  });
-}
+KvClient::KvClient(StreamPtr stream)
+    : records_(std::move(stream), [this](ByteSpan record) { handle_record(record); }) {}
 
 void KvClient::get(std::string key, GetFn cb) {
-  const std::uint64_t id = next_req_++;
-  Pending p;
-  p.on_get = std::move(cb);
-  p.started = now_ ? now_() : 0;
-  pending_.emplace(id, std::move(p));
-
-  const auto klen = static_cast<std::uint16_t>(key.size());
-  Buffer req(4 + k_req_header + key.size());
-  const auto total = static_cast<std::uint32_t>(k_req_header + key.size());
-  std::memcpy(req.data(), &total, 4);
-  req.data()[4] = static_cast<std::byte>(KvOp::get);
-  std::memcpy(req.data() + 5, &id, 8);
-  std::memcpy(req.data() + 13, &klen, 2);
-  const std::uint32_t vlen = 0;
-  std::memcpy(req.data() + 15, &vlen, 4);
-  std::memcpy(req.data() + 19, key.data(), key.size());
-  (void)stream_->send(std::move(req));
+  send(KvOp::get, std::move(key), {}, std::move(cb), nullptr);
 }
 
 void KvClient::put(std::string key, Buffer value, PutFn cb) {
+  send(KvOp::put, std::move(key), value.view(), nullptr, std::move(cb));
+}
+
+void KvClient::send(KvOp op, std::string key, ByteSpan value, GetFn on_get, PutFn on_put) {
   const std::uint64_t id = next_req_++;
   Pending p;
-  p.on_put = std::move(cb);
+  p.on_get = std::move(on_get);
+  p.on_put = std::move(on_put);
   p.started = now_ ? now_() : 0;
   pending_.emplace(id, std::move(p));
 
   const auto klen = static_cast<std::uint16_t>(key.size());
   const auto vlen = static_cast<std::uint32_t>(value.size());
-  Buffer req(4 + k_req_header + key.size() + value.size());
-  const auto total = static_cast<std::uint32_t>(k_req_header + key.size() + value.size());
-  std::memcpy(req.data(), &total, 4);
-  req.data()[4] = static_cast<std::byte>(KvOp::put);
-  std::memcpy(req.data() + 5, &id, 8);
-  std::memcpy(req.data() + 13, &klen, 2);
-  std::memcpy(req.data() + 15, &vlen, 4);
-  std::memcpy(req.data() + 19, key.data(), key.size());
-  if (!value.empty()) {  // empty spans may carry a null data()
-    std::memcpy(req.data() + 19 + key.size(), value.data(), value.size());
-  }
-  (void)stream_->send(std::move(req));
+  std::byte head[k_req_header];
+  head[0] = static_cast<std::byte>(op);
+  std::memcpy(head + 1, &id, 8);
+  std::memcpy(head + 9, &klen, 2);
+  std::memcpy(head + 11, &vlen, 4);
+  (void)records_.send_record(
+      head, ByteSpan{reinterpret_cast<const std::byte*>(key.data()), key.size()}, value);
 }
 
 void KvClient::handle_record(ByteSpan record) {

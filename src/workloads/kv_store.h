@@ -1,7 +1,7 @@
 // In-memory key-value store — the paper's motivating class of
 // latency-sensitive distributed systems (memcached/FaRM-style). Runs over
 // any StreamAdapter, so the same code serves the FreeFlow and overlay
-// benchmarks. Protocol: length-prefixed records.
+// benchmarks. Protocol: RecordStream records (common/framing.h).
 //   request:  [u8 op] [u64 req_id] [u16 klen] [u32 vlen] key value?
 //   response: [u8 status] [u64 req_id] [u32 vlen] value?
 #pragma once
@@ -15,6 +15,22 @@
 #include "workloads/stream_adapter.h"
 
 namespace freeflow::workloads {
+
+/// Whole records over a byte stream, framed by common/framing.h: the KV
+/// store and the API gateway speak it.
+class RecordStream {
+ public:
+  using RecordFn = std::function<void(ByteSpan)>;
+
+  explicit RecordStream(StreamPtr stream, RecordFn on_record);
+
+  /// Sends one record, `head`, `body` and `tail` back to back.
+  Status send_record(ByteSpan head, ByteSpan body = {}, ByteSpan tail = {});
+  [[nodiscard]] StreamPtr stream() const noexcept { return stream_; }
+
+ private:
+  StreamPtr stream_;
+};
 
 enum class KvOp : std::uint8_t { get = 1, put = 2 };
 enum class KvStatus : std::uint8_t { ok = 0, not_found = 1 };
@@ -34,7 +50,7 @@ class KvServer {
   [[nodiscard]] std::uint64_t requests_served() const noexcept { return served_; }
 
  private:
-  void handle_record(const StreamPtr& stream, ByteSpan record);
+  void handle_record(RecordStream& records, ByteSpan record);
 
   std::shared_ptr<Store> store_;
   std::uint64_t served_ = 0;
@@ -63,29 +79,15 @@ class KvClient {
     SimTime started = 0;
   };
 
+  void send(KvOp op, std::string key, ByteSpan value, GetFn on_get, PutFn on_put);
   void handle_record(ByteSpan record);
 
-  StreamPtr stream_;
+  RecordStream records_;
   std::uint64_t next_req_ = 1;
   std::unordered_map<std::uint64_t, Pending> pending_;
   std::uint64_t completed_ = 0;
   Histogram latency_;
   std::function<SimTime()> now_;
-};
-
-/// Shared record framing over a byte stream (also used by shuffle).
-class RecordStream {
- public:
-  using RecordFn = std::function<void(ByteSpan)>;
-
-  explicit RecordStream(StreamPtr stream, RecordFn on_record);
-
-  Status send_record(ByteSpan record);
-  [[nodiscard]] StreamPtr stream() const noexcept { return stream_; }
-
- private:
-  StreamPtr stream_;
-  std::shared_ptr<Buffer> accum_;
 };
 
 }  // namespace freeflow::workloads

@@ -155,6 +155,24 @@ TEST(RdmaTrunkOrder, RecordsSentWhileSlotsAreExhaustedKeepTheirOrder) {
   expect_in_order(rig.at_b, 18);
 }
 
+TEST(RdmaTrunkLifetime, TrunkDestroyedWithItsPollPendingLeavesNothingToRun) {
+  // The receive completion schedules the receiver's poll; the trunk is
+  // dropped before it runs. Neither that poll nor the CQ notify (the CQ
+  // lives on in the device registry) may reach the freed trunk.
+  RdmaTrunkRig rig(4);
+  rig.connect();
+  rig.b->start();
+  rig.a->start();
+  rig.send(1);
+  const rdma::CqPtr recv_cq = rig.b->qp()->recv_cq();
+  ASSERT_TRUE(rig.run_until([&]() { return recv_cq->depth() > 0; }));
+  rig.b.reset();
+  rig.cluster.loop().run();
+  EXPECT_TRUE(rig.at_b.empty());
+  EXPECT_EQ(recv_cq->depth(), 1u);  // nobody polled it
+  EXPECT_EQ(rig.a->queued(), 0u);
+}
+
 TEST(TcpTrunkFraming, OneCopyFramesParseAsWholeRecords) {
   // The trunk frames length, header and fragment in one copy; what the
   // peer pops off the byte stream must be exactly make_record's bytes,

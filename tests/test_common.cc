@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/bytes.h"
+#include "common/framing.h"
 #include "common/histogram.h"
 #include "common/inline_function.h"
 #include "common/rng.h"
@@ -139,6 +142,30 @@ TEST(Buffer, CopyEqualityAndMove) {
   assigned = std::move(moved);
   EXPECT_EQ(assigned.to_string(), "same");
   EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(Framing, RecordsParseWholeHoweverTheStreamIsCut) {
+  // Three records, one gathered from head, body and tail and one empty,
+  // back to back on one stream: fed in chunks of every size, they pop out
+  // whole and in order, several per chunk when a chunk holds several.
+  const Buffer head = Buffer::from_string("head:"), body = Buffer::from_string("body");
+  const Buffer tail = Buffer::from_string(":tail"), solo = Buffer::from_string("solo");
+  const std::vector<std::string> expected = {"head:body:tail", "", "solo"};
+  Buffer stream = frame_record(head.view(), body.view(), tail.view());
+  stream.append(frame_record({}).view());
+  stream.append(frame_record(solo.view()).view());
+  for (std::size_t chunk = 1; chunk <= stream.size(); ++chunk) {
+    Buffer accum;
+    std::vector<std::string> got;
+    for (std::size_t at = 0; at < stream.size(); at += chunk) {
+      const std::size_t n = std::min(chunk, stream.size() - at);
+      append_stream_bytes(accum, Buffer(stream.data() + at, n));
+      Buffer record;
+      while (pop_record(accum, record)) got.push_back(record.to_string());
+    }
+    EXPECT_EQ(got, expected) << "chunk " << chunk;
+    EXPECT_TRUE(accum.empty()) << "chunk " << chunk;
+  }
 }
 
 TEST(Crc32, KnownVector) {
