@@ -169,7 +169,7 @@ FailoverResult run_failover(const std::string& trace_path) {
   faults::FaultInjector injector(*r.rig.env.net_orch, r.rig.env.ff->agents());
 
   r.open(6002, [&](Buffer&& b) {
-    const auto* bytes = b.data();
+    const auto* bytes = b.view().data();
     for (std::size_t i = 0; i < b.size(); ++i) {
       if (static_cast<std::uint8_t>(bytes[i]) != pattern_byte(res.verified + i)) {
         ++res.mismatches;

@@ -742,7 +742,7 @@ void Agent::relay_outbound(orch::ContainerId src, orch::ContainerId dst,
     header.msg_seq = seq;
     header.total_len = total;
     header.frag_offset = static_cast<std::uint32_t>(offset);
-    trunk.send(header, ByteSpan{message.data() + offset, n}, tenant);
+    trunk.send(header, message.view().subspan(offset, n), tenant);
     ++records_relayed_;
     offset += n;
   } while (offset < message.size());

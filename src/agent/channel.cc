@@ -55,6 +55,12 @@ Status ShmChannelEndpoint::send(ByteSpan head, ByteSpan body) {
   return ok_status();
 }
 
+Status ShmChannelEndpoint::send(Buffer&& message) {
+  if (closed_) return failed_precondition("channel closed");
+  tx_.send(std::move(message));
+  return ok_status();
+}
+
 void ShmChannelEndpoint::set_on_message(DeliverFn cb) {
   rx_->set_receiver([this, cb = std::move(cb)](Buffer&& msg) {
     if (!closed_ && cb) cb(std::move(msg));
@@ -108,6 +114,12 @@ bool RemoteChannelEndpoint::writable() const noexcept {
 Status RemoteChannelEndpoint::send(ByteSpan head, ByteSpan body) {
   if (closed_) return failed_precondition("channel closed");
   tx_.send(head, body);
+  return ok_status();
+}
+
+Status RemoteChannelEndpoint::send(Buffer&& message) {
+  if (closed_) return failed_precondition("channel closed");
+  tx_.send(std::move(message));
   return ok_status();
 }
 

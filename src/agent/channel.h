@@ -5,6 +5,12 @@
 // send() never rejects for backpressure: endpoints queue internally and
 // drain as lane space frees. `writable()` is the advisory signal sources
 // should pace on (closed-loop workloads never build a queue).
+//
+// A message goes in either as views (`send(head, body)`, gathered once
+// into the lane's owned message) or by move (`send(Buffer&&)`): the shm
+// and remote endpoints put a moved-in buffer on their lane as it is, so a
+// conduit's retained message and the lane message are one shared block.
+// The per-stream channels copy from its view.
 #pragma once
 
 #include <deque>
@@ -33,8 +39,11 @@ class Channel {
   /// gathered once into the lane's owned message, so the caller keeps
   /// ownership of both.
   virtual Status send(ByteSpan head, ByteSpan body = {}) = 0;
-  /// Same, for a caller holding the whole message in a buffer.
-  Status send(const Buffer& message) { return send(message.view()); }
+  /// Same, for a caller handing over the whole message. Lane-backed
+  /// endpoints put this very buffer on their lane, so a message that is
+  /// also retained (a share of the conduit's window) is never copied;
+  /// others copy from its view.
+  virtual Status send(Buffer&& message) { return send(message.view()); }
 
   /// False while the underlying lane is full (advisory pacing signal).
   [[nodiscard]] virtual bool writable() const noexcept = 0;
@@ -110,6 +119,7 @@ class ShmChannelEndpoint final : public Channel {
   ~ShmChannelEndpoint() override;
 
   Status send(ByteSpan head, ByteSpan body = {}) override;
+  Status send(Buffer&& message) override;
   [[nodiscard]] bool writable() const noexcept override { return tx_.writable(); }
   void set_on_message(DeliverFn cb) override;
   void set_on_space(std::function<void()> cb) override { tx_.set_on_space(std::move(cb)); }
@@ -151,6 +161,7 @@ class RemoteChannelEndpoint final
   ~RemoteChannelEndpoint() override;
 
   Status send(ByteSpan head, ByteSpan body = {}) override;
+  Status send(Buffer&& message) override;
   /// Writable only while both the container->agent lane has space AND the
   /// agent's trunk toward the peer host is uncongested — this propagates
   /// NIC-rate backpressure all the way to the application.

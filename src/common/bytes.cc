@@ -23,6 +23,8 @@ const std::array<std::uint32_t, 256>& crc_table() {
 }
 }  // namespace
 
+void Buffer::free_block(std::byte* bytes) noexcept { delete[] (bytes - k_block_header); }
+
 std::uint32_t crc32(ByteSpan data) noexcept {
   const auto& table = crc_table();
   std::uint32_t crc = 0xFFFFFFFFU;

@@ -34,14 +34,14 @@ void append_stream_bytes(Buffer& accum, Buffer&& bytes) {
 bool pop_record(Buffer& accum, Buffer& out) {
   if (accum.size() < k_length_bytes) return false;
   std::uint32_t len = 0;
-  std::memcpy(&len, accum.data(), k_length_bytes);
+  std::memcpy(&len, accum.view().data(), k_length_bytes);
   if (accum.size() - k_length_bytes < len) return false;
   accum.consume_front(k_length_bytes);
   if (accum.size() == len) {
     out = std::move(accum);
     return true;
   }
-  out = Buffer(accum.data(), len);
+  out = accum.slice(0, len);
   accum.consume_front(len);
   return true;
 }

@@ -22,8 +22,9 @@ void append_stream_bytes(Buffer& accum, Buffer&& bytes);
 
 /// Pops the next complete record off the front of `accum` into `out`;
 /// false (both unchanged) while the record is still partial. Parsed bytes
-/// are consumed in place, so the unparsed rest is never re-copied, and a
-/// record that is all `accum` holds is handed over without a copy.
+/// are consumed in place, so the unparsed rest is never re-copied; a record
+/// that is all `accum` holds is handed over, and any other is a slice of
+/// the accumulator's block. Neither is copied.
 bool pop_record(Buffer& accum, Buffer& out);
 
 }  // namespace freeflow

@@ -12,6 +12,12 @@ namespace {
 std::uint32_t trace_tid(std::uint64_t token) noexcept {
   return static_cast<std::uint32_t>(token);
 }
+
+void warn_if_failed(const Status& s) {
+  if (!s.is_ok()) {
+    FF_LOG(warn, "core") << "conduit send failed: " << s;
+  }
+}
 }  // namespace
 
 Conduit::Conduit(std::uint64_t token, orch::ContainerId self, orch::ContainerId peer,
@@ -54,7 +60,7 @@ void Conduit::send(const WireHeader& header, ByteSpan payload) {
     return;
   }
   if (should_retain()) {
-    // The retained window owns the one built message: a replay after a
+    // The retained window keeps the built message: a replay after a
     // failover needs the bytes once the channel they went out on is gone.
     transmit(h.seq, make_message(h, payload));
     return;
@@ -62,27 +68,20 @@ void Conduit::send(const WireHeader& header, ByteSpan payload) {
   // Lossless (shm) channel: nothing is retained, so no message is built.
   // The header is encoded on the stack and gathered in front of the
   // payload view straight into the lane.
-  put_on_channel(encode_header(h, payload.size()), payload);
+  ctr_sent_->inc();
+  warn_if_failed(channel_->send(encode_header(h, payload.size()), payload));
 }
 
 void Conduit::transmit(std::uint64_t seq, Buffer message) {
-  // The channel copies from a view. On a lossy channel the retained window
-  // takes ownership of the message, so it is never copied for retention.
-  const ByteSpan bytes = message.view();
+  // On a lossy channel the retained window and the message handed to the
+  // channel share one block, so retention copies nothing.
   if (should_retain()) {
-    retained_.emplace_back(seq, std::move(message));
+    retained_.emplace_back(seq, message.share());
     gauge_retained_->set(static_cast<std::int64_t>(retained_.size()));
     if (retained_.size() == k_max_retained) note_window_filled();
   }
-  put_on_channel(bytes);
-}
-
-void Conduit::put_on_channel(ByteSpan head, ByteSpan body) {
   ctr_sent_->inc();
-  const Status s = channel_->send(head, body);
-  if (!s.is_ok()) {
-    FF_LOG(warn, "core") << "conduit send failed: " << s;
-  }
+  warn_if_failed(channel_->send(std::move(message)));
 }
 
 void Conduit::note_window_filled() {
@@ -434,7 +433,7 @@ void Conduit::retransmit_retained() {
   // Index loop: a reentrant Conduit::send (e.g. an ack-driven on_space_)
   // may push_back into the deque mid-replay, which invalidates iterators.
   for (std::size_t i = 0; i < retained_.size(); ++i) {
-    const Status s = channel_->send(retained_[i].second.view());
+    const Status s = channel_->send(retained_[i].second.share());
     if (!s.is_ok()) {
       FF_LOG(warn, "core") << "conduit retransmit failed: " << s;
     }
@@ -503,7 +502,7 @@ void Conduit::drain() {
   while (!queue_.empty() && channel_ != nullptr && !paused_) {
     Buffer message = std::move(queue_.front());
     queue_.pop_front();
-    const std::uint64_t seq = WireHeader::decode(message.data()).seq;
+    const std::uint64_t seq = WireHeader::decode(message.view().data()).seq;
     transmit(seq, std::move(message));
   }
 }

@@ -220,8 +220,6 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   /// Puts one sequenced message on the attached channel (retaining it on a
   /// lossy one).
   void transmit(std::uint64_t seq, Buffer message);
-  /// Counts one sequenced message sent and hands it to the channel.
-  void put_on_channel(ByteSpan head, ByteSpan body = {});
   void retransmit_retained();
   void handle_message(Buffer&& message);
   void handle_ack(std::uint64_t acked_upto);
@@ -252,7 +250,8 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   agent::ChannelPtr channel_;
   std::deque<Buffer> queue_;
   /// Sent on a lossy channel, not yet cumulatively acked: (seq, message).
-  /// Owns the only copy of each message; retransmits send views of it.
+  /// Each shares its block with the message the channel was handed, and a
+  /// retransmit hands the channel another share.
   std::deque<std::pair<std::uint64_t, Buffer>> retained_;
   common::HandlerSlot<void(const WireHeader&, Buffer&&)> on_message_;
   std::function<void()> on_space_;

@@ -47,8 +47,8 @@ void MpiEndpoint::adopt_socket(FlowSocketPtr sock) {
       FF_CHECK(record.size() >= k_route_bytes);
       std::int32_t src = 0;
       std::uint32_t tag = 0;
-      std::memcpy(&src, record.data(), 4);
-      std::memcpy(&tag, record.data() + 4, 4);
+      std::memcpy(&src, record.view().data(), 4);
+      std::memcpy(&tag, record.view().data() + 4, 4);
       record.consume_front(k_route_bytes);
       me->dispatch(src, tag, std::move(record));
     }

@@ -40,7 +40,7 @@ Status FlowSocket::send(Buffer data) {
     const std::size_t n = std::min(k_chunk, data.size() - offset);
     WireHeader h;
     h.type = VMsg::sock_data;
-    conduit_->send(h, ByteSpan{data.data() + offset, n});
+    conduit_->send(h, data.view().subspan(offset, n));
     offset += n;
   }
   bytes_sent_ += data.size();

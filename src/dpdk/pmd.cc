@@ -46,17 +46,15 @@ void DpdkPort::pump_tx() {
   tx_queue_.pop_front();
 
   const std::uint64_t msg_id = next_msg_id_++;
-  stream_frames(std::make_shared<const Buffer>(std::move(next.data)), msg_id, next.dst,
-                next.tenant, 0);
+  stream_frames(std::move(next.data), msg_id, next.dst, next.tenant, 0);
 }
 
 // One burst frame per call; the PMD-core completion re-invokes for the next
 // offset. The pending event holds the port, the frame, and the source
 // buffer — no callback ever owns itself (teardown protocol).
-void DpdkPort::stream_frames(const std::shared_ptr<const Buffer>& msg,
-                             std::uint64_t msg_id, fabric::HostId dst,
+void DpdkPort::stream_frames(Buffer msg, std::uint64_t msg_id, fabric::HostId dst,
                              std::uint32_t tenant, std::uint32_t offset) {
-  const auto total = static_cast<std::uint32_t>(msg->size());
+  const auto total = static_cast<std::uint32_t>(msg.size());
   const std::uint32_t n = total == 0 ? 0 : std::min(k_frame_payload, total - offset);
   auto frame = acquire_frame();
   frame->msg_id = msg_id;
@@ -64,13 +62,10 @@ void DpdkPort::stream_frames(const std::shared_ptr<const Buffer>& msg,
   frame->offset = offset;
   frame->last = offset + n >= total;
   frame->tenant = tenant;
-  if (n > 0) {
-    frame->message = msg;
-    frame->payload = ByteSpan{msg->data() + offset, n};
-  }
+  frame->payload = msg.slice(offset, n);
 
   const auto& m = host_.cost_model();
-  pmd_core_.submit(m.dpdk_pkt_cost(n), [this, frame, msg, dst]() {
+  pmd_core_.submit(m.dpdk_pkt_cost(n), [this, frame, msg = std::move(msg), dst]() mutable {
     auto packet = fabric::acquire_packet();
     packet->dst_host = dst;
     packet->wire_bytes = static_cast<std::uint32_t>(frame->payload.size()) + k_frame_header;
@@ -83,7 +78,7 @@ void DpdkPort::stream_frames(const std::shared_ptr<const Buffer>& msg,
     packet->body = frame;
     host_.nic().send(std::move(packet));
     if (more) {
-      stream_frames(msg, id, dst, cls, next);
+      stream_frames(std::move(msg), id, dst, cls, next);
     } else {
       tx_active_ = false;
       if (tx_queue_.size() < 32 && on_tx_space_) on_tx_space_();
@@ -114,7 +109,7 @@ void DpdkPort::on_frame(fabric::PacketPtr packet) {
               frame->offset + static_cast<std::uint32_t>(frame->payload.size());
           slot.zero_gap(frame->offset);
           if (!frame->payload.empty()) {
-            std::memcpy(slot.data.data() + frame->offset, frame->payload.data(),
+            std::memcpy(slot.data.data() + frame->offset, frame->payload.view().data(),
                         frame->payload.size());
           }
           slot.filled = std::max(slot.filled, end);

@@ -103,7 +103,7 @@ void RcStreamChannel::on_wake() {
 
 bool RcStreamChannel::on_slot(Buffer&& message) {
   FF_CHECK(message.size() >= core::WireHeader::k_size);  // senders check
-  const core::WireHeader h = core::WireHeader::decode(message.data());
+  const core::WireHeader h = core::WireHeader::decode(message.view().data());
   if (h.seq == 0 && h.type == core::VMsg::rc_credit) {
     credits_ += static_cast<std::uint32_t>(h.id);
     return true;

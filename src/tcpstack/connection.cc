@@ -31,12 +31,12 @@ Status TcpConnection::send(Buffer data) {
     pump();
     return ok_status();
   }
+  // Larger buffers are cut into slices of the one block: no chunk copies.
   std::size_t offset = 0;
   while (offset < data.size()) {
     const std::size_t n = std::min(chunk_size, data.size() - offset);
-    Buffer chunk(data.data() + offset, n);
     tx_queue_bytes_ += n;
-    tx_queue_.push_back(std::move(chunk));
+    tx_queue_.push_back(data.slice(offset, n));
     offset += n;
   }
   pump();
@@ -69,7 +69,7 @@ void TcpConnection::transmit_chunk(std::uint64_t seq, const Buffer& chunk) {
   seg->flow = flow_;
   seg->kind = SegKind::data;
   seg->seq = seq;
-  seg->payload = chunk;
+  seg->payload = chunk.share();  // the wire and inflight_ hold one block
   to_peer_->data.walk(std::move(seg), [&net = net_](SegmentPtr s) { net.demux(s); });
 }
 
@@ -112,10 +112,7 @@ void TcpConnection::handle_data(const SegmentPtr& seg) {
     ++rcv_nxt_;
     bytes_received_ += seg->payload.size();
     send_control(SegKind::ack, rcv_nxt_);
-    if (on_data_) {
-      auto handler = on_data_;  // survives reentrant set_on_data
-      handler(std::move(seg->payload));
-    }
+    if (on_data_) on_data_(std::move(seg->payload));
   } else {
     // Go-back-N: out-of-order chunks are dropped; re-ack the expected seq.
     send_control(SegKind::ack, rcv_nxt_);

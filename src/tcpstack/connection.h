@@ -2,6 +2,12 @@
 // go-back-N with cumulative ACKs, duplicate-ACK fast retransmit and an RTO
 // timer. This is the "full TCP/IP stack" whose per-chunk costs make
 // container networking expensive in the paper's measurements.
+//
+// Host bytes: a sent buffer larger than one chunk is cut into slices of
+// its block, and each segment on the wire shares its chunk with the copy
+// kept in `inflight_` for retransmission, so the stack copies no payload.
+// A receiver gets the segment's handle; reading it never copies, and a
+// write copies first while the sender still holds the chunk.
 #pragma once
 
 #include <cstdint>
@@ -11,6 +17,7 @@
 #include <memory>
 
 #include "common/bytes.h"
+#include "common/handler_slot.h"
 #include "common/status.h"
 #include "sim/event_loop.h"
 #include "tcpstack/path.h"
@@ -49,7 +56,9 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   /// True if `bytes` more can be queued right now.
   [[nodiscard]] bool writable(std::size_t bytes = 1) const noexcept;
 
-  void set_on_data(DataFn cb) { on_data_ = std::move(cb); }
+  /// Runs in place; one set while it is dispatching takes effect once that
+  /// dispatch returns (see common::HandlerSlot).
+  void set_on_data(DataFn cb) { on_data_.set(std::move(cb)); }
   void set_on_writable(VoidFn cb) { on_writable_ = std::move(cb); }
   void set_on_close(VoidFn cb) { on_close_ = std::move(cb); }
 
@@ -61,7 +70,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   /// cycle back through on_data_. Called on teardown, and by the network
   /// destructor for connections that were never closed.
   void release_callbacks() noexcept {
-    on_data_ = nullptr;
+    on_data_.set(nullptr);
     on_writable_ = nullptr;
     on_close_ = nullptr;
   }
@@ -126,7 +135,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   std::uint64_t bytes_received_ = 0;
   std::uint64_t retransmits_ = 0;
 
-  DataFn on_data_;
+  common::HandlerSlot<void(Buffer&&)> on_data_;
   VoidFn on_writable_;
   VoidFn on_close_;
 };

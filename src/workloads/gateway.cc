@@ -1,6 +1,7 @@
 #include "workloads/gateway.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "common/logging.h"
@@ -33,11 +34,12 @@ void GatewayBackend::serve(core::FlowSocketPtr sock) {
 
     auto respond = [this, rs, req_id, resp_bytes]() {
       ++served_;
-      Buffer resp(k_resp_header + resp_bytes);
-      std::memcpy(resp.data(), &req_id, 8);
-      fill_pattern(MutableByteSpan{resp.data() + k_resp_header, resp_bytes}, req_id);
+      std::array<std::byte, k_resp_header> head;
+      std::memcpy(head.data(), &req_id, 8);
+      Buffer body = Buffer::for_overwrite(resp_bytes);
+      fill_pattern(body.mutable_view(), req_id);
       auto parser = (*rs).get();
-      if (parser != nullptr) (void)parser->send_record(resp.view());
+      if (parser != nullptr) (void)parser->send_record(head, body.view());
     };
     if (service_ns_ <= 0) {
       respond();
@@ -326,13 +328,14 @@ void GatewayClient::issue() {
   if (!running_ || rs_ == nullptr) return;
   const std::uint64_t id = next_req_++;
   const std::size_t payload = req_bytes_ > k_req_header ? req_bytes_ - k_req_header : 0;
-  Buffer record(k_req_header + payload);
   const auto resp = static_cast<std::uint32_t>(resp_bytes_);
-  std::memcpy(record.data(), &id, 8);
-  std::memcpy(record.data() + 8, &resp, 4);
-  fill_pattern(MutableByteSpan{record.data() + k_req_header, payload}, id);
+  std::array<std::byte, k_req_header> head;
+  std::memcpy(head.data(), &id, 8);
+  std::memcpy(head.data() + 8, &resp, 4);
+  Buffer body = Buffer::for_overwrite(payload);
+  fill_pattern(body.mutable_view(), id);
   started_[id] = net_->loop().now();
-  (void)rs_->send_record(record.view());
+  (void)rs_->send_record(head, body.view());
 }
 
 void GatewayClient::on_record(ByteSpan record) {

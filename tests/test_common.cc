@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -142,6 +143,110 @@ TEST(Buffer, CopyEqualityAndMove) {
   assigned = std::move(moved);
   EXPECT_EQ(assigned.to_string(), "same");
   EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
+}
+
+// A handle on a block is as large as the unique_ptr-owned buffer it
+// replaced: the count lives in the block.
+static_assert(sizeof(Buffer) == sizeof(void*) + 3 * sizeof(std::size_t));
+
+TEST(Buffer, ShareAndSliceViewTheSameBytes) {
+  const Buffer whole = Buffer::from_string("0123456789");
+  const Buffer all = whole.share();
+  const Buffer part = whole.slice(2, 5);
+  EXPECT_EQ(all.view().data(), whole.view().data());
+  EXPECT_EQ(part.view().data(), whole.view().data() + 2);
+  EXPECT_EQ(all.to_string(), "0123456789");
+  EXPECT_EQ(part.to_string(), "23456");
+  EXPECT_EQ(part.slice(1, 3).to_string(), "345");
+  EXPECT_TRUE(whole.slice(10, 0).empty());
+}
+
+TEST(Buffer, EveryMutatorThroughAShareOrSliceLeavesTheOtherHandleIntact) {
+  const std::vector<std::pair<const char*, std::function<void(Buffer&)>>> mutators = {
+      {"data", [](Buffer& b) { b.data()[0] = std::byte{'X'}; }},
+      {"mutable_view", [](Buffer& b) { b.mutable_view()[1] = std::byte{'Y'}; }},
+      {"append", [](Buffer& b) { b.append("zz", 2); }},
+      {"resize up", [](Buffer& b) { b.resize(b.size() + 3); }},
+      {"resize down", [](Buffer& b) { b.resize(1); }},
+      {"consume_front", [](Buffer& b) { b.consume_front(1); }},
+      {"consume all", [](Buffer& b) { b.consume_front(b.size()); }},
+      {"clear", [](Buffer& b) { b.clear(); }},
+  };
+  const std::string bytes = "0123456789";
+  for (const auto& [name, mutate] : mutators) {
+    for (const bool slice : {false, true}) {
+      const std::string part = slice ? bytes.substr(2, 5) : bytes;
+      // Through the new handle: the original keeps its bytes.
+      Buffer original = Buffer::from_string(bytes);
+      Buffer handle = slice ? original.slice(2, 5) : original.share();
+      mutate(handle);
+      EXPECT_EQ(original.to_string(), bytes) << name << (slice ? " on a slice" : " on a share");
+      // Through the original: the new handle keeps its bytes.
+      Buffer other = Buffer::from_string(bytes);
+      const Buffer kept = slice ? other.slice(2, 5) : other.share();
+      mutate(other);
+      EXPECT_EQ(kept.to_string(), part) << name << (slice ? " beside a slice" : " beside a share");
+    }
+  }
+}
+
+TEST(Buffer, AppendOnASliceNeverOverwritesTheNextSlice) {
+  Buffer left, right;
+  {
+    const Buffer whole = Buffer::from_string("aaaabbbb");
+    left = whole.slice(0, 4);
+    right = whole.slice(4, 4);
+  }
+  left.append("XX", 2);
+  EXPECT_EQ(left.to_string(), "aaaaXX");
+  EXPECT_EQ(right.to_string(), "bbbb");
+  // Once its neighbour is gone a slice owns its block and grows in place.
+  Buffer first;
+  {
+    const Buffer whole = Buffer::from_string("ccccdddd");
+    first = whole.slice(0, 4);
+  }
+  const std::byte* at = first.view().data();
+  first.append("ee", 2);
+  EXPECT_EQ(first.view().data(), at);
+  EXPECT_EQ(first.to_string(), "ccccee");
+}
+
+TEST(Buffer, ShareOutlivesItsOriginal) {
+  Buffer share, slice;
+  {
+    Buffer original = Buffer::from_string("outlives");
+    share = original.share();
+    slice = original.slice(3, 5);
+  }
+  EXPECT_EQ(share.to_string(), "outlives");
+  EXPECT_EQ(slice.to_string(), "lives");
+  EXPECT_EQ(share.use_count(), 2u);  // the original's reference is gone
+  // The last handle writes in place: nothing else sees the block.
+  const std::byte* at = slice.view().data();
+  share = Buffer();
+  EXPECT_EQ(share.use_count(), 0u);
+  EXPECT_EQ(slice.use_count(), 1u);
+  slice.data()[0] = std::byte{'L'};
+  EXPECT_EQ(slice.view().data(), at);
+  EXPECT_EQ(slice.to_string(), "Lives");
+}
+
+TEST(Buffer, CopyConstructorStaysDeep) {
+  Buffer original = Buffer::from_string("deep copy");
+  const Buffer share = original.share();
+  const Buffer copy = share;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_NE(copy.view().data(), share.view().data());
+  EXPECT_EQ(copy, share);
+  EXPECT_EQ(copy.use_count(), 1u);
+  EXPECT_EQ(share.use_count(), 2u);
+  Buffer slice_copy = original.slice(5, 4);
+  slice_copy = Buffer(slice_copy);
+  const std::byte* at = slice_copy.view().data();
+  slice_copy.data()[0] = std::byte{'C'};  // the copy owns its block: no copy
+  EXPECT_EQ(slice_copy.view().data(), at);
+  EXPECT_EQ(slice_copy.to_string(), "Copy");
+  EXPECT_EQ(original.to_string(), "deep copy");
 }
 
 TEST(Framing, RecordsParseWholeHoweverTheStreamIsCut) {

@@ -109,17 +109,17 @@ TEST_F(DpdkFixture, StoppedPortDropsFrames) {
 }
 
 TEST_F(DpdkFixture, FramesKeepTheirMessageAliveAfterTheSenderDropsIt) {
-  // Frames view the message they were cut from instead of copying their
-  // slice. Hold every frame at the receiving NIC until the sending port
-  // has finished streaming and let go of the message: the frames alone
-  // must keep it alive and intact, and free it once they are gone.
+  // Frames are slices of the message they were cut from instead of copies.
+  // Hold every frame at the receiving NIC until the sending port has
+  // finished streaming and let go of the message: the frames alone must
+  // keep its block alive and intact, and free it once they are gone.
   port_a->start();
   std::vector<fabric::PacketPtr> held;
-  long use_count_mid_stream = 0;
+  std::size_t use_count_mid_stream = 0;
   cluster.host(1).nic().set_rx_handler(fabric::PacketKind::dpdk_frame,
                                        [&](fabric::PacketPtr p) {
     if (held.empty()) {
-      use_count_mid_stream = fabric::body_as<DpdkFrame>(p)->message.use_count();
+      use_count_mid_stream = fabric::body_as<DpdkFrame>(p)->payload.use_count();
     }
     held.push_back(std::move(p));
   });
@@ -130,17 +130,22 @@ TEST_F(DpdkFixture, FramesKeepTheirMessageAliveAfterTheSenderDropsIt) {
   ASSERT_TRUE(run_until([&]() { return held.size() == 11; }));
   cluster.loop().run();  // the sender's last frame job has completed
 
-  EXPECT_GE(use_count_mid_stream, 2);  // the sender was still streaming it
-  const std::weak_ptr<const Buffer> message =
-      fabric::body_as<DpdkFrame>(held.front())->message;
-  EXPECT_EQ(message.use_count(), 11);  // only the frames hold it now
+  EXPECT_GE(use_count_mid_stream, 2u);  // the sender was still streaming it
+  // A probe on the block: it and the 11 frames are all that hold it now.
+  const Buffer probe = fabric::body_as<DpdkFrame>(held.front())->payload.share();
+  EXPECT_EQ(probe.use_count(), 12u);
+  // One block: each frame's bytes sit at its offset from the first's.
+  const std::byte* base = probe.view().data();
+  std::size_t covered = 0;
   for (const auto& packet : held) {
     const auto frame = fabric::body_as<DpdkFrame>(packet);
-    EXPECT_EQ(frame->message, message.lock());
-    EXPECT_EQ(frame->payload.data(), frame->message->data() + frame->offset);
-    EXPECT_TRUE(std::equal(frame->payload.begin(), frame->payload.end(),
-                           reference.data() + frame->offset));
+    const ByteSpan payload = frame->payload.view();
+    EXPECT_EQ(payload.data(), base + frame->offset);
+    EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
+                           reference.view().begin() + frame->offset));
+    covered += payload.size();
   }
+  EXPECT_EQ(covered, k_size);
 
   // A fresh port on host 1 takes the held frames and reassembles them.
   port_b = std::make_unique<DpdkPort>(cluster.host(1));
@@ -152,7 +157,7 @@ TEST_F(DpdkFixture, FramesKeepTheirMessageAliveAfterTheSenderDropsIt) {
   ASSERT_TRUE(run_until([&]() { return !got.empty(); }));
   EXPECT_EQ(got, reference);
   cluster.loop().run();
-  EXPECT_TRUE(message.expired());
+  EXPECT_EQ(probe.use_count(), 1u);  // no frame holds the block any more
 }
 
 TEST_F(DpdkFixture, ThroughputNearLineRateWithLowPerPacketCost) {
