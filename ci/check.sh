@@ -17,7 +17,7 @@
 #   4 test-asan      ctest under ASan+UBSan with LeakSanitizer ENABLED
 #   5 chaos-smoke    failover + migration matrices under LSan, migration bench + trace
 #   6 examples-smoke quickstart + mapreduce_shuffle run end-to-end (timed)
-#   7 bench-smoke    bench_sim_core + storms + bench_socket_stream --json + perfbench checks and digests
+#   7 bench-smoke    every sim-clock bench --json + digests of those and 3 traces, perfbench checks and digests
 #   8 trace-validate failover + socket-stream traces vs expected timelines
 #   9 perf-gate      ci/perf_gate.py vs the committed baselines
 #  10 tsan-ring      test_spsc_ring under ThreadSanitizer: once, then its two-thread cases 20 times
@@ -160,6 +160,23 @@ stage_bench_smoke() {
   ./build/bench/bench_socket_stream --json build/BENCH_socket_stream.json \
     --trace build/TRACE_socket_stream.json
   ./build/bench/bench_tenant_gateway --json build/BENCH_tenant_gateway.json
+  # The failover matrix's report and Chrome trace, checked by trace-validate.
+  ./build/bench/bench_failover --json build/BENCH_failover.json \
+    --trace build/TRACE_failover.json
+  # The paper-figure benches, quietly: only their --json is checked here.
+  local bench
+  for bench in ablations app_workloads control_plane decision_matrix \
+      fig1_three_modes host_vs_bridge inter_host intra_cpu intra_latency \
+      intra_throughput latency_breakdown pair_scaling vnic_overhead; do
+    ./build/bench/bench_"$bench" --json build/BENCH_"$bench".json >/dev/null
+  done
+  # Every bench but bench_sim_core and bench_micro_ring runs on the sim
+  # clock alone: its --json (live_migration's from chaos-smoke) and the
+  # three gated traces must be byte-identical to the pins in
+  # ci/bench_digests.json. The check names every output that moved; a
+  # change that moves the sim clock on purpose rewrites the pins with
+  # --write and says why in CHANGES.md.
+  python3 ci/check_bench_digests.py build ci/bench_digests.json
   # perfbench's own checks — byte-exact echoes, zero drops/retransmits,
   # planned transports and clean closes over shm, rdma, dpdk, tcp-host and
   # overlay — must hold: the result line (last on stdout) must read
@@ -175,12 +192,10 @@ stage_bench_smoke() {
 }
 
 stage_trace_validate() {
-  # Runs the failover matrix with Chrome-trace export and checks the trace is
-  # well-formed and shows the full kill-rdma recovery timeline. The bench's
-  # retransmit and blackout figures read the conduits' registry counters,
-  # the same ones its --json telemetry snapshot carries.
-  ./build/bench/bench_failover --json build/BENCH_failover.json \
-    --trace build/TRACE_failover.json
+  # The failover matrix's trace (exported by bench-smoke) must be well-formed
+  # and show the full kill-rdma recovery timeline. The bench's retransmit
+  # and blackout figures read the conduits' registry counters, the same
+  # ones its --json telemetry snapshot carries.
   python3 ci/validate_trace.py build/TRACE_failover.json \
     --expect "i:rdma_down,B:failover,i:mark_stale,i:rebind,i:retransmit,E:failover,i:rdma_up,i:re-upgrade"
   python3 -c "import json; json.load(open('build/BENCH_failover.json'))"

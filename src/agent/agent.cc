@@ -101,7 +101,7 @@ Agent::Agent(AgentFabric& fabric, fabric::Host& host)
           // adopt passively; the next attempt finds the established trunk.
         }
         if (trunks_.contains(key)) retire_trunk_half(key);
-        auto trunk = std::make_shared<TcpTrunk>(host_.loop());
+        auto trunk = std::make_shared<TcpTrunk>();
         trunk->attach(std::move(conn));
         adopt_trunk(key, std::move(trunk), /*established=*/true);
         if (auto sit = setups_.find(key); sit != setups_.end()) {
@@ -276,14 +276,7 @@ void Agent::establish_remote(orch::ContainerId src, orch::ContainerId dst,
                         done(st);
                         return;
                       }
-                      auto to_agent = make_lane(container_account(src), &account_);
-                      auto from_agent = make_lane(&account_, container_account(src));
-                      auto ep = std::make_shared<RemoteChannelEndpoint>(
-                          *this, src, dst, dst_host, id, transport, to_agent,
-                          from_agent);
-                      wire_outbound(ep);
-                      endpoints_.emplace(id, ep);
-                      done(ChannelPtr(ep));
+                      done(ChannelPtr(open_endpoint(src, dst, dst_host, id, transport)));
                     });
               });
         });
@@ -301,15 +294,32 @@ void Agent::accept_channel(orch::ContainerId src, orch::ContainerId dst,
   }
   // For trunked transports the B-side trunk was created during trunk setup
   // (rdma/dpdk) or at TCP accept; relay_outbound finds it by key.
-  auto to_agent = make_lane(container_account(dst), &account_);
-  auto from_agent = make_lane(&account_, container_account(dst));
-  auto ep = std::make_shared<RemoteChannelEndpoint>(*this, dst, src, src_host,
-                                                    channel_id, transport, to_agent,
-                                                    from_agent);
-  wire_outbound(ep);
-  endpoints_.emplace(channel_id, ep);
-  it->second(src, ep);
+  it->second(src, open_endpoint(dst, src, src_host, channel_id, transport));
   reply(ok_status());
+}
+
+std::shared_ptr<RemoteChannelEndpoint> Agent::open_endpoint(orch::ContainerId self,
+                                                            orch::ContainerId peer,
+                                                            fabric::HostId peer_host,
+                                                            std::uint64_t channel_id,
+                                                            orch::Transport transport) {
+  auto to_agent = make_lane(container_account(self), &account_);
+  auto from_agent = make_lane(&account_, container_account(self));
+  auto ep = std::make_shared<RemoteChannelEndpoint>(*this, peer, peer_host, channel_id,
+                                                    transport, to_agent, from_agent);
+  // The relay hook captures routing fields by value plus the agent itself —
+  // never the endpoint or the lane — so records queued in the lane (the
+  // closing bye included) still relay after the endpoint is destroyed. The
+  // agent co-owns the lane (outbound_lanes_) to keep those queued records
+  // alive; the hook hands back that ownership after the final record drains.
+  outbound_lanes_[channel_id] = to_agent;
+  to_agent->set_receiver([this, self, peer, peer_host, channel_id,
+                          transport](Buffer&& msg) {
+    relay_outbound(self, peer, peer_host, channel_id, transport, std::move(msg));
+    drop_drained_lane(channel_id);
+  });
+  endpoints_.emplace(channel_id, ep);
+  return ep;
 }
 
 // ------------------------------------------------------------------- trunks
@@ -355,10 +365,8 @@ void Agent::start_setup_attempt(const TrunkKey& key) {
   };
   switch (key.transport) {
     case orch::Transport::rdma:
-      setup_rdma_trunk(key.peer, std::move(done));
-      break;
     case orch::Transport::dpdk:
-      setup_dpdk_trunk(key.peer, std::move(done));
+      setup_bypass_trunk(key, std::move(done));
       break;
     case orch::Transport::tcp_host:
       setup_tcp_trunk(key.peer, std::move(done));
@@ -421,10 +429,6 @@ void Agent::fail_setup_attempt(const TrunkKey& key, Status error) {
   on_setup_result(key, it->second.gen, std::move(error));
 }
 
-bool Agent::setup_in_flight(fabric::HostId peer, orch::Transport transport) const {
-  return setups_.contains(TrunkKey{peer, transport});
-}
-
 rdma::RdmaDevice& Agent::rdma_device() {
   if (rdma_device_ == nullptr) {
     rdma_device_ = std::make_unique<rdma::RdmaDevice>(host_);
@@ -453,12 +457,8 @@ std::shared_ptr<Trunk> Agent::adopt_trunk(const TrunkKey& key,
   if (it != trunks_.end() && it->second != trunk) {
     // Never clobber: the incumbent (an opposite-direction setup's half, or
     // a fresher attempt's pending trunk) wins; the newcomer is retired.
-    // Graveyard, not free: it keeps a connected QP or TCP connection whose
-    // peer may still deliver records on it.
     ctr_setup_races_->inc();
-    retired_trunks_.push_back(std::move(trunk));
-    ctr_trunks_retired_->inc();
-    gauge_graveyard_->set(static_cast<std::int64_t>(retired_trunks_.size()));
+    bury(std::move(trunk));
     trunk = it->second;
   } else if (it == trunks_.end()) {
     trunk->set_on_record([this, key](Buffer&& r) {
@@ -475,15 +475,28 @@ std::shared_ptr<Trunk> Agent::adopt_trunk(const TrunkKey& key,
   return trunk;
 }
 
+void Agent::bury(std::shared_ptr<Trunk> trunk) {
+  // Graveyard, not free: a retired half keeps a connected QP or TCP
+  // connection whose peer may still deliver records on it.
+  retired_trunks_.push_back(std::move(trunk));
+  ctr_trunks_retired_->inc();
+  gauge_graveyard_->set(static_cast<std::int64_t>(retired_trunks_.size()));
+}
+
 void Agent::retire_trunk_half(const TrunkKey& key) {
   auto it = trunks_.find(key);
   if (it == trunks_.end()) return;
-  retired_trunks_.push_back(std::move(it->second));
-  ctr_trunks_retired_->inc();
-  gauge_graveyard_->set(static_cast<std::int64_t>(retired_trunks_.size()));
+  bury(std::move(it->second));
   trunks_.erase(it);
   lane_last_rx_.erase(key);
-  fail_endpoints_on(key.peer, key.transport);
+  std::vector<std::shared_ptr<RemoteChannelEndpoint>> victims;
+  collect_live_endpoints(victims, &key);
+  for (auto& ep : victims) ep->fail();
+}
+
+bool Agent::holds(const TrunkKey& key, const std::shared_ptr<Trunk>& trunk) const {
+  auto it = trunks_.find(key);
+  return it != trunks_.end() && it->second == trunk;
 }
 
 void Agent::abandon_pending_trunk(const TrunkKey& key) {
@@ -496,45 +509,77 @@ void Agent::note_lane_rx(const TrunkKey& key) {
   if (it != lane_last_rx_.end()) it->second = host_.loop().now();
 }
 
-void Agent::setup_rdma_trunk(fabric::HostId peer, SetupDoneFn done) {
-  if (!host_.nic().capabilities().rdma) {
-    done(failed_precondition("local NIC is not RDMA-capable"));
-    return;
+namespace {
+/// Ok when `host`'s NIC can carry a bypass trunk of `transport`; `side`
+/// ("local" or "peer") names it in the refusal.
+Status check_nic(const fabric::Host& host, orch::Transport transport, const char* side) {
+  const auto& caps = host.nic().capabilities();
+  if (transport == orch::Transport::rdma && !caps.rdma) {
+    return failed_precondition(std::string(side) + " NIC is not RDMA-capable");
+  }
+  if (transport == orch::Transport::dpdk && !caps.dpdk) {
+    return failed_precondition(std::string(side) + " NIC does not support DPDK");
+  }
+  return ok_status();
+}
+
+/// Connects an RDMA half-trunk's QP to the peer's and starts the trunk,
+/// unless an earlier control message of the same handshake already did.
+void connect_once(RdmaTrunk& trunk, fabric::HostId peer, rdma::QpNum peer_qp) {
+  if (trunk.qp()->state() == rdma::QpState::ready) return;
+  FF_CHECK(trunk.qp()->connect(peer, peer_qp).is_ok());
+  trunk.start();
+}
+}  // namespace
+
+std::shared_ptr<Trunk> Agent::make_bypass_trunk(fabric::HostId peer,
+                                                orch::Transport transport) {
+  if (transport == orch::Transport::dpdk) {
+    dpdk_port().start();
+    return std::make_shared<DpdkTrunk>(dpdk_port(), peer);
   }
   const auto& cfg = fabric_.config();
-  const std::size_t slot = cfg.fragment_bytes + RelayHeader::k_size;
-  const TrunkKey key{peer, orch::Transport::rdma};
-  auto trunk = std::make_shared<RdmaTrunk>(rdma_device(), account_, cfg.zero_copy,
-                                           slot, k_rdma_slots);
+  return std::make_shared<RdmaTrunk>(rdma_device(), account_, cfg.zero_copy,
+                                     cfg.fragment_bytes + RelayHeader::k_size,
+                                     k_rdma_slots);
+}
+
+void Agent::setup_bypass_trunk(const TrunkKey& key, SetupDoneFn done) {
+  if (Status nic = check_nic(host_, key.transport, "local"); !nic.is_ok()) {
+    done(std::move(nic));
+    return;
+  }
+  const bool is_rdma = key.transport == orch::Transport::rdma;
+  auto trunk = make_bypass_trunk(key.peer, key.transport);
   // Pending adoption: the half-trunk goes into the map *before* the
   // handshake leaves, so an opposite-direction setup arriving mid-flight
   // finds and joins it instead of building a rival (sends queue safely —
-  // the pump no-ops until the QP is ready).
+  // an RDMA trunk's pump no-ops until the QP is ready).
   adopt_trunk(key, trunk, /*established=*/false);
 
-  Agent* peer_agent = &fabric_.agent_on(peer);
+  Agent* peer_agent = &fabric_.agent_on(key.peer);
   const fabric::HostId self_host = host_.id();
-  const rdma::QpNum my_qp = trunk->qp()->num();
+  const rdma::QpNum my_qp = is_rdma ? static_cast<RdmaTrunk&>(*trunk).qp()->num() : 0;
 
-  fabric::send_control(host_, peer, k_ctrl_bytes,
-                       [this, key, peer_agent, trunk, self_host, my_qp, peer, done]() {
-    if (!peer_agent->host().nic().capabilities().rdma) {
-      fabric::send_control(peer_agent->host(), self_host, k_ctrl_bytes, [done]() {
-        done(failed_precondition("peer NIC is not RDMA-capable"));
-      });
+  fabric::send_control(host_, key.peer, k_ctrl_bytes,
+                       [this, key, peer_agent, trunk, self_host, my_qp, is_rdma, done]() {
+    if (Status nic = check_nic(peer_agent->host(), key.transport, "peer"); !nic.is_ok()) {
+      fabric::send_control(peer_agent->host(), self_host, k_ctrl_bytes,
+                           [nic, done]() { done(nic); });
       return;
     }
-    // Peer side: get-or-create its trunk toward us and wire its QP. Finding
-    // a pending half here IS the bidirectional race — the peer's own setup
-    // is in flight toward us — and both handshakes converge on the same two
-    // QPs (each side connects its QP at most once, whichever control
-    // message lands first).
-    const TrunkKey peer_key{self_host, orch::Transport::rdma};
-    std::shared_ptr<RdmaTrunk> peer_trunk;
+    // Peer side: get-or-create its half toward us. Finding a pending half
+    // here IS the bidirectional race — the peer's own setup is in flight
+    // toward us — and both handshakes converge on the same two halves (an
+    // RDMA side connects its QP at most once, whichever control message
+    // lands first).
+    const TrunkKey peer_key{self_host, key.transport};
+    std::shared_ptr<Trunk> peer_trunk;
     if (auto it = peer_agent->trunks_.find(peer_key); it != peer_agent->trunks_.end()) {
-      peer_trunk = std::static_pointer_cast<RdmaTrunk>(it->second);
-      if (peer_trunk->qp()->state() == rdma::QpState::ready &&
-          peer_trunk->qp()->remote_qp() != my_qp) {
+      peer_trunk = it->second;
+      auto* half = is_rdma ? static_cast<RdmaTrunk*>(peer_trunk.get()) : nullptr;
+      if (half != nullptr && half->qp()->state() == rdma::QpState::ready &&
+          half->qp()->remote_qp() != my_qp) {
         // Stale half: its QP is wired to a QP we already abandoned (an
         // earlier attempt that timed out). A connected QP cannot be
         // re-pointed, so replace the half outright.
@@ -545,92 +590,30 @@ void Agent::setup_rdma_trunk(fabric::HostId peer, SetupDoneFn done) {
       }
     }
     if (peer_trunk == nullptr) {
-      const auto& pcfg = peer_agent->fabric_.config();
-      peer_trunk = std::make_shared<RdmaTrunk>(
-          peer_agent->rdma_device(), peer_agent->account_, pcfg.zero_copy,
-          pcfg.fragment_bytes + RelayHeader::k_size, k_rdma_slots);
+      peer_trunk = peer_agent->make_bypass_trunk(self_host, key.transport);
       // Passive half: established right away — if we die before finishing,
       // the peer's heartbeat monitor reaps it.
       peer_agent->adopt_trunk(peer_key, peer_trunk, /*established=*/true);
     }
-    if (peer_trunk->qp()->state() != rdma::QpState::ready) {
-      FF_CHECK(peer_trunk->qp()->connect(self_host, my_qp).is_ok());
-      peer_trunk->start();
+    rdma::QpNum peer_qp = 0;
+    if (is_rdma) {
+      auto& half = static_cast<RdmaTrunk&>(*peer_trunk);
+      connect_once(half, self_host, my_qp);
+      peer_qp = half.qp()->num();
     }
-    const rdma::QpNum peer_qp = peer_trunk->qp()->num();
     fabric::send_control(peer_agent->host(), self_host, k_ctrl_bytes,
-                         [this, key, trunk, peer_agent, peer_key, peer_trunk, peer,
-                          peer_qp, done]() {
+                         [this, key, trunk, peer_agent, peer_key, peer_trunk, peer_qp,
+                          is_rdma, done]() {
       // The lane can die while this handshake is in flight: whichever side
       // was declared dead retired its half, so an identity mismatch on
       // either end fails the attempt (the retry driver backs off and tries
       // again; wiring a zombie would be worse).
-      auto pit = peer_agent->trunks_.find(peer_key);
-      if (pit == peer_agent->trunks_.end() || pit->second != peer_trunk) {
-        done(unavailable("rdma lane died during trunk setup"));
+      if (!peer_agent->holds(peer_key, peer_trunk) || !holds(key, trunk)) {
+        done(unavailable(std::string(orch::transport_name(key.transport)) +
+                         " lane died during trunk setup"));
         return;
       }
-      auto lit = trunks_.find(key);
-      if (lit == trunks_.end() || lit->second != trunk) {
-        done(unavailable("rdma lane died during trunk setup"));
-        return;
-      }
-      if (trunk->qp()->state() != rdma::QpState::ready) {
-        FF_CHECK(trunk->qp()->connect(peer, peer_qp).is_ok());
-        trunk->start();
-      }
-      done(std::static_pointer_cast<Trunk>(trunk));
-    });
-  });
-}
-
-void Agent::setup_dpdk_trunk(fabric::HostId peer, SetupDoneFn done) {
-  if (!host_.nic().capabilities().dpdk) {
-    done(failed_precondition("local NIC does not support DPDK"));
-    return;
-  }
-  dpdk_port().start();
-  const TrunkKey key{peer, orch::Transport::dpdk};
-  auto trunk = std::static_pointer_cast<Trunk>(std::make_shared<DpdkTrunk>(dpdk_port(), peer));
-  adopt_trunk(key, trunk, /*established=*/false);  // pending adoption (see rdma)
-  Agent* peer_agent = &fabric_.agent_on(peer);
-  const fabric::HostId self_host = host_.id();
-  fabric::send_control(host_, peer, k_ctrl_bytes,
-                       [this, key, trunk, peer_agent, self_host, peer, done]() {
-    if (!peer_agent->host().nic().capabilities().dpdk) {
-      fabric::send_control(peer_agent->host(), self_host, k_ctrl_bytes, [done]() {
-        done(failed_precondition("peer NIC does not support DPDK"));
-      });
-      return;
-    }
-    peer_agent->dpdk_port().start();
-    // Peer-side trunk toward us so its containers can answer. An existing
-    // pending half is the peer's own opposite-direction setup: join it.
-    const TrunkKey peer_key{self_host, orch::Transport::dpdk};
-    std::shared_ptr<Trunk> peer_trunk;
-    if (auto it = peer_agent->trunks_.find(peer_key); it != peer_agent->trunks_.end()) {
-      peer_trunk = it->second;
-      if (peer_agent->setups_.contains(peer_key)) {
-        peer_agent->ctr_setup_races_->inc();
-      }
-    } else {
-      peer_trunk = std::make_shared<DpdkTrunk>(peer_agent->dpdk_port(), self_host);
-      peer_agent->adopt_trunk(peer_key, peer_trunk, /*established=*/true);
-    }
-    fabric::send_control(peer_agent->host(), self_host, k_ctrl_bytes,
-                         [this, key, trunk, peer_agent, peer_key, peer_trunk, done]() {
-      // Same mid-setup death race as the RDMA trunk: if either half was
-      // declared dead while the handshake was in flight, fail the attempt.
-      auto pit = peer_agent->trunks_.find(peer_key);
-      if (pit == peer_agent->trunks_.end() || pit->second != peer_trunk) {
-        done(unavailable("dpdk lane died during trunk setup"));
-        return;
-      }
-      auto lit = trunks_.find(key);
-      if (lit == trunks_.end() || lit->second != trunk) {
-        done(unavailable("dpdk lane died during trunk setup"));
-        return;
-      }
+      if (is_rdma) connect_once(static_cast<RdmaTrunk&>(*trunk), key.peer, peer_qp);
       done(trunk);
     });
   });
@@ -639,8 +622,8 @@ void Agent::setup_dpdk_trunk(fabric::HostId peer, SetupDoneFn done) {
 void Agent::setup_tcp_trunk(fabric::HostId peer, SetupDoneFn done) {
   const TrunkKey key{peer, orch::Transport::tcp_host};
   Agent* peer_agent = &fabric_.agent_on(peer);  // peer must be listening
-  auto trunk = std::make_shared<TcpTrunk>(host_.loop());
-  adopt_trunk(key, std::static_pointer_cast<Trunk>(trunk), /*established=*/false);
+  auto trunk = std::make_shared<TcpTrunk>();
+  adopt_trunk(key, trunk, /*established=*/false);
   if (host_.id() < peer) {
     // Single-dialer rule: the lower host id owns the connection. The
     // higher side never dials, so simultaneous setups can no longer cross
@@ -654,8 +637,7 @@ void Agent::setup_tcp_trunk(fabric::HostId peer, SetupDoneFn done) {
         done(conn.status());
         return;
       }
-      auto lit = trunks_.find(key);
-      if (lit == trunks_.end() || lit->second != std::static_pointer_cast<Trunk>(trunk)) {
+      if (!holds(key, trunk)) {
         done(unavailable("tcp lane died during trunk setup"));
         return;
       }
@@ -677,22 +659,6 @@ void Agent::setup_tcp_trunk(fabric::HostId peer, SetupDoneFn done) {
 }
 
 // -------------------------------------------------------------------- relay
-
-void Agent::wire_outbound(const std::shared_ptr<RemoteChannelEndpoint>& ep) {
-  // Captures routing fields by value plus the agent itself — never the
-  // endpoint or the lane — so records queued in the lane (the closing bye
-  // included) still relay after the endpoint is destroyed. The agent
-  // co-owns the lane (outbound_lanes_) to keep those queued records alive;
-  // the hook hands back that ownership after the final record drains.
-  const std::uint64_t id = ep->channel_id();
-  outbound_lanes_[id] = ep->outbound_lane();
-  ep->outbound_lane()->set_receiver(
-      [this, src = ep->self(), dst = ep->peer(), peer_host = ep->peer_host(),
-       id, transport = ep->transport()](Buffer&& msg) {
-        relay_outbound(src, dst, peer_host, id, transport, std::move(msg));
-        drop_drained_lane(id);
-      });
-}
 
 void Agent::drop_drained_lane(std::uint64_t channel_id) {
   // Keep the lane while its endpoint is still registered, or while queued
@@ -760,15 +726,7 @@ void Agent::notify_space() {
   // The snapshot's storage is reused across calls; it is moved out for the
   // duration, so a re-entrant call works on a vector of its own.
   std::vector<std::shared_ptr<RemoteChannelEndpoint>> live = std::move(space_snapshot_);
-  live.reserve(endpoints_.size());
-  for (auto it = endpoints_.begin(); it != endpoints_.end();) {
-    if (auto ep = it->second.lock()) {
-      live.push_back(std::move(ep));
-      ++it;
-    } else {
-      it = endpoints_.erase(it);
-    }
-  }
+  collect_live_endpoints(live);
   for (auto& ep : live) {
     if (!ep->closed()) ep->poke_space();
   }
@@ -843,21 +801,21 @@ void Agent::declare_lane_failed(fabric::HostId peer, orch::Transport transport) 
   fail_setup_attempt(key, unavailable("lane died during trunk setup"));
 }
 
-void Agent::fail_endpoints_on(fabric::HostId peer, orch::Transport transport) {
-  // Snapshot first: fail() re-enters release_channel and mutates the map.
-  std::vector<std::shared_ptr<RemoteChannelEndpoint>> victims;
+void Agent::collect_live_endpoints(
+    std::vector<std::shared_ptr<RemoteChannelEndpoint>>& out, const TrunkKey* lane) {
+  out.reserve(out.size() + endpoints_.size());
   for (auto it = endpoints_.begin(); it != endpoints_.end();) {
     auto ep = it->second.lock();
     if (ep == nullptr) {
       it = endpoints_.erase(it);
       continue;
     }
-    if (ep->peer_host() == peer && ep->transport() == transport) {
-      victims.push_back(std::move(ep));
+    if (lane == nullptr ||
+        (ep->peer_host() == lane->peer && ep->transport() == lane->transport)) {
+      out.push_back(std::move(ep));
     }
     ++it;
   }
-  for (auto& ep : victims) ep->fail();
 }
 
 void Agent::set_paused(bool paused) {
@@ -889,10 +847,9 @@ void Agent::release_channel(std::uint64_t channel_id) {
 }
 
 std::size_t Agent::endpoint_count() {
-  for (auto it = endpoints_.begin(); it != endpoints_.end();) {
-    it = it->second.expired() ? endpoints_.erase(it) : std::next(it);
-  }
-  return endpoints_.size();
+  std::vector<std::shared_ptr<RemoteChannelEndpoint>> live;
+  collect_live_endpoints(live);
+  return live.size();
 }
 
 void Agent::dispatch_record(Buffer&& record) {

@@ -96,10 +96,6 @@ class Agent {
     return ctr_lanes_failed_->value();
   }
 
-  /// True while a setup (any attempt of it) is in flight for the key.
-  [[nodiscard]] bool setup_in_flight(fabric::HostId peer,
-                                     orch::Transport transport) const;
-
   /// The host's RDMA engine (created on first use). Exposed so per_stream_qp
   /// sockets can carve their RC QPs (src/stream) out of the same NIC the
   /// agent trunks ride — TSoR-style sockets-over-RDMA.
@@ -130,10 +126,15 @@ class Agent {
   void with_trunk(fabric::HostId peer, orch::Transport transport,
                   std::function<void(Result<Trunk*>)> ready);
   /// One handshake attempt each; establishment/retry is driven by
-  /// start_setup_attempt / on_setup_result.
-  void setup_rdma_trunk(fabric::HostId peer, SetupDoneFn done);
-  void setup_dpdk_trunk(fabric::HostId peer, SetupDoneFn done);
+  /// start_setup_attempt / on_setup_result. The kernel-bypass transports
+  /// (rdma, dpdk) share one two-sided control round trip; TCP dials.
+  void setup_bypass_trunk(const TrunkKey& key, SetupDoneFn done);
   void setup_tcp_trunk(fabric::HostId peer, SetupDoneFn done);
+  /// A fresh, unconnected half-trunk of a bypass transport toward `peer`.
+  std::shared_ptr<Trunk> make_bypass_trunk(fabric::HostId peer, orch::Transport transport);
+  /// True while `trunk` is still the one registered under `key`: a lane
+  /// declared dead mid-handshake retired it.
+  [[nodiscard]] bool holds(const TrunkKey& key, const std::shared_ptr<Trunk>& trunk) const;
 
   /// Launches the next attempt for the key's in-flight setup (arming the
   /// per-attempt watchdog), and the attempt's single completion point: a
@@ -163,12 +164,18 @@ class Agent {
   /// Retires the key's trunk only if it never established (a failed
   /// attempt's half-built half-trunk).
   void abandon_pending_trunk(const TrunkKey& key);
+  /// Moves a trunk to the graveyard (see retired_trunks_).
+  void bury(std::shared_ptr<Trunk> trunk);
   /// Marks rx activity on a monitored lane (no-op for retired lanes).
   void note_lane_rx(const TrunkKey& key);
   void arm_monitor();
   void monitor_tick();
   void send_heartbeat(const TrunkKey& key);
-  void fail_endpoints_on(fabric::HostId peer, orch::Transport transport);
+  /// Prunes expired entries from endpoints_ and appends the live endpoints
+  /// (only those riding the `lane` key's trunk, when given) to `out`. A
+  /// snapshot: acting on an endpoint may re-enter release_channel.
+  void collect_live_endpoints(std::vector<std::shared_ptr<RemoteChannelEndpoint>>& out,
+                              const TrunkKey* lane = nullptr);
 
  public:
   /// The host's /dev/shm model. Each co-located channel holds one region:
@@ -185,9 +192,15 @@ class Agent {
 
   std::shared_ptr<shm::ShmLane> make_lane(sim::UsageAccount* sender,
                                           sim::UsageAccount* receiver);
+  /// Builds and registers the endpoint of local container `self` for a
+  /// channel to `peer` on `peer_host`, with the outbound relay hung on its
+  /// container->agent lane.
+  std::shared_ptr<RemoteChannelEndpoint> open_endpoint(orch::ContainerId self,
+                                                       orch::ContainerId peer,
+                                                       fabric::HostId peer_host,
+                                                       std::uint64_t channel_id,
+                                                       orch::Transport transport);
   sim::UsageAccount* container_account(orch::ContainerId id);
-  /// Hangs the outbound relay on the endpoint's container->agent lane.
-  void wire_outbound(const std::shared_ptr<RemoteChannelEndpoint>& ep);
 
   AgentFabric& fabric_;
   fabric::Host& host_;

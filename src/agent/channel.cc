@@ -83,25 +83,22 @@ void ShmChannelEndpoint::close() noexcept {
 
 // ---------------------------------------------------- RemoteChannelEndpoint
 
-RemoteChannelEndpoint::RemoteChannelEndpoint(Agent& local_agent, orch::ContainerId self,
-                                             orch::ContainerId peer,
+RemoteChannelEndpoint::RemoteChannelEndpoint(Agent& local_agent, orch::ContainerId peer,
                                              fabric::HostId peer_host,
                                              std::uint64_t channel_id,
                                              orch::Transport transport,
                                              std::shared_ptr<shm::ShmLane> to_agent,
                                              std::shared_ptr<shm::ShmLane> from_agent)
     : agent_(local_agent),
-      self_(self),
       peer_(peer),
       peer_host_(peer_host),
       channel_id_(channel_id),
       transport_(transport),
-      tx_(to_agent),
-      to_agent_(to_agent),
+      tx_(std::move(to_agent)),
       from_agent_(from_agent),
       inbound_(from_agent) {
   // The container->agent relay hook is installed by the Agent (see
-  // Agent::wire_outbound): it captures routing fields by value, not this
+  // Agent::open_endpoint): it captures routing fields by value, not this
   // endpoint, so the lane keeps draining after the endpoint is torn down.
 }
 
@@ -138,7 +135,7 @@ void RemoteChannelEndpoint::close() noexcept {
   if (closed_) return;
   closed_ = true;
   // Unhook the container-facing receive hook and both sender re-arms; the
-  // agent-owned outbound relay on to_agent_ stays so queued records (the
+  // agent-owned outbound relay on the container->agent lane stays so queued records (the
   // closing bye among them) still reach the trunk. Deregistering with the
   // agent stops inbound records from resolving to this channel id.
   from_agent_->set_receiver(nullptr);

@@ -153,8 +153,8 @@ class RemoteChannelEndpoint final
     : public Channel,
       public std::enable_shared_from_this<RemoteChannelEndpoint> {
  public:
-  RemoteChannelEndpoint(Agent& local_agent, orch::ContainerId self,
-                        orch::ContainerId peer, fabric::HostId peer_host,
+  RemoteChannelEndpoint(Agent& local_agent, orch::ContainerId peer,
+                        fabric::HostId peer_host,
                         std::uint64_t channel_id, orch::Transport transport,
                         std::shared_ptr<shm::ShmLane> to_agent,
                         std::shared_ptr<shm::ShmLane> from_agent);
@@ -176,28 +176,18 @@ class RemoteChannelEndpoint final
   [[nodiscard]] bool closed() const noexcept override { return closed_; }
 
   [[nodiscard]] std::uint64_t channel_id() const noexcept { return channel_id_; }
-  [[nodiscard]] orch::ContainerId self() const noexcept { return self_; }
   [[nodiscard]] fabric::HostId peer_host() const noexcept { return peer_host_; }
-
-  /// Agent-side: the container->agent lane the agent hangs its relay on.
-  /// The relay wiring is owned by the lane, not this endpoint, so queued
-  /// outbound (e.g. the closing bye) still drains after teardown.
-  [[nodiscard]] const std::shared_ptr<shm::ShmLane>& outbound_lane() const noexcept {
-    return to_agent_;
-  }
 
   /// Agent-side: delivers a fully reassembled inbound message.
   void deliver_inbound(Buffer&& message);
 
  private:
   Agent& agent_;
-  orch::ContainerId self_;
   orch::ContainerId peer_;
   fabric::HostId peer_host_;
   std::uint64_t channel_id_;
   orch::Transport transport_;
   LaneSender tx_;                             ///< container -> agent
-  std::shared_ptr<shm::ShmLane> to_agent_;    ///< keep for receiver wiring
   std::shared_ptr<shm::ShmLane> from_agent_;  ///< agent -> container
   LaneSender inbound_;                        ///< agent-side sender on from_agent
   bool closed_ = false;

@@ -83,7 +83,7 @@ void DpdkTrunk::send(const RelayHeader& header, ByteSpan fragment, std::uint32_t
 
 // The pipe is this trunk's alone and dies with it, so its hooks may hold
 // `this`; the connection holds only the pipe's weak handle.
-TcpTrunk::TcpTrunk(sim::EventLoop& /*loop*/)
+TcpTrunk::TcpTrunk()
     : pipe_(std::make_shared<tcp::RecordPipe>(
           [this](Buffer&& record) {
             if (on_record_) on_record_(std::move(record));

@@ -128,7 +128,7 @@ class DpdkTrunk final : public Trunk {
 class TcpTrunk final : public Trunk {
  public:
   /// Records queue until attach().
-  explicit TcpTrunk(sim::EventLoop& loop);
+  TcpTrunk();
 
   /// Attaches the established connection (either side).
   void attach(tcp::TcpConnection::Ptr conn);

@@ -22,13 +22,14 @@ void warn_if_failed(const Status& s) {
 
 Conduit::Conduit(std::uint64_t token, orch::ContainerId self, orch::ContainerId peer,
                  tcp::Ipv4Addr peer_ip, std::uint16_t service_port, bool initiator,
-                 telemetry::Telemetry& hub)
+                 telemetry::Telemetry& hub, sim::EventLoop& loop)
     : token_(token),
       self_(self),
       peer_(peer),
       peer_ip_(peer_ip),
       service_port_(service_port),
       initiator_(initiator),
+      loop_(loop),
       tracer_(hub.tracer()) {
   // Both endpoints of a channel share the token, so the metric entity is
   // (token, endpoint container) — "conduit/<token>/c<self>/<metric>".
@@ -88,7 +89,7 @@ void Conduit::note_window_filled() {
   // The retained window just hit the cap: writable() deasserts until an ack
   // drains it. Track how long the app stays blocked on the window.
   ctr_window_full_->inc();
-  if (loop_ != nullptr) window_full_since_ = loop_->now();
+  window_full_since_ = loop_.now();
 }
 
 void Conduit::send_control(WireHeader header) {
@@ -136,10 +137,7 @@ void Conduit::attach_channel(agent::ChannelPtr channel) {
   const orch::Transport now_on = channel_->transport();
   if (recovering) {
     in_blackout_ = false;
-    if (loop_ != nullptr) {
-      const SimDuration gap = loop_->now() - blackout_started_;
-      ctr_blackout_ns_->inc(static_cast<std::uint64_t>(gap));
-    }
+    ctr_blackout_ns_->inc(static_cast<std::uint64_t>(loop_.now() - blackout_started_));
     tracer_.instant("conduit", "rebind", self_, trace_tid(token_),
                     telemetry::Tracer::arg("to", std::string(orch::transport_name(now_on))));
   }
@@ -243,9 +241,9 @@ void Conduit::send_ack_now() {
 }
 
 void Conduit::arm_ack_timer() {
-  if (loop_ == nullptr || ack_timer_.pending()) return;
+  if (ack_timer_.pending()) return;
   auto self = weak_from_this();
-  ack_timer_ = loop_->schedule_cancellable(k_delayed_ack_ns, [self]() {
+  ack_timer_ = loop_.schedule_cancellable(k_delayed_ack_ns, [self]() {
     auto conduit = self.lock();
     if (conduit == nullptr || conduit->closed_ || conduit->closing_) return;
     if (conduit->since_ack_ == 0 && !conduit->resync_ack_) return;
@@ -267,8 +265,8 @@ void Conduit::handle_ack(std::uint64_t acked_upto) {
     finish_quiesce(/*drained=*/true);
   }
   if (was_full && retained_.size() < k_max_retained) {
-    if (loop_ != nullptr && window_full_since_ != 0) {
-      ctr_blocked_ns_->inc(static_cast<std::uint64_t>(loop_->now() - window_full_since_));
+    if (window_full_since_ != 0) {
+      ctr_blocked_ns_->inc(static_cast<std::uint64_t>(loop_.now() - window_full_since_));
       window_full_since_ = 0;
     }
     if (!paused_ && on_space_) on_space_();
@@ -276,14 +274,14 @@ void Conduit::handle_ack(std::uint64_t acked_upto) {
 }
 
 void Conduit::handle_bye(std::uint64_t last_seq) {
-  if (last_seq >= rx_next_ && loop_ != nullptr) {
+  if (last_seq >= rx_next_) {
     // The bye overtook data still in flight (the control lane skips an RC
     // channel's credits): finish once that tail lands, or after a drain
     // timeout if it never does.
     bye_after_ = last_seq;
     if (!drain_timer_.pending()) {
       auto self = weak_from_this();
-      drain_timer_ = loop_->schedule_cancellable(drain_timeout_ns_, [self]() {
+      drain_timer_ = loop_.schedule_cancellable(drain_timeout_ns_, [self]() {
         auto conduit = self.lock();
         if (conduit != nullptr && !conduit->closed_) conduit->handle_bye(0);
       });
@@ -340,9 +338,9 @@ void Conduit::close_with(CloseReason reason, bool handshake) {
     if (!handshake) finish_close(pending_reason_, /*notify_peer=*/false);
     return;
   }
-  if (!handshake || channel_ == nullptr || loop_ == nullptr) {
-    // Fire-and-forget close: the legacy behaviour, and the only option for
-    // clockless conduits or known-dead peers. Still sends a best-effort bye.
+  if (!handshake || channel_ == nullptr) {
+    // Fire-and-forget close: the only option for a detached conduit or a
+    // known-dead peer. Still sends a best-effort bye.
     finish_close(reason, /*notify_peer=*/handshake && channel_ != nullptr);
     return;
   }
@@ -357,7 +355,7 @@ void Conduit::close_with(CloseReason reason, bool handshake) {
   on_transport_failed_ = nullptr;
   send_control(VMsg::bye, tx_seq_);
   auto self = weak_from_this();
-  drain_timer_ = loop_->schedule_cancellable(drain_timeout_ns_, [self]() {
+  drain_timer_ = loop_.schedule_cancellable(drain_timeout_ns_, [self]() {
     auto conduit = self.lock();
     if (conduit == nullptr || conduit->closed_) return;
     conduit->finish_close(CloseReason::drain_timeout, /*notify_peer=*/false);
@@ -410,7 +408,7 @@ void Conduit::mark_stale() {
     ctr_rebinds_->inc();
     if (!in_blackout_) {
       in_blackout_ = true;
-      blackout_started_ = loop_ != nullptr ? loop_->now() : 0;
+      blackout_started_ = loop_.now();
       tracer_.begin("conduit", "failover", self_, trace_tid(token_),
                     telemetry::Tracer::arg(
                         "from", std::string(orch::transport_name(pre_failover_transport_))));
@@ -463,13 +461,8 @@ void Conduit::quiesce(SimDuration deadline, std::function<void(bool)> done) {
     return;
   }
   quiesce_done_ = std::move(done);
-  if (loop_ == nullptr) {
-    // Clockless conduit: no deadline to wait out, capture the tail as-is.
-    finish_quiesce(/*drained=*/false);
-    return;
-  }
   auto self = weak_from_this();
-  quiesce_timer_ = loop_->schedule_cancellable(deadline, [self]() {
+  quiesce_timer_ = loop_.schedule_cancellable(deadline, [self]() {
     auto conduit = self.lock();
     if (conduit != nullptr) conduit->finish_quiesce(/*drained=*/false);
   });

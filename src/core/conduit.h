@@ -50,10 +50,11 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
 
   /// Registers this conduit's counters ("conduit/<token>/c<self>/...") and
   /// trace row in `hub`, which must outlive it; the accessors below read
-  /// those same counters.
+  /// those same counters. `loop` clocks its timers (delayed ack, close
+  /// drain, quiesce deadline) and blackout spans.
   Conduit(std::uint64_t token, orch::ContainerId self, orch::ContainerId peer,
           tcp::Ipv4Addr peer_ip, std::uint16_t service_port, bool initiator,
-          telemetry::Telemetry& hub);
+          telemetry::Telemetry& hub, sim::EventLoop& loop);
 
   /// Sends one protocol message; queued while no channel is attached.
   void send(const WireHeader& header, ByteSpan payload = {});
@@ -125,10 +126,9 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
     return last_migration_reason_;
   }
 
-  /// Orderly teardown (app close): sends `bye` and — when a sim clock is
-  /// available — waits for the peer's bye_ack up to the drain timeout
-  /// before completing. Without a clock (or channel) it completes
-  /// synchronously, preserving the fire-and-forget behaviour. Idempotent.
+  /// Orderly teardown (app close): sends `bye` and waits for the peer's
+  /// bye_ack up to the drain timeout before completing. Without a channel
+  /// it completes synchronously. Idempotent.
   void close() { close_with(CloseReason::app_close, /*handshake=*/true); }
   /// Teardown with an explicit reason; handshake=false skips the bye-ack
   /// wait (used when the peer is known dead: crash, stop notifications).
@@ -151,10 +151,6 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   void set_on_transport_failed(std::function<void()> cb) {
     on_transport_failed_ = std::move(cb);
   }
-
-  /// Sim clock used for the close-handshake drain timer (ContainerNet wires
-  /// this on adoption; bare conduits stay clockless and close synchronously).
-  void set_loop(sim::EventLoop* loop) noexcept { loop_ = loop; }
 
   void set_drain_timeout(SimDuration timeout_ns) noexcept {
     drain_timeout_ns_ = timeout_ns;
@@ -260,7 +256,7 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   std::function<void()> on_transport_failed_;
   std::function<void(const WireHeader&)> on_handshake_;
 
-  sim::EventLoop* loop_ = nullptr;
+  sim::EventLoop& loop_;
   SimDuration drain_timeout_ns_ = 5'000'000;  // 5 ms default
   sim::EventHandle drain_timer_;
   sim::EventHandle ack_timer_;

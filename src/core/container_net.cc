@@ -8,6 +8,25 @@
 
 namespace freeflow::core {
 
+namespace {
+/// The rebind that must be the first message on a fresh channel: it hands
+/// the channel to conduit `token` at the peer's router.
+void send_rebind(agent::Channel& channel, std::uint64_t token) {
+  WireHeader h;
+  h.type = VMsg::rebind;
+  h.token = token;
+  channel.send(encode_header(h));
+}
+
+/// The answers to a connect request (cm_connect or sock_connect).
+VMsg accept_of(VMsg request) {
+  return request == VMsg::cm_connect ? VMsg::cm_accept : VMsg::sock_accept;
+}
+VMsg reject_of(VMsg request) {
+  return request == VMsg::cm_connect ? VMsg::cm_reject : VMsg::sock_reject;
+}
+}  // namespace
+
 ContainerNet::ContainerNet(FreeFlow& ff, orch::ContainerPtr container)
     : ff_(ff), container_(std::move(container)) {}
 
@@ -30,7 +49,6 @@ void ContainerNet::adopt_conduit(const ConduitPtr& conduit) {
     net->conduits_.erase(token);
     net->drop_stream_qp(token);
   });
-  conduit->set_loop(&loop());
   conduit->set_drain_timeout(current_host().cost_model().close_drain_timeout_ns);
   // Transport failure (lane declared dead by the agent): the initiator
   // re-decides and splices on a fallback channel; the passive side waits
@@ -136,22 +154,33 @@ rdma::CqPtr ContainerNet::create_cq(std::size_t capacity) {
 }
 
 Status ContainerNet::listen_qp(std::uint16_t port, QpAcceptFn on_accept) {
-  auto [it, inserted] = qp_listeners_.emplace(port, std::move(on_accept));
-  (void)it;
-  if (!inserted) return already_exists("QP service port in use");
+  auto accept = [this, on_accept = std::move(on_accept)](const ConduitPtr& conduit) {
+    auto qp = std::make_shared<VirtualQp>(*this, conduit, create_cq(), create_cq());
+    qp->bind();
+    on_accept(qp);
+  };
+  if (!listeners_.emplace(ListenKey{VMsg::cm_connect, port}, std::move(accept)).second) {
+    return already_exists("QP service port in use");
+  }
   return ok_status();
 }
 
 Status ContainerNet::sock_listen(std::uint16_t port, SockAcceptFn on_accept) {
-  auto [it, inserted] = sock_listeners_.emplace(port, std::move(on_accept));
-  (void)it;
-  if (!inserted) return already_exists("socket port in use");
+  const ListenKey key{VMsg::sock_connect, port};
+  auto accept = [this, on_accept = std::move(on_accept)](const ConduitPtr& conduit) {
+    auto sock = std::make_shared<FlowSocket>(*this, conduit);
+    sock->bind();
+    on_accept(sock);
+  };
+  if (!listeners_.emplace(key, std::move(accept)).second) {
+    return already_exists("socket port in use");
+  }
   auto self = weak_from_this();
   const Status bound = ff_.fallback_net().listen(
       tcp::Endpoint{ip(), port}, [self](tcp::TcpConnection::Ptr conn) {
         if (auto net = self.lock()) net->on_incoming_conn(std::move(conn));
       });
-  if (!bound.is_ok()) sock_listeners_.erase(port);
+  if (!bound.is_ok()) listeners_.erase(key);
   return bound;
 }
 
@@ -190,13 +219,7 @@ void ContainerNet::open_channel_for(ConduitPtr conduit, bool rebinding,
         done(aborted("conduit re-bound again before channel setup finished"));
         return;
       }
-      if (rebinding) {
-        WireHeader h;
-        h.type = VMsg::rebind;
-        h.token = conduit->token();
-        // The rebind must be the first message on the fresh channel.
-        (*ch)->send(encode_header(h));
-      }
+      if (rebinding) send_rebind(**ch, conduit->token());
       conduit->attach_channel(std::move(ch.value()));
       done(ok_status());
     });
@@ -206,74 +229,65 @@ void ContainerNet::open_channel_for(ConduitPtr conduit, bool rebinding,
 void ContainerNet::connect_qp(tcp::Ipv4Addr peer_ip, std::uint16_t port,
                               rdma::CqPtr send_cq, rdma::CqPtr recv_cq,
                               QpConnectFn done) {
-  auto peer = ff_.orchestrator().resolve_ip(peer_ip);
-  if (!peer.is_ok()) {
-    loop().schedule(0, [done = std::move(done), s = peer.status()]() { done(s); });
-    return;
-  }
-  auto conduit = std::make_shared<Conduit>(ff_.next_token(), id(), *peer, peer_ip,
-                                           port, /*initiator=*/true, telemetry());
-  // Owned by conduits_ from the start; the handshake handler below may
-  // capture the conduit freely — close() unhooks it, so no cycle survives.
-  adopt_conduit(conduit);
-  open_channel_for(conduit, /*rebinding=*/false,
-                   [this, conduit, port, send_cq, recv_cq,
-                    done = std::move(done)](Status st) mutable {
-    if (!st.is_ok()) {
-      conduit->close();
-      done(st);
+  connect_conduit(peer_ip, port, VMsg::cm_connect, SockPath::relayed,
+                  [this, send_cq, recv_cq, done = std::move(done)](Result<ConduitPtr> c) {
+    if (!c.is_ok()) {
+      done(c.status());
       return;
     }
-    // Await cm_accept / cm_reject.
-    conduit->set_on_message([this, conduit, send_cq, recv_cq,
-                             done = std::move(done)](const WireHeader& h, Buffer&&) mutable {
-      if (h.type == VMsg::cm_accept) {
-        auto qp = std::make_shared<VirtualQp>(*this, conduit, send_cq, recv_cq);
-        qp->bind();
-        done(qp);
-      } else {
-        conduit->close();
-        done(connection_refused("peer rejected QP on port"));
-      }
-    });
-    WireHeader h;
-    h.type = VMsg::cm_connect;
-    h.port = port;
-    h.token = conduit->token();
-    conduit->send(h);
+    auto qp = std::make_shared<VirtualQp>(*this, *c, send_cq, recv_cq);
+    qp->bind();
+    done(qp);
   });
 }
 
 void ContainerNet::sock_connect(tcp::Ipv4Addr peer_ip, std::uint16_t port,
                                 SockConnectFn done, SockPath path) {
+  connect_conduit(peer_ip, port, VMsg::sock_connect, path,
+                  [this, done = std::move(done)](Result<ConduitPtr> c) {
+    if (!c.is_ok()) {
+      done(c.status());
+      return;
+    }
+    auto sock = std::make_shared<FlowSocket>(*this, *c);
+    sock->bind();
+    done(sock);
+  });
+}
+
+void ContainerNet::connect_conduit(tcp::Ipv4Addr peer_ip, std::uint16_t port,
+                                   VMsg request, SockPath path, ConduitConnectFn done) {
   auto peer = ff_.orchestrator().resolve_ip(peer_ip);
   if (!peer.is_ok()) {
     loop().schedule(0, [done = std::move(done), s = peer.status()]() { done(s); });
     return;
   }
-  auto conduit = std::make_shared<Conduit>(ff_.next_token(), id(), *peer, peer_ip,
-                                           port, /*initiator=*/true, telemetry());
+  auto conduit = std::make_shared<Conduit>(ff_.next_token(), id(), *peer, peer_ip, port,
+                                           /*initiator=*/true, telemetry(), loop());
+  // Owned by conduits_ from the start; the handshake handler below may
+  // capture the conduit freely — close() unhooks it, so no cycle survives.
   adopt_conduit(conduit);
-  auto attached = [this, conduit, port, path,
+  auto attached = [this, conduit, port, request, path,
                    done = std::move(done)](Status st) mutable {
     if (!st.is_ok()) {
       conduit->close();
       done(st);
       return;
     }
-    conduit->set_on_message([this, conduit,
-                             done = std::move(done)](const WireHeader& h, Buffer&&) mutable {
-      if (h.type == VMsg::sock_accept) {
-        auto sock = std::make_shared<FlowSocket>(*this, conduit);
-        sock->bind();
-        done(sock);
+    // Await the accept or the reject.
+    conduit->set_on_message([conduit, request, done = std::move(done)](
+                                const WireHeader& h, Buffer&&) mutable {
+      if (h.type == accept_of(request)) {
+        done(conduit);
       } else {
         conduit->close();
-        done(connection_refused("peer rejected socket on port"));
+        done(connection_refused(request == VMsg::cm_connect
+                                    ? "peer rejected QP on port"
+                                    : "peer rejected socket on port"));
       }
     });
     WireHeader h;
-    h.type = VMsg::sock_connect;
+    h.type = request;
     h.port = port;
     h.token = conduit->token();
     conduit->send(h);
@@ -340,12 +354,13 @@ void ContainerNet::handle_first_message(orch::ContainerId src, agent::Channel* r
   agent::ChannelPtr channel = std::move(pit->second);
   pending_incoming_.erase(pit);
   switch (header.type) {
-    case VMsg::cm_connect: {
-      auto lit = qp_listeners_.find(header.port);
+    case VMsg::cm_connect:
+    case VMsg::sock_connect: {
+      auto lit = listeners_.find(ListenKey{header.type, header.port});
       WireHeader reply;
       reply.token = header.token;
-      if (lit == qp_listeners_.end()) {
-        reply.type = VMsg::cm_reject;
+      if (lit == listeners_.end()) {
+        reply.type = reject_of(header.type);
         channel->send(encode_header(reply));
         channel->close();  // the reply is already in the lane; unhook and drop
         return;
@@ -353,44 +368,18 @@ void ContainerNet::handle_first_message(orch::ContainerId src, agent::Channel* r
       auto c = ff_.orchestrator().cluster_orch().container(src);
       auto conduit = std::make_shared<Conduit>(
           header.token, id(), src, c ? c->ip() : tcp::Ipv4Addr{}, header.port,
-          /*initiator=*/false, telemetry());
-      // The routing tap consumed the peer's first sequenced message.
-      conduit->sync_rx(header.seq);
-      conduit->attach_channel(std::move(channel));
-      auto qp = std::make_shared<VirtualQp>(*this, conduit, create_cq(), create_cq());
-      qp->bind();
-      adopt_conduit(conduit);
-      reply.type = VMsg::cm_accept;
-      conduit->send(reply);
-      lit->second(qp);
-      return;
-    }
-    case VMsg::sock_connect: {
-      auto lit = sock_listeners_.find(header.port);
-      WireHeader reply;
-      reply.token = header.token;
-      if (lit == sock_listeners_.end()) {
-        reply.type = VMsg::sock_reject;
-        channel->send(encode_header(reply));
-        channel->close();
-        return;
-      }
-      auto c = ff_.orchestrator().cluster_orch().container(src);
-      auto conduit = std::make_shared<Conduit>(
-          header.token, id(), src, c ? c->ip() : tcp::Ipv4Addr{}, header.port,
-          /*initiator=*/false, telemetry());
+          /*initiator=*/false, telemetry(), loop());
       // Only the fallback listener hands out tcp_overlay channels: the peer
       // connected on the per_stream_qp path.
       const bool per_stream_qp = channel->transport() == orch::Transport::tcp_overlay;
+      // The routing tap consumed the peer's first sequenced message.
       conduit->sync_rx(header.seq);
       conduit->attach_channel(std::move(channel));
-      auto sock = std::make_shared<FlowSocket>(*this, conduit);
-      sock->bind();
       adopt_conduit(conduit);
       if (per_stream_qp) adopt_stream_qp(conduit);
-      reply.type = VMsg::sock_accept;
+      reply.type = accept_of(header.type);
       conduit->send(reply);
-      lit->second(sock);
+      lit->second(conduit);  // builds the QP or socket, hands it over
       return;
     }
     case VMsg::rebind: {
@@ -436,8 +425,10 @@ void ContainerNet::handle_first_message(orch::ContainerId src, agent::Channel* r
 void ContainerNet::handle_self_stopped() {
   ff_.agents().agent_on(container_->host()).unregister_container(id());
   // The container's IP may be handed out again: free its fallback ports.
-  for (auto& [port, on_accept] : sock_listeners_) {
-    ff_.fallback_net().close_listener(tcp::Endpoint{ip(), port});
+  for (const auto& [key, on_accept] : listeners_) {
+    if (key.first == VMsg::sock_connect) {
+      ff_.fallback_net().close_listener(tcp::Endpoint{ip(), key.second});
+    }
   }
   close_all_conduits();
   for (auto& [raw, channel] : pending_incoming_) channel->close();
@@ -558,11 +549,13 @@ bool ContainerNet::has_conduit_to(orch::ContainerId peer) const {
   return false;
 }
 
-void ContainerNet::handle_self_moved() {
-  register_with_agent();
+void ContainerNet::handle_moved(orch::ContainerId moved) {
+  const bool self_moved = moved == id();
+  if (self_moved) register_with_agent();
   for (auto& [token, conduit] : conduits_) {
+    if (!self_moved && conduit->peer() != moved) continue;
     conduit->mark_stale();
-    if (conduit->initiator()) rebind_conduit(conduit, "self-move");
+    if (conduit->initiator()) rebind_conduit(conduit, self_moved ? "self-move" : "peer-move");
   }
 }
 
@@ -578,26 +571,11 @@ void ContainerNet::resume_migrated_conduit(const ConduitPtr& conduit) {
   rebind_conduit(conduit, "planned migration");
 }
 
-void ContainerNet::freeze_all_conduits() {
+void ContainerNet::freeze_conduits(orch::ContainerId moving) {
   for (auto& [token, conduit] : conduits_) {
+    if (moving != id() && conduit->peer() != moving) continue;
     if (conduit->closed() || conduit->closing()) continue;
     conduit->mark_stale();
-  }
-}
-
-void ContainerNet::freeze_conduits_to(orch::ContainerId peer) {
-  for (auto& [token, conduit] : conduits_) {
-    if (conduit->peer() != peer) continue;
-    if (conduit->closed() || conduit->closing()) continue;
-    conduit->mark_stale();
-  }
-}
-
-void ContainerNet::handle_peer_moved(orch::ContainerId peer) {
-  for (auto& [token, conduit] : conduits_) {
-    if (conduit->peer() != peer) continue;
-    conduit->mark_stale();
-    if (conduit->initiator()) rebind_conduit(conduit, "peer-move");
   }
 }
 
@@ -670,10 +648,7 @@ void ContainerNet::rebind_on_fallback(const ConduitPtr& conduit, bool upgrade_af
       return;
     }
     auto channel = stream::TcpFallbackChannel::make(conduit->peer(), std::move(r.value()));
-    WireHeader h;
-    h.type = VMsg::rebind;
-    h.token = conduit->token();
-    channel->send(encode_header(h));  // first message on the fresh channel
+    send_rebind(*channel, conduit->token());
     // The offer rides right behind it: ahead of the retained-window replay
     // and of the send buffer the application fills once it may send again.
     if (upgrade_after) {
@@ -765,10 +740,7 @@ void ContainerNet::handle_handshake(const ConduitPtr& conduit, const WireHeader&
   // The rebind is the first message on the QP, ahead of the retained-window
   // replay the attach triggers: the peer's router hands the QP to its
   // conduit before any data arrives on it.
-  WireHeader rebind;
-  rebind.type = VMsg::rebind;
-  rebind.token = conduit->token();
-  channel->send(encode_header(rebind));
+  send_rebind(*channel, conduit->token());
   conduit->attach_channel(std::move(channel));  // closes the TCP side
   note_splice("stream/upgrades", "stream_upgrade", conduit->token());
 }

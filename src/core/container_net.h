@@ -92,8 +92,10 @@ class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
   void charge_post();
 
   // ---- migration / teardown (driven by FreeFlow) -------------------------
-  void handle_self_moved();
-  void handle_peer_moved(orch::ContainerId peer);
+  /// Container `moved` (this one, or a peer) landed on its new host: detach
+  /// every conduit it touches and rebind from the initiator side. A self
+  /// move first registers with the new host's agent.
+  void handle_moved(orch::ContainerId moved);
   /// The container stopped: unregister and permanently close every conduit.
   void handle_self_stopped();
   /// A peer stopped: close conduits to it (sockets fire on_close, QPs err)
@@ -140,12 +142,11 @@ class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
   /// Drives the post-move rebind of a migrated (or peer-of-migrated)
   /// conduit through the initiator side.
   void resume_migrated_conduit(const ConduitPtr& conduit);
-  /// Reactive-move freeze: detach every conduit (mark_stale only — sends
-  /// queue, blackout span opens) so no bytes die in a channel while the
-  /// container is stop-and-copied. The moved_ notification rebinds later.
-  void freeze_all_conduits();
-  /// Peer-side half of the freeze, scoped to conduits toward `peer`.
-  void freeze_conduits_to(orch::ContainerId peer);
+  /// Reactive-move freeze: detach every open conduit touching container
+  /// `moving` (all of them when it is this one; mark_stale only — sends
+  /// queue, blackout span opens) so no bytes die in a channel while it is
+  /// stop-and-copied. handle_moved rebinds later.
+  void freeze_conduits(orch::ContainerId moving);
 
  private:
   friend class VirtualQp;
@@ -163,6 +164,13 @@ class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
     std::uint64_t answered_generation = 0;
     bool dialing = false;  ///< initiator: one fallback dial in flight
   };
+
+  using ConduitConnectFn = std::function<void(Result<ConduitPtr>)>;
+  /// The one rendezvous under connect_qp and sock_connect: opens a conduit
+  /// to `peer_ip` on `path`, sends `request` (cm_connect or sock_connect)
+  /// for `port`, and completes once the peer accepts.
+  void connect_conduit(tcp::Ipv4Addr peer_ip, std::uint16_t port, VMsg request,
+                       SockPath path, ConduitConnectFn done);
 
   void on_incoming_channel(orch::ContainerId src, agent::ChannelPtr channel);
   void on_incoming_conn(tcp::TcpConnection::Ptr conn);
@@ -216,8 +224,10 @@ class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
   std::unordered_map<std::uint32_t, rdma::MrPtr> mrs_;
   std::uint32_t next_mr_ = 1;
 
-  std::map<std::uint16_t, QpAcceptFn> qp_listeners_;
-  std::map<std::uint16_t, SockAcceptFn> sock_listeners_;
+  /// Listeners by (connect request, port). Each builds its surface (a
+  /// VirtualQp or a FlowSocket) on the accepted conduit and hands it over.
+  using ListenKey = std::pair<VMsg, std::uint16_t>;
+  std::map<ListenKey, std::function<void(const ConduitPtr&)>> listeners_;
   std::unordered_map<std::uint64_t, ConduitPtr> conduits_;
   /// The per_stream_qp subset of conduits_ (absent for relayed conduits).
   std::unordered_map<std::uint64_t, StreamQp> stream_qps_;

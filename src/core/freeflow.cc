@@ -16,11 +16,7 @@ FreeFlow::FreeFlow(orch::NetworkOrchestrator& orchestrator, agent::AgentConfig c
     // after this one).
     if (planned_.contains(moved.id())) return;
     for (auto& [cid, net] : nets_) {
-      if (cid == moved.id()) {
-        net->handle_self_moved();
-      } else if (net->has_conduit_to(moved.id())) {
-        net->handle_peer_moved(moved.id());
-      }
+      if (cid == moved.id() || net->has_conduit_to(moved.id())) net->handle_moved(moved.id());
     }
   });
   // Reactive (coordinator-less) migration: the instant the container stops
@@ -32,10 +28,8 @@ FreeFlow::FreeFlow(orch::NetworkOrchestrator& orchestrator, agent::AgentConfig c
         if (alive.expired()) return;
         if (planned_.contains(moving.id())) return;
         for (auto& [cid, net] : nets_) {
-          if (cid == moving.id()) {
-            net->freeze_all_conduits();
-          } else if (net->has_conduit_to(moving.id())) {
-            net->freeze_conduits_to(moving.id());
+          if (cid == moving.id() || net->has_conduit_to(moving.id())) {
+            net->freeze_conduits(moving.id());
           }
         }
       });

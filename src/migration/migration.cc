@@ -252,17 +252,21 @@ void MigrationCoordinator::resume(orch::ContainerId id) {
     ep.local->unpause();
     if (ep.peer != nullptr) ep.peer->unpause();
   }
-  // Rebind through the ordinary generation-guarded path, driven from the
-  // initiator side (rebind-first framing expects the dialing end).
   for (auto& ep : mv.endpoints) {
     if (ep.local->closed() || ep.local->closing()) continue;
-    if (!ep.local->initiator() && ep.peer != nullptr && ep.peer_net != nullptr) {
-      ep.peer_net->resume_migrated_conduit(ep.peer);
-    } else {
-      mv.net->resume_migrated_conduit(ep.local);
-    }
+    rebind(mv, ep);
   }
   poll_resumed(id);
+}
+
+void MigrationCoordinator::rebind(Move& mv, Endpoint& ep) {
+  // The ordinary generation-guarded path, driven from the initiator side
+  // (rebind-first framing expects the dialing end).
+  if (!ep.local->initiator() && ep.peer != nullptr && ep.peer_net != nullptr) {
+    ep.peer_net->resume_migrated_conduit(ep.peer);
+  } else {
+    mv.net->resume_migrated_conduit(ep.local);
+  }
 }
 
 void MigrationCoordinator::poll_resumed(orch::ContainerId id) {
@@ -296,12 +300,7 @@ void MigrationCoordinator::poll_resumed(orch::ContainerId id) {
       if (ep.local->closed() || ep.local->closing()) continue;
       const bool detached = !ep.local->live() ||
                             (ep.peer != nullptr && !ep.peer->live());
-      if (!detached) continue;
-      if (!ep.local->initiator() && ep.peer != nullptr && ep.peer_net != nullptr) {
-        ep.peer_net->resume_migrated_conduit(ep.peer);
-      } else {
-        mv.net->resume_migrated_conduit(ep.local);
-      }
+      if (detached) rebind(mv, ep);
     }
   }
   std::weak_ptr<bool> alive = alive_;

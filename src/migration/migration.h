@@ -115,6 +115,8 @@ class MigrationCoordinator {
 
   void start_capture(orch::ContainerId id);
   void resume(orch::ContainerId id);
+  /// Re-attaches one connection of a resumed move.
+  void rebind(Move& mv, Endpoint& ep);
   void poll_resumed(orch::ContainerId id);
   void finish(orch::ContainerId id);
 

@@ -6,17 +6,6 @@
 
 namespace freeflow::shm {
 
-void charge_bus_then_cpu(fabric::Host& host, double bus_bytes, double cpu_units,
-                         sim::UsageAccount* account, std::function<void()> done) {
-  const SimDuration bus_wait = host.membus().backlog_ns();
-  if (bus_bytes > 0) {
-    host.membus().submit(bus_bytes, nullptr);
-  }
-  host.loop().schedule(bus_wait, [&host, cpu_units, account, cb = std::move(done)]() mutable {
-    host.cpu().submit(cpu_units, std::move(cb), account);
-  });
-}
-
 ShmLane::ShmLane(fabric::Host& host, std::size_t ring_bytes)
     : host_(host),
       tx_thread_(host.cpu()),

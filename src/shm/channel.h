@@ -87,11 +87,4 @@ class ShmLane : public std::enable_shared_from_this<ShmLane> {
   std::uint64_t bytes_delivered_ = 0;
 };
 
-/// Models "memcpy uses CPU and memory bus simultaneously": charges the bus
-/// as contention-only work, defers the CPU job by the bus backlog observed
-/// before our own charge, so the binding constraint approximates
-/// max(cpu, bus) rather than their sum.
-void charge_bus_then_cpu(fabric::Host& host, double bus_bytes, double cpu_units,
-                         sim::UsageAccount* account, std::function<void()> done);
-
 }  // namespace freeflow::shm

@@ -24,33 +24,6 @@ bool spin_until(fabric::Cluster& cluster, const std::function<bool()>& pred,
   }
 }
 
-/// Snapshot + finalize resource utilization over a measurement window.
-struct UtilProbe {
-  explicit UtilProbe(fabric::Cluster& cluster) : cluster_(cluster) {}
-
-  void mark() {
-    for (std::size_t h = 0; h < cluster_.host_count(); ++h) {
-      auto& host = cluster_.host(static_cast<fabric::HostId>(h));
-      host.cpu().mark();
-      host.nic().processor().mark();
-      host.membus().mark();
-    }
-  }
-
-  void fill(ThroughputReport& report) const {
-    for (std::size_t h = 0; h < cluster_.host_count(); ++h) {
-      auto& host = cluster_.host(static_cast<fabric::HostId>(h));
-      report.host_cpu_cores += host.cpu().cores_busy_since_mark();
-      report.nic_proc_util =
-          std::max(report.nic_proc_util, host.nic().processor().utilization_since_mark());
-      report.membus_util =
-          std::max(report.membus_util, host.membus().utilization_since_mark());
-    }
-  }
-
-  fabric::Cluster& cluster_;
-};
-
 SimDuration median(std::vector<SimDuration> samples) {
   FF_CHECK(!samples.empty());
   std::sort(samples.begin(), samples.end());
@@ -58,6 +31,37 @@ SimDuration median(std::vector<SimDuration> samples) {
 }
 
 constexpr SimDuration k_warmup = 5 * k_millisecond;
+
+/// The closed-loop stream drivers' common tail: warms up, then measures the
+/// growth of `rx_bytes` and every host's CPU, NIC-processor and memory-bus
+/// utilization over `window`.
+ThroughputReport measure(fabric::Cluster& cluster, const std::uint64_t& rx_bytes,
+                         SimDuration window) {
+  run_to(cluster, cluster.loop().now() + k_warmup);
+  const std::size_t hosts = cluster.host_count();
+  for (std::size_t h = 0; h < hosts; ++h) {
+    auto& host = cluster.host(static_cast<fabric::HostId>(h));
+    host.cpu().mark();
+    host.nic().processor().mark();
+    host.membus().mark();
+  }
+  const std::uint64_t start_bytes = rx_bytes;
+  const SimTime start = cluster.loop().now();
+  run_to(cluster, start + window);
+
+  ThroughputReport report;
+  report.bytes = rx_bytes - start_bytes;
+  report.window = cluster.loop().now() - start;
+  report.goodput_gbps = throughput_gbps(report.bytes, report.window);
+  for (std::size_t h = 0; h < hosts; ++h) {
+    auto& host = cluster.host(static_cast<fabric::HostId>(h));
+    report.host_cpu_cores += host.cpu().cores_busy_since_mark();
+    report.nic_proc_util =
+        std::max(report.nic_proc_util, host.nic().processor().utilization_since_mark());
+    report.membus_util = std::max(report.membus_util, host.membus().utilization_since_mark());
+  }
+  return report;
+}
 
 }  // namespace
 
@@ -100,19 +104,7 @@ ThroughputReport drive_tcp_stream(
     (*pump)();
   }
 
-  run_to(cluster, cluster.loop().now() + k_warmup);
-  UtilProbe probe(cluster);
-  probe.mark();
-  const std::uint64_t start_bytes = *rx_bytes;
-  const SimTime start = cluster.loop().now();
-  run_to(cluster, start + window);
-
-  ThroughputReport report;
-  report.bytes = *rx_bytes - start_bytes;
-  report.window = cluster.loop().now() - start;
-  report.goodput_gbps = throughput_gbps(report.bytes, report.window);
-  probe.fill(report);
-  return report;
+  return measure(cluster, *rx_bytes, window);
 }
 
 SimDuration tcp_rtt(fabric::Cluster& cluster, tcp::TcpNetwork& net, tcp::Endpoint src,
@@ -170,18 +162,7 @@ ThroughputReport drive_shm_stream(fabric::Cluster& cluster, fabric::HostId host_
     lanes.push_back(std::move(lane));
   }
 
-  run_to(cluster, cluster.loop().now() + k_warmup);
-  UtilProbe probe(cluster);
-  probe.mark();
-  const std::uint64_t start_bytes = *rx_bytes;
-  const SimTime start = cluster.loop().now();
-  run_to(cluster, start + window);
-
-  ThroughputReport report;
-  report.bytes = *rx_bytes - start_bytes;
-  report.window = cluster.loop().now() - start;
-  report.goodput_gbps = throughput_gbps(report.bytes, report.window);
-  probe.fill(report);
+  const ThroughputReport report = measure(cluster, *rx_bytes, window);
 
   // Quiesce before the lanes die: stop refilling and drain in-flight
   // deliveries so no event still references a destroyed lane.
@@ -266,19 +247,7 @@ ThroughputReport drive_rdma_stream(fabric::Cluster& cluster, rdma::RdmaDevice& s
     flows.push_back(flow);
   }
 
-  run_to(cluster, cluster.loop().now() + k_warmup);
-  UtilProbe probe(cluster);
-  probe.mark();
-  const std::uint64_t start_bytes = *rx_bytes;
-  const SimTime start = cluster.loop().now();
-  run_to(cluster, start + window);
-
-  ThroughputReport report;
-  report.bytes = *rx_bytes - start_bytes;
-  report.window = cluster.loop().now() - start;
-  report.goodput_gbps = throughput_gbps(report.bytes, report.window);
-  probe.fill(report);
-  return report;
+  return measure(cluster, *rx_bytes, window);
 }
 
 SimDuration rdma_rtt(fabric::Cluster& cluster, rdma::RdmaDevice& a, rdma::RdmaDevice& b,
@@ -388,18 +357,7 @@ ThroughputReport drive_freeflow_stream(fabric::Cluster& cluster,
   };
   (*tick)();
 
-  run_to(cluster, cluster.loop().now() + k_warmup);
-  UtilProbe probe(cluster);
-  probe.mark();
-  const std::uint64_t start_bytes = *rx_bytes;
-  const SimTime start = cluster.loop().now();
-  run_to(cluster, start + window);
-
-  ThroughputReport report;
-  report.bytes = *rx_bytes - start_bytes;
-  report.window = cluster.loop().now() - start;
-  report.goodput_gbps = throughput_gbps(report.bytes, report.window);
-  probe.fill(report);
+  const ThroughputReport report = measure(cluster, *rx_bytes, window);
   *stopped = true;  // quiesce the pump/tick; the socket stays alive in them
   return report;
 }

@@ -22,9 +22,7 @@ class StreamAdapter {
   virtual Status send(Buffer data) = 0;
   virtual void set_on_data(DataFn cb) = 0;
   /// Fires when a previously backpressured stream can accept more data.
-  virtual void set_on_writable(std::function<void()> cb) { (void)cb; }
-  [[nodiscard]] virtual std::uint64_t bytes_sent() const noexcept = 0;
-  [[nodiscard]] virtual std::uint64_t bytes_received() const noexcept = 0;
+  virtual void set_on_writable(std::function<void()> cb) = 0;
 };
 
 using StreamPtr = std::shared_ptr<StreamAdapter>;
@@ -38,13 +36,6 @@ class FlowSocketStream final : public StreamAdapter {
   void set_on_writable(std::function<void()> cb) override {
     sock_->set_on_space(std::move(cb));
   }
-  [[nodiscard]] std::uint64_t bytes_sent() const noexcept override {
-    return sock_->bytes_sent();
-  }
-  [[nodiscard]] std::uint64_t bytes_received() const noexcept override {
-    return sock_->bytes_received();
-  }
-  [[nodiscard]] core::FlowSocketPtr socket() const noexcept { return sock_; }
 
  private:
   core::FlowSocketPtr sock_;
@@ -64,13 +55,6 @@ class TcpStream final : public StreamAdapter {
   void set_on_writable(std::function<void()> cb) override {
     conn_->set_on_writable(std::move(cb));
   }
-  [[nodiscard]] std::uint64_t bytes_sent() const noexcept override {
-    return conn_->bytes_sent();
-  }
-  [[nodiscard]] std::uint64_t bytes_received() const noexcept override {
-    return conn_->bytes_received();
-  }
-  [[nodiscard]] tcp::TcpConnection::Ptr connection() const noexcept { return conn_; }
 
  private:
   tcp::TcpConnection::Ptr conn_;

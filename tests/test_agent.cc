@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "agent/agent.h"
 #include "agent/relay.h"
 #include "agent/trunk.h"
@@ -195,7 +198,7 @@ TEST(TcpTrunkFraming, OneCopyFramesParseAsWholeRecords) {
   ASSERT_TRUE(freeflow::testing::run_until(
       cluster.loop(), [&]() { return client != nullptr && server != nullptr; }));
 
-  TcpTrunk tx(cluster.loop()), rx(cluster.loop());
+  TcpTrunk tx, rx;
   std::vector<Buffer> received;
   rx.set_on_record([&](Buffer&& record) { received.push_back(std::move(record)); });
   tx.attach(client);
@@ -368,10 +371,26 @@ INSTANTIATE_TEST_SUITE_P(AllTrunks, TrunkTransportTest,
                                       : std::string(orch::transport_name(pinfo.param));
                          });
 
-TEST_F(AgentFixture, RdmaTrunkRefusedWithoutCapableNic) {
-  fabric::NicCapabilities caps;
-  caps.rdma = false;
-  Env env(2, sim::CostModel{}, caps);
+/// Which NIC of the pair lacks the bypass transport: the establishing
+/// side's (refused before any trunk is built) or the peer's (refused by the
+/// peer agent after the pending half went into the map).
+enum class LacksNic { local, peer };
+
+class TrunkRefusalTest
+    : public AgentFixture,
+      public ::testing::WithParamInterface<std::tuple<orch::Transport, LacksNic>> {};
+
+TEST_P(TrunkRefusalTest, RefusedWithoutCapableNic) {
+  const auto [transport, lacks] = GetParam();
+  Env env(0);
+  for (fabric::HostId h = 0; h < 2; ++h) {
+    fabric::NicCapabilities caps;
+    if ((h == 0) == (lacks == LacksNic::local)) {
+      (transport == orch::Transport::rdma ? caps.rdma : caps.dpdk) = false;
+    }
+    env.cluster.add_host("host" + std::to_string(h), caps);
+    env.overlay_net.attach_host(h);
+  }
   AgentFabric agents(*env.net_orch);
   auto a = env.deploy("a", 1, 0);
   auto b = env.deploy("b", 1, 1);
@@ -379,14 +398,30 @@ TEST_F(AgentFixture, RdmaTrunkRefusedWithoutCapableNic) {
   agents.agent_on(1).register_container(b->id(), [](orch::ContainerId, ChannelPtr) {});
   Status result;
   bool done = false;
-  agents.agent_on(0).establish(a->id(), b->id(), orch::Transport::rdma,
-                               [&](Result<ChannelPtr> ch) {
+  agents.agent_on(0).establish(a->id(), b->id(), transport, [&](Result<ChannelPtr> ch) {
     result = ch.status();
     done = true;
   });
   EXPECT_TRUE(env.wait([&]() { return done; }));
   EXPECT_EQ(result.code(), Errc::failed_precondition);
+  // The peer's refusal retires the pending half: it sits in the graveyard,
+  // and no trunk remains under the key (declaring its lane failed finds
+  // nothing to fail). A local refusal never built a half.
+  const std::uint64_t retired =
+      env.cluster.telemetry().metrics().counter("agent/0/trunk/retired").value();
+  EXPECT_EQ(retired, lacks == LacksNic::peer ? 1u : 0u);
+  agents.agent_on(0).declare_lane_failed(1, transport);
+  EXPECT_EQ(agents.agent_on(0).lanes_failed(), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    BypassTrunks, TrunkRefusalTest,
+    ::testing::Combine(::testing::Values(orch::Transport::rdma, orch::Transport::dpdk),
+                       ::testing::Values(LacksNic::local, LacksNic::peer)),
+    [](const ::testing::TestParamInfo<TrunkRefusalTest::ParamType>& pinfo) {
+      return std::string(orch::transport_name(std::get<0>(pinfo.param))) +
+             (std::get<1>(pinfo.param) == LacksNic::local ? "_local" : "_peer");
+    });
 
 TEST_F(AgentFixture, ManyChannelsShareOneTrunk) {
   Env env(2);

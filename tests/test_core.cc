@@ -76,8 +76,9 @@ TEST(WireProtocol, ParseRejectsTruncatedAndMismatched) {
 }
 
 TEST(ConduitUnit, QueuesUntilChannelAttached) {
+  sim::EventLoop loop;
   telemetry::Telemetry hub;
-  Conduit conduit(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub);
+  Conduit conduit(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub, loop);
   EXPECT_FALSE(conduit.live());
   WireHeader h;
   conduit.send(h, Buffer::from_string("queued").view());
@@ -86,8 +87,9 @@ TEST(ConduitUnit, QueuesUntilChannelAttached) {
 }
 
 TEST(ConduitUnit, CloseFiresOnceAndDropsTraffic) {
+  sim::EventLoop loop;
   telemetry::Telemetry hub;
-  Conduit conduit(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub);
+  Conduit conduit(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub, loop);
   int closed = 0;
   conduit.set_on_closed([&](CloseReason) { ++closed; });
   conduit.close();
@@ -156,10 +158,8 @@ class TestPipe final : public agent::Channel {
 TEST(ConduitUnit, DelayedAckDrainsIdleTail) {
   sim::EventLoop loop;
   telemetry::Telemetry hub(&loop);
-  auto a = std::make_shared<Conduit>(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub);
-  auto b = std::make_shared<Conduit>(1, 20, 10, tcp::Ipv4Addr(10, 0, 0, 2), 80, false, hub);
-  a->set_loop(&loop);
-  b->set_loop(&loop);
+  auto a = std::make_shared<Conduit>(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub, loop);
+  auto b = std::make_shared<Conduit>(1, 20, 10, tcp::Ipv4Addr(10, 0, 0, 2), 80, false, hub, loop);
   auto [pa, pb] = TestPipe::connect(loop, 10, 20);
   a->attach_channel(pa);
   b->attach_channel(pb);
@@ -186,10 +186,8 @@ TEST(ConduitUnit, DelayedAckDrainsIdleTail) {
 TEST(ConduitUnit, AckStallAfterFailoverLostAcks) {
   sim::EventLoop loop;
   telemetry::Telemetry hub(&loop);
-  auto a = std::make_shared<Conduit>(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub);
-  auto b = std::make_shared<Conduit>(1, 20, 10, tcp::Ipv4Addr(10, 0, 0, 2), 80, false, hub);
-  a->set_loop(&loop);
-  b->set_loop(&loop);
+  auto a = std::make_shared<Conduit>(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub, loop);
+  auto b = std::make_shared<Conduit>(1, 20, 10, tcp::Ipv4Addr(10, 0, 0, 2), 80, false, hub, loop);
   auto [pa, pb] = TestPipe::connect(loop, 10, 20);
   a->attach_channel(pa);
   b->attach_channel(pb);
@@ -237,13 +235,11 @@ struct PipePair {
   sim::EventLoop loop;
   telemetry::Telemetry hub{&loop};
   std::shared_ptr<Conduit> a =
-      std::make_shared<Conduit>(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub);
+      std::make_shared<Conduit>(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub, loop);
   std::shared_ptr<Conduit> b =
-      std::make_shared<Conduit>(1, 20, 10, tcp::Ipv4Addr(10, 0, 0, 2), 80, false, hub);
+      std::make_shared<Conduit>(1, 20, 10, tcp::Ipv4Addr(10, 0, 0, 2), 80, false, hub, loop);
 
   PipePair() {
-    a->set_loop(&loop);
-    b->set_loop(&loop);
     auto [pa, pb] = TestPipe::connect(loop, 10, 20);
     a->attach_channel(pa);
     b->attach_channel(pb);
