@@ -2,6 +2,8 @@
 // 1 MiB issued through FreeFlow's virtual NIC, on both placements, against
 // the raw substrate — quantifying the vNIC+agent indirection overhead and
 // demonstrating API equivalence (same SendWr on every path).
+#include <algorithm>
+
 #include "bench_common.h"
 
 #include "core/vqp.h"
@@ -41,6 +43,9 @@ SimDuration freeflow_write_once(FreeFlowRig& rig) {
   auto src = rig.net_a->reg_mr(1 << 20);
   auto dst = rig.net_b->reg_mr(1 << 20);
   fill_pattern(src->data().mutable_view(), 7);
+  // MR storage comes back from earlier MRs as it is: zero the destination so
+  // only this WRITE can make the pattern land there.
+  std::ranges::fill(dst->data().mutable_view(), std::byte{0});
 
   rdma::SendWr wr;
   wr.wr_id = 1;
@@ -76,6 +81,7 @@ int main(int argc, char** argv) {
     auto src = a.reg_mr(1 << 20);
     auto dst = b.reg_mr(1 << 20);
     fill_pattern(src->data().mutable_view(), 3);
+    std::ranges::fill(dst->data().mutable_view(), std::byte{0});
     rdma::SendWr wr;
     wr.opcode = rdma::Opcode::write;
     wr.local = {src, 0, src->length()};
@@ -105,6 +111,6 @@ int main(int argc, char** argv) {
 
   footer();
   std::printf("the same SendWr drives all three rows; the vNIC hides whether a\n"
-              "QP is backed by hardware verbs, an agent relay, or an shm ring.\n");
+              "QP is backed by hardware verbs, an agent relay, or an shm lane.\n");
   return 0;
 }

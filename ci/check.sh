@@ -20,8 +20,7 @@
 #   7 bench-smoke    every sim-clock bench --json + digests of those and 3 traces, perfbench checks and digests
 #   8 trace-validate failover + socket-stream traces vs expected timelines
 #   9 perf-gate      ci/perf_gate.py vs the committed baselines
-#  10 tsan-ring      test_spsc_ring under ThreadSanitizer: once, then its two-thread cases 20 times
-#  11 coverage       --coverage -O0 build + ctest; never-run src/ lines vs baseline
+#  10 coverage       --coverage -O0 build + ctest; never-run src/ lines vs baseline
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -38,7 +37,7 @@ while [[ $# -gt 0 ]]; do
     --stage) only="$2"; shift 2 ;;
     --from)  from="$2"; shift 2 ;;
     --list)  stage_table; exit 0 ;;
-    -h|--help) sed -n '2,24p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+    -h|--help) sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
     *) jobs="$1"; shift ;;
   esac
 done
@@ -170,12 +169,11 @@ stage_bench_smoke() {
       intra_throughput latency_breakdown pair_scaling vnic_overhead; do
     ./build/bench/bench_"$bench" --json build/BENCH_"$bench".json >/dev/null
   done
-  # Every bench but bench_sim_core and bench_micro_ring runs on the sim
-  # clock alone: its --json (live_migration's from chaos-smoke) and the
-  # three gated traces must be byte-identical to the pins in
-  # ci/bench_digests.json. The check names every output that moved; a
-  # change that moves the sim clock on purpose rewrites the pins with
-  # --write and says why in CHANGES.md.
+  # Every bench but bench_sim_core runs on the sim clock alone: its --json
+  # (live_migration's from chaos-smoke) and the three gated traces must be
+  # byte-identical to the pins in ci/bench_digests.json. The check names
+  # every output that moved; a change that moves the sim clock on purpose
+  # rewrites the pins with --write and says why in CHANGES.md.
   python3 ci/check_bench_digests.py build ci/bench_digests.json
   # perfbench's own checks — byte-exact echoes, zero drops/retransmits,
   # planned transports and clean closes over shm, rdma, dpdk, tcp-host and
@@ -222,32 +220,15 @@ stage_perf_gate() {
     bench/baselines/BENCH_tenant_gateway.json
 }
 
-stage_tsan_ring() {
-  # The SpscRing is the one structure two real threads drive (the
-  # micro-benchmark does): race its generation switches under TSan in a
-  # build of its own. Its test binary links only the ring and ff_common, so
-  # only those compile here. Every case runs once; then only the two-thread
-  # cases repeat, so their interleavings vary. Repeating the single-threaded
-  # property cases would find no race a first run missed.
-  cmake -B build-tsan -S . -DFREEFLOW_WERROR=ON -DCMAKE_CXX_FLAGS=-fsanitize=thread \
-    -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
-  cmake --build build-tsan -j "$jobs" --target test_spsc_ring
-  ./build-tsan/tests/test_spsc_ring --gtest_brief=1
-  ./build-tsan/tests/test_spsc_ring --gtest_brief=1 --gtest_repeat=20 \
-    --gtest_filter='*TwoThread*'
-}
-
 stage_coverage() {
   # Line coverage of src/ under the whole ctest suite, in a build of its own
   # (-O0 so each source line maps to its own code). The report prints every
   # module's never-run lines and fails if their total grows past
   # ci/coverage_baseline.json: new code comes with a test that runs it, or
   # it goes. After deleting dead code or adding tests, lower the baseline
-  # with --write-baseline. Counters update atomically: the SpscRing tests
-  # run real threads, and racy arc counts make gcov misreport lines that
-  # did run.
+  # with --write-baseline.
   cmake -B build-cov -S . -DFREEFLOW_WERROR=ON -DCMAKE_BUILD_TYPE=Debug \
-    "-DCMAKE_CXX_FLAGS=--coverage -fprofile-update=atomic -O0" \
+    "-DCMAKE_CXX_FLAGS=--coverage -O0" \
     -DCMAKE_EXE_LINKER_FLAGS=--coverage >/dev/null
   cmake --build build-cov -j "$jobs"
   # Test discovery runs every test binary at build time: count from zero.
@@ -267,8 +248,7 @@ run_stage 6 examples-smoke stage_examples_smoke
 run_stage 7 bench-smoke    stage_bench_smoke
 run_stage 8 trace-validate stage_trace_validate
 run_stage 9 perf-gate      stage_perf_gate
-run_stage 10 tsan-ring     stage_tsan_ring
-run_stage 11 coverage      stage_coverage
+run_stage 10 coverage      stage_coverage
 
 write_times
 echo "== all selected stages passed (timings: ci/stage_times.json)"

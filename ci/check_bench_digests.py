@@ -4,13 +4,12 @@
     python3 ci/check_bench_digests.py build ci/bench_digests.json
     python3 ci/check_bench_digests.py build ci/bench_digests.json --write
 
-Every bench except bench_sim_core and bench_micro_ring runs on the sim
-clock alone, so its --json output is byte-identical from run to run, and
-so are the three traces the gates export (failover, socket_stream,
-live_migration). Each pinned name is read as <dir>/<name>.json and its
-SHA-256 compared with the pin. Every mismatch and every missing file is
-named, then the check fails: a digest that moves means simulated behaviour
-changed.
+Every bench except bench_sim_core runs on the sim clock alone, so its
+--json output is byte-identical from run to run, and so are the three
+traces the gates export (failover, socket_stream, live_migration). Each
+pinned name is read as <dir>/<name>.json and its SHA-256 compared with the
+pin. Every mismatch and every missing file is named, then the check fails:
+a digest that moves means simulated behaviour changed.
 
 --write pins every BENCH_*.json and TRACE_*.json in <dir> except the
 host-clock benches. A change that moves the sim clock on purpose rewrites
@@ -22,7 +21,7 @@ import json
 import pathlib
 import sys
 
-HOST_CLOCK = {"BENCH_sim_core", "BENCH_micro_ring"}
+HOST_CLOCK = {"BENCH_sim_core"}
 COMMENT = ("SHA-256 (first 16 hex digits) of each sim-clock bench's --json and of "
            "the failover, socket_stream and live_migration traces, as ci/check.sh "
            "writes them. A host-side change leaves them as they are; a change that "

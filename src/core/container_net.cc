@@ -2,7 +2,7 @@
 
 #include "common/logging.h"
 #include "core/freeflow.h"
-#include "shm/spsc_ring.h"
+#include "shm/channel.h"
 #include "stream/rc_channel.h"
 #include "stream/tcp_channel.h"
 
@@ -145,7 +145,7 @@ rdma::MrPtr ContainerNet::mr(std::uint32_t mr_id) const {
 }
 
 std::size_t ContainerNet::max_verbs_payload() const {
-  return shm::SpscRing::max_payload(ff_.agents().config().lane_ring_bytes) -
+  return shm::ShmLane::max_payload(ff_.agents().config().lane_ring_bytes) -
          WireHeader::k_size;
 }
 

@@ -53,7 +53,8 @@ struct WorkCompletion {
 /// Storage of k_pooled_bytes or more outlives its MR: it goes back to a
 /// per-length pool and the next MR of that length takes it as it is, so
 /// steady trunk churn reuses the pages earlier slot rings faulted in
-/// instead of faulting fresh heap in every time.
+/// instead of faulting fresh heap in every time. Sanitizer builds fill
+/// recycled storage with a poison byte, so stale bytes never pass for new.
 class MemoryRegion {
  public:
   static constexpr std::size_t k_pooled_bytes = 1 << 20;

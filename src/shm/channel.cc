@@ -1,9 +1,5 @@
 #include "shm/channel.h"
 
-#include <bit>
-
-#include "shm/spsc_ring.h"
-
 namespace freeflow::shm {
 
 ShmLane::ShmLane(fabric::Host& host, std::size_t ring_bytes)
@@ -15,7 +11,7 @@ ShmLane::ShmLane(fabric::Host& host, std::size_t ring_bytes)
 }
 
 bool ShmLane::can_send(std::size_t payload) const noexcept {
-  return capacity_ - used_ >= SpscRing::record_size(payload);
+  return capacity_ - used_ >= record_size(payload);
 }
 
 Status ShmLane::send(ByteSpan head, ByteSpan body) {
@@ -32,7 +28,7 @@ Status ShmLane::send(Buffer&& message) {
 
 void ShmLane::enqueue(Buffer&& message) {
   const std::size_t size = message.size();
-  used_ += SpscRing::record_size(size);
+  used_ += record_size(size);
   queue_.push_back(std::move(message));
 
   const auto& model = host_.cost_model();
@@ -67,7 +63,7 @@ void ShmLane::deliver_one(std::size_t payload_size) {
     auto self = weak_from_this().lock();
     Buffer out = std::move(queue_.front());
     queue_.pop_front();
-    used_ -= SpscRing::record_size(out.size());
+    used_ -= record_size(out.size());
     ++delivered_;
     bytes_delivered_ += out.size();
     // Invoked in place: a handler that replaces itself (a channel handshake

@@ -2,13 +2,16 @@
 // the same host. A lane is a descriptor queue of owned messages: the sender
 // gathers each message once (its modelled copy into the shared segment) and
 // the receiver is handed that very buffer, so one host copy stands for the
-// modelled copy-in and copy-out. Admission is a flat ring's, record by
-// record, so backpressure is what an SpscRing of the same size would give.
+// modelled copy-in and copy-out. Admission is a flat byte ring's: until it is
+// delivered, each queued message holds its payload plus a 4-byte length
+// header of the lane's capacity, so backpressure is what a length-prefixed
+// ring of the same size in the shared segment would give.
 // The cost model charges sender/receiver CPU (enqueue + memcpy) and the host
 // memory bus, which is what makes shm throughput plateau at the bus for many
 // pairs (paper Fig. 2a) while staying far above TCP/RDMA for one pair.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -34,8 +37,19 @@ namespace freeflow::shm {
 /// unique-owned lanes (workload drivers) must simply outlive the run.
 class ShmLane : public std::enable_shared_from_this<ShmLane> {
  public:
+  /// Bytes a queued message of `payload` size holds: header + payload.
+  [[nodiscard]] static constexpr std::size_t record_size(std::size_t payload) noexcept {
+    return k_header_size + payload;
+  }
+
+  /// Largest message a lane asked for `ring_bytes` can ever take: it must
+  /// fit whole while the lane is empty.
+  [[nodiscard]] static constexpr std::size_t max_payload(std::size_t ring_bytes) noexcept {
+    return std::bit_ceil(ring_bytes) - k_header_size;
+  }
+
   /// Admits what a flat ring of `ring_bytes` (rounded up to a power of two,
-  /// >= 64) would: each queued message costs SpscRing::record_size bytes.
+  /// >= 64) would: each queued message holds record_size bytes of it.
   ShmLane(fabric::Host& host, std::size_t ring_bytes);
 
   ShmLane(const ShmLane&) = delete;
@@ -69,6 +83,8 @@ class ShmLane : public std::enable_shared_from_this<ShmLane> {
   [[nodiscard]] fabric::Host& host() noexcept { return host_; }
 
  private:
+  static constexpr std::size_t k_header_size = 4;
+
   void enqueue(Buffer&& message);
   void deliver_one(std::size_t payload_size);
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/freeflow.h"
 #include "core/mpi.h"
 #include "sim_env.h"
@@ -551,8 +553,11 @@ TEST_P(VerbsPlacement, OversizeWrIsRefusedAtPost) {
   EXPECT_EQ(wc.wr_id, 3u);
   EXPECT_EQ(wc.status, rdma::WcStatus::remote_access_error);
 
-  // Exactly at the limit the SEND is still delivered byte-exact.
+  // Exactly at the limit the SEND is still delivered byte-exact. The
+  // destination is zeroed first: storage this large may come back from an
+  // earlier MR holding this very pattern.
   fill_pattern(src->data().mutable_view().first(limit), 9);
+  std::ranges::fill(dst->data().mutable_view(), std::byte{0});
   swr.wr_id = 4;
   swr.opcode = rdma::Opcode::send;
   swr.local = {src, 0, limit};

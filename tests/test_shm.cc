@@ -9,7 +9,6 @@
 #include "fabric/cluster.h"
 #include "shm/channel.h"
 #include "shm/region.h"
-#include "shm/spsc_ring.h"
 
 namespace freeflow::shm {
 namespace {
@@ -141,14 +140,38 @@ TEST_F(LaneFixture, DeliversMessagesInOrderWithIntegrity) {
   EXPECT_EQ(lane.messages_delivered(), 10u);
 }
 
-TEST_F(LaneFixture, AdmissionMatchesSpscRingOfSameCapacity) {
+/// A flat byte ring with only its cursors: each record is a 4-byte length
+/// header and its payload, written at `tail` and freed from `head`. The
+/// expected messages stand in for the bytes between the cursors.
+struct FlatRingModel {
+  std::size_t capacity;
+  std::uint64_t head = 0, tail = 0;
+  std::deque<Buffer> queued;
+
+  [[nodiscard]] bool can_push(std::size_t payload) const {
+    return capacity - (tail - head) >= 4 + payload;
+  }
+  void push(Buffer message) {
+    tail += 4 + message.size();
+    queued.push_back(std::move(message));
+  }
+  Buffer pop() {
+    Buffer message = std::move(queued.front());
+    queued.pop_front();
+    head += 4 + message.size();
+    return message;
+  }
+};
+
+TEST_F(LaneFixture, AdmissionMatchesFlatRingOfSameCapacity) {
   // Property: whatever the interleaving of sends and deliveries, the lane
-  // admits exactly what an SpscRing asked for the same capacity admits, and
+  // admits exactly what a flat byte ring of the same capacity admits, and
   // delivers the same messages in the same order.
   constexpr std::size_t k_ring_bytes = 3000;  // rounds up to 4096
-  const std::size_t max_payload = SpscRing::max_payload(k_ring_bytes);
+  constexpr std::size_t max_payload = 4096 - 4;
+  static_assert(ShmLane::max_payload(k_ring_bytes) == max_payload);
   ShmLane lane(cluster.host(0), k_ring_bytes);
-  SpscRing ring(k_ring_bytes);
+  FlatRingModel ring{4096, 0, 0, {}};
   std::deque<Buffer> got;
   lane.set_receiver([&](Buffer&& b) { got.push_back(std::move(b)); });
   Rng rng(11);
@@ -163,22 +186,22 @@ TEST_F(LaneFixture, AdmissionMatchesSpscRingOfSameCapacity) {
     const std::size_t probe = random_size();
     ASSERT_EQ(lane.can_send(probe), ring.can_push(probe)) << "step " << step;
     ASSERT_EQ(lane.can_send(max_payload), ring.can_push(max_payload)) << "step " << step;
-    ASSERT_EQ(lane.empty(), ring.empty()) << "step " << step;
+    ASSERT_EQ(lane.empty(), ring.queued.empty()) << "step " << step;
     if (rng.chance(0.5)) {
       Buffer msg(random_size());
       fill_pattern(msg.mutable_view(), next_push);
-      const bool pushed = ring.try_push(msg.view());
+      const bool pushed = ring.can_push(msg.size());
+      if (pushed) ring.push(msg);  // a deep copy: the lane may take msg itself
       const Status sent = rng.chance(0.5) ? lane.send(msg.view()) : lane.send(std::move(msg));
       ASSERT_EQ(sent.is_ok(), pushed) << "step " << step;
       if (pushed) ++next_push;
     } else if (!lane.empty()) {
       const std::uint64_t before = lane.messages_delivered();
       while (lane.messages_delivered() == before) ASSERT_TRUE(cluster.loop().step());
-      Buffer out;
-      ASSERT_TRUE(ring.try_pop(out));
+      const Buffer expected = ring.pop();
       ASSERT_EQ(got.size(), 1u);
-      ASSERT_EQ(got.front(), out) << "step " << step;
-      ASSERT_TRUE(check_pattern(out.view(), next_pop++));
+      ASSERT_EQ(got.front(), expected) << "step " << step;
+      ASSERT_TRUE(check_pattern(got.front().view(), next_pop++));
       got.pop_front();
     }
   }

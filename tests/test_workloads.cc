@@ -278,6 +278,24 @@ TEST_F(WorkloadFixture, DriversReportFieldsAreConsistent) {
   EXPECT_LE(r.membus_util, 1.05);
 }
 
+TEST_F(WorkloadFixture, FreeFlowRttIsFasterIntraHost) {
+  // The RTT benches' echo driver: co-located containers ride shm, hosts
+  // apart ride rdma, and shm's round trip is the shorter.
+  auto rtt = [](bool inter_host) {
+    Env env(2);
+    auto a = env.deploy("a", 1, 0);
+    auto b = env.deploy("b", 1, inter_host ? 1 : 0);
+    auto na = env.freeflow().attach(a->id()).value();
+    auto nb = env.freeflow().attach(b->id()).value();
+    return freeflow_rtt(env.cluster, na, nb, b->ip(), 9000, 64, 11);
+  };
+  const SimDuration intra = rtt(false);
+  const SimDuration inter = rtt(true);
+  EXPECT_GT(intra, 0);
+  EXPECT_GT(inter, 0);
+  EXPECT_LT(intra, inter);
+}
+
 TEST_F(WorkloadFixture, ParamServerIterates) {
   Env env(2);
   auto server_c = env.deploy("ps", 1, 0);
