@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
     FreeFlowRig rig(/*inter_host=*/true);
     KvServer server;
     FF_CHECK(rig.net_b->sock_listen(7000, [&](core::FlowSocketPtr s) {
-      server.serve(std::make_shared<FlowSocketStream>(s));
+      server.serve(std::make_shared<SocketStream>(s));
     }).is_ok());
     core::FlowSocketPtr sock;
     rig.net_a->sock_connect(rig.b->ip(), 7000, [&](Result<core::FlowSocketPtr> s) {
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
       sock = *s;
     });
     FF_CHECK(spin(rig.env.cluster, [&]() { return sock != nullptr; }, 10 * k_second));
-    auto r = run_kv(std::make_shared<FlowSocketStream>(sock), rig.env.cluster, k_ops);
+    auto r = run_kv(std::make_shared<SocketStream>(sock), rig.env.cluster, k_ops);
     json.add("kv_freeflow_kops", r.kops);
     json.add("kv_freeflow_p99_ns", static_cast<double>(r.p99));
     std::printf("%-26s %8.1f kops/s   p50 %-10s p99 %s   (via %s)\n",
@@ -193,13 +193,13 @@ int main(int argc, char** argv) {
               cb(s.status());
               return;
             }
-            cb(StreamPtr(std::make_shared<FlowSocketStream>(*s)));
+            cb(StreamPtr(std::make_shared<SocketStream>(*s)));
           });
     });
     auto sink = shuffle.reducer_sink();
     for (auto& rn : rnets) {
       FF_CHECK(rn->sock_listen(8000, [sink](core::FlowSocketPtr s) {
-        sink(std::make_shared<FlowSocketStream>(s));
+        sink(std::make_shared<SocketStream>(s));
       }).is_ok());
     }
     SimDuration elapsed = 0;

@@ -211,10 +211,8 @@ int main(int argc, char** argv) {
   }
 
   GatewayConfig lat_cfg;
-  lat_cfg.min_backends = 1;
   lat_cfg.max_backends = 3;
   GatewayConfig bulk_cfg;
-  bulk_cfg.min_backends = 1;
   bulk_cfg.max_backends = 4;
   bulk_cfg.grow_queue_depth = 6.0;
 

@@ -4,12 +4,15 @@
 Usage:
   ci/coverage_report.py BUILD_DIR BASELINE_JSON [--lines] [--write-baseline]
 
-Runs `gcov --json-format --stdout` over every .gcda file under BUILD_DIR
+Runs `gcov --json-format --stdout` over every .gcno file under BUILD_DIR
 (library and test objects alike, so inline code in src/ headers counts
-wherever it was compiled), merges the counts per (source file, line) across
-translation units and template instantiations, and prints, per src/ module,
-how many executable lines never ran. `--lines` also lists them per file as
-line ranges.
+wherever it was compiled). An object no test binary links has a .gcno but
+no .gcda, and gcov reports every line of it as never run, so a src/ file
+no test reaches still counts. Merges the counts per (source file, line)
+across translation units and template instantiations, and prints, per src/
+module, how many executable lines never ran. `--lines` also lists them per
+file as line ranges. Objects of deleted sources (stale in an incremental
+build tree) are skipped.
 
 Exits 1 if the total never-run count exceeds the baseline's
 `never_run_lines`: new code must come with a test that runs it, or dead
@@ -24,12 +27,12 @@ import sys
 from collections import defaultdict
 
 
-def gcda_dirs(build_dir):
-    """Object directory -> the .gcda files in it."""
+def gcno_dirs(build_dir):
+    """Object directory -> the .gcno files in it."""
     dirs = defaultdict(list)
     for root, _, files in os.walk(os.path.abspath(build_dir)):
         for f in files:
-            if f.endswith(".gcda"):
+            if f.endswith(".gcno"):
                 dirs[root].append(os.path.join(root, f))
     return dirs
 
@@ -51,7 +54,7 @@ def collect(build_dir, src_root):
     """(path relative to src/, line) -> highest execution count seen."""
     counts = {}
     prefix = src_root.rstrip(os.sep) + os.sep
-    for obj_dir, files in sorted(gcda_dirs(build_dir).items()):
+    for obj_dir, files in sorted(gcno_dirs(build_dir).items()):
         out = subprocess.run(
             ["gcov", "--json-format", "--stdout", "--object-directory", obj_dir]
             + sorted(files),
@@ -60,7 +63,7 @@ def collect(build_dir, src_root):
             cwd = doc.get("current_working_directory", obj_dir)
             for entry in doc["files"]:
                 path = os.path.realpath(os.path.join(cwd, entry["file"]))
-                if not path.startswith(prefix):
+                if not path.startswith(prefix) or not os.path.exists(path):
                     continue
                 rel = path[len(prefix):]
                 for line in entry["lines"]:

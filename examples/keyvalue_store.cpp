@@ -12,10 +12,10 @@
 #include "workloads/kv_store.h"
 
 using namespace freeflow;
-using workloads::FlowSocketStream;
 using workloads::KvClient;
 using workloads::KvServer;
 using workloads::KvStatus;
+using workloads::SocketStream;
 
 namespace {
 bool spin(fabric::Cluster& c, const std::function<bool()>& p, SimDuration budget) {
@@ -52,7 +52,7 @@ int main() {
   auto server_net = freeflow.attach(server_c->id()).value();
   KvServer kv;
   FF_CHECK(server_net->sock_listen(6379, [&kv](core::FlowSocketPtr s) {
-    kv.serve(std::make_shared<FlowSocketStream>(s));
+    kv.serve(std::make_shared<SocketStream>(s));
   }).is_ok());
 
   struct ClientRig {
@@ -68,7 +68,7 @@ int main() {
     net->sock_connect(server_c->ip(), 6379, [&, rig](Result<core::FlowSocketPtr> s) {
       FF_CHECK(s.is_ok());
       rig->sock = *s;
-      rig->client = std::make_shared<KvClient>(std::make_shared<FlowSocketStream>(*s));
+      rig->client = std::make_shared<KvClient>(std::make_shared<SocketStream>(*s));
       rig->client->set_clock([&cluster]() { return cluster.loop().now(); });
     });
     FF_CHECK(spin(cluster, [&]() { return rig->client != nullptr; }, 5 * k_second));

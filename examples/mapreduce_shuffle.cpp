@@ -13,8 +13,8 @@
 #include "workloads/stream_adapter.h"
 
 using namespace freeflow;
-using workloads::FlowSocketStream;
 using workloads::Shuffle;
+using workloads::SocketStream;
 using workloads::StreamPtr;
 using workloads::TcpStream;
 
@@ -122,13 +122,13 @@ int main() {
           rs[static_cast<std::size_t>(r)]->ip(), 8000,
           [cb = std::move(cb)](Result<core::FlowSocketPtr> s) {
             if (!s.is_ok()) return cb(s.status());
-            cb(StreamPtr(std::make_shared<FlowSocketStream>(*s)));
+            cb(StreamPtr(std::make_shared<SocketStream>(*s)));
           });
     });
     auto sink = shuffle.reducer_sink();
     for (auto& rn : rnets) {
       FF_CHECK(rn->sock_listen(8000, [sink](core::FlowSocketPtr s) {
-        sink(std::make_shared<FlowSocketStream>(s));
+        sink(std::make_shared<SocketStream>(s));
       }).is_ok());
     }
     shuffle.run([&]() { return cluster.loop().now(); },

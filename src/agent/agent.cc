@@ -225,8 +225,8 @@ void Agent::establish_shm(orch::ContainerId src, orch::ContainerId dst,
 
   auto lane_ab = make_lane(container_account(src), container_account(dst));
   auto lane_ba = make_lane(container_account(dst), container_account(src));
-  auto ep_a = std::make_shared<ShmChannelEndpoint>(dst, lane_ab, lane_ba);
-  auto ep_b = std::make_shared<ShmChannelEndpoint>(src, lane_ba, lane_ab);
+  auto ep_a = std::make_shared<ShmChannelEndpoint>(lane_ab, lane_ba);
+  auto ep_b = std::make_shared<ShmChannelEndpoint>(lane_ba, lane_ab);
   ep_a->hold_region(*region, shm_registry_);
   ep_b->hold_region(*region, shm_registry_);
 
@@ -305,7 +305,7 @@ std::shared_ptr<RemoteChannelEndpoint> Agent::open_endpoint(orch::ContainerId se
                                                             orch::Transport transport) {
   auto to_agent = make_lane(container_account(self), &account_);
   auto from_agent = make_lane(&account_, container_account(self));
-  auto ep = std::make_shared<RemoteChannelEndpoint>(*this, peer, peer_host, channel_id,
+  auto ep = std::make_shared<RemoteChannelEndpoint>(*this, peer_host, channel_id,
                                                     transport, to_agent, from_agent);
   // The relay hook captures routing fields by value plus the agent itself —
   // never the endpoint or the lane — so records queued in the lane (the

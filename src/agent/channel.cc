@@ -42,10 +42,9 @@ void LaneSender::detach() noexcept {
 
 // ------------------------------------------------------- ShmChannelEndpoint
 
-ShmChannelEndpoint::ShmChannelEndpoint(orch::ContainerId peer,
-                                       std::shared_ptr<shm::ShmLane> tx,
+ShmChannelEndpoint::ShmChannelEndpoint(std::shared_ptr<shm::ShmLane> tx,
                                        std::shared_ptr<shm::ShmLane> rx)
-    : peer_(peer), tx_(std::move(tx)), rx_(std::move(rx)) {}
+    : tx_(std::move(tx)), rx_(std::move(rx)) {}
 
 ShmChannelEndpoint::~ShmChannelEndpoint() { close(); }
 
@@ -83,14 +82,12 @@ void ShmChannelEndpoint::close() noexcept {
 
 // ---------------------------------------------------- RemoteChannelEndpoint
 
-RemoteChannelEndpoint::RemoteChannelEndpoint(Agent& local_agent, orch::ContainerId peer,
-                                             fabric::HostId peer_host,
+RemoteChannelEndpoint::RemoteChannelEndpoint(Agent& local_agent, fabric::HostId peer_host,
                                              std::uint64_t channel_id,
                                              orch::Transport transport,
                                              std::shared_ptr<shm::ShmLane> to_agent,
                                              std::shared_ptr<shm::ShmLane> from_agent)
     : agent_(local_agent),
-      peer_(peer),
       peer_host_(peer_host),
       channel_id_(channel_id),
       transport_(transport),

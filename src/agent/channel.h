@@ -11,6 +11,9 @@
 // and remote endpoints put a moved-in buffer on their lane as it is, so a
 // conduit's retained message and the lane message are one shared block.
 // The per-stream channels copy from its view.
+//
+// The interface carries no peer identity and no closed() query: the conduit
+// that owns a channel knows its peer and whether it closed it.
 #pragma once
 
 #include <deque>
@@ -53,11 +56,9 @@ class Channel {
   virtual void set_on_space(std::function<void()> cb) = 0;
 
   [[nodiscard]] virtual orch::Transport transport() const noexcept = 0;
-  [[nodiscard]] virtual orch::ContainerId peer() const noexcept = 0;
 
   /// After close() the endpoint drops all traffic (used on migration).
   virtual void close() noexcept = 0;
-  [[nodiscard]] virtual bool closed() const noexcept = 0;
 
   /// Failure observer: the agent fails a channel when the lane backing it
   /// dies (NIC fault, trunk declared dead). Distinct from close(): the
@@ -114,8 +115,7 @@ class LaneSender {
 /// shared memory, paper Fig. 7).
 class ShmChannelEndpoint final : public Channel {
  public:
-  ShmChannelEndpoint(orch::ContainerId peer, std::shared_ptr<shm::ShmLane> tx,
-                     std::shared_ptr<shm::ShmLane> rx);
+  ShmChannelEndpoint(std::shared_ptr<shm::ShmLane> tx, std::shared_ptr<shm::ShmLane> rx);
   ~ShmChannelEndpoint() override;
 
   Status send(ByteSpan head, ByteSpan body = {}) override;
@@ -126,9 +126,7 @@ class ShmChannelEndpoint final : public Channel {
   [[nodiscard]] orch::Transport transport() const noexcept override {
     return orch::Transport::shm;
   }
-  [[nodiscard]] orch::ContainerId peer() const noexcept override { return peer_; }
   void close() noexcept override;
-  [[nodiscard]] bool closed() const noexcept override { return closed_; }
 
   /// Ties the backing shm region's budget charge to this endpoint's
   /// lifetime; close() unlinks it from `registry` (idempotently, so the
@@ -139,7 +137,6 @@ class ShmChannelEndpoint final : public Channel {
   }
 
  private:
-  orch::ContainerId peer_;
   LaneSender tx_;
   std::shared_ptr<shm::ShmLane> rx_;
   std::shared_ptr<shm::Region> region_;
@@ -153,8 +150,7 @@ class RemoteChannelEndpoint final
     : public Channel,
       public std::enable_shared_from_this<RemoteChannelEndpoint> {
  public:
-  RemoteChannelEndpoint(Agent& local_agent, orch::ContainerId peer,
-                        fabric::HostId peer_host,
+  RemoteChannelEndpoint(Agent& local_agent, fabric::HostId peer_host,
                         std::uint64_t channel_id, orch::Transport transport,
                         std::shared_ptr<shm::ShmLane> to_agent,
                         std::shared_ptr<shm::ShmLane> from_agent);
@@ -171,9 +167,8 @@ class RemoteChannelEndpoint final
   /// Agent-internal: trunk drained, re-signal writability.
   void poke_space() { tx_.poke(); }
   [[nodiscard]] orch::Transport transport() const noexcept override { return transport_; }
-  [[nodiscard]] orch::ContainerId peer() const noexcept override { return peer_; }
   void close() noexcept override;
-  [[nodiscard]] bool closed() const noexcept override { return closed_; }
+  [[nodiscard]] bool closed() const noexcept { return closed_; }
 
   [[nodiscard]] std::uint64_t channel_id() const noexcept { return channel_id_; }
   [[nodiscard]] fabric::HostId peer_host() const noexcept { return peer_host_; }
@@ -183,7 +178,6 @@ class RemoteChannelEndpoint final
 
  private:
   Agent& agent_;
-  orch::ContainerId peer_;
   fabric::HostId peer_host_;
   std::uint64_t channel_id_;
   orch::Transport transport_;

@@ -40,7 +40,7 @@ class Trunk {
 
   /// True while the trunk's internal queue is deep: senders should pause
   /// (this is what backpressures containers to the NIC's actual rate).
-  [[nodiscard]] virtual bool congested() const noexcept { return false; }
+  [[nodiscard]] virtual bool congested() const noexcept = 0;
 
  protected:
   RecordFn on_record_;     ///< set by the owning agent pair

@@ -135,14 +135,11 @@ void ContainerNet::register_with_agent() {
 rdma::MrPtr ContainerNet::reg_mr(std::size_t length) {
   const std::uint32_t mr_id = next_mr_++;
   auto mr = std::make_shared<rdma::MemoryRegion>(mr_id, mr_id, length);
-  mrs_.emplace(mr_id, mr);
+  mrs_.add(mr_id, mr);
   return mr;
 }
 
-rdma::MrPtr ContainerNet::mr(std::uint32_t mr_id) const {
-  auto it = mrs_.find(mr_id);
-  return it == mrs_.end() ? nullptr : it->second;
-}
+rdma::MrPtr ContainerNet::mr(std::uint32_t mr_id) const { return mrs_.find(mr_id); }
 
 std::size_t ContainerNet::max_verbs_payload() const {
   return shm::ShmLane::max_payload(ff_.agents().config().lane_ring_bytes) -
@@ -311,7 +308,7 @@ void ContainerNet::connect_conduit(tcp::Ipv4Addr peer_ip, std::uint16_t port,
     }
     if (r.is_ok()) {
       conduit->attach_channel(
-          stream::TcpFallbackChannel::make(conduit->peer(), std::move(r.value())));
+          stream::TcpFallbackChannel::make(std::move(r.value())));
     }
     attached(r.status());
   });
@@ -344,7 +341,7 @@ void ContainerNet::on_incoming_conn(tcp::TcpConnection::Ptr conn) {
     conn->close();
     return;
   }
-  on_incoming_channel(*src, stream::TcpFallbackChannel::make(*src, std::move(conn)));
+  on_incoming_channel(*src, stream::TcpFallbackChannel::make(std::move(conn)));
 }
 
 void ContainerNet::handle_first_message(orch::ContainerId src, agent::Channel* raw,
@@ -647,7 +644,7 @@ void ContainerNet::rebind_on_fallback(const ConduitPtr& conduit, bool upgrade_af
       net->refit_conduit(conduit);
       return;
     }
-    auto channel = stream::TcpFallbackChannel::make(conduit->peer(), std::move(r.value()));
+    auto channel = stream::TcpFallbackChannel::make(std::move(r.value()));
     send_rebind(*channel, conduit->token());
     // The offer rides right behind it: ahead of the retained-window replay
     // and of the send buffer the application fills once it may send again.
@@ -659,11 +656,10 @@ void ContainerNet::rebind_on_fallback(const ConduitPtr& conduit, bool upgrade_af
   });
 }
 
-std::shared_ptr<stream::RcStreamChannel> ContainerNet::make_rc_channel(
-    orch::ContainerId peer) {
+std::shared_ptr<stream::RcStreamChannel> ContainerNet::make_rc_channel() {
   return stream::RcStreamChannel::make(
       ff_.agents().agent_on(container_->host()).rdma_device(), &container_->account(),
-      peer, container_->tenant());
+      container_->tenant());
 }
 
 std::optional<WireHeader> ContainerNet::make_offer(const ConduitPtr& conduit) {
@@ -676,7 +672,7 @@ std::optional<WireHeader> ContainerNet::make_offer(const ConduitPtr& conduit) {
     if (st.offered_generation == conduit->generation()) return std::nullopt;
     st.offered->close();
   }
-  st.offered = make_rc_channel(conduit->peer());
+  st.offered = make_rc_channel();
   st.offered_generation = conduit->generation();
   WireHeader h;
   h.type = VMsg::rc_offer;
@@ -694,7 +690,7 @@ void ContainerNet::handle_handshake(const ConduitPtr& conduit, const WireHeader&
     // Passive side: connect a fresh QP to the offer and answer with it. The
     // initiator switches first; this QP reaches the conduit through the
     // router when the initiator's rebind arrives on it.
-    auto channel = make_rc_channel(conduit->peer());
+    auto channel = make_rc_channel();
     const Status connected = channel->connect(static_cast<fabric::HostId>(h.offset),
                                               static_cast<rdma::QpNum>(h.id));
     if (!connected.is_ok()) {

@@ -209,8 +209,7 @@ class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
   /// returns the rc_offer to send; nullopt when one is already out.
   [[nodiscard]] std::optional<WireHeader> make_offer(const ConduitPtr& conduit);
   void handle_handshake(const ConduitPtr& conduit, const WireHeader& h);
-  [[nodiscard]] std::shared_ptr<stream::RcStreamChannel> make_rc_channel(
-      orch::ContainerId peer);
+  [[nodiscard]] std::shared_ptr<stream::RcStreamChannel> make_rc_channel();
   /// Counts one splice of `token`'s stream (initiator side) and marks it.
   void note_splice(const char* counter, const char* instant, std::uint64_t token);
   [[nodiscard]] StreamQp* find_stream_qp(std::uint64_t token);
@@ -221,7 +220,7 @@ class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
   FreeFlow& ff_;
   orch::ContainerPtr container_;
 
-  std::unordered_map<std::uint32_t, rdma::MrPtr> mrs_;
+  rdma::MrTable mrs_;
   std::uint32_t next_mr_ = 1;
 
   /// Listeners by (connect request, port). Each builds its surface (a

@@ -9,7 +9,7 @@ FreeFlow::FreeFlow(orch::NetworkOrchestrator& orchestrator, agent::AgentConfig c
   // Route migration notifications to the affected library instances. The
   // orchestrator outlives this object, so guard with the liveness token.
   std::weak_ptr<bool> alive = alive_;
-  orchestrator_.subscribe_moves([this, alive](const orch::Container& moved) {
+  orchestrator_.cluster_orch().on_moved([this, alive](const orch::Container& moved) {
     if (alive.expired()) return;
     // A coordinator-driven move resumes through the coordinator's own
     // rebind instead of the reactive one below (its moves subscription runs

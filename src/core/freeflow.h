@@ -51,9 +51,6 @@ class FreeFlow {
   /// migration-started handlers skip the container instead of racing the
   /// quiesce/capture/resume protocol with reactive freezes and rebinds.
   void note_planned_migration(orch::ContainerId id, bool active);
-  [[nodiscard]] bool planned_migration_active(orch::ContainerId id) const {
-    return planned_.contains(id);
-  }
 
  private:
   orch::NetworkOrchestrator& orchestrator_;

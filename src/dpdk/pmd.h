@@ -64,9 +64,6 @@ class DpdkPort {
   /// while running: a PMD core spins even when idle).
   [[nodiscard]] double spin_core_busy_ns() const noexcept;
 
-  /// Actual packet-processing work done by the PMD (for efficiency stats).
-  [[nodiscard]] sim::Resource& pmd_core() noexcept { return pmd_core_; }
-
   [[nodiscard]] std::uint64_t messages_delivered() const noexcept { return delivered_; }
   [[nodiscard]] std::size_t tx_queue_depth() const noexcept { return tx_queue_.size(); }
   /// Fires when the tx queue drains below the notification threshold.

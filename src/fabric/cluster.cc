@@ -27,9 +27,4 @@ Host& Cluster::host(HostId id) {
   return *hosts_[id];
 }
 
-const Host& Cluster::host(HostId id) const {
-  FF_CHECK(id < hosts_.size());
-  return *hosts_[id];
-}
-
 }  // namespace freeflow::fabric

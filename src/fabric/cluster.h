@@ -29,7 +29,6 @@ class Cluster {
                  NicCapabilities nic_caps = {});
 
   [[nodiscard]] Host& host(HostId id);
-  [[nodiscard]] const Host& host(HostId id) const;
   [[nodiscard]] std::size_t host_count() const noexcept { return hosts_.size(); }
 
   [[nodiscard]] sim::EventLoop& loop() noexcept { return loop_; }

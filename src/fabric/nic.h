@@ -85,15 +85,9 @@ class Nic {
   /// this as its send-error signal for instant lane-failure detection.
   void set_on_drop(std::function<void(PacketKind)> cb) { on_drop_ = std::move(cb); }
 
-  /// Packets dropped tx- or rx-side, all kinds.
-  [[nodiscard]] std::uint64_t dropped_packets() const noexcept { return sum(ctr_drops_); }
-
   /// The on-NIC processor; the RDMA engine charges per-packet work here.
   [[nodiscard]] sim::Resource& processor() noexcept { return processor_; }
   [[nodiscard]] const sim::Resource& processor() const noexcept { return processor_; }
-
-  /// Transmit queue (line-rate serialization).
-  [[nodiscard]] sim::Resource& tx_link() noexcept { return tx_link_; }
 
   /// Attaches this NIC to the ToR switch. Must be called before send().
   void attach(Switch* tor) noexcept { tor_ = tor; }

@@ -48,9 +48,4 @@ void Switch::forward(PacketPtr packet) {
   });
 }
 
-sim::Resource* Switch::port_link(HostId host) noexcept {
-  if (host >= ports_.size()) return nullptr;
-  return ports_[host].link.get();
-}
-
 }  // namespace freeflow::fabric

@@ -40,9 +40,6 @@ class Switch {
   void set_partitioned(HostId a, HostId b, bool down);
   [[nodiscard]] bool partitioned(HostId a, HostId b) const noexcept;
 
-  /// Output-port link resource for a host (for utilization probes).
-  [[nodiscard]] sim::Resource* port_link(HostId host) noexcept;
-
  private:
   struct Port {
     Nic* nic = nullptr;

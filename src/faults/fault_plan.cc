@@ -42,11 +42,6 @@ FaultPlan& FaultPlan::degrade(fabric::HostId host, SimTime at, double fraction,
   return *this;
 }
 
-FaultPlan& FaultPlan::host_crash(fabric::HostId host, SimTime at) {
-  add({at, FaultKind::host_crash, host});
-  return *this;
-}
-
 FaultPlan& FaultPlan::agent_pause(fabric::HostId host, SimTime at,
                                   SimDuration pause_for) {
   add({at, FaultKind::agent_pause, host});

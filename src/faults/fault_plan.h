@@ -69,7 +69,6 @@ class FaultPlan {
   FaultPlan& dpdk_outage(fabric::HostId host, SimTime at, SimDuration down_for);
   FaultPlan& degrade(fabric::HostId host, SimTime at, double fraction,
                      SimDuration slow_for);
-  FaultPlan& host_crash(fabric::HostId host, SimTime at);
   FaultPlan& agent_pause(fabric::HostId host, SimTime at, SimDuration pause_for);
   /// Severs the fabric path between `a` and `b` (both NICs stay healthy),
   /// healing after `down_for`.

@@ -51,7 +51,7 @@ MigrationCoordinator::MigrationCoordinator(core::FreeFlow& ff) : ff_(ff) {
   // Resume hook. FreeFlow subscribed to the same feed first and its handler
   // skips planned containers, so by the time this fires the move is ours to
   // finish — registration order IS the ordering guarantee.
-  ff_.orchestrator().subscribe_moves([this, alive](const orch::Container& moved) {
+  ff_.orchestrator().cluster_orch().on_moved([this, alive](const orch::Container& moved) {
     if (alive.expired()) return;
     if (moves_.contains(moved.id())) resume(moved.id());
   });

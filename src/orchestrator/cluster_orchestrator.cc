@@ -18,9 +18,7 @@ fabric::HostId ClusterOrchestrator::pick_host() const {
   }
   std::size_t best = 0;
   for (std::size_t h = 1; h < load.size(); ++h) {
-    const bool better = policy_ == PlacementPolicy::spread ? load[h] < load[best]
-                                                           : load[h] > load[best];
-    if (better) best = h;
+    if (load[h] < load[best]) best = h;
   }
   return static_cast<fabric::HostId>(best);
 }
@@ -41,7 +39,6 @@ Result<ContainerPtr> ClusterOrchestrator::deploy(ContainerSpec spec) {
   containers_[container->id()] = container;
   FF_LOG(info, "orch") << "deployed " << container->name() << " (" << ip->to_string()
                        << ") on host " << host;
-  for (auto& fn : started_) fn(*container);
   return container;
 }
 
@@ -86,25 +83,11 @@ ContainerPtr ClusterOrchestrator::container(ContainerId id) const {
   return it == containers_.end() ? nullptr : it->second;
 }
 
-ContainerPtr ClusterOrchestrator::container_by_name(const std::string& name) const {
-  for (const auto& [id, c] : containers_) {
-    if (c->name() == name) return c;
-  }
-  return nullptr;
-}
-
 ContainerPtr ClusterOrchestrator::container_by_ip(tcp::Ipv4Addr ip) const {
   for (const auto& [id, c] : containers_) {
     if (c->ip() == ip && c->state() != ContainerState::stopped) return c;
   }
   return nullptr;
-}
-
-std::size_t ClusterOrchestrator::running_count() const noexcept {
-  return static_cast<std::size_t>(
-      std::count_if(containers_.begin(), containers_.end(), [](const auto& kv) {
-        return kv.second->state() == ContainerState::running;
-      }));
 }
 
 std::vector<ContainerPtr> ClusterOrchestrator::containers_on(fabric::HostId host) const {

@@ -15,14 +15,9 @@
 
 namespace freeflow::orch {
 
-enum class PlacementPolicy : std::uint8_t {
-  spread,   ///< fewest containers first (default)
-  binpack,  ///< most containers first
-};
-
 class ClusterOrchestrator {
  public:
-  /// Fired after a container starts, moves, or stops.
+  /// Fired after a container moves or stops.
   using EventFn = std::function<void(const Container&)>;
 
   ClusterOrchestrator(fabric::Cluster& cluster, overlay::OverlayNetwork& overlay);
@@ -30,9 +25,8 @@ class ClusterOrchestrator {
   ClusterOrchestrator(const ClusterOrchestrator&) = delete;
   ClusterOrchestrator& operator=(const ClusterOrchestrator&) = delete;
 
-  void set_placement_policy(PlacementPolicy p) noexcept { policy_ = p; }
-
-  /// Schedules and starts a container; allocates its overlay IP.
+  /// Starts a container on its pinned host, else on the host running the
+  /// fewest containers (spread placement); allocates its overlay IP.
   Result<ContainerPtr> deploy(ContainerSpec spec);
 
   /// Live-migrates a container; the overlay IP is preserved. Completes
@@ -42,15 +36,12 @@ class ClusterOrchestrator {
   Status stop(ContainerId id);
 
   [[nodiscard]] ContainerPtr container(ContainerId id) const;
-  [[nodiscard]] ContainerPtr container_by_name(const std::string& name) const;
   [[nodiscard]] ContainerPtr container_by_ip(tcp::Ipv4Addr ip) const;
-  [[nodiscard]] std::size_t running_count() const noexcept;
   [[nodiscard]] std::vector<ContainerPtr> containers_on(fabric::HostId host) const;
   /// Running containers of one tenant, sorted by id (deterministic order for
   /// tenant-scoped cache flushes).
   [[nodiscard]] std::vector<ContainerPtr> containers_of_tenant(TenantId tenant) const;
 
-  void on_started(EventFn fn) { started_.push_back(std::move(fn)); }
   void on_moved(EventFn fn) { moved_.push_back(std::move(fn)); }
   void on_stopped(EventFn fn) { stopped_.push_back(std::move(fn)); }
   /// Fired when a migration begins (state just became `migrating`), before
@@ -66,10 +57,8 @@ class ClusterOrchestrator {
 
   fabric::Cluster& cluster_;
   overlay::OverlayNetwork& overlay_;
-  PlacementPolicy policy_ = PlacementPolicy::spread;
   ContainerId next_id_ = 1;
   std::unordered_map<ContainerId, ContainerPtr> containers_;
-  std::vector<EventFn> started_;
   std::vector<EventFn> moved_;
   std::vector<EventFn> stopped_;
   std::vector<EventFn> migration_started_;

@@ -27,11 +27,7 @@ std::string_view transport_name(Transport t) noexcept {
 }
 
 NetworkOrchestrator::NetworkOrchestrator(ClusterOrchestrator& cluster_orch)
-    : cluster_(cluster_orch) {
-  cluster_.on_moved([this](const Container& c) {
-    for (auto& fn : move_subscribers_) fn(c);
-  });
-}
+    : cluster_(cluster_orch) {}
 
 void NetworkOrchestrator::set_tenant_trust(TenantId a, TenantId b, bool is_trusted) {
   // Only actual transitions notify: a redundant grant or revoke changes no
@@ -77,7 +73,7 @@ TransportDecision NetworkOrchestrator::decide_impl(const Container& src,
   d.same_host = src.host() == dst.host();
 
   // Isolation first: untrusted pairs keep the fully-isolated overlay path.
-  if (!allow_trade_ || !trusted(src, dst)) {
+  if (!trusted(src, dst)) {
     d.transport = Transport::tcp_overlay;
     d.reason = "no trust: full isolation via overlay";
     return d;
@@ -150,17 +146,6 @@ Result<ContainerId> NetworkOrchestrator::resolve_ip(tcp::Ipv4Addr ip) const {
   return c->id();
 }
 
-void NetworkOrchestrator::query_location(ContainerId id,
-                                         std::function<void(Result<Location>)> cb) const {
-  auto& loop = cluster_.cluster().loop();
-  const SimDuration rtt = cluster_.cluster().cost_model().orchestrator_rpc_ns;
-  loop.schedule(rtt, [this, id, cb = std::move(cb)]() { cb(locate(id)); });
-}
-
-void NetworkOrchestrator::subscribe_moves(LocationFn fn) {
-  move_subscribers_.push_back(std::move(fn));
-}
-
 // ---------------------------------------------------------- health state
 
 void NetworkOrchestrator::update_nic_health(fabric::HostId host,
@@ -194,7 +179,6 @@ void NetworkOrchestrator::subscribe_lane_failures(LaneFailureFn fn) {
 
 void NetworkOrchestrator::report_lane_failure(fabric::HostId reporter,
                                               fabric::HostId peer, Transport transport) {
-  ++lane_failure_reports_;
   cluster_.cluster().telemetry().metrics().counter("orchestrator/lane_failure_reports").inc();
   FF_LOG(info, "orch") << "lane failure report: host " << reporter << " -> host "
                        << peer << " over " << transport_name(transport);
@@ -217,10 +201,6 @@ void NetworkOrchestrator::update_path_health(fabric::HostId a, fabric::HostId b,
   // Snapshot-by-size like notify_health: a subscriber may subscribe more.
   const std::size_t n = path_subscribers_.size();
   for (std::size_t i = 0; i < n; ++i) path_subscribers_[i](a, b, up);
-}
-
-bool NetworkOrchestrator::path_up(fabric::HostId a, fabric::HostId b) const {
-  return !downed_paths_.contains(path_key(a, b));
 }
 
 void NetworkOrchestrator::subscribe_path_partitions(PathFn fn) {

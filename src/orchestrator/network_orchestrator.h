@@ -37,7 +37,6 @@ struct TransportDecision {
 
 class NetworkOrchestrator {
  public:
-  using LocationFn = std::function<void(const Container&)>;
   using HealthFn = std::function<void(fabric::HostId)>;
   /// Health transition with before/after state — precise invalidation needs
   /// the *diff* (which capability changed, in which direction), not just
@@ -69,9 +68,6 @@ class NetworkOrchestrator {
   /// when a cached shm/rdma decision happens to age out).
   void subscribe_trust_changes(TrustFn fn);
 
-  /// Globally disable isolation-trading (forces tcp_overlay everywhere).
-  void set_allow_isolation_trade(bool allow) noexcept { allow_trade_ = allow; }
-
   // ---- the decision function (paper Table 1) ----------------------------
   [[nodiscard]] Result<TransportDecision> decide(ContainerId src, ContainerId dst) const;
   [[nodiscard]] TransportDecision decide(const Container& src, const Container& dst) const;
@@ -85,14 +81,6 @@ class NetworkOrchestrator {
   /// Synchronous lookup of current truth (the orchestrator's view).
   [[nodiscard]] Result<Location> locate(ContainerId id) const;
   [[nodiscard]] Result<ContainerId> resolve_ip(tcp::Ipv4Addr ip) const;
-
-  /// RPC-style query: the answer arrives after the control-plane RTT, as
-  /// it would for a library polling a remote orchestrator.
-  void query_location(ContainerId id, std::function<void(Result<Location>)> cb) const;
-
-  /// Location-change subscription (invalidates library caches, re-binds
-  /// channels after migration).
-  void subscribe_moves(LocationFn fn);
 
   // ---- live health state (fault tolerance) ------------------------------
   /// Telemetry ingest: the fabric's monitoring (modeled by the fault
@@ -123,9 +111,6 @@ class NetworkOrchestrator {
   /// ends so they re-evaluate against current truth.
   void report_lane_failure(fabric::HostId reporter, fabric::HostId peer,
                            Transport transport);
-  [[nodiscard]] std::uint64_t lane_failure_reports() const noexcept {
-    return lane_failure_reports_;
-  }
 
   // ---- inter-host path health (path_partition faults) -------------------
   /// Telemetry ingest for a fabric path partition between two hosts whose
@@ -134,7 +119,6 @@ class NetworkOrchestrator {
   /// the transport cannot heal the pair — migrating one endpoint can, which
   /// is why this feeds the migration coordinator instead of re-decision.
   void update_path_health(fabric::HostId a, fabric::HostId b, bool up);
-  [[nodiscard]] bool path_up(fabric::HostId a, fabric::HostId b) const;
   /// Fired on every update_path_health transition (down and heal).
   void subscribe_path_partitions(PathFn fn);
 
@@ -150,10 +134,8 @@ class NetworkOrchestrator {
   void notify_health(fabric::HostId host);
 
   ClusterOrchestrator& cluster_;
-  bool allow_trade_ = true;
   std::unordered_set<std::uint64_t> tenant_trust_;
   std::vector<TrustFn> trust_subscribers_;
-  std::vector<LocationFn> move_subscribers_;
   std::vector<HealthFn> health_subscribers_;
   std::vector<HealthDiffFn> health_diff_subscribers_;
   std::vector<LaneFailureFn> lane_failure_subscribers_;
@@ -162,7 +144,6 @@ class NetworkOrchestrator {
   std::vector<PathFn> path_subscribers_;
   /// Severed inter-host paths, keyed min(a,b)<<32 | max(a,b).
   std::unordered_set<std::uint64_t> downed_paths_;
-  std::uint64_t lane_failure_reports_ = 0;
 };
 
 }  // namespace freeflow::orch

@@ -56,7 +56,7 @@ ShardedControlPlane::ShardedControlPlane(NetworkOrchestrator& orchestrator, int 
       }
     }
   });
-  orch_.subscribe_moves([this, alive](const Container& moved) {
+  orch_.cluster_orch().on_moved([this, alive](const Container& moved) {
     if (alive.expired()) return;
     // A move changes the host underneath every decision: drop everything.
     bump_and_flush(moved.id(), k_drop_all);

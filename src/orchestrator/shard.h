@@ -121,15 +121,8 @@ class ShardedControlPlane {
 
   // ---- introspection (the "orch/*" registry counters) ------------------
   [[nodiscard]] std::uint64_t shard_rpcs() const noexcept { return ctr_rpcs_->value(); }
-  [[nodiscard]] std::uint64_t decisions_served() const noexcept {
-    return ctr_decisions_->value();
-  }
   [[nodiscard]] std::uint64_t cross_shard_forwards() const noexcept {
     return ctr_forwards_->value();
-  }
-  [[nodiscard]] std::uint64_t epoch_bumps() const noexcept { return ctr_bumps_->value(); }
-  [[nodiscard]] std::uint64_t flushes_pushed() const noexcept {
-    return ctr_flushes_->value();
   }
 
   [[nodiscard]] NetworkOrchestrator& orchestrator() noexcept { return orch_; }

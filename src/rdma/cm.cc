@@ -1,31 +1,11 @@
 #include "rdma/cm.h"
 
-#include "fabric/control.h"
-
 namespace freeflow::rdma {
 
 Status connect_pair(QueuePair& a, QueuePair& b) {
   FF_RETURN_IF_ERROR(a.connect(b.device().host().id(), b.num()));
   FF_RETURN_IF_ERROR(b.connect(a.device().host().id(), a.num()));
   return ok_status();
-}
-
-void connect_pair_async(std::shared_ptr<QueuePair> a, std::shared_ptr<QueuePair> b,
-                        std::function<void(Status)> done) {
-  constexpr std::uint32_t k_cm_wire_bytes = 128;
-  fabric::Host& ah = a->device().host();
-  fabric::Host& bh = b->device().host();
-  fabric::install_control_rx(ah);
-  fabric::install_control_rx(bh);
-  auto cb = std::make_shared<std::function<void(Status)>>(std::move(done));
-  // a -> b: request carrying a's QP number; b -> a: reply with b's.
-  fabric::send_control(ah, bh.id(), k_cm_wire_bytes, [a, b, &ah, &bh, cb]() {
-    const Status sb = b->connect(ah.id(), a->num());
-    fabric::send_control(bh, ah.id(), k_cm_wire_bytes, [a, b, &bh, sb, cb]() {
-      Status sa = a->connect(bh.id(), b->num());
-      if (*cb) (*cb)(sb.is_ok() ? sa : sb);
-    });
-  });
 }
 
 }  // namespace freeflow::rdma

@@ -1,11 +1,7 @@
 // Minimal connection manager: the out-of-band QP-number exchange that
-// rdma_cm (or a sockets side channel) performs in real deployments. The
-// synchronous form wires two QPs immediately; the async form models the
-// exchange over the fabric control plane with its real latency.
+// rdma_cm (or a sockets side channel) performs in real deployments, done
+// here synchronously with no control-plane latency.
 #pragma once
-
-#include <functional>
-#include <memory>
 
 #include "common/status.h"
 #include "rdma/device.h"
@@ -15,10 +11,5 @@ namespace freeflow::rdma {
 
 /// Wires `a` and `b` to each other (both move to ready). Test convenience.
 Status connect_pair(QueuePair& a, QueuePair& b);
-
-/// Models the OOB exchange over the control plane: `a` learns `b`'s QP
-/// number after a control round-trip; `done` fires when both ends are ready.
-void connect_pair_async(std::shared_ptr<QueuePair> a, std::shared_ptr<QueuePair> b,
-                        std::function<void(Status)> done);
 
 }  // namespace freeflow::rdma

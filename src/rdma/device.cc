@@ -19,7 +19,7 @@ MrPtr RdmaDevice::reg_mr(std::size_t length) {
   const Key lkey = next_key_++;
   const Key rkey = next_key_++;
   auto mr = std::make_shared<MemoryRegion>(lkey, rkey, length);
-  mrs_.emplace(rkey, mr);
+  mrs_.add(rkey, mr);
   return mr;
 }
 
@@ -35,10 +35,7 @@ std::shared_ptr<QueuePair> RdmaDevice::create_qp(CqPtr send_cq, CqPtr recv_cq, Q
   return qp;
 }
 
-MrPtr RdmaDevice::mr_by_rkey(Key rkey) {
-  auto it = mrs_.find(rkey);
-  return it == mrs_.end() ? nullptr : it->second;
-}
+MrPtr RdmaDevice::mr_by_rkey(Key rkey) { return mrs_.find(rkey); }
 
 std::shared_ptr<QueuePair> RdmaDevice::qp(QpNum num) {
   auto it = qps_.find(num);
@@ -107,56 +104,44 @@ void RdmaDevice::handle_data(const std::shared_ptr<RdmaChunk>& chunk) {
   q->rx_data_chunk(chunk);
 }
 
+void RdmaDevice::nak_read(const std::shared_ptr<RdmaChunk>& request,
+                          fabric::HostId requester) {
+  auto nak = acquire_chunk();
+  nak->kind = RdmaChunk::Kind::ack;
+  nak->opcode = Opcode::read;
+  nak->dst_qp = request->src_qp;
+  nak->msg_id = request->msg_id;
+  nak->wr_id = request->wr_id;
+  nak->status = WcStatus::remote_access_error;
+  nak->tenant = request->tenant;
+  transmit(requester, nak);
+}
+
 void RdmaDevice::handle_read_request(const std::shared_ptr<RdmaChunk>& request,
                                      fabric::HostId requester) {
   // Served entirely by the NIC: the remote host's CPU is never involved —
   // the defining property of one-sided RDMA.
   MrPtr mr = mr_by_rkey(request->remote.rkey);
-  const auto& m = host_.cost_model();
-
   if (mr == nullptr || request->remote.offset + request->read_len > mr->length()) {
-    auto nak = acquire_chunk();
-    nak->kind = RdmaChunk::Kind::ack;
-    nak->opcode = Opcode::read;
-    nak->dst_qp = request->src_qp;
-    nak->msg_id = request->msg_id;
-    nak->wr_id = request->wr_id;
-    nak->status = WcStatus::remote_access_error;
-    nak->tenant = request->tenant;
-    transmit(requester, nak);
+    nak_read(request, requester);
     return;
   }
-
-  const std::uint32_t total = request->read_len;
-
-  if (total == 0) {
-    // Zero-length read completes immediately with an empty last chunk.
-    auto chunk = acquire_chunk();
-    chunk->kind = RdmaChunk::Kind::data;
-    chunk->opcode = Opcode::read;
-    chunk->src_qp = request->dst_qp;
-    chunk->dst_qp = request->src_qp;
-    chunk->msg_id = request->msg_id;
-    chunk->wr_id = request->wr_id;
-    chunk->total_len = 0;
-    chunk->last = true;
-    chunk->tenant = request->tenant;
-    nic_proc().submit(m.nic_pkt_fixed_ns,
-                      [this, chunk, requester]() { transmit(requester, chunk); });
-    return;
-  }
+  // A zero-length READ is one empty last chunk.
   stream_read_chunk(request, requester, 0);
 }
 
 // One MTU response chunk per call; the NIC-processor completion re-invokes
 // for the next offset. The pending event references only the device and the
 // request, never a callback that owns itself (teardown protocol). The MR is
-// re-looked-up each chunk so a mid-stream deregistration just stops the
-// stream instead of dangling.
+// re-looked-up each chunk: one its owner dropped mid-stream fails the READ
+// instead of being read after release.
 void RdmaDevice::stream_read_chunk(const std::shared_ptr<RdmaChunk>& request,
                                    fabric::HostId requester, std::uint32_t offset) {
   MrPtr mr = mr_by_rkey(request->remote.rkey);
-  if (mr == nullptr) return;
+  if (mr == nullptr) {
+    nak_read(request, requester);
+    return;
+  }
   const auto& m = host_.cost_model();
   const std::uint32_t total = request->read_len;
   const std::uint32_t n = std::min(m.rdma_mtu_bytes, total - offset);

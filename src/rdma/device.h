@@ -53,6 +53,7 @@ class RdmaDevice {
   RdmaDevice& operator=(const RdmaDevice&) = delete;
 
   /// Registers a memory region of `length` bytes; real backing storage.
+  /// The caller owns it: once dropped, its rkey no longer resolves.
   MrPtr reg_mr(std::size_t length);
 
   /// Creates a completion queue.
@@ -79,6 +80,8 @@ class RdmaDevice {
   void handle_data(const std::shared_ptr<RdmaChunk>& chunk);
   void handle_read_request(const std::shared_ptr<RdmaChunk>& chunk,
                            fabric::HostId requester);
+  /// Fails the READ at the requester with remote_access_error.
+  void nak_read(const std::shared_ptr<RdmaChunk>& request, fabric::HostId requester);
   void stream_read_chunk(const std::shared_ptr<RdmaChunk>& request,
                          fabric::HostId requester, std::uint32_t offset);
 
@@ -87,7 +90,8 @@ class RdmaDevice {
   fabric::Host& host_;
   Key next_key_ = 1;
   QpNum next_qp_ = 1;
-  std::unordered_map<Key, MrPtr> mrs_;
+  MrTable mrs_;
+  /// Held for the device's life, so a QP's posted receives keep their MRs.
   std::unordered_map<QpNum, std::shared_ptr<QueuePair>> qps_;
   std::uint64_t bytes_received_ = 0;
 

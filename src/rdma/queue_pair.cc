@@ -292,14 +292,4 @@ void QueuePair::send_ack(const std::shared_ptr<RdmaChunk>& chunk, WcStatus statu
   device_.transmit(remote_host_, ack);
 }
 
-void QueuePair::complete_send_error(std::uint64_t wr_id, Opcode op, WcStatus status) {
-  state_ = QpState::error;
-  WorkCompletion wc;
-  wc.wr_id = wr_id;
-  wc.opcode = op;
-  wc.status = status;
-  wc.qp_num = num_;
-  send_cq_->push(wc);
-}
-
 }  // namespace freeflow::rdma

@@ -49,7 +49,6 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
   // ---- device-internal receive path ------------------------------------
   void rx_data_chunk(const std::shared_ptr<RdmaChunk>& chunk);
   void rx_ack(const std::shared_ptr<RdmaChunk>& chunk);
-  void complete_send_error(std::uint64_t wr_id, Opcode op, WcStatus status);
 
  private:
   void pump();
@@ -57,7 +56,6 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
   void stream_chunk(std::uint64_t msg_id, std::uint32_t offset);
   void emit_read_request(const SendWr& wr, std::uint64_t msg_id);
   void finish_wr(const SendWr& wr, std::uint32_t byte_len, WcStatus status);
-  void deliver_recv(const std::shared_ptr<RdmaChunk>& chunk);
   void send_ack(const std::shared_ptr<RdmaChunk>& chunk, WcStatus status);
 
   RdmaDevice& device_;

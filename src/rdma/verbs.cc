@@ -1,5 +1,6 @@
 #include "rdma/verbs.h"
 
+#include <algorithm>
 #include <cstring>
 #include <mutex>
 #include <unordered_map>
@@ -58,6 +59,19 @@ std::size_t MemoryRegion::pooled_blocks(std::size_t length) {
   std::lock_guard lock(pool.mu);
   auto it = pool.by_length.find(length);
   return it == pool.by_length.end() ? 0 : it->second.size();
+}
+
+void MrTable::add(Key key, const MrPtr& mr) {
+  if (mrs_.size() >= sweep_at_) {
+    std::erase_if(mrs_, [](const auto& entry) { return entry.second.expired(); });
+    sweep_at_ = std::max(k_min_sweep, 2 * mrs_.size());
+  }
+  mrs_.emplace(key, mr);
+}
+
+MrPtr MrTable::find(Key key) const {
+  auto it = mrs_.find(key);
+  return it == mrs_.end() ? nullptr : it->second.lock();
 }
 
 std::size_t CompletionQueue::poll(std::span<WorkCompletion> out) {

@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <unordered_map>
 
 #include "common/bytes.h"
 #include "common/status.h"
@@ -50,10 +51,13 @@ struct WorkCompletion {
 /// at registration. Nothing reads MR bytes it has not written; an owner
 /// that posts a buffer as it is fills it first.
 ///
-/// Storage of k_pooled_bytes or more outlives its MR: it goes back to a
-/// per-length pool and the next MR of that length takes it as it is, so
-/// steady trunk churn reuses the pages earlier slot rings faulted in
-/// instead of faulting fresh heap in every time. Sanitizer builds fill
+/// An MR lives as long as its owner (and any posted WR naming it) holds
+/// it; the registries that resolve keys hold it weakly. Storage of
+/// k_pooled_bytes or more outlives its MR: it goes back to a per-length
+/// pool and the next MR of that length takes it as it is, so a dropped
+/// MR's pages serve the next registration instead of fresh heap. A
+/// trunk's receive MR is not recycled while its device lives: the posted
+/// receives of the device's QP registry keep it. Sanitizer builds fill
 /// recycled storage with a poison byte, so stale bytes never pass for new.
 class MemoryRegion {
  public:
@@ -87,6 +91,24 @@ class MemoryRegion {
 };
 
 using MrPtr = std::shared_ptr<MemoryRegion>;
+
+/// Registered MRs by key, held weakly: a lookup finds only MRs their owner
+/// still holds. Dead entries are swept when registrations double the
+/// table, so it stays within twice the live count (plus a small floor).
+class MrTable {
+ public:
+  void add(Key key, const MrPtr& mr);
+  /// The live MR registered under `key`, or null.
+  [[nodiscard]] MrPtr find(Key key) const;
+  /// Entries held, dead ones not yet swept included.
+  [[nodiscard]] std::size_t size() const noexcept { return mrs_.size(); }
+
+ private:
+  static constexpr std::size_t k_min_sweep = 16;
+
+  std::unordered_map<Key, std::weak_ptr<MemoryRegion>> mrs_;
+  std::size_t sweep_at_ = k_min_sweep;
+};
 
 /// Completion queue. Consumers either poll (paying per-completion CPU, like
 /// busy-polling verbs apps) or register a notify callback (comp-channel

@@ -65,7 +65,6 @@ void ShmLane::deliver_one(std::size_t payload_size) {
     queue_.pop_front();
     used_ -= record_size(out.size());
     ++delivered_;
-    bytes_delivered_ += out.size();
     // Invoked in place: a handler that replaces itself (a channel handshake
     // swapping in the data-phase handler) is swapped when its call returns.
     if (on_message_) on_message_(std::move(out));

@@ -79,7 +79,6 @@ class ShmLane : public std::enable_shared_from_this<ShmLane> {
   /// True when no message waits for delivery.
   [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
   [[nodiscard]] std::uint64_t messages_delivered() const noexcept { return delivered_; }
-  [[nodiscard]] std::uint64_t bytes_delivered() const noexcept { return bytes_delivered_; }
   [[nodiscard]] fabric::Host& host() noexcept { return host_; }
 
  private:
@@ -100,7 +99,6 @@ class ShmLane : public std::enable_shared_from_this<ShmLane> {
   sim::UsageAccount* sender_account_ = nullptr;
   sim::UsageAccount* receiver_account_ = nullptr;
   std::uint64_t delivered_ = 0;
-  std::uint64_t bytes_delivered_ = 0;
 };
 
 }  // namespace freeflow::shm

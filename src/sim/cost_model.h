@@ -128,9 +128,6 @@ struct CostModel {
   /// push; MigrationReport::image_bytes counts those bytes).
   double migration_image_byte_ns = 0.025;
 
-  [[nodiscard]] double nic_line_bytes_per_sec() const noexcept {
-    return nic_line_gbps * 1e9 / 8.0;
-  }
   /// NIC processor work units for one packet of `bytes`.
   [[nodiscard]] double nic_pkt_cost(std::uint32_t bytes) const noexcept {
     return nic_pkt_fixed_ns + nic_pkt_ns_per_byte * static_cast<double>(bytes);

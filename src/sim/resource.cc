@@ -67,22 +67,6 @@ double Resource::cores_busy_since_mark() const noexcept {
 
 void SerialExecutor::submit(double units, DoneFn done, UsageAccount* account,
                             Resource* bus, double bus_bytes) {
-  // Wakeup batching: a queued completion-less job with no bus coupling is
-  // pure serial work, so the new job folds into it instead of paying
-  // another pool round-trip (one completion event serves both). The merged
-  // job inherits the new completion, which fires after both units of work —
-  // exactly what FIFO ordering promised anyway.
-  if (queued_ != 0) {
-    Job& back = queued_at(queued_ - 1);
-    if (!back.done && back.bus == nullptr && bus == nullptr &&
-        back.account == account) {
-      back.units += units;
-      back.done = std::move(done);
-      back.bus_bytes = bus_bytes;
-      ++coalesced_;
-      return;
-    }
-  }
   push_job(Job{units, std::move(done), account, bus, bus_bytes});
   if (!busy_) start_next();
 }

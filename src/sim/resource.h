@@ -93,15 +93,12 @@ class SerialExecutor {
   SerialExecutor& operator=(const SerialExecutor&) = delete;
 
   /// Runs `units` of work (after an optional pre-delay modeling memory-bus
-  /// backpressure computed at start time via `bus_bytes` on `bus`).
-  /// Consecutive completion-less, bus-less submissions for the same account
-  /// are coalesced into one pool job (wakeup batching).
+  /// backpressure computed at start time via `bus_bytes` on `bus`). Each
+  /// submission is its own pool job, queued FIFO behind the active one.
   void submit(double units, DoneFn done, UsageAccount* account = nullptr,
               Resource* bus = nullptr, double bus_bytes = 0);
 
   [[nodiscard]] std::size_t queue_depth() const noexcept { return queued_; }
-  /// How many submissions were folded into an already-queued job.
-  [[nodiscard]] std::uint64_t coalesced() const noexcept { return coalesced_; }
 
  private:
   struct Job {
@@ -131,7 +128,6 @@ class SerialExecutor {
   std::size_t queued_ = 0;
   Job active_{};
   bool busy_ = false;
-  std::uint64_t coalesced_ = 0;
   /// Liveness token: pool/loop completions hold a weak observer, so an
   /// executor destroyed with work in flight (channel teardown) turns its
   /// pending completions into no-ops instead of use-after-free — and queued

@@ -7,9 +7,8 @@ namespace freeflow::stream {
 
 std::shared_ptr<RcStreamChannel> RcStreamChannel::make(rdma::RdmaDevice& device,
                                                        sim::UsageAccount* account,
-                                                       orch::ContainerId peer,
                                                        std::uint32_t tenant) {
-  auto channel = std::shared_ptr<RcStreamChannel>(new RcStreamChannel(peer));
+  auto channel = std::shared_ptr<RcStreamChannel>(new RcStreamChannel());
   channel->slots_ = std::make_shared<rdma::SlotQp>(device, account, k_slot_bytes, k_slots,
                                                    k_slots + k_credit_reserve, tenant);
   // A delivery can drop the last reference to the channel, so each hook

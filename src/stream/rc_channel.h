@@ -45,7 +45,6 @@ class RcStreamChannel final : public agent::Channel {
   /// NIC's per-tenant scheduler (a per-stream QP belongs to one container).
   static std::shared_ptr<RcStreamChannel> make(rdma::RdmaDevice& device,
                                                sim::UsageAccount* account,
-                                               orch::ContainerId peer,
                                                std::uint32_t tenant = 0);
   /// Connects the QP to the peer's (the out-of-band exchange rides the
   /// conduit's rc_offer / rc_answer control messages). Queued sends flow.
@@ -60,14 +59,12 @@ class RcStreamChannel final : public agent::Channel {
   [[nodiscard]] orch::Transport transport() const noexcept override {
     return orch::Transport::rdma;
   }
-  [[nodiscard]] orch::ContainerId peer() const noexcept override { return peer_; }
   void close() noexcept override;
-  [[nodiscard]] bool closed() const noexcept override { return closed_; }
 
   [[nodiscard]] std::uint32_t credits() const noexcept { return credits_; }
 
  private:
-  explicit RcStreamChannel(orch::ContainerId peer) : peer_(peer) {}
+  RcStreamChannel() = default;
 
   /// A free send slot and a peer credit: a sequenced message can post.
   [[nodiscard]] bool can_post_data() const noexcept;
@@ -78,7 +75,6 @@ class RcStreamChannel final : public agent::Channel {
   bool on_slot(Buffer&& message);
   void return_credits();
 
-  orch::ContainerId peer_;
   std::shared_ptr<rdma::SlotQp> slots_;
   std::deque<Buffer> control_;       ///< unsequenced messages awaiting a slot
   std::deque<Buffer> queue_;         ///< data messages awaiting slot + credit

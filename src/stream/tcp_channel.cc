@@ -2,9 +2,8 @@
 
 namespace freeflow::stream {
 
-std::shared_ptr<TcpFallbackChannel> TcpFallbackChannel::make(
-    orch::ContainerId peer, tcp::TcpConnection::Ptr conn) {
-  auto channel = std::shared_ptr<TcpFallbackChannel>(new TcpFallbackChannel(peer));
+std::shared_ptr<TcpFallbackChannel> TcpFallbackChannel::make(tcp::TcpConnection::Ptr conn) {
+  auto channel = std::shared_ptr<TcpFallbackChannel>(new TcpFallbackChannel());
   conn->set_send_buffer_limit(k_send_buffer);
   // Each hook holds the channel weakly and for the whole call: a delivery
   // can drop the channel's last reference.

@@ -20,8 +20,7 @@ class TcpFallbackChannel final : public agent::Channel {
  public:
   /// Wraps an established (or establishing) connection and wires its
   /// callbacks weakly — the channel owns the wiring, never vice versa.
-  static std::shared_ptr<TcpFallbackChannel> make(orch::ContainerId peer,
-                                                  tcp::TcpConnection::Ptr conn);
+  static std::shared_ptr<TcpFallbackChannel> make(tcp::TcpConnection::Ptr conn);
 
   /// The connection's send buffer: over twice the overlay path's
   /// bandwidth-delay product (~60 us RTT at ~13 Gb/s), far below the
@@ -37,9 +36,7 @@ class TcpFallbackChannel final : public agent::Channel {
   [[nodiscard]] orch::Transport transport() const noexcept override {
     return orch::Transport::tcp_overlay;
   }
-  [[nodiscard]] orch::ContainerId peer() const noexcept override { return peer_; }
   void close() noexcept override;
-  [[nodiscard]] bool closed() const noexcept override { return closed_; }
 
   /// Make-before-break upgrade: this side answered the peer's rc_offer, so
   /// the peer will switch the stream to a fresh RC channel and then close
@@ -50,11 +47,10 @@ class TcpFallbackChannel final : public agent::Channel {
   void expect_close() noexcept { expect_close_ = true; }
 
  private:
-  explicit TcpFallbackChannel(orch::ContainerId peer) : peer_(peer) {}
+  TcpFallbackChannel() = default;
 
   void on_conn_closed();
 
-  orch::ContainerId peer_;
   std::shared_ptr<tcp::RecordPipe> pipe_;
   DeliverFn on_message_;
   std::function<void()> on_space_;

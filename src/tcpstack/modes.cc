@@ -11,8 +11,6 @@ Status AddressMap::add(Ipv4Addr ip, fabric::Host& host, sim::UsageAccount* accou
   return ok_status();
 }
 
-void AddressMap::remove(Ipv4Addr ip) { map_.erase(ip.value()); }
-
 Result<EndpointBinding> AddressMap::resolve(Ipv4Addr ip) const {
   auto it = map_.find(ip.value());
   if (it == map_.end()) return not_found("no binding for IP " + ip.to_string());

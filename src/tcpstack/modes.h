@@ -27,7 +27,6 @@ struct EndpointBinding {
 class AddressMap {
  public:
   Status add(Ipv4Addr ip, fabric::Host& host, sim::UsageAccount* account = nullptr);
-  void remove(Ipv4Addr ip);
   [[nodiscard]] Result<EndpointBinding> resolve(Ipv4Addr ip) const;
 
  private:

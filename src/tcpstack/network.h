@@ -53,9 +53,6 @@ class TcpNetwork {
   [[nodiscard]] const sim::CostModel& cost_model() const noexcept { return model_; }
 
   [[nodiscard]] std::size_t connection_count() const noexcept { return connections_.size(); }
-  [[nodiscard]] bool port_in_use(const Endpoint& e) const noexcept {
-    return listeners_.contains(e.key());
-  }
 
  private:
   struct Listener {

@@ -126,8 +126,6 @@ class Path {
   /// and the continuation state travels inline through each hop.
   void walk(SegmentPtr seg, DeliverFn deliver) const;
 
-  [[nodiscard]] std::size_t hop_count() const noexcept { return hops_->size(); }
-
  private:
   static void step(std::shared_ptr<const HopList> hops, std::size_t index,
                    SegmentPtr seg, DeliverFn deliver);

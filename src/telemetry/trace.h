@@ -36,7 +36,6 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  void set_clock(sim::EventLoop* loop) noexcept { loop_ = loop; }
   /// Disabled tracers drop events at the record call — instrumentation
   /// stays in place, memory stays flat for metrics-only runs.
   void set_enabled(bool on) noexcept { enabled_ = on; }

@@ -12,6 +12,9 @@ namespace freeflow::workloads {
 namespace {
 constexpr std::size_t k_req_header = 8 + 4;   // req_id + resp_bytes
 constexpr std::size_t k_resp_header = 8;      // req_id
+constexpr std::size_t k_min_backends = 1;
+constexpr double k_shrink_queue_depth = 1.0;
+constexpr SimDuration k_scale_period = 2 * k_millisecond;
 }  // namespace
 
 // ------------------------------------------------------------ GatewayBackend
@@ -22,7 +25,7 @@ Status GatewayBackend::start(std::uint16_t port) {
 }
 
 void GatewayBackend::serve(core::FlowSocketPtr sock) {
-  auto stream = std::make_shared<FlowSocketStream>(std::move(sock));
+  auto stream = std::make_shared<SocketStream>(std::move(sock));
   // The parser is owned by the on_data closure chain (KvServer idiom).
   auto rs = std::make_shared<std::unique_ptr<RecordStream>>();
   *rs = std::make_unique<RecordStream>(stream, [this, stream, rs](ByteSpan record) {
@@ -135,7 +138,6 @@ void Gateway::accept_client(core::FlowSocketPtr sock) {
     return;
   }
   ++slot->flows;
-  ++flows_routed_;
 
   auto session = std::make_shared<Session>();
   session->backend = slot;
@@ -143,7 +145,7 @@ void Gateway::accept_client(core::FlowSocketPtr sock) {
   sessions_.emplace(session.get(), session);
 
   std::weak_ptr<bool> alive = alive_;
-  auto client_stream = std::make_shared<FlowSocketStream>(sock);
+  auto client_stream = std::make_shared<SocketStream>(sock);
   session->client_rs = std::make_unique<RecordStream>(
       client_stream, [this, alive, session](ByteSpan record) {
         if (alive.expired()) return;
@@ -167,7 +169,7 @@ void Gateway::accept_client(core::FlowSocketPtr sock) {
           return;
         }
         session->backend_sock = *dialed;
-        auto backend_stream = std::make_shared<FlowSocketStream>(*dialed);
+        auto backend_stream = std::make_shared<SocketStream>(*dialed);
         session->backend_rs = std::make_unique<RecordStream>(
             backend_stream, [this, alive, session](ByteSpan record) {
               if (alive.expired()) return;
@@ -188,7 +190,6 @@ void Gateway::on_client_record(const SessionPtr& s, ByteSpan record) {
   if (s->closed) return;
   ++s->backend->queue_depth;
   ++s->in_flight;
-  ++requests_routed_;
   if (s->backend_rs != nullptr) {
     (void)s->backend_rs->send_record(record);
   } else {
@@ -203,7 +204,6 @@ void Gateway::on_backend_record(const SessionPtr& s, ByteSpan record) {
     --s->in_flight;
     if (s->backend->queue_depth > 0) --s->backend->queue_depth;
   }
-  ++responses_relayed_;
   (void)s->client_rs->send_record(record);
   update_gauges();
 }
@@ -226,7 +226,7 @@ void Gateway::close_session(const SessionPtr& s) {
 
 void Gateway::arm_scaler() {
   std::weak_ptr<bool> alive = alive_;
-  net_->loop().schedule(cfg_.scale_period, [this, alive]() {
+  net_->loop().schedule(k_scale_period, [this, alive]() {
     if (alive.expired()) return;
     scale_tick();
     arm_scaler();
@@ -243,7 +243,7 @@ void Gateway::scale_tick() {
   }
   const double avg = active == 0 ? 0.0 : static_cast<double>(depth) /
                                              static_cast<double>(active);
-  if ((active < cfg_.min_backends || avg > cfg_.grow_queue_depth) &&
+  if ((active < k_min_backends || avg > cfg_.grow_queue_depth) &&
       active < cfg_.max_backends && spawn_ != nullptr) {
     core::ContainerNetPtr fresh = spawn_();
     if (fresh != nullptr) {
@@ -252,7 +252,7 @@ void Gateway::scale_tick() {
       FF_LOG(info, "gateway") << net_->name() << " scaled up to "
                               << pool_size() << " backends";
     }
-  } else if (avg < cfg_.shrink_queue_depth && active > cfg_.min_backends) {
+  } else if (avg < k_shrink_queue_depth && active > k_min_backends) {
     // Drain the least-loaded backend: no new flows, retire when empty.
     SlotPtr victim;
     for (const auto& slot : backends_) {
@@ -310,7 +310,7 @@ void GatewayClient::start() {
                          return;
                        }
                        sock_ = *dialed;
-                       auto stream = std::make_shared<FlowSocketStream>(sock_);
+                       auto stream = std::make_shared<SocketStream>(sock_);
                        rs_ = std::make_unique<RecordStream>(
                            stream, [this, alive](ByteSpan record) {
                              if (alive.expired()) return;

@@ -60,16 +60,15 @@ class GatewayBackend {
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
+/// The scaler keeps at least one backend, checks every 2 ms, and drains
+/// one backend when mean in-flight requests per active backend drops
+/// below 1.
 struct GatewayConfig {
   std::uint16_t listen_port = 8080;
   std::uint16_t backend_port = 9090;
-  std::size_t min_backends = 1;
   std::size_t max_backends = 8;
   /// Scale up when mean in-flight requests per active backend exceeds this.
   double grow_queue_depth = 8.0;
-  /// Drain one backend when the mean drops below this.
-  double shrink_queue_depth = 1.0;
-  SimDuration scale_period = 2 * k_millisecond;
 };
 
 /// The gateway proper: listener, flow router, relay, and pool scaler.
@@ -96,11 +95,6 @@ class Gateway {
 
   [[nodiscard]] std::size_t pool_size() const noexcept;       ///< non-draining
   [[nodiscard]] std::size_t total_queue_depth() const noexcept;
-  [[nodiscard]] std::uint64_t flows_routed() const noexcept { return flows_routed_; }
-  [[nodiscard]] std::uint64_t requests_routed() const noexcept { return requests_routed_; }
-  [[nodiscard]] std::uint64_t responses_relayed() const noexcept {
-    return responses_relayed_;
-  }
   [[nodiscard]] std::uint64_t scale_ups() const noexcept { return ctr_scale_ups_->value(); }
   [[nodiscard]] std::uint64_t scale_downs() const noexcept {
     return ctr_scale_downs_->value();
@@ -145,9 +139,6 @@ class Gateway {
   RetireFn retire_;
   std::vector<SlotPtr> backends_;
   std::unordered_map<Session*, SessionPtr> sessions_;
-  std::uint64_t flows_routed_ = 0;
-  std::uint64_t requests_routed_ = 0;
-  std::uint64_t responses_relayed_ = 0;
   telemetry::Gauge* g_pool_ = nullptr;
   telemetry::Gauge* g_queue_depth_ = nullptr;
   telemetry::Counter* ctr_scale_ups_ = nullptr;

@@ -25,7 +25,6 @@ class ParamServer {
 
   /// Exposes the model MR id workers target with WRITE/READ.
   [[nodiscard]] std::uint32_t model_mr_id() const noexcept { return model_mr_->rkey(); }
-  [[nodiscard]] rdma::MrPtr model_mr() const noexcept { return model_mr_; }
 
   Status start();
 

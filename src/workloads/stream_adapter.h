@@ -27,9 +27,9 @@ class StreamAdapter {
 
 using StreamPtr = std::shared_ptr<StreamAdapter>;
 
-class FlowSocketStream final : public StreamAdapter {
+class SocketStream final : public StreamAdapter {
  public:
-  explicit FlowSocketStream(core::FlowSocketPtr sock) : sock_(std::move(sock)) {}
+  explicit SocketStream(core::FlowSocketPtr sock) : sock_(std::move(sock)) {}
 
   Status send(Buffer data) override { return sock_->send(std::move(data)); }
   void set_on_data(DataFn cb) override { sock_->set_on_data(std::move(cb)); }

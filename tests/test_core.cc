@@ -111,13 +111,12 @@ TEST(ConduitUnit, CloseFiresOnceAndDropsTraffic) {
 /// with a failing transport).
 class TestPipe final : public agent::Channel {
  public:
-  TestPipe(sim::EventLoop& loop, orch::ContainerId peer_id)
-      : loop_(loop), peer_id_(peer_id) {}
+  explicit TestPipe(sim::EventLoop& loop) : loop_(loop) {}
 
   static std::pair<std::shared_ptr<TestPipe>, std::shared_ptr<TestPipe>> connect(
-      sim::EventLoop& loop, orch::ContainerId a_id, orch::ContainerId b_id) {
-    auto a = std::make_shared<TestPipe>(loop, b_id);
-    auto b = std::make_shared<TestPipe>(loop, a_id);
+      sim::EventLoop& loop) {
+    auto a = std::make_shared<TestPipe>(loop);
+    auto b = std::make_shared<TestPipe>(loop);
     a->peer_pipe_ = b;
     b->peer_pipe_ = a;
     return {a, b};
@@ -139,15 +138,12 @@ class TestPipe final : public agent::Channel {
   [[nodiscard]] orch::Transport transport() const noexcept override {
     return orch::Transport::rdma;  // lossy class: the conduit retains/acks
   }
-  [[nodiscard]] orch::ContainerId peer() const noexcept override { return peer_id_; }
   void close() noexcept override { closed_ = true; }
-  [[nodiscard]] bool closed() const noexcept override { return closed_; }
 
   bool deliver = true;
 
  private:
   sim::EventLoop& loop_;
-  orch::ContainerId peer_id_;
   std::weak_ptr<TestPipe> peer_pipe_;
   DeliverFn on_message_;
   bool closed_ = false;
@@ -162,7 +158,7 @@ TEST(ConduitUnit, DelayedAckDrainsIdleTail) {
   telemetry::Telemetry hub(&loop);
   auto a = std::make_shared<Conduit>(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub, loop);
   auto b = std::make_shared<Conduit>(1, 20, 10, tcp::Ipv4Addr(10, 0, 0, 2), 80, false, hub, loop);
-  auto [pa, pb] = TestPipe::connect(loop, 10, 20);
+  auto [pa, pb] = TestPipe::connect(loop);
   a->attach_channel(pa);
   b->attach_channel(pb);
 
@@ -190,7 +186,7 @@ TEST(ConduitUnit, AckStallAfterFailoverLostAcks) {
   telemetry::Telemetry hub(&loop);
   auto a = std::make_shared<Conduit>(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub, loop);
   auto b = std::make_shared<Conduit>(1, 20, 10, tcp::Ipv4Addr(10, 0, 0, 2), 80, false, hub, loop);
-  auto [pa, pb] = TestPipe::connect(loop, 10, 20);
+  auto [pa, pb] = TestPipe::connect(loop);
   a->attach_channel(pa);
   b->attach_channel(pb);
   pb->deliver = false;  // b -> a direction swallows traffic: acks are lost
@@ -220,7 +216,7 @@ TEST(ConduitUnit, AckStallAfterFailoverLostAcks) {
   // its retained window, which the receiver sees purely as duplicates.
   a->mark_stale();
   b->mark_stale();
-  auto [pa2, pb2] = TestPipe::connect(loop, 10, 20);
+  auto [pa2, pb2] = TestPipe::connect(loop);
   a->attach_channel(pa2);
   b->attach_channel(pb2);
   loop.run();
@@ -242,7 +238,7 @@ struct PipePair {
       std::make_shared<Conduit>(1, 20, 10, tcp::Ipv4Addr(10, 0, 0, 2), 80, false, hub, loop);
 
   PipePair() {
-    auto [pa, pb] = TestPipe::connect(loop, 10, 20);
+    auto [pa, pb] = TestPipe::connect(loop);
     a->attach_channel(pa);
     b->attach_channel(pb);
   }

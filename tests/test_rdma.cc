@@ -267,22 +267,84 @@ TEST_F(RdmaFixture, ReadFetchesRemoteData) {
 }
 
 TEST_F(RdmaFixture, ReadDoesNotBurnRemoteHostCpu) {
-  auto [qa, qb] = qp_pair(*dev_a, *dev_b);
-  auto local = dev_a->reg_mr(1 << 20);
-  auto remote = dev_b->reg_mr(1 << 20);
-  const double remote_cpu_before = cluster.host(1).cpu().busy_ns_total();
+  constexpr std::size_t k_len = 1 << 20;
+  auto local = dev_a->reg_mr(k_len);
+  auto remote = dev_b->reg_mr(k_len);
+  struct Case {
+    const char* name;
+    Key rkey;
+    std::size_t offset;
+    std::size_t length;
+    WcStatus status;
+  };
+  const Case cases[] = {
+      {"whole MR", remote->rkey(), 0, k_len, WcStatus::success},
+      {"zero length", remote->rkey(), 0, 0, WcStatus::success},
+      {"unknown rkey", 0xBEEF, 0, 4096, WcStatus::remote_access_error},
+      {"past the MR's end", remote->rkey(), k_len - 1024, 4096,
+       WcStatus::remote_access_error},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto [qa, qb] = qp_pair(*dev_a, *dev_b);  // an error moves the QP to error
+    const double remote_cpu_before = cluster.host(1).cpu().busy_ns_total();
+    const double remote_nic_before = dev_b->nic_proc().busy_ns_total();
 
-  SendWr wr;
-  wr.opcode = Opcode::read;
-  wr.local = {local, 0, local->length()};
-  wr.remote = {remote->rkey(), 0};
-  ASSERT_TRUE(qa->post_send(wr).is_ok());
-  std::vector<WorkCompletion> wcs;
-  EXPECT_TRUE(run_until([&]() { return drain(*qa->send_cq(), wcs) > 0; }));
-  // The defining RDMA property: the passive side's CPU did nothing.
-  EXPECT_DOUBLE_EQ(cluster.host(1).cpu().busy_ns_total(), remote_cpu_before);
-  // But its NIC processor worked hard.
-  EXPECT_GT(dev_b->nic_proc().busy_ns_total(), 0.0);
+    SendWr wr;
+    wr.opcode = Opcode::read;
+    wr.local = {local, 0, c.length};
+    wr.remote = {c.rkey, c.offset};
+    ASSERT_TRUE(qa->post_send(wr).is_ok());
+    std::vector<WorkCompletion> wcs;
+    EXPECT_TRUE(run_until([&]() { return drain(*qa->send_cq(), wcs) > 0; }));
+    ASSERT_EQ(wcs.size(), 1u);
+    EXPECT_EQ(wcs[0].status, c.status);
+    if (c.status == WcStatus::success) {
+      EXPECT_EQ(wcs[0].byte_len, c.length);
+    }
+    // The defining RDMA property: served or refused, the passive side's CPU
+    // did nothing; its NIC processor did the work.
+    EXPECT_DOUBLE_EQ(cluster.host(1).cpu().busy_ns_total(), remote_cpu_before);
+    EXPECT_GT(dev_b->nic_proc().busy_ns_total(), remote_nic_before);
+  }
+}
+
+TEST_F(RdmaFixture, DroppedMrIsFreedAndStopsResolving) {
+  // The device holds MRs weakly: the app's last reference frees the MR, its
+  // storage goes back to the pool, and remote access to its rkey fails.
+  constexpr std::size_t k_len = MemoryRegion::k_pooled_bytes;
+  auto local = dev_a->reg_mr(4096);
+  auto remote = dev_b->reg_mr(k_len);
+  const Key rkey = remote->rkey();
+  const std::size_t pooled = MemoryRegion::pooled_blocks(k_len);
+  remote.reset();
+  EXPECT_EQ(MemoryRegion::pooled_blocks(k_len), pooled + 1);
+  EXPECT_EQ(dev_b->mr_by_rkey(rkey), nullptr);
+
+  for (const Opcode op : {Opcode::write, Opcode::read}) {
+    auto [qa, qb] = qp_pair(*dev_a, *dev_b);
+    SendWr wr;
+    wr.opcode = op;
+    wr.local = {local, 0, 4096};
+    wr.remote = {rkey, 0};
+    ASSERT_TRUE(qa->post_send(wr).is_ok());
+    std::vector<WorkCompletion> wcs;
+    EXPECT_TRUE(run_until([&]() { return drain(*qa->send_cq(), wcs) > 0; }));
+    ASSERT_EQ(wcs.size(), 1u);
+    EXPECT_EQ(wcs[0].status, WcStatus::remote_access_error);
+  }
+}
+
+TEST(MrTable, DeadEntriesAreSwept) {
+  MrTable table;
+  auto live = std::make_shared<MemoryRegion>(1, 1, 64);
+  table.add(1, live);
+  for (Key key = 2; key < 1000; ++key) {
+    table.add(key, std::make_shared<MemoryRegion>(key, key, 64));
+    EXPECT_LE(table.size(), 16u);
+  }
+  EXPECT_EQ(table.find(1), live);
+  EXPECT_EQ(table.find(999), nullptr);
 }
 
 TEST_F(RdmaFixture, MessagesArriveInPostOrder) {
@@ -423,19 +485,6 @@ TEST_F(RdmaFixture, CqNotifyFiresPerCompletion) {
   cq.push(wc);
   cq.push(wc);
   EXPECT_EQ(notified, 2);
-}
-
-TEST_F(RdmaFixture, AsyncCmConnects) {
-  auto qa = dev_a->create_qp(dev_a->create_cq(), dev_a->create_cq());
-  auto qb = dev_b->create_qp(dev_b->create_cq(), dev_b->create_cq());
-  Status result = internal_error("not called");
-  connect_pair_async(qa, qb, [&](Status s) { result = s; });
-  EXPECT_EQ(qa->state(), QpState::reset);  // not synchronous
-  cluster.loop().run();
-  EXPECT_TRUE(result.is_ok());
-  EXPECT_EQ(qa->state(), QpState::ready);
-  EXPECT_EQ(qb->state(), QpState::ready);
-  EXPECT_EQ(qa->remote_qp(), qb->num());
 }
 
 TEST_F(RdmaFixture, ZeroLengthSend) {

@@ -354,8 +354,8 @@ TEST(RcStreamChannel, UnsequencedAckOvertakesDataQueuedAtZeroCredits) {
   Env env(2);
   rdma::RdmaDevice dev_a(env.cluster.host(0));
   rdma::RdmaDevice dev_b(env.cluster.host(1));
-  auto tx = RcStreamChannel::make(dev_a, nullptr, 2);
-  auto rx = RcStreamChannel::make(dev_b, nullptr, 1);
+  auto tx = RcStreamChannel::make(dev_a, nullptr);
+  auto rx = RcStreamChannel::make(dev_b, nullptr);
   ASSERT_TRUE(tx->connect(1, rx->qp_num()).is_ok());
   ASSERT_TRUE(rx->connect(0, tx->qp_num()).is_ok());
   std::vector<WireHeader> got;
@@ -410,7 +410,7 @@ TEST(StreamAdapter, AnswerEchoingSupersededOfferIsIgnored) {
   std::vector<WireHeader> on_qp;    // what arrived on our answered QP
   std::vector<TcpFallbackChannelPtr> conns;
   ASSERT_TRUE(ff.fallback_net().listen({b->ip(), 9500}, [&](tcp::TcpConnection::Ptr c) {
-    auto ch = TcpFallbackChannel::make(a->id(), std::move(c));
+    auto ch = TcpFallbackChannel::make(std::move(c));
     ch->set_on_message([&](Buffer&& m) { got.push_back(WireHeader::decode(m.data())); });
     conns.push_back(ch);
   }).is_ok());
@@ -449,7 +449,7 @@ TEST(StreamAdapter, AnswerEchoingSupersededOfferIsIgnored) {
 
   auto& dev_b = ff.agents().agent_on(1).rdma_device();
   auto answer_with = [&](std::uint64_t offer_qp) {
-    auto qp = RcStreamChannel::make(dev_b, nullptr, a->id());
+    auto qp = RcStreamChannel::make(dev_b, nullptr);
     EXPECT_TRUE(qp->connect(0, static_cast<rdma::QpNum>(offer_qp)).is_ok());
     qp->set_on_message([&](Buffer&& m) { on_qp.push_back(WireHeader::decode(m.data())); });
     WireHeader answer;
@@ -514,7 +514,7 @@ TcpFallbackChannelPtr dial_fallback(Env& env, Pair& p, std::uint16_t port) {
     env.freeflow().fallback_net().connect(
         {p.a->ip(), 0}, {p.b->ip(), port}, [&](Result<tcp::TcpConnection::Ptr> r) {
           answered = true;
-          if (r.is_ok()) ch = TcpFallbackChannel::make(p.b->id(), std::move(r.value()));
+          if (r.is_ok()) ch = TcpFallbackChannel::make(std::move(r.value()));
         });
     EXPECT_TRUE(env.wait([&]() { return answered; }));
     if (ch == nullptr) env.loop().run_until(env.loop().now() + k_millisecond);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "sim_env.h"
+#include "workloads/gateway.h"
 #include "workloads/kv_store.h"
 #include "workloads/param_server.h"
 #include "workloads/drivers.h"
@@ -22,8 +23,8 @@ struct WorkloadFixture : ::testing::Test {
       client = *s;
     });
     EXPECT_TRUE(env.wait([&]() { return client != nullptr && server != nullptr; }));
-    return {std::make_shared<FlowSocketStream>(client),
-            std::make_shared<FlowSocketStream>(server)};
+    return {std::make_shared<SocketStream>(client),
+            std::make_shared<SocketStream>(server)};
   }
 };
 
@@ -57,13 +58,13 @@ TEST_F(WorkloadFixture, KvPutGetRoundTrip) {
 
   KvServer kv;
   ASSERT_TRUE(ns->sock_listen(7000, [&](core::FlowSocketPtr s) {
-    kv.serve(std::make_shared<FlowSocketStream>(s));
+    kv.serve(std::make_shared<SocketStream>(s));
   }).is_ok());
 
   std::shared_ptr<KvClient> client;
   nc->sock_connect(server_c->ip(), 7000, [&](Result<core::FlowSocketPtr> s) {
     ASSERT_TRUE(s.is_ok());
-    client = std::make_shared<KvClient>(std::make_shared<FlowSocketStream>(*s));
+    client = std::make_shared<KvClient>(std::make_shared<SocketStream>(*s));
     client->set_clock([&env]() { return env.loop().now(); });
   });
   ASSERT_TRUE(env.wait([&]() { return client != nullptr; }));
@@ -108,12 +109,12 @@ TEST_F(WorkloadFixture, KvPipelinedRequestsAllComplete) {
 
   KvServer kv;
   ASSERT_TRUE(ns->sock_listen(7000, [&](core::FlowSocketPtr s) {
-    kv.serve(std::make_shared<FlowSocketStream>(s));
+    kv.serve(std::make_shared<SocketStream>(s));
   }).is_ok());
   std::shared_ptr<KvClient> client;
   nc->sock_connect(server_c->ip(), 7000, [&](Result<core::FlowSocketPtr> s) {
     ASSERT_TRUE(s.is_ok());
-    client = std::make_shared<KvClient>(std::make_shared<FlowSocketStream>(*s));
+    client = std::make_shared<KvClient>(std::make_shared<SocketStream>(*s));
   });
   ASSERT_TRUE(env.wait([&]() { return client != nullptr; }));
 
@@ -134,13 +135,61 @@ TEST_F(WorkloadFixture, KvPipelinedRequestsAllComplete) {
   EXPECT_TRUE(env.wait([&]() { return verified == n; }, 60 * k_second));
 }
 
+/// Runs `shuffle` to completion and checks every byte arrived.
+void expect_shuffle_delivers(Env& env, Shuffle& shuffle) {
+  SimDuration elapsed = 0;
+  shuffle.run([&]() { return env.loop().now(); }, [&](Result<SimDuration> e) {
+    ASSERT_TRUE(e.is_ok()) << e.status();
+    elapsed = *e;
+  });
+  EXPECT_TRUE(env.wait([&]() { return elapsed != 0; }, 120 * k_second));
+  EXPECT_EQ(shuffle.bytes_received_total(), shuffle.bytes_expected_total());
+  EXPECT_GT(elapsed, 0);
+}
+
+// Two inputs: FreeFlow sockets (SocketStream) and the overlay baseline's
+// kernel TCP (TcpStream), mappers on hosts 0-1 and reducers on hosts 2-3.
 TEST_F(WorkloadFixture, ShuffleDeliversAllBytes) {
-  Env env(4);
   Shuffle::Config cfg;
   cfg.mappers = 2;
   cfg.reducers = 2;
   cfg.bytes_per_flow = 2 * 1024 * 1024;
 
+  {
+    SCOPED_TRACE("TcpStream");
+    Env env(4);
+    std::vector<tcp::Ipv4Addr> mappers, reducers;
+    for (int i = 0; i < cfg.mappers; ++i) {
+      mappers.push_back(*env.overlay_net.add_container(static_cast<fabric::HostId>(i), nullptr));
+    }
+    for (int i = 0; i < cfg.reducers; ++i) {
+      reducers.push_back(
+          *env.overlay_net.add_container(static_cast<fabric::HostId>(2 + i), nullptr));
+    }
+    env.loop().run();  // the overlay converges
+    tcp::TcpNetwork net(env.loop(), env.cluster.cost_model(), env.overlay_net.path_builder());
+    Shuffle shuffle(cfg, [&](int m, int r, std::function<void(Result<StreamPtr>)> cb) {
+      net.connect({mappers[static_cast<std::size_t>(m)], 0},
+                  {reducers[static_cast<std::size_t>(r)], 8000},
+                  [cb = std::move(cb)](Result<tcp::TcpConnection::Ptr> c) {
+                    if (!c.is_ok()) {
+                      cb(c.status());
+                      return;
+                    }
+                    cb(StreamPtr(std::make_shared<TcpStream>(*c)));
+                  });
+    });
+    auto sink = shuffle.reducer_sink();
+    for (auto ip : reducers) {
+      ASSERT_TRUE(net.listen({ip, 8000}, [sink](tcp::TcpConnection::Ptr c) {
+        sink(std::make_shared<TcpStream>(c));
+      }).is_ok());
+    }
+    expect_shuffle_delivers(env, shuffle);
+  }
+
+  SCOPED_TRACE("SocketStream");
+  Env env(4);
   std::vector<orch::ContainerPtr> mappers, reducers;
   std::vector<core::ContainerNetPtr> mnets, rnets;
   for (int i = 0; i < cfg.mappers; ++i) {
@@ -162,24 +211,65 @@ TEST_F(WorkloadFixture, ShuffleDeliversAllBytes) {
             cb(s.status());
             return;
           }
-          cb(StreamPtr(std::make_shared<FlowSocketStream>(*s)));
+          cb(StreamPtr(std::make_shared<SocketStream>(*s)));
         });
   });
   auto sink = shuffle.reducer_sink();
   for (auto& rn : rnets) {
     ASSERT_TRUE(rn->sock_listen(8000, [sink](core::FlowSocketPtr s) {
-      sink(std::make_shared<FlowSocketStream>(s));
+      sink(std::make_shared<SocketStream>(s));
     }).is_ok());
   }
+  expect_shuffle_delivers(env, shuffle);
+}
 
-  SimDuration elapsed = 0;
-  shuffle.run([&]() { return env.loop().now(); }, [&](Result<SimDuration> e) {
-    ASSERT_TRUE(e.is_ok()) << e.status();
-    elapsed = *e;
-  });
-  EXPECT_TRUE(env.wait([&]() { return elapsed != 0; }, 120 * k_second));
-  EXPECT_EQ(shuffle.bytes_received_total(), shuffle.bytes_expected_total());
-  EXPECT_GT(elapsed, 0);
+// Two clients, one per response size, reach two backends: one co-located
+// with the gateway, one remote behind a serial worker. Each flow is routed to
+// its own backend, every response matches its request's id and size, and a
+// client's close closes its session on both legs.
+TEST_F(WorkloadFixture, GatewayRoutesAndRelaysAcrossBackends) {
+  Env env(2);
+  auto attach = [&](const std::string& name, fabric::HostId host) {
+    return env.freeflow().attach(env.deploy(name, 1, host)->id()).value();
+  };
+  const GatewayConfig cfg;
+  auto gw_net = attach("gw", 0);
+  std::vector<std::unique_ptr<GatewayBackend>> backends;
+  backends.push_back(std::make_unique<GatewayBackend>(attach("be0", 0)));
+  backends.push_back(std::make_unique<GatewayBackend>(attach("be1", 1), 10 * k_microsecond));
+  Gateway gateway(gw_net, cfg);
+  for (auto& backend : backends) {
+    ASSERT_TRUE(backend->start(cfg.backend_port).is_ok());
+    gateway.add_backend(backend->net());
+  }
+  ASSERT_TRUE(gateway.start().is_ok());
+  EXPECT_EQ(gateway.pool_size(), 2u);
+
+  auto client_net = attach("client", 1);
+  const std::size_t resp_bytes[] = {100, 64 * 1024};
+  std::vector<std::unique_ptr<GatewayClient>> clients;
+  for (const std::size_t resp : resp_bytes) {
+    clients.push_back(std::make_unique<GatewayClient>(client_net, gw_net->ip(),
+                                                      cfg.listen_port, 64, resp, 2));
+    clients.back()->start();
+  }
+  ASSERT_TRUE(env.wait([&]() { return clients[0]->completed() >= 8 && clients[1]->completed() >= 8; }));
+  for (auto& client : clients) client->stop();
+  env.loop().run_for(5 * k_millisecond);  // in-flight requests complete
+
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    EXPECT_FALSE(clients[i]->failed());
+    // A response counts only when its id matches an outstanding request.
+    EXPECT_EQ(clients[i]->response_bytes(), clients[i]->completed() * (8 + resp_bytes[i]));
+  }
+  EXPECT_GT(backends[0]->served(), 0u);
+  EXPECT_GT(backends[1]->served(), 0u);
+  EXPECT_EQ(backends[0]->served() + backends[1]->served(),
+            clients[0]->completed() + clients[1]->completed());
+  EXPECT_EQ(gateway.total_queue_depth(), 0u);
+
+  clients.clear();  // each client closes its flow
+  EXPECT_TRUE(env.wait([&]() { return gw_net->conduit_count() == 0; }));
 }
 
 TEST_F(WorkloadFixture, KvEdgeCases) {
@@ -190,12 +280,12 @@ TEST_F(WorkloadFixture, KvEdgeCases) {
   auto nc = env.freeflow().attach(client_c->id()).value();
   KvServer kv;
   ASSERT_TRUE(ns->sock_listen(7000, [&](core::FlowSocketPtr s) {
-    kv.serve(std::make_shared<FlowSocketStream>(s));
+    kv.serve(std::make_shared<SocketStream>(s));
   }).is_ok());
   std::shared_ptr<KvClient> client;
   nc->sock_connect(server_c->ip(), 7000, [&](Result<core::FlowSocketPtr> s) {
     ASSERT_TRUE(s.is_ok());
-    client = std::make_shared<KvClient>(std::make_shared<FlowSocketStream>(*s));
+    client = std::make_shared<KvClient>(std::make_shared<SocketStream>(*s));
   });
   ASSERT_TRUE(env.wait([&]() { return client != nullptr; }));
 
