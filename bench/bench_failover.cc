@@ -74,12 +74,6 @@ EdgeResult run_edge(const char* label, fabric::NicCapabilities caps,
   };
   client->set_on_space([pump]() { (*pump)(); });
   (*pump)();
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&cluster, pump, tick]() {
-    (*pump)();
-    cluster.loop().schedule(50 * k_microsecond, [tick]() { (*tick)(); });
-  };
-  (*tick)();
 
   // Baseline on the primary transport.
   const SimTime t0 = cluster.loop().now();

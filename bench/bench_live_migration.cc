@@ -140,9 +140,9 @@ int main(int argc, char** argv) {
     return cluster.telemetry().metrics().counter_value("stream/upgrades");
   };
 
-  // Writable-paced pumps plus the periodic re-pump that rides out the
-  // pause/resume windows (on_space is silent across a splice). `pumping`
-  // shuts the firehose off for the final drain-and-account phase.
+  // Writable-paced pumps: on_space fires on every return to writable, the
+  // resume after each move included. `pumping` shuts the firehose off for
+  // the final drain-and-account phase.
   auto pumping = std::make_shared<bool>(true);
   auto pump = std::make_shared<std::function<void()>>();
   *pump = [&, pumping]() {
@@ -161,13 +161,6 @@ int main(int argc, char** argv) {
   sock_client->set_on_space([pump]() { (*pump)(); });
   tsor_client->set_on_space([pump]() { (*pump)(); });
   (*pump)();
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&cluster, pump, pumping, tick]() {
-    if (!*pumping) return;
-    (*pump)();
-    cluster.loop().schedule(50 * k_microsecond, [tick]() { (*tick)(); });
-  };
-  (*tick)();
 
   // Warm up: both streams flowing, the TSoR stream upgraded onto its RC QP.
   FF_CHECK(spin(cluster, [&]() {

@@ -199,12 +199,6 @@ FailoverResult run_failover(const std::string& trace_path) {
   };
   r.client->set_on_space([pump]() { (*pump)(); });
   (*pump)();
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&cluster, pump, tick]() {
-    (*pump)();
-    cluster.loop().schedule(50 * k_microsecond, [tick]() { (*tick)(); });
-  };
-  (*tick)();
 
   // Kill the RDMA engine under the remote end a third of the way in, heal
   // it once the fallback carries the stream, and let the re-upgraded QP

@@ -16,7 +16,7 @@
 #   3 build-asan     ASan+UBSan config, warnings-as-errors
 #   4 test-asan      ctest under ASan+UBSan with LeakSanitizer ENABLED
 #   5 chaos-smoke    failover + migration matrices under LSan, migration bench + trace
-#   6 examples-smoke quickstart + mapreduce_shuffle run end-to-end (timed)
+#   6 examples-smoke all six examples run end-to-end (timed)
 #   7 bench-smoke    every sim-clock bench --json + digests of those and 3 traces, perfbench checks and digests
 #   8 trace-validate failover + socket-stream traces vs expected timelines
 #   9 perf-gate      ci/perf_gate.py vs the committed baselines
@@ -142,12 +142,17 @@ stage_chaos_smoke() {
 }
 
 stage_examples_smoke() {
-  # The examples exercise the full user-facing path, including the
-  # bidirectional trunk-setup schedule that mapreduce_shuffle's 3x3 flow
-  # matrix produces; a hang or an abort here is a regression even if every
-  # unit test passes. The stage timer doubles as a coarse wall-clock guard.
-  ./build/examples/quickstart >/dev/null
-  ./build/examples/mapreduce_shuffle >/dev/null
+  # All six examples exercise the full user-facing path: the shm, RDMA and
+  # TCP data planes, the bidirectional trunk-setup schedule that
+  # mapreduce_shuffle's 3x3 flow matrix produces, and a planned live
+  # migration under verified traffic. A hang or an abort here is a
+  # regression even if every unit test passes. The stage timer doubles as a
+  # coarse wall-clock guard.
+  local example
+  for example in quickstart keyvalue_store live_migration mpi_allreduce \
+      parameter_server mapreduce_shuffle; do
+    ./build/examples/"$example" >/dev/null
+  done
 }
 
 stage_bench_smoke() {

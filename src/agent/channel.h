@@ -4,7 +4,8 @@
 //
 // send() never rejects for backpressure: endpoints queue internally and
 // drain as lane space frees. `writable()` is the advisory signal sources
-// should pace on (closed-loop workloads never build a queue).
+// should pace on (closed-loop workloads never build a queue), and the space
+// callback fires on every transition back to writable, so nothing polls.
 //
 // A message goes in either as views (`send(head, body)`, gathered once
 // into the lane's owned message) or by move (`send(Buffer&&)`): the shm
@@ -52,8 +53,14 @@ class Channel {
   [[nodiscard]] virtual bool writable() const noexcept = 0;
 
   virtual void set_on_message(DeliverFn cb) = 0;
-  /// Invoked when the channel transitions back to writable.
+  /// Invoked on every transition back to writable; an shm endpoint calls it
+  /// after every delivery, which is also when drained() turns true.
   virtual void set_on_space(std::function<void()> cb) = 0;
+
+  /// False while an shm endpoint's lane or overflow still holds messages
+  /// this end sent: nothing retains them, so a close now drops them. Lossy
+  /// channels vouch through the conduit's acks and always say true.
+  [[nodiscard]] virtual bool drained() const noexcept { return true; }
 
   [[nodiscard]] virtual orch::Transport transport() const noexcept = 0;
 
@@ -92,6 +99,7 @@ class LaneSender {
   void send(ByteSpan head, ByteSpan body = {});
   void send(Buffer&& message);
   [[nodiscard]] bool writable() const noexcept;
+  [[nodiscard]] bool drained() const noexcept { return overflow_.empty() && lane_->empty(); }
   void set_on_space(std::function<void()> cb) { user_on_space_ = std::move(cb); }
   /// Re-fires the user's space callback (trunk-drained notifications).
   void poke() {
@@ -121,6 +129,7 @@ class ShmChannelEndpoint final : public Channel {
   Status send(ByteSpan head, ByteSpan body = {}) override;
   Status send(Buffer&& message) override;
   [[nodiscard]] bool writable() const noexcept override { return tx_.writable(); }
+  [[nodiscard]] bool drained() const noexcept override { return tx_.drained(); }
   void set_on_message(DeliverFn cb) override;
   void set_on_space(std::function<void()> cb) override { tx_.set_on_space(std::move(cb)); }
   [[nodiscard]] orch::Transport transport() const noexcept override {

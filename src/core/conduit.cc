@@ -126,7 +126,9 @@ void Conduit::attach_channel(agent::ChannelPtr channel) {
   });
   channel_->set_on_space([self]() {
     auto conduit = self.lock();
-    if (conduit && !conduit->splicing_ && !conduit->paused_ && conduit->on_space_) {
+    if (conduit == nullptr) return;
+    conduit->check_quiesced();
+    if (!conduit->splicing_ && !conduit->paused_ && conduit->on_space_) {
       conduit->on_space_();
     }
   });
@@ -162,6 +164,8 @@ void Conduit::attach_channel(agent::ChannelPtr channel) {
   }
   splicing_ = false;
   if (writable() && on_space_) on_space_();
+  // Copy: the observer may finish a move and clear this hook.
+  if (auto cb = on_attached_) cb();
 }
 
 void Conduit::handle_message(Buffer&& message) {
@@ -259,11 +263,9 @@ void Conduit::handle_ack(std::uint64_t acked_upto) {
     retained_.pop_front();
   }
   gauge_retained_->set(static_cast<std::int64_t>(retained_.size()));
-  if (quiesce_done_ && retained_.empty()) {
-    // The quiesce drain just completed: every sequence this side ever put on
-    // a lossy wire is acknowledged, so the capture carries no replay tail.
-    finish_quiesce(/*drained=*/true);
-  }
+  // Every sequence this side put on a lossy wire may now be acknowledged,
+  // so the capture carries no replay tail.
+  check_quiesced();
   if (was_full && retained_.size() < k_max_retained) {
     if (window_full_since_ != 0) {
       ctr_blocked_ns_->inc(static_cast<std::uint64_t>(loop_.now() - window_full_since_));
@@ -369,8 +371,8 @@ void Conduit::finish_close(CloseReason reason, bool notify_peer) {
   close_reason_ = reason;
   drain_timer_.cancel();
   ack_timer_.cancel();
-  quiesce_timer_.cancel();
-  quiesce_done_ = nullptr;
+  // A close mid-quiesce leaves nothing of this end to move.
+  finish_quiesce(/*drained=*/true);
   if (in_blackout_) {
     // Close during a failover gap: end the span so B/E stay balanced.
     in_blackout_ = false;
@@ -393,6 +395,7 @@ void Conduit::finish_close(CloseReason reason, bool notify_peer) {
   on_space_ = nullptr;
   on_transport_failed_ = nullptr;
   on_handshake_ = nullptr;
+  on_attached_ = nullptr;
   auto closed_cb = std::move(on_closed_);
   on_closed_ = nullptr;
   if (closed_cb) closed_cb(reason);
@@ -454,18 +457,23 @@ void Conduit::unpause() {
 void Conduit::quiesce(SimDuration deadline, std::function<void(bool)> done) {
   pause();
   FF_CHECK(!quiesce_done_);  // one quiesce at a time per conduit
-  if (retained_.empty()) {
-    // Nothing unacked on a lossy wire (or the channel is lossless shm):
-    // the pause alone is a clean message boundary.
+  if (!in_flight()) {
+    // Nothing unacked on a lossy wire and nothing left in an shm lane: the
+    // pause alone is a clean message boundary.
     done(true);
     return;
   }
   quiesce_done_ = std::move(done);
+  if (retained_.empty()) return;  // an shm lane: its deliveries complete it
   auto self = weak_from_this();
   quiesce_timer_ = loop_.schedule_cancellable(deadline, [self]() {
     auto conduit = self.lock();
     if (conduit != nullptr) conduit->finish_quiesce(/*drained=*/false);
   });
+}
+
+void Conduit::check_quiesced() {
+  if (quiesce_done_ && !in_flight()) finish_quiesce(/*drained=*/true);
 }
 
 void Conduit::finish_quiesce(bool drained) {

@@ -78,6 +78,9 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   /// Attaches (or replaces) the backing channel, retransmits the unacked
   /// window and drains the queue.
   void attach_channel(agent::ChannelPtr channel);
+  /// Fires last in every attach_channel, once the replay and the drain are
+  /// done: the migration coordinator finishes a move on its last attach.
+  void set_on_attached(std::function<void()> cb) { on_attached_ = std::move(cb); }
 
   /// Migration / failover: detach; sends queue until a new channel attaches.
   void mark_stale();
@@ -94,11 +97,13 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   void unpause();
   [[nodiscard]] bool paused() const noexcept { return paused_; }
 
-  /// Quiesce for capture: pause(), then wait (sim clock) until the retained
-  /// window is fully acked or `deadline` expires. `done(drained)` fires
-  /// exactly once. A false result is not fatal — the undrained tail moves
-  /// with the conduit, replays at the destination and peers dedup, the
-  /// same lossless path as reactive failover.
+  /// Quiesce for capture: pause(), then wait until nothing this end sent is
+  /// in flight — a lossy channel's retained window acked, an shm lane empty
+  /// (re-checked on each delivery's space notification; a paused sender
+  /// adds nothing, so it always empties). `done(drained)` fires exactly
+  /// once. `deadline` bounds only the wait for acks; its expiry is not
+  /// fatal — the unacked tail moves with the conduit, replays at the
+  /// destination and peers dedup, the same lossless path as failover.
   void quiesce(SimDuration deadline, std::function<void(bool)> done);
 
   /// Takes a paused conduit off the wire for its container's move: cancels
@@ -232,6 +237,10 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   void send_control(VMsg type, std::uint64_t id = 0);
   void finish_close(CloseReason reason, bool notify_peer);
   void finish_quiesce(bool drained);
+  void check_quiesced();  ///< completes a pending quiesce once !in_flight()
+  [[nodiscard]] bool in_flight() const noexcept {
+    return !retained_.empty() || (channel_ != nullptr && !channel_->drained());
+  }
   [[nodiscard]] bool should_retain() const noexcept {
     return channel_ != nullptr && channel_->transport() != orch::Transport::shm;
   }
@@ -255,6 +264,7 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   std::function<void()> on_teardown_;
   std::function<void()> on_transport_failed_;
   std::function<void(const WireHeader&)> on_handshake_;
+  std::function<void()> on_attached_;
 
   sim::EventLoop& loop_;
   SimDuration drain_timeout_ns_ = 5'000'000;  // 5 ms default

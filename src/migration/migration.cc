@@ -8,20 +8,10 @@ namespace freeflow::migration {
 
 namespace {
 
-/// Grace between "every quiesce completed" and capture: lets in-flight
-/// deliveries on lossless channels (shm rings have no retained window to
-/// vouch for them) land before the channels close.
-constexpr SimDuration k_capture_settle_ns = 10 * k_microsecond;
-/// Resume-completion poll cadence and cap (cap = 100 ms of sim time; a
-/// conduit that cannot re-attach by then finishes with its sends queued and
-/// the ordinary health/refit machinery keeps retrying).
-constexpr SimDuration k_resume_poll_ns = 20 * k_microsecond;
-constexpr int k_max_resume_polls = 5000;
-/// A rebind dial can exhaust its own retry budget while overlay routes are
-/// still converging on the new host — and "retry on next health event" never
-/// fires after a clean planned move. The poll re-drives the rebind for any
-/// still-detached conduit at this cadence.
-constexpr int k_resume_rekick_polls = 250;
+/// Bound on the resume: a conduit that cannot re-attach by then finishes
+/// the move detached (counted in MigrationReport::detached), its sends
+/// queued, and the ordinary health/refit machinery keeps retrying.
+constexpr SimDuration k_resume_bound_ns = 100 * k_millisecond;
 
 /// Proactive trigger: migrate containers off hosts whose NIC rate_fraction
 /// falls below this (link still up — a dead link is failover's business).
@@ -70,7 +60,7 @@ MigrationCoordinator::MigrationCoordinator(core::FreeFlow& ff) : ff_(ff) {
 
 MigrationCoordinator::~MigrationCoordinator() {
   *alive_ = false;
-  for (auto& [id, mv] : moves_) mv.resume_timer.cancel();
+  for (auto& [id, mv] : moves_) mv.resume_bound.cancel();
 }
 
 telemetry::Telemetry& MigrationCoordinator::telemetry() {
@@ -156,30 +146,32 @@ void MigrationCoordinator::migrate(orch::ContainerId id, fabric::HostId dst,
   Move& move = it->second;
 
   // Both ends of every connection quiesce: each pauses at a message
-  // boundary, and each waits until the other has acknowledged its retained
-  // window — so nothing is in flight toward, or from, the capture. Receive
-  // and ack paths stay live, which is what lets both windows drain. The
-  // remote ends go first: nothing new flows toward the capture.
-  std::vector<core::Conduit*> ends;
+  // boundary, and each waits until nothing it sent is in flight (its
+  // retained window acked, its shm lane empty) — so nothing is in flight
+  // toward, or from, the capture. Receive and ack paths stay live, which is
+  // what lets both sides drain. The remote ends go first: nothing new flows
+  // toward the capture.
   for (auto& ep : move.endpoints) {
-    if (ep.peer != nullptr) ends.push_back(ep.peer.get());
+    if (ep.peer != nullptr) move.ends.push_back(ep.peer);
   }
-  for (auto& ep : move.endpoints) ends.push_back(ep.local.get());
+  for (auto& ep : move.endpoints) move.ends.push_back(ep.local);
 
   const SimDuration deadline = model().migration_quiesce_deadline_ns;
   // Countdown latch over every quiesce; starts at n+1 so synchronous
   // completions (already-drained conduits) cannot fire capture before the
-  // loop finishes arming.
-  auto pending = std::make_shared<std::size_t>(ends.size() + 1);
+  // loop finishes arming. Capture runs at the instant the latch completes,
+  // from the loop: the last completion fires inside a lane's delivery, and
+  // capture closes that very channel.
+  auto pending = std::make_shared<std::size_t>(move.ends.size() + 1);
   std::weak_ptr<bool> alive = alive_;
   auto arm_capture = [this, alive, id, pending]() {
     if (--*pending != 0) return;
-    loop().schedule(k_capture_settle_ns, [this, alive, id]() {
+    loop().schedule(0, [this, alive, id]() {
       if (alive.expired()) return;
       start_capture(id);
     });
   };
-  for (core::Conduit* end : ends) {
+  for (const auto& end : move.ends) {
     end->quiesce(deadline, [this, alive, id, arm_capture](bool drained) {
       if (alive.expired()) return;
       auto mit = moves_.find(id);
@@ -206,6 +198,7 @@ void MigrationCoordinator::start_capture(orch::ContainerId id) {
 
   mv.image_bytes = k_image_header_bytes;
   for (auto& ep : mv.endpoints) {
+    if (ep.local->closed()) continue;  // closed mid-quiesce: nothing moves
     // The local endpoint detaches (blackout span opens); its connection
     // state stays in the conduit and moves with the container.
     mv.image_bytes += k_record_length_bytes + ep.local->detach_for_migration();
@@ -248,66 +241,38 @@ void MigrationCoordinator::resume(orch::ContainerId id) {
   if (mv.net != nullptr) mv.net->register_with_agent();
   // Unpause both ends before rebinding: the attach below replays the
   // retained window and then drains whatever queued during the move.
-  for (auto& ep : mv.endpoints) {
-    ep.local->unpause();
-    if (ep.peer != nullptr) ep.peer->unpause();
-  }
+  for (const auto& end : mv.ends) end->unpause();
+  // The ordinary generation-guarded rebind, driven from the initiator side
+  // (rebind-first framing expects the dialing end).
   for (auto& ep : mv.endpoints) {
     if (ep.local->closed() || ep.local->closing()) continue;
-    rebind(mv, ep);
-  }
-  poll_resumed(id);
-}
-
-void MigrationCoordinator::rebind(Move& mv, Endpoint& ep) {
-  // The ordinary generation-guarded path, driven from the initiator side
-  // (rebind-first framing expects the dialing end).
-  if (!ep.local->initiator() && ep.peer != nullptr && ep.peer_net != nullptr) {
-    ep.peer_net->resume_migrated_conduit(ep.peer);
-  } else {
-    mv.net->resume_migrated_conduit(ep.local);
-  }
-}
-
-void MigrationCoordinator::poll_resumed(orch::ContainerId id) {
-  auto it = moves_.find(id);
-  if (it == moves_.end()) return;
-  Move& mv = it->second;
-  bool all_live = true;
-  for (auto& ep : mv.endpoints) {
-    const bool local_ok =
-        ep.local->live() || ep.local->closed() || ep.local->closing();
-    const bool peer_ok = ep.peer == nullptr || ep.peer->live() ||
-                         ep.peer->closed() || ep.peer->closing();
-    if (!local_ok || !peer_ok) {
-      all_live = false;
-      break;
+    if (!ep.local->initiator() && ep.peer != nullptr && ep.peer_net != nullptr) {
+      ep.peer_net->resume_migrated_conduit(ep.peer);
+    } else {
+      mv.net->resume_migrated_conduit(ep.local);
     }
   }
-  if (all_live) {
-    finish(id);
-    return;
-  }
-  if (++mv.resume_polls > k_max_resume_polls) {
-    FF_LOG(warn, "migration")
-        << "container " << id << " resumed with conduits still detached; "
-        << "the health/refit machinery keeps retrying";
-    finish(id);
-    return;
-  }
-  if (mv.resume_polls % k_resume_rekick_polls == 0) {
-    for (auto& ep : mv.endpoints) {
-      if (ep.local->closed() || ep.local->closing()) continue;
-      const bool detached = !ep.local->live() ||
-                            (ep.peer != nullptr && !ep.peer->live());
-      if (detached) rebind(mv, ep);
-    }
-  }
+  // The move finishes on the attach that leaves no end detached, or at the
+  // bound.
   std::weak_ptr<bool> alive = alive_;
-  mv.resume_timer = loop().schedule_cancellable(k_resume_poll_ns, [this, alive, id]() {
+  auto on_attached = [this, alive, id]() {
     if (alive.expired()) return;
-    poll_resumed(id);
+    auto mit = moves_.find(id);
+    if (mit != moves_.end() && detached(mit->second) == 0) finish(id);
+  };
+  for (const auto& end : mv.ends) end->set_on_attached(on_attached);
+  mv.resume_bound = loop().schedule_cancellable(k_resume_bound_ns, [this, alive, id]() {
+    if (alive.expired()) return;
+    finish(id);
   });
+  on_attached();
+}
+
+std::size_t MigrationCoordinator::detached(const Move& mv) {
+  return static_cast<std::size_t>(
+      std::count_if(mv.ends.begin(), mv.ends.end(), [](const core::ConduitPtr& c) {
+        return !c->live() && !c->closed() && !c->closing();
+      }));
 }
 
 void MigrationCoordinator::finish(orch::ContainerId id) {
@@ -315,12 +280,13 @@ void MigrationCoordinator::finish(orch::ContainerId id) {
   FF_CHECK(it != moves_.end());
   Move mv = std::move(it->second);
   moves_.erase(it);
+  mv.resume_bound.cancel();
 
   const SimDuration blackout = loop().now() - mv.paused_at;
   hist_blackout_->record(blackout);
-  for (auto& ep : mv.endpoints) {
-    ep.local->note_migration_complete(blackout, mv.reason);
-    if (ep.peer != nullptr) ep.peer->note_migration_complete(blackout, mv.reason);
+  for (const auto& end : mv.ends) {
+    end->set_on_attached(nullptr);
+    end->note_migration_complete(blackout, mv.reason);
   }
   switch (mv.reason) {
     case core::MigrationReason::degraded_nic: ctr_degrade_->inc(); break;
@@ -338,12 +304,17 @@ void MigrationCoordinator::finish(orch::ContainerId id) {
   report.conduits_moved = mv.endpoints.size();
   report.image_bytes = mv.image_bytes;
   report.drained = mv.drained;
+  report.detached = detached(mv);
   report.blackout_ns = blackout;
   report.reason = mv.reason;
   FF_LOG(info, "migration") << "container " << id << " moved " << mv.src
                             << " -> " << mv.dst << ": " << report.conduits_moved
                             << " connections, blackout " << blackout << " ns"
                             << (mv.drained ? "" : " (quiesce deadline hit)");
+  if (report.detached != 0) {
+    FF_LOG(warn, "migration") << report.detached << " conduits still detached; "
+                              << "the health/refit machinery keeps retrying";
+  }
   if (mv.done) mv.done(report);
 }
 

@@ -6,11 +6,12 @@
 //
 //   1. quiesce  — every conduit touching the container pauses at a message
 //                 boundary on BOTH ends (sends queue, credits stop, receive
-//                 and ack paths stay live) and both ends drain their
-//                 retained windows under a sim-clock deadline. Deadline
-//                 expiry is not fatal: the undrained tail simply moves with
-//                 the conduit and replays at the destination (peers dedup),
-//                 the same lossless path reactive failover takes.
+//                 and ack paths stay live) and both ends wait until nothing
+//                 they sent is in flight: retained windows acked under a
+//                 sim-clock deadline, shm lanes emptied. Deadline expiry is
+//                 not fatal: the unacked tail simply moves with the conduit
+//                 and replays at the destination (peers dedup), the same
+//                 lossless path reactive failover takes.
 //   2. capture  — every endpoint detaches (generation-guarded blackout
 //                 spans open, voiding any half-built per-stream QP
 //                 upgrade). The moving side's connection state (sequence
@@ -25,7 +26,9 @@
 //   4. resume   — at the destination both ends unpause, and the initiator
 //                 side rebinds through the ordinary generation-guarded
 //                 path: retained windows replay, receivers dedup — zero
-//                 loss, in order, byte-exact, bounded blackout.
+//                 loss, in order, byte-exact, bounded blackout. The move
+//                 finishes on the attach that leaves no affected conduit
+//                 detached, or at a 100 ms bound that reports the rest.
 //
 // The coordinator also *initiates* migrations proactively: off NICs whose
 // rate_fraction degrades below a threshold, and off severed fabric paths
@@ -56,6 +59,8 @@ struct MigrationReport {
   /// False when any conduit hit the quiesce deadline with retained messages
   /// (still lossless — the tail replayed at the destination).
   bool drained = true;
+  /// Conduits (either end) the 100 ms resume bound left detached.
+  std::size_t detached = 0;
   /// Pause of the first conduit -> every conduit live again (app-visible).
   SimDuration blackout_ns = 0;
   core::MigrationReason reason = core::MigrationReason::planned;
@@ -105,19 +110,18 @@ class MigrationCoordinator {
     core::MigrationReason reason = core::MigrationReason::planned;
     core::ContainerNetPtr net;         // null: container has no library attached
     std::vector<Endpoint> endpoints;
+    std::vector<core::ConduitPtr> ends;  // every quiescing conduit, peers first
     std::size_t image_bytes = 0;
     bool drained = true;
     SimTime paused_at = 0;
     DoneFn done;
-    int resume_polls = 0;
-    sim::EventHandle resume_timer;
+    sim::EventHandle resume_bound;
   };
 
   void start_capture(orch::ContainerId id);
   void resume(orch::ContainerId id);
-  /// Re-attaches one connection of a resumed move.
-  void rebind(Move& mv, Endpoint& ep);
-  void poll_resumed(orch::ContainerId id);
+  /// Ends of the move neither attached nor closing.
+  [[nodiscard]] static std::size_t detached(const Move& mv);
   void finish(orch::ContainerId id);
 
   void handle_health(fabric::HostId host);

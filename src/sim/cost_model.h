@@ -49,7 +49,6 @@ struct CostModel {
   double tcp_rx_fixed_ns = 3700;        ///< softirq + protocol rx
   double tcp_copy_ns_per_byte = 0.154;  ///< one user<->kernel copy
   SimDuration tcp_rx_wakeup_ns = 4000;  ///< scheduler wakeup on delivery
-  SimDuration tcp_handshake_rtts = 2;   ///< SYN/SYNACK/ACK + slow-start warmup
   int tcp_window_chunks = 8;            ///< in-flight GSO chunks per connection
   SimDuration tcp_rto_ns = 5 * k_millisecond;
   double tcp_ack_ns = 800;              ///< ack gen/processing per data chunk
@@ -63,7 +62,6 @@ struct CostModel {
   double router_fixed_ns = 3000;        ///< 2 syscalls + forwarding decision
   double router_copy_ns_per_byte = 0.154;  ///< charged twice (in + out)
   double vxlan_ns_per_chunk = 800;      ///< encap/decap, inter-host only
-  std::uint32_t vxlan_header_bytes = 50;
   double router_ack_ns = 1000;          ///< router forwarding cost for pure acks
 
   // ---- RDMA verbs ------------------------------------------------------

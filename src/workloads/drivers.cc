@@ -343,22 +343,9 @@ ThroughputReport drive_freeflow_stream(fabric::Cluster& cluster,
   };
   client->set_on_space([pump]() { (*pump)(); });
   (*pump)();
-  // Writability can also return via delivered messages; re-pump on a timer.
-  // Each queued timer job owns the tick; the closure observes itself weakly,
-  // so once `stopped` stops the rescheduling the chain frees itself — a
-  // strong self-capture would pin pump -> socket -> conduit forever.
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&cluster, pump, wtick = std::weak_ptr<std::function<void()>>(tick), stopped]() {
-    if (*stopped) return;
-    (*pump)();
-    auto t = wtick.lock();
-    if (!t) return;
-    cluster.loop().schedule(20 * k_microsecond, [t]() { (*t)(); });
-  };
-  (*tick)();
 
   const ThroughputReport report = measure(cluster, *rx_bytes, window);
-  *stopped = true;  // quiesce the pump/tick; the socket stays alive in them
+  *stopped = true;  // quiesce the pump; the socket stays alive in it
   return report;
 }
 

@@ -61,7 +61,6 @@ struct Stream {
   bool corrupt = false;
   SimTime last_rx = 0;
   std::shared_ptr<std::function<void()>> pump;
-  std::shared_ptr<std::function<void()>> tick;
 
   [[nodiscard]] bool done() const { return !corrupt && verified >= target; }
 };
@@ -111,19 +110,6 @@ std::shared_ptr<Stream> start_stream(Env& env, Pair& p, std::uint16_t port,
   };
   st->client->set_on_space([pump = st->pump]() { (*pump)(); });
   (*st->pump)();
-
-  // Writability can also come back via failover re-binds, which don't fire
-  // on_space; a periodic re-pump keeps the stream moving through them.
-  st->tick = std::make_shared<std::function<void()>>();
-  *st->tick = [loop, w, wt = std::weak_ptr<std::function<void()>>(st->tick)]() {
-    auto stream = w.lock();
-    auto t = wt.lock();
-    if (stream == nullptr || t == nullptr) return;
-    (*stream->pump)();
-    if (stream->sent >= stream->target) return;  // the chain ends itself
-    loop->schedule(50 * k_microsecond, [t]() { (*t)(); });
-  };
-  (*st->tick)();
   return st;
 }
 

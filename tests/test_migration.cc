@@ -46,10 +46,10 @@ Pair attach_pair(Env& env, fabric::HostId ha, fabric::HostId hb) {
   return p;
 }
 
-/// Pattern-checked one-way FlowSocket transfer, paced on writability with a
-/// periodic re-pump (rides out pause/resume windows where on_space is
-/// silent). Also keeps an order-sensitive FNV-1a hash of the received bytes
-/// for the determinism test.
+/// Pattern-checked one-way FlowSocket transfer, paced on writability alone
+/// (on_space fires on the resume after a move too). Also keeps an
+/// order-sensitive FNV-1a hash of the received bytes for the determinism
+/// test.
 struct Stream {
   core::FlowSocketPtr client, server;
   std::uint64_t target = 0;
@@ -58,7 +58,6 @@ struct Stream {
   std::uint64_t rx_hash = 1469598103934665603ull;
   bool corrupt = false;
   std::shared_ptr<std::function<void()>> pump;
-  std::shared_ptr<std::function<void()>> tick;
 
   [[nodiscard]] bool done() const { return !corrupt && verified >= target; }
 };
@@ -116,18 +115,6 @@ std::shared_ptr<Stream> start_stream(Env& env, Pair& p, std::uint16_t port,
   };
   st->client->set_on_space([pump = st->pump]() { (*pump)(); });
   (*st->pump)();
-
-  st->tick = std::make_shared<std::function<void()>>();
-  sim::EventLoop* loop = &env.loop();
-  *st->tick = [loop, w, wt = std::weak_ptr<std::function<void()>>(st->tick)]() {
-    auto stream = w.lock();
-    auto t = wt.lock();
-    if (stream == nullptr || t == nullptr) return;
-    (*stream->pump)();
-    if (stream->sent >= stream->target) return;
-    loop->schedule(50 * k_microsecond, [t]() { (*t)(); });
-  };
-  (*st->tick)();
   return st;
 }
 
@@ -412,6 +399,94 @@ TEST(Migration, MigrateBackToColocatedPicksShm) {
       << (st->corrupt ? " CORRUPT" : "");
   EXPECT_FALSE(st->corrupt);
   EXPECT_EQ(st->verified, st->target);
+}
+
+// A planned move of either end of a co-located pair under load: when the
+// quiesce starts, the shm lane toward the receiver holds megabytes that no
+// retained window covers. Capture waits until both lanes are empty, so the
+// stream completes byte-exact and the report's `drained` is true.
+TEST(Migration, PlannedMoveOffLoadedShmIsLossless) {
+  for (const bool receiver_moves : {true, false}) {
+    SCOPED_TRACE(receiver_moves ? "receiver moves" : "sender moves");
+    Env env(2);
+    auto p = attach_pair(env, 0, 0);
+    MigrationCoordinator coord(env.freeflow());
+    auto st = start_stream(env, p, 7008, 64ull * 1024 * 1024);
+    ASSERT_TRUE(env.wait([&]() { return st->verified > 8 * 1024 * 1024; }));
+    ASSERT_EQ(transport_of(p.net_a), orch::Transport::shm);
+
+    const orch::ContainerPtr& moving = receiver_moves ? p.b : p.a;
+    std::optional<MigrationReport> report;
+    coord.migrate(moving->id(), 1, [&](Result<MigrationReport> r) {
+      ASSERT_TRUE(r.is_ok()) << r.status();
+      report = *r;
+    });
+    ASSERT_TRUE(env.wait([&]() { return report.has_value(); }, 30 * k_second));
+    EXPECT_TRUE(report->drained);
+    EXPECT_EQ(report->detached, 0u);
+    EXPECT_EQ(moving->host(), 1u);
+
+    ASSERT_TRUE(env.wait([&]() { return st->done(); }, 60 * k_second))
+        << "verified " << st->verified << "/" << st->target
+        << (st->corrupt ? " CORRUPT" : "");
+    EXPECT_FALSE(st->corrupt);
+    EXPECT_EQ(st->verified, st->target);
+  }
+}
+
+// A resume that cannot re-attach — the destination's link is dark through
+// the move — ends at the coordinator's 100 ms bound and reports the
+// conduits it left detached. Once the link heals, the ordinary health path
+// re-attaches them and the stream completes.
+TEST(Migration, ResumeBoundReportsDetachedConduits) {
+  Env env(3);
+  auto p = attach_pair(env, 0, 1);
+  MigrationCoordinator coord(env.freeflow());
+  faults::FaultInjector injector(*env.net_orch, env.freeflow().agents());
+  auto st = start_stream(env, p, 7009, 8ull * 1024 * 1024);
+  ASSERT_TRUE(env.wait([&]() { return st->verified > 1024 * 1024; }));
+
+  injector.apply({env.loop().now(), faults::FaultKind::nic_link_down, 2});
+  std::optional<MigrationReport> report;
+  coord.migrate(p.b->id(), 2, [&](Result<MigrationReport> r) {
+    ASSERT_TRUE(r.is_ok()) << r.status();
+    report = *r;
+  });
+  ASSERT_TRUE(env.wait([&]() { return report.has_value(); }, 30 * k_second));
+  EXPECT_EQ(p.b->host(), 2u);
+  EXPECT_EQ(report->detached, 2u);
+  EXPECT_GE(report->blackout_ns, 100 * k_millisecond);
+  ASSERT_EQ(p.net_b->connections().size(), 1u);
+  EXPECT_FALSE(p.net_b->connections()[0].live);
+
+  injector.apply({env.loop().now(), faults::FaultKind::nic_link_up, 2});
+  ASSERT_TRUE(env.wait([&]() { return st->done(); }, 60 * k_second))
+      << "verified " << st->verified << "/" << st->target
+      << (st->corrupt ? " CORRUPT" : "");
+  EXPECT_FALSE(st->corrupt);
+  EXPECT_EQ(st->verified, st->target);
+}
+
+// The peer container stops while its connection quiesces for a move: the
+// stop closes both ends mid-quiesce, which completes their quiesces
+// (nothing of a closed conduit is left to move), so the move finishes.
+TEST(Migration, PeerStopDuringQuiesceStillFinishesMove) {
+  Env env(3);
+  auto p = attach_pair(env, 0, 1);
+  MigrationCoordinator coord(env.freeflow());
+  auto st = start_stream(env, p, 7011, 32ull * 1024 * 1024);
+  ASSERT_TRUE(env.wait([&]() { return st->verified > 4 * 1024 * 1024; }));
+
+  std::optional<MigrationReport> report;
+  coord.migrate(p.b->id(), 2, [&](Result<MigrationReport> r) {
+    ASSERT_TRUE(r.is_ok()) << r.status();
+    report = *r;
+  });
+  ASSERT_TRUE(env.cluster_orch->stop(p.a->id()).is_ok());
+  ASSERT_TRUE(env.wait([&]() { return report.has_value(); }, 30 * k_second));
+  EXPECT_EQ(p.b->host(), 2u);
+  EXPECT_EQ(report->conduits_moved, 1u);
+  EXPECT_EQ(report->detached, 0u);
 }
 
 // ------------------------------------------------------ proactive triggers

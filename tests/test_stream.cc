@@ -60,8 +60,8 @@ Pair attach_pair(Env& env, fabric::HostId ha, fabric::HostId hb,
 }
 
 /// A pattern-checked one-way transfer over a per_stream_qp socket, paced on
-/// writability with the periodic re-pump that rides out failovers. The
-/// receiver splits its bytes by the transport each chunk arrived on.
+/// writability alone (on_space fires after every splice). The receiver
+/// splits its bytes by the transport each chunk arrived on.
 struct Xfer {
   FlowSocketPtr client, server;
   std::uint64_t target = 0;
@@ -71,7 +71,6 @@ struct Xfer {
   std::uint64_t server_tcp = 0;
   bool corrupt = false;
   std::shared_ptr<std::function<void()>> pump;
-  std::shared_ptr<std::function<void()>> tick;
 
   [[nodiscard]] bool done() const { return !corrupt && verified >= target; }
 };
@@ -125,20 +124,6 @@ std::shared_ptr<Xfer> start_xfer(Env& env, Pair& p, std::uint16_t port,
   };
   st->client->set_on_space([pump = st->pump]() { (*pump)(); });
   (*st->pump)();
-
-  // Splices don't always fire on_space; the periodic re-pump keeps the
-  // stream moving through upgrade and failover windows.
-  st->tick = std::make_shared<std::function<void()>>();
-  sim::EventLoop* loop = &env.loop();
-  *st->tick = [loop, w, wt = std::weak_ptr<std::function<void()>>(st->tick)]() {
-    auto xfer = w.lock();
-    auto t = wt.lock();
-    if (xfer == nullptr || t == nullptr) return;
-    (*xfer->pump)();
-    if (xfer->sent >= xfer->target) return;
-    loop->schedule(50 * k_microsecond, [t]() { (*t)(); });
-  };
-  (*st->tick)();
   return st;
 }
 
