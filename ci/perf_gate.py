@@ -9,9 +9,11 @@ reliable signal; each gate leans on self-relative or simulated-time metrics
 that box noise cannot touch.
 
 bench_sim_core:
-  1. HARD  fresh ``speedup`` >= FLOOR (2.0x): the new event loop must beat
-     the embedded seed replica measured in the *same* run — self-relative,
-     so box noise cancels out. This is the acceptance floor from PR 1.
+  1. HARD  fresh ``speedup`` >= FLOOR (4.2x): the event loop must beat the
+     embedded seed replica measured in the *same* run — self-relative, so
+     box noise cancels out. The floor is about 0.8x the lowest of 10 runs of
+     the node-pool wheel (5.32-7.01x on a 4-vCPU VM); the per-slot-vector
+     wheel it replaced read 2.18-2.62x there, so a return to it fails.
   2. HARD  fresh ``sim_events_per_sec`` >= TOLERANCE (40%) of the committed
      baseline: generous enough that scheduler noise never trips it, tight
      enough that a real hot-path regression (lost inlining, reintroduced
@@ -98,7 +100,7 @@ bench_tenant_gateway:
 import json
 import sys
 
-FLOOR_SPEEDUP = 2.0
+FLOOR_SPEEDUP = 4.2
 BASELINE_TOLERANCE = 0.40
 STORM_P99_TOLERANCE = 0.25
 DECISION_SPEEDUP_FLOOR = 5.0

@@ -1,6 +1,7 @@
 #include "sim/event_loop.h"
 
 #include <bit>
+#include <limits>
 
 namespace freeflow::sim {
 
@@ -13,27 +14,31 @@ inline bool earlier(SimTime a_at, std::uint64_t a_seq, SimTime b_at,
 }  // namespace
 
 EventLoop::EventLoop()
-    : wheel_(k_wheel_slots),
+    : slots_(k_wheel_slots),
       bitmap_(k_bitmap_words, 0),
       summary_(k_summary_words, 0) {}
 
-// -------------------------------------------------------------- execution
+// ------------------------------------------------------------- node pool
 
-const EventLoop::Event* EventLoop::peek_wheel() noexcept {
-  if (drain_head_ < drain_buf_.size()) return &drain_buf_[drain_head_];
-  if (wheel_live_ == 0) return nullptr;
-  const auto cursor = static_cast<std::uint32_t>(now_ & k_wheel_mask);
-  std::int32_t s = scan_bitmap(cursor);
-  if (s < 0) s = scan_bitmap(0);  // wrapped: slots before the cursor are later times
-  if (s < 0) return nullptr;      // unreachable while wheel_live_ > 0
-  // Peek only — the slot is drained lazily by step() once it wins the
-  // (at, seq) tie-break against the heap. Swapping it out here would be
-  // premature: a heap event executing first could schedule a new wheel
-  // event earlier than this slot's timestamp, which a non-empty drain
-  // buffer would wrongly shadow.
-  scanned_slot_ = static_cast<std::uint32_t>(s);
-  return &wheel_[scanned_slot_].front();
+void EventLoop::grow_pool() {
+  const auto base = static_cast<std::uint32_t>(chunks_.size() << k_chunk_bits);
+  FF_CHECK(base + k_chunk_nodes - 1 < k_nil);
+  chunks_.push_back(std::make_unique<Node[]>(k_chunk_nodes));
+  // Thread the fresh chunk onto the free list, lowest index first.
+  Node* chunk = chunks_.back().get();
+  for (std::uint32_t i = 0; i + 1 < k_chunk_nodes; ++i) chunk[i].next = base + i + 1;
+  chunk[k_chunk_nodes - 1].next = free_head_;
+  free_head_ = base;
 }
+
+void EventLoop::free_node(std::uint32_t n) noexcept {
+  Node& node = node_at(n);
+  node.fn = nullptr;  // may run capture destructors, which may schedule
+  node.next = free_head_;
+  free_head_ = n;
+}
+
+// -------------------------------------------------------------- execution
 
 std::int32_t EventLoop::scan_bitmap(std::uint32_t begin_slot) const noexcept {
   std::uint32_t w = begin_slot >> 6;
@@ -67,50 +72,52 @@ void EventLoop::clear_bit(std::uint32_t slot) noexcept {
   if (word == 0) summary_[slot >> 12] &= ~(1ULL << ((slot >> 6) & 63U));
 }
 
-bool EventLoop::step() {
-  if (wheel_live_ == 0 && heap_.empty()) return false;
-  const Event* w = peek_wheel();
-  bool from_heap;
-  if (w == nullptr) {
-    from_heap = true;
-  } else if (heap_.empty()) {
-    from_heap = false;
-  } else {
-    const Event& h = heap_.front();
-    from_heap = earlier(h.at, h.seq, w->at, w->seq);
+bool EventLoop::run_next(SimTime limit) {
+  // The wheel candidate: the head of the first occupied slot at or after
+  // the cursor. Slots before the cursor hold later times (the wheel wraps).
+  std::int32_t s = -1;
+  if (wheel_live_ != 0) {
+    s = scan_bitmap(static_cast<std::uint32_t>(now_ & k_wheel_mask));
+    if (s < 0) s = scan_bitmap(0);
   }
+  const Node* w = s < 0 ? nullptr : &node_at(slots_[static_cast<std::uint32_t>(s)].head);
+  const bool from_heap =
+      !heap_.empty() &&
+      (w == nullptr || earlier(heap_.front().at, heap_.front().seq, w->at, w->seq));
+  if (!from_heap && w == nullptr) return false;  // nothing queued
+  if ((from_heap ? heap_.front().at : w->at) > limit) return false;
   ++executed_;
   if (from_heap) {
     Event ev = heap_pop_min();
     now_ = ev.at;
     if (ev.token != nullptr) release_token(ev.token);
     ev.fn();
-  } else {
-    if (drain_head_ >= drain_buf_.size()) {
-      // Commit to the slot peek_wheel() found: swap it out whole. Its first
-      // event executes now, so now_ advances to the slot's timestamp and no
-      // later insert can be earlier than the buffered remainder. The slot
-      // inherits the buffer's (empty, capacity-bearing) storage, so slot and
-      // buffer capacities recirculate — steady state never reallocates. The
-      // bit clears now; a callback scheduling back into the same residue
-      // starts a fresh slot (same timestamp, higher seq: still FIFO).
-      drain_buf_.clear();
-      drain_head_ = 0;
-      std::swap(drain_buf_, wheel_[scanned_slot_]);
-      clear_bit(scanned_slot_);
-    }
-    // Invoke in place: the drain buffer never reallocates or shifts at or
-    // below drain_head_ while a callback runs (refills need an empty buffer,
-    // cancellation only erases live entries at >= drain_head_), so the
-    // callback executes straight out of queue storage with no final move.
-    Event& ev = drain_buf_[drain_head_++];
-    --wheel_live_;
-    now_ = ev.at;
-    if (ev.token != nullptr) release_token(ev.token);
-    ev.fn();
-    ev.fn = nullptr;  // destroy the capture now, not at the next slot refill
+    return true;
   }
+  // Unlink the head before invoking it: a delay-0 schedule from inside the
+  // callback appends behind the slot's remaining events (higher seq, same
+  // timestamp), and a cancel from inside never sees the running node.
+  const auto idx = static_cast<std::uint32_t>(s);
+  SlotList& slot = slots_[idx];
+  const std::uint32_t n = slot.head;
+  Node& node = node_at(n);
+  slot.head = node.next;
+  if (slot.head == k_nil) {
+    slot.tail = k_nil;
+    clear_bit(idx);
+  }
+  --wheel_live_;
+  now_ = node.at;
+  if (node.token != nullptr) release_token(node.token);
+  // Invoke in place: chunks never move, and the node is not on the free
+  // list until the callback returns.
+  node.fn();
+  free_node(n);
   return true;
+}
+
+bool EventLoop::step() {
+  return run_next(std::numeric_limits<SimTime>::max());
 }
 
 SimTime EventLoop::run() {
@@ -125,20 +132,7 @@ SimTime EventLoop::run() {
 }
 
 SimTime EventLoop::run_until(SimTime deadline) {
-  while (wheel_live_ != 0 || !heap_.empty()) {
-    const Event* w = peek_wheel();
-    SimTime next_at = 0;
-    bool have = false;
-    if (w != nullptr) {
-      next_at = w->at;
-      have = true;
-    }
-    if (!heap_.empty() && (!have || heap_.front().at < next_at)) {
-      next_at = heap_.front().at;
-      have = true;
-    }
-    if (!have || next_at > deadline) break;
-    step();
+  while (run_next(deadline)) {
   }
   if (now_ < deadline) now_ = deadline;
   return now_;
@@ -170,41 +164,35 @@ void EventLoop::release_token(CancelToken* t) noexcept {
 void EventLoop::cancel_token(CancelToken* t, std::uint64_t gen) noexcept {
   if (t == nullptr || t->gen != gen) return;  // already fired or cancelled
   if (t->in_heap) {
-    heap_remove(t->heap_pos);
-  } else {
-    // The event sits either in the drain buffer (its slot is mid-drain) or
-    // in its wheel slot. Erase eagerly: no tombstones, no deferred sweep.
-    bool erased = false;
-    if (drain_head_ < drain_buf_.size() && drain_buf_.front().at == t->at) {
-      for (std::size_t i = drain_head_; i < drain_buf_.size(); ++i) {
-        if (drain_buf_[i].seq == t->seq) {
-          drain_buf_.erase(drain_buf_.begin() + static_cast<std::ptrdiff_t>(i));
-          erased = true;
-          break;
-        }
-      }
-    }
-    if (!erased) {
-      const auto idx = static_cast<std::uint32_t>(t->at & k_wheel_mask);
-      Slot& slot = wheel_[idx];
-      for (std::size_t i = 0; i < slot.size(); ++i) {
-        if (slot[i].seq == t->seq) {
-          slot.erase(slot.begin() + static_cast<std::ptrdiff_t>(i));
-          break;
-        }
-      }
-      if (slot.empty()) clear_bit(idx);
-    }
-    --wheel_live_;
+    heap_remove(t->pos);
+    release_token(t);
+    return;
   }
+  // Unlink the node from its slot's list: no tombstones, no deferred sweep.
+  // The list is singly linked, so find the predecessor from the head.
+  const std::uint32_t n = t->pos;
+  const auto idx = static_cast<std::uint32_t>(node_at(n).at & k_wheel_mask);
+  SlotList& slot = slots_[idx];
+  std::uint32_t prev = k_nil;
+  for (std::uint32_t i = slot.head; i != n; i = node_at(i).next) prev = i;
+  const std::uint32_t next = node_at(n).next;
+  if (prev == k_nil) {
+    slot.head = next;
+  } else {
+    node_at(prev).next = next;
+  }
+  if (slot.tail == n) slot.tail = prev;
+  if (slot.head == k_nil) clear_bit(idx);
+  --wheel_live_;
   release_token(t);
+  free_node(n);  // last: the capture's destructors see a consistent queue
 }
 
 // ------------------------------------------------- position-tracked heap
 
 void EventLoop::heap_place(std::uint32_t pos, Event ev) noexcept {
   heap_[pos] = std::move(ev);
-  if (heap_[pos].token != nullptr) heap_[pos].token->heap_pos = pos;
+  if (heap_[pos].token != nullptr) heap_[pos].token->pos = pos;
 }
 
 std::uint32_t EventLoop::sift_up(std::uint32_t pos, const Event& ev) noexcept {

@@ -4,10 +4,14 @@
 //
 // Hot-path layout (see DESIGN.md "Event-loop internals"):
 //   - Events carry their callback inline (EventFn, a fixed-capacity SBO
-//     callable) — scheduling performs no heap allocation.
-//   - Near events (< ~8.2 us ahead) live in a timer wheel of 2^13
-//     one-nanosecond slots with a two-level occupancy bitmap; far events
-//     overflow into a position-tracked binary heap ordered by (time, seq).
+//     callable) — scheduling performs no heap allocation once the pools
+//     have grown to the run's high-water mark.
+//   - Near events (< ~8.2 us ahead) live in nodes of one chunked pool; each
+//     of the timer wheel's 2^13 one-nanosecond slots is an index-linked FIFO
+//     of nodes, found through a two-level occupancy bitmap. Freed nodes are
+//     reused LIFO, so a schedule writes into the node the last event just
+//     vacated. Far events overflow into a position-tracked binary heap
+//     ordered by (time, seq).
 //   - schedule() is the fast non-cancellable path. schedule_cancellable()
 //     alone pays for a cancellation token, served from a freelist.
 //   - Execution order is globally (time, seq): FIFO among equal timestamps,
@@ -17,6 +21,8 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/inline_function.h"
@@ -38,11 +44,9 @@ class EventLoop;
 /// cancelling an unrelated later event.
 struct CancelToken {
   std::uint64_t gen = 0;
-  SimTime at = 0;
-  std::uint64_t seq = 0;
   bool in_heap = false;
   bool maintenance = false;
-  std::uint32_t heap_pos = 0;
+  std::uint32_t pos = 0;  // heap position, or wheel node index
 };
 
 /// Handle to a cancellable event. Copyable; must not outlive its EventLoop.
@@ -150,7 +154,7 @@ class EventLoop {
 
   /// Number of LIVE events currently queued. Cancelled events are reclaimed
   /// eagerly and never counted. Derived, not tracked: the hot path keeps no
-  /// aggregate counter (wheel_live_ already includes mid-drain events).
+  /// aggregate counter.
   [[nodiscard]] std::size_t queue_size() const noexcept {
     return wheel_live_ + heap_.size();
   }
@@ -167,6 +171,7 @@ class EventLoop {
  private:
   friend class EventHandle;
 
+  /// An overflow-heap entry.
   struct Event {
     Event() noexcept : at(0), seq(0), token(nullptr) {}  // heap_push hole
     template <typename F>
@@ -181,54 +186,96 @@ class EventLoop {
     EventFn fn;
   };
 
-  /// One wheel slot: all queued events sharing a single timestamp (see the
-  /// uniqueness invariant in DESIGN.md), in insertion (= seq) order.
-  using Slot = std::vector<Event>;
+  /// A near event: one node of the pool. `next` links it into its wheel
+  /// slot's FIFO while queued, and into the free list once released. A free
+  /// node's `fn` is always empty.
+  struct Node {
+    SimTime at = 0;
+    std::uint64_t seq = 0;
+    CancelToken* token = nullptr;
+    std::uint32_t next = 0;
+    EventFn fn;
+  };
+
+  static constexpr std::uint32_t k_nil = std::numeric_limits<std::uint32_t>::max();
+
+  /// One wheel slot: the queued nodes sharing a single timestamp (see the
+  /// uniqueness invariant in DESIGN.md), linked in insertion (= seq) order.
+  struct SlotList {
+    std::uint32_t head = k_nil;
+    std::uint32_t tail = k_nil;
+  };
 
   // 2^13 slots: an 8.2 us horizon covers every per-hop/per-packet delay in
   // the cost model (control-plane timers overflow to the heap), and the
-  // whole wheel's slot headers (~192 KB) stay cache-resident — measured
-  // ~40% faster than 2^15 on the micro-ring bench.
+  // slot lists (64 KB) and bitmap stay cache-resident.
   static constexpr std::uint32_t k_wheel_bits = 13;
   static constexpr std::uint32_t k_wheel_slots = 1U << k_wheel_bits;  // 8.2 us horizon
   static constexpr std::uint32_t k_wheel_mask = k_wheel_slots - 1;
   static constexpr std::uint32_t k_bitmap_words = k_wheel_slots / 64;   // 128
   static constexpr std::uint32_t k_summary_words = k_bitmap_words / 64;  // 2
 
+  // Nodes come in fixed chunks of 2^8 that never move, so a node's address
+  // stays valid while its callback runs even if that callback grows the pool.
+  static constexpr std::uint32_t k_chunk_bits = 8;
+  static constexpr std::uint32_t k_chunk_nodes = 1U << k_chunk_bits;
+  static constexpr std::uint32_t k_chunk_mask = k_chunk_nodes - 1;
+
   /// Routes one event into the wheel or the overflow heap. Templated so the
-  /// wheel path's emplace_back constructs the callable in place.
+  /// capture is constructed straight into its node (or heap entry).
   template <typename F>
   void insert(SimTime at, F&& fn, CancelToken* token) {
     const std::uint64_t seq = next_seq_++;
-    if (token != nullptr) {
-      token->at = at;
-      token->seq = seq;
-    }
     if (at - now_ < static_cast<SimTime>(k_wheel_slots)) {
       // Near event: its slot maps to a unique timestamp within the horizon,
-      // so a slot's vector is FIFO-in-seq by construction.
+      // so appending keeps a slot's list FIFO-in-seq by construction.
+      if (free_head_ == k_nil) grow_pool();
+      const std::uint32_t n = free_head_;
+      Node& node = node_at(n);
+      free_head_ = node.next;
+      node.at = at;
+      node.seq = seq;
+      node.token = token;
+      node.next = k_nil;
+      // A free node's fn is empty: construct over it, no destroy needed.
+      std::construct_at(&node.fn, std::forward<F>(fn));
       const auto idx = static_cast<std::uint32_t>(at & k_wheel_mask);
-      Slot& slot = wheel_[idx];
-      if (slot.empty()) set_bit(idx);
-      slot.emplace_back(at, seq, token, std::forward<F>(fn));
-      if (token != nullptr) token->in_heap = false;
+      SlotList& slot = slots_[idx];
+      if (slot.tail == k_nil) {
+        slot.head = n;
+        set_bit(idx);
+      } else {
+        node_at(slot.tail).next = n;
+      }
+      slot.tail = n;
+      if (token != nullptr) {
+        token->in_heap = false;
+        token->pos = n;
+      }
       ++wheel_live_;
     } else {
       if (token != nullptr) token->in_heap = true;
       heap_push(Event(at, seq, token, std::forward<F>(fn)));
     }
   }
-  /// Next wheel event in (at, seq) order, or null: the drain-buffer head if
-  /// a slot is mid-drain, else the front of the next occupied slot (whose
-  /// index is cached in scanned_slot_ for step() to drain on commit).
-  const Event* peek_wheel() noexcept;
+
+  [[nodiscard]] Node& node_at(std::uint32_t n) noexcept {
+    return chunks_[n >> k_chunk_bits][n & k_chunk_mask];
+  }
+  void grow_pool();
+  /// Destroys a node's capture and pushes the node on the free list.
+  void free_node(std::uint32_t n) noexcept;
+
+  /// Executes the next event if one is due at or before `limit`; returns
+  /// false (and runs nothing) otherwise. One bitmap scan per event.
+  bool run_next(SimTime limit);
   [[nodiscard]] std::int32_t scan_bitmap(std::uint32_t begin_slot) const noexcept;
 
   void set_bit(std::uint32_t slot) noexcept;
   void clear_bit(std::uint32_t slot) noexcept;
 
   // Position-tracked binary min-heap ordered by (at, seq): cancellation can
-  // remove an arbitrary entry eagerly via its token's heap_pos.
+  // remove an arbitrary entry eagerly via its token's pos.
   void heap_push(Event ev);
   Event heap_pop_min();
   void heap_remove(std::uint32_t pos);
@@ -243,20 +290,15 @@ class EventLoop {
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::size_t wheel_live_ = 0;  // live wheel events, incl. mid-drain
+  std::size_t wheel_live_ = 0;
   std::size_t maintenance_live_ = 0;
 
-  std::vector<Slot> wheel_;
+  std::vector<SlotList> slots_;
   std::vector<std::uint64_t> bitmap_;
   std::vector<std::uint64_t> summary_;
+  std::vector<std::unique_ptr<Node[]>> chunks_;
+  std::uint32_t free_head_ = k_nil;  // LIFO: the last node freed is reused first
   std::vector<Event> heap_;
-
-  // The slot currently being drained, swapped out of the wheel whole only
-  // once its first event executes (see step()). Events here still count as
-  // wheel_live_. scanned_slot_ is the index peek_wheel() last landed on.
-  std::vector<Event> drain_buf_;
-  std::size_t drain_head_ = 0;
-  std::uint32_t scanned_slot_ = 0;
 
   std::deque<CancelToken> token_pool_;      // stable addresses
   std::vector<CancelToken*> free_tokens_;

@@ -67,8 +67,18 @@ double Resource::cores_busy_since_mark() const noexcept {
 
 void SerialExecutor::submit(double units, DoneFn done, UsageAccount* account,
                             Resource* bus, double bus_bytes) {
-  push_job(Job{units, std::move(done), account, bus, bus_bytes});
-  if (!busy_) start_next();
+  if (busy_) {
+    push_job(Job{units, std::move(done), account, bus, bus_bytes});
+    return;
+  }
+  // Idle: the job becomes active directly (one move of the capture); the
+  // ring only holds jobs that wait behind an active one.
+  active_.units = units;
+  active_.done = std::move(done);
+  active_.account = account;
+  active_.bus = bus;
+  active_.bus_bytes = bus_bytes;
+  start_active();
 }
 
 void SerialExecutor::push_job(Job job) {
@@ -86,11 +96,14 @@ void SerialExecutor::start_next() {
     busy_ = false;
     return;
   }
-  busy_ = true;
   active_ = std::move(queued_at(0));
   first_ = (first_ + 1) & (queue_.size() - 1);
   --queued_;
+  start_active();
+}
 
+void SerialExecutor::start_active() {
+  busy_ = true;
   if (active_.bus != nullptr && active_.bus_bytes > 0) {
     // Memory-bus coupling: the copy stalls by the bus backlog seen now.
     const SimDuration wait = active_.bus->backlog_ns();

@@ -94,7 +94,8 @@ class SerialExecutor {
 
   /// Runs `units` of work (after an optional pre-delay modeling memory-bus
   /// backpressure computed at start time via `bus_bytes` on `bus`). Each
-  /// submission is its own pool job, queued FIFO behind the active one.
+  /// submission is its own pool job, queued FIFO behind the active one; on
+  /// an idle executor it starts at once, without passing through the queue.
   void submit(double units, DoneFn done, UsageAccount* account = nullptr,
               Resource* bus = nullptr, double bus_bytes = 0);
 
@@ -113,6 +114,7 @@ class SerialExecutor {
   // loop/pool callbacks then only capture `this`, which keeps them well under
   // the inline-capture budget and avoids nesting DoneFn inside DoneFn.
   void start_next();
+  void start_active();
   void launch_active();
   void finish_active();
   [[nodiscard]] Job& queued_at(std::size_t i) noexcept {

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
+#include <map>
+#include <memory>
+#include <random>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/cost_model.h"
@@ -177,6 +183,208 @@ TEST(EventLoop, CountsExecutedEvents) {
   for (int i = 0; i < 7; ++i) loop.schedule(i, []() {});
   loop.run();
   EXPECT_EQ(loop.events_executed(), 7u);
+}
+
+TEST(EventLoop, DestroyedWithPendingEventsReleasesCaptures) {
+  auto held = std::make_shared<int>(0);
+  {
+    EventLoop loop;
+    loop.schedule(10, [held]() {});                        // wheel
+    loop.schedule(10, [held]() {});                        // same slot
+    loop.schedule(1'000'000, [held]() {});                 // heap
+    EventHandle c = loop.schedule_cancellable(20, [held]() {});
+    loop.schedule_maintenance(2'000'000, [held]() {});     // heap, maintenance
+    EXPECT_EQ(held.use_count(), 6);
+    c.cancel();  // a cancelled event drops its capture at once
+    EXPECT_EQ(held.use_count(), 5);
+    loop.run_until(10);  // so does an executed one
+    EXPECT_EQ(held.use_count(), 3);
+    loop.schedule(5, [held]() {});  // into the node the last event vacated
+    EXPECT_EQ(held.use_count(), 4);
+  }
+  EXPECT_EQ(held.use_count(), 1);
+}
+
+// ------------------------------------------------- differential ordering
+
+/// How a scenario event was scheduled.
+enum class Kind { plain, absolute, cancellable, maintenance };
+
+/// The loop under test, seen by a scenario: schedule event `id`, cancel it.
+struct Port {
+  std::function<SimTime()> now;
+  std::function<void(Kind, SimDuration, int)> schedule;
+  std::function<void(int)> cancel;
+};
+
+/// A seeded random schedule. What event `id` does when it fires depends on
+/// the seed and on the scenario's own state, which two loops that execute
+/// the same order evolve identically; any ordering difference shows up in
+/// `trace`.
+class Scenario {
+ public:
+  Scenario(std::uint64_t seed, int budget) : rng_(seed), budget_(budget) {}
+
+  /// Initial population, and cancels before anything runs.
+  void seed_events(Port& p) {
+    for (int i = 0; i < 40; ++i) spawn(p);
+    for (int i = 0; i < 10; ++i) cancel_some(p);
+  }
+
+  void fire(Port& p, int id) {
+    trace.emplace_back(p.now(), id);
+    const auto children = static_cast<int>(rng_() % 4);
+    for (int i = 0; i < children && budget_ > 0; ++i) spawn(p);
+    if (rng_() % 3 == 0) cancel_some(p);
+  }
+
+  /// Cancels the head, middle or tail of one same-timestamp group.
+  void cancel_some(Port& p) {
+    if (groups_.empty()) return;
+    const std::vector<int>& g = groups_[rng_() % groups_.size()];
+    const std::size_t pos[] = {0, g.size() / 2, g.size() - 1};
+    p.cancel(g[pos[rng_() % 3]]);
+  }
+
+  std::vector<std::pair<SimTime, int>> trace;
+
+ private:
+  SimDuration pick_delay() {
+    switch (rng_() % 6) {
+      case 0: return 0;  // cascades into the executing timestamp
+      case 1: return static_cast<SimDuration>(rng_() % 16);
+      case 2: return static_cast<SimDuration>(8192 - 3 + rng_() % 6);  // straddles the horizon
+      case 3: return static_cast<SimDuration>(rng_() % 8192);
+      case 4: return static_cast<SimDuration>(8192 + rng_() % 40'000);  // overflow heap
+      default: return static_cast<SimDuration>(rng_() % 300);
+    }
+  }
+
+  void spawn(Port& p) {
+    const SimDuration delay = pick_delay();
+    if (rng_() % 4 == 0) {
+      // A run of cancellable events on one timestamp, for head/middle/tail
+      // cancels.
+      std::vector<int> g;
+      const int n = 3 + static_cast<int>(rng_() % 3);
+      for (int i = 0; i < n; ++i) g.push_back(add(p, Kind::cancellable, delay));
+      groups_.push_back(std::move(g));
+      return;
+    }
+    static constexpr Kind k_kinds[] = {Kind::plain, Kind::absolute, Kind::cancellable,
+                                       Kind::maintenance};
+    const Kind kind = k_kinds[rng_() % 4];
+    const int id = add(p, kind, delay);
+    if (kind == Kind::cancellable || kind == Kind::maintenance) groups_.push_back({id});
+  }
+
+  int add(Port& p, Kind kind, SimDuration delay) {
+    --budget_;
+    p.schedule(kind, delay, next_id_);
+    return next_id_++;
+  }
+
+  std::mt19937_64 rng_;
+  int budget_;
+  int next_id_ = 0;
+  std::vector<std::vector<int>> groups_;
+};
+
+/// The reference: one ordered map keyed by (at, seq), nothing else.
+class ReferenceLoop {
+ public:
+  explicit ReferenceLoop(Scenario& sc) : sc_(sc) {}
+
+  Port port() {
+    return {[this]() { return now_; },
+            [this](Kind kind, SimDuration delay, int id) {
+              const Key key{now_ + delay, seq_++};
+              queue_[key] = {id, kind == Kind::maintenance};
+              if (kind == Kind::maintenance) ++maintenance_;
+              if (kind == Kind::cancellable || kind == Kind::maintenance) keys_[id] = key;
+            },
+            [this](int id) {
+              auto it = keys_.find(id);
+              if (it == keys_.end()) return;  // fired or cancelled already
+              if (queue_[it->second].second) --maintenance_;
+              queue_.erase(it->second);
+              keys_.erase(it);
+            }};
+  }
+
+  void run_until(SimTime deadline) {
+    while (!queue_.empty() && queue_.begin()->first.first <= deadline) pop();
+    now_ = std::max(now_, deadline);
+  }
+  void run() {
+    while (queue_.size() > maintenance_) pop();
+  }
+
+  SimTime now() const { return now_; }
+  std::size_t queue_size() const { return queue_.size(); }
+  std::size_t maintenance_size() const { return maintenance_; }
+
+ private:
+  using Key = std::pair<SimTime, std::uint64_t>;
+
+  void pop() {
+    const auto it = queue_.begin();
+    now_ = it->first.first;
+    const auto [id, maintenance] = it->second;
+    if (maintenance) --maintenance_;
+    queue_.erase(it);
+    keys_.erase(id);
+    Port p = port();
+    sc_.fire(p, id);
+  }
+
+  Scenario& sc_;
+  SimTime now_ = 0;
+  std::uint64_t seq_ = 0;
+  std::size_t maintenance_ = 0;
+  std::map<Key, std::pair<int, bool>> queue_;
+  std::unordered_map<int, Key> keys_;
+};
+
+TEST(EventLoop, MatchesReferenceOrderUnderRandomSchedules) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    constexpr int k_budget = 6000;
+
+    Scenario ref_sc(seed, k_budget);
+    ReferenceLoop ref(ref_sc);
+    Port ref_port = ref.port();
+    ref_sc.seed_events(ref_port);
+    ref.run_until(9000);
+    ref_sc.cancel_some(ref_port);
+    ref.run();
+
+    Scenario sc(seed, k_budget);
+    EventLoop loop;
+    std::unordered_map<int, EventHandle> handles;
+    Port port;
+    port.now = [&loop]() { return loop.now(); };
+    port.cancel = [&handles](int id) { handles[id].cancel(); };
+    port.schedule = [&](Kind kind, SimDuration delay, int id) {
+      auto fn = [&sc, &port, id]() { sc.fire(port, id); };
+      switch (kind) {
+        case Kind::plain: loop.schedule(delay, fn); break;
+        case Kind::absolute: loop.schedule_at(loop.now() + delay, fn); break;
+        case Kind::cancellable: handles[id] = loop.schedule_cancellable(delay, fn); break;
+        case Kind::maintenance: handles[id] = loop.schedule_maintenance(delay, fn); break;
+      }
+    };
+    sc.seed_events(port);
+    loop.run_until(9000);
+    sc.cancel_some(port);
+    loop.run();
+
+    ASSERT_GT(ref_sc.trace.size(), 1000u);
+    EXPECT_EQ(sc.trace, ref_sc.trace);
+    EXPECT_EQ(loop.now(), ref.now());
+    EXPECT_EQ(loop.queue_size(), ref.queue_size());
+    EXPECT_EQ(loop.maintenance_size(), ref.maintenance_size());
+  }
 }
 
 // ---------------------------------------------------------------- quiesce
@@ -436,6 +644,45 @@ TEST(SerialExecutor, NestedSubmitFromCallbackKeepsOrder) {
   thread.submit(100, [&]() { order.push_back(2); });
   loop.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+
+  // Idle again: job 4 starts at once without queueing, and the jobs its
+  // callback submits still run after it, one at a time, in order.
+  const SimTime idle_at = loop.now();
+  std::vector<SimTime> done_at;
+  thread.submit(100, [&]() {
+    order.push_back(4);
+    done_at.push_back(loop.now());
+    thread.submit(100, [&]() {
+      order.push_back(5);
+      done_at.push_back(loop.now());
+    });
+    thread.submit(100, [&]() {
+      order.push_back(6);
+      done_at.push_back(loop.now());
+    });
+  });
+  EXPECT_EQ(thread.queue_depth(), 0u);
+  loop.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(done_at, (std::vector<SimTime>{idle_at + 100, idle_at + 200, idle_at + 300}));
+}
+
+TEST(SerialExecutor, DestroyedWithJobsInFlightIsSilent) {
+  EventLoop loop;
+  Resource pool(loop, "cpu", 1e9, 1);
+  auto held = std::make_shared<int>(0);
+  int done = 0;
+  auto thread = std::make_unique<SerialExecutor>(pool);
+  for (int i = 0; i < 3; ++i) thread->submit(1000, [&done, held]() { ++done; });
+  EXPECT_EQ(thread->queue_depth(), 2u);  // one active, two queued
+  EXPECT_EQ(held.use_count(), 4);
+  thread.reset();
+  EXPECT_EQ(held.use_count(), 1);  // active and queued captures died with it
+  loop.run();
+  // The active job's pool completion still fires at 1000 ns, as a no-op.
+  EXPECT_EQ(done, 0);
+  EXPECT_EQ(loop.now(), 1000);
+  EXPECT_EQ(pool.jobs_served(), 1u);
 }
 
 // -------------------------------------------------------------- CostModel
