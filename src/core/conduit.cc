@@ -283,7 +283,7 @@ void Conduit::handle_bye(std::uint64_t last_seq) {
     bye_after_ = last_seq;
     if (!drain_timer_.pending()) {
       auto self = weak_from_this();
-      drain_timer_ = loop_.schedule_cancellable(drain_timeout_ns_, [self]() {
+      drain_timer_ = loop_.schedule_cancellable(k_drain_timeout_ns, [self]() {
         auto conduit = self.lock();
         if (conduit != nullptr && !conduit->closed_) conduit->handle_bye(0);
       });
@@ -311,7 +311,7 @@ void Conduit::handle_channel_failed() {
   }
   if (paused_) {
     // Mid-quiesce lane death (e.g. migration racing a NIC failure): detach,
-    // but do NOT trigger the observer's reactive rebind — the coordinator
+    // but do NOT trigger the observer's reactive rebind — the move's resume
     // owns this conduit's next attach. Retained messages can no longer
     // drain, so the quiesce deadline will fire and capture carries them.
     mark_stale();
@@ -357,7 +357,7 @@ void Conduit::close_with(CloseReason reason, bool handshake) {
   on_transport_failed_ = nullptr;
   send_control(VMsg::bye, tx_seq_);
   auto self = weak_from_this();
-  drain_timer_ = loop_.schedule_cancellable(drain_timeout_ns_, [self]() {
+  drain_timer_ = loop_.schedule_cancellable(k_drain_timeout_ns, [self]() {
     auto conduit = self.lock();
     if (conduit == nullptr || conduit->closed_) return;
     conduit->finish_close(CloseReason::drain_timeout, /*notify_peer=*/false);
@@ -483,8 +483,7 @@ void Conduit::finish_quiesce(bool drained) {
   if (cb) cb(drained);
 }
 
-std::size_t Conduit::detach_for_migration() {
-  FF_CHECK(paused_ && !closed_);
+std::size_t Conduit::state_bytes() const noexcept {
   // Sized as a checkpoint of the state would be: 44 B of counters (token,
   // tx_seq, rx_next and since_ack at 8 B; resync flag, transport and
   // padding in 4 B; window and queue depths at 4 B), then each retained
@@ -494,8 +493,6 @@ std::size_t Conduit::detach_for_migration() {
   std::size_t bytes = k_counter_bytes;
   for (const auto& [seq, message] : retained_) bytes += k_length_bytes + message.size();
   for (const auto& message : queue_) bytes += k_length_bytes + message.size();
-  ack_timer_.cancel();
-  mark_stale();
   return bytes;
 }
 

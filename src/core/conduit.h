@@ -106,14 +106,11 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   /// destination and peers dedup, the same lossless path as failover.
   void quiesce(SimDuration deadline, std::function<void(bool)> done);
 
-  /// Takes a paused conduit off the wire for its container's move: cancels
-  /// the pending delayed ack and detaches (generation-guarded, blackout span
-  /// opens). The connection state stays in place — it is part of the
-  /// container memory the orchestrator moves — and sends made meanwhile
-  /// queue, sequenced, as they do while paused. Returns the byte count of
-  /// that state (counters plus each retained and queued message), which
-  /// sizes the transfer.
-  [[nodiscard]] std::size_t detach_for_migration();
+  /// Byte count of the connection state a move carries: counters plus each
+  /// retained and queued message. That state stays in place — it is part of
+  /// the container memory the orchestrator moves — so this only sizes the
+  /// transfer.
+  [[nodiscard]] std::size_t state_bytes() const noexcept;
 
   /// Coordinator bookkeeping on completion (both endpoints).
   void note_migration_complete(SimDuration blackout, MigrationReason reason) noexcept {
@@ -155,10 +152,6 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   /// (ContainerNet) re-decides and splices on a fallback channel.
   void set_on_transport_failed(std::function<void()> cb) {
     on_transport_failed_ = std::move(cb);
-  }
-
-  void set_drain_timeout(SimDuration timeout_ns) noexcept {
-    drain_timeout_ns_ = timeout_ns;
   }
 
   /// Receiver-side resync for setup messages routed before this conduit
@@ -215,6 +208,10 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   /// idle window — so a sender that filled its retained window mid-cadence
   /// always unblocks (see the ack-stall regression test).
   static constexpr SimDuration k_delayed_ack_ns = 100'000;  // 100 us
+  /// Close handshake: how long a closing conduit waits for the peer's
+  /// bye_ack (or a bye's overtaken data tail) before giving up
+  /// (CloseReason::drain_timeout).
+  static constexpr SimDuration k_drain_timeout_ns = 5'000'000;  // 5 ms
 
  private:
   void drain();
@@ -267,7 +264,6 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   std::function<void()> on_attached_;
 
   sim::EventLoop& loop_;
-  SimDuration drain_timeout_ns_ = 5'000'000;  // 5 ms default
   sim::EventHandle drain_timer_;
   sim::EventHandle ack_timer_;
   /// A failover retransmit delivered only duplicates: the piggyback ack

@@ -49,7 +49,6 @@ void ContainerNet::adopt_conduit(const ConduitPtr& conduit) {
     net->conduits_.erase(token);
     net->drop_stream_qp(token);
   });
-  conduit->set_drain_timeout(current_host().cost_model().close_drain_timeout_ns);
   // Transport failure (lane declared dead by the agent): the initiator
   // re-decides and splices on a fallback channel; the passive side waits
   // for the initiator's rebind to arrive over the new transport.
@@ -386,8 +385,8 @@ void ContainerNet::handle_first_message(orch::ContainerId src, agent::Channel* r
         channel->close();
         return;
       }
-      // A conduit the coordinator took off the wire re-attaches only through
-      // its resume (which unpauses first): a channel built toward the
+      // A conduit a planned move took off the wire re-attaches only through
+      // the move's resume (which unpauses first): a channel built toward the
       // placement it left must not attach. Nor may a QP answered on an
       // attach that a detach (failover, capture) has voided.
       const StreamQp* sq = find_stream_qp(header.token);
@@ -449,8 +448,8 @@ void ContainerNet::handle_health_event(fabric::HostId host) {
   for (auto& [token, conduit] : conduits_) snapshot.push_back(conduit);
   for (auto& conduit : snapshot) {
     if (conduit->closed() || conduit->closing()) continue;
-    // Paused conduits belong to the migration coordinator: a health-driven
-    // refit here would race its capture/resume protocol.
+    // Paused conduits belong to a planned move until its resume: a
+    // health-driven refit here would race its quiesce and capture.
     if (conduit->paused()) continue;
     auto peer_loc = ff_.orchestrator().locate(conduit->peer());
     if (!peer_loc.is_ok()) continue;
@@ -466,7 +465,7 @@ void ContainerNet::handle_health_event(fabric::HostId host) {
 }
 
 void ContainerNet::refit_conduit(const ConduitPtr& conduit) {
-  if (conduit->paused()) return;  // coordinator owns it
+  if (conduit->paused()) return;  // a planned move owns it
   const bool per_stream_qp = stream_qps_.contains(conduit->token());
   // A per_stream_qp conduit that never attached has its first dial still in
   // flight; a rebind-first dial racing it would confuse the peer's router.
@@ -546,26 +545,9 @@ bool ContainerNet::has_conduit_to(orch::ContainerId peer) const {
   return false;
 }
 
-void ContainerNet::handle_moved(orch::ContainerId moved) {
-  const bool self_moved = moved == id();
-  if (self_moved) register_with_agent();
-  for (auto& [token, conduit] : conduits_) {
-    if (!self_moved && conduit->peer() != moved) continue;
-    conduit->mark_stale();
-    if (conduit->initiator()) rebind_conduit(conduit, self_moved ? "self-move" : "peer-move");
-  }
-}
-
-// ------------------------------------------------- planned migration hooks
-
 ConduitPtr ContainerNet::find_conduit(std::uint64_t token) const {
   auto it = conduits_.find(token);
   return it == conduits_.end() ? nullptr : it->second;
-}
-
-void ContainerNet::resume_migrated_conduit(const ConduitPtr& conduit) {
-  if (conduit->closed() || conduit->closing()) return;
-  rebind_conduit(conduit, "planned migration");
 }
 
 void ContainerNet::freeze_conduits(orch::ContainerId moving) {
@@ -573,6 +555,26 @@ void ContainerNet::freeze_conduits(orch::ContainerId moving) {
     if (moving != id() && conduit->peer() != moving) continue;
     if (conduit->closed() || conduit->closing()) continue;
     conduit->mark_stale();
+  }
+  // Every conduit is off the wire, so nothing routes here meanwhile.
+  if (moving == id()) ff_.agents().agent_on(container_->host()).unregister_container(id());
+}
+
+void ContainerNet::thaw_conduits(orch::ContainerId moved) {
+  const bool self_moved = moved == id();
+  if (self_moved) register_with_agent();
+  for (auto& [token, conduit] : conduits_) {
+    if (!self_moved && conduit->peer() != moved) continue;
+    conduit->mark_stale();
+    conduit->unpause();
+  }
+}
+
+void ContainerNet::rebind_conduits(orch::ContainerId moved) {
+  const bool self_moved = moved == id();
+  for (auto& [token, conduit] : conduits_) {
+    if (!self_moved && conduit->peer() != moved) continue;
+    if (conduit->initiator()) rebind_conduit(conduit, self_moved ? "self-move" : "peer-move");
   }
 }
 
@@ -628,7 +630,7 @@ void ContainerNet::rebind_on_fallback(const ConduitPtr& conduit, bool upgrade_af
     StreamQp* dialed = net == nullptr ? nullptr : net->find_stream_qp(conduit->token());
     if (dialed != nullptr) dialed->dialing = false;
     if (dialed == nullptr || conduit->paused()) {
-      if (r.is_ok()) (*r)->close();  // closed, or the coordinator owns it
+      if (r.is_ok()) (*r)->close();  // closed, or a planned move owns it
       return;
     }
     if (!r.is_ok()) {

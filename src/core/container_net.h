@@ -91,11 +91,23 @@ class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
   /// Charges one verb-post worth of CPU to this container.
   void charge_post();
 
-  // ---- migration / teardown (driven by FreeFlow) -------------------------
-  /// Container `moved` (this one, or a peer) landed on its new host: detach
-  /// every conduit it touches and rebind from the initiator side. A self
-  /// move first registers with the new host's agent.
-  void handle_moved(orch::ContainerId moved);
+  // ---- moves and teardown (driven by FreeFlow) ---------------------------
+  // One capture and one resume serve every move of a container (this one,
+  // or a peer), whoever started it: FreeFlow runs them from the cluster
+  // orchestrator's migration-started and moved notifications.
+
+  /// Capture: detach every open conduit touching container `moving` (all
+  /// of them when it is this one; mark_stale only — sends queue, the
+  /// blackout span opens). Connection state stays in the conduits, which
+  /// move with the container. A self move also leaves the source agent.
+  void freeze_conduits(orch::ContainerId moving);
+  /// Resume, first half: a self move registers with the new host's agent;
+  /// every conduit touching `moved` detaches (a refit may have re-attached
+  /// it toward the old placement) and unpauses.
+  void thaw_conduits(orch::ContainerId moved);
+  /// Resume, second half, once every touching conduit on every library
+  /// instance has thawed: rebind from the initiator side.
+  void rebind_conduits(orch::ContainerId moved);
   /// The container stopped: unregister and permanently close every conduit.
   void handle_self_stopped();
   /// A peer stopped: close conduits to it (sockets fire on_close, QPs err)
@@ -136,17 +148,8 @@ class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
   /// FreeFlow-internal: register with the (current) host agent.
   void register_with_agent();
 
-  // ---- planned migration hooks (src/migration) --------------------------
   /// Conduit lookup by token (both endpoints share the token).
   [[nodiscard]] ConduitPtr find_conduit(std::uint64_t token) const;
-  /// Drives the post-move rebind of a migrated (or peer-of-migrated)
-  /// conduit through the initiator side.
-  void resume_migrated_conduit(const ConduitPtr& conduit);
-  /// Reactive-move freeze: detach every open conduit touching container
-  /// `moving` (all of them when it is this one; mark_stale only — sends
-  /// queue, blackout span opens) so no bytes die in a channel while it is
-  /// stop-and-copied. handle_moved rebinds later.
-  void freeze_conduits(orch::ContainerId moving);
 
  private:
   friend class VirtualQp;

@@ -6,33 +6,26 @@ FreeFlow::FreeFlow(orch::NetworkOrchestrator& orchestrator, agent::AgentConfig c
     : orchestrator_(orchestrator),
       plane_(orchestrator, config.control_plane_shards),
       agents_(orchestrator, config) {
-  // Route migration notifications to the affected library instances. The
-  // orchestrator outlives this object, so guard with the liveness token.
+  // Every move of a container — planned, proactive or reactive — runs one
+  // capture and one resume, from the orchestrator's two move notifications.
+  // The orchestrator outlives this object, so guard with the liveness token.
   std::weak_ptr<bool> alive = alive_;
-  orchestrator_.cluster_orch().on_moved([this, alive](const orch::Container& moved) {
-    if (alive.expired()) return;
-    // A coordinator-driven move resumes through the coordinator's own
-    // rebind instead of the reactive one below (its moves subscription runs
-    // after this one).
-    if (planned_.contains(moved.id())) return;
-    for (auto& [cid, net] : nets_) {
-      if (cid == moved.id() || net->has_conduit_to(moved.id())) net->handle_moved(moved.id());
-    }
-  });
-  // Reactive (coordinator-less) migration: the instant the container stops
-  // for its stop-and-copy, detach every conduit touching it so no bytes die
-  // in a closed channel during the downtime — sends queue, and the moved
-  // notification above re-binds when the container lands.
+  // Capture: the instant the container stops for its stop-and-copy, detach
+  // every conduit touching it so no bytes die in a channel during the
+  // downtime — sends queue, and the resume below rebinds when it lands.
   orchestrator_.cluster_orch().on_migration_started(
       [this, alive](const orch::Container& moving) {
         if (alive.expired()) return;
-        if (planned_.contains(moving.id())) return;
-        for (auto& [cid, net] : nets_) {
-          if (cid == moving.id() || net->has_conduit_to(moving.id())) {
-            net->freeze_conduits(moving.id());
-          }
-        }
+        for (auto& net : nets_touching(moving.id())) net->freeze_conduits(moving.id());
       });
+  // Resume: every touching conduit unpauses before the first rebind — a
+  // paused, detached end refuses the rebind's channel (and its refit).
+  orchestrator_.cluster_orch().on_moved([this, alive](const orch::Container& moved) {
+    if (alive.expired()) return;
+    const auto touching = nets_touching(moved.id());
+    for (const auto& net : touching) net->thaw_conduits(moved.id());
+    for (const auto& net : touching) net->rebind_conduits(moved.id());
+  });
   // Container stops tear their connections down everywhere. A stop caused
   // by a host crash surfaces as host_crashed to the peers' close callbacks.
   orchestrator_.cluster_orch().on_stopped([this, alive](const orch::Container& stopped) {
@@ -96,12 +89,12 @@ Result<ContainerNetPtr> FreeFlow::attach(orch::ContainerId id) {
   return net;
 }
 
-void FreeFlow::note_planned_migration(orch::ContainerId id, bool active) {
-  if (active) {
-    planned_.insert(id);
-  } else {
-    planned_.erase(id);
+std::vector<ContainerNetPtr> FreeFlow::nets_touching(orch::ContainerId id) const {
+  std::vector<ContainerNetPtr> out;
+  for (const auto& [cid, net] : nets_) {
+    if (cid == id || net->has_conduit_to(id)) out.push_back(net);
   }
+  return out;
 }
 
 ContainerNetPtr FreeFlow::net(orch::ContainerId id) const {

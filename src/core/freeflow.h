@@ -2,11 +2,19 @@
 // orchestrator, per-host agents, the transport selector and per-container
 // library instances together. This is the object an operator (or an
 // example/benchmark) constructs once per cluster.
+//
+// It also owns the network side of every container move. The cluster
+// orchestrator announces each move twice, and FreeFlow answers each on
+// every library instance the move touches: migration-started captures
+// (every conduit touching the container detaches; the container leaves its
+// source agent), moved resumes (the container joins its new agent, every
+// touching conduit unpauses, then the initiator side of each rebinds). A
+// planned move (src/migration) adds only a quiesce ahead of the capture.
 #pragma once
 
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "agent/agent.h"
 #include "core/container_net.h"
@@ -46,13 +54,11 @@ class FreeFlow {
 
   [[nodiscard]] std::uint64_t next_token() noexcept { return next_token_++; }
 
-  /// Migration-coordinator handshake: while `active`, the coordinator owns
-  /// every network-layer consequence of `id`'s move — the built-in moved /
-  /// migration-started handlers skip the container instead of racing the
-  /// quiesce/capture/resume protocol with reactive freezes and rebinds.
-  void note_planned_migration(orch::ContainerId id, bool active);
-
  private:
+  /// Library instances with a conduit touching container `id` (its own
+  /// included).
+  [[nodiscard]] std::vector<ContainerNetPtr> nets_touching(orch::ContainerId id) const;
+
   orch::NetworkOrchestrator& orchestrator_;
   /// Constructed (and subscribed to container/health events) BEFORE the
   /// handlers below, so cache flushes land before any re-decision runs.
@@ -61,9 +67,6 @@ class FreeFlow {
   std::unordered_map<fabric::HostId, std::unique_ptr<TransportSelector>> selectors_;
   std::unique_ptr<tcp::TcpNetwork> fallback_net_;
   std::unordered_map<orch::ContainerId, ContainerNetPtr> nets_;
-  /// Containers currently moved by a MigrationCoordinator (see
-  /// note_planned_migration).
-  std::unordered_set<orch::ContainerId> planned_;
   std::uint64_t next_token_ = 1;
   /// Liveness token for orchestrator subscriptions: the orchestrator can
   /// outlive this FreeFlow, so its callbacks hold a weak observer instead

@@ -38,9 +38,6 @@ MigrationCoordinator::MigrationCoordinator(core::FreeFlow& ff) : ff_(ff) {
   hist_blackout_ = &metrics.histogram("migration/blackout_ns");
 
   std::weak_ptr<bool> alive = alive_;
-  // Resume hook. FreeFlow subscribed to the same feed first and its handler
-  // skips planned containers, so by the time this fires the move is ours to
-  // finish — registration order IS the ordering guarantee.
   ff_.orchestrator().cluster_orch().on_moved([this, alive](const orch::Container& moved) {
     if (alive.expired()) return;
     if (moves_.contains(moved.id())) resume(moved.id());
@@ -104,15 +101,17 @@ void MigrationCoordinator::migrate(orch::ContainerId id, fabric::HostId dst,
   mv.src = container->host();
   mv.dst = dst;
   mv.reason = reason;
-  mv.net = ff_.net(id);
   mv.done = std::move(done);
 
-  // Collect every affected connection up front; refuse overlap with a move
-  // already quiescing these conduits (a paused endpoint belongs to another
-  // coordinator pass — or to a peer's move — either way, not ours).
-  if (mv.net != nullptr) {
-    for (const auto& info : mv.net->connections()) {
-      auto local = mv.net->find_conduit(info.token);
+  // Collect both ends of every affected connection up front; refuse overlap
+  // with a move already quiescing these conduits (a paused endpoint belongs
+  // to another coordinator pass — or to a peer's move — either way, not
+  // ours). The remote ends go first in `ends`: they quiesce first, so
+  // nothing new flows toward the capture.
+  std::vector<core::ConduitPtr> locals;
+  if (auto net = ff_.net(id)) {
+    for (const auto& info : net->connections()) {
+      auto local = net->find_conduit(info.token);
       if (local == nullptr || local->closed() || local->closing()) continue;
       auto peer_net = ff_.net(info.peer);
       core::ConduitPtr peer =
@@ -124,15 +123,17 @@ void MigrationCoordinator::migrate(orch::ContainerId id, fabric::HostId dst,
         }
         return;
       }
-      mv.endpoints.push_back({local, peer, peer_net});
+      if (peer != nullptr) mv.ends.push_back(peer);
+      locals.push_back(local);
     }
   }
+  mv.conduits_moved = locals.size();
+  mv.ends.insert(mv.ends.end(), locals.begin(), locals.end());
 
   // Decision epochs bump (and sharded caches flush, full mask) BEFORE the
   // first conduit pauses: no selector may serve a pre-move answer into the
   // resume path.
   ff_.control_plane().note_migration_started(id);
-  ff_.note_planned_migration(id, true);
 
   auto& tracer = telemetry().tracer();
   const auto tid = static_cast<std::uint32_t>(id);
@@ -149,13 +150,7 @@ void MigrationCoordinator::migrate(orch::ContainerId id, fabric::HostId dst,
   // boundary, and each waits until nothing it sent is in flight (its
   // retained window acked, its shm lane empty) — so nothing is in flight
   // toward, or from, the capture. Receive and ack paths stay live, which is
-  // what lets both sides drain. The remote ends go first: nothing new flows
-  // toward the capture.
-  for (auto& ep : move.endpoints) {
-    if (ep.peer != nullptr) move.ends.push_back(ep.peer);
-  }
-  for (auto& ep : move.endpoints) move.ends.push_back(ep.local);
-
+  // what lets both sides drain.
   const SimDuration deadline = model().migration_quiesce_deadline_ns;
   // Countdown latch over every quiesce; starts at n+1 so synchronous
   // completions (already-drained conduits) cannot fire capture before the
@@ -196,63 +191,34 @@ void MigrationCoordinator::start_capture(orch::ContainerId id) {
   const auto tid = static_cast<std::uint32_t>(id);
   telemetry().tracer().instant("migration", "capture", 0, tid);
 
+  // The moving side's connection state stays in its conduits and moves with
+  // the container; only its size is taken here, to set the downtime.
   mv.image_bytes = k_image_header_bytes;
-  for (auto& ep : mv.endpoints) {
-    if (ep.local->closed()) continue;  // closed mid-quiesce: nothing moves
-    // The local endpoint detaches (blackout span opens); its connection
-    // state stays in the conduit and moves with the container.
-    mv.image_bytes += k_record_length_bytes + ep.local->detach_for_migration();
-    // The peer endpoint detaches too: its half of the channel is dead-ended
-    // now, and the stale state opens its own blackout span. Both detaches
-    // bump the conduit generations, which voids any half-built per-stream
-    // QP upgrade: its handshake rode the control lane of the channel just
-    // closed, so nothing of it survives the move.
-    if (ep.peer != nullptr && !ep.peer->closed() && !ep.peer->closing()) {
-      ep.peer->mark_stale();
-    }
+  for (const auto& end : mv.ends) {
+    if (end->self() != id || end->closed()) continue;  // closed mid-quiesce: nothing moves
+    mv.image_bytes += k_record_length_bytes + end->state_bytes();
   }
   ctr_image_bytes_->inc(mv.image_bytes);
-
-  // The container leaves this host: deregister from the source agent (the
-  // resume path registers with the destination's agent). All its conduits
-  // are detached, so nothing can route to it meanwhile.
-  if (mv.net != nullptr) {
-    ff_.agents().agent_on(mv.src).unregister_container(id);
-  }
-
   const auto transfer_ns =
       model().migration_resume_fixed_ns +
       static_cast<SimDuration>(static_cast<double>(mv.image_bytes) *
                                model().migration_image_byte_ns);
-  telemetry().tracer().instant(
-      "migration", "transfer", 0, tid,
-      telemetry::Tracer::arg("bytes", std::to_string(mv.image_bytes)));
+  // The orchestrator's migration-started notification runs the capture
+  // every move takes: FreeFlow detaches each conduit touching the container
+  // and takes it off its source agent.
   const Status moved =
       ff_.orchestrator().cluster_orch().migrate(id, mv.dst, transfer_ns);
   FF_CHECK(moved.is_ok());  // preconditions validated in migrate()
+  telemetry().tracer().instant(
+      "migration", "transfer", 0, tid,
+      telemetry::Tracer::arg("bytes", std::to_string(mv.image_bytes)));
 }
 
 void MigrationCoordinator::resume(orch::ContainerId id) {
-  auto it = moves_.find(id);
-  if (it == moves_.end()) return;
-  Move& mv = it->second;
   telemetry().tracer().instant("migration", "resume", 0,
                                static_cast<std::uint32_t>(id));
-  if (mv.net != nullptr) mv.net->register_with_agent();
-  // Unpause both ends before rebinding: the attach below replays the
-  // retained window and then drains whatever queued during the move.
-  for (const auto& end : mv.ends) end->unpause();
-  // The ordinary generation-guarded rebind, driven from the initiator side
-  // (rebind-first framing expects the dialing end).
-  for (auto& ep : mv.endpoints) {
-    if (ep.local->closed() || ep.local->closing()) continue;
-    if (!ep.local->initiator() && ep.peer != nullptr && ep.peer_net != nullptr) {
-      ep.peer_net->resume_migrated_conduit(ep.peer);
-    } else {
-      mv.net->resume_migrated_conduit(ep.local);
-    }
-  }
-  // The move finishes on the attach that leaves no end detached, or at the
+  // FreeFlow's own moved handler unpauses both ends and rebinds them. The
+  // move finishes on the attach that leaves no end detached, or at the
   // bound.
   std::weak_ptr<bool> alive = alive_;
   auto on_attached = [this, alive, id]() {
@@ -260,6 +226,7 @@ void MigrationCoordinator::resume(orch::ContainerId id) {
     auto mit = moves_.find(id);
     if (mit != moves_.end() && detached(mit->second) == 0) finish(id);
   };
+  Move& mv = moves_.at(id);
   for (const auto& end : mv.ends) end->set_on_attached(on_attached);
   mv.resume_bound = loop().schedule_cancellable(k_resume_bound_ns, [this, alive, id]() {
     if (alive.expired()) return;
@@ -295,13 +262,12 @@ void MigrationCoordinator::finish(orch::ContainerId id) {
   }
   telemetry().tracer().end("migration", "migration", 0,
                            static_cast<std::uint32_t>(id));
-  ff_.note_planned_migration(id, false);
 
   MigrationReport report;
   report.container = id;
   report.src_host = mv.src;
   report.dst_host = mv.dst;
-  report.conduits_moved = mv.endpoints.size();
+  report.conduits_moved = mv.conduits_moved;
   report.image_bytes = mv.image_bytes;
   report.drained = mv.drained;
   report.detached = detached(mv);

@@ -2,7 +2,11 @@
 // migration": the orchestrator knows where containers are going, so the
 // network layer can move *with* them instead of reacting after the fact).
 //
-// The MigrationCoordinator turns a container move into a planned protocol:
+// The MigrationCoordinator turns a container move into a planned protocol.
+// Capture and resume are not its own: they are the ones FreeFlow runs for
+// every move, from the cluster orchestrator's migration-started and moved
+// notifications. The coordinator adds what only a planned move has — the
+// quiesce ahead of the capture, the sizing of the transfer, and the finish:
 //
 //   1. quiesce  — every conduit touching the container pauses at a message
 //                 boundary on BOTH ends (sends queue, credits stop, receive
@@ -12,22 +16,26 @@
 //                 not fatal: the unacked tail simply moves with the conduit
 //                 and replays at the destination (peers dedup), the same
 //                 lossless path reactive failover takes.
-//   2. capture  — every endpoint detaches (generation-guarded blackout
-//                 spans open, voiding any half-built per-stream QP
-//                 upgrade). The moving side's connection state (sequence
-//                 counters, ack bookkeeping, retained window, queued sends)
-//                 stays in its conduits: the library runs inside the
-//                 container, so that state is part of the container memory
-//                 the orchestrator moves. Capture only sizes it; sends made
-//                 during the move queue behind it, already sequenced.
+//   2. capture  — the coordinator sizes the moving side's connection state
+//                 (Conduit::state_bytes: sequence counters, ack bookkeeping,
+//                 retained window, queued sends) and hands the container to
+//                 the cluster orchestrator. That state stays in its
+//                 conduits: the library runs inside the container, so it is
+//                 part of the container memory the orchestrator moves.
+//                 FreeFlow's capture detaches every conduit touching the
+//                 container (generation-guarded blackout spans open,
+//                 voiding any half-built per-stream QP upgrade) and the
+//                 container leaves its source agent. Sends made during the
+//                 move queue behind the state, already sequenced.
 //   3. transfer — the cluster orchestrator moves the container with a
 //                 downtime proportional to that state's size (the planned
 //                 stop-and-copy is tiny compared to the reactive default).
-//   4. resume   — at the destination both ends unpause, and the initiator
-//                 side rebinds through the ordinary generation-guarded
-//                 path: retained windows replay, receivers dedup — zero
-//                 loss, in order, byte-exact, bounded blackout. The move
-//                 finishes on the attach that leaves no affected conduit
+//   4. resume   — FreeFlow's resume: the container joins the destination's
+//                 agent, both ends unpause, and the initiator side rebinds
+//                 through the ordinary generation-guarded path: retained
+//                 windows replay, receivers dedup — zero loss, in order,
+//                 byte-exact, bounded blackout. The coordinator finishes
+//                 the move on the attach that leaves no quiesced conduit
 //                 detached, or at a 100 ms bound that reports the rest.
 //
 // The coordinator also *initiates* migrations proactively: off NICs whose
@@ -53,8 +61,7 @@ struct MigrationReport {
   fabric::HostId dst_host = 0;
   std::size_t conduits_moved = 0;
   /// Connection state the move carried: a 24 B header, then 4 B plus
-  /// Conduit::detach_for_migration()'s count per conduit. Sets the transfer
-  /// downtime.
+  /// Conduit::state_bytes() per conduit. Sets the transfer downtime.
   std::size_t image_bytes = 0;
   /// False when any conduit hit the quiesce deadline with retained messages
   /// (still lossless — the tail replayed at the destination).
@@ -70,8 +77,6 @@ class MigrationCoordinator {
  public:
   using DoneFn = std::function<void(Result<MigrationReport>)>;
 
-  /// Construct AFTER FreeFlow: the coordinator's moved-subscription must run
-  /// behind FreeFlow's (which skips containers under planned migration).
   /// Proactive triggers subscribe immediately and stay armed for the
   /// coordinator's lifetime.
   explicit MigrationCoordinator(core::FreeFlow& ff);
@@ -97,20 +102,14 @@ class MigrationCoordinator {
   }
 
  private:
-  /// One affected connection: the migrating-side endpoint and (when the
-  /// peer is library-attached) the remote endpoint.
-  struct Endpoint {
-    core::ConduitPtr local;            // endpoint owned by the moving container
-    core::ConduitPtr peer;             // remote endpoint (may be null)
-    core::ContainerNetPtr peer_net;    // keeps the peer's library alive
-  };
   struct Move {
     fabric::HostId src = 0;
     fabric::HostId dst = 0;
     core::MigrationReason reason = core::MigrationReason::planned;
-    core::ContainerNetPtr net;         // null: container has no library attached
-    std::vector<Endpoint> endpoints;
-    std::vector<core::ConduitPtr> ends;  // every quiescing conduit, peers first
+    /// Every quiescing conduit: the peers' ends first, then the moving
+    /// container's own (conduits_moved of them).
+    std::vector<core::ConduitPtr> ends;
+    std::size_t conduits_moved = 0;
     std::size_t image_bytes = 0;
     bool drained = true;
     SimTime paused_at = 0;
@@ -119,6 +118,8 @@ class MigrationCoordinator {
   };
 
   void start_capture(orch::ContainerId id);
+  /// The container landed: arms the finish on the attaches FreeFlow's
+  /// resume brings.
   void resume(orch::ContainerId id);
   /// Ends of the move neither attached nor closing.
   [[nodiscard]] static std::size_t detached(const Move& mv);

@@ -42,11 +42,13 @@ class ClusterOrchestrator {
   /// tenant-scoped cache flushes).
   [[nodiscard]] std::vector<ContainerPtr> containers_of_tenant(TenantId tenant) const;
 
+  /// Fired when a migrated container lands: the network layer's resume.
   void on_moved(EventFn fn) { moved_.push_back(std::move(fn)); }
   void on_stopped(EventFn fn) { stopped_.push_back(std::move(fn)); }
   /// Fired when a migration begins (state just became `migrating`), before
-  /// any downtime elapses — the hook that lets the network layer freeze
-  /// conduits so no bytes die in a channel during the move.
+  /// any downtime elapses: the network layer's capture, the same for every
+  /// move whoever asked for it — every conduit touching the container
+  /// detaches, so no bytes die in a channel during the move.
   void on_migration_started(EventFn fn) { migration_started_.push_back(std::move(fn)); }
 
   [[nodiscard]] fabric::Cluster& cluster() noexcept { return cluster_; }

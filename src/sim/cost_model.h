@@ -107,9 +107,6 @@ struct CostModel {
   /// Fabric telemetry latency: time from a NIC fault to the orchestrator's
   /// health map reflecting it (and re-decision callbacks firing).
   SimDuration fault_detect_ns = 200 * k_microsecond;
-  /// Close handshake: how long a closing conduit waits for the peer's
-  /// bye_ack before giving up (CloseReason::drain_timeout).
-  SimDuration close_drain_timeout_ns = 5 * k_millisecond;
 
   // ---- Planned live migration (src/migration) --------------------------
   /// Quiesce budget: how long the coordinator waits for each paused

@@ -6,6 +6,8 @@
 // proactive triggers (degraded NIC, severed path) initiate the move.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/freeflow.h"
 #include "faults/fault_injector.h"
 #include "migration/migration.h"
@@ -489,6 +491,71 @@ TEST(Migration, PeerStopDuringQuiesceStillFinishesMove) {
   EXPECT_EQ(report->detached, 0u);
 }
 
+// A connection opened while a move quiesces is not one the coordinator
+// quiesced, but it touches the moving container all the same: the capture
+// every move takes detaches it, and the resume rebinds it at the new
+// placement — here onto shm, next to its peer.
+TEST(Migration, ConnectionOpenedDuringQuiesceFollowsTheMove) {
+  Env env(2);
+  auto p = attach_pair(env, 0, 1);
+  MigrationCoordinator coord(env.freeflow());
+  auto st = start_stream(env, p, 7012, 64ull * 1024 * 1024);
+  ASSERT_TRUE(env.wait([&]() { return st->verified > 4 * 1024 * 1024; }));
+  ASSERT_EQ(transport_of(p.net_a), orch::Transport::rdma);
+
+  core::FlowSocketPtr late_client, late_server;
+  Buffer late_rx;
+  ASSERT_TRUE(p.net_b->sock_listen(7013, [&](core::FlowSocketPtr s) {
+    late_server = s;
+    s->set_on_data([&](Buffer&& b) { late_rx.append(b.view()); });
+  }).is_ok());
+
+  std::optional<MigrationReport> report;
+  coord.migrate(p.b->id(), 0, [&](Result<MigrationReport> r) {
+    ASSERT_TRUE(r.is_ok()) << r.status();
+    report = *r;
+  });
+  // The second socket connects while the first one's quiesce drains.
+  const auto& trace = env.cluster.telemetry().tracer();
+  std::size_t connected_at = 0;
+  p.net_a->sock_connect(p.b->ip(), 7013, [&](Result<core::FlowSocketPtr> s) {
+    ASSERT_TRUE(s.is_ok()) << s.status();
+    late_client = *s;
+    connected_at = trace.size();
+  });
+  ASSERT_TRUE(env.wait([&]() { return report.has_value(); }, 30 * k_second));
+  ASSERT_NE(late_client, nullptr);
+  ASSERT_NE(late_server, nullptr);
+  EXPECT_EQ(report->conduits_moved, 1u);
+  EXPECT_EQ(p.b->host(), 0u);
+  const auto& events = trace.events();
+  const auto capture = std::find_if(events.begin(), events.end(), [](const auto& e) {
+    return e.cat == "migration" && e.name == "capture";
+  });
+  ASSERT_NE(capture, events.end());
+  // Events recorded by the time the connect completed: capture is not
+  // among them.
+  EXPECT_LE(connected_at, static_cast<std::size_t>(capture - events.begin()))
+      << "the second connect must complete before capture";
+
+  // It followed the move: detached at capture, rebound onto shm.
+  ASSERT_TRUE(env.wait([&]() { return late_client->transport() == orch::Transport::shm; }));
+  EXPECT_GE(late_client->conduit()->rebinds(), 1u);
+  constexpr std::size_t k_late = 64 * 1024;
+  Buffer msg(k_late);
+  for (std::size_t i = 0; i < k_late; ++i) {
+    msg.data()[i] = static_cast<std::byte>(pattern_byte(i));
+  }
+  ASSERT_TRUE(late_client->send(msg).is_ok());
+  ASSERT_TRUE(env.wait([&]() { return late_rx.size() >= k_late; }));
+  EXPECT_EQ(late_rx, msg);
+
+  ASSERT_TRUE(env.wait([&]() { return st->done(); }, 60 * k_second))
+      << "verified " << st->verified << "/" << st->target
+      << (st->corrupt ? " CORRUPT" : "");
+  EXPECT_FALSE(st->corrupt);
+}
+
 // ------------------------------------------------------ proactive triggers
 
 // A NIC degrading below the coordinator's threshold (link up, rate
@@ -547,8 +614,9 @@ TEST(Migration, PathPartitionTriggerColocates) {
 
 // ---------------------------------------------------------------- guards
 
-// Validation surface: unknown containers, bad destinations, and moves onto
-// the current host are rejected or trivially completed up front.
+// Validation surface: unknown or stopped containers, bad destinations, a
+// second move of a container in flight and a move of its quiescing peer are
+// rejected up front; a move onto the current host completes trivially.
 TEST(Migration, ValidatesRequestsUpFront) {
   Env env(2);
   auto p = attach_pair(env, 0, 1);
@@ -569,6 +637,37 @@ TEST(Migration, ValidatesRequestsUpFront) {
   ASSERT_TRUE(trivial.has_value());  // same-host: no move, fires synchronously
   EXPECT_EQ(trivial->conduits_moved, 0u);
   EXPECT_EQ(trivial->blackout_ns, 0);
+
+  // A stopped container does not move.
+  auto stopped = env.deploy("stopped", 1, 0);
+  ASSERT_TRUE(env.cluster_orch->stop(stopped->id()).is_ok());
+  status = ok_status();
+  coord.migrate(stopped->id(), 1, [&](Result<MigrationReport> r) { status = r.status(); });
+  EXPECT_EQ(status.code(), Errc::failed_precondition);
+  EXPECT_EQ(stopped->host(), 0u);
+
+  // While b's move quiesces, neither a second move of b nor a move of its
+  // peer may start.
+  auto st = start_stream(env, p, 7010, 16ull * 1024 * 1024);
+  ASSERT_TRUE(env.wait([&]() { return st->verified > 1024 * 1024; }));
+  std::optional<MigrationReport> report;
+  coord.migrate(p.b->id(), 0, [&](Result<MigrationReport> r) {
+    ASSERT_TRUE(r.is_ok()) << r.status();
+    report = *r;
+  });
+  status = ok_status();
+  coord.migrate(p.b->id(), 0, [&](Result<MigrationReport> r) { status = r.status(); });
+  EXPECT_EQ(status.code(), Errc::failed_precondition);
+  status = ok_status();
+  coord.migrate(p.a->id(), 1, [&](Result<MigrationReport> r) { status = r.status(); });
+  EXPECT_EQ(status.code(), Errc::failed_precondition);
+
+  ASSERT_TRUE(env.wait([&]() { return report.has_value(); }, 30 * k_second));
+  EXPECT_EQ(coord.migrations_completed(), 1u);
+  EXPECT_EQ(p.b->host(), 0u);
+  EXPECT_EQ(p.a->host(), 0u);
+  ASSERT_TRUE(env.wait([&]() { return st->done(); }, 60 * k_second));
+  EXPECT_FALSE(st->corrupt);
 }
 
 }  // namespace
