@@ -314,7 +314,7 @@ std::shared_ptr<RemoteChannelEndpoint> Agent::open_endpoint(orch::ContainerId se
   // alive; the hook hands back that ownership after the final record drains.
   outbound_lanes_[channel_id] = to_agent;
   to_agent->set_receiver([this, self, peer, peer_host, channel_id,
-                          transport](Buffer&& msg) {
+                          transport](Message&& msg) {
     relay_outbound(self, peer, peer_host, channel_id, transport, std::move(msg));
     drop_drained_lane(channel_id);
   });
@@ -673,11 +673,11 @@ void Agent::drop_drained_lane(std::uint64_t channel_id) {
 
 void Agent::relay_outbound(orch::ContainerId src, orch::ContainerId dst,
                            fabric::HostId peer_host, std::uint64_t channel_id,
-                           orch::Transport transport, Buffer&& message) {
-  // `message` is the buffer the container gathered into its lane, handed
-  // over whole: its lane space went back to the container at delivery,
-  // while a paused agent parks the message and a trunk with a backlog
-  // queues fragments. Each fragment goes to the trunk as a view of it.
+                           orch::Transport transport, Message&& message) {
+  // `message` is the one the container put on its lane, handed over whole:
+  // its lane space went back to the container at delivery, while a paused
+  // agent parks the message and a trunk with a backlog queues fragments.
+  // Each fragment goes to the trunk as views of the message's head and body.
   if (paused_) {
     paused_tx_.push_back(
         {src, dst, peer_host, channel_id, transport, std::move(message)});
@@ -696,22 +696,32 @@ void Agent::relay_outbound(orch::ContainerId src, orch::ContainerId dst,
   const auto owner = fabric_.orchestrator().cluster_orch().container(src);
   const std::uint32_t tenant = owner != nullptr ? owner->tenant() : 0;
   const std::size_t frag = fabric_.config().fragment_bytes;
-  const auto total = static_cast<std::uint32_t>(message.size());
+  const ByteSpan head = message.head();
+  const ByteSpan body = message.body().view();
+  const std::size_t total = message.size();
   const std::uint64_t seq = next_msg_seq_++;
+  // The bytes [from, to) of head-then-body that fall in `part`, which
+  // starts at byte `base` of the message.
+  auto cut = [](ByteSpan part, std::size_t base, std::size_t from, std::size_t to) {
+    const std::size_t lo = std::clamp(from, base, base + part.size()) - base;
+    const std::size_t hi = std::clamp(to, base, base + part.size()) - base;
+    return part.subspan(lo, hi - lo);
+  };
   std::size_t offset = 0;
   do {
-    const std::size_t n = std::min(frag, message.size() - offset);
+    const std::size_t end = offset + std::min(frag, total - offset);
     RelayHeader header;
     header.src_container = src;
     header.dst_container = dst;
     header.channel = channel_id;
     header.msg_seq = seq;
-    header.total_len = total;
+    header.total_len = static_cast<std::uint32_t>(total);
     header.frag_offset = static_cast<std::uint32_t>(offset);
-    trunk.send(header, message.view().subspan(offset, n), tenant);
+    trunk.send(header, cut(head, 0, offset, end), cut(body, head.size(), offset, end),
+               tenant);
     ++records_relayed_;
-    offset += n;
-  } while (offset < message.size());
+    offset = end;
+  } while (offset < total);
 }
 
 bool Agent::trunk_writable(fabric::HostId peer, orch::Transport transport) const {
@@ -773,7 +783,7 @@ void Agent::send_heartbeat(const TrunkKey& key) {
   RelayHeader header;  // channel 0: dropped by the peer after clocking rx
   header.channel = 0;
   header.msg_seq = next_msg_seq_++;
-  it->second->send(header, ByteSpan{});
+  it->second->send(header, {}, {});
   ctr_heartbeats_->inc();
 }
 
@@ -879,10 +889,10 @@ void Agent::dispatch_record(Buffer&& record) {
   }
 
   if (h.frag_offset == 0 && parsed->fragment.size() == h.total_len) {
-    // The whole message in one record: hand it on with the relay header
-    // consumed in place.
+    // The whole message in one record: hand it on, headless, with the
+    // relay header consumed in place.
     record.consume_front(RelayHeader::k_size);
-    endpoint->deliver_inbound(std::move(record));
+    endpoint->deliver_inbound(Message(std::move(record)));
     return;
   }
   // Fragments of one message arrive exactly once each and tile it, so the
@@ -897,7 +907,7 @@ void Agent::dispatch_record(Buffer&& record) {
   if (slot.received >= h.total_len) {
     Buffer whole = std::move(slot.data);
     rx_.erase({h.channel, h.msg_seq});
-    endpoint->deliver_inbound(std::move(whole));
+    endpoint->deliver_inbound(Message(std::move(whole)));
   }
 }
 

@@ -59,7 +59,7 @@ class Agent {
   /// value so the relay outlives the endpoint it was wired for.
   void relay_outbound(orch::ContainerId src, orch::ContainerId dst,
                       fabric::HostId peer_host, std::uint64_t channel_id,
-                      orch::Transport transport, Buffer&& message);
+                      orch::Transport transport, Message&& message);
 
   /// Trunk-internal: a record arrived from a peer agent.
   void dispatch_record(Buffer&& record);
@@ -289,7 +289,7 @@ class Agent {
     fabric::HostId peer_host;
     std::uint64_t channel_id;
     orch::Transport transport;
-    Buffer message;
+    Message message;
   };
   std::vector<PausedRelay> paused_tx_;
 

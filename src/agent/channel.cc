@@ -12,12 +12,7 @@ LaneSender::LaneSender(std::shared_ptr<shm::ShmLane> lane) : lane_(std::move(lan
   lane_->set_on_space([this]() { drain(); });
 }
 
-void LaneSender::send(ByteSpan head, ByteSpan body) {
-  if (overflow_.empty() && lane_->send(head, body).is_ok()) return;
-  overflow_.push_back(Buffer::gather(head, body));
-}
-
-void LaneSender::send(Buffer&& message) {
+void LaneSender::send(Message&& message) {
   if (overflow_.empty() && lane_->send(std::move(message)).is_ok()) return;
   overflow_.push_back(std::move(message));
 }
@@ -48,20 +43,14 @@ ShmChannelEndpoint::ShmChannelEndpoint(std::shared_ptr<shm::ShmLane> tx,
 
 ShmChannelEndpoint::~ShmChannelEndpoint() { close(); }
 
-Status ShmChannelEndpoint::send(ByteSpan head, ByteSpan body) {
-  if (closed_) return failed_precondition("channel closed");
-  tx_.send(head, body);
-  return ok_status();
-}
-
-Status ShmChannelEndpoint::send(Buffer&& message) {
+Status ShmChannelEndpoint::send(Message&& message) {
   if (closed_) return failed_precondition("channel closed");
   tx_.send(std::move(message));
   return ok_status();
 }
 
 void ShmChannelEndpoint::set_on_message(DeliverFn cb) {
-  rx_->set_receiver([this, cb = std::move(cb)](Buffer&& msg) {
+  rx_->set_receiver([this, cb = std::move(cb)](Message&& msg) {
     if (!closed_ && cb) cb(std::move(msg));
   });
 }
@@ -105,25 +94,19 @@ bool RemoteChannelEndpoint::writable() const noexcept {
   return tx_.writable() && agent_.trunk_writable(peer_host_, transport_);
 }
 
-Status RemoteChannelEndpoint::send(ByteSpan head, ByteSpan body) {
-  if (closed_) return failed_precondition("channel closed");
-  tx_.send(head, body);
-  return ok_status();
-}
-
-Status RemoteChannelEndpoint::send(Buffer&& message) {
+Status RemoteChannelEndpoint::send(Message&& message) {
   if (closed_) return failed_precondition("channel closed");
   tx_.send(std::move(message));
   return ok_status();
 }
 
 void RemoteChannelEndpoint::set_on_message(DeliverFn cb) {
-  from_agent_->set_receiver([this, cb = std::move(cb)](Buffer&& msg) {
+  from_agent_->set_receiver([this, cb = std::move(cb)](Message&& msg) {
     if (!closed_ && cb) cb(std::move(msg));
   });
 }
 
-void RemoteChannelEndpoint::deliver_inbound(Buffer&& message) {
+void RemoteChannelEndpoint::deliver_inbound(Message&& message) {
   if (closed_) return;
   inbound_.send(std::move(message));
 }

@@ -7,21 +7,22 @@
 // should pace on (closed-loop workloads never build a queue), and the space
 // callback fires on every transition back to writable, so nothing polls.
 //
-// A message goes in either as views (`send(head, body)`, gathered once
-// into the lane's owned message) or by move (`send(Buffer&&)`): the shm
-// and remote endpoints put a moved-in buffer on their lane as it is, so a
-// conduit's retained message and the lane message are one shared block.
-// The per-stream channels copy from its view.
+// A message goes in as a Message (common/message.h): a header held by value
+// and a handle on the payload's block. The shm and remote endpoints put it
+// on their lane as it is, so neither the payload a socket handed over nor a
+// conduit's retained share of it is ever copied on the way; the per-stream
+// channels copy its parts into their send slots and frames.
 //
 // The interface carries no peer identity and no closed() query: the conduit
 // that owns a channel knows its peer and whether it closed it.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 
 #include "common/bytes.h"
+#include "common/message.h"
+#include "common/ring.h"
 #include "common/status.h"
 #include "orchestrator/container.h"
 #include "orchestrator/network_orchestrator.h"
@@ -34,20 +35,17 @@ class Agent;
 
 class Channel {
  public:
-  using DeliverFn = std::function<void(Buffer&&)>;
+  using DeliverFn = std::function<void(Message&&)>;
 
   virtual ~Channel() = default;
 
-  /// Sends one message, `head` followed by `body` (a header in front of a
-  /// payload view); fails only if the channel is closed. The bytes are
-  /// gathered once into the lane's owned message, so the caller keeps
-  /// ownership of both.
-  virtual Status send(ByteSpan head, ByteSpan body = {}) = 0;
-  /// Same, for a caller handing over the whole message. Lane-backed
-  /// endpoints put this very buffer on their lane, so a message that is
-  /// also retained (a share of the conduit's window) is never copied;
-  /// others copy from its view.
-  virtual Status send(Buffer&& message) { return send(message.view()); }
+  /// Sends one message, taking it over; fails only if the channel is
+  /// closed. Lane-backed endpoints queue this very message (its payload
+  /// block shared, never copied); the per-stream channels copy its head and
+  /// body into a send slot or a frame. Received messages arrive whole: as
+  /// sent over shm, headless (header at the front of the body) where a
+  /// transport delivered the bytes contiguously.
+  virtual Status send(Message&& message) = 0;
 
   /// False while the underlying lane is full (advisory pacing signal).
   [[nodiscard]] virtual bool writable() const noexcept = 0;
@@ -93,11 +91,9 @@ class LaneSender {
   LaneSender(const LaneSender&) = delete;
   LaneSender& operator=(const LaneSender&) = delete;
 
-  /// Gathers `head` and `body` into one owned message (or takes a moved-in
-  /// buffer, for the rvalue overload) and hands it to the lane, or queues it
-  /// while the lane is full; drains as the lane frees.
-  void send(ByteSpan head, ByteSpan body = {});
-  void send(Buffer&& message);
+  /// Hands `message` to the lane, or queues it while the lane is full;
+  /// drains as the lane frees.
+  void send(Message&& message);
   [[nodiscard]] bool writable() const noexcept;
   [[nodiscard]] bool drained() const noexcept { return overflow_.empty() && lane_->empty(); }
   void set_on_space(std::function<void()> cb) { user_on_space_ = std::move(cb); }
@@ -114,7 +110,7 @@ class LaneSender {
   void drain();
 
   std::shared_ptr<shm::ShmLane> lane_;
-  std::deque<Buffer> overflow_;
+  common::Ring<Message> overflow_;
   std::function<void()> user_on_space_;
 };
 
@@ -126,8 +122,7 @@ class ShmChannelEndpoint final : public Channel {
   ShmChannelEndpoint(std::shared_ptr<shm::ShmLane> tx, std::shared_ptr<shm::ShmLane> rx);
   ~ShmChannelEndpoint() override;
 
-  Status send(ByteSpan head, ByteSpan body = {}) override;
-  Status send(Buffer&& message) override;
+  Status send(Message&& message) override;
   [[nodiscard]] bool writable() const noexcept override { return tx_.writable(); }
   [[nodiscard]] bool drained() const noexcept override { return tx_.drained(); }
   void set_on_message(DeliverFn cb) override;
@@ -165,8 +160,7 @@ class RemoteChannelEndpoint final
                         std::shared_ptr<shm::ShmLane> from_agent);
   ~RemoteChannelEndpoint() override;
 
-  Status send(ByteSpan head, ByteSpan body = {}) override;
-  Status send(Buffer&& message) override;
+  Status send(Message&& message) override;
   /// Writable only while both the container->agent lane has space AND the
   /// agent's trunk toward the peer host is uncongested — this propagates
   /// NIC-rate backpressure all the way to the application.
@@ -183,7 +177,7 @@ class RemoteChannelEndpoint final
   [[nodiscard]] fabric::HostId peer_host() const noexcept { return peer_host_; }
 
   /// Agent-side: delivers a fully reassembled inbound message.
-  void deliver_inbound(Buffer&& message);
+  void deliver_inbound(Message&& message);
 
  private:
   Agent& agent_;

@@ -2,13 +2,10 @@
 
 namespace freeflow::agent {
 
-Buffer make_record(const RelayHeader& header, ByteSpan fragment) {
-  Buffer record = Buffer::for_overwrite(RelayHeader::k_size + fragment.size());
-  header.encode(record.data());
-  if (!fragment.empty()) {
-    std::memcpy(record.data() + RelayHeader::k_size, fragment.data(), fragment.size());
-  }
-  return record;
+Buffer make_record(const RelayHeader& header, ByteSpan head, ByteSpan body) {
+  std::byte encoded[RelayHeader::k_size];
+  header.encode(encoded);
+  return Buffer::gather({encoded, head, body});
 }
 
 Result<ParsedRecord> parse_record(ByteSpan record) {

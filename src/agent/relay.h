@@ -50,8 +50,9 @@ struct RelayHeader {
   }
 };
 
-/// Builds one record (header + fragment bytes).
-Buffer make_record(const RelayHeader& header, ByteSpan fragment);
+/// Builds one owned record: the relay header, then the fragment, given as
+/// the part of the message's head and the part of its body it covers.
+Buffer make_record(const RelayHeader& header, ByteSpan head, ByteSpan body = {});
 
 /// Splits a record back into header + fragment view.
 struct ParsedRecord {

@@ -26,35 +26,34 @@ void RdmaTrunk::start() {
   pump();
 }
 
-void RdmaTrunk::send(const RelayHeader& header, ByteSpan fragment, std::uint32_t tenant) {
+void RdmaTrunk::send(const RelayHeader& header, ByteSpan head, ByteSpan body,
+                     std::uint32_t tenant) {
   if (!queue_.empty() || !slots_->can_post()) {
     // Records are waiting (or nothing can post yet): this one queues behind
     // them, owned, so it never overtakes them.
-    queue_.push_back(QueuedRecord{make_record(header, fragment), tenant});
+    queue_.push_back(QueuedRecord{make_record(header, head, body), tenant});
     pump();
     return;
   }
   std::byte encoded[RelayHeader::k_size];
   header.encode(encoded);
-  post(encoded, fragment, tenant);
+  post({encoded, head, body}, tenant);
 }
 
-void RdmaTrunk::post(ByteSpan head, ByteSpan body, std::uint32_t tenant) {
+void RdmaTrunk::post(std::initializer_list<ByteSpan> parts, std::uint32_t tenant) {
   auto& host = slots_->device().host();
   const auto& m = host.cost_model();
   // Zero-copy relay: the shm block doubles as the registered buffer, so
   // the agent pays only fixed per-record CPU. Copy mode is the ablation.
   double cpu = m.agent_record_ns;
-  if (!zero_copy_) {
-    cpu += m.agent_copy_ns_per_byte * static_cast<double>(head.size() + body.size());
-  }
+  if (!zero_copy_) cpu += m.agent_copy_ns_per_byte * static_cast<double>(total_size(parts));
   host.cpu().submit(cpu, nullptr, &account_);
-  slots_->post(head, body, tenant);
+  slots_->post(parts, tenant);
 }
 
 void RdmaTrunk::pump() {
   while (!queue_.empty() && slots_->can_post()) {
-    post(queue_.front().record.view(), {}, queue_.front().tenant);
+    post({queue_.front().record.view()}, queue_.front().tenant);
     queue_.pop_front();
   }
 }
@@ -72,8 +71,9 @@ void RdmaTrunk::poll() {
 DpdkTrunk::DpdkTrunk(dpdk::DpdkPort& port, fabric::HostId peer)
     : port_(port), peer_(peer) {}
 
-void DpdkTrunk::send(const RelayHeader& header, ByteSpan fragment, std::uint32_t tenant) {
-  const Status sent = port_.send(peer_, make_record(header, fragment), tenant);
+void DpdkTrunk::send(const RelayHeader& header, ByteSpan head, ByteSpan body,
+                     std::uint32_t tenant) {
+  const Status sent = port_.send(peer_, make_record(header, head, body), tenant);
   if (!sent.is_ok()) {
     FF_LOG(warn, "agent") << "dpdk trunk send failed: " << sent;
   }
@@ -95,7 +95,8 @@ void TcpTrunk::attach(tcp::TcpConnection::Ptr conn) {
   maybe_drained();
 }
 
-void TcpTrunk::send(const RelayHeader& header, ByteSpan fragment, std::uint32_t tenant) {
+void TcpTrunk::send(const RelayHeader& header, ByteSpan head, ByteSpan body,
+                    std::uint32_t tenant) {
   // A kernel TCP byte stream interleaves every container's records into one
   // connection: frames are not attributable to a tenant at the NIC, so the
   // class stays 0 (documented limitation; the kernel-bypass paths classify
@@ -103,7 +104,7 @@ void TcpTrunk::send(const RelayHeader& header, ByteSpan fragment, std::uint32_t 
   (void)tenant;
   std::byte encoded[RelayHeader::k_size];
   header.encode(encoded);
-  pipe_->send(encoded, fragment);
+  pipe_->send(encoded, head, body);
   if (connected()) maybe_drained();
 }
 

@@ -7,6 +7,7 @@
 
 #include <deque>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 
 #include "agent/relay.h"
@@ -28,14 +29,15 @@ class Trunk {
   Trunk(const Trunk&) = delete;
   Trunk& operator=(const Trunk&) = delete;
 
-  /// Sends one relay record, `header` followed by `fragment`, toward the
-  /// peer agent. The fragment is a view: the trunk writes it where it goes
+  /// Sends one relay record toward the peer agent: `header`, then the
+  /// fragment, given as the part of the message's head and the part of its
+  /// body it covers. Both are views: the trunk gathers them where they go
   /// (a send slot, a frame) and builds an owned record only where one must
   /// be owned. Trunks buffer internally; delivery order is preserved.
   /// `tenant` classifies the record for the NIC's per-tenant scheduler on
   /// kernel-bypass paths (0 = infrastructure class; the TCP trunk's byte
   /// stream interleaves records and stays unclassified).
-  virtual void send(const RelayHeader& header, ByteSpan fragment,
+  virtual void send(const RelayHeader& header, ByteSpan head, ByteSpan body,
                     std::uint32_t tenant = 0) = 0;
 
   /// True while the trunk's internal queue is deep: senders should pause
@@ -76,7 +78,7 @@ class RdmaTrunk final : public Trunk {
   /// Writes header and fragment straight into a free send slot when nothing
   /// is queued and the QP is ready; otherwise queues an owned record behind
   /// the others, so records post in send order.
-  void send(const RelayHeader& header, ByteSpan fragment,
+  void send(const RelayHeader& header, ByteSpan head, ByteSpan body,
             std::uint32_t tenant = 0) override;
   [[nodiscard]] bool congested() const noexcept override {
     return queue_.size() > k_congestion_records;
@@ -90,8 +92,9 @@ class RdmaTrunk final : public Trunk {
     std::uint32_t tenant = 0;
   };
 
-  /// Charges the relay CPU for `head` + `body`, then posts them to a slot.
-  void post(ByteSpan head, ByteSpan body, std::uint32_t tenant);
+  /// Charges the relay CPU for the record's bytes, then gathers `parts`
+  /// into a send slot.
+  void post(std::initializer_list<ByteSpan> parts, std::uint32_t tenant);
   void pump();
   void poll();
 
@@ -107,7 +110,7 @@ class DpdkTrunk final : public Trunk {
   DpdkTrunk(dpdk::DpdkPort& port, fabric::HostId peer);
 
   /// Builds the record the PMD owns while it streams the frames.
-  void send(const RelayHeader& header, ByteSpan fragment,
+  void send(const RelayHeader& header, ByteSpan head, ByteSpan body,
             std::uint32_t tenant = 0) override;
   [[nodiscard]] bool congested() const noexcept override {
     return port_.tx_queue_depth() > k_congestion_records;
@@ -133,8 +136,8 @@ class TcpTrunk final : public Trunk {
   /// Attaches the established connection (either side).
   void attach(tcp::TcpConnection::Ptr conn);
 
-  /// Frames length, header and fragment in one copy.
-  void send(const RelayHeader& header, ByteSpan fragment,
+  /// Frames length, relay header and fragment in one copy.
+  void send(const RelayHeader& header, ByteSpan head, ByteSpan body,
             std::uint32_t tenant = 0) override;
   [[nodiscard]] bool congested() const noexcept override {
     return pipe_->queued() > k_congestion_records;

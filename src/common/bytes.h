@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <new>
 #include <span>
@@ -22,6 +23,22 @@ namespace freeflow {
 
 using ByteSpan = std::span<const std::byte>;
 using MutableByteSpan = std::span<std::byte>;
+
+/// Total bytes of `parts`.
+inline std::size_t total_size(std::initializer_list<ByteSpan> parts) noexcept {
+  std::size_t size = 0;
+  for (const ByteSpan part : parts) size += part.size();
+  return size;
+}
+
+/// Copies `parts` back to back to `out`, which has room for all of them.
+inline void copy_parts(std::byte* out, std::initializer_list<ByteSpan> parts) noexcept {
+  for (const ByteSpan part : parts) {
+    if (part.empty()) continue;  // an empty span may carry a null data()
+    std::memcpy(out, part.data(), part.size());
+    out += part.size();
+  }
+}
 
 /// Owning, resizable byte buffer over one reference-counted block.
 ///
@@ -56,12 +73,10 @@ class Buffer {
     b.size_ = size;
     return b;
   }
-  /// `head` followed by `body`, in one allocation and one copy of each.
-  static Buffer gather(ByteSpan head, ByteSpan body) {
-    if (head.empty() && body.empty()) return {};
-    Buffer b = for_overwrite(head.size() + body.size());
-    if (!head.empty()) std::memcpy(b.bytes_, head.data(), head.size());
-    if (!body.empty()) std::memcpy(b.bytes_ + head.size(), body.data(), body.size());
+  /// `parts` back to back, in one allocation and one copy of each.
+  static Buffer gather(std::initializer_list<ByteSpan> parts) {
+    Buffer b = for_overwrite(total_size(parts));
+    copy_parts(b.bytes_, parts);
     return b;
   }
 

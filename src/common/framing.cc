@@ -10,17 +10,10 @@ constexpr std::size_t k_length_bytes = 4;
 }  // namespace
 
 Buffer frame_record(ByteSpan head, ByteSpan body, ByteSpan tail) {
-  const std::size_t size = head.size() + body.size() + tail.size();
-  Buffer framed = Buffer::for_overwrite(k_length_bytes + size);
-  const auto len = static_cast<std::uint32_t>(size);
-  std::memcpy(framed.data(), &len, k_length_bytes);
-  std::byte* out = framed.data() + k_length_bytes;
-  for (const ByteSpan part : {head, body, tail}) {
-    if (part.empty()) continue;  // an empty span may carry a null data()
-    std::memcpy(out, part.data(), part.size());
-    out += part.size();
-  }
-  return framed;
+  const auto len = static_cast<std::uint32_t>(head.size() + body.size() + tail.size());
+  std::byte prefix[k_length_bytes];
+  std::memcpy(prefix, &len, k_length_bytes);
+  return Buffer::gather({prefix, head, body, tail});
 }
 
 void append_stream_bytes(Buffer& accum, Buffer&& bytes) {

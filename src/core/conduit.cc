@@ -49,34 +49,33 @@ Conduit::Conduit(std::uint64_t token, orch::ContainerId self, orch::ContainerId 
   tracer_.name_thread(self_, trace_tid(token_), "conduit " + std::to_string(token_));
 }
 
-void Conduit::send(const WireHeader& header, ByteSpan payload) {
+void Conduit::send(const WireHeader& header, Buffer payload) {
   if (closed_ || closing_) return;  // teardown races with in-flight sends
   WireHeader h = header;
   h.seq = ++tx_seq_;
+  // The header is encoded on the stack and travels in front of the payload
+  // block itself: no hop below copies the payload.
+  const EncodedHeader head = encode_header(h, payload.size());
+  Message message(head, std::move(payload));
   if (channel_ == nullptr || paused_) {
     // Detached, or transmit-frozen for quiesce: the sequence is assigned
-    // (message-boundary pause keeps ordering contiguous) but the bytes wait
-    // in the queue until drain() runs again.
-    queue_.push_back(make_message(h, payload));
+    // (message-boundary pause keeps ordering contiguous) but the message
+    // waits in the queue until drain() runs again.
+    queue_.push_back(std::move(message));
     return;
   }
-  if (should_retain()) {
-    // The retained window keeps the built message: a replay after a
-    // failover needs the bytes once the channel they went out on is gone.
-    transmit(h.seq, make_message(h, payload));
-    return;
-  }
-  // Lossless (shm) channel: nothing is retained, so no message is built.
-  // The header is encoded on the stack and gathered in front of the
-  // payload view straight into the lane.
-  ctr_sent_->inc();
-  warn_if_failed(channel_->send(encode_header(h, payload.size()), payload));
+  transmit(h.seq, std::move(message));
 }
 
-void Conduit::transmit(std::uint64_t seq, Buffer message) {
-  // On a lossy channel the retained window and the message handed to the
-  // channel share one block, so retention copies nothing.
-  if (should_retain()) {
+void Conduit::send(const WireHeader& header, ByteSpan payload) {
+  send(header, Buffer(payload.data(), payload.size()));
+}
+
+void Conduit::transmit(std::uint64_t seq, Message message) {
+  // On a lossy channel the retained window keeps a share of the message:
+  // a replay after a failover needs the bytes once the channel they went
+  // out on is gone. The share copies the header, not the payload.
+  if (retains()) {
     retained_.emplace_back(seq, message.share());
     gauge_retained_->set(static_cast<std::int64_t>(retained_.size()));
     if (retained_.size() == k_max_retained) note_window_filled();
@@ -98,7 +97,7 @@ void Conduit::send_control(WireHeader header) {
   if (channel_ == nullptr) return;
   header.token = token_;
   header.seq = 0;
-  channel_->send(encode_header(header));
+  channel_->send(Message(encode_header(header)));
 }
 
 void Conduit::send_control(VMsg type, std::uint64_t id) {
@@ -121,7 +120,7 @@ void Conduit::attach_channel(agent::ChannelPtr channel) {
   splicing_ = true;
   channel_ = std::move(channel);
   auto self = weak_from_this();
-  channel_->set_on_message([self](Buffer&& message) {
+  channel_->set_on_message([self](Message&& message) {
     if (auto conduit = self.lock()) conduit->handle_message(std::move(message));
   });
   channel_->set_on_space([self]() {
@@ -168,8 +167,8 @@ void Conduit::attach_channel(agent::ChannelPtr channel) {
   if (auto cb = on_attached_) cb();
 }
 
-void Conduit::handle_message(Buffer&& message) {
-  auto parsed = parse_message(message.view());
+void Conduit::handle_message(Message&& message) {
+  auto parsed = parse_message(std::move(message));
   if (!parsed.is_ok()) {
     FF_LOG(warn, "core") << "conduit got malformed message: " << parsed.status();
     return;
@@ -216,16 +215,12 @@ void Conduit::handle_message(Buffer&& message) {
     maybe_ack();
   }
   ctr_received_->inc();
-  if (on_message_) {
-    // Strip the header in place: the payload is handed on, not copied.
-    message.consume_front(WireHeader::k_size);
-    on_message_(h, std::move(message));
-  }
+  if (on_message_) on_message_(h, std::move(parsed->payload));
   if (bye_after_ != 0 && rx_next_ > bye_after_ && !closed_) handle_bye(bye_after_);
 }
 
 void Conduit::maybe_ack() {
-  if (!should_retain()) return;  // shm is lossless: peer retains nothing
+  if (!retains()) return;  // shm is lossless: peer retains nothing
   if (++since_ack_ >= k_ack_every) {
     send_ack_now();
     return;
@@ -251,7 +246,7 @@ void Conduit::arm_ack_timer() {
     auto conduit = self.lock();
     if (conduit == nullptr || conduit->closed_ || conduit->closing_) return;
     if (conduit->since_ack_ == 0 && !conduit->resync_ack_) return;
-    if (!conduit->should_retain()) return;  // detached or lossless: no ack path
+    if (!conduit->retains()) return;  // detached or lossless: no ack path
     conduit->ctr_delayed_acks_->inc();
     conduit->send_ack_now();
   });
@@ -439,7 +434,7 @@ void Conduit::retransmit_retained() {
       FF_LOG(warn, "core") << "conduit retransmit failed: " << s;
     }
   }
-  if (!should_retain()) {
+  if (!retains()) {
     // The new channel is lossless shm: once pushed it cannot be lost, and
     // the peer will never ack over shm. Drop the window.
     retained_.clear();
@@ -491,16 +486,18 @@ std::size_t Conduit::state_bytes() const noexcept {
   constexpr std::size_t k_counter_bytes = 44;
   constexpr std::size_t k_length_bytes = 4;
   std::size_t bytes = k_counter_bytes;
-  for (const auto& [seq, message] : retained_) bytes += k_length_bytes + message.size();
+  for (std::size_t i = 0; i < retained_.size(); ++i) {
+    bytes += k_length_bytes + retained_[i].second.size();
+  }
   for (const auto& message : queue_) bytes += k_length_bytes + message.size();
   return bytes;
 }
 
 void Conduit::drain() {
   while (!queue_.empty() && channel_ != nullptr && !paused_) {
-    Buffer message = std::move(queue_.front());
+    Message message = std::move(queue_.front());
     queue_.pop_front();
-    const std::uint64_t seq = WireHeader::decode(message.view().data()).seq;
+    const std::uint64_t seq = WireHeader::decode(message.head().data()).seq;
     transmit(seq, std::move(message));
   }
 }

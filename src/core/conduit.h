@@ -25,6 +25,7 @@
 
 #include "agent/channel.h"
 #include "common/handler_slot.h"
+#include "common/ring.h"
 #include "core/close_reason.h"
 #include "core/wire.h"
 #include "sim/event_loop.h"
@@ -56,8 +57,13 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
           tcp::Ipv4Addr peer_ip, std::uint16_t service_port, bool initiator,
           telemetry::Telemetry& hub, sim::EventLoop& loop);
 
-  /// Sends one protocol message; queued while no channel is attached.
-  void send(const WireHeader& header, ByteSpan payload = {});
+  /// Sends one protocol message, taking over `payload`: its block travels
+  /// as it is to the peer's handler (retained on lossy channels, queued
+  /// while no channel is attached), and only a transport that must lay the
+  /// bytes out contiguously copies them.
+  void send(const WireHeader& header, Buffer payload = {});
+  /// Same, for a payload the caller keeps (a verbs MR): copies it once.
+  void send(const WireHeader& header, ByteSpan payload);
   /// The control lane: puts one unsequenced message for this conduit on the
   /// attached channel, or drops it when none is attached (each sender
   /// re-issues on the next attach: acks by timer, bye on re-attach, the
@@ -198,6 +204,11 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   [[nodiscard]] bool channel_writable() const noexcept {
     return channel_ != nullptr && channel_->writable();
   }
+  /// True while attached to a lossy channel: each sent message is retained
+  /// (its payload block with it) until the peer acks it.
+  [[nodiscard]] bool retains() const noexcept {
+    return channel_ != nullptr && channel_->transport() != orch::Transport::shm;
+  }
 
   /// Cumulative-ack cadence: one ack per this many received data messages.
   static constexpr std::uint64_t k_ack_every = 16;
@@ -217,9 +228,9 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   void drain();
   /// Puts one sequenced message on the attached channel (retaining it on a
   /// lossy one).
-  void transmit(std::uint64_t seq, Buffer message);
+  void transmit(std::uint64_t seq, Message message);
   void retransmit_retained();
-  void handle_message(Buffer&& message);
+  void handle_message(Message&& message);
   void handle_ack(std::uint64_t acked_upto);
   /// `last_seq`: the peer's final sequence. The control lane may overtake
   /// data still queued behind flow control, so the close completes once
@@ -238,9 +249,6 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   [[nodiscard]] bool in_flight() const noexcept {
     return !retained_.empty() || (channel_ != nullptr && !channel_->drained());
   }
-  [[nodiscard]] bool should_retain() const noexcept {
-    return channel_ != nullptr && channel_->transport() != orch::Transport::shm;
-  }
 
   std::uint64_t token_;
   orch::ContainerId self_;
@@ -250,11 +258,11 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   bool initiator_;
 
   agent::ChannelPtr channel_;
-  std::deque<Buffer> queue_;
+  std::deque<Message> queue_;
   /// Sent on a lossy channel, not yet cumulatively acked: (seq, message).
-  /// Each shares its block with the message the channel was handed, and a
-  /// retransmit hands the channel another share.
-  std::deque<std::pair<std::uint64_t, Buffer>> retained_;
+  /// Each shares its payload block with the message the channel was
+  /// handed, and a retransmit hands the channel another share.
+  common::Ring<std::pair<std::uint64_t, Message>> retained_;
   common::HandlerSlot<void(const WireHeader&, Buffer&&)> on_message_;
   std::function<void()> on_space_;
   ClosedFn on_closed_;

@@ -15,7 +15,7 @@ void send_rebind(agent::Channel& channel, std::uint64_t token) {
   WireHeader h;
   h.type = VMsg::rebind;
   h.token = token;
-  channel.send(encode_header(h));
+  channel.send(Message(encode_header(h)));
 }
 
 /// The answers to a connect request (cm_connect or sock_connect).
@@ -322,10 +322,10 @@ void ContainerNet::on_incoming_channel(orch::ContainerId src, agent::ChannelPtr 
   auto self = weak_from_this();
   auto raw = channel.get();
   pending_incoming_.emplace(raw, std::move(channel));
-  raw->set_on_message([self, src, raw](Buffer&& message) {
+  raw->set_on_message([self, src, raw](Message&& message) {
     auto net = self.lock();
     if (net == nullptr) return;
-    auto parsed = parse_message(message.view());
+    auto parsed = parse_message(std::move(message));
     if (!parsed.is_ok()) {
       FF_LOG(warn, "core") << "bad first message on incoming channel";
       return;
@@ -357,7 +357,7 @@ void ContainerNet::handle_first_message(orch::ContainerId src, agent::Channel* r
       reply.token = header.token;
       if (lit == listeners_.end()) {
         reply.type = reject_of(header.type);
-        channel->send(encode_header(reply));
+        channel->send(Message(encode_header(reply)));
         channel->close();  // the reply is already in the lane; unhook and drop
         return;
       }
@@ -405,7 +405,7 @@ void ContainerNet::handle_first_message(orch::ContainerId src, agent::Channel* r
       WireHeader reply;
       reply.type = VMsg::bye_ack;
       reply.token = header.token;
-      channel->send(encode_header(reply));
+      channel->send(Message(encode_header(reply)));
       channel->close();
       return;
     }
@@ -651,7 +651,9 @@ void ContainerNet::rebind_on_fallback(const ConduitPtr& conduit, bool upgrade_af
     // The offer rides right behind it: ahead of the retained-window replay
     // and of the send buffer the application fills once it may send again.
     if (upgrade_after) {
-      if (auto offer = net->make_offer(conduit)) channel->send(encode_header(*offer));
+      if (auto offer = net->make_offer(conduit)) {
+        channel->send(Message(encode_header(*offer)));
+      }
     }
     conduit->attach_channel(std::move(channel));
     net->note_splice("stream/fallbacks", "stream_fallback", conduit->token());

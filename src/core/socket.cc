@@ -35,12 +35,22 @@ void FlowSocket::set_on_space(VoidFn cb) { conduit_->set_on_space(std::move(cb))
 
 Status FlowSocket::send(Buffer data) {
   if (!open_) return failed_precondition("socket closed");
+  // Each chunk is handed to the conduit as a slice of the caller's block,
+  // which stays pinned until its last slice is released. A conduit that
+  // retains holds each chunk until the peer acks it, so the chunks of a
+  // larger buffer are copied out instead: acked chunks then free their own
+  // bytes rather than keeping the whole block until the last ack.
+  const bool copy_chunks = data.size() > k_chunk && conduit_->retains();
   std::size_t offset = 0;
   while (offset < data.size()) {
     const std::size_t n = std::min(k_chunk, data.size() - offset);
     WireHeader h;
     h.type = VMsg::sock_data;
-    conduit_->send(h, data.view().subspan(offset, n));
+    if (copy_chunks) {
+      conduit_->send(h, data.view().subspan(offset, n));
+    } else {
+      conduit_->send(h, data.slice(offset, n));
+    }
     offset += n;
   }
   bytes_sent_ += data.size();

@@ -23,7 +23,9 @@ class FlowSocket : public std::enable_shared_from_this<FlowSocket> {
   FlowSocket(const FlowSocket&) = delete;
   FlowSocket& operator=(const FlowSocket&) = delete;
 
-  /// Sends stream bytes (chunked into conduit messages). Never blocks;
+  /// Sends stream bytes (chunked into conduit messages), taking over
+  /// `data`: its block travels to the peer as it is, and a write through
+  /// another handle on it copies that handle's bytes first. Never blocks;
   /// pace on writable()/on_space for bounded memory.
   Status send(Buffer data);
 

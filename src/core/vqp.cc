@@ -19,7 +19,7 @@ VirtualQp::VirtualQp(ContainerNet& net, ConduitPtr conduit, rdma::CqPtr send_cq,
 void VirtualQp::bind() {
   auto self = weak_from_this();
   conduit_->set_on_message([self](const WireHeader& h, Buffer&& payload) {
-    if (auto qp = self.lock()) qp->handle_message(h, payload.view());
+    if (auto qp = self.lock()) qp->handle_message(h, std::move(payload));
   });
   conduit_->set_on_closed([self](CloseReason reason) {
     auto qp = self.lock();
@@ -98,11 +98,9 @@ Status VirtualQp::post_recv(const rdma::RecvWr& wr) {
   rq_.push_back(wr);
   // Drain any sends that arrived before this receive was posted.
   while (!rx_backlog_.empty() && !rq_.empty()) {
-    Buffer msg = std::move(rx_backlog_.front());
+    auto [header, payload] = std::move(rx_backlog_.front());
     rx_backlog_.pop_front();
-    auto parsed = parse_message(msg.view());
-    FF_CHECK(parsed.is_ok());
-    handle_message(parsed->header, parsed->payload);
+    handle_message(header, std::move(payload));
   }
   return ok_status();
 }
@@ -120,11 +118,11 @@ void VirtualQp::complete_send(const rdma::SendWr& wr, rdma::WcStatus status) {
   send_cq_->push(wc);
 }
 
-void VirtualQp::handle_message(const WireHeader& h, ByteSpan payload) {
+void VirtualQp::handle_message(const WireHeader& h, Buffer&& payload) {
   switch (h.type) {
     case VMsg::verbs_send: {
       if (rq_.empty()) {
-        rx_backlog_.push_back(make_message(h, payload));
+        rx_backlog_.emplace_back(h, std::move(payload));
         return;
       }
       rdma::RecvWr wr = rq_.front();
@@ -136,7 +134,7 @@ void VirtualQp::handle_message(const WireHeader& h, ByteSpan payload) {
       if (payload.size() > wr.local.length) {
         wc.status = rdma::WcStatus::local_length_error;
       } else if (!payload.empty()) {
-        std::memcpy(wr.local.mr->data().data() + wr.local.offset, payload.data(),
+        std::memcpy(wr.local.mr->data().data() + wr.local.offset, payload.view().data(),
                     payload.size());
       }
       recv_cq_->push(wc);
@@ -149,7 +147,7 @@ void VirtualQp::handle_message(const WireHeader& h, ByteSpan payload) {
         return;
       }
       if (!payload.empty()) {
-        std::memcpy(target->data().data() + h.offset, payload.data(), payload.size());
+        std::memcpy(target->data().data() + h.offset, payload.view().data(), payload.size());
       }
       return;
     }
@@ -181,7 +179,7 @@ void VirtualQp::handle_message(const WireHeader& h, ByteSpan payload) {
       if (h.mr != 0 || payload.size() > wr.local.length) {
         wc.status = rdma::WcStatus::remote_access_error;
       } else if (!payload.empty()) {
-        std::memcpy(wr.local.mr->data().data() + wr.local.offset, payload.data(),
+        std::memcpy(wr.local.mr->data().data() + wr.local.offset, payload.view().data(),
                     payload.size());
       }
       send_cq_->push(wc);

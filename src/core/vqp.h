@@ -46,7 +46,7 @@ class VirtualQp : public std::enable_shared_from_this<VirtualQp> {
   void bind();
 
  private:
-  void handle_message(const WireHeader& header, ByteSpan payload);
+  void handle_message(const WireHeader& header, Buffer&& payload);
   void complete_send(const rdma::SendWr& wr, rdma::WcStatus status);
 
   ContainerNet& net_;
@@ -55,7 +55,8 @@ class VirtualQp : public std::enable_shared_from_this<VirtualQp> {
   rdma::CqPtr recv_cq_;
 
   std::deque<rdma::RecvWr> rq_;
-  std::deque<Buffer> rx_backlog_;  ///< sends that arrived before a recv
+  /// Sends that arrived before a recv: each header and its payload.
+  std::deque<std::pair<WireHeader, Buffer>> rx_backlog_;
   std::unordered_map<std::uint64_t, rdma::SendWr> pending_reads_;
   std::uint64_t next_req_id_ = 1;
   CloseReason close_reason_ = CloseReason::app_close;

@@ -37,17 +37,23 @@ EncodedHeader encode_header(const WireHeader& header, std::size_t payload_len) n
   return out;
 }
 
-Buffer make_message(const WireHeader& header, ByteSpan payload) {
-  return Buffer::gather(encode_header(header, payload.size()), payload);
-}
-
-Result<ParsedMessage> parse_message(ByteSpan message) {
-  if (message.size() < WireHeader::k_size) {
-    return invalid_argument("freeflow message shorter than header");
-  }
+Result<ParsedMessage> parse_message(Message&& message) {
   ParsedMessage out;
-  out.header = WireHeader::decode(message.data());
-  out.payload = message.subspan(WireHeader::k_size);
+  out.payload = std::move(message.body());
+  const ByteSpan head = message.head();
+  if (!head.empty()) {
+    if (head.size() != WireHeader::k_size) {
+      return invalid_argument("freeflow message head is not a wire header");
+    }
+    out.header = WireHeader::decode(head.data());
+  } else {
+    // Received contiguously: the header leads the body. Strip it in place.
+    if (out.payload.size() < WireHeader::k_size) {
+      return invalid_argument("freeflow message shorter than header");
+    }
+    out.header = WireHeader::decode(out.payload.view().data());
+    out.payload.consume_front(WireHeader::k_size);
+  }
   if (out.payload.size() != out.header.len) {
     return invalid_argument("freeflow message length mismatch");
   }

@@ -1,13 +1,16 @@
 // FreeFlow library wire protocol: the messages the per-container network
 // library exchanges over its channels. One fixed header in front of every
 // message multiplexes connection setup (CM-style QP rendezvous, socket
-// handshakes, migration rebinds) and data-plane verbs.
+// handshakes, migration rebinds) and data-plane verbs. A sender never
+// builds the message: it encodes the header on its stack and sends it as
+// the head of a Message whose body is the payload Buffer itself.
 #pragma once
 
 #include <array>
 #include <cstdint>
 
 #include "common/bytes.h"
+#include "common/message.h"
 #include "common/status.h"
 
 namespace freeflow::core {
@@ -57,18 +60,21 @@ struct WireHeader {
   static WireHeader decode(const std::byte* in) noexcept;
 };
 
-/// A message's header bytes, `len` set to `payload_len`: senders gather
-/// them in front of the payload instead of building the message.
+/// A message's header bytes, `len` set to `payload_len`: a sender puts
+/// them in front of its payload as a Message's head.
 using EncodedHeader = std::array<std::byte, WireHeader::k_size>;
 EncodedHeader encode_header(const WireHeader& header, std::size_t payload_len = 0) noexcept;
-
-/// One message = header + payload, built as one owned buffer.
-Buffer make_message(const WireHeader& header, ByteSpan payload = {});
+static_assert(WireHeader::k_size <= Message::k_max_head);
 
 struct ParsedMessage {
   WireHeader header;
-  ByteSpan payload;
+  Buffer payload;
 };
-Result<ParsedMessage> parse_message(ByteSpan message);
+/// Splits a message into its wire header and its payload, copying no
+/// payload byte. The header is the message's head or, for a message a
+/// transport received contiguously, the front of its body. Rejects a
+/// message whose header is not whole or whose `len` is not its payload's
+/// size.
+Result<ParsedMessage> parse_message(Message&& message);
 
 }  // namespace freeflow::core

@@ -1,7 +1,5 @@
 #include "rdma/slot_qp.h"
 
-#include <cstring>
-
 #include "common/logging.h"
 
 namespace freeflow::rdma {
@@ -53,14 +51,12 @@ void SlotQp::repost_recv(std::uint32_t slot) {
   FF_CHECK(qp_->post_recv(wr, account_).is_ok());
 }
 
-void SlotQp::post(ByteSpan head, ByteSpan body, std::uint32_t tenant) {
-  const std::size_t size = head.size() + body.size();
+void SlotQp::post(std::initializer_list<ByteSpan> parts, std::uint32_t tenant) {
+  const std::size_t size = total_size(parts);
   FF_CHECK(size <= slot_bytes_);
   const std::uint32_t slot = free_slots_.back();
   free_slots_.pop_back();
-  std::byte* dst = send_mr_->data().data() + slot * slot_bytes_;
-  if (!head.empty()) std::memcpy(dst, head.data(), head.size());
-  if (!body.empty()) std::memcpy(dst + head.size(), body.data(), body.size());
+  copy_parts(send_mr_->data().data() + slot * slot_bytes_, parts);
 
   SendWr wr;
   wr.wr_id = slot;

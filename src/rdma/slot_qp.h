@@ -11,6 +11,7 @@
 #pragma once
 
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
@@ -49,9 +50,9 @@ class SlotQp : public std::enable_shared_from_this<SlotQp> {
   [[nodiscard]] bool can_post() const noexcept {
     return qp_->state() == QpState::ready && !free_slots_.empty();
   }
-  /// Gathers `head` and `body` into a free send slot and posts a signaled
-  /// SEND of class `tenant` (0: the QP's). Requires can_post().
-  void post(ByteSpan head, ByteSpan body = {}, std::uint32_t tenant = 0);
+  /// Gathers `parts` into a free send slot and posts a signaled SEND of
+  /// class `tenant` (0: the QP's). Requires can_post().
+  void post(std::initializer_list<ByteSpan> parts, std::uint32_t tenant = 0);
 
   /// Drains both CQs, charging rdma_poll_ns per completion. A send
   /// completion frees its slot. A receive is copied out, its slot reposted,

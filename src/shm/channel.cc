@@ -14,20 +14,9 @@ bool ShmLane::can_send(std::size_t payload) const noexcept {
   return capacity_ - used_ >= record_size(payload);
 }
 
-Status ShmLane::send(ByteSpan head, ByteSpan body) {
-  if (!can_send(head.size() + body.size())) return would_block("shm lane full");
-  enqueue(Buffer::gather(head, body));
-  return ok_status();
-}
-
-Status ShmLane::send(Buffer&& message) {
-  if (!can_send(message.size())) return would_block("shm lane full");
-  enqueue(std::move(message));
-  return ok_status();
-}
-
-void ShmLane::enqueue(Buffer&& message) {
+Status ShmLane::send(Message&& message) {
   const std::size_t size = message.size();
+  if (!can_send(size)) return would_block("shm lane full");
   used_ += record_size(size);
   queue_.push_back(std::move(message));
 
@@ -47,6 +36,7 @@ void ShmLane::enqueue(Buffer&& message) {
                                             [this, self, size]() { deliver_one(size); });
                     },
                     sender_account_, &host_.membus(), side_bus);
+  return ok_status();
 }
 
 void ShmLane::deliver_one(std::size_t payload_size) {
@@ -61,7 +51,7 @@ void ShmLane::deliver_one(std::size_t payload_size) {
     // may drop the channel's last reference to us mid-callback. Acquired at
     // run time, not capture time, so queued jobs still don't pin their owner.
     auto self = weak_from_this().lock();
-    Buffer out = std::move(queue_.front());
+    Message out = std::move(queue_.front());
     queue_.pop_front();
     used_ -= record_size(out.size());
     ++delivered_;

@@ -1,11 +1,12 @@
 // Simulation-level shared-memory message channel between two containers on
-// the same host. A lane is a descriptor queue of owned messages: the sender
-// gathers each message once (its modelled copy into the shared segment) and
-// the receiver is handed that very buffer, so one host copy stands for the
-// modelled copy-in and copy-out. Admission is a flat byte ring's: until it is
-// delivered, each queued message holds its payload plus a 4-byte length
-// header of the lane's capacity, so backpressure is what a length-prefixed
-// ring of the same size in the shared segment would give.
+// the same host. A lane is a descriptor queue of two-part messages (a
+// header held by value, a handle on the payload's block; common/message.h):
+// the receiver is handed the very message the sender queued, so the
+// modelled copy-in and copy-out cost sim time but no host copy. Admission
+// is a flat byte ring's: until it is delivered, each queued message holds
+// its header and payload plus a 4-byte length header of the lane's
+// capacity, so backpressure is what a length-prefixed ring of the same size
+// in the shared segment would give.
 // The cost model charges sender/receiver CPU (enqueue + memcpy) and the host
 // memory bus, which is what makes shm throughput plateau at the bus for many
 // pairs (paper Fig. 2a) while staying far above TCP/RDMA for one pair.
@@ -13,12 +14,13 @@
 
 #include <bit>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 
 #include "common/bytes.h"
 #include "common/handler_slot.h"
+#include "common/message.h"
+#include "common/ring.h"
 #include "common/status.h"
 #include "fabric/host.h"
 #include "sim/resource.h"
@@ -37,7 +39,8 @@ namespace freeflow::shm {
 /// unique-owned lanes (workload drivers) must simply outlive the run.
 class ShmLane : public std::enable_shared_from_this<ShmLane> {
  public:
-  /// Bytes a queued message of `payload` size holds: header + payload.
+  /// Bytes a queued message of `payload` size (head and body) holds:
+  /// length header + payload.
   [[nodiscard]] static constexpr std::size_t record_size(std::size_t payload) noexcept {
     return k_header_size + payload;
   }
@@ -59,7 +62,7 @@ class ShmLane : public std::enable_shared_from_this<ShmLane> {
   void set_receiver_account(sim::UsageAccount* account) noexcept { receiver_account_ = account; }
   /// Both handlers run in place; one set while a delivery is dispatching
   /// takes effect once that dispatch returns (see common::HandlerSlot).
-  void set_receiver(std::function<void(Buffer&&)> on_message) {
+  void set_receiver(std::function<void(Message&&)> on_message) {
     on_message_.set(std::move(on_message));
   }
 
@@ -69,12 +72,10 @@ class ShmLane : public std::enable_shared_from_this<ShmLane> {
 
   [[nodiscard]] bool can_send(std::size_t payload) const noexcept;
 
-  /// Enqueues one message, `head` followed by `body`, gathered into one
-  /// owned buffer (the caller keeps its buffers). Returns would_block, with
-  /// no side effects, when the lane lacks space — retry from on_space.
-  Status send(ByteSpan head, ByteSpan body = {});
-  /// Enqueues `message` itself. On would_block it is left untouched.
-  Status send(Buffer&& message);
+  /// Enqueues `message` itself, copying no byte of it. Returns would_block,
+  /// with no side effects and `message` untouched, when the lane lacks
+  /// space — retry from on_space.
+  Status send(Message&& message);
 
   /// True when no message waits for delivery.
   [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
@@ -84,7 +85,6 @@ class ShmLane : public std::enable_shared_from_this<ShmLane> {
  private:
   static constexpr std::size_t k_header_size = 4;
 
-  void enqueue(Buffer&& message);
   void deliver_one(std::size_t payload_size);
 
   fabric::Host& host_;
@@ -93,8 +93,8 @@ class ShmLane : public std::enable_shared_from_this<ShmLane> {
   sim::SerialExecutor rx_thread_;
   std::size_t capacity_;
   std::size_t used_ = 0;  ///< record bytes of the queued messages
-  std::deque<Buffer> queue_;
-  common::HandlerSlot<void(Buffer&&)> on_message_;
+  common::Ring<Message> queue_;
+  common::HandlerSlot<void(Message&&)> on_message_;
   common::HandlerSlot<void()> on_space_;
   sim::UsageAccount* sender_account_ = nullptr;
   sim::UsageAccount* receiver_account_ = nullptr;

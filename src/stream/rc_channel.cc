@@ -31,27 +31,31 @@ Status RcStreamChannel::connect(fabric::HostId remote_host, rdma::QpNum remote_q
   return s;
 }
 
-Status RcStreamChannel::send(ByteSpan head, ByteSpan body) {
+Status RcStreamChannel::send(Message&& message) {
   if (closed_) return failed_precondition("stream rc channel closed");
-  FF_CHECK(head.size() >= core::WireHeader::k_size);
-  if (core::WireHeader::decode(head.data()).seq == 0) {
+  FF_CHECK(message.head().size() == core::WireHeader::k_size);
+  if (core::WireHeader::decode(message.head().data()).seq == 0) {
     // Unsequenced: needs a slot but no credit, and goes ahead of queued data.
     if (control_.empty() && slots_->can_post()) {
-      slots_->post(head, body);
+      post(message);
     } else {
-      control_.push_back(Buffer::gather(head, body));
+      control_.push_back(std::move(message));
       pump();
     }
     return ok_status();
   }
   if (queue_.empty() && can_post_data()) {
-    slots_->post(head, body);
+    post(message);
     --credits_;
     return ok_status();
   }
-  queue_.push_back(Buffer::gather(head, body));
+  queue_.push_back(std::move(message));
   pump();
   return ok_status();
+}
+
+void RcStreamChannel::post(const Message& message) {
+  slots_->post({message.head(), message.body().view()});
 }
 
 bool RcStreamChannel::writable() const noexcept {
@@ -65,11 +69,11 @@ bool RcStreamChannel::can_post_data() const noexcept {
 void RcStreamChannel::pump() {
   if (closed_) return;
   while (!control_.empty() && slots_->can_post()) {
-    slots_->post(control_.front().view());
+    post(control_.front());
     control_.pop_front();
   }
   while (!queue_.empty() && can_post_data()) {
-    slots_->post(queue_.front().view());
+    post(queue_.front());
     queue_.pop_front();
     --credits_;
   }
@@ -83,7 +87,7 @@ void RcStreamChannel::return_credits() {
   h.type = core::VMsg::rc_credit;
   h.id = since_credit_;
   since_credit_ = 0;
-  send(core::encode_header(h));
+  send(Message(core::encode_header(h)));
 }
 
 void RcStreamChannel::on_wake() {

@@ -52,7 +52,7 @@ class RcStreamChannel final : public agent::Channel {
 
   [[nodiscard]] rdma::QpNum qp_num() const noexcept { return slots_->qp()->num(); }
 
-  Status send(ByteSpan head, ByteSpan body = {}) override;
+  Status send(Message&& message) override;
   [[nodiscard]] bool writable() const noexcept override;
   void set_on_message(DeliverFn cb) override { on_message_ = std::move(cb); }
   void set_on_space(std::function<void()> cb) override { on_space_ = std::move(cb); }
@@ -68,6 +68,8 @@ class RcStreamChannel final : public agent::Channel {
 
   /// A free send slot and a peer credit: a sequenced message can post.
   [[nodiscard]] bool can_post_data() const noexcept;
+  /// Gathers a message's head and body into a send slot.
+  void post(const Message& message);
   void pump();
   /// The engine's wakeup: polls, then runs the stream policy.
   void on_wake();
@@ -76,8 +78,8 @@ class RcStreamChannel final : public agent::Channel {
   void return_credits();
 
   std::shared_ptr<rdma::SlotQp> slots_;
-  std::deque<Buffer> control_;       ///< unsequenced messages awaiting a slot
-  std::deque<Buffer> queue_;         ///< data messages awaiting slot + credit
+  std::deque<Message> control_;      ///< unsequenced messages awaiting a slot
+  std::deque<Message> queue_;        ///< data messages awaiting slot + credit
   std::uint32_t credits_ = k_slots;  ///< peer receive credits we may consume
   std::uint32_t since_credit_ = 0;   ///< data deliveries since the last grant
   DeliverFn on_message_;

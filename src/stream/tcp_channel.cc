@@ -42,14 +42,14 @@ void TcpFallbackChannel::on_conn_closed() {
   fail();
 }
 
-Status TcpFallbackChannel::send(ByteSpan head, ByteSpan body) {
+Status TcpFallbackChannel::send(Message&& message) {
   if (closed_) return failed_precondition("stream tcp channel closed");
   // Drain, but never notify from here: firing on_space_ inside send() would
   // re-enter the caller's own pump loop before it has accounted for this
   // send (a writability-paced sender would duplicate its current chunk).
   // The caller re-checks writable() itself; notifications belong to the
   // conn's writability *transition* (the pipe's hook in make()).
-  if (!conn_down_) pipe_->send(head, body);
+  if (!conn_down_) pipe_->send(message.head(), message.body().view());
   return ok_status();
 }
 

@@ -29,7 +29,7 @@ class TcpFallbackChannel final : public agent::Channel {
   /// buffer would only keep the NIC busy with bytes nobody reads.
   static constexpr std::size_t k_send_buffer = 256 * 1024;
 
-  Status send(ByteSpan head, ByteSpan body = {}) override;
+  Status send(Message&& message) override;
   [[nodiscard]] bool writable() const noexcept override;
   void set_on_message(DeliverFn cb) override { on_message_ = std::move(cb); }
   void set_on_space(std::function<void()> cb) override { on_space_ = std::move(cb); }

@@ -28,8 +28,8 @@ void RecordPipe::attach(TcpConnection::Ptr conn) {
   pump();
 }
 
-void RecordPipe::send(ByteSpan head, ByteSpan body) {
-  queue_.push_back(frame_record(head, body));
+void RecordPipe::send(ByteSpan head, ByteSpan body, ByteSpan tail) {
+  queue_.push_back(frame_record(head, body, tail));
   pump();
 }
 

@@ -38,8 +38,9 @@ class RecordPipe : public std::enable_shared_from_this<RecordPipe> {
   void attach(TcpConnection::Ptr conn);
   [[nodiscard]] bool attached() const noexcept { return conn_ != nullptr; }
 
-  /// Frames `head` + `body` in one copy, queues the frame and pumps.
-  void send(ByteSpan head, ByteSpan body = {});
+  /// Frames `head`, `body` and `tail` in one copy, queues the frame and
+  /// pumps.
+  void send(ByteSpan head, ByteSpan body = {}, ByteSpan tail = {});
 
   /// Framed records waiting for the connection or its send buffer.
   [[nodiscard]] std::size_t queued() const noexcept { return queue_.size(); }

@@ -151,10 +151,10 @@ ThroughputReport drive_shm_stream(fabric::Cluster& cluster, fabric::HostId host_
   for (int p = 0; p < pairs; ++p) {
     auto lane = std::make_unique<shm::ShmLane>(host, 8 * msg_bytes + 4096);
     shm::ShmLane* raw = lane.get();
-    lane->set_receiver([rx_bytes](Buffer&& b) { *rx_bytes += b.size(); });
+    lane->set_receiver([rx_bytes](Message&& m) { *rx_bytes += m.size(); });
     auto refill = [raw, msg_bytes]() {
       while (raw->can_send(msg_bytes)) {
-        FF_CHECK(raw->send(Buffer(msg_bytes).view()).is_ok());
+        FF_CHECK(raw->send(Buffer(msg_bytes)).is_ok());
       }
     };
     lane->set_on_space(refill);
@@ -177,15 +177,15 @@ SimDuration shm_rtt(fabric::Cluster& cluster, fabric::HostId host_id,
   auto& host = cluster.host(host_id);
   shm::ShmLane forth(host, 16 * (msg_bytes + 64));
   shm::ShmLane back(host, 16 * (msg_bytes + 64));
-  back.set_receiver([](Buffer&&) {});
-  forth.set_receiver([&back](Buffer&& b) { FF_CHECK(back.send(b.view()).is_ok()); });
+  back.set_receiver([](Message&&) {});
+  forth.set_receiver([&back](Message&& m) { FF_CHECK(back.send(std::move(m)).is_ok()); });
 
   std::vector<SimDuration> samples;
   for (int i = 0; i < iters; ++i) {
     bool done = false;
-    back.set_receiver([&done](Buffer&&) { done = true; });
+    back.set_receiver([&done](Message&&) { done = true; });
     const SimTime t0 = cluster.loop().now();
-    FF_CHECK(forth.send(Buffer(msg_bytes).view()).is_ok());
+    FF_CHECK(forth.send(Buffer(msg_bytes)).is_ok());
     FF_CHECK(spin_until(cluster, [&]() { return done; }, k_second));
     samples.push_back(cluster.loop().now() - t0);
   }

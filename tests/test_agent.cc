@@ -102,7 +102,7 @@ struct RdmaTrunkRig {
   void connect() { ASSERT_TRUE(rdma::connect_pair(*a->qp(), *b->qp()).is_ok()); }
   void send(std::uint64_t seq) {
     const std::size_t len = 100 + seq * 397 % 3900;
-    a->send(numbered_header(seq, len), numbered_fragment(seq, len).view());
+    a->send(numbered_header(seq, len), {}, numbered_fragment(seq, len).view());
   }
   bool run_until(const std::function<bool()>& pred) {
     return freeflow::testing::run_until(cluster.loop(), pred);
@@ -144,13 +144,13 @@ TEST(RdmaTrunkOrder, RecordsSentWhileSlotsAreExhaustedKeepTheirOrder) {
   for (; next <= 12; ++next) rig.send(next);
   EXPECT_EQ(rig.a->queued(), 10u);
   std::size_t sent_from_poll = 0, queued_at_poll_sends = 0;
-  rig.a->set_on_record([&](Buffer&&) {
+  rig.a->set_on_record([&](Message&&) {
     queued_at_poll_sends += rig.a->queued();
     ++sent_from_poll;
     rig.send(next++);
   });
   for (std::uint64_t i = 0; i < 6; ++i) {
-    rig.b->send(numbered_header(100 + i, 10), numbered_fragment(100 + i, 10).view());
+    rig.b->send(numbered_header(100 + i, 10), {}, numbered_fragment(100 + i, 10).view());
   }
   ASSERT_TRUE(rig.run_until([&]() { return rig.at_b.size() == 18; }));
   EXPECT_EQ(sent_from_poll, 6u);
@@ -216,7 +216,7 @@ TEST(TcpTrunkFraming, OneCopyFramesParseAsWholeRecords) {
     h.encode(encoded);
     // Byte for byte what framing the built record would have produced.
     EXPECT_EQ(frame_record(encoded, fragment.view()), frame_record(expected.back().view()));
-    tx.send(h, fragment.view());
+    tx.send(h, {}, fragment.view());
   }
   ASSERT_TRUE(freeflow::testing::run_until(
       cluster.loop(), [&]() { return received.size() == expected.size(); }));
@@ -263,7 +263,7 @@ TEST_F(AgentFixture, ShmChannelDelivers) {
   ASSERT_NE(ep_a, nullptr);
 
   Buffer got;
-  ep_b->set_on_message([&](Buffer&& m) { got = std::move(m); });
+  ep_b->set_on_message([&](Message&& m) { got = std::move(m.body()); });
   Buffer msg(4096);
   fill_pattern(msg.mutable_view(), 17);
   ASSERT_TRUE(ep_a->send(std::move(msg)).is_ok());
@@ -279,8 +279,8 @@ TEST_F(AgentFixture, ShmChannelIsDuplex) {
   auto b = env.deploy("b", 1, 0);
   auto [ep_a, ep_b] = open_channel(env, agents, a, b, orch::Transport::shm);
   Buffer at_a, at_b;
-  ep_a->set_on_message([&](Buffer&& m) { at_a = std::move(m); });
-  ep_b->set_on_message([&](Buffer&& m) { at_b = std::move(m); });
+  ep_a->set_on_message([&](Message&& m) { at_a = std::move(m.body()); });
+  ep_b->set_on_message([&](Message&& m) { at_b = std::move(m.body()); });
   ASSERT_TRUE(ep_a->send(Buffer::from_string("ping")).is_ok());
   ASSERT_TRUE(ep_b->send(Buffer::from_string("pong")).is_ok());
   EXPECT_TRUE(env.wait([&]() { return !at_a.empty() && !at_b.empty(); }));
@@ -339,8 +339,8 @@ TEST_P(TrunkTransportTest, RemoteChannelDeliversWithIntegrity) {
   // Multiple messages, one larger than the fragment size, both directions.
   std::vector<Buffer> at_b;
   Buffer at_a;
-  ep_b->set_on_message([&](Buffer&& m) { at_b.push_back(std::move(m)); });
-  ep_a->set_on_message([&](Buffer&& m) { at_a = std::move(m); });
+  ep_b->set_on_message([&](Message&& m) { at_b.push_back(std::move(m.body())); });
+  ep_a->set_on_message([&](Message&& m) { at_a = std::move(m.body()); });
 
   Buffer small(1000), big(1500 * 1000);
   fill_pattern(small.mutable_view(), 1);
@@ -437,8 +437,8 @@ TEST_F(AgentFixture, ManyChannelsShareOneTrunk) {
   ASSERT_NE(c2a, nullptr);
 
   Buffer got1, got2;
-  c1b->set_on_message([&](Buffer&& m) { got1 = std::move(m); });
-  c2b->set_on_message([&](Buffer&& m) { got2 = std::move(m); });
+  c1b->set_on_message([&](Message&& m) { got1 = std::move(m.body()); });
+  c2b->set_on_message([&](Message&& m) { got2 = std::move(m.body()); });
   Buffer m1(2222), m2(3333);
   fill_pattern(m1.mutable_view(), 5);
   fill_pattern(m2.mutable_view(), 6);
@@ -465,7 +465,7 @@ TEST_P(FragmentBoundary, MessageSizesAroundFragmentEdgeSurvive) {
 
   const std::size_t size = GetParam();
   Buffer got;
-  ep_b->set_on_message([&](Buffer&& m) { got = std::move(m); });
+  ep_b->set_on_message([&](Message&& m) { got = std::move(m.body()); });
   Buffer msg(size);
   fill_pattern(msg.mutable_view(), size);
   ASSERT_TRUE(ep_a->send(std::move(msg)).is_ok());
@@ -490,7 +490,7 @@ TEST_P(TrunkCongestion, CongestionGatesWritableThenRecovers) {
   auto b = env.deploy("b", 1, 1);
   auto [ep_a, ep_b] = open_channel(env, agents, a, b, GetParam());
   ASSERT_NE(ep_a, nullptr);
-  ep_b->set_on_message([](Buffer&&) {});
+  ep_b->set_on_message([](Message&&) {});
 
   EXPECT_TRUE(ep_a->writable());
   // Flood without letting the loop run: the trunk queue must eventually
@@ -536,8 +536,8 @@ TEST_F(AgentFixture, ConcurrentBidirectionalChannelsBetweenSameHosts) {
   EXPECT_TRUE(env.wait([&]() { return ba_b != nullptr && ba_a != nullptr; }));
 
   Buffer at_b, at_a;
-  ab_b->set_on_message([&](Buffer&& m) { at_b = std::move(m); });
-  ba_a->set_on_message([&](Buffer&& m) { at_a = std::move(m); });
+  ab_b->set_on_message([&](Message&& m) { at_b = std::move(m.body()); });
+  ba_a->set_on_message([&](Message&& m) { at_a = std::move(m.body()); });
   ASSERT_TRUE(ab_a->send(Buffer::from_string("forward")).is_ok());
   ASSERT_TRUE(ba_b->send(Buffer::from_string("backward")).is_ok());
   EXPECT_TRUE(env.wait([&]() { return !at_b.empty() && !at_a.empty(); }));
@@ -585,7 +585,7 @@ TEST_F(AgentFixture, ClosedEndpointDropsTraffic) {
   auto b = env.deploy("b", 1, 0);
   auto [ep_a, ep_b] = open_channel(env, agents, a, b, orch::Transport::shm);
   int delivered = 0;
-  ep_b->set_on_message([&](Buffer&&) { ++delivered; });
+  ep_b->set_on_message([&](Message&&) { ++delivered; });
   ep_b->close();
   ASSERT_TRUE(ep_a->send(Buffer(100)).is_ok());
   env.loop().run();

@@ -76,51 +76,48 @@ std::size_t array_bytes_for_one_message(orch::Transport transport) {
   return g_array_bytes;
 }
 
-TEST(CopyBudget, ShmMessageAllocatesOnlyItsReceiveBuffer) {
-  // The sender gathers the wire header onto the payload into one owned
-  // message; the lane hands that buffer to the receiver, which copies
-  // nothing.
+TEST(CopyBudget, ShmMessageAllocatesNoPayloadBlock) {
+  // The conduit encodes the wire header on its stack and puts it, with the
+  // payload block the socket was handed, on the lane as a two-part message;
+  // the receiver's on_data gets that very block. Nothing on the path builds
+  // a buffer: at most a few block headers' worth, no payload.
   const std::size_t bytes = array_bytes_for_one_message(orch::Transport::shm);
-  EXPECT_GE(bytes, k_message);
-  EXPECT_LE(static_cast<double>(bytes), 1.1 * k_message);
+  EXPECT_LE(bytes, 4 * Buffer::k_block_header);
 }
 
 TEST(CopyBudget, RdmaMessageStaysWithinItsBudget) {
-  // Three buffers, each the payload plus its wire header: the sender's
-  // lane message, which is also the block its conduit retains for replay
-  // and which the agent relays as it is, the trunk's receive copy and the
-  // QP's MTU chunk snapshots (those two also carry the relay header). The
-  // relay record is written straight into the trunk's send slot, and the
-  // agent moves the reassembled message into the receiver's lane, so those
-  // cost none. Blocks: the lane message, the receive copy and one per MTU
-  // chunk.
+  // Two buffers, each the payload plus its wire and relay headers: the
+  // trunk's receive copy and the QP's MTU chunk snapshots. The sender's
+  // lane message is the payload block itself behind a header held by value
+  // (its conduit retains a share of it for replay), the agent gathers relay
+  // header, wire header and payload straight into the trunk's send slot,
+  // and the reassembled message is moved into the receiver's lane, so
+  // those cost none. Blocks: the receive copy and one per MTU chunk.
   constexpr std::size_t k_mtu = 4096;
-  constexpr std::size_t k_chunks =
-      (k_message + WireHeader::k_size + agent::RelayHeader::k_size + k_mtu - 1) / k_mtu;
-  constexpr std::size_t k_budget = 3 * (k_message + WireHeader::k_size) +
-                                   2 * agent::RelayHeader::k_size +
-                                   (2 + k_chunks) * Buffer::k_block_header;
+  constexpr std::size_t k_record = k_message + WireHeader::k_size + agent::RelayHeader::k_size;
+  constexpr std::size_t k_chunks = (k_record + k_mtu - 1) / k_mtu;
+  constexpr std::size_t k_budget = 2 * k_record + (1 + k_chunks) * Buffer::k_block_header;
   const std::size_t bytes = array_bytes_for_one_message(orch::Transport::rdma);
-  EXPECT_GE(bytes, 3 * k_message);
+  EXPECT_GE(bytes, 2 * k_message);
   EXPECT_LE(bytes, k_budget);
 }
 
 TEST(CopyBudget, TcpHostMessageStaysWithinItsBudget) {
-  // Three buffers: the sender's lane message (also its retained block, and
-  // relayed as it is), the TCP trunk's framed record (length, relay header
-  // and message in one copy) and the receiver's record accumulator, which
-  // adopts the first GSO chunk and copies it out of the shared block when
-  // the second arrives. The GSO split, the segments on the wire and the
-  // record popped off the accumulator share blocks, so they cost none. The
-  // receiver's ack, a bare wire header, costs a lane message and a framed
-  // record of its own.
+  // Two buffers: the TCP trunk's framed record (length, relay header, wire
+  // header and payload gathered in one copy) and the receiver's record
+  // accumulator, which adopts the first GSO chunk and copies it out of the
+  // shared block when the second arrives. The sender's lane message is the
+  // payload block itself, and the GSO split, the segments on the wire and
+  // the record popped off the accumulator share blocks, so they cost none.
+  // The receiver's ack, a bare wire header, costs a framed record of its
+  // own.
   constexpr std::size_t k_framing = 4 + agent::RelayHeader::k_size;
   constexpr std::size_t k_wire = k_message + WireHeader::k_size;
-  constexpr std::size_t k_ack = WireHeader::k_size + (k_framing + WireHeader::k_size);
+  constexpr std::size_t k_ack = k_framing + WireHeader::k_size;
   constexpr std::size_t k_budget =
-      k_wire + 2 * (k_framing + k_wire) + k_ack + 5 * Buffer::k_block_header;
+      2 * (k_framing + k_wire) + k_ack + 3 * Buffer::k_block_header;
   const std::size_t bytes = array_bytes_for_one_message(orch::Transport::tcp_host);
-  EXPECT_GE(bytes, 3 * k_message);
+  EXPECT_GE(bytes, 2 * k_message);
   EXPECT_LE(bytes, k_budget);
 }
 

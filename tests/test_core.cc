@@ -54,27 +54,35 @@ TEST(WireProtocol, HeaderRoundTrip) {
   h.id = 0xDEADBEEFCAFEULL;
   h.offset = 123456789;
   h.token = 42;
-  Buffer msg = make_message(h, Buffer::from_string("payload").view());
-  auto parsed = parse_message(msg.view());
-  ASSERT_TRUE(parsed.is_ok());
-  EXPECT_EQ(parsed->header.type, VMsg::verbs_write);
-  EXPECT_EQ(parsed->header.port, 4242);
-  EXPECT_EQ(parsed->header.mr, 7u);
-  EXPECT_EQ(parsed->header.id, 0xDEADBEEFCAFEULL);
-  EXPECT_EQ(parsed->header.offset, 123456789u);
-  EXPECT_EQ(parsed->header.token, 42u);
-  EXPECT_EQ(parsed->header.len, 7u);
-  EXPECT_EQ(Buffer(parsed->payload.data(), parsed->payload.size()).to_string(),
-            "payload");
+  const Buffer payload = Buffer::from_string("payload");
+  const EncodedHeader head = encode_header(h, payload.size());
+  // As a sender hands it on (header by value, payload block shared) and as
+  // a transport that received it contiguously hands it on (headless).
+  for (Message msg : {Message(head, payload.share()),
+                      Message(Buffer::gather({head, payload.view()}))}) {
+    auto parsed = parse_message(std::move(msg));
+    ASSERT_TRUE(parsed.is_ok());
+    EXPECT_EQ(parsed->header.type, VMsg::verbs_write);
+    EXPECT_EQ(parsed->header.port, 4242);
+    EXPECT_EQ(parsed->header.mr, 7u);
+    EXPECT_EQ(parsed->header.id, 0xDEADBEEFCAFEULL);
+    EXPECT_EQ(parsed->header.offset, 123456789u);
+    EXPECT_EQ(parsed->header.token, 42u);
+    EXPECT_EQ(parsed->header.len, 7u);
+    EXPECT_EQ(parsed->payload.to_string(), "payload");
+  }
 }
 
 TEST(WireProtocol, ParseRejectsTruncatedAndMismatched) {
-  Buffer tiny(10);
-  EXPECT_FALSE(parse_message(tiny.view()).is_ok());
+  EXPECT_FALSE(parse_message(Message(Buffer(10))).is_ok());
   WireHeader h;
-  Buffer msg = make_message(h, Buffer(5).view());
-  Buffer truncated(msg.data(), msg.size() - 1);  // drop the last payload byte
-  EXPECT_FALSE(parse_message(truncated.view()).is_ok());
+  const EncodedHeader head = encode_header(h, 5);
+  // Headless, missing the last payload byte.
+  EXPECT_FALSE(parse_message(Message(Buffer::gather({head, Buffer(4).view()}))).is_ok());
+  // Two-part, missing the last payload byte.
+  EXPECT_FALSE(parse_message(Message(head, Buffer(4))).is_ok());
+  // A head that is not a whole wire header.
+  EXPECT_FALSE(parse_message(Message(ByteSpan(head).first(40), Buffer(5))).is_ok());
 }
 
 TEST(ConduitUnit, QueuesUntilChannelAttached) {
@@ -122,13 +130,14 @@ class TestPipe final : public agent::Channel {
     return {a, b};
   }
 
-  Status send(ByteSpan head, ByteSpan body = {}) override {
+  Status send(Message&& message) override {
     if (closed_) return failed_precondition("pipe closed");
     if (!deliver) return ok_status();  // swallowed by the dying lane
     auto peer = peer_pipe_.lock();
     if (peer == nullptr) return ok_status();
-    loop_.schedule(1000, [peer, msg = Buffer::gather(head, body)]() mutable {
-      if (!peer->closed_ && peer->on_message_) peer->on_message_(std::move(msg));
+    auto msg = std::make_shared<Message>(std::move(message));  // boxed: too big to capture
+    loop_.schedule(1000, [peer, msg]() {
+      if (!peer->closed_ && peer->on_message_) peer->on_message_(std::move(*msg));
     });
     return ok_status();
   }

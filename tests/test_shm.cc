@@ -124,11 +124,11 @@ struct LaneFixture : ::testing::Test {
 TEST_F(LaneFixture, DeliversMessagesInOrderWithIntegrity) {
   ShmLane lane(cluster.host(0), 1 << 20);
   std::vector<Buffer> got;
-  lane.set_receiver([&](Buffer&& b) { got.push_back(std::move(b)); });
+  lane.set_receiver([&](Message&& m) { got.push_back(std::move(m.body())); });
   for (int i = 0; i < 10; ++i) {
     Buffer msg(1000 + static_cast<std::size_t>(i));
     fill_pattern(msg.mutable_view(), static_cast<std::uint64_t>(i));
-    ASSERT_TRUE(lane.send(msg.view()).is_ok());
+    ASSERT_TRUE(lane.send(std::move(msg)).is_ok());
   }
   cluster.loop().run();
   ASSERT_EQ(got.size(), 10u);
@@ -172,8 +172,8 @@ TEST_F(LaneFixture, AdmissionMatchesFlatRingOfSameCapacity) {
   static_assert(ShmLane::max_payload(k_ring_bytes) == max_payload);
   ShmLane lane(cluster.host(0), k_ring_bytes);
   FlatRingModel ring{4096, 0, 0, {}};
-  std::deque<Buffer> got;
-  lane.set_receiver([&](Buffer&& b) { got.push_back(std::move(b)); });
+  std::deque<Message> got;
+  lane.set_receiver([&](Message&& m) { got.push_back(std::move(m)); });
   Rng rng(11);
   auto random_size = [&]() -> std::size_t {
     const double pick = rng.next_double();
@@ -191,8 +191,12 @@ TEST_F(LaneFixture, AdmissionMatchesFlatRingOfSameCapacity) {
       Buffer msg(random_size());
       fill_pattern(msg.mutable_view(), next_push);
       const bool pushed = ring.can_push(msg.size());
-      if (pushed) ring.push(msg);  // a deep copy: the lane may take msg itself
-      const Status sent = rng.chance(0.5) ? lane.send(msg.view()) : lane.send(std::move(msg));
+      if (pushed) ring.push(msg);  // a deep copy: the lane takes msg's block
+      // Headless, or split into a head held by value and a body: the lane
+      // admits both by their total size.
+      const std::size_t head = rng.chance(0.5) ? std::min(msg.size(), Message::k_max_head) : 0;
+      Message message(msg.view().first(head), msg.slice(head, msg.size() - head));
+      const Status sent = lane.send(std::move(message));
       ASSERT_EQ(sent.is_ok(), pushed) << "step " << step;
       if (pushed) ++next_push;
     } else if (!lane.empty()) {
@@ -200,8 +204,9 @@ TEST_F(LaneFixture, AdmissionMatchesFlatRingOfSameCapacity) {
       while (lane.messages_delivered() == before) ASSERT_TRUE(cluster.loop().step());
       const Buffer expected = ring.pop();
       ASSERT_EQ(got.size(), 1u);
-      ASSERT_EQ(got.front(), expected) << "step " << step;
-      ASSERT_TRUE(check_pattern(got.front().view(), next_pop++));
+      const Buffer arrived = Buffer::gather({got.front().head(), got.front().body().view()});
+      ASSERT_EQ(arrived, expected) << "step " << step;
+      ASSERT_TRUE(check_pattern(arrived.view(), next_pop++));
       got.pop_front();
     }
   }
@@ -210,30 +215,31 @@ TEST_F(LaneFixture, AdmissionMatchesFlatRingOfSameCapacity) {
 
 TEST_F(LaneFixture, SendByMoveHandsOverTheBufferOrLeavesIt) {
   // On success the lane takes the message itself and delivers that very
-  // buffer; on would_block it leaves the caller's message untouched.
+  // payload block; on would_block it leaves the caller's message untouched.
   ShmLane lane(cluster.host(0), 1 << 10);
-  std::vector<Buffer> got;
-  lane.set_receiver([&](Buffer&& b) { got.push_back(std::move(b)); });
-  Buffer first(600);
-  fill_pattern(first.mutable_view(), 1);
-  const std::byte* storage = first.data();
+  std::vector<Message> got;
+  lane.set_receiver([&](Message&& m) { got.push_back(std::move(m)); });
+  Buffer payload(600);
+  fill_pattern(payload.mutable_view(), 1);
+  const std::byte* storage = payload.data();
+  Message first(std::move(payload));
   ASSERT_TRUE(lane.send(std::move(first)).is_ok());
-  EXPECT_TRUE(first.empty());  // NOLINT(bugprone-use-after-move): moved from
+  EXPECT_TRUE(first.body().empty());  // NOLINT(bugprone-use-after-move): moved from
 
-  Buffer second(600);
-  fill_pattern(second.mutable_view(), 2);
+  Message second(Buffer(600));
+  fill_pattern(second.body().mutable_view(), 2);
   EXPECT_EQ(lane.send(std::move(second)).code(), Errc::would_block);
   ASSERT_EQ(second.size(), 600u);  // NOLINT(bugprone-use-after-move): refused
-  EXPECT_TRUE(check_pattern(second.view(), 2));
+  EXPECT_TRUE(check_pattern(second.body().view(), 2));
 
   cluster.loop().run();
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].data(), storage);
-  EXPECT_TRUE(check_pattern(got[0].view(), 1));
+  EXPECT_EQ(got[0].body().view().data(), storage);
+  EXPECT_TRUE(check_pattern(got[0].body().view(), 1));
   ASSERT_TRUE(lane.send(std::move(second)).is_ok());
   cluster.loop().run();
   ASSERT_EQ(got.size(), 2u);
-  EXPECT_TRUE(check_pattern(got[1].view(), 2));
+  EXPECT_TRUE(check_pattern(got[1].body().view(), 2));
 }
 
 TEST_F(LaneFixture, ChargesSenderAndReceiverCpu) {
@@ -241,9 +247,8 @@ TEST_F(LaneFixture, ChargesSenderAndReceiverCpu) {
   sim::UsageAccount tx("tx"), rx("rx");
   lane.set_sender_account(&tx);
   lane.set_receiver_account(&rx);
-  lane.set_receiver([](Buffer&&) {});
-  Buffer msg(100000);
-  ASSERT_TRUE(lane.send(msg.view()).is_ok());
+  lane.set_receiver([](Message&&) {});
+  ASSERT_TRUE(lane.send(Buffer(100000)).is_ok());
   cluster.loop().run();
   const auto& m = cluster.cost_model();
   EXPECT_NEAR(tx.busy_ns, m.shm_post_ns + m.shm_copy_ns_per_byte * 100000, 1.0);
@@ -253,10 +258,9 @@ TEST_F(LaneFixture, ChargesSenderAndReceiverCpu) {
 TEST_F(LaneFixture, BackpressureAndOnSpace) {
   ShmLane lane(cluster.host(0), 1 << 10);  // tiny ring
   int delivered = 0;
-  lane.set_receiver([&](Buffer&&) { ++delivered; });
-  Buffer big(600);
-  ASSERT_TRUE(lane.send(big.view()).is_ok());
-  const Status blocked = lane.send(big.view());
+  lane.set_receiver([&](Message&&) { ++delivered; });
+  ASSERT_TRUE(lane.send(Buffer(600)).is_ok());
+  const Status blocked = lane.send(Buffer(600));
   EXPECT_EQ(blocked.code(), Errc::would_block);
 
   bool space_seen = false;
@@ -274,13 +278,14 @@ TEST_F(LaneFixture, ReceiverInstalledDuringDispatchGetsTheNextMessage) {
   ShmLane lane(cluster.host(0), 1 << 16);
   std::vector<std::string> got;
   auto tag = std::make_shared<std::string>("handshake");
-  lane.set_receiver([&lane, &got, tag](Buffer&& b) {
-    lane.set_receiver([&got](Buffer&& data) { got.push_back("data:" + data.to_string()); });
-    got.push_back(*tag + ":" + b.to_string());  // captures still alive here
+  lane.set_receiver([&lane, &got, tag](Message&& m) {
+    lane.set_receiver(
+        [&got](Message&& data) { got.push_back("data:" + data.body().to_string()); });
+    got.push_back(*tag + ":" + m.body().to_string());  // captures still alive here
   });
   tag.reset();
   for (const char* m : {"1", "2", "3"}) {
-    ASSERT_TRUE(lane.send(Buffer::from_string(m).view()).is_ok());
+    ASSERT_TRUE(lane.send(Buffer::from_string(m)).is_ok());
   }
   cluster.loop().run();
   EXPECT_EQ(got, (std::vector<std::string>{"handshake:1", "data:2", "data:3"}));
@@ -294,7 +299,7 @@ TEST_F(LaneFixture, HandlersClearingThemselvesDuringDispatch) {
   ShmLane lane(cluster.host(0), 1 << 16);
   auto received = std::make_shared<int>(0);
   auto spaces = std::make_shared<int>(0);
-  lane.set_receiver([&lane, received](Buffer&&) {
+  lane.set_receiver([&lane, received](Message&&) {
     lane.set_receiver(nullptr);
     ++*received;
   });
@@ -303,7 +308,7 @@ TEST_F(LaneFixture, HandlersClearingThemselvesDuringDispatch) {
     ++*spaces;
   });
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(lane.send(Buffer::from_string("m").view()).is_ok());
+    ASSERT_TRUE(lane.send(Buffer::from_string("m")).is_ok());
   }
   cluster.loop().run();
   EXPECT_EQ(*received, 1);
@@ -321,11 +326,10 @@ TEST_F(LaneFixture, SinglePairThroughputNearMemoryBandwidth) {
   const std::size_t msg = 1 << 20;
   std::function<void()> refill = [&]() {
     while (lane.can_send(msg)) {
-      Buffer b(msg);
-      ASSERT_TRUE(lane.send(b.view()).is_ok());
+      ASSERT_TRUE(lane.send(Buffer(msg)).is_ok());
     }
   };
-  lane.set_receiver([&](Buffer&& b) { received += b.size(); });
+  lane.set_receiver([&](Message&& m) { received += m.size(); });
   lane.set_on_space(refill);
   refill();
   cluster.loop().run_until(20 * k_millisecond);
@@ -339,11 +343,11 @@ TEST_F(LaneFixture, SenderCopiesSerializeOnOneCore) {
   // total elapsed >= sum of the per-message copy costs even on 4 cores.
   ShmLane lane(cluster.host(0), 32 << 20);
   int delivered = 0;
-  lane.set_receiver([&](Buffer&&) { ++delivered; });
+  lane.set_receiver([&](Message&&) { ++delivered; });
   const std::size_t msg = 1 << 20;
   const auto& m = cluster.cost_model();
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(lane.send(Buffer(msg).view()).is_ok());
+    ASSERT_TRUE(lane.send(Buffer(msg)).is_ok());
   }
   cluster.loop().run();
   EXPECT_EQ(delivered, 8);
@@ -355,15 +359,15 @@ TEST_F(LaneFixture, InterleavedLanesPreservePerLaneOrder) {
   ShmLane a(cluster.host(0), 1 << 20);
   ShmLane b(cluster.host(0), 1 << 20);
   std::vector<std::uint64_t> got_a, got_b;
-  a.set_receiver([&](Buffer&& msg) {
+  a.set_receiver([&](Message&& msg) {
     got_a.push_back(static_cast<std::uint64_t>(msg.size()));
   });
-  b.set_receiver([&](Buffer&& msg) {
+  b.set_receiver([&](Message&& msg) {
     got_b.push_back(static_cast<std::uint64_t>(msg.size()));
   });
   for (std::size_t i = 1; i <= 6; ++i) {
-    ASSERT_TRUE(a.send(Buffer(100 * i).view()).is_ok());
-    ASSERT_TRUE(b.send(Buffer(200 * i).view()).is_ok());
+    ASSERT_TRUE(a.send(Buffer(100 * i)).is_ok());
+    ASSERT_TRUE(b.send(Buffer(200 * i)).is_ok());
   }
   cluster.loop().run();
   EXPECT_EQ(got_a, (std::vector<std::uint64_t>{100, 200, 300, 400, 500, 600}));
@@ -373,8 +377,8 @@ TEST_F(LaneFixture, InterleavedLanesPreservePerLaneOrder) {
 TEST_F(LaneFixture, ZeroLengthMessageDelivered) {
   ShmLane lane(cluster.host(0), 1 << 12);
   bool got = false;
-  lane.set_receiver([&](Buffer&& msg) { got = msg.empty(); });
-  ASSERT_TRUE(lane.send(ByteSpan{}).is_ok());
+  lane.set_receiver([&](Message&& msg) { got = msg.size() == 0; });
+  ASSERT_TRUE(lane.send(Message()).is_ok());
   cluster.loop().run();
   EXPECT_TRUE(got);
 }
@@ -382,10 +386,9 @@ TEST_F(LaneFixture, ZeroLengthMessageDelivered) {
 TEST_F(LaneFixture, LatencySubMicrosecondForSmallMessages) {
   ShmLane lane(cluster.host(0), 1 << 20);
   SimTime sent = 0, got = -1;
-  lane.set_receiver([&](Buffer&&) { got = cluster.loop().now(); });
-  Buffer tiny(64);
+  lane.set_receiver([&](Message&&) { got = cluster.loop().now(); });
   sent = cluster.loop().now();
-  ASSERT_TRUE(lane.send(tiny.view()).is_ok());
+  ASSERT_TRUE(lane.send(Buffer(64)).is_ok());
   cluster.loop().run();
   const SimDuration oneway = got - sent;
   EXPECT_GT(oneway, 0);

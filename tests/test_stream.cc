@@ -31,6 +31,13 @@ constexpr std::uint8_t pattern_byte(std::uint64_t offset) {
   return static_cast<std::uint8_t>((offset * 131 + 17) & 0xFF);
 }
 
+/// The wire header of a message a channel delivered.
+WireHeader header_of(Message&& message) {
+  auto parsed = core::parse_message(std::move(message));
+  FF_CHECK(parsed.is_ok());
+  return parsed->header;
+}
+
 std::uint64_t upgrades(Env& env) {
   return env.cluster.telemetry().metrics().counter_value("stream/upgrades");
 }
@@ -344,7 +351,7 @@ TEST(RcStreamChannel, UnsequencedAckOvertakesDataQueuedAtZeroCredits) {
   ASSERT_TRUE(tx->connect(1, rx->qp_num()).is_ok());
   ASSERT_TRUE(rx->connect(0, tx->qp_num()).is_ok());
   std::vector<WireHeader> got;
-  rx->set_on_message([&](Buffer&& m) { got.push_back(WireHeader::decode(m.data())); });
+  rx->set_on_message([&](Message&& m) { got.push_back(header_of(std::move(m))); });
 
   const Buffer chunk(1024);
   WireHeader data;
@@ -352,14 +359,15 @@ TEST(RcStreamChannel, UnsequencedAckOvertakesDataQueuedAtZeroCredits) {
   const std::uint64_t k_data = RcStreamChannel::k_slots + 4;
   for (std::uint64_t seq = 1; seq <= k_data; ++seq) {
     data.seq = seq;
-    ASSERT_TRUE(tx->send(core::encode_header(data, chunk.size()), chunk.view()).is_ok());
+    Message message(core::encode_header(data, chunk.size()), chunk.share());
+    ASSERT_TRUE(tx->send(std::move(message)).is_ok());
   }
   ASSERT_EQ(tx->credits(), 0u);
   ASSERT_FALSE(tx->writable());
   WireHeader ack;
   ack.type = VMsg::ack;
   ack.id = 7;
-  ASSERT_TRUE(tx->send(core::encode_header(ack)).is_ok());
+  ASSERT_TRUE(tx->send(Message(core::encode_header(ack))).is_ok());
 
   ASSERT_TRUE(env.wait([&]() { return got.size() == k_data + 1; }));
   const auto ack_at = std::find_if(got.begin(), got.end(),
@@ -396,7 +404,7 @@ TEST(StreamAdapter, AnswerEchoingSupersededOfferIsIgnored) {
   std::vector<TcpFallbackChannelPtr> conns;
   ASSERT_TRUE(ff.fallback_net().listen({b->ip(), 9500}, [&](tcp::TcpConnection::Ptr c) {
     auto ch = TcpFallbackChannel::make(std::move(c));
-    ch->set_on_message([&](Buffer&& m) { got.push_back(WireHeader::decode(m.data())); });
+    ch->set_on_message([&](Message&& m) { got.push_back(header_of(std::move(m))); });
     conns.push_back(ch);
   }).is_ok());
   auto find = [&](VMsg type, std::size_t nth) -> const WireHeader* {
@@ -420,7 +428,7 @@ TEST(StreamAdapter, AnswerEchoingSupersededOfferIsIgnored) {
   accept.type = VMsg::sock_accept;
   accept.token = token;
   accept.seq = 1;
-  ASSERT_TRUE(conns[0]->send(core::encode_header(accept)).is_ok());
+  ASSERT_TRUE(conns[0]->send(Message(core::encode_header(accept))).is_ok());
 
   ASSERT_TRUE(env.wait([&]() { return find(VMsg::rc_offer, 0) != nullptr; }));
   const WireHeader offer1 = *find(VMsg::rc_offer, 0);
@@ -436,14 +444,14 @@ TEST(StreamAdapter, AnswerEchoingSupersededOfferIsIgnored) {
   auto answer_with = [&](std::uint64_t offer_qp) {
     auto qp = RcStreamChannel::make(dev_b, nullptr);
     EXPECT_TRUE(qp->connect(0, static_cast<rdma::QpNum>(offer_qp)).is_ok());
-    qp->set_on_message([&](Buffer&& m) { on_qp.push_back(WireHeader::decode(m.data())); });
+    qp->set_on_message([&](Message&& m) { on_qp.push_back(header_of(std::move(m))); });
     WireHeader answer;
     answer.type = VMsg::rc_answer;
     answer.token = token;
     answer.id = qp->qp_num();
     answer.offset = 1;
     answer.mr = static_cast<std::uint32_t>(offer_qp);
-    EXPECT_TRUE(conns[1]->send(core::encode_header(answer)).is_ok());
+    EXPECT_TRUE(conns[1]->send(Message(core::encode_header(answer))).is_ok());
     return qp;
   };
 
@@ -478,11 +486,11 @@ TEST(StreamRouter, ByeAsFirstMessageOverAgentIsAcked) {
       });
   ASSERT_TRUE(env.wait([&]() { return ch != nullptr; }));
   std::vector<WireHeader> got;
-  ch->set_on_message([&](Buffer&& m) { got.push_back(WireHeader::decode(m.data())); });
+  ch->set_on_message([&](Message&& m) { got.push_back(header_of(std::move(m))); });
   WireHeader bye;
   bye.type = VMsg::bye;
   bye.token = 4242;
-  ASSERT_TRUE(ch->send(core::encode_header(bye)).is_ok());
+  ASSERT_TRUE(ch->send(Message(core::encode_header(bye))).is_ok());
   ASSERT_TRUE(env.wait([&]() { return !got.empty(); }));
   EXPECT_EQ(got[0].type, VMsg::bye_ack);
   EXPECT_EQ(got[0].token, 4242u);
@@ -514,11 +522,11 @@ TEST(StreamRouter, ByeAsFirstMessageOverFallbackTcpIsAcked) {
   auto ch = dial_fallback(env, p, 9600);
   ASSERT_NE(ch, nullptr);
   std::vector<WireHeader> got;
-  ch->set_on_message([&](Buffer&& m) { got.push_back(WireHeader::decode(m.data())); });
+  ch->set_on_message([&](Message&& m) { got.push_back(header_of(std::move(m))); });
   WireHeader bye;
   bye.type = VMsg::bye;
   bye.token = 4343;
-  ASSERT_TRUE(ch->send(core::encode_header(bye)).is_ok());
+  ASSERT_TRUE(ch->send(Message(core::encode_header(bye))).is_ok());
   ASSERT_TRUE(env.wait([&]() { return !got.empty(); }));
   EXPECT_EQ(got[0].type, VMsg::bye_ack);
   EXPECT_EQ(got[0].token, 4343u);
@@ -539,7 +547,7 @@ TEST(StreamRouter, RebindForUnknownTokenIsRefused) {
   WireHeader rebind;
   rebind.type = VMsg::rebind;
   rebind.token = 999;
-  ASSERT_TRUE(ch->send(core::encode_header(rebind)).is_ok());
+  ASSERT_TRUE(ch->send(Message(core::encode_header(rebind))).is_ok());
   ASSERT_TRUE(env.wait([&]() { return refused; }));
   EXPECT_EQ(p.net_b->conduit_count(), 0u);
   ch->close();

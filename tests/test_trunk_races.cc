@@ -76,8 +76,8 @@ TEST_P(TrunkRace, BidirectionalSameTickSetupConverges) {
 
   // Both directions must actually carry traffic over whatever trunk won.
   Buffer at_b, at_a;
-  rig.ab_b->set_on_message([&](Buffer&& m) { at_b = std::move(m); });
-  rig.ba_a->set_on_message([&](Buffer&& m) { at_a = std::move(m); });
+  rig.ab_b->set_on_message([&](Message&& m) { at_b = std::move(m.body()); });
+  rig.ba_a->set_on_message([&](Message&& m) { at_a = std::move(m.body()); });
   ASSERT_TRUE(rig.ab_a->send(Buffer::from_string("forward")).is_ok());
   ASSERT_TRUE(rig.ba_b->send(Buffer::from_string("backward")).is_ok());
   EXPECT_TRUE(env.wait([&]() { return !at_b.empty() && !at_a.empty(); }));
@@ -134,7 +134,7 @@ TEST(TrunkRaceFaults, LaneDeathMidHandshakeIsRetriedToSuccess) {
   ASSERT_TRUE(rig.complete());
 
   Buffer at_b;
-  rig.ab_b->set_on_message([&](Buffer&& m) { at_b = std::move(m); });
+  rig.ab_b->set_on_message([&](Message&& m) { at_b = std::move(m.body()); });
   ASSERT_TRUE(rig.ab_a->send(Buffer::from_string("survived")).is_ok());
   EXPECT_TRUE(env.wait([&]() { return !at_b.empty(); }));
   EXPECT_EQ(at_b.to_string(), "survived");
