@@ -136,9 +136,12 @@ stage_chaos_smoke() {
     --expect "B:migration,i:quiesce,i:capture,i:transfer,i:resume,E:migration"
   # Tenant-isolation matrix under ASan+LSan: WDRR fairness, cross-tenant shm
   # denial, and the overlapping degrade/restore and trust-revocation
-  # regressions all tear down mid-flight state worth leak-checking.
+  # regressions all tear down mid-flight state worth leak-checking. The lane
+  # take-back and sender-close cases move payload handles out from under
+  # deliveries already scheduled.
   ./build-asan/tests/test_fabric --gtest_brief=1 --gtest_filter='*Tenant*:*Wdrr*'
-  ./build-asan/tests/test_shm --gtest_brief=1 --gtest_filter='*Tenant*:*Accounting*'
+  ./build-asan/tests/test_shm --gtest_brief=1 \
+    --gtest_filter='*Tenant*:*Accounting*:*TakeBack*:*CloseSender*'
 }
 
 stage_examples_smoke() {

@@ -6,35 +6,6 @@
 
 namespace freeflow::agent {
 
-// ------------------------------------------------------------- LaneSender
-
-LaneSender::LaneSender(std::shared_ptr<shm::ShmLane> lane) : lane_(std::move(lane)) {
-  lane_->set_on_space([this]() { drain(); });
-}
-
-void LaneSender::send(Message&& message) {
-  if (overflow_.empty() && lane_->send(std::move(message)).is_ok()) return;
-  overflow_.push_back(std::move(message));
-}
-
-bool LaneSender::writable() const noexcept {
-  return overflow_.empty() && lane_->can_send(1);
-}
-
-void LaneSender::drain() {
-  while (!overflow_.empty()) {
-    if (!lane_->send(std::move(overflow_.front())).is_ok()) return;
-    overflow_.pop_front();
-  }
-  if (user_on_space_) user_on_space_();
-}
-
-void LaneSender::detach() noexcept {
-  lane_->set_on_space(nullptr);
-  user_on_space_ = nullptr;
-  overflow_.clear();
-}
-
 // ------------------------------------------------------- ShmChannelEndpoint
 
 ShmChannelEndpoint::ShmChannelEndpoint(std::shared_ptr<shm::ShmLane> tx,
@@ -45,7 +16,7 @@ ShmChannelEndpoint::~ShmChannelEndpoint() { close(); }
 
 Status ShmChannelEndpoint::send(Message&& message) {
   if (closed_) return failed_precondition("channel closed");
-  tx_.send(std::move(message));
+  tx_->send(std::move(message));
   return ok_status();
 }
 
@@ -59,11 +30,11 @@ void ShmChannelEndpoint::close() noexcept {
   if (closed_) return;
   closed_ = true;
   // Unhook our slots on the shared lanes: the receive hook (so in-flight
-  // traffic is dropped, not delivered to a dead handler) and the tx space
-  // re-arm. Messages already in the tx lane still drain to the peer — its
-  // receive hook lives on the other lane end.
+  // traffic is dropped, not delivered to a dead handler) and the tx lane's
+  // sender side. Messages already in the tx ring still drain to the peer —
+  // its receive hook lives on the other lane end.
   rx_->set_receiver(nullptr);
-  tx_.detach();
+  tx_->close_sender();
   // Unlink the segment's name; the budget charge stays until both endpoints
   // release the region (shm_unlink with live mappings).
   if (region_) registry_->unlink(region_->id());
@@ -81,8 +52,7 @@ RemoteChannelEndpoint::RemoteChannelEndpoint(Agent& local_agent, fabric::HostId 
       channel_id_(channel_id),
       transport_(transport),
       tx_(std::move(to_agent)),
-      from_agent_(from_agent),
-      inbound_(from_agent) {
+      from_agent_(std::move(from_agent)) {
   // The container->agent relay hook is installed by the Agent (see
   // Agent::open_endpoint): it captures routing fields by value, not this
   // endpoint, so the lane keeps draining after the endpoint is torn down.
@@ -91,12 +61,12 @@ RemoteChannelEndpoint::RemoteChannelEndpoint(Agent& local_agent, fabric::HostId 
 RemoteChannelEndpoint::~RemoteChannelEndpoint() { close(); }
 
 bool RemoteChannelEndpoint::writable() const noexcept {
-  return tx_.writable() && agent_.trunk_writable(peer_host_, transport_);
+  return tx_->writable() && agent_.trunk_writable(peer_host_, transport_);
 }
 
 Status RemoteChannelEndpoint::send(Message&& message) {
   if (closed_) return failed_precondition("channel closed");
-  tx_.send(std::move(message));
+  tx_->send(std::move(message));
   return ok_status();
 }
 
@@ -108,19 +78,19 @@ void RemoteChannelEndpoint::set_on_message(DeliverFn cb) {
 
 void RemoteChannelEndpoint::deliver_inbound(Message&& message) {
   if (closed_) return;
-  inbound_.send(std::move(message));
+  from_agent_->send(std::move(message));
 }
 
 void RemoteChannelEndpoint::close() noexcept {
   if (closed_) return;
   closed_ = true;
-  // Unhook the container-facing receive hook and both sender re-arms; the
+  // Unhook the container-facing receive hook and both lanes' senders; the
   // agent-owned outbound relay on the container->agent lane stays so queued records (the
   // closing bye among them) still reach the trunk. Deregistering with the
   // agent stops inbound records from resolving to this channel id.
   from_agent_->set_receiver(nullptr);
-  tx_.detach();
-  inbound_.detach();
+  tx_->close_sender();
+  from_agent_->close_sender();
   agent_.release_channel(channel_id_);
 }
 

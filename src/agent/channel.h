@@ -2,10 +2,12 @@
 // core library's virtual NIC sits on top of exactly this interface, which
 // is how the actual data-plane mechanism stays invisible to applications.
 //
-// send() never rejects for backpressure: endpoints queue internally and
-// drain as lane space frees. `writable()` is the advisory signal sources
-// should pace on (closed-loop workloads never build a queue), and the space
-// callback fires on every transition back to writable, so nothing polls.
+// send() never rejects for backpressure: a lane-backed endpoint's lane puts
+// what does not fit in its overflow, and the per-stream channels queue
+// internally; both drain as space frees. `writable()` is the advisory
+// signal sources should pace on (closed-loop workloads never build a
+// queue), and the space callback fires at least on every transition back to
+// writable (an shm lane fires it after every delivery), so nothing polls.
 //
 // A message goes in as a Message (common/message.h): a header held by value
 // and a handle on the payload's block. The shm and remote endpoints put it
@@ -19,10 +21,10 @@
 
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/message.h"
-#include "common/ring.h"
 #include "common/status.h"
 #include "orchestrator/container.h"
 #include "orchestrator/network_orchestrator.h"
@@ -52,13 +54,14 @@ class Channel {
 
   virtual void set_on_message(DeliverFn cb) = 0;
   /// Invoked on every transition back to writable; an shm endpoint calls it
-  /// after every delivery, which is also when drained() turns true.
+  /// after every delivery.
   virtual void set_on_space(std::function<void()> cb) = 0;
 
-  /// False while an shm endpoint's lane or overflow still holds messages
-  /// this end sent: nothing retains them, so a close now drops them. Lossy
-  /// channels vouch through the conduit's acks and always say true.
-  [[nodiscard]] virtual bool drained() const noexcept { return true; }
+  /// Hands back the messages this end sent that its peer has not been
+  /// handed, oldest first: an shm endpoint's lane and overflow, which
+  /// nothing retains. Lossy channels return none — the conduit's retained
+  /// window replays what they lose.
+  [[nodiscard]] virtual std::vector<Message> take_unsent() { return {}; }
 
   [[nodiscard]] virtual orch::Transport transport() const noexcept = 0;
 
@@ -82,38 +85,6 @@ class Channel {
 
 using ChannelPtr = std::shared_ptr<Channel>;
 
-/// One endpoint's view of an shm lane with an internal overflow queue.
-class LaneSender {
- public:
-  explicit LaneSender(std::shared_ptr<shm::ShmLane> lane);
-  ~LaneSender() { detach(); }
-
-  LaneSender(const LaneSender&) = delete;
-  LaneSender& operator=(const LaneSender&) = delete;
-
-  /// Hands `message` to the lane, or queues it while the lane is full;
-  /// drains as the lane frees.
-  void send(Message&& message);
-  [[nodiscard]] bool writable() const noexcept;
-  [[nodiscard]] bool drained() const noexcept { return overflow_.empty() && lane_->empty(); }
-  void set_on_space(std::function<void()> cb) { user_on_space_ = std::move(cb); }
-  /// Re-fires the user's space callback (trunk-drained notifications).
-  void poke() {
-    if (user_on_space_) user_on_space_();
-  }
-  /// Teardown: unhooks this sender from the (shared, possibly longer-lived)
-  /// lane and drops queued overflow and the user callback.
-  void detach() noexcept;
-  [[nodiscard]] shm::ShmLane& lane() noexcept { return *lane_; }
-
- private:
-  void drain();
-
-  std::shared_ptr<shm::ShmLane> lane_;
-  common::Ring<Message> overflow_;
-  std::function<void()> user_on_space_;
-};
-
 /// Intra-host endpoint: a pair of shm lanes directly between the two
 /// containers (the agent only brokers setup — the data plane is pure
 /// shared memory, paper Fig. 7).
@@ -123,10 +94,10 @@ class ShmChannelEndpoint final : public Channel {
   ~ShmChannelEndpoint() override;
 
   Status send(Message&& message) override;
-  [[nodiscard]] bool writable() const noexcept override { return tx_.writable(); }
-  [[nodiscard]] bool drained() const noexcept override { return tx_.drained(); }
+  [[nodiscard]] bool writable() const noexcept override { return tx_->writable(); }
   void set_on_message(DeliverFn cb) override;
-  void set_on_space(std::function<void()> cb) override { tx_.set_on_space(std::move(cb)); }
+  void set_on_space(std::function<void()> cb) override { tx_->set_on_space(std::move(cb)); }
+  [[nodiscard]] std::vector<Message> take_unsent() override { return tx_->take_back(); }
   [[nodiscard]] orch::Transport transport() const noexcept override {
     return orch::Transport::shm;
   }
@@ -141,7 +112,7 @@ class ShmChannelEndpoint final : public Channel {
   }
 
  private:
-  LaneSender tx_;
+  std::shared_ptr<shm::ShmLane> tx_;
   std::shared_ptr<shm::ShmLane> rx_;
   std::shared_ptr<shm::Region> region_;
   shm::RegionRegistry* registry_ = nullptr;
@@ -166,9 +137,9 @@ class RemoteChannelEndpoint final
   /// NIC-rate backpressure all the way to the application.
   [[nodiscard]] bool writable() const noexcept override;
   void set_on_message(DeliverFn cb) override;
-  void set_on_space(std::function<void()> cb) override { tx_.set_on_space(std::move(cb)); }
+  void set_on_space(std::function<void()> cb) override { tx_->set_on_space(std::move(cb)); }
   /// Agent-internal: trunk drained, re-signal writability.
-  void poke_space() { tx_.poke(); }
+  void poke_space() { tx_->poke(); }
   [[nodiscard]] orch::Transport transport() const noexcept override { return transport_; }
   void close() noexcept override;
   [[nodiscard]] bool closed() const noexcept { return closed_; }
@@ -184,9 +155,8 @@ class RemoteChannelEndpoint final
   fabric::HostId peer_host_;
   std::uint64_t channel_id_;
   orch::Transport transport_;
-  LaneSender tx_;                             ///< container -> agent
+  std::shared_ptr<shm::ShmLane> tx_;          ///< container -> agent
   std::shared_ptr<shm::ShmLane> from_agent_;  ///< agent -> container
-  LaneSender inbound_;                        ///< agent-side sender on from_agent
   bool closed_ = false;
 };
 

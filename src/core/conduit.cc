@@ -80,7 +80,8 @@ void Conduit::transmit(std::uint64_t seq, Message message) {
     gauge_retained_->set(static_cast<std::int64_t>(retained_.size()));
     if (retained_.size() == k_max_retained) note_window_filled();
   }
-  ctr_sent_->inc();
+  // A message an shm lane handed back was counted when first handed over.
+  if (seq > ctr_sent_->value()) ctr_sent_->inc();
   warn_if_failed(channel_->send(std::move(message)));
 }
 
@@ -110,6 +111,7 @@ void Conduit::send_control(VMsg type, std::uint64_t id) {
 void Conduit::attach_channel(agent::ChannelPtr channel) {
   FF_CHECK(!closed_);
   if (channel_ != nullptr) {
+    take_back_unsent();
     channel_->close();
   }
   // Until the retained replay and blackout drain below finish, nothing new
@@ -126,7 +128,6 @@ void Conduit::attach_channel(agent::ChannelPtr channel) {
   channel_->set_on_space([self]() {
     auto conduit = self.lock();
     if (conduit == nullptr) return;
-    conduit->check_quiesced();
     if (!conduit->splicing_ && !conduit->paused_ && conduit->on_space_) {
       conduit->on_space_();
     }
@@ -260,7 +261,7 @@ void Conduit::handle_ack(std::uint64_t acked_upto) {
   gauge_retained_->set(static_cast<std::int64_t>(retained_.size()));
   // Every sequence this side put on a lossy wire may now be acknowledged,
   // so the capture carries no replay tail.
-  check_quiesced();
+  if (quiesce_done_ && retained_.empty()) finish_quiesce(/*drained=*/true);
   if (was_full && retained_.size() < k_max_retained) {
     if (window_full_since_ != 0) {
       ctr_blocked_ns_->inc(static_cast<std::uint64_t>(loop_.now() - window_full_since_));
@@ -402,6 +403,7 @@ void Conduit::finish_close(CloseReason reason, bool notify_peer) {
 void Conduit::mark_stale() {
   if (channel_ != nullptr) {
     pre_failover_transport_ = channel_->transport();
+    take_back_unsent();
     channel_->close();
     ctr_rebinds_->inc();
     if (!in_blackout_) {
@@ -452,14 +454,14 @@ void Conduit::unpause() {
 void Conduit::quiesce(SimDuration deadline, std::function<void(bool)> done) {
   pause();
   FF_CHECK(!quiesce_done_);  // one quiesce at a time per conduit
-  if (!in_flight()) {
-    // Nothing unacked on a lossy wire and nothing left in an shm lane: the
-    // pause alone is a clean message boundary.
+  if (channel_ != nullptr) take_back_unsent();
+  if (retained_.empty()) {
+    // Nothing unacked on a lossy wire: the pause alone is a clean message
+    // boundary.
     done(true);
     return;
   }
   quiesce_done_ = std::move(done);
-  if (retained_.empty()) return;  // an shm lane: its deliveries complete it
   auto self = weak_from_this();
   quiesce_timer_ = loop_.schedule_cancellable(deadline, [self]() {
     auto conduit = self.lock();
@@ -467,8 +469,11 @@ void Conduit::quiesce(SimDuration deadline, std::function<void(bool)> done) {
   });
 }
 
-void Conduit::check_quiesced() {
-  if (quiesce_done_ && !in_flight()) finish_quiesce(/*drained=*/true);
+void Conduit::take_back_unsent() {
+  std::vector<Message> unsent = channel_->take_unsent();
+  for (auto it = unsent.rbegin(); it != unsent.rend(); ++it) {
+    if (WireHeader::decode(it->head().data()).seq != 0) queue_.push_front(std::move(*it));
+  }
 }
 
 void Conduit::finish_quiesce(bool drained) {

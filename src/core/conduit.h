@@ -7,8 +7,10 @@
 //
 // Reliability across channel switches is the conduit's job, not the
 // channel's: every data message carries a sequence number, the sender
-// retains sent-but-unacked messages (on lossy transports), and on re-attach
-// the retained window is retransmitted ahead of queued messages. The
+// retains sent-but-unacked messages (on lossy transports), an shm lane
+// hands back what it has not delivered when the conduit detaches, and on
+// re-attach the retained window is retransmitted ahead of queued messages
+// (the handed-back ones first among them). The
 // receiver accepts exactly the next expected sequence and drops duplicates,
 // so a failover loses nothing and never reorders.
 //
@@ -88,7 +90,8 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   /// done: the migration coordinator finishes a move on its last attach.
   void set_on_attached(std::function<void()> cb) { on_attached_ = std::move(cb); }
 
-  /// Migration / failover: detach; sends queue until a new channel attaches.
+  /// Migration / failover: detach; sends queue, behind what the channel
+  /// handed back unsent, until a new channel attaches.
   void mark_stale();
 
   // --- Planned live migration (driven by migration::MigrationCoordinator) --
@@ -103,12 +106,12 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   void unpause();
   [[nodiscard]] bool paused() const noexcept { return paused_; }
 
-  /// Quiesce for capture: pause(), then wait until nothing this end sent is
-  /// in flight — a lossy channel's retained window acked, an shm lane empty
-  /// (re-checked on each delivery's space notification; a paused sender
-  /// adds nothing, so it always empties). `done(drained)` fires exactly
-  /// once. `deadline` bounds only the wait for acks; its expiry is not
-  /// fatal — the unacked tail moves with the conduit, replays at the
+  /// Quiesce for capture: pause(), take back what the channel has not yet
+  /// handed to the peer (an shm lane's messages, put back ahead of the
+  /// queue, so they count in state_bytes() and move with the conduit), then
+  /// wait until a lossy channel's retained window is acked. `done(drained)`
+  /// fires exactly once. `deadline` bounds the wait for acks; its expiry is
+  /// not fatal — the unacked tail moves with the conduit, replays at the
   /// destination and peers dedup, the same lossless path as failover.
   void quiesce(SimDuration deadline, std::function<void(bool)> done);
 
@@ -245,10 +248,9 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   void send_control(VMsg type, std::uint64_t id = 0);
   void finish_close(CloseReason reason, bool notify_peer);
   void finish_quiesce(bool drained);
-  void check_quiesced();  ///< completes a pending quiesce once !in_flight()
-  [[nodiscard]] bool in_flight() const noexcept {
-    return !retained_.empty() || (channel_ != nullptr && !channel_->drained());
-  }
+  /// Puts the sequenced messages the attached channel hands back unsent in
+  /// front of queue_; its control messages die with it.
+  void take_back_unsent();
 
   std::uint64_t token_;
   orch::ContainerId self_;

@@ -11,8 +11,10 @@ FreeFlow::FreeFlow(orch::NetworkOrchestrator& orchestrator, agent::AgentConfig c
   // The orchestrator outlives this object, so guard with the liveness token.
   std::weak_ptr<bool> alive = alive_;
   // Capture: the instant the container stops for its stop-and-copy, detach
-  // every conduit touching it so no bytes die in a channel during the
-  // downtime — sends queue, and the resume below rebinds when it lands.
+  // every conduit touching it. Each takes back what its shm lane has not
+  // delivered, ahead of its queue, so no bytes die in a channel during the
+  // downtime — sends queue behind them, and the resume below rebinds when
+  // it lands.
   orchestrator_.cluster_orch().on_migration_started(
       [this, alive](const orch::Container& moving) {
         if (alive.expired()) return;

@@ -32,9 +32,10 @@ class FlowSocket : public std::enable_shared_from_this<FlowSocket> {
   [[nodiscard]] bool writable() const noexcept { return open_ && conduit_->writable(); }
 
   void set_on_data(DataFn cb) { on_data_ = std::move(cb); }
-  /// Fires on every blocked -> writable transition, a re-attach after
-  /// failover or migration and an unpause included, so a sender paced on
-  /// it never needs to poll.
+  /// Fires at least on every blocked -> writable transition, a re-attach
+  /// after failover or migration and an unpause included, so a sender paced
+  /// on it never needs to poll. Over shm it fires after every delivery of
+  /// the lane, writable or not: the handler checks writable() itself.
   void set_on_space(VoidFn cb);
   /// Fires once when the stream closes from anywhere but local close():
   /// orderly fin (peer_bye), fault teardown (transport_failed /

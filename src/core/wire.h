@@ -30,7 +30,6 @@ enum class VMsg : std::uint8_t {
   verbs_read_resp,
   rebind,        ///< first message on a fresh channel: it replaces conduit `token`'s
                  ///< (failover, migration and the per-stream QP upgrade alike)
-  mpi_data,      ///< MPI point-to-point payload (tag in `offset`)
   // ---- the conduit's control lane: unsequenced (seq 0), never retained ----
   bye,           ///< teardown: the sender closed conduit `token`; `id` = the last
                  ///< sequence it sent (0: do not wait for any)
@@ -50,7 +49,7 @@ struct WireHeader {
   std::uint32_t mr = 0;         ///< target MR id (verbs)
   std::uint32_t len = 0;        ///< payload length that follows
   std::uint64_t id = 0;         ///< wr_id / request id
-  std::uint64_t offset = 0;     ///< MR offset (verbs) or MPI tag
+  std::uint64_t offset = 0;     ///< MR offset (verbs), host (rc_offer / rc_answer)
   std::uint64_t token = 0;      ///< conduit token (setup/rebind)
   std::uint64_t seq = 0;        ///< conduit ARQ sequence (0 = unsequenced)
 

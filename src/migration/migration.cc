@@ -147,15 +147,15 @@ void MigrationCoordinator::migrate(orch::ContainerId id, fabric::HostId dst,
   Move& move = it->second;
 
   // Both ends of every connection quiesce: each pauses at a message
-  // boundary, and each waits until nothing it sent is in flight (its
-  // retained window acked, its shm lane empty) — so nothing is in flight
-  // toward, or from, the capture. Receive and ack paths stay live, which is
-  // what lets both sides drain.
+  // boundary, takes back what its shm lane has not delivered, and waits
+  // until its retained window is acked — so nothing is in flight toward, or
+  // from, the capture. Receive and ack paths stay live, which is what lets
+  // both sides drain.
   const SimDuration deadline = model().migration_quiesce_deadline_ns;
   // Countdown latch over every quiesce; starts at n+1 so synchronous
   // completions (already-drained conduits) cannot fire capture before the
   // loop finishes arming. Capture runs at the instant the latch completes,
-  // from the loop: the last completion fires inside a lane's delivery, and
+  // from the loop: the last completion fires inside an ack's delivery, and
   // capture closes that very channel.
   auto pending = std::make_shared<std::size_t>(move.ends.size() + 1);
   std::weak_ptr<bool> alive = alive_;

@@ -6,7 +6,9 @@
 // is a flat byte ring's: until it is delivered, each queued message holds
 // its header and payload plus a 4-byte length header of the lane's
 // capacity, so backpressure is what a length-prefixed ring of the same size
-// in the shared segment would give.
+// in the shared segment would give. A message that does not fit, or that
+// arrives behind waiting ones, joins the lane's sender-side overflow, which
+// enters the ring in order as deliveries free space: send() never refuses.
 // The cost model charges sender/receiver CPU (enqueue + memcpy) and the host
 // memory bus, which is what makes shm throughput plateau at the bus for many
 // pairs (paper Fig. 2a) while staying far above TCP/RDMA for one pair.
@@ -16,12 +18,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/handler_slot.h"
 #include "common/message.h"
 #include "common/ring.h"
-#include "common/status.h"
 #include "fabric/host.h"
 #include "sim/resource.h"
 
@@ -66,26 +68,41 @@ class ShmLane : public std::enable_shared_from_this<ShmLane> {
     on_message_.set(std::move(on_message));
   }
 
-  /// Invoked whenever a delivery frees lane space (senders blocked on
-  /// would_block re-arm themselves here).
+  /// Invoked after every delivery, once the overflow has refilled the
+  /// space it freed (a sender pacing on writable() re-arms here).
   void set_on_space(std::function<void()> cb) { on_space_.set(std::move(cb)); }
 
+  /// True when the ring alone admits a message of `payload` bytes now.
   [[nodiscard]] bool can_send(std::size_t payload) const noexcept;
+  /// False while the overflow holds messages or the ring is full.
+  [[nodiscard]] bool writable() const noexcept { return overflow_.empty() && can_send(1); }
 
-  /// Enqueues `message` itself, copying no byte of it. Returns would_block,
-  /// with no side effects and `message` untouched, when the lane lacks
-  /// space — retry from on_space.
-  Status send(Message&& message);
+  /// Enqueues `message` itself, copying no byte of it: into the ring when
+  /// it fits behind no waiting message, else into the overflow.
+  void send(Message&& message);
+  /// Re-fires the space callback (trunk-drained notifications).
+  void poke() {
+    if (on_space_) on_space_();
+  }
+  /// Hands back every message not yet delivered, ring then overflow, oldest
+  /// first. Deliveries already scheduled for them do nothing: they neither
+  /// hand over a message sent later nor charge the receiver.
+  [[nodiscard]] std::vector<Message> take_back();
+  /// Sender teardown: drops the overflow and the space callback; what the
+  /// ring holds still drains to the receiver.
+  void close_sender() noexcept;
 
   /// True when no message waits for delivery.
-  [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
+  [[nodiscard]] bool empty() const noexcept { return queue_.empty() && overflow_.empty(); }
   [[nodiscard]] std::uint64_t messages_delivered() const noexcept { return delivered_; }
   [[nodiscard]] fabric::Host& host() noexcept { return host_; }
 
  private:
   static constexpr std::size_t k_header_size = 4;
 
-  void deliver_one(std::size_t payload_size);
+  /// Puts `message` in the ring, which has room for it.
+  void enqueue(Message&& message);
+  void deliver_one(std::size_t payload_size, std::uint64_t epoch);
 
   fabric::Host& host_;
   /// Producer and consumer are each one thread: their copies serialize.
@@ -94,6 +111,9 @@ class ShmLane : public std::enable_shared_from_this<ShmLane> {
   std::size_t capacity_;
   std::size_t used_ = 0;  ///< record bytes of the queued messages
   common::Ring<Message> queue_;
+  common::Ring<Message> overflow_;  ///< sent, waiting for ring space
+  /// Bumped by take_back(): a delivery scheduled under an older epoch is void.
+  std::uint64_t epoch_ = 0;
   common::HandlerSlot<void(Message&&)> on_message_;
   common::HandlerSlot<void()> on_space_;
   sim::UsageAccount* sender_account_ = nullptr;

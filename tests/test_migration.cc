@@ -405,8 +405,10 @@ TEST(Migration, MigrateBackToColocatedPicksShm) {
 
 // A planned move of either end of a co-located pair under load: when the
 // quiesce starts, the shm lane toward the receiver holds megabytes that no
-// retained window covers. Capture waits until both lanes are empty, so the
-// stream completes byte-exact and the report's `drained` is true.
+// retained window covers. The quiesce takes them back into the sender's
+// conduit, ahead of its queue, so they count in the image when the sender
+// moves and replay over the new channel: the stream completes byte-exact
+// and the report's `drained` is true.
 TEST(Migration, PlannedMoveOffLoadedShmIsLossless) {
   for (const bool receiver_moves : {true, false}) {
     SCOPED_TRACE(receiver_moves ? "receiver moves" : "sender moves");
@@ -427,6 +429,10 @@ TEST(Migration, PlannedMoveOffLoadedShmIsLossless) {
     EXPECT_TRUE(report->drained);
     EXPECT_EQ(report->detached, 0u);
     EXPECT_EQ(moving->host(), 1u);
+    // The sender's image carries the lane it took back.
+    if (!receiver_moves) {
+      EXPECT_GE(report->image_bytes, 4u * 1024 * 1024);
+    }
 
     ASSERT_TRUE(env.wait([&]() { return st->done(); }, 60 * k_second))
         << "verified " << st->verified << "/" << st->target
@@ -434,6 +440,58 @@ TEST(Migration, PlannedMoveOffLoadedShmIsLossless) {
     EXPECT_FALSE(st->corrupt);
     EXPECT_EQ(st->verified, st->target);
   }
+}
+
+// The same loaded co-located pair, moved reactively (the orchestrator's
+// stop-and-copy, no coordinator): the capture detaches both ends, and the
+// sender's conduit takes back what its lane still holds, so the stream
+// completes byte-exact over the new channel.
+TEST(Migration, ReactiveMoveOffLoadedShmIsLossless) {
+  for (const bool receiver_moves : {true, false}) {
+    SCOPED_TRACE(receiver_moves ? "receiver moves" : "sender moves");
+    Env env(2);
+    auto p = attach_pair(env, 0, 0);
+    auto st = start_stream(env, p, 7014, 64ull * 1024 * 1024);
+    ASSERT_TRUE(env.wait([&]() { return st->verified > 8 * 1024 * 1024; }));
+    ASSERT_EQ(transport_of(p.net_a), orch::Transport::shm);
+
+    const orch::ContainerPtr& moving = receiver_moves ? p.b : p.a;
+    ASSERT_TRUE(env.cluster_orch->migrate(moving->id(), 1).is_ok());
+    ASSERT_TRUE(env.wait([&]() { return st->done(); }, 60 * k_second))
+        << "verified " << st->verified << "/" << st->target
+        << (st->corrupt ? " CORRUPT" : "");
+    EXPECT_EQ(moving->host(), 1u);
+    EXPECT_FALSE(st->corrupt);
+    EXPECT_EQ(st->verified, st->target);
+  }
+}
+
+// A reactive move of the peer on the very tick a planned move of a loaded
+// shm pair starts its quiesce: the reactive capture closes the channel the
+// quiesce paused on. The planned move still reports, drained, and the
+// stream completes byte-exact.
+TEST(Migration, ReactivePeerMoveDuringPlannedQuiesceFinishes) {
+  Env env(2);
+  auto p = attach_pair(env, 0, 0);
+  MigrationCoordinator coord(env.freeflow());
+  auto st = start_stream(env, p, 7015, 64ull * 1024 * 1024);
+  ASSERT_TRUE(env.wait([&]() { return st->verified > 8 * 1024 * 1024; }));
+  ASSERT_EQ(transport_of(p.net_a), orch::Transport::shm);
+
+  std::optional<MigrationReport> report;
+  coord.migrate(p.b->id(), 1, [&](Result<MigrationReport> r) {
+    ASSERT_TRUE(r.is_ok()) << r.status();
+    report = *r;
+  });
+  ASSERT_TRUE(env.cluster_orch->migrate(p.a->id(), 1).is_ok());
+  ASSERT_TRUE(env.wait([&]() { return report.has_value(); }, 30 * k_second));
+  EXPECT_TRUE(report->drained);
+
+  ASSERT_TRUE(env.wait([&]() { return st->done(); }, 60 * k_second))
+      << "verified " << st->verified << "/" << st->target
+      << (st->corrupt ? " CORRUPT" : "");
+  EXPECT_FALSE(st->corrupt);
+  EXPECT_EQ(st->verified, st->target);
 }
 
 // A resume that cannot re-attach — the destination's link is dark through

@@ -128,7 +128,7 @@ TEST_F(LaneFixture, DeliversMessagesInOrderWithIntegrity) {
   for (int i = 0; i < 10; ++i) {
     Buffer msg(1000 + static_cast<std::size_t>(i));
     fill_pattern(msg.mutable_view(), static_cast<std::uint64_t>(i));
-    ASSERT_TRUE(lane.send(std::move(msg)).is_ok());
+    lane.send(std::move(msg));
   }
   cluster.loop().run();
   ASSERT_EQ(got.size(), 10u);
@@ -166,7 +166,8 @@ struct FlatRingModel {
 TEST_F(LaneFixture, AdmissionMatchesFlatRingOfSameCapacity) {
   // Property: whatever the interleaving of sends and deliveries, the lane
   // admits exactly what a flat byte ring of the same capacity admits, and
-  // delivers the same messages in the same order.
+  // delivers the same messages in the same order. Only what the flat ring
+  // admits is sent, so nothing waits in the overflow.
   constexpr std::size_t k_ring_bytes = 3000;  // rounds up to 4096
   constexpr std::size_t max_payload = 4096 - 4;
   static_assert(ShmLane::max_payload(k_ring_bytes) == max_payload);
@@ -190,15 +191,13 @@ TEST_F(LaneFixture, AdmissionMatchesFlatRingOfSameCapacity) {
     if (rng.chance(0.5)) {
       Buffer msg(random_size());
       fill_pattern(msg.mutable_view(), next_push);
-      const bool pushed = ring.can_push(msg.size());
-      if (pushed) ring.push(msg);  // a deep copy: the lane takes msg's block
+      if (!ring.can_push(msg.size())) continue;
+      ring.push(msg);  // a deep copy: the lane takes msg's block
       // Headless, or split into a head held by value and a body: the lane
       // admits both by their total size.
       const std::size_t head = rng.chance(0.5) ? std::min(msg.size(), Message::k_max_head) : 0;
-      Message message(msg.view().first(head), msg.slice(head, msg.size() - head));
-      const Status sent = lane.send(std::move(message));
-      ASSERT_EQ(sent.is_ok(), pushed) << "step " << step;
-      if (pushed) ++next_push;
+      lane.send(Message(msg.view().first(head), msg.slice(head, msg.size() - head)));
+      ++next_push;
     } else if (!lane.empty()) {
       const std::uint64_t before = lane.messages_delivered();
       while (lane.messages_delivered() == before) ASSERT_TRUE(cluster.loop().step());
@@ -214,32 +213,33 @@ TEST_F(LaneFixture, AdmissionMatchesFlatRingOfSameCapacity) {
 }
 
 TEST_F(LaneFixture, SendByMoveHandsOverTheBufferOrLeavesIt) {
-  // On success the lane takes the message itself and delivers that very
-  // payload block; on would_block it leaves the caller's message untouched.
+  // The lane takes the message itself and delivers that very payload
+  // block, whether it fits the ring now or waits in the overflow first.
   ShmLane lane(cluster.host(0), 1 << 10);
   std::vector<Message> got;
   lane.set_receiver([&](Message&& m) { got.push_back(std::move(m)); });
   Buffer payload(600);
   fill_pattern(payload.mutable_view(), 1);
-  const std::byte* storage = payload.data();
+  const std::byte* first_storage = payload.data();
   Message first(std::move(payload));
-  ASSERT_TRUE(lane.send(std::move(first)).is_ok());
+  lane.send(std::move(first));
   EXPECT_TRUE(first.body().empty());  // NOLINT(bugprone-use-after-move): moved from
 
   Message second(Buffer(600));
   fill_pattern(second.body().mutable_view(), 2);
-  EXPECT_EQ(lane.send(std::move(second)).code(), Errc::would_block);
-  ASSERT_EQ(second.size(), 600u);  // NOLINT(bugprone-use-after-move): refused
-  EXPECT_TRUE(check_pattern(second.body().view(), 2));
+  const std::byte* second_storage = second.body().data();
+  EXPECT_FALSE(lane.can_send(600));
+  lane.send(std::move(second));
+  EXPECT_TRUE(second.body().empty());  // NOLINT(bugprone-use-after-move): moved from
+  EXPECT_FALSE(lane.writable());
 
   cluster.loop().run();
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].body().view().data(), storage);
-  EXPECT_TRUE(check_pattern(got[0].body().view(), 1));
-  ASSERT_TRUE(lane.send(std::move(second)).is_ok());
-  cluster.loop().run();
   ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].body().view().data(), first_storage);
+  EXPECT_TRUE(check_pattern(got[0].body().view(), 1));
+  EXPECT_EQ(got[1].body().view().data(), second_storage);
   EXPECT_TRUE(check_pattern(got[1].body().view(), 2));
+  EXPECT_TRUE(lane.writable());
 }
 
 TEST_F(LaneFixture, ChargesSenderAndReceiverCpu) {
@@ -248,7 +248,7 @@ TEST_F(LaneFixture, ChargesSenderAndReceiverCpu) {
   lane.set_sender_account(&tx);
   lane.set_receiver_account(&rx);
   lane.set_receiver([](Message&&) {});
-  ASSERT_TRUE(lane.send(Buffer(100000)).is_ok());
+  lane.send(Buffer(100000));
   cluster.loop().run();
   const auto& m = cluster.cost_model();
   EXPECT_NEAR(tx.busy_ns, m.shm_post_ns + m.shm_copy_ns_per_byte * 100000, 1.0);
@@ -256,19 +256,83 @@ TEST_F(LaneFixture, ChargesSenderAndReceiverCpu) {
 }
 
 TEST_F(LaneFixture, BackpressureAndOnSpace) {
+  // A send past capacity waits in the overflow: the lane is not writable
+  // until the first delivery frees room and the waiting message enters the
+  // ring, in order, before on_space fires.
   ShmLane lane(cluster.host(0), 1 << 10);  // tiny ring
-  int delivered = 0;
-  lane.set_receiver([&](Message&&) { ++delivered; });
-  ASSERT_TRUE(lane.send(Buffer(600)).is_ok());
-  const Status blocked = lane.send(Buffer(600));
-  EXPECT_EQ(blocked.code(), Errc::would_block);
+  std::vector<std::size_t> delivered;
+  lane.set_receiver([&](Message&& m) { delivered.push_back(m.size()); });
+  lane.send(Buffer(600));
+  EXPECT_TRUE(lane.writable());
+  lane.send(Buffer(500));
+  EXPECT_FALSE(lane.writable());
+  EXPECT_FALSE(lane.empty());
+  lane.send(Buffer(10));  // fits the ring, but queues behind the waiting one
+  EXPECT_FALSE(lane.writable());
 
-  bool space_seen = false;
-  lane.set_on_space([&]() { space_seen = true; });
+  std::vector<bool> writable_on_space;
+  lane.set_on_space([&]() { writable_on_space.push_back(lane.writable()); });
   cluster.loop().run();
-  EXPECT_EQ(delivered, 1);
-  EXPECT_TRUE(space_seen);
+  EXPECT_EQ(delivered, (std::vector<std::size_t>{600, 500, 10}));
+  // The first delivery moved both waiting messages into the ring.
+  ASSERT_EQ(writable_on_space.size(), 3u);
+  EXPECT_TRUE(writable_on_space[0]);
+  EXPECT_TRUE(lane.empty());
   EXPECT_TRUE(lane.can_send(600));
+}
+
+TEST_F(LaneFixture, TakeBackReturnsRingThenOverflowOldestFirst) {
+  // take_back hands over every undelivered message, ring then overflow,
+  // oldest first. The deliveries already scheduled for them do nothing: a
+  // message sent after the take-back arrives exactly once, by its own
+  // delivery, and the receiver is charged for that one alone.
+  ShmLane lane(cluster.host(0), 1 << 10);
+  sim::UsageAccount rx("rx");
+  lane.set_receiver_account(&rx);
+  std::vector<std::string> got;
+  lane.set_receiver([&](Message&& m) { got.push_back(m.body().to_string()); });
+  const std::string big(600, 'a');
+  lane.send(Buffer::from_string(big));
+  lane.send(Buffer::from_string("b"));
+  lane.send(Buffer::from_string(std::string(600, 'c')));  // overflow
+  lane.send(Buffer::from_string("d"));                    // behind it
+  // Both copies into the ring are done (250 ns post + 0.06 ns/B each) and
+  // their wakeups (300 ns) are in flight: no receive has run yet.
+  cluster.loop().run_until(cluster.loop().now() + 550);
+  ASSERT_EQ(lane.messages_delivered(), 0u);
+  ASSERT_EQ(rx.busy_ns, 0.0);
+
+  std::vector<Message> back = lane.take_back();
+  ASSERT_EQ(back.size(), 4u);
+  EXPECT_EQ(back[0].body().to_string(), big);
+  EXPECT_EQ(back[1].body().to_string(), "b");
+  EXPECT_EQ(back[2].body().to_string(), std::string(600, 'c'));
+  EXPECT_EQ(back[3].body().to_string(), "d");
+  EXPECT_TRUE(lane.empty());
+  EXPECT_TRUE(lane.writable());
+
+  lane.send(Buffer::from_string("after"));
+  cluster.loop().run();
+  EXPECT_EQ(got, (std::vector<std::string>{"after"}));
+  EXPECT_EQ(lane.messages_delivered(), 1u);
+  const auto& m = cluster.cost_model();
+  EXPECT_NEAR(rx.busy_ns, m.shm_poll_ns + m.shm_copy_ns_per_byte * 5, 1.0);
+  EXPECT_TRUE(lane.empty());
+}
+
+TEST_F(LaneFixture, CloseSenderDropsOverflowWhileTheRingDrains) {
+  ShmLane lane(cluster.host(0), 1 << 10);
+  std::vector<std::size_t> delivered;
+  lane.set_receiver([&](Message&& m) { delivered.push_back(m.size()); });
+  int spaces = 0;
+  lane.set_on_space([&]() { ++spaces; });
+  lane.send(Buffer(600));
+  lane.send(Buffer(600));  // overflow
+  lane.close_sender();
+  cluster.loop().run();
+  EXPECT_EQ(delivered, (std::vector<std::size_t>{600}));
+  EXPECT_EQ(spaces, 0);
+  EXPECT_TRUE(lane.empty());
 }
 
 TEST_F(LaneFixture, ReceiverInstalledDuringDispatchGetsTheNextMessage) {
@@ -285,7 +349,7 @@ TEST_F(LaneFixture, ReceiverInstalledDuringDispatchGetsTheNextMessage) {
   });
   tag.reset();
   for (const char* m : {"1", "2", "3"}) {
-    ASSERT_TRUE(lane.send(Buffer::from_string(m)).is_ok());
+    lane.send(Buffer::from_string(m));
   }
   cluster.loop().run();
   EXPECT_EQ(got, (std::vector<std::string>{"handshake:1", "data:2", "data:3"}));
@@ -308,7 +372,7 @@ TEST_F(LaneFixture, HandlersClearingThemselvesDuringDispatch) {
     ++*spaces;
   });
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(lane.send(Buffer::from_string("m")).is_ok());
+    lane.send(Buffer::from_string("m"));
   }
   cluster.loop().run();
   EXPECT_EQ(*received, 1);
@@ -326,7 +390,7 @@ TEST_F(LaneFixture, SinglePairThroughputNearMemoryBandwidth) {
   const std::size_t msg = 1 << 20;
   std::function<void()> refill = [&]() {
     while (lane.can_send(msg)) {
-      ASSERT_TRUE(lane.send(Buffer(msg)).is_ok());
+      lane.send(Buffer(msg));
     }
   };
   lane.set_receiver([&](Message&& m) { received += m.size(); });
@@ -347,7 +411,7 @@ TEST_F(LaneFixture, SenderCopiesSerializeOnOneCore) {
   const std::size_t msg = 1 << 20;
   const auto& m = cluster.cost_model();
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(lane.send(Buffer(msg)).is_ok());
+    lane.send(Buffer(msg));
   }
   cluster.loop().run();
   EXPECT_EQ(delivered, 8);
@@ -366,8 +430,8 @@ TEST_F(LaneFixture, InterleavedLanesPreservePerLaneOrder) {
     got_b.push_back(static_cast<std::uint64_t>(msg.size()));
   });
   for (std::size_t i = 1; i <= 6; ++i) {
-    ASSERT_TRUE(a.send(Buffer(100 * i)).is_ok());
-    ASSERT_TRUE(b.send(Buffer(200 * i)).is_ok());
+    a.send(Buffer(100 * i));
+    b.send(Buffer(200 * i));
   }
   cluster.loop().run();
   EXPECT_EQ(got_a, (std::vector<std::uint64_t>{100, 200, 300, 400, 500, 600}));
@@ -378,7 +442,7 @@ TEST_F(LaneFixture, ZeroLengthMessageDelivered) {
   ShmLane lane(cluster.host(0), 1 << 12);
   bool got = false;
   lane.set_receiver([&](Message&& msg) { got = msg.size() == 0; });
-  ASSERT_TRUE(lane.send(Message()).is_ok());
+  lane.send(Message());
   cluster.loop().run();
   EXPECT_TRUE(got);
 }
@@ -388,7 +452,7 @@ TEST_F(LaneFixture, LatencySubMicrosecondForSmallMessages) {
   SimTime sent = 0, got = -1;
   lane.set_receiver([&](Message&&) { got = cluster.loop().now(); });
   sent = cluster.loop().now();
-  ASSERT_TRUE(lane.send(Buffer(64)).is_ok());
+  lane.send(Buffer(64));
   cluster.loop().run();
   const SimDuration oneway = got - sent;
   EXPECT_GT(oneway, 0);
