@@ -3,6 +3,7 @@
 
     python3 ci/check_bench_digests.py build ci/bench_digests.json
     python3 ci/check_bench_digests.py build ci/bench_digests.json --write
+    python3 ci/check_bench_digests.py build ci/bench_digests.json --diff OTHER_DIR
 
 Every bench except bench_sim_core runs on the sim clock alone, so its
 --json output is byte-identical from run to run, and so are the three
@@ -10,6 +11,11 @@ traces the gates export (failover, socket_stream, live_migration). Each
 pinned name is read as <dir>/<name>.json and its SHA-256 compared with the
 pin. Every mismatch and every missing file is named, then the check fails:
 a digest that moves means simulated behaviour changed.
+
+--diff OTHER_DIR runs the same check and, for each output that moved,
+also prints every JSON leaf that differs between OTHER_DIR's copy (before,
+typically written by the parent commit's build) and <dir>'s (after), one
+line each: path, before, after.
 
 --write pins every BENCH_*.json and TRACE_*.json in <dir> except the
 host-clock benches. A change that moves the sim clock on purpose rewrites
@@ -32,6 +38,39 @@ def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
+ABSENT = object()
+
+
+def leaves(value, path=""):
+    """Yields (path, leaf) for every scalar, empty list and empty object."""
+    if isinstance(value, dict) and value:
+        for key, item in value.items():
+            yield from leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list) and value:
+        for i, item in enumerate(value):
+            yield from leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def show(value):
+    return "<absent>" if value is ABSENT else json.dumps(value)
+
+
+def print_diff(name, before_path, after_path):
+    if not before_path.exists():
+        print(f"  {name}: no {before_path} to diff against")
+        return
+    before = dict(leaves(json.loads(before_path.read_text())))
+    after = dict(leaves(json.loads(after_path.read_text())))
+    paths = list(before) + [p for p in after if p not in before]
+    changed = [p for p in paths if before.get(p, ABSENT) != after.get(p, ABSENT)]
+    print(f"  {name}: {len(changed)} leaves differ ({before_path} -> {after_path})")
+    for p in changed:
+        print(f"    {p or '<root>'}: {show(before.get(p, ABSENT))} -> "
+              f"{show(after.get(p, ABSENT))}")
+
+
 def write(out_dir, pinned_path):
     names = sorted(p.stem for pattern in ("BENCH_*.json", "TRACE_*.json")
                    for p in out_dir.glob(pattern) if p.stem not in HOST_CLOCK)
@@ -44,7 +83,7 @@ def write(out_dir, pinned_path):
     print(f"bench digests: pinned {len(pins)} outputs in {pinned_path}")
 
 
-def check(out_dir, pinned_path):
+def check(out_dir, pinned_path, diff_dir=None):
     with open(pinned_path) as f:
         pins = json.load(f)["digests"]
     moved = []
@@ -56,6 +95,8 @@ def check(out_dir, pinned_path):
         got = digest(path)
         if got != pinned:
             moved.append(f"{name}: digest {got} != pinned {pinned}")
+            if diff_dir is not None:
+                print_diff(name, diff_dir / f"{name}.json", path)
     if moved:
         for line in moved:
             print(f"bench digests: {line}", file=sys.stderr)
@@ -66,13 +107,20 @@ def check(out_dir, pinned_path):
 
 def main():
     args = [a for a in sys.argv[1:] if a != "--write"]
-    if len(args) != 2:
+    diff_dir = None
+    if "--diff" in args:
+        i = args.index("--diff")
+        if i + 1 >= len(args):
+            sys.exit(__doc__)
+        diff_dir = pathlib.Path(args[i + 1])
+        del args[i:i + 2]
+    if len(args) != 2 or (diff_dir is not None and "--write" in sys.argv[1:]):
         sys.exit(__doc__)
     out_dir, pinned_path = pathlib.Path(args[0]), args[1]
     if "--write" in sys.argv[1:]:
         write(out_dir, pinned_path)
     else:
-        check(out_dir, pinned_path)
+        check(out_dir, pinned_path, diff_dir)
 
 
 if __name__ == "__main__":

@@ -790,21 +790,24 @@ void Agent::send_heartbeat(const TrunkKey& key) {
 void Agent::declare_lane_failed(fabric::HostId peer, orch::Transport transport) {
   const TrunkKey key{peer, transport};
   if (!trunks_.contains(key)) return;
-  ctr_lanes_failed_->inc();
-  FF_LOG(info, "agent") << host_.name() << ": lane to host " << peer << " over "
-                        << orch::transport_name(transport) << " declared dead";
-  // Fail the endpoints first (retire_trunk_half does) so their conduits
-  // detach and go stale, then report: the report's health callback is what
-  // triggers re-decision, and by then every victim must already know its
-  // old lane is gone.
-  retire_trunk_half(key);
+  // Report first: it flushes the cached decisions riding the lane, so each
+  // conduit the retirements below fail re-decides once, from its failure
+  // hook, against a cache that no longer holds the dead lane's answer.
+  fabric_.orchestrator().report_lane_failure(host_.id(), peer, transport);
+  retire_lane(key);
   // A trunk is a pair: the mirror half on the peer agent is equally dead
   // (its QP would error, its connection reset). Retiring both sides keeps
   // trunk state symmetric, so a later re-establish builds a fresh pair
-  // instead of half-wiring onto a corpse. Recursion terminates because our
-  // side is already erased.
-  fabric_.agent_on(peer).declare_lane_failed(host_.id(), transport);
-  fabric_.orchestrator().report_lane_failure(host_.id(), peer, transport);
+  // instead of half-wiring onto a corpse.
+  fabric_.agent_on(peer).retire_lane(TrunkKey{host_.id(), transport});
+}
+
+void Agent::retire_lane(const TrunkKey& key) {
+  if (!trunks_.contains(key)) return;
+  ctr_lanes_failed_->inc();
+  FF_LOG(info, "agent") << host_.name() << ": lane to host " << key.peer << " over "
+                        << orch::transport_name(key.transport) << " declared dead";
+  retire_trunk_half(key);
   // A setup riding this lane (the trunk died mid-handshake) turns into one
   // failed attempt: the retry driver backs off and re-establishes instead
   // of leaving the waiters with a permanent `unavailable`.

@@ -88,9 +88,10 @@ class Agent {
   void set_paused(bool paused);
   [[nodiscard]] bool paused() const noexcept { return paused_; }
 
-  /// Retires the trunk toward (`peer`, `transport`), fails every channel
-  /// endpoint riding it (conduits then fail over), and reports the loss to
-  /// the orchestrator. Idempotent once the trunk is gone.
+  /// Reports the loss of the lane toward (`peer`, `transport`) to the
+  /// orchestrator once, then retires this agent's half and the peer agent's
+  /// mirror half, failing every channel endpoint riding either (conduits
+  /// then fail over). A no-op when this agent holds no trunk under the key.
   void declare_lane_failed(fabric::HostId peer, orch::Transport transport);
   [[nodiscard]] std::uint64_t lanes_failed() const noexcept {
     return ctr_lanes_failed_->value();
@@ -158,9 +159,13 @@ class Agent {
   std::shared_ptr<Trunk> adopt_trunk(const TrunkKey& key, std::shared_ptr<Trunk> trunk,
                                      bool established);
   /// Moves the key's trunk (pending or established) to the graveyard and
-  /// fails the endpoints riding it. Local bookkeeping only — no mirror to
-  /// the peer, no orchestrator report (declare_lane_failed adds those).
+  /// fails the endpoints riding it. Local bookkeeping only: no lane-death
+  /// count and no failed setup attempt (retire_lane adds those), no mirror
+  /// and no orchestrator report (declare_lane_failed adds those).
   void retire_trunk_half(const TrunkKey& key);
+  /// One half of a lane death, on either agent: counts it, retires the
+  /// key's trunk half and fails a setup riding it. No-op without a trunk.
+  void retire_lane(const TrunkKey& key);
   /// Retires the key's trunk only if it never established (a failed
   /// attempt's half-built half-trunk).
   void abandon_pending_trunk(const TrunkKey& key);

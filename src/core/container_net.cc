@@ -51,19 +51,12 @@ void ContainerNet::adopt_conduit(const ConduitPtr& conduit) {
   });
   // Transport failure (lane declared dead by the agent): the initiator
   // re-decides and splices on a fallback channel; the passive side waits
-  // for the initiator's rebind to arrive over the new transport.
+  // for the initiator's rebind to arrive over the new transport. The
+  // agent's lane-failure report has already flushed the cached decision.
   conduit->set_on_transport_failed([self, weak_conduit = ConduitPtr::weak_type(conduit)]() {
     auto net = self.lock();
     auto c = weak_conduit.lock();
-    if (net == nullptr || c == nullptr) return;
-    // Drop cached decisions for this pair before re-deciding: the hook runs
-    // before the agent's lane-failure report reaches the control plane, so
-    // the push-flush hasn't landed yet. The reverse index makes this
-    // O(affected entries), not a cache sweep.
-    auto& selector = net->ff_.selector_on(net->container_->host());
-    selector.invalidate(net->id());
-    selector.invalidate(c->peer());
-    if (c->initiator()) net->refit_conduit(c);
+    if (net != nullptr && c != nullptr && c->initiator()) net->refit_conduit(c);
   });
 }
 
@@ -182,43 +175,34 @@ Status ContainerNet::sock_listen(std::uint16_t port, SockAcceptFn on_accept) {
 
 // ---------------------------------------------------------- channel opening
 
-void ContainerNet::open_channel_for(ConduitPtr conduit, bool rebinding,
-                                    std::function<void(Status)> done) {
+void ContainerNet::open_channel_for(ConduitPtr conduit, orch::Transport transport,
+                                    bool rebinding, std::function<void(Status)> done) {
+  if (transport == orch::Transport::tcp_overlay) {
+    // No trust: FreeFlow refuses to pierce isolation; such pairs use the
+    // plain overlay network instead of the library's fast channels.
+    done(permission_denied("peers do not trust each other; use overlay TCP"));
+    return;
+  }
   // Concurrent re-binds race (health flaps faster than channel setup): the
   // conduit's generation stamps this attempt, and a stale winner abandons
   // its freshly built channel instead of overriding a newer decision.
   const std::uint64_t gen = conduit->generation();
-  ff_.selector_on(container_->host())
-      .decide(id(), conduit->peer(),
-              [this, conduit, rebinding, gen,
-               done = std::move(done)](Result<orch::TransportDecision> d) mutable {
-    if (!d.is_ok()) {
-      done(d.status());
+  ff_.agents().agent_on(container_->host())
+      .establish(id(), conduit->peer(), transport,
+                 [conduit, rebinding, gen,
+                  done = std::move(done)](Result<agent::ChannelPtr> ch) mutable {
+    if (!ch.is_ok()) {
+      done(ch.status());
       return;
     }
-    if (d->transport == orch::Transport::tcp_overlay) {
-      // No trust: FreeFlow refuses to pierce isolation; such pairs use the
-      // plain overlay network instead of the library's fast channels.
-      done(permission_denied("peers do not trust each other; use overlay TCP"));
+    if (conduit->closed() || (rebinding && conduit->generation() != gen)) {
+      (*ch)->close();
+      done(aborted("conduit re-bound again before channel setup finished"));
       return;
     }
-    ff_.agents().agent_on(container_->host())
-        .establish(id(), conduit->peer(), d->transport,
-                   [conduit, rebinding, gen,
-                    done = std::move(done)](Result<agent::ChannelPtr> ch) mutable {
-      if (!ch.is_ok()) {
-        done(ch.status());
-        return;
-      }
-      if (conduit->closed() || (rebinding && conduit->generation() != gen)) {
-        (*ch)->close();
-        done(aborted("conduit re-bound again before channel setup finished"));
-        return;
-      }
-      if (rebinding) send_rebind(**ch, conduit->token());
-      conduit->attach_channel(std::move(ch.value()));
-      done(ok_status());
-    });
+    if (rebinding) send_rebind(**ch, conduit->token());
+    conduit->attach_channel(std::move(ch.value()));
+    done(ok_status());
   });
 }
 
@@ -292,7 +276,15 @@ void ContainerNet::connect_conduit(tcp::Ipv4Addr peer_ip, std::uint16_t port,
     if (path == SockPath::per_stream_qp) refit_conduit(conduit);
   };
   if (path == SockPath::relayed) {
-    open_channel_for(conduit, /*rebinding=*/false, std::move(attached));
+    ff_.selector_on(container_->host())
+        .decide(id(), conduit->peer(), [this, conduit, attached = std::move(attached)](
+                                           Result<orch::TransportDecision> d) mutable {
+      if (!d.is_ok()) {
+        attached(d.status());
+        return;
+      }
+      open_channel_for(conduit, d->transport, /*rebinding=*/false, std::move(attached));
+    });
     return;
   }
   adopt_stream_qp(conduit);
@@ -456,9 +448,9 @@ void ContainerNet::handle_health_event(fabric::HostId host) {
     const bool touches =
         peer_loc->host == host || container_->host() == host;
     if (!touches) continue;
-    // No invalidate here: the control plane's health-diff flush already
-    // dropped exactly the affected entries (and only those — a co-located
-    // shm pair rides out its host's RDMA death) before this callback ran.
+    // The control plane's health subscriber already dropped exactly the
+    // affected cached entries (and only those — a co-located shm pair rides
+    // out its host's RDMA death) before this callback ran.
     // Only the initiator re-dials; the passive side splices on the rebind.
     if (conduit->initiator()) refit_conduit(conduit);
   }
@@ -498,26 +490,14 @@ void ContainerNet::refit_conduit(const ConduitPtr& conduit) {
     if (!d.is_ok()) return;
     if (conduit->live() && conduit->transport() == d->transport) return;
     conduit->mark_stale();
-    net->open_channel_for(conduit, /*rebinding=*/true, [](Status st) {
+    net->open_channel_for(conduit, d->transport, /*rebinding=*/true, [](Status st) {
       if (!st.is_ok()) {
         // Leave the conduit stale rather than killing it: sends queue, and
         // the next health event (e.g. link recovery) retries the splice.
-        FF_LOG(warn, "core") << "failover re-bind failed (will retry on next "
-                                "health event): " << st;
+        FF_LOG(warn, "core") << "re-bind failed (will retry on next health "
+                                "event): " << st;
       }
     });
-  });
-}
-
-void ContainerNet::rebind_conduit(const ConduitPtr& conduit, const char* after) {
-  if (stream_qps_.contains(conduit->token())) {
-    refit_conduit(conduit);
-    return;
-  }
-  open_channel_for(conduit, /*rebinding=*/true, [after](Status st) {
-    if (!st.is_ok()) {
-      FF_LOG(warn, "core") << "re-bind after " << after << " failed: " << st;
-    }
   });
 }
 
@@ -574,7 +554,7 @@ void ContainerNet::rebind_conduits(orch::ContainerId moved) {
   const bool self_moved = moved == id();
   for (auto& [token, conduit] : conduits_) {
     if (!self_moved && conduit->peer() != moved) continue;
-    if (conduit->initiator()) rebind_conduit(conduit, self_moved ? "self-move" : "peer-move");
+    if (conduit->initiator()) refit_conduit(conduit);
   }
 }
 

@@ -182,9 +182,10 @@ class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
   void handle_first_message(orch::ContainerId src, agent::Channel* channel,
                             const WireHeader& header);
 
-  /// Resolves, decides, establishes and attaches a channel to `conduit`;
-  /// when `rebinding`, the first message on the new channel is a rebind.
-  void open_channel_for(ConduitPtr conduit, bool rebinding,
+  /// Establishes a channel of the `transport` its caller decided and
+  /// attaches it to `conduit`; when `rebinding`, the first message on the
+  /// new channel is a rebind.
+  void open_channel_for(ConduitPtr conduit, orch::Transport transport, bool rebinding,
                         std::function<void(Status)> done);
 
   /// Takes ownership of `conduit` in conduits_ and installs the teardown
@@ -193,10 +194,9 @@ class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
   /// Marks an adopted conduit per_stream_qp: its handshake lane and state.
   void adopt_stream_qp(const ConduitPtr& conduit);
   /// Re-decides the transport for one (initiator-side) conduit and re-binds
-  /// it when the decision differs from what it currently rides.
+  /// it when it is detached (a failover, a move) or the decision differs
+  /// from what it currently rides.
   void refit_conduit(const ConduitPtr& conduit);
-  /// Re-attaches a detached initiator-side conduit after a move.
-  void rebind_conduit(const ConduitPtr& conduit, const char* after);
   /// Closes every conduit via a snapshot (close re-enters conduits_).
   void close_all_conduits();
 

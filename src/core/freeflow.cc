@@ -45,9 +45,12 @@ FreeFlow::FreeFlow(orch::NetworkOrchestrator& orchestrator, agent::AgentConfig c
       if (net->has_conduit_to(stopped.id())) net->handle_peer_stopped(stopped.id(), reason);
     }
   });
-  // NIC health changes (telemetry or agent failure reports): every library
-  // instance with a conduit touching the changed host re-decides.
-  orchestrator_.subscribe_health([this, alive](fabric::HostId changed) {
+  // NIC health changes: every library instance with a conduit touching the
+  // changed host re-decides, after the plane (subscribed first, in its
+  // constructor) has flushed the affected cached decisions.
+  orchestrator_.subscribe_health([this, alive](fabric::HostId changed,
+                                               const fabric::NicHealth&,
+                                               const fabric::NicHealth&) {
     if (alive.expired()) return;
     std::vector<ContainerNetPtr> snapshot;
     snapshot.reserve(nets_.size());

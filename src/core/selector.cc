@@ -150,23 +150,11 @@ void TransportSelector::store(const PendingQuery& q,
   e.dst_epoch = reply.dst_epoch;
 }
 
-void TransportSelector::invalidate(orch::ContainerId container) {
-  auto idx = by_container_.find(container);
-  if (idx == by_container_.end()) return;
-  // Copy: erase_entry mutates (and may erase) the index set underneath us.
-  std::vector<std::uint64_t> keys(idx->second.begin(), idx->second.end());
-  for (std::uint64_t key : keys) {
-    auto it = cache_.find(key);
-    if (it == cache_.end()) continue;
-    erase_entry(it);
-    ctr_invalidations_->inc();
-  }
-}
-
 void TransportSelector::on_flush(orch::ContainerId container,
                                  orch::DecisionEpoch epoch, std::uint8_t drop_mask) {
   auto idx = by_container_.find(container);
   if (idx == by_container_.end()) return;
+  // Copy: erase_entry mutates (and may erase) the index set underneath us.
   std::vector<std::uint64_t> keys(idx->second.begin(), idx->second.end());
   for (std::uint64_t key : keys) {
     auto it = cache_.find(key);

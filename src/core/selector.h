@@ -58,12 +58,10 @@ class TransportSelector final : public orch::DecisionCacheClient {
   void decide(orch::ContainerId src, orch::ContainerId dst,
               std::function<void(Result<orch::TransportDecision>)> cb);
 
-  /// Drops every cached decision involving `container` — O(entries actually
-  /// affected) via the reverse index, not a full-cache sweep.
-  void invalidate(orch::ContainerId container);
-
-  /// Control-plane flush push (DecisionCacheClient). Drops entries for
-  /// `container` whose transport is in `drop_mask`; re-stamps survivors.
+  /// Control-plane flush push (DecisionCacheClient), the only way entries
+  /// are invalidated. Drops entries for `container` whose transport is in
+  /// `drop_mask` — O(entries actually affected) via the reverse index, not
+  /// a full-cache sweep — and re-stamps survivors.
   void on_flush(orch::ContainerId container, orch::DecisionEpoch epoch,
                 std::uint8_t drop_mask) override;
 

@@ -43,9 +43,11 @@ MigrationCoordinator::MigrationCoordinator(core::FreeFlow& ff) : ff_(ff) {
     if (moves_.contains(moved.id())) resume(moved.id());
   });
   // Proactive trigger: degraded NIC (link up, serialization rate collapsed).
-  ff_.orchestrator().subscribe_health([this, alive](fabric::HostId host) {
+  ff_.orchestrator().subscribe_health([this, alive](fabric::HostId host,
+                                                    const fabric::NicHealth&,
+                                                    const fabric::NicHealth& now) {
     if (alive.expired()) return;
-    handle_health(host);
+    handle_health(host, now);
   });
   // Proactive trigger: severed inter-host path (both NICs healthy).
   ff_.orchestrator().subscribe_path_partitions(
@@ -286,13 +288,13 @@ void MigrationCoordinator::finish(orch::ContainerId id) {
 
 // ------------------------------------------------------- proactive triggers
 
-void MigrationCoordinator::handle_health(fabric::HostId host) {
-  const auto& health = ff_.orchestrator().nic_health(host);
+void MigrationCoordinator::handle_health(fabric::HostId host,
+                                         const fabric::NicHealth& now) {
   // A downed link is failover's business (transport shift / crash handling);
   // the coordinator's case is the *degraded-but-alive* NIC, where every
   // transport limps and only moving off the host restores full rate.
-  if (!health.link_up) return;
-  if (health.rate_fraction >= k_degrade_threshold) return;
+  if (!now.link_up) return;
+  if (now.rate_fraction >= k_degrade_threshold) return;
   auto dst = pick_destination(host);
   if (!dst.has_value()) return;
   auto victims = ff_.orchestrator().cluster_orch().containers_on(host);
@@ -305,7 +307,7 @@ void MigrationCoordinator::handle_health(fabric::HostId host) {
     if (moves_.contains(c->id())) continue;
     FF_LOG(info, "migration")
         << "NIC on host " << host << " degraded to rate_fraction "
-        << health.rate_fraction << ": migrating container " << c->id()
+        << now.rate_fraction << ": migrating container " << c->id()
         << " to host " << *dst;
     migrate(c->id(), *dst, DoneFn{}, core::MigrationReason::degraded_nic);
   }

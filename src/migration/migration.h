@@ -125,7 +125,8 @@ class MigrationCoordinator {
   [[nodiscard]] static std::size_t detached(const Move& mv);
   void finish(orch::ContainerId id);
 
-  void handle_health(fabric::HostId host);
+  /// Proactive trigger: `now` is the NIC health just reported for `host`.
+  void handle_health(fabric::HostId host, const fabric::NicHealth& now);
   void handle_path(fabric::HostId a, fabric::HostId b, bool up);
   /// Healthiest candidate host (link up, rate above threshold), fewest
   /// running containers, excluding `avoid`; nullopt when none qualifies.

@@ -37,7 +37,7 @@ void NetworkOrchestrator::set_tenant_trust(TenantId a, TenantId b, bool is_trust
   if (!changed) return;
   FF_LOG(info, "orch") << "tenant trust " << a << " <-> " << b
                        << (is_trusted ? " granted" : " revoked");
-  // Snapshot-by-size like notify_health: a subscriber may subscribe more.
+  // Snapshot by size: a subscriber may subscribe more.
   const std::size_t n = trust_subscribers_.size();
   for (std::size_t i = 0; i < n; ++i) trust_subscribers_[i](a, b, is_trusted);
 }
@@ -153,10 +153,10 @@ void NetworkOrchestrator::update_nic_health(fabric::HostId host,
   const fabric::NicHealth prev = nic_health(host);  // copy before overwrite
   health_[host] = health;
   cluster_.cluster().telemetry().metrics().counter("orchestrator/health_updates").inc();
-  // Diff subscribers (decision-cache flushes) run BEFORE the coarse health
-  // subscribers: by the time anything re-decides, stale entries are gone.
-  for (auto& fn : health_diff_subscribers_) fn(host, prev, health);
-  notify_health(host);
+  // In subscription order: the control plane's cache flush runs before any
+  // re-decision. Snapshot by size: a re-decision may subscribe more.
+  const std::size_t n = health_subscribers_.size();
+  for (std::size_t i = 0; i < n; ++i) health_subscribers_[i](host, prev, health);
 }
 
 const fabric::NicHealth& NetworkOrchestrator::nic_health(fabric::HostId host) const {
@@ -169,10 +169,6 @@ void NetworkOrchestrator::subscribe_health(HealthFn fn) {
   health_subscribers_.push_back(std::move(fn));
 }
 
-void NetworkOrchestrator::subscribe_health_diff(HealthDiffFn fn) {
-  health_diff_subscribers_.push_back(std::move(fn));
-}
-
 void NetworkOrchestrator::subscribe_lane_failures(LaneFailureFn fn) {
   lane_failure_subscribers_.push_back(std::move(fn));
 }
@@ -182,11 +178,9 @@ void NetworkOrchestrator::report_lane_failure(fabric::HostId reporter,
   cluster_.cluster().telemetry().metrics().counter("orchestrator/lane_failure_reports").inc();
   FF_LOG(info, "orch") << "lane failure report: host " << reporter << " -> host "
                        << peer << " over " << transport_name(transport);
-  // Caches drop decisions riding the failed lane before anything re-decides.
+  // Caches drop decisions riding the failed lane; the conduits on it
+  // re-decide from their own failure hooks once the agent fails them.
   for (auto& fn : lane_failure_subscribers_) fn(reporter, peer, transport);
-  // Both ends re-evaluate; decide() folds whatever telemetry already knows.
-  notify_health(reporter);
-  if (peer != reporter) notify_health(peer);
 }
 
 void NetworkOrchestrator::update_path_health(fabric::HostId a, fabric::HostId b,
@@ -198,19 +192,13 @@ void NetworkOrchestrator::update_path_health(fabric::HostId a, fabric::HostId b,
   cluster_.cluster().telemetry().metrics().counter("orchestrator/path_updates").inc();
   FF_LOG(info, "orch") << "fabric path host " << a << " <-> host " << b
                        << (up ? " healed" : " partitioned");
-  // Snapshot-by-size like notify_health: a subscriber may subscribe more.
+  // Snapshot by size: a subscriber may subscribe more.
   const std::size_t n = path_subscribers_.size();
   for (std::size_t i = 0; i < n; ++i) path_subscribers_[i](a, b, up);
 }
 
 void NetworkOrchestrator::subscribe_path_partitions(PathFn fn) {
   path_subscribers_.push_back(std::move(fn));
-}
-
-void NetworkOrchestrator::notify_health(fabric::HostId host) {
-  // Snapshot: a subscriber's re-decision may subscribe more (new agents).
-  const std::size_t n = health_subscribers_.size();
-  for (std::size_t i = 0; i < n; ++i) health_subscribers_[i](host);
 }
 
 }  // namespace freeflow::orch

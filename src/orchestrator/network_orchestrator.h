@@ -37,11 +37,10 @@ struct TransportDecision {
 
 class NetworkOrchestrator {
  public:
-  using HealthFn = std::function<void(fabric::HostId)>;
   /// Health transition with before/after state — precise invalidation needs
   /// the *diff* (which capability changed, in which direction), not just
   /// the fact that something changed.
-  using HealthDiffFn = std::function<void(
+  using HealthFn = std::function<void(
       fabric::HostId, const fabric::NicHealth& prev, const fabric::NicHealth& now)>;
   using LaneFailureFn =
       std::function<void(fabric::HostId reporter, fabric::HostId peer, Transport)>;
@@ -90,25 +89,22 @@ class NetworkOrchestrator {
   void update_nic_health(fabric::HostId host, const fabric::NicHealth& health);
   [[nodiscard]] const fabric::NicHealth& nic_health(fabric::HostId host) const;
 
-  /// Re-decision callback: fired with the host whose health state changed.
+  /// Fired by update_nic_health, and only by it, with the host and its old
+  /// and new health. Subscribers run in the order they subscribed: the
+  /// control plane subscribes in its constructor, so decision caches flush
+  /// stale entries before any later subscriber re-decides against them.
   void subscribe_health(HealthFn fn);
 
-  /// Cache-invalidation callback: fired by update_nic_health with the old
-  /// and new health, BEFORE the coarse subscribe_health callbacks — so
-  /// decision caches flush stale entries before any re-decision consults
-  /// them (the stale-serve window the sharded control plane closes).
-  void subscribe_health_diff(HealthDiffFn fn);
-
-  /// Fired by report_lane_failure (before its health notifications) with
-  /// the reported transport, so caches can flush exactly the decisions
-  /// riding the failed lane.
+  /// Fired by report_lane_failure with the reported transport, so caches
+  /// can flush exactly the decisions riding the failed lane.
   void subscribe_lane_failures(LaneFailureFn fn);
 
-  /// Agent-side failure report (missed heartbeats, send errors): converges
-  /// faster than telemetry when the fault is on the reporting path. The
-  /// report does not overwrite telemetry (a healthy peer must not be exiled
-  /// by a confused reporter) — it re-fires the health subscribers for both
-  /// ends so they re-evaluate against current truth.
+  /// Agent-side failure report (missed heartbeats, send errors), filed once
+  /// per lane death before any endpoint on the lane fails. It only flushes
+  /// caches: it does not overwrite telemetry (a healthy peer must not be
+  /// exiled by a confused reporter) and fires no health subscriber — each
+  /// conduit on the lane re-decides from its own failure hook, against a
+  /// cache this report already flushed.
   void report_lane_failure(fabric::HostId reporter, fabric::HostId peer,
                            Transport transport);
 
@@ -131,13 +127,11 @@ class NetworkOrchestrator {
  private:
   [[nodiscard]] TransportDecision decide_impl(const Container& src,
                                               const Container& dst) const;
-  void notify_health(fabric::HostId host);
 
   ClusterOrchestrator& cluster_;
   std::unordered_set<std::uint64_t> tenant_trust_;
   std::vector<TrustFn> trust_subscribers_;
   std::vector<HealthFn> health_subscribers_;
-  std::vector<HealthDiffFn> health_diff_subscribers_;
   std::vector<LaneFailureFn> lane_failure_subscribers_;
   /// Last reported NIC health per host; absent means healthy.
   std::unordered_map<fabric::HostId, fabric::NicHealth> health_;

@@ -15,14 +15,15 @@ ShardedControlPlane::ShardedControlPlane(NetworkOrchestrator& orchestrator, int 
   ctr_bumps_ = &metrics.counter("orch/decision_epoch_bumps");
   ctr_flushes_ = &metrics.counter("orch/cache_flushes_pushed");
 
-  // Invalidation sources. These subscriptions are registered at
-  // construction — before any re-decision handler (FreeFlow subscribes its
-  // own health/move handlers after constructing the plane) — so caches are
-  // flushed before the first re-decide can consult them.
+  // Invalidation sources. Subscribers run in subscription order, and these
+  // are registered at construction — before any re-decision handler
+  // (FreeFlow subscribes its own health, move and stop handlers after
+  // constructing the plane) — so caches are flushed before the first
+  // re-decide can consult them.
   std::weak_ptr<bool> alive = alive_;
-  orch_.subscribe_health_diff([this, alive](fabric::HostId host,
-                                            const fabric::NicHealth& prev,
-                                            const fabric::NicHealth& now) {
+  orch_.subscribe_health([this, alive](fabric::HostId host,
+                                       const fabric::NicHealth& prev,
+                                       const fabric::NicHealth& now) {
     if (alive.expired()) return;
     const std::uint8_t mask = health_drop_mask(prev, now);
     if (mask != k_drop_none) flush_host(host, mask);
@@ -32,7 +33,7 @@ ShardedControlPlane::ShardedControlPlane(NetworkOrchestrator& orchestrator, int 
     if (alive.expired()) return;
     // The report does not change orchestrator truth (telemetry may still
     // say healthy), but cached decisions over the reported transport must
-    // re-consult so the next decide folds whatever truth exists by then.
+    // re-consult: the conduits on the lane re-decide right after this.
     flush_host(reporter, transport_bit(t));
     if (peer != reporter) flush_host(peer, transport_bit(t));
   });

@@ -274,6 +274,45 @@ TEST(FaultMatrix, MissedHeartbeatsDeclareLaneDead) {
   injector.apply({env.loop().now(), FaultKind::agent_resume, 1});
 }
 
+// One lane death takes one path: the declaring agent files a single report,
+// which flushes the cached decisions riding the lane, and retires both
+// halves of the trunk. Only the conduit on the lane re-decides — once, from
+// its failure hook — so a co-located shm pair on the same host decides
+// nothing, and no in-flight decision races a second report's epoch bump.
+TEST(FaultMatrix, LaneDeathIsReportedOnceAndRedecidedOnce) {
+  Env env(2);
+  auto p = attach_pair(env, 0, 1);
+  auto& ff = env.freeflow();
+  auto c = env.deploy("c", 1, 0);
+  auto d = env.deploy("d", 1, 0);
+  Pair local{c, d, *ff.attach(c->id()), *ff.attach(d->id())};
+  auto idle = start_stream(env, local, 7008, 64 * 1024);
+  ASSERT_TRUE(env.wait([&]() { return idle->done(); }));
+  ASSERT_EQ(transport_of(local.net_a), orch::Transport::shm);
+
+  auto st = start_stream(env, p, 7007, 8ull * 1024 * 1024);
+  ASSERT_TRUE(env.wait([&]() { return st->verified > 1024 * 1024; }));
+  ASSERT_EQ(transport_of(p.net_a), orch::Transport::rdma);
+
+  auto& metrics = env.cluster.telemetry().metrics();
+  auto& selector = ff.selector_on(0);
+  const auto reports = metrics.counter_value("orchestrator/lane_failure_reports");
+  const auto rejects = metrics.counter_value("selector/epoch_rejects");
+  const auto decides = selector.cache_hits() + selector.cache_misses();
+
+  ff.agents().agent_on(0).declare_lane_failed(1, orch::Transport::rdma);
+  ASSERT_TRUE(env.wait([&]() { return st->done(); }, 60 * k_second))
+      << "verified " << st->verified << "/" << st->target
+      << (st->corrupt ? " CORRUPT" : "");
+  EXPECT_FALSE(st->corrupt);
+  EXPECT_EQ(st->verified, st->target);
+  EXPECT_GE(rebinds_of(p.net_a), 1u);
+  EXPECT_EQ(metrics.counter_value("orchestrator/lane_failure_reports"), reports + 1);
+  EXPECT_EQ(metrics.counter_value("selector/epoch_rejects"), rejects);
+  // The rdma conduit's one refit; the shm pair made no decide.
+  EXPECT_EQ(selector.cache_hits() + selector.cache_misses(), decides + 1);
+}
+
 // A host crash is unrecoverable: peers' sockets close with host_crashed —
 // not peer_bye — so applications can tell a crash from a goodbye.
 TEST(FaultMatrix, HostCrashClosesPeersWithReason) {

@@ -51,7 +51,8 @@ TEST(Selector, PreciseInvalidationDropsOnlyAffectedPairs) {
   ASSERT_EQ(decide_now(env, sel, b->id(), c->id())->transport, orch::Transport::rdma);
   ASSERT_EQ(sel.cache_size(), 3u);
 
-  sel.invalidate(c->id());  // drops exactly the two entries touching c
+  // A full-mask push for c drops exactly the two entries touching c.
+  env.freeflow().control_plane().note_migration_started(c->id());
   EXPECT_EQ(sel.cache_size(), 1u);
   EXPECT_EQ(selector_counter(env, "invalidations"), 2u);
 
