@@ -102,8 +102,8 @@ EdgeResult run_edge(const char* label, fabric::NicCapabilities caps,
   r.recovered =
       spin(cluster, [&]() { return client->transport() == from; }, 10 * k_second);
 
-  // connections() reads the conduits' registry counters, so these sums are
-  // the figures the --json telemetry snapshot carries.
+  // connections() reads the client conduits' own counts; the --json
+  // telemetry snapshot carries their host-level families.
   const auto& metrics = cluster.telemetry().metrics();
   for (const auto& info : rig.net_a->connections()) {
     r.retransmits += info.retransmits;

@@ -200,8 +200,8 @@ stage_bench_smoke() {
 stage_trace_validate() {
   # The failover matrix's trace (exported by bench-smoke) must be well-formed
   # and show the full kill-rdma recovery timeline. The bench's retransmit
-  # and blackout figures read the conduits' registry counters, the same
-  # ones its --json telemetry snapshot carries.
+  # and blackout figures read the conduits' own counts, which also add to
+  # the host-level families its --json telemetry snapshot carries.
   python3 ci/validate_trace.py build/TRACE_failover.json \
     --expect "i:rdma_down,B:failover,i:mark_stale,i:rebind,i:retransmit,E:failover,i:rdma_up,i:re-upgrade"
   python3 -c "import json; json.load(open('build/BENCH_failover.json'))"

@@ -20,9 +20,28 @@ void warn_if_failed(const Status& s) {
 }
 }  // namespace
 
+ConduitSeries ConduitSeries::registered(telemetry::MetricRegistry& metrics,
+                                        fabric::HostId host, orch::Transport transport) {
+  const std::string prefix = "conduit/h" + std::to_string(host) + "/" +
+                             std::string(orch::transport_name(transport)) + "/";
+  ConduitSeries s;
+  s.sent = &metrics.counter(prefix + "sent");
+  s.received = &metrics.counter(prefix + "received");
+  s.retransmits = &metrics.counter(prefix + "retransmits");
+  s.rebinds = &metrics.counter(prefix + "rebinds");
+  s.blackout_ns = &metrics.counter(prefix + "blackout_ns");
+  if (transport == orch::Transport::shm) return s;
+  s.acks = &metrics.counter(prefix + "acks");
+  s.delayed_acks = &metrics.counter(prefix + "delayed_acks");
+  s.window_full = &metrics.counter(prefix + "window_full");
+  s.blocked_ns = &metrics.counter(prefix + "blocked_ns");
+  s.retained = &metrics.gauge(prefix + "retained");
+  return s;
+}
+
 Conduit::Conduit(std::uint64_t token, orch::ContainerId self, orch::ContainerId peer,
                  tcp::Ipv4Addr peer_ip, std::uint16_t service_port, bool initiator,
-                 telemetry::Telemetry& hub, sim::EventLoop& loop)
+                 telemetry::Tracer& tracer, sim::EventLoop& loop)
     : token_(token),
       self_(self),
       peer_(peer),
@@ -30,22 +49,7 @@ Conduit::Conduit(std::uint64_t token, orch::ContainerId self, orch::ContainerId 
       service_port_(service_port),
       initiator_(initiator),
       loop_(loop),
-      tracer_(hub.tracer()) {
-  // Both endpoints of a channel share the token, so the metric entity is
-  // (token, endpoint container) — "conduit/<token>/c<self>/<metric>".
-  const std::string prefix = "conduit/" + std::to_string(token_) + "/c" +
-                             std::to_string(self_) + "/";
-  auto& m = hub.metrics();
-  ctr_sent_ = &m.counter(prefix + "sent");
-  ctr_received_ = &m.counter(prefix + "received");
-  ctr_acks_ = &m.counter(prefix + "acks");
-  ctr_delayed_acks_ = &m.counter(prefix + "delayed_acks");
-  ctr_retransmits_ = &m.counter(prefix + "retransmits");
-  ctr_rebinds_ = &m.counter(prefix + "rebinds");
-  ctr_window_full_ = &m.counter(prefix + "window_full");
-  ctr_blackout_ns_ = &m.counter(prefix + "blackout_ns");
-  ctr_blocked_ns_ = &m.counter(prefix + "blocked_ns");
-  gauge_retained_ = &m.gauge(prefix + "retained");
+      tracer_(tracer) {
   tracer_.name_thread(self_, trace_tid(token_), "conduit " + std::to_string(token_));
 }
 
@@ -77,18 +81,21 @@ void Conduit::transmit(std::uint64_t seq, Message message) {
   // out on is gone. The share copies the header, not the payload.
   if (retains()) {
     retained_.emplace_back(seq, message.share());
-    gauge_retained_->set(static_cast<std::int64_t>(retained_.size()));
+    report_retained();
     if (retained_.size() == k_max_retained) note_window_filled();
   }
   // A message an shm lane handed back was counted when first handed over.
-  if (seq > ctr_sent_->value()) ctr_sent_->inc();
+  if (seq > sent_) {
+    ++sent_;
+    series_.sent->inc();
+  }
   warn_if_failed(channel_->send(std::move(message)));
 }
 
 void Conduit::note_window_filled() {
   // The retained window just hit the cap: writable() deasserts until an ack
   // drains it. Track how long the app stays blocked on the window.
-  ctr_window_full_->inc();
+  series_.window_full->inc();
   window_full_since_ = loop_.now();
 }
 
@@ -108,12 +115,20 @@ void Conduit::send_control(VMsg type, std::uint64_t id) {
   send_control(h);
 }
 
-void Conduit::attach_channel(agent::ChannelPtr channel) {
+void Conduit::attach_channel(agent::ChannelPtr channel, const ConduitSeries& series) {
   FF_CHECK(!closed_);
   if (channel_ != nullptr) {
     take_back_unsent();
     channel_->close();
   }
+  // The retained window rides along to the new channel, and its depth to
+  // the family this conduit counts in from now on.
+  if (retained_reported_ != 0) {
+    series_.retained->add(-retained_reported_);
+    retained_reported_ = 0;
+  }
+  series_ = series;
+  report_retained();
   // Until the retained replay and blackout drain below finish, nothing new
   // may enter the channel: an on_space_ fired mid-replay (the fresh channel
   // drains fast) would re-enter the application's pump and put a new, higher
@@ -139,7 +154,9 @@ void Conduit::attach_channel(agent::ChannelPtr channel) {
   const orch::Transport now_on = channel_->transport();
   if (recovering) {
     in_blackout_ = false;
-    ctr_blackout_ns_->inc(static_cast<std::uint64_t>(loop_.now() - blackout_started_));
+    const SimDuration gap = loop_.now() - blackout_started_;
+    blackout_ns_ += gap;
+    series_.blackout_ns->inc(static_cast<std::uint64_t>(gap));
     tracer_.instant("conduit", "rebind", self_, trace_tid(token_),
                     telemetry::Tracer::arg("to", std::string(orch::transport_name(now_on))));
   }
@@ -215,7 +232,8 @@ void Conduit::handle_message(Message&& message) {
     ++rx_next_;
     maybe_ack();
   }
-  ctr_received_->inc();
+  ++received_;
+  series_.received->inc();
   if (on_message_) on_message_(h, std::move(parsed->payload));
   if (bye_after_ != 0 && rx_next_ > bye_after_ && !closed_) handle_bye(bye_after_);
 }
@@ -237,7 +255,7 @@ void Conduit::send_ack_now() {
   resync_ack_ = false;
   ack_timer_.cancel();
   send_control(VMsg::ack, rx_next_ - 1);
-  ctr_acks_->inc();
+  series_.acks->inc();
 }
 
 void Conduit::arm_ack_timer() {
@@ -248,7 +266,7 @@ void Conduit::arm_ack_timer() {
     if (conduit == nullptr || conduit->closed_ || conduit->closing_) return;
     if (conduit->since_ack_ == 0 && !conduit->resync_ack_) return;
     if (!conduit->retains()) return;  // detached or lossless: no ack path
-    conduit->ctr_delayed_acks_->inc();
+    conduit->series_.delayed_acks->inc();
     conduit->send_ack_now();
   });
 }
@@ -258,13 +276,13 @@ void Conduit::handle_ack(std::uint64_t acked_upto) {
   while (!retained_.empty() && retained_.front().first <= acked_upto) {
     retained_.pop_front();
   }
-  gauge_retained_->set(static_cast<std::int64_t>(retained_.size()));
+  report_retained();
   // Every sequence this side put on a lossy wire may now be acknowledged,
   // so the capture carries no replay tail.
   if (quiesce_done_ && retained_.empty()) finish_quiesce(/*drained=*/true);
   if (was_full && retained_.size() < k_max_retained) {
     if (window_full_since_ != 0) {
-      ctr_blocked_ns_->inc(static_cast<std::uint64_t>(loop_.now() - window_full_since_));
+      series_.blocked_ns->inc(static_cast<std::uint64_t>(loop_.now() - window_full_since_));
       window_full_since_ = 0;
     }
     if (!paused_ && on_space_) on_space_();
@@ -376,6 +394,7 @@ void Conduit::finish_close(CloseReason reason, bool notify_peer) {
   }
   queue_.clear();
   retained_.clear();
+  report_retained();
   if (channel_ != nullptr) {
     if (notify_peer) {
       // Best effort, and the queue and window above are already dropped:
@@ -405,7 +424,8 @@ void Conduit::mark_stale() {
     pre_failover_transport_ = channel_->transport();
     take_back_unsent();
     channel_->close();
-    ctr_rebinds_->inc();
+    ++rebinds_;
+    series_.rebinds->inc();
     if (!in_blackout_) {
       in_blackout_ = true;
       blackout_started_ = loop_.now();
@@ -424,7 +444,8 @@ void Conduit::retransmit_retained() {
   // the whole unacked window is safe — and the only way to guarantee the
   // lost tail of the dead lane arrives.
   if (!retained_.empty()) {
-    ctr_retransmits_->inc(retained_.size());
+    retransmits_ += retained_.size();
+    series_.retransmits->inc(retained_.size());
     tracer_.instant("conduit", "retransmit", self_, trace_tid(token_),
                     telemetry::Tracer::arg("count", std::to_string(retained_.size())));
   }
@@ -440,6 +461,7 @@ void Conduit::retransmit_retained() {
     // The new channel is lossless shm: once pushed it cannot be lost, and
     // the peer will never ack over shm. Drop the window.
     retained_.clear();
+    report_retained();
   }
 }
 
@@ -474,6 +496,15 @@ void Conduit::take_back_unsent() {
   for (auto it = unsent.rbegin(); it != unsent.rend(); ++it) {
     if (WireHeader::decode(it->head().data()).seq != 0) queue_.push_front(std::move(*it));
   }
+}
+
+void Conduit::report_retained() {
+  // A window carried onto shm is counted nowhere: the replay drops it.
+  const auto level =
+      series_.retained == nullptr ? 0 : static_cast<std::int64_t>(retained_.size());
+  if (level == retained_reported_) return;
+  series_.retained->add(level - retained_reported_);
+  retained_reported_ = level;
 }
 
 void Conduit::finish_quiesce(bool drained) {

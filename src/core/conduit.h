@@ -30,11 +30,38 @@
 #include "common/ring.h"
 #include "core/close_reason.h"
 #include "core/wire.h"
+#include "fabric/packet.h"
 #include "sim/event_loop.h"
 #include "tcpstack/ip.h"
 #include "telemetry/telemetry.h"
 
 namespace freeflow::core {
+
+/// One host-level family of conduit series: every conduit attached over
+/// one transport from a container on one host adds to the same counters
+/// ("conduit/h<host>/<transport>/<metric>"), so the registry grows with
+/// hosts and transports, not with connections. Registered once per key by
+/// whoever owns one per cluster (FreeFlow); a conduit holds a copy of the
+/// pointers for the channel it is attached to.
+struct ConduitSeries {
+  /// A lossless (shm) family has only the first five: nothing sent over shm
+  /// is retained, so nothing there is acked, fills a window or blocks on
+  /// one, and the conduit touches the other five only while it retains().
+  static ConduitSeries registered(telemetry::MetricRegistry& metrics, fabric::HostId host,
+                                  orch::Transport transport);
+
+  telemetry::Counter* sent = nullptr;
+  telemetry::Counter* received = nullptr;
+  telemetry::Counter* retransmits = nullptr;
+  telemetry::Counter* rebinds = nullptr;
+  telemetry::Counter* blackout_ns = nullptr;
+  telemetry::Counter* acks = nullptr;
+  telemetry::Counter* delayed_acks = nullptr;
+  telemetry::Counter* window_full = nullptr;
+  telemetry::Counter* blocked_ns = nullptr;
+  /// Sum of the attached conduits' retained-window depths.
+  telemetry::Gauge* retained = nullptr;
+};
 
 /// Why a conduit last changed hosts (surfaced through ConnectionInfo).
 enum class MigrationReason : std::uint8_t {
@@ -51,13 +78,14 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   using MessageFn = std::function<void(const WireHeader&, Buffer&&)>;
   using ClosedFn = std::function<void(CloseReason)>;
 
-  /// Registers this conduit's counters ("conduit/<token>/c<self>/...") and
-  /// trace row in `hub`, which must outlive it; the accessors below read
-  /// those same counters. `loop` clocks its timers (delayed ack, close
-  /// drain, quiesce deadline) and blackout spans.
+  /// Names its trace row in `tracer`, which must outlive it. The per-flow
+  /// counts the accessors below read are members; each also adds to the
+  /// host-level series of the channel attached at the time. `loop` clocks
+  /// its timers (delayed ack, close drain, quiesce deadline) and blackout
+  /// spans.
   Conduit(std::uint64_t token, orch::ContainerId self, orch::ContainerId peer,
           tcp::Ipv4Addr peer_ip, std::uint16_t service_port, bool initiator,
-          telemetry::Telemetry& hub, sim::EventLoop& loop);
+          telemetry::Tracer& tracer, sim::EventLoop& loop);
 
   /// Sends one protocol message, taking over `payload`: its block travels
   /// as it is to the peer's handler (retained on lossy channels, queued
@@ -84,8 +112,10 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   }
 
   /// Attaches (or replaces) the backing channel, retransmits the unacked
-  /// window and drains the queue.
-  void attach_channel(agent::ChannelPtr channel);
+  /// window and drains the queue. From here on the conduit counts into
+  /// `series`, the family of its host and the channel's transport, and its
+  /// retained-window depth moves there from the family it counted in before.
+  void attach_channel(agent::ChannelPtr channel, const ConduitSeries& series);
   /// Fires last in every attach_channel, once the replay and the drain are
   /// done: the migration coordinator finishes a move on its last attach.
   void set_on_attached(std::function<void()> cb) { on_attached_ = std::move(cb); }
@@ -186,19 +216,13 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   [[nodiscard]] std::uint16_t service_port() const noexcept { return service_port_; }
   [[nodiscard]] bool initiator() const noexcept { return initiator_; }
 
-  [[nodiscard]] std::uint64_t messages_sent() const noexcept { return ctr_sent_->value(); }
-  [[nodiscard]] std::uint64_t messages_received() const noexcept {
-    return ctr_received_->value();
-  }
-  [[nodiscard]] std::uint64_t rebinds() const noexcept { return ctr_rebinds_->value(); }
+  [[nodiscard]] std::uint64_t messages_sent() const noexcept { return sent_; }
+  [[nodiscard]] std::uint64_t messages_received() const noexcept { return received_; }
+  [[nodiscard]] std::uint64_t rebinds() const noexcept { return rebinds_; }
   /// Messages replayed from the retained window across all re-attaches.
-  [[nodiscard]] std::uint64_t retransmits() const noexcept {
-    return ctr_retransmits_->value();
-  }
+  [[nodiscard]] std::uint64_t retransmits() const noexcept { return retransmits_; }
   /// Total virtual time spent detached between mark_stale and re-attach.
-  [[nodiscard]] SimDuration blackout_ns() const noexcept {
-    return static_cast<SimDuration>(ctr_blackout_ns_->value());
-  }
+  [[nodiscard]] SimDuration blackout_ns() const noexcept { return blackout_ns_; }
   /// Monotonic detach counter: a slow re-bind whose generation no longer
   /// matches must abandon its freshly built channel (a newer re-bind won).
   [[nodiscard]] std::uint64_t generation() const noexcept { return generation_; }
@@ -251,6 +275,9 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   /// Puts the sequenced messages the attached channel hands back unsent in
   /// front of queue_; its control messages die with it.
   void take_back_unsent();
+  /// Adds the change in retained_'s depth since the last report to the
+  /// family's gauge (a lossless family has none).
+  void report_retained();
 
   std::uint64_t token_;
   orch::ContainerId self_;
@@ -293,18 +320,17 @@ class Conduit : public std::enable_shared_from_this<Conduit> {
   std::uint64_t since_ack_ = 0;
   std::uint64_t generation_ = 0;
 
-  // --- telemetry (registered by the constructor) ---
+  // --- per-flow counts, and the host-level series they also add to ---
+  std::uint64_t sent_ = 0;
+  std::uint64_t received_ = 0;
+  std::uint64_t rebinds_ = 0;
+  std::uint64_t retransmits_ = 0;
+  SimDuration blackout_ns_ = 0;
+  /// Set by every attach_channel; nothing counts before the first one.
+  ConduitSeries series_;
+  /// This conduit's share of series_.retained.
+  std::int64_t retained_reported_ = 0;
   telemetry::Tracer& tracer_;
-  telemetry::Counter* ctr_sent_ = nullptr;
-  telemetry::Counter* ctr_received_ = nullptr;
-  telemetry::Counter* ctr_acks_ = nullptr;
-  telemetry::Counter* ctr_delayed_acks_ = nullptr;
-  telemetry::Counter* ctr_retransmits_ = nullptr;
-  telemetry::Counter* ctr_rebinds_ = nullptr;
-  telemetry::Counter* ctr_window_full_ = nullptr;
-  telemetry::Counter* ctr_blackout_ns_ = nullptr;
-  telemetry::Counter* ctr_blocked_ns_ = nullptr;
-  telemetry::Gauge* gauge_retained_ = nullptr;
   /// Transport in use before the current/last failover — a re-attach onto a
   /// strictly better transport is the "re-upgrade" trace marker.
   orch::Transport pre_failover_transport_ = orch::Transport::tcp_overlay;

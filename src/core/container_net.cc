@@ -40,6 +40,12 @@ ContainerNet::~ContainerNet() {
   pending_incoming_.clear();
 }
 
+void ContainerNet::attach(const ConduitPtr& conduit, agent::ChannelPtr channel) {
+  const orch::Transport transport = channel->transport();
+  conduit->attach_channel(std::move(channel),
+                          ff_.conduit_series(container_->host(), transport));
+}
+
 void ContainerNet::adopt_conduit(const ConduitPtr& conduit) {
   conduits_.emplace(conduit->token(), conduit);
   auto self = weak_from_this();
@@ -190,6 +196,7 @@ void ContainerNet::open_channel_for(ConduitPtr conduit, orch::Transport transpor
   ff_.agents().agent_on(container_->host())
       .establish(id(), conduit->peer(), transport,
                  [conduit, rebinding, gen,
+                  series = ff_.conduit_series(container_->host(), transport),
                   done = std::move(done)](Result<agent::ChannelPtr> ch) mutable {
     if (!ch.is_ok()) {
       done(ch.status());
@@ -201,7 +208,7 @@ void ContainerNet::open_channel_for(ConduitPtr conduit, orch::Transport transpor
       return;
     }
     if (rebinding) send_rebind(**ch, conduit->token());
-    conduit->attach_channel(std::move(ch.value()));
+    conduit->attach_channel(std::move(ch.value()), series);
     done(ok_status());
   });
 }
@@ -243,7 +250,7 @@ void ContainerNet::connect_conduit(tcp::Ipv4Addr peer_ip, std::uint16_t port,
     return;
   }
   auto conduit = std::make_shared<Conduit>(ff_.next_token(), id(), *peer, peer_ip, port,
-                                           /*initiator=*/true, telemetry(), loop());
+                                           /*initiator=*/true, telemetry().tracer(), loop());
   // Owned by conduits_ from the start; the handshake handler below may
   // capture the conduit freely — close() unhooks it, so no cycle survives.
   adopt_conduit(conduit);
@@ -297,10 +304,7 @@ void ContainerNet::connect_conduit(tcp::Ipv4Addr peer_ip, std::uint16_t port,
       if (r.is_ok()) (*r)->close();
       return;
     }
-    if (r.is_ok()) {
-      conduit->attach_channel(
-          stream::TcpFallbackChannel::make(std::move(r.value())));
-    }
+    if (r.is_ok()) net->attach(conduit, stream::TcpFallbackChannel::make(std::move(r.value())));
     attached(r.status());
   });
 }
@@ -356,13 +360,13 @@ void ContainerNet::handle_first_message(orch::ContainerId src, agent::Channel* r
       auto c = ff_.orchestrator().cluster_orch().container(src);
       auto conduit = std::make_shared<Conduit>(
           header.token, id(), src, c ? c->ip() : tcp::Ipv4Addr{}, header.port,
-          /*initiator=*/false, telemetry(), loop());
+          /*initiator=*/false, telemetry().tracer(), loop());
       // Only the fallback listener hands out tcp_overlay channels: the peer
       // connected on the per_stream_qp path.
       const bool per_stream_qp = channel->transport() == orch::Transport::tcp_overlay;
       // The routing tap consumed the peer's first sequenced message.
       conduit->sync_rx(header.seq);
-      conduit->attach_channel(std::move(channel));
+      attach(conduit, std::move(channel));
       adopt_conduit(conduit);
       if (per_stream_qp) adopt_stream_qp(conduit);
       reply.type = accept_of(header.type);
@@ -388,7 +392,7 @@ void ContainerNet::handle_first_message(orch::ContainerId src, agent::Channel* r
         channel->close();
         return;
       }
-      it->second->attach_channel(std::move(channel));
+      attach(it->second, std::move(channel));
       return;
     }
     case VMsg::bye: {
@@ -635,7 +639,7 @@ void ContainerNet::rebind_on_fallback(const ConduitPtr& conduit, bool upgrade_af
         channel->send(Message(encode_header(*offer)));
       }
     }
-    conduit->attach_channel(std::move(channel));
+    net->attach(conduit, std::move(channel));
     net->note_splice("stream/fallbacks", "stream_fallback", conduit->token());
   });
 }
@@ -721,7 +725,7 @@ void ContainerNet::handle_handshake(const ConduitPtr& conduit, const WireHeader&
   // replay the attach triggers: the peer's router hands the QP to its
   // conduit before any data arrives on it.
   send_rebind(*channel, conduit->token());
-  conduit->attach_channel(std::move(channel));  // closes the TCP side
+  attach(conduit, std::move(channel));  // closes the TCP side
   note_splice("stream/upgrades", "stream_upgrade", conduit->token());
 }
 

@@ -123,7 +123,7 @@ class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
 
   /// Introspection: one row per open conduit (ops tooling / examples).
   struct ConnectionInfo {
-    std::uint64_t token;  ///< keys telemetry: "conduit/<token>/c<self>/..."
+    std::uint64_t token;  ///< shared by both endpoints; the trace row's tid
     orch::ContainerId peer;
     tcp::Ipv4Addr peer_ip;
     orch::Transport transport;
@@ -188,6 +188,9 @@ class ContainerNet : public std::enable_shared_from_this<ContainerNet> {
   void open_channel_for(ConduitPtr conduit, orch::Transport transport, bool rebinding,
                         std::function<void(Status)> done);
 
+  /// Attaches `channel` to `conduit`, counted in this container's host
+  /// series for the channel's transport.
+  void attach(const ConduitPtr& conduit, agent::ChannelPtr channel);
   /// Takes ownership of `conduit` in conduits_ and installs the teardown
   /// hook that drops that reference when the conduit closes.
   void adopt_conduit(const ConduitPtr& conduit);

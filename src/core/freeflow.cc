@@ -69,6 +69,19 @@ tcp::TcpNetwork& FreeFlow::fallback_net() {
   return *fallback_net_;
 }
 
+const ConduitSeries& FreeFlow::conduit_series(fabric::HostId host,
+                                              orch::Transport transport) {
+  const auto key = std::make_pair(host, transport);
+  auto it = conduit_series_.find(key);
+  if (it == conduit_series_.end()) {
+    auto& metrics = orchestrator_.cluster_orch().cluster().telemetry().metrics();
+    it = conduit_series_
+             .emplace(key, ConduitSeries::registered(metrics, host, transport))
+             .first;
+  }
+  return it->second;
+}
+
 TransportSelector& FreeFlow::selector_on(fabric::HostId host) {
   auto it = selectors_.find(host);
   if (it == selectors_.end()) {

@@ -12,8 +12,10 @@
 // planned move (src/migration) adds only a quiesce ahead of the capture.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "agent/agent.h"
@@ -54,6 +56,11 @@ class FreeFlow {
 
   [[nodiscard]] std::uint64_t next_token() noexcept { return next_token_++; }
 
+  /// The conduit series of containers on `host` over `transport`,
+  /// registered the first time the pair is seen.
+  [[nodiscard]] const ConduitSeries& conduit_series(fabric::HostId host,
+                                                    orch::Transport transport);
+
  private:
   /// Library instances with a conduit touching container `id` (its own
   /// included).
@@ -66,6 +73,7 @@ class FreeFlow {
   agent::AgentFabric agents_;
   std::unordered_map<fabric::HostId, std::unique_ptr<TransportSelector>> selectors_;
   std::unique_ptr<tcp::TcpNetwork> fallback_net_;
+  std::map<std::pair<fabric::HostId, orch::Transport>, ConduitSeries> conduit_series_;
   std::unordered_map<orch::ContainerId, ContainerNetPtr> nets_;
   std::uint64_t next_token_ = 1;
   /// Liveness token for orchestrator subscriptions: the orchestrator can

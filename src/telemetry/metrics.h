@@ -1,9 +1,9 @@
 // Sim-clock-native metrics: named counters, gauges and histograms organized
-// by entity ("conduit/7/retransmits", "nic/0/drops/rdma_chunk"). The
+// by entity ("conduit/h0/rdma/retransmits", "nic/0/drops/rdma_chunk"). The
 // registry hands out stable pointers, so instrumented hot paths pay one
 // pointer-chase and one increment — no name lookup, no allocation, no
-// branch on "is telemetry on": every instrumented object takes the hub at
-// construction, and its accessors read the same counters back.
+// branch on "is telemetry on": every instrumented object takes its series
+// when it is built or attached, not per event.
 //
 // Snapshots are deterministic: names are kept sorted, values depend only on
 // simulation history, so two seeded runs export byte-identical JSON.

@@ -1,11 +1,12 @@
 // Telemetry hub: one MetricRegistry + one Tracer per simulated deployment,
-// owned by fabric::Cluster. Every instrumented object (NICs, conduits,
-// agents, selectors, the control plane) registers its series here at
-// construction, and the registry is the only place those counts live.
+// owned by fabric::Cluster. Instrumented objects (NICs, agents, selectors,
+// the control plane) register their series here at construction. Conduits
+// keep their per-flow counts as members and add each to a host-level
+// family that FreeFlow registers the first time a (host, transport) pair
+// attaches, so no connection touches the registry's map.
 // Entity naming scheme, every family listed in DESIGN.md §10:
-//   conduit/<token>/c<container>/<metric>   nic/<host>/<metric>[/<packet-kind>]
+//   conduit/h<host>/<transport>/<metric>    nic/<host>/<metric>[/<packet-kind>]
 //   agent/<host>/<metric>                   orchestrator/<metric>
-// (both endpoints of a channel share the token, hence the container leg)
 #pragma once
 
 #include "telemetry/metrics.h"

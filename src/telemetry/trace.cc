@@ -40,6 +40,8 @@ void Tracer::name_process(std::uint32_t pid, const std::string& name) {
 }
 
 void Tracer::name_thread(std::uint32_t pid, std::uint32_t tid, const std::string& name) {
+  // Every conduit names its row: a metrics-only run skips building the args.
+  if (!enabled_) return;
   push('M', "__metadata", "thread_name", pid, tid, arg("name", name));
 }
 

@@ -88,7 +88,7 @@ TEST(WireProtocol, ParseRejectsTruncatedAndMismatched) {
 TEST(ConduitUnit, QueuesUntilChannelAttached) {
   sim::EventLoop loop;
   telemetry::Telemetry hub;
-  Conduit conduit(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub, loop);
+  Conduit conduit(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub.tracer(), loop);
   EXPECT_FALSE(conduit.live());
   WireHeader h;
   conduit.send(h, Buffer::from_string("queued").view());
@@ -99,7 +99,7 @@ TEST(ConduitUnit, QueuesUntilChannelAttached) {
 TEST(ConduitUnit, CloseFiresOnceAndDropsTraffic) {
   sim::EventLoop loop;
   telemetry::Telemetry hub;
-  Conduit conduit(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub, loop);
+  Conduit conduit(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub.tracer(), loop);
   int closed = 0;
   conduit.set_on_closed([&](CloseReason) { ++closed; });
   conduit.close();
@@ -158,6 +158,11 @@ class TestPipe final : public agent::Channel {
   bool closed_ = false;
 };
 
+/// The host-level series a bare conduit over TestPipes counts into.
+ConduitSeries pipe_series(telemetry::Telemetry& hub) {
+  return ConduitSeries::registered(hub.metrics(), 0, orch::Transport::rdma);
+}
+
 /// A short burst leaves the receiver mid-ack-cadence (since_ack_ < 16).
 /// Without the delayed-ack timer the tail is never acked and the sender's
 /// retained window never drains — this is the idle half of the ack-stall
@@ -165,11 +170,13 @@ class TestPipe final : public agent::Channel {
 TEST(ConduitUnit, DelayedAckDrainsIdleTail) {
   sim::EventLoop loop;
   telemetry::Telemetry hub(&loop);
-  auto a = std::make_shared<Conduit>(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub, loop);
-  auto b = std::make_shared<Conduit>(1, 20, 10, tcp::Ipv4Addr(10, 0, 0, 2), 80, false, hub, loop);
+  auto a = std::make_shared<Conduit>(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true,
+                                     hub.tracer(), loop);
+  auto b = std::make_shared<Conduit>(1, 20, 10, tcp::Ipv4Addr(10, 0, 0, 2), 80, false,
+                                     hub.tracer(), loop);
   auto [pa, pb] = TestPipe::connect(loop);
-  a->attach_channel(pa);
-  b->attach_channel(pb);
+  a->attach_channel(pa, pipe_series(hub));
+  b->attach_channel(pb, pipe_series(hub));
 
   for (int i = 0; i < 5; ++i) {
     WireHeader h;
@@ -193,11 +200,13 @@ TEST(ConduitUnit, DelayedAckDrainsIdleTail) {
 TEST(ConduitUnit, AckStallAfterFailoverLostAcks) {
   sim::EventLoop loop;
   telemetry::Telemetry hub(&loop);
-  auto a = std::make_shared<Conduit>(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub, loop);
-  auto b = std::make_shared<Conduit>(1, 20, 10, tcp::Ipv4Addr(10, 0, 0, 2), 80, false, hub, loop);
+  auto a = std::make_shared<Conduit>(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true,
+                                     hub.tracer(), loop);
+  auto b = std::make_shared<Conduit>(1, 20, 10, tcp::Ipv4Addr(10, 0, 0, 2), 80, false,
+                                     hub.tracer(), loop);
   auto [pa, pb] = TestPipe::connect(loop);
-  a->attach_channel(pa);
-  b->attach_channel(pb);
+  a->attach_channel(pa, pipe_series(hub));
+  b->attach_channel(pb, pipe_series(hub));
   pb->deliver = false;  // b -> a direction swallows traffic: acks are lost
 
   const std::uint64_t target = Conduit::k_max_retained + 32;
@@ -226,8 +235,8 @@ TEST(ConduitUnit, AckStallAfterFailoverLostAcks) {
   a->mark_stale();
   b->mark_stale();
   auto [pa2, pb2] = TestPipe::connect(loop);
-  a->attach_channel(pa2);
-  b->attach_channel(pb2);
+  a->attach_channel(pa2, pipe_series(hub));
+  b->attach_channel(pb2, pipe_series(hub));
   loop.run();
 
   EXPECT_EQ(app_sent, target);
@@ -242,14 +251,16 @@ struct PipePair {
   sim::EventLoop loop;
   telemetry::Telemetry hub{&loop};
   std::shared_ptr<Conduit> a =
-      std::make_shared<Conduit>(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub, loop);
+      std::make_shared<Conduit>(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true,
+                                hub.tracer(), loop);
   std::shared_ptr<Conduit> b =
-      std::make_shared<Conduit>(1, 20, 10, tcp::Ipv4Addr(10, 0, 0, 2), 80, false, hub, loop);
+      std::make_shared<Conduit>(1, 20, 10, tcp::Ipv4Addr(10, 0, 0, 2), 80, false,
+                                hub.tracer(), loop);
 
   PipePair() {
     auto [pa, pb] = TestPipe::connect(loop);
-    a->attach_channel(pa);
-    b->attach_channel(pb);
+    a->attach_channel(pa, pipe_series(hub));
+    b->attach_channel(pb, pipe_series(hub));
   }
   void send(const std::string& text) {
     WireHeader h;

@@ -63,7 +63,7 @@ struct TeardownFixture : ::testing::Test {
 TEST(ConduitTeardown, PeerCloseAfterLocalCloseIsIdempotent) {
   sim::EventLoop loop;
   telemetry::Telemetry hub;
-  Conduit conduit(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub, loop);
+  Conduit conduit(1, 10, 20, tcp::Ipv4Addr(10, 0, 0, 1), 80, true, hub.tracer(), loop);
   int closed = 0;
   int torn_down = 0;
   CloseReason reason{};

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -204,6 +207,13 @@ TEST(Tracer, DisabledTracerDropsEvents) {
 
 // ------------------------------------------------------------- integration
 
+/// "conduit/h<host>/<transport>/": the prefix of one host-level family of
+/// conduit series.
+std::string family(fabric::HostId host, orch::Transport transport) {
+  return "conduit/h" + std::to_string(host) + "/" + std::string(orch::transport_name(transport)) +
+         "/";
+}
+
 /// Drives a real transfer and cross-checks the registry against the
 /// conduit's own introspection; then repeats the identical run and demands
 /// a byte-identical snapshot (determinism is what makes telemetry diffable
@@ -230,12 +240,18 @@ TEST(TelemetryIntegration, CountersMatchConduitsAndSnapshotsAreDeterministic) {
     EXPECT_TRUE(env.wait([&]() { return got == 40u * 1024u; }));
 
     auto& metrics = env.cluster.telemetry().metrics();
-    for (const auto& info : na->connections()) {
-      const std::string base = "conduit/" + std::to_string(info.token) + "/c" +
-                               std::to_string(a->id()) + "/";
-      EXPECT_NE(metrics.find_counter(base + "sent"), nullptr);
-      EXPECT_NE(metrics.find_counter(base + "retransmits"), nullptr);
+    // Each end is the only conduit in its host's family, so the family
+    // counts are that conduit's own.
+    for (const auto& net : {na, nb}) {
+      for (const auto& info : net->connections()) {
+        const std::string base = family(net->container()->host(), info.transport);
+        EXPECT_EQ(metrics.counter_value(base + "sent"), info.messages_sent);
+        EXPECT_EQ(metrics.counter_value(base + "received"), info.messages_received);
+        EXPECT_NE(metrics.find_counter(base + "retransmits"), nullptr);
+      }
     }
+    // The connect request and the 40 data messages.
+    EXPECT_EQ(metrics.counter_value(family(0, orch::Transport::rdma) + "sent"), 41u);
     // Data flowed inter-host, so the NIC counters saw it too.
     EXPECT_GT(metrics.counter_value("nic/0/tx_bytes/rdma_chunk") +
                   metrics.counter_value("nic/0/tx_bytes/tcp_frame") +
@@ -250,6 +266,142 @@ TEST(TelemetryIntegration, CountersMatchConduitsAndSnapshotsAreDeterministic) {
   EXPECT_EQ(s1, s2);
   EXPECT_NE(s1.find("\"conduit/"), std::string::npos);
   EXPECT_NE(s1.find("\"nic/0/tx_utilization\""), std::string::npos);
+}
+
+/// Connection churn does not grow the registry: a conduit counts into its
+/// host x transport family, so 1,200 connections over shm and rdma register
+/// what the first 300 did. Each family's counts are the sum of its
+/// conduits' own and outlive them, and its retained gauge drains to 0.
+TEST(Telemetry, SeriesDoNotGrowWithConnections) {
+  constexpr int k_rounds = 4;
+  constexpr std::size_t k_per_client = 100;
+  constexpr std::size_t k_echo_bytes = 1024;
+  Env env(3);
+  auto server = env.deploy("server", 1, 0);
+  auto ns = *env.freeflow().attach(server->id());
+  // c0 shares the server's host (shm); c1 and c2 reach it over rdma.
+  std::vector<core::ContainerNetPtr> clients;
+  for (fabric::HostId h = 0; h < 3; ++h) {
+    auto c = env.deploy("c" + std::to_string(h), 1, h);
+    clients.push_back(*env.freeflow().attach(c->id()));
+  }
+  std::vector<core::ContainerNetPtr> all_nets = clients;
+  all_nets.push_back(ns);
+  std::vector<core::FlowSocketPtr> accepted;
+  ASSERT_TRUE(ns->sock_listen(80, [&](core::FlowSocketPtr s) {
+    core::FlowSocket* raw = s.get();
+    s->set_on_data([raw](Buffer&& b) { EXPECT_TRUE(raw->send(std::move(b)).is_ok()); });
+    accepted.push_back(std::move(s));
+  }).is_ok());
+
+  auto& metrics = env.cluster.telemetry().metrics();
+  static constexpr std::array<const char*, 4> k_counts = {"sent", "received", "retransmits",
+                                                          "rebinds"};
+  using Counts = std::array<std::uint64_t, k_counts.size()>;
+  auto family_counts = [&](const std::string& base) {
+    Counts out{};
+    for (std::size_t i = 0; i < k_counts.size(); ++i) {
+      out[i] = metrics.counter_value(base + k_counts[i]);
+    }
+    return out;
+  };
+  const std::vector<std::string> families = {
+      family(0, orch::Transport::shm), family(0, orch::Transport::rdma),
+      family(1, orch::Transport::rdma), family(2, orch::Transport::rdma)};
+  // Every rdma family's retained gauge equals the sum of its conduits'
+  // windows; shm retains nothing, so its family has no such gauge.
+  auto expect_retained_matches = [&]() {
+    std::map<std::string, std::int64_t> windows;
+    for (const auto& net : all_nets) {
+      for (const auto& info : net->connections()) {
+        windows[family(net->container()->host(), info.transport)] +=
+            static_cast<std::int64_t>(info.retained);
+      }
+    }
+    EXPECT_EQ(metrics.find_gauge(families[0] + "retained"), nullptr);
+    EXPECT_EQ(windows[families[0]], 0);
+    for (std::size_t f = 1; f < families.size(); ++f) {
+      const Gauge* g = metrics.find_gauge(families[f] + "retained");
+      ASSERT_NE(g, nullptr) << families[f];
+      EXPECT_EQ(g->value(), windows[families[f]]) << families[f];
+    }
+  };
+
+  std::size_t first_round_size = 0;
+  for (int round = 0; round < k_rounds; ++round) {
+    std::map<std::string, Counts> before;
+    for (const auto& base : families) before[base] = family_counts(base);
+
+    std::vector<core::FlowSocketPtr> open;
+    for (const auto& net : clients) {
+      for (std::size_t i = 0; i < k_per_client; ++i) {
+        net->sock_connect(server->ip(), 80, [&](Result<core::FlowSocketPtr> s) {
+          ASSERT_TRUE(s.is_ok()) << s.status();
+          open.push_back(*s);
+        });
+      }
+    }
+    const std::size_t conns = clients.size() * k_per_client;
+    ASSERT_TRUE(env.wait([&]() { return open.size() == conns && accepted.size() == conns; }));
+
+    std::size_t echoed = 0;
+    for (auto& s : open) {
+      s->set_on_data([&](Buffer&& b) { echoed += b.size(); });
+      ASSERT_TRUE(s->send(Buffer(k_echo_bytes)).is_ok());
+    }
+    if (round == 0) {
+      // Mid-flight, each rdma request sits unacked in its window.
+      const Gauge* g = metrics.find_gauge(family(1, orch::Transport::rdma) + "retained");
+      ASSERT_NE(g, nullptr);
+      EXPECT_GE(g->value(), static_cast<std::int64_t>(k_per_client));
+    }
+    expect_retained_matches();
+    ASSERT_TRUE(env.wait([&]() { return echoed == conns * k_echo_bytes; }));
+
+    // Held past the close (whose fin is one more message each way), then
+    // summed per family by their own accessors.
+    std::vector<std::pair<std::string, core::ConduitPtr>> conduits;
+    for (const auto& net : all_nets) {
+      for (const auto& info : net->connections()) {
+        conduits.emplace_back(family(net->container()->host(), info.transport),
+                              net->find_conduit(info.token));
+      }
+    }
+    EXPECT_EQ(conduits.size(), 2 * conns);
+    for (auto& s : open) s->close();
+    ASSERT_TRUE(env.wait([&]() {
+      for (const auto& [base, c] : conduits) {
+        if (!c->closed()) return false;
+      }
+      return true;
+    }));
+    std::map<std::string, Counts> sums;
+    std::vector<std::weak_ptr<core::Conduit>> gone;
+    for (const auto& [base, c] : conduits) {
+      Counts& sum = sums[base];
+      sum[0] += c->messages_sent();
+      sum[1] += c->messages_received();
+      sum[2] += c->retransmits();
+      sum[3] += c->rebinds();
+      gone.push_back(c);
+    }
+    EXPECT_EQ(sums.size(), families.size());
+    conduits.clear();
+    open.clear();
+    accepted.clear();
+    for (const auto& c : gone) EXPECT_TRUE(c.expired());
+
+    for (const auto& base : families) {
+      const Counts now = family_counts(base);
+      for (std::size_t i = 0; i < k_counts.size(); ++i) {
+        EXPECT_EQ(now[i] - before[base][i], sums[base][i]) << base << k_counts[i];
+      }
+      EXPECT_GT(now[0], before[base][0]) << base;
+    }
+    expect_retained_matches();
+    if (round == 0) first_round_size = metrics.size();
+    EXPECT_EQ(metrics.size(), first_round_size) << "round " << round;
+  }
 }
 
 }  // namespace
